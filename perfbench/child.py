@@ -5,8 +5,9 @@
     child.py points --seed S (--seconds X | --count M) [--trace] [--perturb-reference]
 
 Each mode prints one JSON object as the last line of stdout. Op times cover
-only the op, measured inside this process; the CLI's own output is captured
-and returned for `run.py` to check.
+only the op, measured inside this process (`points` also gives the
+perf_counter time at which each batch of ops starts and the last one ends);
+the CLI's own output is captured and returned for `run.py` to check.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def cmd_points(args) -> dict:
     spec = mq.ChainSpec(workloads.POINTS_N)
     pool = workloads.point_pool(args.seed)
     tracer = Tracer()
-    times, errors, failed = [], [], 0
+    times, stamps, errors, failed = [], [], [], 0
     with contextlib.ExitStack() as stack:
         if args.trace:
             stack.enter_context(tracer.installed())
@@ -106,6 +107,8 @@ def cmd_points(args) -> dict:
         while op < args.count if args.count else (op == 0 or time.perf_counter() < deadline):
             tracer.op = op
             start = time.perf_counter()
+            if op % workloads.POINTS_BATCH == 0:
+                stamps.append(start)
             try:
                 report, receiver = workloads.run_point(mq, spec, pool[op % len(pool)])
             except Exception:  # an op that raises is a failed op, not a failed run
@@ -118,8 +121,9 @@ def cmd_points(args) -> dict:
                 failed += 1
                 errors.extend(problems[: max(0, 5 - len(errors))])
             op += 1
+        stamps.append(time.perf_counter())
         cpu1, rss = _usage()
-    return {"times": times, "failed": failed, "errors": errors,
+    return {"times": times, "stamps": stamps, "failed": failed, "errors": errors,
             "cpu": (cpu1 - cpu0) / len(times), "rss_mb": rss, "spans": tracer.spans}
 
 

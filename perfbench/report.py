@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 import run
@@ -33,11 +34,13 @@ def _row(record: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--perturb-reference", action="store_true")
     parser.add_argument("--save", default=None, help="write all run records to this JSON file")
     args = parser.parse_args(argv)
+    # a terminated report unwinds, so run.spawn() kills and reaps its op process
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     records: dict[str, dict] = {}
     print(f"{'workload':<15} {'wall_s':>14} {'setup_s':>11} {'peak_rss_mb':>11} "

@@ -58,7 +58,8 @@ def test_per_layer_list_matches_benchmark_json():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == list(tracing.PER_LAYER)
     assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] == list(run.END_TO_END)
-    assert {w["name"]: w["why"] for w in spec["workloads"]} == workloads.WORKLOADS
+    assert {w["name"]: w["why"] for w in spec["workloads"]} == {
+        name: workloads.WORKLOADS[name] for name in workloads.GATED}
 
 
 def _table_output(reference):
@@ -145,3 +146,23 @@ def test_run_with_perturbed_reference_reports_failures():
 
     record = run.run("points-n42", seed=3, seconds=0.3, trace=False)
     assert record["failed"] == 0
+
+
+def test_speed_scale_and_probe():
+    assert run.speed_scale([(0.0, run.PROBE_REF_S * 2)] * 3 + [(1.0, 1.0)]) == 0.5
+    assert 0.0 < run.probe() < 0.1
+
+
+def test_point_pool_is_a_shifted_halton_sequence():
+    assert list(workloads._halton(4, 2)) == [0.5, 0.25, 0.75, 0.125]
+    pool = workloads.point_pool(7, size=64)
+    assert [p[:3] for p in pool[:3]] == [p[:3] for p in workloads.point_pool(7, size=3)]
+    assert [p[:3] for p in pool] != [p[:3] for p in workloads.point_pool(8, size=64)]
+    for t, b, lambda0, sender in pool:
+        assert 21.0 <= t <= 63.0 and 0.0 <= b <= 10.0 and 0.5 <= lambda0 <= 2.0
+        assert sender.shape == (4, 4)
+    # each eighth of the t range holds an eighth of the points, give or take one
+    counts = [0] * 8
+    for t, *_ in pool:
+        counts[int((t / 42 - 0.5) * 8)] += 1
+    assert max(counts) - min(counts) <= 1
