@@ -36,14 +36,30 @@ def _matrix_pairs(m: np.ndarray) -> list:
     return [[_complex_pair(z) for z in row] for row in m]
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_floats(text: str, form: str) -> list[float]:
+    """Colon-separated finite numbers laid out as form, e.g. 'lo:hi:step'."""
     try:
-        lo, hi, step = (float(x) for x in text.split(":"))
-    except ValueError as exc:
-        raise ConfigurationError(f"grid must be lo:hi:step, got {text!r}") from exc
+        values = [float(x) for x in text.split(":")]
+    except ValueError:
+        values = []
+    if len(values) != form.count(":") + 1 or not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"expected {form}, got {text!r}")
+    return values
+
+
+def _parse_grid(text: str) -> np.ndarray:
+    lo, hi, step = _parse_floats(text, "lo:hi:step")
     if step <= 0 or hi < lo:
         raise ConfigurationError(f"bad grid {text!r}")
     return np.arange(lo, hi + 1e-12, step)
+
+
+def _check_finite(args) -> None:
+    """Reject non-finite point parameters before they reach a solver."""
+    for attr, flag in (("t", "--t"), ("b", "--b"), ("lambda0_value", "--lambda0")):
+        value = getattr(args, attr, None)
+        if value is not None and not np.isfinite(value):
+            raise ConfigurationError(f"{flag} must be finite, got {value}")
 
 
 def _emit(args, header: list[str], rows: list, meta: dict) -> None:
@@ -120,8 +136,11 @@ def cmd_one_qubit(args) -> int:
 
 def _load_sender(path: str) -> np.ndarray:
     with open(path) as fh:
-        raw = json.load(fh)
-    m = np.array([[complex(re, im) for re, im in row] for row in raw])
+        try:
+            m = np.array([[complex(re, im) for re, im in row] for row in json.load(fh)])
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"sender file {path} is not a matrix of [re, im] pairs: "
+                                  f"{exc}") from exc
     return validate_density(m, psd_tol=None)
 
 
@@ -168,8 +187,7 @@ def _problem_from_args(args) -> OptProblem:
     mode = "fixed_one" if args.lambda0 == "one" else "free"
     kwargs = {"case": args.case, "lambda0_mode": mode}
     if args.t_window:
-        lo, hi = (float(x) for x in args.t_window.split(":"))
-        kwargs["t_window"] = (lo, hi)
+        kwargs["t_window"] = tuple(_parse_floats(args.t_window, "lo:hi"))
     return OptProblem(**kwargs)
 
 
@@ -314,6 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (ConfigurationError, ValidationError, SingularInputError,
             DomainError, ResourceError, OSError, np.linalg.LinAlgError) as exc:

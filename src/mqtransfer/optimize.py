@@ -11,21 +11,15 @@ positivity and eigenvalue-realness boundaries, so no derivatives are used.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, ModeBasis, amplitude_set, mode_basis, transition_amplitude_grid
+from .chain import ChainSpec, ModeBasis, amplitude_set, mode_basis
 from .errors import ConfigurationError
-from .solvers import solve_first_order
-from .states import (
-    _base_matrix,
-    _first_order_direction,
-    _ray_max_closed,
-    _SECOND_DIRECTION,
-    PSD_TOL,
-    region_metrics,
-)
-from .two_qubit import _alpha_entries, FIRST_LABELS, ZERO_ROWS, alpha_table
+from .solvers import solve_first_order, zero_order_resolvent, zero_order_system
+from .states import block_rays, region_metrics
+from .two_qubit import _alpha_entries, alpha_table
 
 __all__ = [
     "OptProblem",
@@ -70,8 +64,9 @@ class OptProblem:
             raise ConfigurationError(f"case must be 1..4, got {self.case}")
         if self.lambda0_mode not in ("free", "fixed_one"):
             raise ConfigurationError(f"lambda0_mode must be 'free' or 'fixed_one', got {self.lambda0_mode}")
-        for name, win in (("b_window", self.b_window), ("lambda0_window", self.lambda0_window)):
-            if win[1] < win[0]:
+        for name, win in (("t_window", self.t_window), ("b_window", self.b_window),
+                          ("lambda0_window", self.lambda0_window)):
+            if win is not None and win[1] < win[0]:
                 raise ConfigurationError(f"{name} is empty: {win}")
 
 
@@ -95,12 +90,14 @@ class OptResult:
     x1: np.ndarray | None
 
 
+@lru_cache(maxsize=64)
 def lambda2_landmark(spec: ChainSpec, t_window: tuple[float, float] | None = None,
                      step: float = 1e-3) -> tuple[float, float]:
     """Location and signed value of the largest |double-quantum factor|.
 
     The default window is [0.5 N, 1.5 N], which brackets the first transfer
-    window where the factor peaks near t ~ N.
+    window where the factor peaks near t ~ N. Results are cached per
+    (spec, t_window, step).
     """
     basis = mode_basis(spec.n_sites)
     n = spec.n_sites
@@ -135,36 +132,16 @@ def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
 
 
 def _amp_grids(basis: ModeBasis, ts: np.ndarray):
-    n = basis.n_sites
-    return (transition_amplitude_grid(basis, 1, n - 1, ts),
-            transition_amplitude_grid(basis, 1, n, ts),
-            transition_amplitude_grid(basis, 2, n - 1, ts),
-            transition_amplitude_grid(basis, 2, n, ts))
+    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts, sharing one phase grid."""
+    n, g = basis.n_sites, basis.g
+    phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
+    weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
+    return tuple((phase @ weights).T)
 
 
 def _lambda2_grid(basis: ModeBasis, ts: np.ndarray) -> np.ndarray:
     p, q, r, s = _amp_grids(basis, ts)
     return (p * s - q * r).real
-
-
-def _stack_first(entries: dict, nt: int) -> np.ndarray:
-    t1 = np.empty((nt, 4, 4), dtype=complex)
-    for i, ij in enumerate(FIRST_LABELS):
-        for j, nm in enumerate(FIRST_LABELS):
-            t1[:, i, j] = entries[f"{ij},{nm}"]
-    return t1
-
-
-def _stack_zero(entries: dict, nt: int) -> tuple[np.ndarray, np.ndarray]:
-    t0 = np.empty((nt, 5, 5), dtype=complex)
-    b_vec = np.empty((nt, 5), dtype=complex)
-    for ri, ij in enumerate(ZERO_ROWS):
-        for ci, nm in enumerate(("11", "22", "33")):
-            t0[:, ri, ci] = entries[f"{ij},{nm}"] - entries[f"{ij},44"]
-        t0[:, ri, 3] = entries[f"{ij},23"]
-        t0[:, ri, 4] = entries[f"{ij},32"]
-        b_vec[:, ri] = entries[f"{ij},44"]
-    return t0, b_vec
 
 
 def _select_real_batch(t1: np.ndarray, realness_tol: float):
@@ -191,28 +168,30 @@ def _select_real_batch(t1: np.ndarray, realness_tol: float):
     return lam, vec, found
 
 
-def _solve_zero_batch(t0: np.ndarray, b_vec: np.ndarray, lam0: float) -> np.ndarray:
-    """x0 over the t axis for one lambda0; singular rows come back as NaN."""
-    a = lam0 * np.eye(5)[None, :, :] - t0
-    try:
-        return np.linalg.solve(a, b_vec[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        nt = t0.shape[0]
-        out = np.full((nt, 5), np.nan, dtype=complex)
-        for i in range(nt):
-            try:
-                out[i] = np.linalg.solve(a[i], b_vec[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _region_column(amps: tuple, b: float, n_sites: int, l0s: np.ndarray,
+                   realness_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Semi-axes s1, s2 over (t, lambda0) at one b; zero at infeasible cells.
+
+    amps are the four amplitude arrays over t. T0 is diagonalized once per t
+    for the whole lambda0 axis, and the rays are closed-form.
+    """
+    first, zero, second = _alpha_entries(*amps, b, n_sites)
+    lam1, x1, has1 = _select_real_batch(first, realness_tol)
+    x0, regular = zero_order_resolvent(*zero_order_system(zero), l0s)
+    positive, c1, c2 = block_rays(x0, x1[:, None, :])
+    ok = regular & positive
+    lam1_pos = np.where(has1 & (lam1 > 0.0), lam1, 0.0)[:, None]
+    lam2_pos = np.where(second.real > 0.0, second.real, 0.0)[:, None]
+    # without a real positive lambda1, x1 is zero and c1 infinite: select first
+    return np.where(ok & (lam1_pos > 0.0), c1, 0.0) * lam1_pos, np.where(ok, c2, 0.0) * lam2_pos
 
 
-def _scan(spec: ChainSpec, problem: OptProblem, need_c1: bool) -> dict:
-    """Coarse grid of region metrics.
+def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
+    """Coarse grid of region metrics, one b column at a time.
 
-    Returns axes ts, bs, l0s and arrays lam2 (nt,), lam1 (nt, nb),
-    c1/c2/s-arrays of shape (nt, nb, nl). Metrics are zero at infeasible
-    points, so argmax directly yields the best feasible cell.
+    Returns axes ts, bs, l0s and s-arrays of shape (nt, nb, nl). Metrics are
+    zero at infeasible points, so argmax directly yields the best feasible
+    cell.
     """
     basis = mode_basis(spec.n_sites)
     t_lo, t_hi = problem.t_window if problem.t_window is not None else first_window(spec)
@@ -223,61 +202,13 @@ def _scan(spec: ChainSpec, problem: OptProblem, need_c1: bool) -> dict:
     else:
         l0s = np.arange(problem.lambda0_window[0], problem.lambda0_window[1] + 1e-9,
                         problem.lambda0_step)
-    nt, nb, nl = len(ts), len(bs), len(l0s)
-    p, q, r, s = _amp_grids(basis, ts)
-    lam2 = (p * s - q * r).real
-    lam2_pos = np.where(lam2 > 0.0, lam2, 0.0)
-
-    lam1 = np.zeros((nt, nb))
-    has1 = np.zeros((nt, nb), dtype=bool)
-    c1 = np.zeros((nt, nb, nl))
-    c2 = np.zeros((nt, nb, nl))
+    amps = _amp_grids(basis, ts)
+    s1 = np.zeros((len(ts), len(bs), len(l0s)))
+    s2 = np.zeros_like(s1)
     for bi, b in enumerate(bs):
-        entries = _alpha_entries(p, q, r, s, b, spec.n_sites)
-        t0, b_vec = _stack_zero(entries, nt)
-        lam, vec, found = _select_real_batch(_stack_first(entries, nt), problem.realness_tol)
-        lam1[:, bi] = lam
-        has1[:, bi] = found
-        if need_c1:
-            v1 = np.zeros((nt, 4, 4), dtype=complex)
-            v1[:, 0, 1] = vec[:, 0]
-            v1[:, 0, 2] = vec[:, 1]
-            v1[:, 1, 3] = vec[:, 2]
-            v1[:, 2, 3] = vec[:, 3]
-            v1 = v1 + np.conj(np.swapaxes(v1, 1, 2))
-        for li, l0 in enumerate(l0s):
-            x0 = _solve_zero_batch(t0, b_vec, float(l0))
-            r11 = x0[:, 0].real
-            r22 = x0[:, 1].real
-            r33 = x0[:, 2].real
-            r44 = 1.0 - r11 - r22 - r33
-            x23 = x0[:, 3]
-            blk_min = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + np.abs(x23) ** 2)
-            base_ok = (np.isfinite(r11) & (r11 >= -PSD_TOL) & (r44 >= -PSD_TOL)
-                       & (blk_min >= -PSD_TOL))
-            c2[:, bi, li] = np.where(base_ok, np.sqrt(np.clip(r11 * r44, 0.0, None)), 0.0)
-            if need_c1:
-                mask = base_ok & found & (lam > 0.0)
-                if np.any(mask):
-                    m0 = np.zeros((int(mask.sum()), 4, 4), dtype=complex)
-                    m0[:, 0, 0] = r11[mask]
-                    m0[:, 1, 1] = r22[mask]
-                    m0[:, 2, 2] = r33[mask]
-                    m0[:, 3, 3] = r44[mask]
-                    m0[:, 1, 2] = x23[mask]
-                    m0[:, 2, 1] = np.conj(x23[mask])
-                    w0, pm = np.linalg.eigh(m0)
-                    w0 = np.clip(w0, 1e-30, None)
-                    isq = (pm * (w0 ** -0.5)[:, None, :]) @ np.conj(np.swapaxes(pm, 1, 2))
-                    wmat = isq @ v1[mask] @ isq
-                    wmin = np.linalg.eigvalsh(wmat)[:, 0]
-                    c1[mask, bi, li] = np.where(wmin < -1e-12, -1.0 / np.minimum(wmin, -1e-30), 0.0)
-
-    lam1_pos = np.where(has1 & (lam1 > 0.0), lam1, 0.0)
-    s1 = c1 * lam1_pos[:, :, None]
-    s2 = c2 * lam2_pos[:, None, None]
-    return {"ts": ts, "bs": bs, "l0s": l0s, "lam2": lam2, "lam1": lam1,
-            "has1": has1, "s1": s1, "s2": s2, "s12": s1 * s2}
+        s1[:, bi], s2[:, bi] = _region_column(amps, float(b), spec.n_sites, l0s,
+                                              problem.realness_tol)
+    return {"ts": ts, "bs": bs, "l0s": l0s, "s1": s1, "s2": s2, "s12": s1 * s2}
 
 
 def _objective_array(scan: dict, case: int) -> np.ndarray:
@@ -301,31 +232,20 @@ def _point_objective(spec: ChainSpec, t: float, b: float, lam0: float,
             return -np.inf
     if case == 1 and lam2 <= 0.0:
         return -np.inf
-    z = table.zero
-    t0 = np.empty((5, 5), dtype=complex)
-    t0[:, 0:3] = z[:, 0:3] - z[:, 3:4]
-    t0[:, 3:5] = z[:, 4:6]
-    a = lam0 * np.eye(5) - t0
+    t0, b_vec = zero_order_system(table)
     try:
-        x0 = np.linalg.solve(a, z[:, 3])
+        x0 = np.linalg.solve(lam0 * np.eye(5) - t0, b_vec)
     except np.linalg.LinAlgError:
         return -np.inf
-    m0 = _base_matrix(x0)
-    if np.linalg.eigvalsh(m0).min() < -PSD_TOL:
+    positive, c1, c2 = block_rays(x0, first.x1 if first is not None else None)
+    if not positive:
         return -np.inf
-    s1 = s2 = None
-    if case != 1:
-        s1 = _ray_max_closed(m0, _first_order_direction(first.x1)) * first.lambda1
-    if case != 2:
-        if lam2 <= 0.0:
-            s2 = 0.0
-        else:
-            s2 = _ray_max_closed(m0, np.asarray(_SECOND_DIRECTION)) * lam2
+    if case == 2:
+        return float(c1) * first.lambda1
+    s2 = float(c2) * lam2 if lam2 > 0.0 else 0.0
     if case == 1:
         return s2
-    if case == 2:
-        return s1
-    return s1 * s2
+    return float(c1) * first.lambda1 * s2
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -417,8 +337,7 @@ def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
         raise ConfigurationError("two-qubit optimization needs n_sites >= 4")
     if problem.case == 4:
         return _optimize_case4(problem, spec)
-    scan = _scan(spec, problem, need_c1=problem.case in (2, 3))
-    return _optimize_from_scan(spec, problem, scan)
+    return _optimize_from_scan(spec, problem, _scan(spec, problem))
 
 
 def optimize_lambda0_one(problem: OptProblem, spec: ChainSpec) -> OptResult:
@@ -520,14 +439,12 @@ def uniform_curve(spec: ChainSpec, b_window: tuple[float, float] = (0.0, 10.0),
     basis = mode_basis(spec.n_sites)
     t_lo, t_hi = t_window if t_window is not None else first_window(spec)
     ts = np.arange(t_lo, t_hi + 1e-9, t_step)
-    nt = len(ts)
-    p, q, r, s = _amp_grids(basis, ts)
-    lam2 = (p * s - q * r).real
+    amps = _amp_grids(basis, ts)
     points: list[CurvePoint] = []
     for b in np.arange(b_window[0], b_window[1] + 1e-9, b_step):
-        entries = _alpha_entries(p, q, r, s, float(b), spec.n_sites)
-        lam, _, found = _select_real_batch(_stack_first(entries, nt), realness_tol)
-        h = np.where(found, lam - lam2, np.nan)
+        first, _, second = _alpha_entries(*amps, float(b), spec.n_sites)
+        lam, _, found = _select_real_batch(first, realness_tol)
+        h = np.where(found, lam - second.real, np.nan)
         points.extend(_grid_roots(spec, float(b), ts, h, realness_tol, min_lambda))
     return points
 
@@ -550,13 +467,16 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
     if not curve:
         return _infeasible_result(problem)
 
+    basis = mode_basis(spec.n_sites)
+    lo, hi = problem.lambda0_window
+    grid = np.arange(lo, hi + 1e-9, problem.lambda0_step)
+
     def best_l0(t: float, b: float) -> tuple[float, float]:
         if problem.lambda0_mode == "fixed_one":
             return 1.0, _point_objective(spec, t, b, 1.0, 4, problem.realness_tol)
-        lo, hi = problem.lambda0_window
-        grid = np.arange(lo, hi + 1e-9, problem.lambda0_step)
-        vals = [_point_objective(spec, t, b, float(l), 4, problem.realness_tol) for l in grid]
-        k = int(np.argmax(vals))
+        s1, s2 = _region_column(_amp_grids(basis, np.array([t])), b, spec.n_sites, grid,
+                                problem.realness_tol)
+        k = int(np.argmax(s1[0] * s2[0]))
         g_lo = max(lo, float(grid[k]) - problem.lambda0_step)
         g_hi = min(hi, float(grid[k]) + problem.lambda0_step)
         return _golden_max(lambda l: _point_objective(spec, t, b, l, 4, problem.realness_tol),
@@ -629,7 +549,7 @@ def summary_table(spec: ChainSpec, lambda0_mode: str = "free",
     """Optimize all four cases, sharing one grid scan across cases 1..3."""
     problems = {case: OptProblem(case=case, lambda0_mode=lambda0_mode, **problem_kwargs)
                 for case in (1, 2, 3, 4)}
-    scan = _scan(spec, problems[3], need_c1=True)
+    scan = _scan(spec, problems[3])
     results = {case: _optimize_from_scan(spec, problems[case], scan) for case in (1, 2, 3)}
     results[4] = _optimize_case4(problems[4], spec)
     return results
@@ -638,7 +558,7 @@ def summary_table(spec: ChainSpec, lambda0_mode: str = "free",
 def objective_landscape(spec: ChainSpec, problem: OptProblem,
                         b_fixed: float) -> tuple[list[str], list[tuple]]:
     """Long-format landscape rows (t, b, lambda0, value) at a fixed b."""
-    scan = _scan(spec, replace(problem, b_window=(b_fixed, b_fixed)), need_c1=problem.case in (2, 3))
+    scan = _scan(spec, replace(problem, b_window=(b_fixed, b_fixed)))
     arr = _objective_array(scan, problem.case) if problem.case != 4 else scan["s12"]
     rows = []
     for it, t in enumerate(scan["ts"]):

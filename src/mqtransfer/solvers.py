@@ -22,6 +22,7 @@ __all__ = [
     "first_order_matrix",
     "solve_first_order",
     "zero_order_system",
+    "zero_order_resolvent",
     "solve_zero_order",
     "gauge_fix",
 ]
@@ -99,19 +100,39 @@ class ZeroOrderSolution:
     residual: float
 
 
-def zero_order_system(table: AlphaTable) -> tuple[np.ndarray, np.ndarray]:
+def zero_order_system(table: AlphaTable | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build the 5x5 matrix and inhomogeneity of the zero-order linear system.
 
-    Using the trace to eliminate the sender (4,4) element folds the 44-column
-    of the map into the first three columns (subtracted) and the constant
-    vector B; the 23/32 columns pass through unchanged.
+    Takes a table or its zero-order coefficients (..., 5, 6); leading axes
+    carry through. Using the trace to eliminate the sender (4,4) element
+    folds the 44-column of the map into the first three columns (subtracted)
+    and the constant vector B; the 23/32 columns pass through unchanged.
     """
-    z = table.zero
-    t0 = np.empty((5, 5), dtype=complex)
-    t0[:, 0:3] = z[:, 0:3] - z[:, 3:4]
-    t0[:, 3:5] = z[:, 4:6]
-    b_vec = z[:, 3].copy()
-    return t0, b_vec
+    z = table.zero if isinstance(table, AlphaTable) else np.asarray(table)
+    t0 = np.concatenate([z[..., 0:3] - z[..., 3:4], z[..., 4:6]], axis=-1)
+    return t0, z[..., 3].copy()
+
+
+def zero_order_resolvent(t0: np.ndarray, b_vec: np.ndarray,
+                         lambda0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x0 = (lambda0 I - T0)^-1 B for a whole lambda0 axis from one eigendecomposition.
+
+    With T0 = V diag(d) V^-1, x0(lambda0) = V (lambda0 - d)^-1 V^-1 B.
+    t0 (..., 5, 5) and b_vec (..., 5) share leading axes; lambda0s is 1-D.
+    Returns x0 (..., len(lambda0s), 5) and the mask of regular cells. A cell
+    is singular under the COND_LIMIT rule of solve_zero_order, with the
+    condition number of lambda0 I - T0 taken from its spectrum as
+    max|lambda0 - d| / min|lambda0 - d| (a lower bound of the 2-norm one);
+    singular cells hold zeros.
+    """
+    d, v = np.linalg.eig(t0)
+    y = np.linalg.solve(v, b_vec[..., None])[..., 0]
+    gap = np.asarray(lambda0s, dtype=float)[:, None] - d[..., None, :]
+    dist = np.abs(gap)
+    regular = dist.max(axis=-1) < COND_LIMIT * dist.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(regular[..., None], y[..., None, :] / gap, 0.0)
+    return coef @ np.swapaxes(v, -1, -2), regular
 
 
 def solve_zero_order(t0: np.ndarray, b_vec: np.ndarray, lambda0: float) -> ZeroOrderSolution:

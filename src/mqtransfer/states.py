@@ -23,6 +23,7 @@ __all__ = [
     "RegionReport",
     "assemble_sender",
     "is_physical",
+    "block_rays",
     "c_max_ray",
     "region_metrics",
     "boundary_sweep",
@@ -111,22 +112,46 @@ def _ray_max(m0: np.ndarray, direction: np.ndarray, tol: float) -> float:
     return lo
 
 
-def _ray_max_closed(m0: np.ndarray, direction: np.ndarray) -> float:
-    """Closed-form ray length via the pencil m0 + c*direction.
+def block_rays(x0: np.ndarray, x1: np.ndarray | None = None):
+    """Closed-form creatable intervals c1_max and c2_max, over leading axes.
 
-    With m0 = P diag(w) P+ positive, the boundary is c = -1/min_eig(W) for
-    W = m0^{-1/2} direction m0^{-1/2}. Grid scans use this; the bisection ray
-    above is the certified contract and the two agree to well below 1e-8.
+    The base state of x0 (..., 5) is block-diagonal on {1}, {2,3}, {4}, so
+    c2_max = sqrt(rho11 rho44). The single-quantum direction of x1 (..., 4)
+    couples only {1,4} to {2,3}; with B its {1,4} x {2,3} block, c1_max =
+    1/sigma_max, where sigma_max^2 is the larger eigenvalue of the 2x2 matrix
+    M23^-1 B^H D14^-1 B. Returns (positive, c1_max, c2_max): positive marks
+    base states whose smallest eigenvalue is at least -PSD_TOL, and both
+    lengths are zero elsewhere; c1_max is None without x1. The bisection
+    rays of c_max_ray certify these values.
     """
-    w, p = np.linalg.eigh(m0)
-    if w.min() < -PSD_TOL:
-        return 0.0
-    w = np.clip(w, 1e-300, None)
-    isq = (p * w ** -0.5) @ p.conj().T
-    lo = np.linalg.eigvalsh(isq @ direction @ isq).min()
-    if lo >= 0.0:
-        return float("inf")
-    return -1.0 / float(lo)
+    x0 = np.asarray(x0)
+    r11, r22, r33 = x0[..., 0].real, x0[..., 1].real, x0[..., 2].real
+    r44 = 1.0 - r11 - r22 - r33
+    x23 = x0[..., 3]
+    off2 = np.abs(x23) ** 2
+    blk_min = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + off2)
+    positive = (r11 >= -PSD_TOL) & (r44 >= -PSD_TOL) & (blk_min >= -PSD_TOL)
+    c2 = np.where(positive, np.sqrt(np.clip(r11 * r44, 0.0, None)), 0.0)
+    if x1 is None:
+        return positive, None, c2
+    x1 = np.asarray(x1)
+    # B rows are sites 1 and 4, columns sites 2 and 3
+    b12, b13, b42, b43 = x1[..., 0], x1[..., 1], np.conj(x1[..., 2]), np.conj(x1[..., 3])
+    d1 = np.clip(r11, 1e-30, None)
+    d4 = np.clip(r44, 1e-30, None)
+    # G = B^H D14^-1 B, Hermitian 2x2
+    g22 = np.abs(b12) ** 2 / d1 + np.abs(b42) ** 2 / d4
+    g33 = np.abs(b13) ** 2 / d1 + np.abs(b43) ** 2 / d4
+    g23 = np.conj(b12) * b13 / d1 + np.conj(b42) * b43 / d4
+    # eigenvalues of M23^-1 G: (tr +- sqrt(tr^2 - 4 det G det M23)) / (2 det M23),
+    # with tr = trace(adj(M23) G)
+    det_m = np.clip(r22 * r33 - off2, 1e-30, None)
+    tr = r33 * g22 + r22 * g33 - 2.0 * (np.conj(x23) * g23).real
+    det_g = g22 * g33 - np.abs(g23) ** 2
+    sigma2 = (tr + np.sqrt(np.clip(tr * tr - 4.0 * det_g * det_m, 0.0, None))) / (2.0 * det_m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = np.where(positive, 1.0 / np.sqrt(sigma2), 0.0)
+    return positive, c1, c2
 
 
 def c_max_ray(x0: np.ndarray, x1: np.ndarray | None, which: str,

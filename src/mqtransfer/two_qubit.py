@@ -101,85 +101,91 @@ def decompose_blocks(rho: np.ndarray) -> CoherenceBlocks:
     return CoherenceBlocks(blocks=blocks)
 
 
-def _alpha_entries(p, q, r, s, b: float, n_sites: int) -> dict:
-    """All map coefficients as a dict keyed 'ij,nm'.
-
-    p, q, r, s are f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N}; they may be numpy
-    arrays (the formulas broadcast), which the grid optimizer relies on.
-    """
+def _thermal_factors(b: float, n_sites: int) -> tuple:
+    """exp(b) and the background factors k1..k4 of the coefficient table."""
     E = np.exp(b)
     k1 = 1.0 / (1.0 + E)
     k2 = 1.0 / (2.0 * (1.0 + np.cosh(b)))
     th = np.tanh(b / 2.0) ** (n_sites - 3)
     k3 = (-1) ** n_sites * np.exp(-b / 2.0) * th / (2.0 * np.cosh(b / 2.0))
     k4 = (-1) ** n_sites * np.exp(b / 2.0) * th / (2.0 * np.cosh(b / 2.0))
+    return E, k1, k2, k3, k4
+
+
+def _alpha_entries(p, q, r, s, b: float, n_sites: int) -> tuple:
+    """All map coefficients, stacked as (first, zero, second).
+
+    p, q, r, s are f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N}: scalars or arrays
+    of one shape, whose axes lead the results. first is (..., 4, 4) with rows
+    and columns FIRST_LABELS, zero is (..., 5, 6) with rows ZERO_ROWS and
+    columns ZERO_COLS, and second is the double-quantum coefficient (...).
+    """
+    E, k1, k2, k3, k4 = _thermal_factors(b, n_sites)
     w = q * r - p * s
     cj = np.conj
     ap, aq, ar, as_ = abs(p) ** 2, abs(q) ** 2, abs(r) ** 2, abs(s) ** 2
 
-    a = {"_k": (k1, k2, k3, k4)}
-    a["11,11"] = k1**2 * (E**2 + E * (ap + aq + ar + as_) + abs(w) ** 2)
-    a["11,22"] = k2 * (-(E + aq) * (ar - 1) + (-E * s + q * r * cj(p)) * cj(s)
-                       + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_)))
-    a["11,33"] = k2 * (E + ar + as_ - p * (cj(p) * (E + as_) - s * cj(q) * cj(r))
-                       - q * (E * cj(q) + r * (cj(q) * cj(r) - cj(p) * cj(s))))
-    a["11,44"] = k2 * E * ((aq - 1) * (ar - 1) - (s + q * r * cj(p)) * cj(s)
-                           + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))
-    a["11,23"] = k1 * E * (p * cj(r) + q * cj(s))
-    a["11,32"] = cj(a["11,23"])
+    r11 = [
+        k1**2 * (E**2 + E * (ap + aq + ar + as_) + abs(w) ** 2),
+        k2 * (-(E + aq) * (ar - 1) + (-E * s + q * r * cj(p)) * cj(s)
+              + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_))),
+        k2 * (E + ar + as_ - p * (cj(p) * (E + as_) - s * cj(q) * cj(r))
+              - q * (E * cj(q) + r * (cj(q) * cj(r) - cj(p) * cj(s)))),
+        k2 * E * ((aq - 1) * (ar - 1) - (s + q * r * cj(p)) * cj(s)
+                  + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r))),
+        k1 * E * (p * cj(r) + q * cj(s)),
+    ]
+    r22 = [
+        k1**2 * (-(aq - 1) * (E + ar) + (q * r * cj(p) - E * s) * cj(s)
+                 + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_))),
+        k1**2 * (E * (aq - 1) * (ar - 1) + E * (E * s - q * r * cj(p)) * cj(s)
+                 + p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r))),
+        k1**2 * (E + ar + E * (aq * (E + ar) - (s + q * r * cj(p)) * cj(s)
+                               + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
+        k1**2 * E * (-(1 + E * aq) * (ar - 1) + E * (s + q * r * cj(p)) * cj(s)
+                     - p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r))),
+        k1 * (p * cj(r) - E * q * cj(s)),
+    ]
+    r33 = [
+        k1**2 * (E + aq + as_ - r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
+                 - p * (cj(p) * (E + as_) - s * cj(q) * cj(r))),
+        k1**2 * (E + aq + E * (-as_ + r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
+                               + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
+        k1**2 * (as_ + E * ((aq - 1) * (ar - 1) - q * r * cj(p) * cj(s))
+                 + E * p * (cj(p) * (E + as_) - s * cj(q) * cj(r))),
+        -k2 * (aq + as_ - 1 + E * (r * ((aq - 1) * cj(r) - q * cj(p) * cj(s))
+                                   + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
+        k1 * (q * cj(s) - E * p * cj(r)),
+    ]
+    # the 32 column of the population rows is the conjugate of the 23 column
+    for row in (r11, r22, r33):
+        row.append(cj(row[4]))
+    r23 = [
+        k1 * (p * cj(q) + r * cj(s)),
+        k1 * (p * cj(q) - E * r * cj(s)),
+        k1 * (r * cj(s) - E * p * cj(q)),
+        -k1 * E * (p * cj(q) + r * cj(s)),
+        p * cj(s),
+        r * cj(q),
+    ]
+    # row 32 is row 23 conjugated, with the 23 and 32 columns swapped
+    r32 = [cj(r23[k]) for k in (0, 1, 2, 3, 5, 4)]
 
-    a["22,11"] = k1**2 * (-(aq - 1) * (E + ar) + (q * r * cj(p) - E * s) * cj(s)
-                          + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_)))
-    a["22,22"] = k1**2 * (E * (aq - 1) * (ar - 1) + E * (E * s - q * r * cj(p)) * cj(s)
-                          + p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r)))
-    a["22,33"] = k1**2 * (E + ar + E * (aq * (E + ar) - (s + q * r * cj(p)) * cj(s)
-                                        + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r))))
-    a["22,44"] = k1**2 * E * (-(1 + E * aq) * (ar - 1) + E * (s + q * r * cj(p)) * cj(s)
-                              - p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r)))
-    a["22,23"] = k1 * (p * cj(r) - E * q * cj(s))
-    a["22,32"] = cj(a["22,23"])
+    first = [
+        [k3 * (E * s + w * cj(p)), -k3 * (E * q - w * cj(r)),
+         k4 * (q - w * cj(r)), k4 * (s + w * cj(p))],
+        [-k3 * (p * s * cj(q) + r * (E - aq)), k3 * (q * r * cj(s) + p * (E - as_)),
+         k4 * (p * (as_ - 1) - q * r * cj(s)), k4 * (r * (aq - 1) - p * s * cj(q))],
+        [k3 * (r * (aq - 1) - p * s * cj(q)), k3 * (q * r * cj(s) + p * (1 - as_)),
+         -k3 * (p + E * w * cj(s)), -k3 * (r - E * w * cj(q))],
+        [-k3 * (s + w * cj(p)), k3 * (q - w * cj(r)),
+         k3 * (E * w * cj(r) - q), -k3 * (E * w * cj(p) + s)],
+    ]
 
-    a["33,11"] = k1**2 * (E + aq + as_ - r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
-                          - p * (cj(p) * (E + as_) - s * cj(q) * cj(r)))
-    a["33,22"] = k1**2 * (E + aq + E * (-as_ + r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
-                                        + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r))))
-    a["33,33"] = k1**2 * (as_ + E * ((aq - 1) * (ar - 1) - q * r * cj(p) * cj(s))
-                          + E * p * (cj(p) * (E + as_) - s * cj(q) * cj(r)))
-    a["33,44"] = -k2 * (aq + as_ - 1 + E * (r * ((aq - 1) * cj(r) - q * cj(p) * cj(s))
-                                            + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r))))
-    a["33,23"] = k1 * (q * cj(s) - E * p * cj(r))
-    a["33,32"] = cj(a["33,23"])
+    def stacked(rows: list) -> np.ndarray:
+        return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
-    a["23,11"] = k1 * (p * cj(q) + r * cj(s))
-    a["23,22"] = k1 * (p * cj(q) - E * r * cj(s))
-    a["23,33"] = k1 * (r * cj(s) - E * p * cj(q))
-    a["23,44"] = -k1 * E * (p * cj(q) + r * cj(s))
-    a["23,23"] = p * cj(s)
-    a["23,32"] = r * cj(q)
-    for nm in ("11", "22", "33", "44"):
-        a[f"32,{nm}"] = cj(a[f"23,{nm}"])
-    a["32,23"] = cj(a["23,32"])
-    a["32,32"] = cj(a["23,23"])
-
-    a["12,12"] = k3 * (E * s + w * cj(p))
-    a["12,13"] = -k3 * (E * q - w * cj(r))
-    a["12,24"] = k4 * (q - w * cj(r))
-    a["12,34"] = k4 * (s + w * cj(p))
-    a["13,12"] = -k3 * (p * s * cj(q) + r * (E - aq))
-    a["13,13"] = k3 * (q * r * cj(s) + p * (E - as_))
-    a["13,24"] = k4 * (p * (as_ - 1) - q * r * cj(s))
-    a["13,34"] = k4 * (r * (aq - 1) - p * s * cj(q))
-    a["24,12"] = k3 * (r * (aq - 1) - p * s * cj(q))
-    a["24,13"] = k3 * (q * r * cj(s) + p * (1 - as_))
-    a["24,24"] = -k3 * (p + E * w * cj(s))
-    a["24,34"] = -k3 * (r - E * w * cj(q))
-    a["34,12"] = -k3 * (s + w * cj(p))
-    a["34,13"] = k3 * (q - w * cj(r))
-    a["34,24"] = k3 * (E * w * cj(r) - q)
-    a["34,34"] = -k3 * (E * w * cj(p) + s)
-
-    a["14,14"] = p * s - q * r
-    return a
+    return stacked(first), stacked([r11, r22, r33, r23, r32]), p * s - q * r
 
 
 @dataclass(frozen=True)
@@ -216,14 +222,12 @@ class AlphaTable:
 
 def alpha_table(amps: AmplitudeSet, b: float, spec: ChainSpec) -> AlphaTable:
     """Evaluate the full coefficient table at one (t, b) point."""
-    a = _alpha_entries(amps.f11, amps.f1n, amps.f21, amps.f2n, b, spec.n_sites)
-    k1, k2, k3, k4 = a["_k"]
-    zero = np.array([[a[f"{ij},{nm}"] for nm in ZERO_COLS] for ij in ZERO_ROWS], dtype=complex)
-    first = np.array([[a[f"{ij},{nm}"] for nm in FIRST_LABELS] for ij in FIRST_LABELS], dtype=complex)
+    first, zero, second = _alpha_entries(amps.f11, amps.f1n, amps.f21, amps.f2n, b, spec.n_sites)
+    _, k1, k2, k3, k4 = _thermal_factors(b, spec.n_sites)
     return AlphaTable(
         n_sites=spec.n_sites, b=b, amps=amps,
         k1=float(k1), k2=float(k2), k3=float(k3), k4=float(k4),
-        zero=zero, first=first, second=complex(a["14,14"]),
+        zero=zero, first=first, second=complex(second),
     )
 
 

@@ -177,3 +177,37 @@ def test_precision_flag(capsys):
     row6 = _csv_rows(out6)[1]
     rowf = _csv_rows(outf)[1]
     assert len(rowf[1]) >= len(row6[1])
+
+
+def _run_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.err.splitlines()
+
+
+@pytest.mark.parametrize("window", ["abc", "1:2:3", "5:3"])
+def test_optimize_bad_t_window_is_one_line(capsys, window):
+    code, err = _run_error(capsys, ["optimize", "--n", "6", "--case", "1",
+                                    "--t-window", window])
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_map_malformed_json_is_one_line(tmp_path, capsys):
+    sender_file = tmp_path / "broken.json"
+    sender_file.write_text("[[[1.0, 0.0]")
+    code, err = _run_error(capsys, ["map", "--n", "6", "--t", "1.0", "--b", "1.0",
+                                    "--sender", str(sender_file)])
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--t", ["--t", "nan", "--b", "1.0", "--lambda0", "1.0"]),
+    ("--b", ["--t", "1.0", "--b", "inf", "--lambda0", "1.0"]),
+    ("--lambda0", ["--t", "1.0", "--b", "1.0", "--lambda0", "inf"]),
+])
+def test_solve_rejects_non_finite_point(capsys, flag, argv):
+    code, err = _run_error(capsys, ["solve", "--n", "6"] + argv)
+    assert code == 3
+    assert len(err) == 1 and f"{flag} must be finite" in err[0]

@@ -1,17 +1,26 @@
+import warnings
+
+import numpy as np
 import pytest
 
 from mqtransfer import (
     ChainSpec,
     ConfigurationError,
     OptProblem,
+    SingularInputError,
+    alpha_table,
+    amplitude_set,
     first_window,
     lambda2_landmark,
+    mode_basis,
     optimize,
     optimize_lambda0_one,
     uniform_curve,
 )
-from mqtransfer.optimize import _point_objective, objective_landscape
+from mqtransfer.optimize import _amp_grids, _point_objective, _region_column, _scan, objective_landscape
+from mqtransfer.solvers import solve_zero_order, zero_order_resolvent, zero_order_system
 from mqtransfer.states import region_metrics
+from mqtransfer.two_qubit import _alpha_entries
 
 
 def test_problem_validation():
@@ -21,6 +30,8 @@ def test_problem_validation():
         OptProblem(case=1, lambda0_mode="pinned")
     with pytest.raises(ConfigurationError):
         OptProblem(case=1, b_window=(3.0, 1.0))
+    with pytest.raises(ConfigurationError):
+        OptProblem(case=1, t_window=(9.0, 3.0))
 
 
 def test_first_window_n6():
@@ -39,6 +50,14 @@ def test_lambda2_landmark_n42():
     t, val = lambda2_landmark(ChainSpec(42))
     assert t == pytest.approx(47.8855, abs=1e-2)
     assert abs(val) == pytest.approx(0.2621, abs=1e-3)
+
+
+def test_lambda2_landmark_cache_matches_fresh_computation():
+    spec = ChainSpec(10)
+    fresh = lambda2_landmark.__wrapped__(spec)
+    assert lambda2_landmark(spec) == fresh
+    assert lambda2_landmark(spec) is lambda2_landmark(spec)
+    assert first_window(spec) == (5.0, min(15.0, fresh[0] + 1.0))
 
 
 def test_uniform_curve_passes_reference_point():
@@ -98,7 +117,7 @@ def test_batched_eigen_selection_matches_scalar():
     import numpy as np
 
     from mqtransfer import alpha_table, amplitude_set, mode_basis, solve_first_order
-    from mqtransfer.optimize import _select_real_batch, _stack_first
+    from mqtransfer.optimize import _select_real_batch
     from mqtransfer.two_qubit import _alpha_entries
     from mqtransfer.chain import transition_amplitude_grid
 
@@ -111,8 +130,8 @@ def test_batched_eigen_selection_matches_scalar():
     r = transition_amplitude_grid(basis, 2, n - 1, ts)
     s = transition_amplitude_grid(basis, 2, n, ts)
     for b in (0.7, 4.2, 9.5):
-        entries = _alpha_entries(p, q, r, s, b, n)
-        lam, vec, found = _select_real_batch(_stack_first(entries, len(ts)), 1e-8)
+        first, _, _ = _alpha_entries(p, q, r, s, b, n)
+        lam, vec, found = _select_real_batch(first, 1e-8)
         for i, t in enumerate(ts):
             table = alpha_table(amplitude_set(basis, float(t)), b, spec)
             sol = solve_first_order(table.first)
@@ -144,3 +163,62 @@ def test_result_local_certificate(table_n6_free):
         trial = _point_objective(spec, res.t_opt + dt, res.b_opt + db,
                                  res.lambda0_opt + dl, 3, 1e-8)
         assert trial <= base + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the batched grid kernel against the scalar, certified paths
+
+
+def test_resolvent_matches_solve_zero_order():
+    # cell by cell against the per-point table and linear solve; both carry
+    # an error of about cond * |x0| * eps, so large solutions get a relative bound
+    l0s = np.arange(0.5, 2.0 + 1e-9, 0.1)
+    for n in (6, 42):
+        spec, basis = ChainSpec(n), mode_basis(n)
+        lo, hi = first_window(spec)
+        ts = np.linspace(lo, hi, 9)
+        for b in (0.5, 4.0, 9.0):
+            _, zero, _ = _alpha_entries(*_amp_grids(basis, ts), b, n)
+            x0, regular = zero_order_resolvent(*zero_order_system(zero), l0s)
+            for i, t in enumerate(ts):
+                t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
+                for j, l0 in enumerate(l0s):
+                    try:
+                        ref = solve_zero_order(t0, b_vec, float(l0)).x0
+                    except SingularInputError:
+                        assert not regular[i, j]
+                        continue
+                    assert regular[i, j]
+                    scale = max(1.0, float(np.max(np.abs(ref))))
+                    assert np.max(np.abs(x0[i, j] - ref)) <= 1e-10 * scale
+
+
+def test_scan_matches_point_objective():
+    rng = np.random.default_rng(11)
+    for n in (6, 42):
+        spec = ChainSpec(n)
+        problem = OptProblem(case=3, t_step=0.5, b_step=1.5, lambda0_step=0.1)
+        scan = _scan(spec, problem)
+        shape = scan["s12"].shape
+        for _ in range(40):
+            it, ib, il = (int(rng.integers(k)) for k in shape)
+            t, b, l0 = float(scan["ts"][it]), float(scan["bs"][ib]), float(scan["l0s"][il])
+            for case, key in ((1, "s2"), (2, "s1"), (3, "s12")):
+                ref = max(_point_objective(spec, t, b, l0, case, 1e-8), 0.0)
+                assert scan[key][it, ib, il] == pytest.approx(ref, abs=1e-9)
+
+
+def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
+    amps = _amp_grids(mode_basis(6), np.array([8.5153]))
+    t0, b_vec = zero_order_system(_alpha_entries(*amps, 10.0, 6)[1])
+    ev = np.linalg.eigvals(t0[0])
+    on_spectrum = float(ev[np.abs(ev.imag) < 1e-12][0].real)
+    l0s = np.array([on_spectrum, on_spectrum + 0.05, 1.0837])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, regular = zero_order_resolvent(t0, b_vec, l0s)
+        s1, s2 = _region_column(amps, 10.0, 6, l0s, 1e-8)
+    assert regular.tolist() == [[False, True, True]]
+    assert np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))
+    assert s1[0, 0] == 0.0 and s2[0, 0] == 0.0
+    assert s2[0, 2] > 0.3

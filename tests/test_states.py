@@ -16,7 +16,7 @@ from mqtransfer import (
     solve_zero_order,
     zero_order_system,
 )
-from mqtransfer.states import SenderTemplate, _base_matrix, _first_order_direction, _ray_max, _ray_max_closed, _SECOND_DIRECTION
+from mqtransfer.states import SenderTemplate, _base_matrix, _first_order_direction, _ray_max, _SECOND_DIRECTION, block_rays
 
 MIXED_X0 = np.array([0.25, 0.25, 0.25, 0.0, 0.0])
 
@@ -126,10 +126,12 @@ def test_closed_form_ray_matches_bisection(rng):
         x1 = rng.normal(size=4) + 1j * rng.normal(size=4)
         x1 /= np.linalg.norm(x1)
         m0 = _base_matrix(x0)
-        for direction in (_first_order_direction(x1), np.asarray(_SECOND_DIRECTION)):
+        positive, c1, c2 = block_rays(x0, x1)
+        assert positive
+        for direction, closed in ((_first_order_direction(x1), c1),
+                                  (np.asarray(_SECOND_DIRECTION), c2)):
             a = _ray_max(m0, direction, 1e-10)
-            b = _ray_max_closed(m0, direction)
-            assert a == pytest.approx(b, abs=1e-8)
+            assert a == pytest.approx(float(closed), abs=1e-8)
 
 
 def test_region_metrics_case2_landmark():
@@ -209,3 +211,26 @@ def test_boundary_sweep_endpoints():
     assert pts[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert pts[-1, 1] == pytest.approx(c2, abs=1e-7)
     assert pts[-1, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_block_rays_match_bisection_on_seeded_points():
+    # closed-form c1_max / c2_max against the certified bisection rays of
+    # region_metrics, at feasible (N, t, b, lambda0) points
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for n in (4, 6, 10, 42):
+        spec, found = ChainSpec(n), 0
+        for _ in range(400):
+            t, b, lam0 = rng.uniform(0.5 * n, 1.5 * n), rng.uniform(0.0, 10.0), rng.uniform(0.5, 2.0)
+            rep = region_metrics(spec, t, b, lam0, case=3)
+            if not rep.feasible:
+                continue
+            positive, c1, c2 = block_rays(rep.x0, rep.x1)
+            assert positive
+            assert float(c1) == pytest.approx(rep.c1_max, abs=1e-8)
+            assert float(c2) == pytest.approx(rep.c2_max, abs=1e-8)
+            found += 1
+            if found == 21:
+                break
+        checked += found
+    assert checked >= 80
