@@ -44,7 +44,6 @@ from .optimize import (
     first_window,
     lambda2_landmark,
     optimize,
-    optimize_lambda0_one,
     summary_table,
     uniform_curve,
 )
@@ -52,9 +51,7 @@ from .oracle import build_hamiltonian, evolve_and_trace, thermal_background
 from .solvers import (
     FirstOrderSolution,
     ZeroOrderSolution,
-    first_order_matrix,
     gauge_fix,
-    lambda2,
     solve_first_order,
     solve_zero_order,
     zero_order_system,

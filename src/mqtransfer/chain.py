@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
+from .search import bracket_max
 
 __all__ = [
     "ChainSpec",
@@ -114,33 +115,16 @@ def endpoint_power_max(basis: ModeBasis, t_lo: float, t_hi: float,
                        step: float = 1e-3) -> tuple[float, float]:
     """Location and value of the largest |f(t)|^2 on [t_lo, t_hi].
 
-    Grid scan at the given step with a golden-section polish of the winning
-    bracket; adequate for the smooth almost-periodic |f|^2.
+    Grid scan at the given step, then a bracket search (mqtransfer.search)
+    around the winning grid point down to 1e-9; adequate for the smooth
+    almost-periodic |f|^2.
     """
     ts = np.arange(t_lo, t_hi + step, step)
     power = np.abs(endpoint_amplitude_grid(basis, ts)) ** 2
     i = int(np.argmax(power))
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, len(ts) - 1)])
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def val(t: float) -> float:
-        return abs(endpoint_amplitude(basis, t)) ** 2
-
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = val(c), val(d)
-    while hi - lo > 1e-9:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = val(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = val(d)
-    t_best = 0.5 * (lo + hi)
-    return t_best, val(t_best)
+    t_best, value = bracket_max(lambda x: np.abs(endpoint_amplitude_grid(basis, x)) ** 2,
+                                ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-9)
+    return float(t_best[0]), float(value[0])
 
 
 @dataclass(frozen=True)

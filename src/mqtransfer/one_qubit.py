@@ -15,6 +15,7 @@ import numpy as np
 
 from .chain import ChainSpec, endpoint_amplitude, endpoint_amplitude_grid, mode_basis
 from .errors import SingularInputError, ValidationError
+from .search import bracket_max, bracket_root
 
 __all__ = [
     "Qubit1State",
@@ -109,53 +110,33 @@ def state_independent_time(b: float, spec: ChainSpec, t_max: float,
                            grid_step: float = 0.01, tol: float = 1e-9) -> float | None:
     """Smallest t in (0, t_max] where |f(t)|^2 reaches the threshold for this b.
 
-    Scans a grid and bisects the first crossing; when the threshold is only
-    touched tangentially (it equals the global maximum), the touching point is
-    refined and returned. None when the window never gets within tol.
+    Scans a grid and narrows the first crossing with a bracket search; when
+    the threshold is only touched tangentially (it equals the global maximum),
+    the touching point is refined and returned. None when the window never
+    gets within tol.
     """
     basis = mode_basis(spec.n_sites)
     target = state_independent_target(b)
     ts = np.arange(0.0, t_max + grid_step, grid_step)
     ts = ts[ts <= t_max + 1e-12]
-    d = np.abs(endpoint_amplitude_grid(basis, ts)) ** 2 - target
 
-    def dval(t: float) -> float:
-        return abs(endpoint_amplitude(basis, t)) ** 2 - target
+    def excess(t: np.ndarray) -> np.ndarray:
+        return np.abs(endpoint_amplitude_grid(basis, t)) ** 2 - target
 
+    d = excess(ts)
     above = np.nonzero(d >= 0.0)[0]
     if above.size:
         i = int(above[0])
         if i == 0:
             return float(ts[0])
-        lo, hi = float(ts[i - 1]), float(ts[i])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if dval(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        lo, hi, _ = bracket_root(excess, ts[i - 1], ts[i], tol)
+        return float(0.5 * (lo[0] + hi[0]))
 
-    # tangential case: refine the closest approach by golden section
+    # tangential case: refine the closest approach
     i = int(np.argmax(d))
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, len(ts) - 1)])
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    e = lo + inv_phi * (hi - lo)
-    fc, fe = dval(c), dval(e)
-    while hi - lo > tol:
-        if fc > fe:
-            hi, e, fe = e, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = dval(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + inv_phi * (hi - lo)
-            fe = dval(e)
-    t_best = 0.5 * (lo + hi)
-    if abs(dval(t_best)) <= tol:
-        return float(t_best)
+    t_best, d_best = bracket_max(excess, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], tol)
+    if abs(d_best[0]) <= tol:
+        return float(t_best[0])
     return None
 
 

@@ -4,8 +4,9 @@ Four cases are covered: only the double-quantum weight free (case 1), only
 the single-quantum one (case 2), both free (case 3), and both free under the
 uniform-scaling constraint lambda1 = lambda2 (case 4), which confines (b, t)
 to a curve. The search is a coarse vectorized grid scan followed by
-coordinatewise golden-section refinement; the landscape has kinks at
-positivity and eigenvalue-realness boundaries, so no derivatives are used.
+coordinatewise bracket searches (mqtransfer.search), each step one batched
+region evaluation; the landscape has kinks at positivity and
+eigenvalue-realness boundaries, so no derivatives are used.
 """
 
 from __future__ import annotations
@@ -15,18 +16,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, ModeBasis, amplitude_set, mode_basis
+from .chain import ChainSpec, ModeBasis, mode_basis
 from .errors import ConfigurationError
-from .solvers import solve_first_order, zero_order_resolvent, zero_order_system
+from .search import bracket_max, bracket_root
+from .solvers import zero_order_resolvent, zero_order_system
 from .states import block_rays, region_metrics
-from .two_qubit import _alpha_entries, alpha_table
+from .two_qubit import alpha_entries
 
 __all__ = [
     "OptProblem",
     "OptResult",
     "CurvePoint",
     "optimize",
-    "optimize_lambda0_one",
     "uniform_curve",
     "summary_table",
     "lambda2_landmark",
@@ -34,7 +35,8 @@ __all__ = [
     "objective_landscape",
 ]
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# width below which a root or realness edge of h = lambda1 - lambda2 is located
+_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,20 @@ class OptProblem:
             raise ConfigurationError(f"case must be 1..4, got {self.case}")
         if self.lambda0_mode not in ("free", "fixed_one"):
             raise ConfigurationError(f"lambda0_mode must be 'free' or 'fixed_one', got {self.lambda0_mode}")
-        for name, win in (("t_window", self.t_window), ("b_window", self.b_window),
-                          ("lambda0_window", self.lambda0_window)):
-            if win is not None and win[1] < win[0]:
-                raise ConfigurationError(f"{name} is empty: {win}")
+        _check_grid({"t_window": self.t_window, "b_window": self.b_window,
+                     "lambda0_window": self.lambda0_window},
+                    {"t_step": self.t_step, "b_step": self.b_step,
+                     "lambda0_step": self.lambda0_step, "refine_tol": self.refine_tol})
+
+
+def _check_grid(windows: dict, positives: dict) -> None:
+    """Reject empty or non-finite windows and non-positive steps or tolerances."""
+    for name, win in windows.items():
+        if win is not None and not (np.all(np.isfinite(win)) and win[0] <= win[1]):
+            raise ConfigurationError(f"{name} must be finite and non-empty, got {win}")
+    for name, value in positives.items():
+        if not value > 0.0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +115,10 @@ def lambda2_landmark(spec: ChainSpec, t_window: tuple[float, float] | None = Non
     n = spec.n_sites
     lo, hi = t_window if t_window is not None else (0.5 * n, 1.5 * n)
     ts = np.arange(lo, hi + step, step)
-    lam2 = _lambda2_grid(basis, ts)
-    i = int(np.argmax(np.abs(lam2)))
-    t_lo = ts[max(i - 1, 0)]
-    t_hi = ts[min(i + 1, len(ts) - 1)]
-
-    def val(t: float) -> float:
-        return abs(_lambda2_grid(basis, np.array([t]))[0])
-
-    t_best, _ = _golden_max(val, float(t_lo), float(t_hi), 1e-8)
+    i = int(np.argmax(np.abs(_lambda2_grid(basis, ts))))
+    t_best, _ = bracket_max(lambda x: np.abs(_lambda2_grid(basis, x)),
+                            ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-8)
+    t_best = float(t_best[0])
     return t_best, float(_lambda2_grid(basis, np.array([t_best]))[0])
 
 
@@ -131,12 +138,12 @@ def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
 # vectorized grid machinery
 
 
-def _amp_grids(basis: ModeBasis, ts: np.ndarray):
-    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts, sharing one phase grid."""
+def _amp_grids(basis: ModeBasis, ts) -> tuple:
+    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts (any shape), sharing one phase grid."""
     n, g = basis.n_sites, basis.g
     phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
     weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
-    return tuple((phase @ weights).T)
+    return tuple(np.moveaxis(phase @ weights, -1, 0))
 
 
 def _lambda2_grid(basis: ModeBasis, ts: np.ndarray) -> np.ndarray:
@@ -168,14 +175,16 @@ def _select_real_batch(t1: np.ndarray, realness_tol: float):
     return lam, vec, found
 
 
-def _region_column(amps: tuple, b: float, n_sites: int, l0s: np.ndarray,
+def _region_column(amps: tuple, b, n_sites: int, l0s,
                    realness_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-axes s1, s2 over (t, lambda0) at one b; zero at infeasible cells.
+    """Semi-axes s1, s2 over (row, lambda0); zero at infeasible cells.
 
-    amps are the four amplitude arrays over t. T0 is diagonalized once per t
+    amps are the four amplitude arrays over t and b a scalar or an array
+    broadcasting against them; each broadcast (t, b) pair is a row. l0s is
+    (nl,), shared by the rows, or (rows, nl). T0 is diagonalized once per row
     for the whole lambda0 axis, and the rays are closed-form.
     """
-    first, zero, second = _alpha_entries(*amps, b, n_sites)
+    first, zero, second = alpha_entries(*amps, b, n_sites)
     lam1, x1, has1 = _select_real_batch(first, realness_tol)
     x0, regular = zero_order_resolvent(*zero_order_system(zero), l0s)
     positive, c1, c2 = block_rays(x0, x1[:, None, :])
@@ -216,83 +225,42 @@ def _objective_array(scan: dict, case: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation and refinement
-
-
-def _point_objective(spec: ChainSpec, t: float, b: float, lam0: float,
-                     case: int, realness_tol: float) -> float:
-    """Fast single-point objective using the closed-form positivity rays."""
-    basis = mode_basis(spec.n_sites)
-    table = alpha_table(amplitude_set(basis, t), b, spec)
-    lam2 = table.second.real
-    first = None
-    if case != 1:
-        first = solve_first_order(table.first, realness_tol)
-        if first is None or first.lambda1 <= 0.0:
-            return -np.inf
-    if case == 1 and lam2 <= 0.0:
-        return -np.inf
-    t0, b_vec = zero_order_system(table)
-    try:
-        x0 = np.linalg.solve(lam0 * np.eye(5) - t0, b_vec)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    positive, c1, c2 = block_rays(x0, first.x1 if first is not None else None)
-    if not positive:
-        return -np.inf
-    if case == 2:
-        return float(c1) * first.lambda1
-    s2 = float(c2) * lam2 if lam2 > 0.0 else 0.0
-    if case == 1:
-        return s2
-    return float(c1) * first.lambda1 * s2
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; endpoints are candidates too."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    candidates = [(0.5 * (a + b), f(0.5 * (a + b))), (lo, f(lo)), (hi, f(hi))]
-    return max(candidates, key=lambda pair: pair[1])
+# refinement
 
 
 def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, float],
             windows: dict) -> tuple[float, float, float]:
-    """Coordinatewise golden-section polish around a coarse grid winner."""
+    """Coordinatewise bracket searches around a coarse grid winner.
+
+    Each search step evaluates one region column over the search grid of the
+    axis: K times at fixed (b, lambda0), K temperatures at fixed (t, lambda0)
+    or K zero-order scales at fixed (t, b).
+    """
+    basis = mode_basis(spec.n_sites)
     t, b, l0 = start
-
-    def objective(tt: float, bb: float, ll: float) -> float:
-        return _point_objective(spec, tt, bb, ll, problem.case, problem.realness_tol)
-
     steps = {"t": problem.t_step, "b": problem.b_step, "l0": problem.lambda0_step}
+
+    def objective(ts, bs, l0s) -> np.ndarray:
+        s1, s2 = _region_column(_amp_grids(basis, ts), bs, spec.n_sites, l0s,
+                                problem.realness_tol)
+        return {1: s2, 2: s1, 3: s1 * s2}[problem.case]
+
+    def polish(x: float, axis: str, f) -> float:
+        lo = max(windows[axis][0], x - steps[axis])
+        hi = min(windows[axis][1], x + steps[axis])
+        return float(bracket_max(f, lo, hi, problem.refine_tol)[0][0])
+
     for _ in range(3):
-        lo = max(windows["t"][0], t - steps["t"])
-        hi = min(windows["t"][1], t + steps["t"])
-        t, _ = _golden_max(lambda x: objective(x, b, l0), lo, hi, problem.refine_tol)
-        lo = max(windows["b"][0], b - steps["b"])
-        hi = min(windows["b"][1], b + steps["b"])
-        b, _ = _golden_max(lambda x: objective(t, x, l0), lo, hi, problem.refine_tol)
+        t = polish(t, "t", lambda x: objective(x[0], b, [l0]).T)
+        b = polish(b, "b", lambda x: objective([t], x[0], [l0]).T)
         if problem.lambda0_mode == "free":
-            lo = max(windows["l0"][0], l0 - steps["l0"])
-            hi = min(windows["l0"][1], l0 + steps["l0"])
-            l0, _ = _golden_max(lambda x: objective(t, b, x), lo, hi, problem.refine_tol)
+            l0 = polish(l0, "l0", lambda x: objective([t], b, x))
     return t, b, l0
 
 
 def _finalize(spec: ChainSpec, problem: OptProblem, t: float, b: float,
               l0: float) -> OptResult:
-    """Recompute the reported optimum with the bisection-certified rays."""
+    """Recompute the reported optimum point by point with region_metrics."""
     report = region_metrics(spec, t, b, l0, problem.case, problem.realness_tol)
     objective = {1: report.s2, 2: report.s1, 3: report.s12, 4: report.s12}[problem.case]
     return OptResult(
@@ -340,11 +308,6 @@ def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
     return _optimize_from_scan(spec, problem, _scan(spec, problem))
 
 
-def optimize_lambda0_one(problem: OptProblem, spec: ChainSpec) -> OptResult:
-    """Same search with the zero-order scale pinned to one."""
-    return optimize(replace(problem, lambda0_mode="fixed_one"), spec)
-
-
 # ---------------------------------------------------------------------------
 # uniform scaling (case 4)
 
@@ -358,71 +321,55 @@ class CurvePoint:
     lam: float
 
 
-def _h_scalar(spec: ChainSpec, t: float, b: float, realness_tol: float) -> float:
-    basis = mode_basis(spec.n_sites)
-    table = alpha_table(amplitude_set(basis, t), b, spec)
-    first = solve_first_order(table.first, realness_tol)
-    if first is None:
-        return np.nan
-    return first.lambda1 - table.second.real
+def _h(basis: ModeBasis, ts, b, realness_tol: float) -> np.ndarray:
+    """h = lambda1 - lambda2 at times ts and temperatures b, broadcast together.
+
+    NaN where no real single-quantum factor exists.
+    """
+    ts, b = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(b, dtype=float))
+    first, _, second = alpha_entries(*_amp_grids(basis, ts.ravel()), b.ravel(), basis.n_sites)
+    lam, _, found = _select_real_batch(first, realness_tol)
+    return np.where(found, lam - second.real, np.nan).reshape(ts.shape)
 
 
-def _bisect_root(spec: ChainSpec, b: float, lo: float, hi: float, h_lo: float,
-                 realness_tol: float) -> float | None:
-    """Refine a sign change of h on [lo, hi]; both endpoint values finite."""
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        hm = _h_scalar(spec, mid, b, realness_tol)
-        if not np.isfinite(hm):
-            return None
-        if h_lo * hm <= 0.0:
-            hi = mid
-        else:
-            lo, h_lo = mid, hm
-    return 0.5 * (lo + hi)
+def _curve_roots(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray, h: np.ndarray,
+                 realness_tol: float, min_lambda: float):
+    """Roots of h along each row of a sampled grid, h[m] = h(ts[m], bs[m]).
 
+    A sign change between real samples is polished directly. Where h turns
+    NaN (two eigenvalues merge), the realness edge is located first and a
+    crossing on its real side is polished. Roots are kept when both factors
+    are real, the residual is below 1e-6 and the common value exceeds
+    min_lambda. Returns the row, t and common value of each root, ordered by
+    row and t; all brackets are searched together.
+    """
+    ts = np.broadcast_to(ts, h.shape)
 
-def _grid_roots(spec: ChainSpec, b: float, ts: np.ndarray, hs: np.ndarray,
-                realness_tol: float, min_lambda: float) -> list["CurvePoint"]:
-    """Roots of h on a sampled grid, including crossings that sit just before
-    a realness boundary (where two eigenvalues merge and h turns NaN)."""
-    basis = mode_basis(spec.n_sites)
-    roots: list[CurvePoint] = []
+    def h_rows(rows: np.ndarray):
+        return lambda x: _h(basis, x, bs[rows, None], realness_tol)
 
-    def accept(t_root: float | None) -> None:
-        if t_root is None:
-            return
-        h_root = _h_scalar(spec, t_root, b, realness_tol)
-        lam_root = float(_lambda2_grid(basis, np.array([t_root]))[0])
-        if np.isfinite(h_root) and abs(h_root) < 1e-6 and lam_root > min_lambda:
-            roots.append(CurvePoint(b=b, t=t_root, lam=lam_root))
-
-    for i in range(len(ts) - 1):
-        a, c = hs[i], hs[i + 1]
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        if np.isfinite(a) and np.isfinite(c):
-            if a == 0.0 or a * c < 0.0:
-                accept(_bisect_root(spec, b, lo, hi, a, realness_tol))
-        elif np.isfinite(a) != np.isfinite(c):
-            # locate the boundary between real and complex spectra, then look
-            # for a crossing on the real side of it
-            left_real = np.isfinite(a)
-            e_lo, e_hi = lo, hi
-            for _ in range(50):
-                mid = 0.5 * (e_lo + e_hi)
-                if np.isfinite(_h_scalar(spec, mid, b, realness_tol)) == left_real:
-                    e_lo = mid
-                else:
-                    e_hi = mid
-            t_edge = e_lo if left_real else e_hi
-            h_edge = _h_scalar(spec, t_edge, b, realness_tol)
-            if not np.isfinite(h_edge):
-                continue
-            if left_real and a * h_edge < 0.0:
-                accept(_bisect_root(spec, b, lo, t_edge, a, realness_tol))
-            elif not left_real and h_edge * c < 0.0:
-                accept(_bisect_root(spec, b, t_edge, hi, h_edge, realness_tol))
-    return roots
+    real = np.isfinite(h)
+    a, c, lo, hi = h[:, :-1], h[:, 1:], ts[:, :-1], ts[:, 1:]
+    er, ei = np.nonzero(real[:, :-1] != real[:, 1:])
+    e_lo, e_hi, _ = bracket_root(lambda x: np.where(np.isfinite(h_rows(er)(x)), 1.0, -1.0),
+                                 lo[er, ei], hi[er, ei], _ROOT_TOL)
+    left_real = real[er, ei]
+    t_edge = np.where(left_real, e_lo, e_hi)
+    h_edge = _h(basis, t_edge, bs[er], realness_tol)
+    from_left = left_real & (a[er, ei] * h_edge < 0.0)
+    from_right = ~left_real & (h_edge * c[er, ei] < 0.0)
+    dr, di = np.nonzero(real[:, :-1] & real[:, 1:] & ((a == 0.0) | (a * c < 0.0)))
+    rows = np.concatenate([dr, er[from_left], er[from_right]])
+    cells = np.concatenate([di, ei[from_left], ei[from_right]])
+    r_lo = np.concatenate([lo[dr, di], lo[er, ei][from_left], t_edge[from_right]])
+    r_hi = np.concatenate([hi[dr, di], t_edge[from_left], hi[er, ei][from_right]])
+    order = np.lexsort((cells, rows))
+    rows = rows[order]
+    r_lo, r_hi, found = bracket_root(h_rows(rows), r_lo[order], r_hi[order], _ROOT_TOL)
+    t_root = 0.5 * (r_lo + r_hi)
+    lam = _lambda2_grid(basis, t_root)
+    keep = found & (np.abs(_h(basis, t_root, bs[rows], realness_tol)) < 1e-6) & (lam > min_lambda)
+    return rows[keep], t_root[keep], lam[keep]
 
 
 def uniform_curve(spec: ChainSpec, b_window: tuple[float, float] = (0.0, 10.0),
@@ -432,32 +379,59 @@ def uniform_curve(spec: ChainSpec, b_window: tuple[float, float] = (0.0, 10.0),
     """Sample the constraint curve lambda1(t, b) = lambda2(t).
 
     For each b on the grid, roots in t are bracketed on a scan of the first
-    transfer window and polished by bisection; roots are kept only when both
-    factors are real, the residual is below 1e-6 and the common value exceeds
-    min_lambda (zero crossings of both factors are degenerate, not scaling).
+    transfer window and polished by a bracket search; roots are kept only
+    when both factors are real, the residual is below 1e-6 and the common
+    value exceeds min_lambda (zero crossings of both factors are degenerate,
+    not scaling).
     """
+    _check_grid({"b_window": b_window, "t_window": t_window}, {"b_step": b_step, "t_step": t_step})
     basis = mode_basis(spec.n_sites)
     t_lo, t_hi = t_window if t_window is not None else first_window(spec)
     ts = np.arange(t_lo, t_hi + 1e-9, t_step)
+    bs = np.arange(b_window[0], b_window[1] + 1e-9, b_step)
+    # one b column at a time, which bounds the memory as in the region scan
+    h = np.array([_h(basis, ts, b, realness_tol) for b in bs])
+    rows, t_root, lam = _curve_roots(basis, ts, bs, h, realness_tol, min_lambda)
+    return [CurvePoint(b=float(bs[r]), t=float(t), lam=float(v))
+            for r, t, v in zip(rows, t_root, lam)]
+
+
+def _curve_roots_near(basis: ModeBasis, bs: np.ndarray, t_centers: np.ndarray,
+                      problem: OptProblem) -> np.ndarray:
+    """Per (b, t_center), the curve root closest to t_center within 2 t_step; NaN if none.
+
+    Re-solves a curve point after a small move in b.
+    """
+    offsets = np.arange(-2.0 * problem.t_step, 2.0 * problem.t_step, problem.t_step / 5.0)
+    ts = t_centers[:, None] + offsets
+    h = _h(basis, ts, bs[:, None], problem.realness_tol)
+    rows, t_root, _ = _curve_roots(basis, ts, bs, h, problem.realness_tol,
+                                   problem.curve_min_lambda)
+    order = np.lexsort((np.abs(t_root - t_centers[rows]), rows))
+    first = np.unique(rows[order], return_index=True)[1]
+    near = np.full(len(bs), np.nan)
+    near[rows[order][first]] = t_root[order][first]
+    return near
+
+
+def _case4_best(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray,
+                problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Largest s1 * s2 over lambda0 at each (t, b) pair, and the lambda0 giving it."""
     amps = _amp_grids(basis, ts)
-    points: list[CurvePoint] = []
-    for b in np.arange(b_window[0], b_window[1] + 1e-9, b_step):
-        first, _, second = _alpha_entries(*amps, float(b), spec.n_sites)
-        lam, _, found = _select_real_batch(first, realness_tol)
-        h = np.where(found, lam - second.real, np.nan)
-        points.extend(_grid_roots(spec, float(b), ts, h, realness_tol, min_lambda))
-    return points
 
+    def product(l0s) -> np.ndarray:
+        s1, s2 = _region_column(amps, bs, basis.n_sites, l0s, problem.realness_tol)
+        return s1 * s2
 
-def _curve_root_near(spec: ChainSpec, b: float, t_center: float, t_step: float,
-                     realness_tol: float, min_lambda: float) -> CurvePoint | None:
-    """Re-solve the curve root closest to a previous one after a small b move."""
-    ts = np.arange(t_center - 2.0 * t_step, t_center + 2.0 * t_step, t_step / 5.0)
-    hs = np.array([_h_scalar(spec, float(t), b, realness_tol) for t in ts])
-    roots = _grid_roots(spec, b, ts, hs, realness_tol, min_lambda)
-    if not roots:
-        return None
-    return min(roots, key=lambda pt: abs(pt.t - t_center))
+    if problem.lambda0_mode == "fixed_one":
+        return product(np.ones(1))[:, 0], np.ones(len(ts))
+    lo, hi = problem.lambda0_window
+    step = problem.lambda0_step
+    grid = np.arange(lo, hi + 1e-9, step)
+    k = np.argmax(product(grid), axis=1)
+    l0, obj = bracket_max(product, np.maximum(lo, grid[k] - step),
+                          np.minimum(hi, grid[k] + step), problem.refine_tol)
+    return obj, l0
 
 
 def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
@@ -468,76 +442,62 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
         return _infeasible_result(problem)
 
     basis = mode_basis(spec.n_sites)
-    lo, hi = problem.lambda0_window
-    grid = np.arange(lo, hi + 1e-9, problem.lambda0_step)
 
-    def best_l0(t: float, b: float) -> tuple[float, float]:
-        if problem.lambda0_mode == "fixed_one":
-            return 1.0, _point_objective(spec, t, b, 1.0, 4, problem.realness_tol)
-        s1, s2 = _region_column(_amp_grids(basis, np.array([t])), b, spec.n_sites, grid,
-                                problem.realness_tol)
-        k = int(np.argmax(s1[0] * s2[0]))
-        g_lo = max(lo, float(grid[k]) - problem.lambda0_step)
-        g_hi = min(hi, float(grid[k]) + problem.lambda0_step)
-        return _golden_max(lambda l: _point_objective(spec, t, b, l, 4, problem.realness_tol),
-                           g_lo, g_hi, problem.refine_tol)
+    def best_at(bs, ts) -> tuple[float, float]:
+        obj, l0 = _case4_best(basis, np.asarray(ts, dtype=float), np.asarray(bs, dtype=float),
+                              problem)
+        return float(obj[0]), float(l0[0])
 
-    candidates = []
-    for pt in curve:
-        l0, obj = best_l0(pt.t, pt.b)
-        if np.isfinite(obj) and obj > 0.0:
-            candidates.append((obj, pt, l0))
-    if not candidates:
+    def root_near(b: float, t: float) -> float:
+        return float(_curve_roots_near(basis, np.array([b]), np.array([t]), problem)[0])
+
+    curve_b = np.array([pt.b for pt in curve])
+    curve_t = np.array([pt.t for pt in curve])
+    objs, l0s = _case4_best(basis, curve_t, curve_b, problem)
+    ranked = [i for i in np.argsort(-objs, kind="stable") if objs[i] > 0.0]
+    if not ranked:
         return _infeasible_result(problem)
-    candidates.sort(key=lambda item: -item[0])
 
-    def polish(pt: CurvePoint, l0_start: float, obj_start: float):
+    def polish(i: int):
         # stage 1: walk the branch both ways at b_step/10, re-rooting t each move
-        best = (obj_start, pt.b, pt.t, l0_start)
+        best = (objs[i], curve_b[i], curve_t[i], l0s[i])
         fine = problem.b_step / 10.0
         for direction in (1.0, -1.0):
-            t_prev, stalls = pt.t, 0
+            t_prev, stalls = curve_t[i], 0
             for k in range(1, 11):
-                b_try = pt.b + direction * k * fine
+                b_try = curve_b[i] + direction * k * fine
                 if not problem.b_window[0] <= b_try <= problem.b_window[1]:
                     break
-                root = _curve_root_near(spec, b_try, t_prev, problem.t_step,
-                                        problem.realness_tol, problem.curve_min_lambda)
-                if root is None:
+                t_prev = root_near(b_try, t_prev)
+                if np.isnan(t_prev):
                     break
-                t_prev = root.t
-                l0_here, obj = best_l0(root.t, b_try)
-                if np.isfinite(obj) and obj > best[0]:
-                    best = (obj, b_try, root.t, l0_here)
+                obj, l0_here = best_at([b_try], [t_prev])
+                if obj > best[0]:
+                    best = (obj, b_try, t_prev, l0_here)
                     stalls = 0
                 else:
                     stalls += 1
                     if stalls >= 3:
                         break
-        # stage 2: golden polish of b in the fine bracket, t rooted from the best t
+        # stage 2: bracket search of b in the fine bracket, t rooted from the best t
         _, b_c, t_c, _ = best
-        seen = {}
 
-        def along(b_try: float) -> float:
-            root = _curve_root_near(spec, b_try, t_c, problem.t_step,
-                                    problem.realness_tol, problem.curve_min_lambda)
-            if root is None:
-                return -np.inf
-            l0_here, obj = best_l0(root.t, b_try)
-            seen[b_try] = (obj, root.t, l0_here)
-            return obj
+        def along(x: np.ndarray) -> np.ndarray:
+            t_roots = _curve_roots_near(basis, x[0], np.full(x.shape[1], t_c), problem)
+            on_curve = np.isfinite(t_roots)
+            obj, _ = _case4_best(basis, np.where(on_curve, t_roots, t_c), x[0], problem)
+            return np.where(on_curve, obj, -np.inf)[None]
 
-        b_lo = max(problem.b_window[0], b_c - fine)
-        b_hi = min(problem.b_window[1], b_c + fine)
-        _golden_max(along, b_lo, b_hi, problem.refine_tol)
-        for b_try, (obj, t_try, l0_try) in seen.items():
-            if np.isfinite(obj) and obj > best[0]:
-                best = (obj, b_try, t_try, l0_try)
+        b_best, obj = bracket_max(along, max(problem.b_window[0], b_c - fine),
+                                  min(problem.b_window[1], b_c + fine), problem.refine_tol)
+        if obj[0] > best[0]:
+            t_best = root_near(float(b_best[0]), t_c)
+            best = (obj[0], float(b_best[0]), t_best, best_at(b_best, [t_best])[1])
         return best
 
-    polished = [polish(pt, l0, obj) for obj, pt, l0 in candidates[:3]]
+    polished = [polish(i) for i in ranked[:3]]
     obj, b_opt, t_opt, l0_opt = max(polished, key=lambda item: item[0])
-    return _finalize(spec, problem, t_opt, b_opt, l0_opt)
+    return _finalize(spec, problem, float(t_opt), float(b_opt), float(l0_opt))
 
 
 # ---------------------------------------------------------------------------

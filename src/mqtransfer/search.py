@@ -1,0 +1,74 @@
+"""Bracketed one-dimensional searches over many brackets at once.
+
+Each step evaluates a vectorized f on K equally spaced points of every
+bracket, then shrinks each bracket to the grid cells around its best point
+(bracket_max) or to its first sign-change cell (bracket_root). There are no
+derivatives, so kinks at positivity and eigenvalue-realness boundaries are
+harmless; f must map an (M, K) array of points to an (M, K) array of values.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["K", "bracket_max", "bracket_root"]
+
+# grid points per bracket and step; odd, so a shrunk bracket is centred on a
+# point already evaluated and the best value never decreases
+K = 9
+# bounds the step count when tol is below the float spacing of the bracket
+_MAX_STEPS = 64
+
+
+def _grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, K)
+
+
+def _brackets(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return lo.ravel().copy(), hi.ravel().copy()
+
+
+def bracket_max(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best point of f in each bracket [lo, hi] and its value.
+
+    Shrinks each bracket to the two cells around its best grid point until
+    every bracket is narrower than tol; the ends of the first brackets are
+    candidates too. For a unimodal f the maximum lies within tol of the
+    returned point.
+    """
+    lo, hi = _brackets(lo, hi)
+    rows = np.arange(lo.size)
+    for _ in range(_MAX_STEPS):
+        x = _grids(lo, hi)
+        values = f(x)
+        j = np.argmax(values, axis=1)
+        lo = x[rows, np.maximum(j - 1, 0)]
+        hi = x[rows, np.minimum(j + 1, K - 1)]
+        if np.all(hi - lo <= tol):
+            break
+    return x[rows, j], values[rows, j]
+
+
+def bracket_root(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shrink each bracket [lo, hi] to the first sign change of f in it.
+
+    A sign change is a grid cell whose end values have a product <= 0; NaN
+    values never form one. Returns the final (lo, hi) and the mask of
+    brackets that held a sign change at every step. Those end narrower than
+    tol; the others keep the bracket in which the search lost the change.
+    """
+    lo, hi = _brackets(lo, hi)
+    rows = np.arange(lo.size)
+    found = np.ones(lo.size, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        if np.all((hi - lo <= tol) | ~found):
+            break
+        x = _grids(lo, hi)
+        values = f(x)
+        change = values[:, :-1] * values[:, 1:] <= 0.0
+        j = np.argmax(change, axis=1)
+        found &= change[rows, j]
+        lo = np.where(found, x[rows, j], lo)
+        hi = np.where(found, x[rows, j + 1], hi)
+    return lo, hi, found

@@ -18,8 +18,6 @@ from .two_qubit import FIRST_LABELS, AlphaTable
 __all__ = [
     "FirstOrderSolution",
     "ZeroOrderSolution",
-    "lambda2",
-    "first_order_matrix",
     "solve_first_order",
     "zero_order_system",
     "zero_order_resolvent",
@@ -28,16 +26,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e10
-
-
-def lambda2(table: AlphaTable) -> complex:
-    """Double-quantum scale factor; real for every chain length by parity."""
-    return table.second
-
-
-def first_order_matrix(table: AlphaTable) -> np.ndarray:
-    """4x4 map of the single-quantum sender vector (rows/cols 12, 13, 24, 34)."""
-    return table.first.copy()
 
 
 def gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -118,8 +106,9 @@ def zero_order_resolvent(t0: np.ndarray, b_vec: np.ndarray,
     """x0 = (lambda0 I - T0)^-1 B for a whole lambda0 axis from one eigendecomposition.
 
     With T0 = V diag(d) V^-1, x0(lambda0) = V (lambda0 - d)^-1 V^-1 B.
-    t0 (..., 5, 5) and b_vec (..., 5) share leading axes; lambda0s is 1-D.
-    Returns x0 (..., len(lambda0s), 5) and the mask of regular cells. A cell
+    t0 (..., 5, 5) and b_vec (..., 5) share leading axes; lambda0s is
+    (nl,), shared by every matrix, or (..., nl), one axis per matrix.
+    Returns x0 (..., nl, 5) and the mask of regular cells. A cell
     is singular under the COND_LIMIT rule of solve_zero_order, with the
     condition number of lambda0 I - T0 taken from its spectrum as
     max|lambda0 - d| / min|lambda0 - d| (a lower bound of the 2-norm one);
@@ -127,7 +116,7 @@ def zero_order_resolvent(t0: np.ndarray, b_vec: np.ndarray,
     """
     d, v = np.linalg.eig(t0)
     y = np.linalg.solve(v, b_vec[..., None])[..., 0]
-    gap = np.asarray(lambda0s, dtype=float)[:, None] - d[..., None, :]
+    gap = np.asarray(lambda0s, dtype=float)[..., None] - d[..., None, :]
     dist = np.abs(gap)
     regular = dist.max(axis=-1) < COND_LIMIT * dist.min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

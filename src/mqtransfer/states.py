@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import ChainSpec, amplitude_set, mode_basis
 from .errors import DomainError, SingularInputError
-from .solvers import lambda2, solve_first_order, solve_zero_order, zero_order_system
+from .solvers import solve_first_order, solve_zero_order, zero_order_system
 from .two_qubit import alpha_table
 
 __all__ = [
@@ -224,7 +224,7 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
         raise ValueError(f"case must be 1..4, got {case}")
     basis = mode_basis(spec.n_sites)
     table = alpha_table(amplitude_set(basis, t), b, spec)
-    lam2 = lambda2(table).real
+    lam2 = table.second.real
 
     first = None
     if case != 1:
@@ -238,18 +238,18 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
     except SingularInputError:
         return _infeasible(case, t, b, lambda0, lam2,
                            first.lambda1 if first else None)
-    m0 = _base_matrix(zero.x0)
-    if np.linalg.eigvalsh(m0).min() < -PSD_TOL:
+    positive, c1_max, c2_max = block_rays(zero.x0, first.x1 if first is not None else None)
+    if not positive:
         return _infeasible(case, t, b, lambda0, lam2,
                            first.lambda1 if first else None)
 
     c1 = c2 = 0.0
     s1 = s2 = 0.0
     if case != 1:
-        c1 = _ray_max(m0, _first_order_direction(first.x1), BISECT_TOL)
+        c1 = float(c1_max)
         s1 = c1 * first.lambda1 if first.lambda1 > 0.0 else 0.0
     if case != 2:
-        c2 = _ray_max(m0, np.asarray(_SECOND_DIRECTION), BISECT_TOL)
+        c2 = float(c2_max)
         s2 = c2 * lam2 if lam2 > 0.0 else 0.0
     return RegionReport(
         case=case, t=t, b=b, lambda0=lambda0,

@@ -26,6 +26,7 @@ __all__ = [
     "CoherenceBlocks",
     "AlphaTable",
     "decompose_blocks",
+    "alpha_entries",
     "alpha_table",
     "receiver_from_sender",
     "operator_coefficients",
@@ -101,7 +102,7 @@ def decompose_blocks(rho: np.ndarray) -> CoherenceBlocks:
     return CoherenceBlocks(blocks=blocks)
 
 
-def _thermal_factors(b: float, n_sites: int) -> tuple:
+def _thermal_factors(b, n_sites: int) -> tuple:
     """exp(b) and the background factors k1..k4 of the coefficient table."""
     E = np.exp(b)
     k1 = 1.0 / (1.0 + E)
@@ -112,14 +113,18 @@ def _thermal_factors(b: float, n_sites: int) -> tuple:
     return E, k1, k2, k3, k4
 
 
-def _alpha_entries(p, q, r, s, b: float, n_sites: int) -> tuple:
+def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
     """All map coefficients, stacked as (first, zero, second).
 
     p, q, r, s are f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N}: scalars or arrays
-    of one shape, whose axes lead the results. first is (..., 4, 4) with rows
+    of one shape, and b a scalar or an array that broadcasts against them;
+    the broadcast axes lead the results. first is (..., 4, 4) with rows
     and columns FIRST_LABELS, zero is (..., 5, 6) with rows ZERO_ROWS and
     columns ZERO_COLS, and second is the double-quantum coefficient (...).
     """
+    if np.ndim(b):
+        # entries that depend on the amplitudes only must carry the axes of b too
+        p, q, r, s, b = np.broadcast_arrays(p, q, r, s, b)
     E, k1, k2, k3, k4 = _thermal_factors(b, n_sites)
     w = q * r - p * s
     cj = np.conj
@@ -222,7 +227,7 @@ class AlphaTable:
 
 def alpha_table(amps: AmplitudeSet, b: float, spec: ChainSpec) -> AlphaTable:
     """Evaluate the full coefficient table at one (t, b) point."""
-    first, zero, second = _alpha_entries(amps.f11, amps.f1n, amps.f21, amps.f2n, b, spec.n_sites)
+    first, zero, second = alpha_entries(amps.f11, amps.f1n, amps.f21, amps.f2n, b, spec.n_sites)
     _, k1, k2, k3, k4 = _thermal_factors(b, spec.n_sites)
     return AlphaTable(
         n_sites=spec.n_sites, b=b, amps=amps,

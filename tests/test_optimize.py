@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,20 @@ from mqtransfer import (
     lambda2_landmark,
     mode_basis,
     optimize,
-    optimize_lambda0_one,
+    solve_first_order,
     uniform_curve,
 )
-from mqtransfer.optimize import _amp_grids, _point_objective, _region_column, _scan, objective_landscape
+from mqtransfer.optimize import _amp_grids, _region_column, _scan, objective_landscape
 from mqtransfer.solvers import solve_zero_order, zero_order_resolvent, zero_order_system
 from mqtransfer.states import region_metrics
-from mqtransfer.two_qubit import _alpha_entries
+from mqtransfer.two_qubit import alpha_entries
+
+_CASE_KEY = {1: "s2", 2: "s1", 3: "s12"}
+
+
+def _case_objective(spec, t, b, l0, case):
+    rep = region_metrics(spec, t, b, l0, case)
+    return getattr(rep, _CASE_KEY[case])
 
 
 def test_problem_validation():
@@ -32,6 +40,23 @@ def test_problem_validation():
         OptProblem(case=1, b_window=(3.0, 1.0))
     with pytest.raises(ConfigurationError):
         OptProblem(case=1, t_window=(9.0, 3.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimize(OptProblem(case=1, t_step=0.0), ChainSpec(6)),
+    lambda: optimize(OptProblem(case=1, t_step=-0.05), ChainSpec(6)),
+    lambda: optimize(OptProblem(case=1, t_window=(float("nan"), 5.0)), ChainSpec(6)),
+    lambda: optimize(OptProblem(case=1, b_step=0.0), ChainSpec(6)),
+    lambda: optimize(OptProblem(case=1, lambda0_step=0.0), ChainSpec(6)),
+    lambda: optimize(OptProblem(case=3, refine_tol=0.0), ChainSpec(6)),
+    lambda: uniform_curve(ChainSpec(6), t_step=0.0),
+    lambda: uniform_curve(ChainSpec(6), b_step=-0.25),
+    lambda: uniform_curve(ChainSpec(6), b_window=(0.0, float("inf"))),
+], ids=["t_step=0", "t_step<0", "t_window=nan", "b_step=0", "lambda0_step=0",
+        "refine_tol=0", "curve t_step=0", "curve b_step<0", "curve b_window=inf"])
+def test_bad_steps_and_windows_are_configuration_errors(call):
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 def test_first_window_n6():
@@ -71,14 +96,38 @@ def test_uniform_curve_parity_n7_empty():
     assert uniform_curve(ChainSpec(7)) == []
 
 
-def test_point_objective_matches_region_metrics():
-    spec = ChainSpec(6)
+@pytest.mark.parametrize("n", [6, 10, 42])
+def test_uniform_curve_points_are_roots(n):
+    # each curve point recomputed with the scalar table and eigen-solver
+    spec, basis = ChainSpec(n), mode_basis(n)
+    pts = uniform_curve(spec)
+    assert pts
+    for pt in pts:
+        table = alpha_table(amplitude_set(basis, pt.t), pt.b, spec)
+        first = solve_first_order(table.first)
+        assert first is not None
+        assert abs(first.lambda1 - table.second.real) < 1e-9
+        assert pt.lam == pytest.approx(table.second.real, abs=1e-12)
+
+
+def test_region_column_matches_region_metrics():
+    # one row per (t, b) pair and lambda0 per row, as the refinement and
+    # case 4 use the kernel, against the point-by-point reference
+    spec, basis = ChainSpec(6), mode_basis(6)
+    ts = np.array([6.2, 6.2, 6.2, 5.4, 8.5])
+    bs = np.array([4.5, 4.5, 2.0, 5.4, 10.0])
+    l0s = np.array([[1.1, 1.2], [0.9, 1.1], [1.1, 1.3], [1.26, 1.0], [1.08, 1.5]])
+    s1, s2 = _region_column(_amp_grids(basis, ts), bs, 6, l0s, 1e-8)
+    got = {"s1": s1, "s2": s2, "s12": s1 * s2}
     for case in (1, 2, 3):
-        val = _point_objective(spec, 6.2, 4.5, 1.1, case, 1e-8)
-        rep = region_metrics(spec, 6.2, 4.5, 1.1, case)
-        ref = {1: rep.s2, 2: rep.s1, 3: rep.s12}[case]
-        if rep.feasible and ref > 0:
-            assert val == pytest.approx(ref, abs=1e-7)
+        for row, (t, b) in enumerate(zip(ts, bs)):
+            for col, l0 in enumerate(l0s[row]):
+                rep = region_metrics(spec, float(t), float(b), float(l0), case)
+                ref = getattr(rep, _CASE_KEY[case])
+                if rep.feasible and ref > 0:
+                    assert got[_CASE_KEY[case]][row, col] == pytest.approx(ref, abs=1e-7)
+                else:
+                    assert got[_CASE_KEY[case]][row, col] == 0.0
 
 
 def test_optimize_infeasible_window():
@@ -95,8 +144,8 @@ def test_optimize_rejects_small_chain():
         optimize(OptProblem(case=1), ChainSpec(3))
 
 
-def test_optimize_fixed_one_wrapper(table_n6_one):
-    res = optimize_lambda0_one(OptProblem(case=1), ChainSpec(6))
+def test_optimize_fixed_one_mode(table_n6_one):
+    res = optimize(replace(OptProblem(case=1), lambda0_mode="fixed_one"), ChainSpec(6))
     assert res.lambda0_mode == "fixed_one"
     assert res.lambda0_opt == 1.0
     assert res.s2 == pytest.approx(table_n6_one[1].s2, abs=1e-6)
@@ -118,7 +167,6 @@ def test_batched_eigen_selection_matches_scalar():
 
     from mqtransfer import alpha_table, amplitude_set, mode_basis, solve_first_order
     from mqtransfer.optimize import _select_real_batch
-    from mqtransfer.two_qubit import _alpha_entries
     from mqtransfer.chain import transition_amplitude_grid
 
     spec = ChainSpec(6)
@@ -130,7 +178,7 @@ def test_batched_eigen_selection_matches_scalar():
     r = transition_amplitude_grid(basis, 2, n - 1, ts)
     s = transition_amplitude_grid(basis, 2, n, ts)
     for b in (0.7, 4.2, 9.5):
-        first, _, _ = _alpha_entries(p, q, r, s, b, n)
+        first, _, _ = alpha_entries(p, q, r, s, b, n)
         lam, vec, found = _select_real_batch(first, 1e-8)
         for i, t in enumerate(ts):
             table = alpha_table(amplitude_set(basis, float(t)), b, spec)
@@ -148,20 +196,20 @@ def test_low_temperature_saturation(table_n6_free):
     spec = ChainSpec(6)
     for case in (1, 2):
         res = table_n6_free[case]
-        at_cap = _point_objective(spec, res.t_opt, 10.0, res.lambda0_opt, case, 1e-8)
-        beyond = _point_objective(spec, res.t_opt, 12.0, res.lambda0_opt, case, 1e-8)
+        at_cap = _case_objective(spec, res.t_opt, 10.0, res.lambda0_opt, case)
+        beyond = _case_objective(spec, res.t_opt, 12.0, res.lambda0_opt, case)
         assert abs(beyond - at_cap) < 1e-4
 
 
 def test_result_local_certificate(table_n6_free):
-    # the reported optimum is locally maximal for the fast objective
+    # the reported optimum is locally maximal for the point-by-point objective
     spec = ChainSpec(6)
     res = table_n6_free[3]
-    base = _point_objective(spec, res.t_opt, res.b_opt, res.lambda0_opt, 3, 1e-8)
+    base = _case_objective(spec, res.t_opt, res.b_opt, res.lambda0_opt, 3)
     for dt, db, dl in ((1e-3, 0, 0), (-1e-3, 0, 0), (0, 1e-3, 0),
                        (0, -1e-3, 0), (0, 0, 1e-3), (0, 0, -1e-3)):
-        trial = _point_objective(spec, res.t_opt + dt, res.b_opt + db,
-                                 res.lambda0_opt + dl, 3, 1e-8)
+        trial = _case_objective(spec, res.t_opt + dt, res.b_opt + db,
+                                res.lambda0_opt + dl, 3)
         assert trial <= base + 1e-6
 
 
@@ -178,7 +226,7 @@ def test_resolvent_matches_solve_zero_order():
         lo, hi = first_window(spec)
         ts = np.linspace(lo, hi, 9)
         for b in (0.5, 4.0, 9.0):
-            _, zero, _ = _alpha_entries(*_amp_grids(basis, ts), b, n)
+            _, zero, _ = alpha_entries(*_amp_grids(basis, ts), b, n)
             x0, regular = zero_order_resolvent(*zero_order_system(zero), l0s)
             for i, t in enumerate(ts):
                 t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
@@ -193,7 +241,7 @@ def test_resolvent_matches_solve_zero_order():
                     assert np.max(np.abs(x0[i, j] - ref)) <= 1e-10 * scale
 
 
-def test_scan_matches_point_objective():
+def test_scan_matches_region_metrics():
     rng = np.random.default_rng(11)
     for n in (6, 42):
         spec = ChainSpec(n)
@@ -204,13 +252,13 @@ def test_scan_matches_point_objective():
             it, ib, il = (int(rng.integers(k)) for k in shape)
             t, b, l0 = float(scan["ts"][it]), float(scan["bs"][ib]), float(scan["l0s"][il])
             for case, key in ((1, "s2"), (2, "s1"), (3, "s12")):
-                ref = max(_point_objective(spec, t, b, l0, case, 1e-8), 0.0)
+                ref = _case_objective(spec, t, b, l0, case)
                 assert scan[key][it, ib, il] == pytest.approx(ref, abs=1e-9)
 
 
 def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
     amps = _amp_grids(mode_basis(6), np.array([8.5153]))
-    t0, b_vec = zero_order_system(_alpha_entries(*amps, 10.0, 6)[1])
+    t0, b_vec = zero_order_system(alpha_entries(*amps, 10.0, 6)[1])
     ev = np.linalg.eigvals(t0[0])
     on_spectrum = float(ev[np.abs(ev.imag) < 1e-12][0].real)
     l0s = np.array([on_spectrum, on_spectrum + 0.05, 1.0837])

@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from mqtransfer.search import bracket_max, bracket_root
+
+
+def test_bracket_max_quadratic():
+    x, value = bracket_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-10)
+    assert abs(x[0] - 0.3) < 1e-10
+    assert value[0] == -(x[0] - 0.3) ** 2
+
+
+def test_bracket_max_keeps_bracket_ends():
+    # a maximum at the end of the bracket is found, not only interior ones
+    x, _ = bracket_max(lambda x: x, 2.0, 3.0, 1e-9)
+    assert x[0] == 3.0
+
+
+def test_bracket_root_step_indicator():
+    lo, hi, found = bracket_root(lambda x: np.where(x < 0.37, -1.0, 1.0), 0.0, 1.0, 1e-12)
+    assert found[0]
+    assert lo[0] < 0.37 <= hi[0]
+    assert hi[0] - lo[0] <= 1e-12
+
+
+def test_bracket_root_returns_first_sign_change():
+    # sin has roots at pi, 2 pi and 3 pi in [1, 10]
+    lo, hi, found = bracket_root(np.sin, 1.0, 10.0, 1e-12)
+    assert found[0]
+    assert lo[0] <= np.pi <= hi[0] + 1e-15
+    assert hi[0] - lo[0] <= 1e-12
+
+
+def test_bracket_root_reports_lost_brackets():
+    # NaN samples never form a sign change; brackets without one are flagged
+    lo, hi, found = bracket_root(lambda x: np.where(x < 0.5, -1.0, np.nan), [0.0, 0.0], [1.0, 0.6],
+                                 1e-9)
+    assert not found.any()
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [1.0, 0.6]
+
+
+def test_many_brackets_equal_one_bracket_calls():
+    # rows never mix. Root brackets all shrink by 1/(K - 1) per step, so a
+    # batch gives the single results exactly; a maximum bracket shrinks
+    # faster when its best point is at an end, and the batch then runs extra
+    # steps on it, so it agrees within the tolerance
+    def f(x):
+        return np.sin(3.0 * x) + 0.1 * x
+
+    lows = np.array([0.0, 0.7, 1.9, 2.6, 4.1])
+    highs = lows + 0.8
+    x, value = bracket_max(f, lows, highs, 1e-10)
+    lo, hi, found = bracket_root(f, lows, highs, 1e-12)
+    for i, (a, b) in enumerate(zip(lows, highs)):
+        x1, value1 = bracket_max(f, a, b, 1e-10)
+        assert abs(x[i] - x1[0]) <= 1e-10 and value[i] >= value1[0] - 1e-15
+        lo1, hi1, found1 = bracket_root(f, a, b, 1e-12)
+        assert (lo[i], hi[i], found[i]) == (lo1[0], hi1[0], found1[0])
+    # against a dense scan of each bracket
+    for i, (a, b) in enumerate(zip(lows, highs)):
+        grid = np.linspace(a, b, 200001)
+        assert value[i] >= f(grid).max() - 1e-12
+        sign = np.nonzero(f(grid[:-1]) * f(grid[1:]) <= 0.0)[0]
+        assert found[i] == bool(sign.size)
+        if sign.size:
+            assert lo[i] - 1e-12 <= grid[sign[0] + 1] and hi[i] + 1e-12 >= grid[sign[0]]
+
+
+
+def test_tolerance_below_float_spacing_ends():
+    # brackets stop shrinking at the float spacing; the step bound ends the loop
+    x, _ = bracket_max(lambda x: -(x - 1e5 - 0.25) ** 2, 1e5, 1e5 + 1.0, 0.0)
+    lo, hi, found = bracket_root(lambda x: x - 1e5 - 0.25, 1e5, 1e5 + 1.0, 0.0)
+    assert abs(x[0] - 1e5 - 0.25) < 1e-10
+    assert found[0] and lo[0] <= 1e5 + 0.25 <= hi[0]

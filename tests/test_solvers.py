@@ -6,9 +6,7 @@ from mqtransfer import (
     SingularInputError,
     alpha_table,
     amplitude_set,
-    first_order_matrix,
     gauge_fix,
-    lambda2,
     lambda2_landmark,
     mode_basis,
     receiver_from_sender,
@@ -29,13 +27,13 @@ def _table(n, t, b):
 
 
 def test_lambda2_zero_time():
-    assert abs(lambda2(_table(6, 0.0, 1.0))) < 1e-12
+    assert abs(_table(6, 0.0, 1.0).second) < 1e-12
 
 
 def test_lambda2_always_real(rng):
     for n in (4, 5, 6, 7):
         for _ in range(10):
-            val = lambda2(_table(n, rng.uniform(0, 3 * n), 1.0))
+            val = _table(n, rng.uniform(0, 3 * n), 1.0).second
             assert abs(val.imag) < 1e-12
 
 
@@ -51,7 +49,7 @@ def test_lambda2_landmark_n6():
 
 def test_first_order_zero_at_infinite_temperature():
     table = _table(6, 5.3, 0.0)
-    assert np.max(np.abs(first_order_matrix(table))) == 0.0
+    assert np.max(np.abs(table.first)) == 0.0
 
 
 def test_first_order_consistency_with_map(rng):
@@ -63,11 +61,11 @@ def test_first_order_consistency_with_map(rng):
     idx = {"1": 0, "2": 1, "3": 2, "4": 3}
     svec = np.array([rho_s[idx[a[0]], idx[a[1]]] for a in FIRST_LABELS])
     rvec = np.array([out[idx[a[0]], idx[a[1]]] for a in FIRST_LABELS])
-    assert np.max(np.abs(first_order_matrix(table) @ svec - rvec)) < 1e-12
+    assert np.max(np.abs(table.first @ svec - rvec)) < 1e-12
 
 
 def test_first_order_landmark_eigenvalue():
-    sol = solve_first_order(first_order_matrix(_table(6, 5.0326, 10.0)))
+    sol = solve_first_order(_table(6, 5.0326, 10.0).first)
     assert sol is not None
     assert sol.lambda1 == pytest.approx(0.8145, abs=1e-3)
 
@@ -87,7 +85,7 @@ def test_solve_first_order_ordering(rng):
 
 
 def test_solve_first_order_printed_point():
-    sol = solve_first_order(first_order_matrix(_table(6, 5.3768, 5.3790)))
+    sol = solve_first_order(_table(6, 5.3768, 5.3790).first)
     assert sol.lambda1 == pytest.approx(0.7613, abs=1e-3)
     expected = np.array([0.88361, -0.46820j, -0.00216j, -0.00408])
     assert np.max(np.abs(gauge_fix(sol.x1) - expected)) < 1e-3
@@ -95,7 +93,7 @@ def test_solve_first_order_printed_point():
 
 def test_solve_first_order_absent():
     # above the realness boundary every eigenvalue is complex
-    assert solve_first_order(first_order_matrix(_table(6, 5.75, 0.5))) is None
+    assert solve_first_order(_table(6, 5.75, 0.5).first) is None
 
 
 def test_gauge_fix():
@@ -169,7 +167,7 @@ def test_scaled_transfer_identities(rng):
     for _ in range(5):
         t, b = rng.uniform(3, 9), rng.uniform(0.5, 9)
         table = _table(6, t, b)
-        first = solve_first_order(first_order_matrix(table))
+        first = solve_first_order(table.first)
         if first is None:
             continue
         lam0 = rng.uniform(0.9, 1.5)
@@ -182,7 +180,7 @@ def test_scaled_transfer_identities(rng):
         sender = assemble_sender(SenderTemplate(x0=zero.x0, x1=first.x1, c1=c1, c2=c2))
         out = receiver_from_sender(table, sender)
         # double quantum scales by lambda2
-        assert out[0, 3] == pytest.approx(lambda2(table) * c2, abs=1e-10)
+        assert out[0, 3] == pytest.approx(table.second * c2, abs=1e-10)
         # single quantum scales by lambda1
         idx = {"1": 0, "2": 1, "3": 2, "4": 3}
         for k, lab in enumerate(FIRST_LABELS):

@@ -215,7 +215,7 @@ def test_boundary_sweep_endpoints():
 
 def test_block_rays_match_bisection_on_seeded_points():
     # closed-form c1_max / c2_max against the certified bisection rays of
-    # region_metrics, at feasible (N, t, b, lambda0) points
+    # c_max_ray, at feasible (N, t, b, lambda0) points
     rng = np.random.default_rng(2024)
     checked = 0
     for n in (4, 6, 10, 42):
@@ -227,8 +227,9 @@ def test_block_rays_match_bisection_on_seeded_points():
                 continue
             positive, c1, c2 = block_rays(rep.x0, rep.x1)
             assert positive
-            assert float(c1) == pytest.approx(rep.c1_max, abs=1e-8)
-            assert float(c2) == pytest.approx(rep.c2_max, abs=1e-8)
+            c1_ref, c2_ref = c_max_ray(rep.x0, rep.x1, "corner")
+            assert float(c1) == pytest.approx(c1_ref, abs=1e-8)
+            assert float(c2) == pytest.approx(c2_ref, abs=1e-8)
             found += 1
             if found == 21:
                 break
