@@ -26,6 +26,7 @@ __all__ = [
     "endpoint_amplitude",
     "endpoint_amplitude_grid",
     "endpoint_power_max",
+    "amplitude_grids",
     "amplitude_set",
 ]
 
@@ -142,22 +143,21 @@ class AmplitudeSet:
     f_end: complex
 
 
+def amplitude_grids(basis: ModeBasis, ts) -> tuple:
+    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts (any shape), sharing one phase grid."""
+    n, g = basis.n_sites, basis.g
+    phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
+    weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
+    return tuple(np.moveaxis(phase @ weights, -1, 0))
+
+
 def amplitude_set(basis: ModeBasis, t: float) -> AmplitudeSet:
-    """Amplitudes between sender sites (1, 2) and receiver sites (N-1, N)."""
+    """Amplitudes between sender sites (1, 2) and receiver sites (N-1, N).
+
+    The endpoint amplitude is conj(f_{1,N}), since g and the energies are real.
+    """
     n = basis.n_sites
     if n < 4:
         raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {n}")
-    phase = np.exp(-1j * t * basis.energies)
-    g = basis.g
-
-    def f(i: int, j: int) -> complex:
-        return complex(np.sum(g[i - 1] * g[j - 1] * phase))
-
-    return AmplitudeSet(
-        t=t,
-        f11=f(1, n - 1),
-        f1n=f(1, n),
-        f21=f(2, n - 1),
-        f2n=f(2, n),
-        f_end=endpoint_amplitude(basis, t),
-    )
+    f11, f1n, f21, f2n = (complex(f) for f in amplitude_grids(basis, t))
+    return AmplitudeSet(t=t, f11=f11, f1n=f1n, f21=f21, f2n=f2n, f_end=f1n.conjugate())

@@ -55,11 +55,13 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _check_finite(args) -> None:
-    """Reject non-finite point parameters before they reach a solver."""
+    """Reject non-finite point parameters and a negative --b before they reach a solver."""
     for attr, flag in (("t", "--t"), ("b", "--b"), ("lambda0_value", "--lambda0")):
         value = getattr(args, attr, None)
         if value is not None and not np.isfinite(value):
             raise ConfigurationError(f"{flag} must be finite, got {value}")
+    if getattr(args, "b", 0.0) < 0.0:
+        raise ConfigurationError(f"--b must be finite and >= 0, got {args.b}")
 
 
 def _emit(args, header: list[str], rows: list, meta: dict) -> None:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, ModeBasis, mode_basis
+from .chain import ChainSpec, ModeBasis, amplitude_grids, mode_basis
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root
 from .solvers import zero_order_resolvent, zero_order_system
@@ -44,7 +44,7 @@ class OptProblem:
     """Search configuration; windows and steps are the documented defaults.
 
     A t_window of None resolves to the first transfer window of the chain
-    (see first_window). Case 4 walks the uniform-scaling curve instead of a
+    (see first_window). Case 4 samples the uniform-scaling curve instead of a
     full (t, b) grid; curve intersections with |lambda| below
     curve_min_lambda are discarded as degenerate.
     """
@@ -73,10 +73,12 @@ class OptProblem:
 
 
 def _check_grid(windows: dict, positives: dict) -> None:
-    """Reject empty or non-finite windows and non-positive steps or tolerances."""
+    """Reject empty, non-finite or negative-b windows and non-positive steps or tolerances."""
     for name, win in windows.items():
         if win is not None and not (np.all(np.isfinite(win)) and win[0] <= win[1]):
             raise ConfigurationError(f"{name} must be finite and non-empty, got {win}")
+    if windows["b_window"][0] < 0.0:
+        raise ConfigurationError(f"b_window must start at b >= 0, got {windows['b_window']}")
     for name, value in positives.items():
         if not value > 0.0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
@@ -138,16 +140,8 @@ def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
 # vectorized grid machinery
 
 
-def _amp_grids(basis: ModeBasis, ts) -> tuple:
-    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts (any shape), sharing one phase grid."""
-    n, g = basis.n_sites, basis.g
-    phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
-    weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
-    return tuple(np.moveaxis(phase @ weights, -1, 0))
-
-
 def _lambda2_grid(basis: ModeBasis, ts: np.ndarray) -> np.ndarray:
-    p, q, r, s = _amp_grids(basis, ts)
+    p, q, r, s = amplitude_grids(basis, ts)
     return (p * s - q * r).real
 
 
@@ -211,7 +205,7 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
     else:
         l0s = np.arange(problem.lambda0_window[0], problem.lambda0_window[1] + 1e-9,
                         problem.lambda0_step)
-    amps = _amp_grids(basis, ts)
+    amps = amplitude_grids(basis, ts)
     s1 = np.zeros((len(ts), len(bs), len(l0s)))
     s2 = np.zeros_like(s1)
     for bi, b in enumerate(bs):
@@ -241,7 +235,7 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
     steps = {"t": problem.t_step, "b": problem.b_step, "l0": problem.lambda0_step}
 
     def objective(ts, bs, l0s) -> np.ndarray:
-        s1, s2 = _region_column(_amp_grids(basis, ts), bs, spec.n_sites, l0s,
+        s1, s2 = _region_column(amplitude_grids(basis, ts), bs, spec.n_sites, l0s,
                                 problem.realness_tol)
         return {1: s2, 2: s1, 3: s1 * s2}[problem.case]
 
@@ -298,7 +292,8 @@ def _optimize_from_scan(spec: ChainSpec, problem: OptProblem, scan: dict) -> Opt
 def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
     """Maximize the case objective over (t, b, lambda0).
 
-    Cases 1..3 scan the full grid; case 4 walks the uniform-scaling curve.
+    Cases 1..3 scan the full grid; case 4 samples the uniform-scaling curve
+    and refines its best points along it.
     An all-zero feasible set yields a result with feasible=False.
     """
     if spec.n_sites < 4:
@@ -327,7 +322,8 @@ def _h(basis: ModeBasis, ts, b, realness_tol: float) -> np.ndarray:
     NaN where no real single-quantum factor exists.
     """
     ts, b = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(b, dtype=float))
-    first, _, second = alpha_entries(*_amp_grids(basis, ts.ravel()), b.ravel(), basis.n_sites)
+    first, _, second = alpha_entries(*amplitude_grids(basis, ts.ravel()), b.ravel(),
+                                     basis.n_sites)
     lam, _, found = _select_real_batch(first, realness_tol)
     return np.where(found, lam - second.real, np.nan).reshape(ts.shape)
 
@@ -417,7 +413,7 @@ def _curve_roots_near(basis: ModeBasis, bs: np.ndarray, t_centers: np.ndarray,
 def _case4_best(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray,
                 problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
     """Largest s1 * s2 over lambda0 at each (t, b) pair, and the lambda0 giving it."""
-    amps = _amp_grids(basis, ts)
+    amps = amplitude_grids(basis, ts)
 
     def product(l0s) -> np.ndarray:
         s1, s2 = _region_column(amps, bs, basis.n_sites, l0s, problem.realness_tol)
@@ -435,6 +431,12 @@ def _case4_best(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray,
 
 
 def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
+    """Sample the curve, then refine its three best points in one bracket search over b.
+
+    Each search point is re-rooted near the branch prediction t_i + s_i (b - b_i),
+    with the slope s_i = -h_b / h_t of the curve at point i; a curve point is
+    kept when the search finds nothing better along its branch.
+    """
     curve = uniform_curve(spec, problem.b_window, problem.t_window,
                           problem.b_step, problem.t_step,
                           problem.realness_tol, problem.curve_min_lambda)
@@ -442,62 +444,40 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
         return _infeasible_result(problem)
 
     basis = mode_basis(spec.n_sites)
-
-    def best_at(bs, ts) -> tuple[float, float]:
-        obj, l0 = _case4_best(basis, np.asarray(ts, dtype=float), np.asarray(bs, dtype=float),
-                              problem)
-        return float(obj[0]), float(l0[0])
-
-    def root_near(b: float, t: float) -> float:
-        return float(_curve_roots_near(basis, np.array([b]), np.array([t]), problem)[0])
-
     curve_b = np.array([pt.b for pt in curve])
     curve_t = np.array([pt.t for pt in curve])
     objs, l0s = _case4_best(basis, curve_t, curve_b, problem)
-    ranked = [i for i in np.argsort(-objs, kind="stable") if objs[i] > 0.0]
-    if not ranked:
+    top = np.argsort(-objs, kind="stable")[:3]
+    top = top[objs[top] > 0.0]
+    if not top.size:
         return _infeasible_result(problem)
+    b0, t0, obj0, l00 = curve_b[top], curve_t[top], objs[top], l0s[top]
 
-    def polish(i: int):
-        # stage 1: walk the branch both ways at b_step/10, re-rooting t each move
-        best = (objs[i], curve_b[i], curve_t[i], l0s[i])
-        fine = problem.b_step / 10.0
-        for direction in (1.0, -1.0):
-            t_prev, stalls = curve_t[i], 0
-            for k in range(1, 11):
-                b_try = curve_b[i] + direction * k * fine
-                if not problem.b_window[0] <= b_try <= problem.b_window[1]:
-                    break
-                t_prev = root_near(b_try, t_prev)
-                if np.isnan(t_prev):
-                    break
-                obj, l0_here = best_at([b_try], [t_prev])
-                if obj > best[0]:
-                    best = (obj, b_try, t_prev, l0_here)
-                    stalls = 0
-                else:
-                    stalls += 1
-                    if stalls >= 3:
-                        break
-        # stage 2: bracket search of b in the fine bracket, t rooted from the best t
-        _, b_c, t_c, _ = best
+    # branch slopes dt/db = -h_b / h_t by central differences
+    d = 1e-6
+    h = _h(basis, t0[:, None] + [d, -d, 0.0, 0.0], b0[:, None] + [0.0, 0.0, d, -d],
+           problem.realness_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = -(h[:, 2] - h[:, 3]) / (h[:, 0] - h[:, 1])
+    slope = np.where(np.isfinite(slope), slope, 0.0)
 
-        def along(x: np.ndarray) -> np.ndarray:
-            t_roots = _curve_roots_near(basis, x[0], np.full(x.shape[1], t_c), problem)
-            on_curve = np.isfinite(t_roots)
-            obj, _ = _case4_best(basis, np.where(on_curve, t_roots, t_c), x[0], problem)
-            return np.where(on_curve, obj, -np.inf)[None]
+    def on_curve(bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Re-rooted t, objective (-inf off the curve) and lambda0 at b values per point."""
+        centers = t0[:, None] + slope[:, None] * (bs - b0[:, None])
+        ts = _curve_roots_near(basis, bs.ravel(), centers.ravel(), problem).reshape(bs.shape)
+        found = np.isfinite(ts)
+        obj, l0 = _case4_best(basis, np.where(found, ts, centers).ravel(), bs.ravel(), problem)
+        return ts, np.where(found, obj.reshape(bs.shape), -np.inf), l0.reshape(bs.shape)
 
-        b_best, obj = bracket_max(along, max(problem.b_window[0], b_c - fine),
-                                  min(problem.b_window[1], b_c + fine), problem.refine_tol)
-        if obj[0] > best[0]:
-            t_best = root_near(float(b_best[0]), t_c)
-            best = (obj[0], float(b_best[0]), t_best, best_at(b_best, [t_best])[1])
-        return best
-
-    polished = [polish(i) for i in ranked[:3]]
-    obj, b_opt, t_opt, l0_opt = max(polished, key=lambda item: item[0])
-    return _finalize(spec, problem, float(t_opt), float(b_opt), float(l0_opt))
+    lo, hi = problem.b_window
+    b_new, _ = bracket_max(lambda x: on_curve(x)[1], np.maximum(lo, b0 - problem.b_step),
+                           np.minimum(hi, b0 + problem.b_step), problem.refine_tol)
+    t_new, obj_new, l0_new = (a[:, 0] for a in on_curve(b_new[:, None]))
+    better = obj_new > obj0
+    t, b, l0, obj = (np.where(better, new, old) for new, old in
+                     ((t_new, t0), (b_new, b0), (l0_new, l00), (obj_new, obj0)))
+    k = int(np.argmax(obj))
+    return _finalize(spec, problem, float(t[k]), float(b[k]), float(l0[k]))
 
 
 # ---------------------------------------------------------------------------

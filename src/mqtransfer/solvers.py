@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularInputError
-from .two_qubit import FIRST_LABELS, AlphaTable
+from .two_qubit import AlphaTable
 
 __all__ = [
     "FirstOrderSolution",
@@ -84,7 +84,6 @@ class ZeroOrderSolution:
 
     lambda0: float
     x0: np.ndarray
-    b_vec: np.ndarray
     residual: float
 
 
@@ -138,9 +137,5 @@ def solve_zero_order(t0: np.ndarray, b_vec: np.ndarray, lambda0: float) -> ZeroO
             f"lambda0 = {lambda0} is too close to the spectrum of the zero-order map")
     x0 = np.linalg.solve(a, b_vec)
     residual = float(np.linalg.norm(t0 @ x0 + b_vec - lambda0 * x0))
-    return ZeroOrderSolution(lambda0=float(lambda0), x0=x0, b_vec=b_vec, residual=residual)
+    return ZeroOrderSolution(lambda0=float(lambda0), x0=x0, residual=residual)
 
-
-# order of x0/x1 component labels, for printing and tests
-ZERO_COMPONENTS = ("rho11", "rho22", "rho33", "rho23", "rho32")
-FIRST_COMPONENTS = FIRST_LABELS

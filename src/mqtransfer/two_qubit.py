@@ -205,11 +205,6 @@ class AlphaTable:
 
     n_sites: int
     b: float
-    amps: AmplitudeSet
-    k1: float
-    k2: float
-    k3: float
-    k4: float
     zero: np.ndarray
     first: np.ndarray
     second: complex
@@ -228,12 +223,7 @@ class AlphaTable:
 def alpha_table(amps: AmplitudeSet, b: float, spec: ChainSpec) -> AlphaTable:
     """Evaluate the full coefficient table at one (t, b) point."""
     first, zero, second = alpha_entries(amps.f11, amps.f1n, amps.f21, amps.f2n, b, spec.n_sites)
-    _, k1, k2, k3, k4 = _thermal_factors(b, spec.n_sites)
-    return AlphaTable(
-        n_sites=spec.n_sites, b=b, amps=amps,
-        k1=float(k1), k2=float(k2), k3=float(k3), k4=float(k4),
-        zero=zero, first=first, second=complex(second),
-    )
+    return AlphaTable(n_sites=spec.n_sites, b=b, zero=zero, first=first, second=complex(second))
 
 
 def receiver_from_sender(table: AlphaTable, rho_s: np.ndarray) -> np.ndarray:

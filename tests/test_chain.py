@@ -114,6 +114,15 @@ def test_endpoint_grid_matches_scalar(rng):
     grid2 = transition_amplitude_grid(basis, 2, 7, ts)
     for t, z in zip(ts, grid2):
         assert z == pytest.approx(transition_amplitude(basis, 2, 7, t), abs=1e-13)
+    # amplitude_set, a batch of one of amplitude_grids, against the scalar sums
+    for n in (4, 6, 42):
+        basis = mode_basis(n)
+        for t in rng.uniform(0.0, 3.0 * n, size=6):
+            amps = amplitude_set(basis, float(t))
+            for field, (i, j) in (("f11", (1, n - 1)), ("f1n", (1, n)),
+                                  ("f21", (2, n - 1)), ("f2n", (2, n))):
+                assert abs(getattr(amps, field) - transition_amplitude(basis, i, j, t)) < 1e-13
+            assert abs(amps.f_end - endpoint_amplitude(basis, t)) < 1e-13
 
 
 def test_endpoint_power_max_small_chain():

@@ -206,6 +206,7 @@ def test_map_malformed_json_is_one_line(tmp_path, capsys):
     ("--t", ["--t", "nan", "--b", "1.0", "--lambda0", "1.0"]),
     ("--b", ["--t", "1.0", "--b", "inf", "--lambda0", "1.0"]),
     ("--lambda0", ["--t", "1.0", "--b", "1.0", "--lambda0", "inf"]),
+    ("--b", ["--t", "1.0", "--b", "-1", "--lambda0", "1.0"]),
 ])
 def test_solve_rejects_non_finite_point(capsys, flag, argv):
     code, err = _run_error(capsys, ["solve", "--n", "6"] + argv)

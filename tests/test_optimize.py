@@ -18,7 +18,8 @@ from mqtransfer import (
     solve_first_order,
     uniform_curve,
 )
-from mqtransfer.optimize import _amp_grids, _region_column, _scan, objective_landscape
+from mqtransfer.chain import amplitude_grids
+from mqtransfer.optimize import _region_column, _scan, objective_landscape
 from mqtransfer.solvers import solve_zero_order, zero_order_resolvent, zero_order_system
 from mqtransfer.states import region_metrics
 from mqtransfer.two_qubit import alpha_entries
@@ -52,8 +53,11 @@ def test_problem_validation():
     lambda: uniform_curve(ChainSpec(6), t_step=0.0),
     lambda: uniform_curve(ChainSpec(6), b_step=-0.25),
     lambda: uniform_curve(ChainSpec(6), b_window=(0.0, float("inf"))),
+    lambda: optimize(OptProblem(case=4, b_window=(-1.0, 2.0)), ChainSpec(6)),
+    lambda: uniform_curve(ChainSpec(6), b_window=(-0.5, 2.0)),
 ], ids=["t_step=0", "t_step<0", "t_window=nan", "b_step=0", "lambda0_step=0",
-        "refine_tol=0", "curve t_step=0", "curve b_step<0", "curve b_window=inf"])
+        "refine_tol=0", "curve t_step=0", "curve b_step<0", "curve b_window=inf",
+        "b_window<0", "curve b_window<0"])
 def test_bad_steps_and_windows_are_configuration_errors(call):
     with pytest.raises(ConfigurationError):
         call()
@@ -117,7 +121,7 @@ def test_region_column_matches_region_metrics():
     ts = np.array([6.2, 6.2, 6.2, 5.4, 8.5])
     bs = np.array([4.5, 4.5, 2.0, 5.4, 10.0])
     l0s = np.array([[1.1, 1.2], [0.9, 1.1], [1.1, 1.3], [1.26, 1.0], [1.08, 1.5]])
-    s1, s2 = _region_column(_amp_grids(basis, ts), bs, 6, l0s, 1e-8)
+    s1, s2 = _region_column(amplitude_grids(basis, ts), bs, 6, l0s, 1e-8)
     got = {"s1": s1, "s2": s2, "s12": s1 * s2}
     for case in (1, 2, 3):
         for row, (t, b) in enumerate(zip(ts, bs)):
@@ -213,6 +217,28 @@ def test_result_local_certificate(table_n6_free):
         assert trial <= base + 1e-6
 
 
+@pytest.mark.parametrize("fixture, n", [("table_n6_free", 6), ("table_n6_one", 6),
+                                        ("table_n42_free", 42)])
+def test_case4_local_certificate(request, fixture, n):
+    # the case-4 optimum lies on the curve, and no re-rooted curve point
+    # nearby in b has a larger s12 over a fine lambda0 grid
+    spec, res = ChainSpec(n), request.getfixturevalue(fixture)[4]
+    table = alpha_table(amplitude_set(mode_basis(n), res.t_opt), res.b_opt, spec)
+    first = solve_first_order(table.first)
+    assert first is not None
+    assert abs(first.lambda1 - table.second.real) < 1e-9
+    if res.lambda0_mode == "fixed_one":
+        l0s = np.array([1.0])
+    else:
+        l0s = np.arange(0.5, 2.0 + 1e-9, 0.002)
+    for db in (1e-3, -1e-3, 2e-2, -2e-2):
+        b = res.b_opt + db
+        pts = uniform_curve(spec, b_window=(b, b), b_step=1.0)
+        t = min(pts, key=lambda pt: abs(pt.t - res.t_opt)).t
+        best = max(region_metrics(spec, t, b, float(l0), case=4).s12 for l0 in l0s)
+        assert best <= res.s12 * (1.0 + 1e-7)
+
+
 # ---------------------------------------------------------------------------
 # the batched grid kernel against the scalar, certified paths
 
@@ -226,7 +252,7 @@ def test_resolvent_matches_solve_zero_order():
         lo, hi = first_window(spec)
         ts = np.linspace(lo, hi, 9)
         for b in (0.5, 4.0, 9.0):
-            _, zero, _ = alpha_entries(*_amp_grids(basis, ts), b, n)
+            _, zero, _ = alpha_entries(*amplitude_grids(basis, ts), b, n)
             x0, regular = zero_order_resolvent(*zero_order_system(zero), l0s)
             for i, t in enumerate(ts):
                 t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
@@ -257,7 +283,7 @@ def test_scan_matches_region_metrics():
 
 
 def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
-    amps = _amp_grids(mode_basis(6), np.array([8.5153]))
+    amps = amplitude_grids(mode_basis(6), np.array([8.5153]))
     t0, b_vec = zero_order_system(alpha_entries(*amps, 10.0, 6)[1])
     ev = np.linalg.eigvals(t0[0])
     on_spectrum = float(ev[np.abs(ev.imag) < 1e-12][0].real)
