@@ -3,8 +3,9 @@
 The library computes how the coherence-order blocks of a small sender density
 matrix arrive, scaled but unmixed, at the far end of a spin-1/2 chain with a
 thermal background, and it measures and optimizes the region of sender states
-that make this exact. A dense brute-force simulator certifies every analytic
-formula at small chain length.
+that make this exact. A brute-force simulator, diagonalizing the chain one
+excitation sector at a time, certifies every analytic formula at small chain
+length.
 """
 
 from .chain import (

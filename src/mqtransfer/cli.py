@@ -175,10 +175,13 @@ def cmd_solve(args) -> int:
 
 def cmd_region(args) -> int:
     spec = ChainSpec(args.n)
+    t_grid, b_grid, l0_grid = (_parse_grid(g) for g in (args.t_grid, args.b_grid, args.lambda0_grid))
+    if b_grid[0] < 0.0:
+        raise ConfigurationError(f"--b-grid must be >= 0, got {args.b_grid!r}")
     rows = []
-    for t in _parse_grid(args.t_grid):
-        for b in _parse_grid(args.b_grid):
-            for l0 in _parse_grid(args.lambda0_grid):
+    for t in t_grid:
+        for b in b_grid:
+            for l0 in l0_grid:
                 rep = region_metrics(spec, float(t), float(b), float(l0), args.case)
                 rows.append((t, b, l0, rep.s1, rep.s2, rep.s12))
     _emit(args, ["t", "b", "lambda0", "S1", "S2", "S12"], rows, _meta(args, "region"))
@@ -222,6 +225,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     spec = ChainSpec(args.n)
     rng = np.random.default_rng(args.seed)
     basis = mode_basis(args.n)
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-grid", default=None, help="lo:hi:step")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("oracle-check", help="max deviation of the analytic map vs dense evolution")
+    p = sub.add_parser("oracle-check", help="max deviation of the analytic map vs brute-force evolution")
     common(p)
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(func=cmd_oracle_check)

@@ -18,4 +18,4 @@ class DomainError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """Request exceeds the dense-simulation resource guard."""
+    """Request exceeds the brute-force simulation resource guard."""

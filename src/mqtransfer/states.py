@@ -139,16 +139,19 @@ def block_rays(x0: np.ndarray, x1: np.ndarray | None = None):
     b12, b13, b42, b43 = x1[..., 0], x1[..., 1], np.conj(x1[..., 2]), np.conj(x1[..., 3])
     d1 = np.clip(r11, 1e-30, None)
     d4 = np.clip(r44, 1e-30, None)
-    # G = B^H D14^-1 B, Hermitian 2x2
-    g22 = np.abs(b12) ** 2 / d1 + np.abs(b42) ** 2 / d4
-    g33 = np.abs(b13) ** 2 / d1 + np.abs(b43) ** 2 / d4
-    g23 = np.conj(b12) * b13 / d1 + np.conj(b42) * b43 / d4
-    # eigenvalues of M23^-1 G: (tr +- sqrt(tr^2 - 4 det G det M23)) / (2 det M23),
-    # with tr = trace(adj(M23) G)
+    # M23^-1 G, G = B^H D14^-1 B, is similar to the Hermitian H = L^-1 G L^-H
+    # with M23 = L L^H (Cholesky). With v = (-rho23/rho22, 1), each entry of H
+    # is a product or a sum of squares of B (1, 0) and B v, and the larger
+    # eigenvalue of H comes from (h22 - h33)^2 + 4|h23|^2, a sum of squares
+    # that does not cancel where the two eigenvalues cross
+    d2 = np.clip(r22, 1e-30, None)
     det_m = np.clip(r22 * r33 - off2, 1e-30, None)
-    tr = r33 * g22 + r22 * g33 - 2.0 * (np.conj(x23) * g23).real
-    det_g = g22 * g33 - np.abs(g23) ** 2
-    sigma2 = (tr + np.sqrt(np.clip(tr * tr - 4.0 * det_g * det_m, 0.0, None))) / (2.0 * det_m)
+    ratio = x23 / d2
+    w1, w4 = b13 - b12 * ratio, b43 - b42 * ratio
+    h22 = (np.abs(b12) ** 2 / d1 + np.abs(b42) ** 2 / d4) / d2
+    h33 = d2 * (np.abs(w1) ** 2 / d1 + np.abs(w4) ** 2 / d4) / det_m
+    h23 = (np.conj(b12) * w1 / d1 + np.conj(b42) * w4 / d4) / np.sqrt(det_m)
+    sigma2 = 0.5 * (h22 + h33) + np.sqrt(0.25 * (h22 - h33) ** 2 + np.abs(h23) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         c1 = np.where(positive, 1.0 / np.sqrt(sigma2), 0.0)
     return positive, c1, c2

@@ -212,3 +212,14 @@ def test_solve_rejects_non_finite_point(capsys, flag, argv):
     code, err = _run_error(capsys, ["solve", "--n", "6"] + argv)
     assert code == 3
     assert len(err) == 1 and f"{flag} must be finite" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--n", "4", "--samples", "0"],
+    ["oracle-check", "--n", "4", "--samples", "-2"],
+    ["region", "--n", "6", "--t-grid", "5:5.1:0.1", "--b-grid=-1:-1:1", "--lambda0-grid", "1:1:1"],
+])
+def test_out_of_range_counts_and_grids_are_one_line(capsys, argv):
+    code, err = _run_error(capsys, argv)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -3,18 +3,36 @@ import pytest
 
 from mqtransfer import (
     ChainSpec,
+    Qubit1State,
     ResourceError,
+    ValidationError,
+    alpha_table,
+    amplitude_set,
     build_hamiltonian,
     endpoint_amplitude,
     mode_basis,
+    receiver_from_sender,
+    receiver_state_1q,
     thermal_background,
 )
-from mqtransfer.oracle import evolve_and_trace
+from mqtransfer.oracle import clear_cache, evolve_and_trace
 from mqtransfer.two_qubit import decompose_blocks, random_density
 
 
 def _excitation_counts(n):
     return np.array([bin(s).count("1") for s in range(1 << n)])
+
+
+def _dense_evolve_and_trace(sender, t, b, n):
+    # certifying reference: full 2^N Hamiltonian, one eigh, full evolution,
+    # trace over all but the trailing receiver sites
+    n_sender = sender.shape[0].bit_length() - 1
+    evals, evecs = np.linalg.eigh(build_hamiltonian(ChainSpec(n)))
+    rho0 = np.kron(sender, thermal_background(b, n - n_sender))
+    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    rho_t = u @ rho0 @ u.conj().T
+    d_env, d_rec = 1 << (n - n_sender), 1 << n_sender
+    return np.einsum("iaib->ab", rho_t.reshape(d_env, d_rec, d_env, d_rec))
 
 
 def test_hamiltonian_n2():
@@ -56,6 +74,9 @@ def test_thermal_background():
     assert np.allclose(np.diag(w), [np.exp(1.0) / ch, np.exp(-1.0) / ch])
     for b in (0.3, 1.7, 6.0):
         assert np.trace(thermal_background(b, 4)) == pytest.approx(1.0, abs=1e-14)
+    for b in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError):
+            thermal_background(b, 2)
 
 
 def test_zero_time_gives_thermal_marginal():
@@ -117,3 +138,50 @@ def test_oracle_block_non_mixing(rng):
     pert = decompose_blocks(evolve_and_trace(bumped, t, b, spec))
     for order in (0, 2, -2):
         assert np.max(np.abs(pert.block(order) - base.block(order))) < 1e-12
+
+
+@pytest.mark.parametrize("n_sender", [1, 2])
+def test_sector_oracle_matches_dense_reference(rng, n_sender):
+    # the map is linear, so a general complex matrix exercises every block
+    for n in range(2 * n_sender, 9):
+        spec = ChainSpec(n)
+        points = [(0.0, 0.0), (0.0, 1.3), (2.1, 0.0)] + [
+            (rng.uniform(0, 2 * n), rng.uniform(0, 6)) for _ in range(2)]
+        for t, b in points:
+            dim = 1 << n_sender
+            sender = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            got = evolve_and_trace(sender, t, b, spec)
+            assert np.max(np.abs(got - _dense_evolve_and_trace(sender, t, b, n))) < 1e-12
+
+
+def test_analytic_maps_match_oracle_n10(rng):
+    # N = 10 is an N = 2 + 4n chain, where the uniform-scaling curve exists
+    n = 10
+    spec = ChainSpec(n)
+    basis = mode_basis(n)
+    for _ in range(3):
+        t, b = rng.uniform(0, 2 * n), rng.uniform(0, 6)
+        rho_s = random_density(rng)
+        table = alpha_table(amplitude_set(basis, t), b, spec)
+        assert np.linalg.norm(receiver_from_sender(table, rho_s)
+                              - evolve_and_trace(rho_s, t, b, spec)) < 1e-9
+        state = Qubit1State.pure(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
+        sender = np.array([[1 - state.a1_sq, state.phase_prod],
+                           [np.conj(state.phase_prod), state.a1_sq]])
+        assert np.linalg.norm(receiver_state_1q(state, t, b, spec)
+                              - evolve_and_trace(sender, t, b, spec)) < 1e-9
+
+
+def test_clear_cache_recomputes_identically(rng):
+    spec = ChainSpec(7)
+    sender = random_density(rng)
+    first = evolve_and_trace(sender, 4.4, 0.8, spec)
+    clear_cache()
+    assert np.array_equal(evolve_and_trace(sender, 4.4, 0.8, spec), first)
+
+
+@pytest.mark.parametrize("t, b", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                                  (1.0, np.inf), (1.0, -0.5)])
+def test_oracle_rejects_points_outside_domain(t, b):
+    with pytest.raises(ValidationError):
+        evolve_and_trace(np.eye(4) / 4.0, t, b, ChainSpec(6))

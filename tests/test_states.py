@@ -235,3 +235,19 @@ def test_block_rays_match_bisection_on_seeded_points():
                 break
         checked += found
     assert checked >= 80
+
+
+def test_block_rays_at_eigenvalue_crossing(table_n6_one):
+    # the (N = 6, fixed_one) case-2 optimum sits where the two eigenvalues of
+    # M23^-1 G cross; c1_max must keep full precision there
+    res = table_n6_one[2]
+    m0, v1 = _base_matrix(res.x0), _first_order_direction(res.x1)
+    d14 = m0[np.ix_([0, 3], [0, 3])]
+    m23 = m0[np.ix_([1, 2], [1, 2])]
+    b14 = v1[np.ix_([0, 3], [1, 2])]
+    evals, evecs = np.linalg.eigh(m23)
+    m23_inv_half = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    hermitian = m23_inv_half @ b14.conj().T @ np.linalg.inv(d14) @ b14 @ m23_inv_half
+    c1_ref = 1.0 / np.sqrt(np.linalg.eigvalsh(hermitian).max())
+    _, c1, _ = block_rays(res.x0, res.x1)
+    assert float(c1) == pytest.approx(c1_ref, rel=1e-12)
