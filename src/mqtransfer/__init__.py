@@ -61,8 +61,6 @@ from .states import (
     RegionReport,
     SenderTemplate,
     assemble_sender,
-    boundary_sweep,
-    c_max_ray,
     is_physical,
     region_metrics,
 )

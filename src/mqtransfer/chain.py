@@ -12,11 +12,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .search import bracket_max
 
 __all__ = [
     "ChainSpec",
+    "check_inverse_temperature",
     "ModeBasis",
     "AmplitudeSet",
     "build_modes",
@@ -40,6 +41,12 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, int) or self.n_sites < 2:
             raise ConfigurationError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
+
+
+def check_inverse_temperature(b: float) -> None:
+    """Reject a background inverse temperature b that is not finite and >= 0."""
+    if not (np.isfinite(b) and b >= 0):
+        raise ValidationError(f"inverse temperature must be finite and >= 0, got {b}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,9 @@ def amplitude_grids(basis: ModeBasis, ts) -> tuple:
     n, g = basis.n_sites, basis.g
     phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
     weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
-    return tuple(np.moveaxis(phase @ weights, -1, 0))
+    f = phase @ weights
+    # unlike np.moveaxis, a transpose costs no Python-level axis handling
+    return tuple(f.transpose(-1, *range(f.ndim - 1)))
 
 
 def amplitude_set(basis: ModeBasis, t: float) -> AmplitudeSet:

@@ -15,8 +15,8 @@ from .errors import ConfigurationError, DomainError, ResourceError, SingularInpu
 from .one_qubit import Qubit1State, lambda0_variant_a, lambda0_variant_b, lambda1_1q, receiver_state_1q
 from .optimize import OptProblem, OptResult, objective_landscape, optimize, summary_table, uniform_curve
 from .oracle import evolve_and_trace
-from .solvers import solve_first_order, solve_zero_order, zero_order_system
-from .states import region_metrics
+from .solvers import solve_zero_order, zero_order_system
+from .states import case_metrics, region_cells, region_points
 from .two_qubit import alpha_table, random_density, receiver_from_sender, validate_density
 
 NUMERIC_EXIT = 3
@@ -155,16 +155,14 @@ def cmd_map(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = ChainSpec(args.n)
-    table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
-    first = solve_first_order(table.first)
-    t0, b_vec = zero_order_system(table)
-    zero = solve_zero_order(t0, b_vec, args.lambda0_value)
+    points = region_points(ChainSpec(args.n), args.t, args.b)
+    zero = solve_zero_order(*zero_order_system(points.zero), args.lambda0_value)
+    real = bool(points.real)
     payload = {
-        "lambda2": _complex_pair(table.second),
-        "lambda1_all": [] if first is None else [_complex_pair(z) for z in first.eigenvalues],
-        "lambda1_selected": None if first is None else first.lambda1,
-        "x1": None if first is None else [_complex_pair(z) for z in first.x1],
+        "lambda2": _complex_pair(points.lambda2),
+        "lambda1_all": [_complex_pair(z) for z in points.eigenvalues] if real else [],
+        "lambda1_selected": points.lambda1.item() if real else None,
+        "x1": [_complex_pair(z) for z in points.x1] if real else None,
         "lambda0": args.lambda0_value,
         "x0": [_complex_pair(z) for z in zero.x0],
         "residual": zero.residual,
@@ -178,12 +176,13 @@ def cmd_region(args) -> int:
     t_grid, b_grid, l0_grid = (_parse_grid(g) for g in (args.t_grid, args.b_grid, args.lambda0_grid))
     if b_grid[0] < 0.0:
         raise ConfigurationError(f"--b-grid must be >= 0, got {args.b_grid!r}")
-    rows = []
-    for t in t_grid:
-        for b in b_grid:
-            for l0 in l0_grid:
-                rep = region_metrics(spec, float(t), float(b), float(l0), args.case)
-                rows.append((t, b, l0, rep.s1, rep.s2, rep.s12))
+    s1, s2 = np.zeros((2, len(t_grid), len(b_grid), len(l0_grid)))
+    # one b column at a time, which bounds the memory as in the optimizer's scan
+    for bi, b in enumerate(b_grid):
+        points = region_points(spec, t_grid, b)
+        _, s1[:, bi], s2[:, bi] = case_metrics(points, region_cells(points, l0_grid), args.case)
+    grids = np.meshgrid(t_grid, b_grid, l0_grid, indexing="ij")
+    rows = zip(*(a.ravel() for a in (*grids, s1, s2, s1 * s2)))
     _emit(args, ["t", "b", "lambda0", "S1", "S2", "S12"], rows, _meta(args, "region"))
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, endpoint_amplitude, endpoint_amplitude_grid, mode_basis
+from .chain import ChainSpec, check_inverse_temperature, endpoint_amplitude, endpoint_amplitude_grid, mode_basis
 from .errors import SingularInputError, ValidationError
 from .search import bracket_max, bracket_root
 
@@ -45,6 +45,7 @@ class Qubit1State:
 
     @classmethod
     def pure(cls, a1_sq: float, phase: float = 0.0) -> "Qubit1State":
+        cls(a1_sq=a1_sq)  # validates a1_sq before the square roots
         a0 = np.sqrt(1.0 - a1_sq)
         a1 = np.sqrt(a1_sq) * np.exp(1j * phase)
         return cls(a1_sq=a1_sq, phase_prod=complex(a0 * np.conj(a1)))
@@ -58,6 +59,7 @@ def _populations(b: float) -> tuple[float, float]:
 
 def receiver_state_1q(state: Qubit1State, t: float, b: float, spec: ChainSpec) -> np.ndarray:
     """Exact 2x2 receiver matrix at time t and background inverse temperature b."""
+    check_inverse_temperature(b)
     basis = mode_basis(spec.n_sites)
     f = endpoint_amplitude(basis, t)
     p0, p1 = _populations(b)
@@ -68,6 +70,7 @@ def receiver_state_1q(state: Qubit1State, t: float, b: float, spec: ChainSpec) -
 
 def lambda1_1q(t: float, b: float, spec: ChainSpec) -> complex:
     """Coherence scale factor f(t)* (-tanh(b/2))^(N-1); independent of the sender."""
+    check_inverse_temperature(b)
     basis = mode_basis(spec.n_sites)
     f = endpoint_amplitude(basis, t)
     return complex((-np.tanh(b / 2.0)) ** (spec.n_sites - 1) * np.conj(f))
@@ -79,6 +82,7 @@ def lambda0_variant_a(state: Qubit1State, t: float, b: float, spec: ChainSpec) -
     lambda0 = rho_R(1,1) / rho_S(1,1) = (p0 + (p1 - |a1|^2)|f|^2) / (1 - |a1|^2),
     which generally depends on the sender through |a1|^2.
     """
+    check_inverse_temperature(b)
     if state.a1_sq == 1.0:
         raise SingularInputError("variant A is singular at a1_sq = 1 (empty ground population)")
     basis = mode_basis(spec.n_sites)
@@ -93,6 +97,7 @@ def lambda0_variant_b(state: Qubit1State, t: float, b: float, spec: ChainSpec) -
     lambda0 = rho_R(2,2) / rho_S(2,2) = |f|^2 + (1 - |f|^2) / (|a1|^2 (1 + e^b));
     tends to |f|^2 in the low-temperature limit.
     """
+    check_inverse_temperature(b)
     if state.a1_sq == 0.0:
         raise SingularInputError("variant B is singular at a1_sq = 0 (empty excited population)")
     basis = mode_basis(spec.n_sites)

@@ -12,16 +12,14 @@ eigenvalue-realness boundaries, so no derivatives are used.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .chain import ChainSpec, ModeBasis, amplitude_grids, mode_basis
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root
-from .solvers import zero_order_resolvent, zero_order_system
-from .states import block_rays, region_metrics
-from .two_qubit import alpha_entries
+from .states import case_metrics, region_cells, region_metrics, region_points
 
 __all__ = [
     "OptProblem",
@@ -145,58 +143,14 @@ def _lambda2_grid(basis: ModeBasis, ts: np.ndarray) -> np.ndarray:
     return (p * s - q * r).real
 
 
-def _select_real_batch(t1: np.ndarray, realness_tol: float):
-    """Per matrix: largest-modulus real eigenvalue and its gauge-fixed vector."""
-    ev, vecs = np.linalg.eig(t1)
-    nt = ev.shape[0]
-    rows = np.arange(nt)
-    order = np.argsort(-np.abs(ev), axis=1, kind="stable")
-    lam = np.zeros(nt)
-    vec = np.zeros((nt, 4), dtype=complex)
-    found = np.zeros(nt, dtype=bool)
-    for rank in range(4):
-        idx = order[:, rank]
-        e = ev[rows, idx]
-        is_real = np.abs(e.imag) <= realness_tol * np.maximum(1.0, np.abs(e))
-        take = is_real & ~found
-        lam[take] = e[take].real
-        vec[take] = vecs[rows, :, idx][take]
-        found |= is_real
-    k = np.argmax(np.abs(vec), axis=1)
-    pick = vec[rows, k]
-    phase = np.where(np.abs(pick) > 0, np.exp(-1j * np.angle(np.where(pick == 0, 1, pick))), 1.0)
-    vec = vec * phase[:, None]
-    return lam, vec, found
-
-
-def _region_column(amps: tuple, b, n_sites: int, l0s,
-                   realness_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-axes s1, s2 over (row, lambda0); zero at infeasible cells.
-
-    amps are the four amplitude arrays over t and b a scalar or an array
-    broadcasting against them; each broadcast (t, b) pair is a row. l0s is
-    (nl,), shared by the rows, or (rows, nl). T0 is diagonalized once per row
-    for the whole lambda0 axis, and the rays are closed-form.
-    """
-    first, zero, second = alpha_entries(*amps, b, n_sites)
-    lam1, x1, has1 = _select_real_batch(first, realness_tol)
-    x0, regular = zero_order_resolvent(*zero_order_system(zero), l0s)
-    positive, c1, c2 = block_rays(x0, x1[:, None, :])
-    ok = regular & positive
-    lam1_pos = np.where(has1 & (lam1 > 0.0), lam1, 0.0)[:, None]
-    lam2_pos = np.where(second.real > 0.0, second.real, 0.0)[:, None]
-    # without a real positive lambda1, x1 is zero and c1 infinite: select first
-    return np.where(ok & (lam1_pos > 0.0), c1, 0.0) * lam1_pos, np.where(ok, c2, 0.0) * lam2_pos
-
-
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
     """Coarse grid of region metrics, one b column at a time.
 
-    Returns axes ts, bs, l0s and s-arrays of shape (nt, nb, nl). Metrics are
-    zero at infeasible points, so argmax directly yields the best feasible
-    cell.
+    Returns axes ts, bs, l0s and s-arrays of shape (nt, nb, nl): s1 of case
+    2, s2 of case 1 and their product, which is s1 * s2 of case 3. Metrics
+    are zero at infeasible points, so argmax directly yields the best
+    feasible cell.
     """
-    basis = mode_basis(spec.n_sites)
     t_lo, t_hi = problem.t_window if problem.t_window is not None else first_window(spec)
     ts = np.arange(t_lo, t_hi + 1e-9, problem.t_step)
     bs = np.arange(problem.b_window[0], problem.b_window[1] + 1e-9, problem.b_step)
@@ -205,12 +159,14 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
     else:
         l0s = np.arange(problem.lambda0_window[0], problem.lambda0_window[1] + 1e-9,
                         problem.lambda0_step)
-    amps = amplitude_grids(basis, ts)
     s1 = np.zeros((len(ts), len(bs), len(l0s)))
     s2 = np.zeros_like(s1)
     for bi, b in enumerate(bs):
-        s1[:, bi], s2[:, bi] = _region_column(amps, float(b), spec.n_sites, l0s,
-                                              problem.realness_tol)
+        points = region_points(spec, ts, float(b), problem.realness_tol)
+        cells = region_cells(points, l0s)
+        s1[:, bi] = case_metrics(points, cells, 2)[1]
+        s2[:, bi] = case_metrics(points, cells, 1)[2]
+        del points, cells  # else they live on while the next column is formed
     return {"ts": ts, "bs": bs, "l0s": l0s, "s1": s1, "s2": s2, "s12": s1 * s2}
 
 
@@ -226,17 +182,17 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
             windows: dict) -> tuple[float, float, float]:
     """Coordinatewise bracket searches around a coarse grid winner.
 
-    Each search step evaluates one region column over the search grid of the
+    Each search step evaluates the region kernel over the search grid of the
     axis: K times at fixed (b, lambda0), K temperatures at fixed (t, lambda0)
-    or K zero-order scales at fixed (t, b).
+    or K zero-order scales at fixed (t, b); the last reuse one (t, b) stage.
     """
-    basis = mode_basis(spec.n_sites)
     t, b, l0 = start
     steps = {"t": problem.t_step, "b": problem.b_step, "l0": problem.lambda0_step}
 
-    def objective(ts, bs, l0s) -> np.ndarray:
-        s1, s2 = _region_column(amplitude_grids(basis, ts), bs, spec.n_sites, l0s,
-                                problem.realness_tol)
+    points = partial(region_points, spec, realness_tol=problem.realness_tol)
+
+    def objective(pts, l0s) -> np.ndarray:
+        _, s1, s2 = case_metrics(pts, region_cells(pts, l0s), problem.case)
         return {1: s2, 2: s1, 3: s1 * s2}[problem.case]
 
     def polish(x: float, axis: str, f) -> float:
@@ -245,16 +201,17 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
         return float(bracket_max(f, lo, hi, problem.refine_tol)[0][0])
 
     for _ in range(3):
-        t = polish(t, "t", lambda x: objective(x[0], b, [l0]).T)
-        b = polish(b, "b", lambda x: objective([t], x[0], [l0]).T)
+        t = polish(t, "t", lambda x: objective(points(x[0], b), [l0]).T)
+        b = polish(b, "b", lambda x: objective(points(t, x[0]), [l0]).T)
         if problem.lambda0_mode == "free":
-            l0 = polish(l0, "l0", lambda x: objective([t], b, x))
+            at_tb = points(t, b)
+            l0 = polish(l0, "l0", lambda x: objective(at_tb, x))
     return t, b, l0
 
 
 def _finalize(spec: ChainSpec, problem: OptProblem, t: float, b: float,
               l0: float) -> OptResult:
-    """Recompute the reported optimum point by point with region_metrics."""
+    """Report the optimum through region_metrics, the kernel's batch of one."""
     report = region_metrics(spec, t, b, l0, problem.case, problem.realness_tol)
     objective = {1: report.s2, 2: report.s1, 3: report.s12, 4: report.s12}[problem.case]
     return OptResult(
@@ -316,19 +273,16 @@ class CurvePoint:
     lam: float
 
 
-def _h(basis: ModeBasis, ts, b, realness_tol: float) -> np.ndarray:
+def _h(spec: ChainSpec, ts, b, realness_tol: float) -> np.ndarray:
     """h = lambda1 - lambda2 at times ts and temperatures b, broadcast together.
 
     NaN where no real single-quantum factor exists.
     """
-    ts, b = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(b, dtype=float))
-    first, _, second = alpha_entries(*amplitude_grids(basis, ts.ravel()), b.ravel(),
-                                     basis.n_sites)
-    lam, _, found = _select_real_batch(first, realness_tol)
-    return np.where(found, lam - second.real, np.nan).reshape(ts.shape)
+    points = region_points(spec, ts, b, realness_tol)
+    return np.where(points.real, points.lambda1 - points.lambda2.real, np.nan)
 
 
-def _curve_roots(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray, h: np.ndarray,
+def _curve_roots(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray, h: np.ndarray,
                  realness_tol: float, min_lambda: float):
     """Roots of h along each row of a sampled grid, h[m] = h(ts[m], bs[m]).
 
@@ -342,7 +296,7 @@ def _curve_roots(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray, h: np.ndarray
     ts = np.broadcast_to(ts, h.shape)
 
     def h_rows(rows: np.ndarray):
-        return lambda x: _h(basis, x, bs[rows, None], realness_tol)
+        return lambda x: _h(spec, x, bs[rows, None], realness_tol)
 
     real = np.isfinite(h)
     a, c, lo, hi = h[:, :-1], h[:, 1:], ts[:, :-1], ts[:, 1:]
@@ -351,7 +305,7 @@ def _curve_roots(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray, h: np.ndarray
                                  lo[er, ei], hi[er, ei], _ROOT_TOL)
     left_real = real[er, ei]
     t_edge = np.where(left_real, e_lo, e_hi)
-    h_edge = _h(basis, t_edge, bs[er], realness_tol)
+    h_edge = _h(spec, t_edge, bs[er], realness_tol)
     from_left = left_real & (a[er, ei] * h_edge < 0.0)
     from_right = ~left_real & (h_edge * c[er, ei] < 0.0)
     dr, di = np.nonzero(real[:, :-1] & real[:, 1:] & ((a == 0.0) | (a * c < 0.0)))
@@ -363,8 +317,8 @@ def _curve_roots(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray, h: np.ndarray
     rows = rows[order]
     r_lo, r_hi, found = bracket_root(h_rows(rows), r_lo[order], r_hi[order], _ROOT_TOL)
     t_root = 0.5 * (r_lo + r_hi)
-    lam = _lambda2_grid(basis, t_root)
-    keep = found & (np.abs(_h(basis, t_root, bs[rows], realness_tol)) < 1e-6) & (lam > min_lambda)
+    lam = _lambda2_grid(mode_basis(spec.n_sites), t_root)
+    keep = found & (np.abs(_h(spec, t_root, bs[rows], realness_tol)) < 1e-6) & (lam > min_lambda)
     return rows[keep], t_root[keep], lam[keep]
 
 
@@ -381,18 +335,17 @@ def uniform_curve(spec: ChainSpec, b_window: tuple[float, float] = (0.0, 10.0),
     not scaling).
     """
     _check_grid({"b_window": b_window, "t_window": t_window}, {"b_step": b_step, "t_step": t_step})
-    basis = mode_basis(spec.n_sites)
     t_lo, t_hi = t_window if t_window is not None else first_window(spec)
     ts = np.arange(t_lo, t_hi + 1e-9, t_step)
     bs = np.arange(b_window[0], b_window[1] + 1e-9, b_step)
     # one b column at a time, which bounds the memory as in the region scan
-    h = np.array([_h(basis, ts, b, realness_tol) for b in bs])
-    rows, t_root, lam = _curve_roots(basis, ts, bs, h, realness_tol, min_lambda)
+    h = np.array([_h(spec, ts, b, realness_tol) for b in bs])
+    rows, t_root, lam = _curve_roots(spec, ts, bs, h, realness_tol, min_lambda)
     return [CurvePoint(b=float(bs[r]), t=float(t), lam=float(v))
             for r, t, v in zip(rows, t_root, lam)]
 
 
-def _curve_roots_near(basis: ModeBasis, bs: np.ndarray, t_centers: np.ndarray,
+def _curve_roots_near(spec: ChainSpec, bs: np.ndarray, t_centers: np.ndarray,
                       problem: OptProblem) -> np.ndarray:
     """Per (b, t_center), the curve root closest to t_center within 2 t_step; NaN if none.
 
@@ -400,8 +353,8 @@ def _curve_roots_near(basis: ModeBasis, bs: np.ndarray, t_centers: np.ndarray,
     """
     offsets = np.arange(-2.0 * problem.t_step, 2.0 * problem.t_step, problem.t_step / 5.0)
     ts = t_centers[:, None] + offsets
-    h = _h(basis, ts, bs[:, None], problem.realness_tol)
-    rows, t_root, _ = _curve_roots(basis, ts, bs, h, problem.realness_tol,
+    h = _h(spec, ts, bs[:, None], problem.realness_tol)
+    rows, t_root, _ = _curve_roots(spec, ts, bs, h, problem.realness_tol,
                                    problem.curve_min_lambda)
     order = np.lexsort((np.abs(t_root - t_centers[rows]), rows))
     first = np.unique(rows[order], return_index=True)[1]
@@ -410,13 +363,14 @@ def _curve_roots_near(basis: ModeBasis, bs: np.ndarray, t_centers: np.ndarray,
     return near
 
 
-def _case4_best(basis: ModeBasis, ts: np.ndarray, bs: np.ndarray,
+def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
                 problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Largest s1 * s2 over lambda0 at each (t, b) pair, and the lambda0 giving it."""
-    amps = amplitude_grids(basis, ts)
+    """Largest s1 * s2 over lambda0 at each (t, b) pair, and the lambda0 giving it;
+    the (t, b) stage runs once, each lambda0 search step only the lambda0 stage."""
+    points = region_points(spec, ts, bs, problem.realness_tol)
 
     def product(l0s) -> np.ndarray:
-        s1, s2 = _region_column(amps, bs, basis.n_sites, l0s, problem.realness_tol)
+        _, s1, s2 = case_metrics(points, region_cells(points, l0s), 4)
         return s1 * s2
 
     if problem.lambda0_mode == "fixed_one":
@@ -443,10 +397,9 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
     if not curve:
         return _infeasible_result(problem)
 
-    basis = mode_basis(spec.n_sites)
     curve_b = np.array([pt.b for pt in curve])
     curve_t = np.array([pt.t for pt in curve])
-    objs, l0s = _case4_best(basis, curve_t, curve_b, problem)
+    objs, l0s = _case4_best(spec, curve_t, curve_b, problem)
     top = np.argsort(-objs, kind="stable")[:3]
     top = top[objs[top] > 0.0]
     if not top.size:
@@ -455,7 +408,7 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
 
     # branch slopes dt/db = -h_b / h_t by central differences
     d = 1e-6
-    h = _h(basis, t0[:, None] + [d, -d, 0.0, 0.0], b0[:, None] + [0.0, 0.0, d, -d],
+    h = _h(spec, t0[:, None] + [d, -d, 0.0, 0.0], b0[:, None] + [0.0, 0.0, d, -d],
            problem.realness_tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = -(h[:, 2] - h[:, 3]) / (h[:, 0] - h[:, 1])
@@ -464,9 +417,9 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
     def on_curve(bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Re-rooted t, objective (-inf off the curve) and lambda0 at b values per point."""
         centers = t0[:, None] + slope[:, None] * (bs - b0[:, None])
-        ts = _curve_roots_near(basis, bs.ravel(), centers.ravel(), problem).reshape(bs.shape)
+        ts = _curve_roots_near(spec, bs.ravel(), centers.ravel(), problem).reshape(bs.shape)
         found = np.isfinite(ts)
-        obj, l0 = _case4_best(basis, np.where(found, ts, centers).ravel(), bs.ravel(), problem)
+        obj, l0 = _case4_best(spec, np.where(found, ts, centers).ravel(), bs.ravel(), problem)
         return ts, np.where(found, obj.reshape(bs.shape), -np.inf), l0.reshape(bs.shape)
 
     lo, hi = problem.b_window

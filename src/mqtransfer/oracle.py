@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, check_inverse_temperature
 from .errors import ResourceError, ValidationError
 
 __all__ = [
@@ -43,11 +43,6 @@ _SECTOR_CACHE: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
 def _check_sites(n: int) -> None:
     if n > MAX_SITES:
         raise ResourceError(f"oracle limited to {MAX_SITES} sites, got {n}")
-
-
-def _check_inverse_temperature(b: float) -> None:
-    if not (np.isfinite(b) and b >= 0):
-        raise ValidationError(f"inverse temperature must be finite and >= 0, got {b}")
 
 
 def _hops(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +109,7 @@ def _thermal_weights(b: float, count: int) -> np.ndarray:
 
 def thermal_background(b: float, count: int) -> np.ndarray:
     """Diagonal thermal state of `count` background spins (unit trace)."""
-    _check_inverse_temperature(b)
+    check_inverse_temperature(b)
     return np.diag(_thermal_weights(b, count))
 
 
@@ -131,7 +126,7 @@ def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) ->
         raise ValidationError(f"sender must be 2x2 or 4x4, got shape {sender.shape}")
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
-    _check_inverse_temperature(b)
+    check_inverse_temperature(b)
     n = spec.n_sites
     n_sender = 1 if sender.shape == (2, 2) else 2
     if n < 2 * n_sender:

@@ -4,33 +4,35 @@ A sender is assembled from the zero-order vector, an optional unit
 single-quantum vector scaled by c1 >= 0, and a double-quantum weight
 c2 >= 0. Positivity of the assembled matrix bounds (c1, c2); the region is
 summarized by the two semi-axes S1 = c1_max * lambda1, S2 = c2_max * lambda2
-and their product.
+and their product, all from one batched kernel: region_points at (t, b),
+region_cells at lambda0 and the case mask case_metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, amplitude_set, mode_basis
-from .errors import DomainError, SingularInputError
-from .solvers import solve_first_order, solve_zero_order, zero_order_system
-from .two_qubit import alpha_table
+from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
+from .solvers import first_order_eig, zero_order_resolvent, zero_order_spectrum, zero_order_system
+from .two_qubit import alpha_entries
 
 __all__ = [
     "SenderTemplate",
     "RegionReport",
+    "RegionPoints",
     "assemble_sender",
     "is_physical",
     "block_rays",
-    "c_max_ray",
+    "region_points",
+    "region_cells",
+    "case_metrics",
     "region_metrics",
-    "boundary_sweep",
 ]
 
 PSD_TOL = 1e-10
-BISECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,36 +50,16 @@ class SenderTemplate:
     c2: float = 0.0
 
 
-def _base_matrix(x0: np.ndarray) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=complex)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2] = x0[0].real, x0[1].real, x0[2].real
-    m[3, 3] = 1.0 - m[0, 0] - m[1, 1] - m[2, 2]
-    m[1, 2] = x0[3]
-    m[2, 1] = np.conj(x0[3])
-    return m
-
-
-def _first_order_direction(x1: np.ndarray) -> np.ndarray:
-    v = np.zeros((4, 4), dtype=complex)
-    v[0, 1], v[0, 2], v[1, 3], v[2, 3] = np.asarray(x1, dtype=complex)
-    return v + v.conj().T
-
-
-_SECOND_DIRECTION = np.zeros((4, 4), dtype=complex)
-_SECOND_DIRECTION[0, 3] = 1.0
-_SECOND_DIRECTION += _SECOND_DIRECTION.conj().T
-_SECOND_DIRECTION.setflags(write=False)
-
-
 def assemble_sender(template: SenderTemplate) -> np.ndarray:
     """Hermitian unit-trace matrix from a template (positivity not enforced)."""
-    m = _base_matrix(template.x0)
-    if template.x1 is not None and template.c1 != 0.0:
-        m = m + template.c1 * _first_order_direction(template.x1)
-    if template.c2 != 0.0:
-        m = m + template.c2 * _SECOND_DIRECTION
-    return m
+    x0 = np.asarray(template.x0, dtype=complex)
+    m = np.diag([x0[0].real, x0[1].real, x0[2].real,
+                 1.0 - x0[0].real - x0[1].real - x0[2].real]).astype(complex)
+    m[1, 2] = x0[3]
+    if template.x1 is not None:
+        m[[0, 0, 1, 2], [1, 2, 3, 3]] = template.c1 * np.asarray(template.x1, dtype=complex)
+    m[0, 3] = template.c2
+    return m + np.triu(m, 1).conj().T
 
 
 def is_physical(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -90,29 +72,7 @@ def is_physical(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
     return bool(np.linalg.eigvalsh(rho).min() >= -tol)
 
 
-def _ray_max(m0: np.ndarray, direction: np.ndarray, tol: float) -> float:
-    """Largest c >= 0 with m0 + c*direction positive, by bracketing and bisection."""
-    def ok(c: float) -> bool:
-        return np.linalg.eigvalsh(m0 + c * direction).min() >= -PSD_TOL
-
-    hi = 1.0
-    doublings = 0
-    while ok(hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            return float("inf")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def block_rays(x0: np.ndarray, x1: np.ndarray | None = None):
+def block_rays(x0: np.ndarray, x1: np.ndarray):
     """Closed-form creatable intervals c1_max and c2_max, over leading axes.
 
     The base state of x0 (..., 5) is block-diagonal on {1}, {2,3}, {4}, so
@@ -121,8 +81,8 @@ def block_rays(x0: np.ndarray, x1: np.ndarray | None = None):
     1/sigma_max, where sigma_max^2 is the larger eigenvalue of the 2x2 matrix
     M23^-1 B^H D14^-1 B. Returns (positive, c1_max, c2_max): positive marks
     base states whose smallest eigenvalue is at least -PSD_TOL, and both
-    lengths are zero elsewhere; c1_max is None without x1. The bisection
-    rays of c_max_ray certify these values.
+    lengths are zero elsewhere. The test suite certifies these values against
+    bisection on the dense sender matrix.
     """
     x0 = np.asarray(x0)
     r11, r22, r33 = x0[..., 0].real, x0[..., 1].real, x0[..., 2].real
@@ -132,8 +92,6 @@ def block_rays(x0: np.ndarray, x1: np.ndarray | None = None):
     blk_min = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + off2)
     positive = (r11 >= -PSD_TOL) & (r44 >= -PSD_TOL) & (blk_min >= -PSD_TOL)
     c2 = np.where(positive, np.sqrt(np.clip(r11 * r44, 0.0, None)), 0.0)
-    if x1 is None:
-        return positive, None, c2
     x1 = np.asarray(x1)
     # B rows are sites 1 and 4, columns sites 2 and 3
     b12, b13, b42, b43 = x1[..., 0], x1[..., 1], np.conj(x1[..., 2]), np.conj(x1[..., 3])
@@ -155,31 +113,6 @@ def block_rays(x0: np.ndarray, x1: np.ndarray | None = None):
     with np.errstate(divide="ignore", invalid="ignore"):
         c1 = np.where(positive, 1.0 / np.sqrt(sigma2), 0.0)
     return positive, c1, c2
-
-
-def c_max_ray(x0: np.ndarray, x1: np.ndarray | None, which: str,
-              tol: float = BISECT_TOL):
-    """Creatable-interval endpoints along coordinate rays.
-
-    which = 'c1': largest c1 at c2 = 0 (requires x1); 'c2': largest c2 at
-    c1 = 0; 'corner': both, as the pair (c1_max, c2_max) entering the area
-    estimate. The base state (c1 = c2 = 0) must be physical.
-    """
-    m0 = _base_matrix(x0)
-    if np.linalg.eigvalsh(m0).min() < -PSD_TOL:
-        raise DomainError("base sender state (c1 = c2 = 0) is not positive")
-    if which == "c2":
-        return _ray_max(m0, np.asarray(_SECOND_DIRECTION), tol)
-    if which == "c1":
-        if x1 is None:
-            raise DomainError("the c1 ray needs a single-quantum vector x1")
-        return _ray_max(m0, _first_order_direction(x1), tol)
-    if which == "corner":
-        if x1 is None:
-            raise DomainError("the corner needs a single-quantum vector x1")
-        return (_ray_max(m0, _first_order_direction(x1), tol),
-                _ray_max(m0, np.asarray(_SECOND_DIRECTION), tol))
-    raise ValueError(f"unknown ray selector {which!r}")
 
 
 @dataclass(frozen=True)
@@ -207,76 +140,84 @@ class RegionReport:
     x1: np.ndarray | None = field(default=None, repr=False)
 
 
-def _infeasible(case: int, t: float, b: float, lambda0: float, lam2: float,
-                lam1: float | None = None) -> RegionReport:
-    return RegionReport(case=case, t=t, b=b, lambda0=lambda0, s1=0.0, s2=0.0,
-                        s12=0.0, lambda1=lam1, lambda2=lam2, c1_max=0.0,
-                        c2_max=0.0, feasible=False)
+@dataclass(frozen=True, eq=False)
+class RegionPoints:
+    """(t, b) stage over the broadcast shape of t and b: first_order_eig of the
+    single-quantum map, the double-quantum coefficient lambda2 (complex, real up
+    to rounding) and the zero-order coefficients, whose spectrum is formed on use."""
+
+    eigenvalues: np.ndarray
+    selected: np.ndarray
+    lambda1: np.ndarray
+    x1: np.ndarray
+    real: np.ndarray
+    lambda2: np.ndarray
+    zero: np.ndarray
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        return zero_order_spectrum(*zero_order_system(self.zero))
+
+
+def region_points(spec: ChainSpec, t, b, realness_tol: float = 1e-8) -> RegionPoints:
+    """The (t, b) stage at scalars or broadcasting arrays t and b (b unchecked)."""
+    first, zero, second = alpha_entries(*amplitude_grids(mode_basis(spec.n_sites), t), b,
+                                        spec.n_sites)
+    return RegionPoints(*first_order_eig(first, realness_tol), lambda2=second, zero=zero)
+
+
+def region_cells(points: RegionPoints, lambda0s) -> tuple:
+    """The lambda0 stage at every point; lambda0s as in zero_order_resolvent.
+
+    Returns x0 (points..., nl, 5), the mask ok of cells with a regular
+    zero-order solve and a positive base state, c1_max and c2_max.
+    """
+    x0, regular = zero_order_resolvent(points.spectrum, lambda0s)
+    positive, c1_max, c2_max = block_rays(x0, points.x1[..., None, :])
+    return x0, regular & positive, c1_max, c2_max
+
+
+def case_metrics(points: RegionPoints, cells: tuple, case: int) -> tuple:
+    """The case mask: feasibility and semi-axes s1, s2 of a case at every cell.
+
+    Case 1 keeps only the double-quantum ray, case 2 only the single-quantum
+    one, cases 3 and 4 both; all but case 1 need a real single-quantum
+    factor, and every case a regular zero-order solve and a positive base
+    state. A kept semi-axis is its ray length times a positive scale factor.
+    """
+    _, ok, c1_max, c2_max = cells
+    real, lam1, lam2 = (a[..., None] for a in (points.real, points.lambda1, points.lambda2.real))
+    feasible = ok & (real | (case == 1))
+    lam1 = np.where(real & (lam1 > 0.0), lam1, 0.0) if case != 1 else 0.0
+    lam2 = np.where(lam2 > 0.0, lam2, 0.0) if case != 2 else 0.0
+    # without a real lambda1, c1_max is meaningless or infinite: select before scaling
+    s1 = np.where(feasible & (lam1 > 0.0), c1_max, 0.0) * lam1
+    return feasible, s1, np.where(feasible, c2_max, 0.0) * lam2
 
 
 def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
                    case: int, realness_tol: float = 1e-8) -> RegionReport:
-    """Measure the creatable region at one (t, b, lambda0) point.
+    """Measure the creatable region at one (t, b, lambda0) point: a batch of one.
 
-    Case 1 keeps only the double-quantum ray, case 2 only the single-quantum
-    one, cases 3 and 4 both. Infeasible points (no real single-quantum
-    factor where one is needed, non-positive base state, or a singular
-    zero-order solve) report zero metrics instead of raising.
+    Infeasible points (see case_metrics) report zero metrics instead of raising.
     """
     if case not in (1, 2, 3, 4):
         raise ValueError(f"case must be 1..4, got {case}")
-    basis = mode_basis(spec.n_sites)
-    table = alpha_table(amplitude_set(basis, t), b, spec)
-    lam2 = table.second.real
-
-    first = None
-    if case != 1:
-        first = solve_first_order(table.first, realness_tol)
-        if first is None:
-            return _infeasible(case, t, b, lambda0, lam2)
-
-    t0, b_vec = zero_order_system(table)
-    try:
-        zero = solve_zero_order(t0, b_vec, lambda0)
-    except SingularInputError:
-        return _infeasible(case, t, b, lambda0, lam2,
-                           first.lambda1 if first else None)
-    positive, c1_max, c2_max = block_rays(zero.x0, first.x1 if first is not None else None)
-    if not positive:
-        return _infeasible(case, t, b, lambda0, lam2,
-                           first.lambda1 if first else None)
-
-    c1 = c2 = 0.0
-    s1 = s2 = 0.0
-    if case != 1:
-        c1 = float(c1_max)
-        s1 = c1 * first.lambda1 if first.lambda1 > 0.0 else 0.0
-    if case != 2:
-        c2 = float(c2_max)
-        s2 = c2 * lam2 if lam2 > 0.0 else 0.0
+    check_inverse_temperature(b)
+    points = region_points(spec, t, b, realness_tol)
+    feasible, s1, s2 = False, 0.0, 0.0
+    # without a real lambda1 only case 1 can be feasible: skip the lambda0 stage
+    if points.real or case == 1:
+        cells = x0, _, c1_max, c2_max = region_cells(points, [lambda0])
+        feasible, s1, s2 = (x.item() for x in case_metrics(points, cells, case))
+    keep1 = feasible and case != 1
     return RegionReport(
-        case=case, t=t, b=b, lambda0=lambda0,
-        s1=s1, s2=s2, s12=s1 * s2,
-        lambda1=first.lambda1 if first is not None else None,
-        lambda2=lam2, c1_max=c1, c2_max=c2, feasible=True,
-        x0=zero.x0, x1=first.x1 if first is not None else None,
+        case=case, t=t, b=b, lambda0=lambda0, s1=s1, s2=s2, s12=s1 * s2,
+        lambda1=points.lambda1.item() if points.real and case != 1 else None,
+        lambda2=points.lambda2.real.item(),
+        c1_max=c1_max.item() if keep1 else 0.0,
+        c2_max=c2_max.item() if feasible and case != 2 else 0.0,
+        feasible=feasible,
+        x0=x0[0] if feasible else None,
+        x1=points.x1 if keep1 else None,
     )
-
-
-def boundary_sweep(x0: np.ndarray, x1: np.ndarray, rays: int = 64) -> np.ndarray:
-    """Polar sweep of the positivity boundary in the (c1, c2) quadrant.
-
-    Diagnostic only; returns an array of (c1, c2) boundary points along
-    equally spaced directions in the first quadrant.
-    """
-    m0 = _base_matrix(x0)
-    if np.linalg.eigvalsh(m0).min() < -PSD_TOL:
-        raise DomainError("base sender state is not positive")
-    v1 = _first_order_direction(x1)
-    v2 = np.asarray(_SECOND_DIRECTION)
-    pts = []
-    for theta in np.linspace(0.0, np.pi / 2, rays):
-        direction = np.cos(theta) * v1 + np.sin(theta) * v2
-        rho_max = _ray_max(m0, direction, BISECT_TOL)
-        pts.append((rho_max * np.cos(theta), rho_max * np.sin(theta)))
-    return np.array(pts)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import AmplitudeSet, ChainSpec
+from .chain import AmplitudeSet, ChainSpec, check_inverse_temperature
 from .errors import ValidationError
 
 __all__ = [
@@ -188,7 +188,8 @@ def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
     ]
 
     def stacked(rows: list) -> np.ndarray:
-        return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
+        a = np.array(rows, dtype=complex)
+        return a.transpose(*range(2, a.ndim), 0, 1)
 
     return stacked(first), stacked([r11, r22, r33, r23, r32]), p * s - q * r
 
@@ -222,6 +223,7 @@ class AlphaTable:
 
 def alpha_table(amps: AmplitudeSet, b: float, spec: ChainSpec) -> AlphaTable:
     """Evaluate the full coefficient table at one (t, b) point."""
+    check_inverse_temperature(b)
     first, zero, second = alpha_entries(amps.f11, amps.f1n, amps.f21, amps.f2n, b, spec.n_sites)
     return AlphaTable(n_sites=spec.n_sites, b=b, zero=zero, first=first, second=complex(second))
 

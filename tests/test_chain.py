@@ -5,12 +5,22 @@ import pytest
 from mqtransfer import (
     ChainSpec,
     ConfigurationError,
+    Qubit1State,
+    ValidationError,
+    alpha_table,
     amplitude_set,
     build_modes,
     endpoint_amplitude,
     endpoint_amplitude_grid,
     endpoint_power_max,
+    evolve_and_trace,
+    lambda0_variant_a,
+    lambda0_variant_b,
+    lambda1_1q,
     mode_basis,
+    receiver_state_1q,
+    region_metrics,
+    thermal_background,
     transition_amplitude,
     transition_amplitude_grid,
 )
@@ -142,3 +152,22 @@ def test_amplitude_set_structure():
         assert abs(f) <= 1.0 + 1e-12
     with pytest.raises(ConfigurationError):
         amplitude_set(mode_basis(3), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: region_metrics(ChainSpec(6), 5.0, b, 1.0, case=3),
+    lambda b: alpha_table(amplitude_set(mode_basis(6), 5.0), b, ChainSpec(6)),
+    lambda b: receiver_state_1q(Qubit1State.pure(0.4), 5.0, b, ChainSpec(5)),
+    lambda b: lambda1_1q(5.0, b, ChainSpec(5)),
+    lambda b: lambda0_variant_a(Qubit1State.pure(0.4), 5.0, b, ChainSpec(5)),
+    lambda b: lambda0_variant_b(Qubit1State.pure(0.4), 5.0, b, ChainSpec(5)),
+    lambda b: evolve_and_trace(np.eye(4) / 4.0, 5.0, b, ChainSpec(4)),
+    lambda b: thermal_background(b, 3),
+], ids=["region_metrics", "alpha_table", "receiver_state_1q", "lambda1_1q",
+        "lambda0_variant_a", "lambda0_variant_b", "evolve_and_trace", "thermal_background"])
+@pytest.mark.parametrize("b", [-0.5, float("nan"), float("inf")])
+def test_every_entry_point_rejects_b_outside_domain(call, b):
+    # one domain for the inverse temperature, one check and one message
+    with pytest.raises(ValidationError, match="inverse temperature must be finite and >= 0"):
+        call(b)
+    call(0.0)

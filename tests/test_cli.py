@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,14 @@ def test_out_of_range_counts_and_grids_are_one_line(capsys, argv):
     code, err = _run_error(capsys, argv)
     assert code == 3
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("a1sq", ["2", "-0.5"])
+def test_one_qubit_population_out_of_range_is_one_line(capsys, a1sq):
+    # validated before any square root: a numpy warning would add lines
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run_error(capsys, ["one-qubit", "--n", "5", "--t", "6.0", "--b", "2.0",
+                                        "--a1sq", a1sq])
+    assert code == 3
+    assert err == [f"error: a1_sq must lie in [0, 1], got {float(a1sq)}"]

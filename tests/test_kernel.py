@@ -1,0 +1,110 @@
+"""Seeded property tests of the region kernel against the references of tests/reference.py."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
+from mqtransfer.states import block_rays, case_metrics, region_cells, region_points
+from reference import c_max_ray, region_reference, select_first_order
+
+EPS = np.finfo(float).eps
+
+# derandomized: every run draws the same examples
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def chain_points(draw, count=1):
+    """N in [4, 42], then count (t, b) pairs with t in [0, 2N] and b in [0, 10]."""
+    n = draw(st.integers(4, 42))
+    ts = draw(st.lists(st.floats(0.0, 2.0 * n), min_size=count, max_size=count))
+    bs = draw(st.lists(st.floats(0.0, 10.0), min_size=count, max_size=count))
+    return n, np.array(ts), np.array(bs)
+
+
+lambda0s = st.floats(0.5, 2.0)
+
+
+def _forward_error_scale(points, lambda0) -> float:
+    """eps times the conditioning of x0 = V (lambda0 - d)^-1 V^-1 B at one point."""
+    d, v, _ = points.spectrum
+    dist = np.abs(lambda0 - d)
+    return EPS * dist.max() / dist.min() * np.linalg.cond(v)
+
+
+@SEEDED
+@given(chain_points(count=3), st.lists(lambda0s, min_size=4, max_size=4),
+       st.integers(0, 2), st.integers(0, 3))
+def test_point_is_a_cell_of_a_batch(sample, l0s, i, j):
+    # the kernel at shape () against cell (i, j) of a (3, 4) batch. Not bitwise:
+    # numpy evaluates complex products of arrays and of scalars with different
+    # roundings, so the two agree to the conditioning of the cell
+    n, ts, bs = sample
+    spec, l0s = ChainSpec(n), np.array(l0s)
+    points = region_points(spec, ts, bs)
+    cells = region_cells(points, l0s)
+    one = region_points(spec, ts[i], bs[i])
+    one_cells = region_cells(one, [l0s[j]])
+    assert one.real == points.real[i]
+    assert one.lambda1 == pytest.approx(points.lambda1[i], rel=1e-12, abs=1e-14)
+    assert one.lambda2 == pytest.approx(points.lambda2[i], rel=1e-12, abs=1e-14)
+    assert one_cells[1][0] == cells[1][i, j]
+    tol = 64 * _forward_error_scale(one, l0s[j])
+    for case in (1, 2, 3, 4):
+        feasible, s1, s2 = case_metrics(points, cells, case)
+        one_feasible, one_s1, one_s2 = case_metrics(one, one_cells, case)
+        assert one_feasible[0] == feasible[i, j]
+        assert one_s1[0] == pytest.approx(s1[i, j], rel=tol, abs=1e-14)
+        assert one_s2[0] == pytest.approx(s2[i, j], rel=tol, abs=1e-14)
+
+
+@SEEDED
+@given(chain_points(), lambda0s)
+def test_kernel_matches_reference_chain(sample, lambda0):
+    # scalar table, scalar eigen loop, dense cond-guarded solve and bisection
+    # rays against the batched kernel, at one (N, t, b, lambda0) point
+    n, (t,), (b,) = sample
+    spec = ChainSpec(n)
+    points = region_points(spec, t, b)
+    cells = region_cells(points, [lambda0])
+    first = select_first_order(alpha_table(amplitude_set(mode_basis(n), t), b, spec).first)
+    assert bool(points.real) == (first is not None)
+    if first is not None:
+        assert points.lambda1 == pytest.approx(first[2], rel=1e-12, abs=1e-14)
+        assert np.max(np.abs(points.x1 - first[3])) < 1e-9
+    for case in (1, 2, 3):
+        ref = region_reference(spec, t, b, lambda0, case)
+        feasible, s1, s2 = case_metrics(points, cells, case)
+        assert feasible[0] == ref["feasible"]
+        if ref["feasible"]:
+            scale = max(1.0, float(np.max(np.abs(ref["x0"]))))
+            assert np.max(np.abs(cells[0][0] - ref["x0"])) <= 1e-9 * scale
+        assert s1[0] == pytest.approx(ref["s1"], rel=1e-7, abs=1e-9)
+        assert s2[0] == pytest.approx(ref["s2"], rel=1e-7, abs=1e-9)
+
+
+@st.composite
+def positive_senders(draw):
+    """A positive base state x0 (populations >= 0.05) and a unit vector x1."""
+    pops = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4)))
+    r11, r22, r33, _ = pops / pops.sum()
+    bound = np.sqrt(r22 * r33)
+    x23 = bound * draw(st.floats(0.0, 0.9)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    x1 = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    norm = np.linalg.norm(x1)
+    x1 = x1 / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    return np.array([r11, r22, r33, x23, np.conj(x23)]), x1
+
+
+@SEEDED
+@given(positive_senders())
+def test_closed_form_rays_match_bisection(sender):
+    x0, x1 = sender
+    positive, c1, c2 = block_rays(x0, x1)
+    assert positive
+    c1_ref, c2_ref = c_max_ray(x0, x1, "corner", tol=1e-11)
+    assert float(c1) == pytest.approx(c1_ref, abs=1e-8)
+    assert float(c2) == pytest.approx(c2_ref, abs=1e-8)

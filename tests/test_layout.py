@@ -1,6 +1,8 @@
 """Package layout rules checked on the source text."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mqtransfer"
@@ -31,3 +33,15 @@ def test_no_private_cross_module_imports():
     assert len(modules) >= 9
     offenders = [hit for path in modules for hit in _private_imports(path)]
     assert not offenders, offenders
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer binds these (module, function) pairs by name
+    path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module_name, func_name in tracing.TRACED:
+        module = importlib.import_module(f"mqtransfer.{module_name}")
+        assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"

@@ -8,7 +8,6 @@ from mqtransfer import (
     ChainSpec,
     ConfigurationError,
     OptProblem,
-    SingularInputError,
     alpha_table,
     amplitude_set,
     first_window,
@@ -18,11 +17,10 @@ from mqtransfer import (
     solve_first_order,
     uniform_curve,
 )
-from mqtransfer.chain import amplitude_grids
-from mqtransfer.optimize import _region_column, _scan, objective_landscape
-from mqtransfer.solvers import solve_zero_order, zero_order_resolvent, zero_order_system
-from mqtransfer.states import region_metrics
-from mqtransfer.two_qubit import alpha_entries
+from mqtransfer.optimize import _scan, objective_landscape
+from mqtransfer.solvers import zero_order_resolvent, zero_order_system
+from mqtransfer.states import case_metrics, region_cells, region_metrics, region_points
+from reference import region_reference, select_first_order, solve_zero_order_dense
 
 _CASE_KEY = {1: "s2", 2: "s1", 3: "s12"}
 
@@ -116,22 +114,24 @@ def test_uniform_curve_points_are_roots(n):
 
 def test_region_column_matches_region_metrics():
     # one row per (t, b) pair and lambda0 per row, as the refinement and
-    # case 4 use the kernel, against the point-by-point reference
-    spec, basis = ChainSpec(6), mode_basis(6)
+    # case 4 use the kernel, against the point-by-point reference chain
+    spec = ChainSpec(6)
     ts = np.array([6.2, 6.2, 6.2, 5.4, 8.5])
     bs = np.array([4.5, 4.5, 2.0, 5.4, 10.0])
     l0s = np.array([[1.1, 1.2], [0.9, 1.1], [1.1, 1.3], [1.26, 1.0], [1.08, 1.5]])
-    s1, s2 = _region_column(amplitude_grids(basis, ts), bs, 6, l0s, 1e-8)
-    got = {"s1": s1, "s2": s2, "s12": s1 * s2}
+    points = region_points(spec, ts, bs)
+    cells = region_cells(points, l0s)
     for case in (1, 2, 3):
+        _, s1, s2 = case_metrics(points, cells, case)
+        got = {"s1": s1, "s2": s2, "s12": s1 * s2}[_CASE_KEY[case]]
         for row, (t, b) in enumerate(zip(ts, bs)):
             for col, l0 in enumerate(l0s[row]):
-                rep = region_metrics(spec, float(t), float(b), float(l0), case)
-                ref = getattr(rep, _CASE_KEY[case])
-                if rep.feasible and ref > 0:
-                    assert got[_CASE_KEY[case]][row, col] == pytest.approx(ref, abs=1e-7)
+                ref = region_reference(spec, float(t), float(b), float(l0), case)
+                ref = {"s1": ref["s1"], "s2": ref["s2"], "s12": ref["s1"] * ref["s2"]}[_CASE_KEY[case]]
+                if ref > 0:
+                    assert got[row, col] == pytest.approx(ref, abs=1e-7)
                 else:
-                    assert got[_CASE_KEY[case]][row, col] == 0.0
+                    assert got[row, col] == 0.0
 
 
 def test_optimize_infeasible_window():
@@ -166,33 +166,22 @@ def test_objective_landscape_contains_optimum(table_n6_one):
 
 
 def test_batched_eigen_selection_matches_scalar():
-    # the vectorized grid path must agree with the contract solver
-    import numpy as np
-
-    from mqtransfer import alpha_table, amplitude_set, mode_basis, solve_first_order
-    from mqtransfer.optimize import _select_real_batch
-    from mqtransfer.chain import transition_amplitude_grid
-
+    # the batched selection against the scalar reference loop, matrix by matrix
     spec = ChainSpec(6)
     basis = mode_basis(6)
     ts = np.linspace(3.0, 9.0, 40)
-    n = 6
-    p = transition_amplitude_grid(basis, 1, n - 1, ts)
-    q = transition_amplitude_grid(basis, 1, n, ts)
-    r = transition_amplitude_grid(basis, 2, n - 1, ts)
-    s = transition_amplitude_grid(basis, 2, n, ts)
     for b in (0.7, 4.2, 9.5):
-        first, _, _ = alpha_entries(p, q, r, s, b, n)
-        lam, vec, found = _select_real_batch(first, 1e-8)
+        points = region_points(spec, ts, b)
+        lam, vec, found = points.lambda1, points.x1, points.real
         for i, t in enumerate(ts):
             table = alpha_table(amplitude_set(basis, float(t)), b, spec)
-            sol = solve_first_order(table.first)
+            sol = select_first_order(table.first)
             if sol is None:
                 assert not found[i]
             else:
                 assert found[i]
-                assert lam[i] == pytest.approx(sol.lambda1, abs=1e-12)
-                assert np.max(np.abs(vec[i] - sol.x1)) < 1e-9
+                assert lam[i] == pytest.approx(sol[2], abs=1e-12)
+                assert np.max(np.abs(vec[i] - sol[3])) < 1e-9
 
 
 def test_low_temperature_saturation(table_n6_free):
@@ -244,22 +233,21 @@ def test_case4_local_certificate(request, fixture, n):
 
 
 def test_resolvent_matches_solve_zero_order():
-    # cell by cell against the per-point table and linear solve; both carry
-    # an error of about cond * |x0| * eps, so large solutions get a relative bound
+    # cell by cell against the per-point table and dense reference solve; both
+    # carry an error of about cond * |x0| * eps, so large solutions get a
+    # relative bound
     l0s = np.arange(0.5, 2.0 + 1e-9, 0.1)
     for n in (6, 42):
         spec, basis = ChainSpec(n), mode_basis(n)
         lo, hi = first_window(spec)
         ts = np.linspace(lo, hi, 9)
         for b in (0.5, 4.0, 9.0):
-            _, zero, _ = alpha_entries(*amplitude_grids(basis, ts), b, n)
-            x0, regular = zero_order_resolvent(*zero_order_system(zero), l0s)
+            x0, regular = zero_order_resolvent(region_points(spec, ts, b).spectrum, l0s)
             for i, t in enumerate(ts):
                 t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
                 for j, l0 in enumerate(l0s):
-                    try:
-                        ref = solve_zero_order(t0, b_vec, float(l0)).x0
-                    except SingularInputError:
+                    ref = solve_zero_order_dense(t0, b_vec, float(l0))
+                    if ref is None:
                         assert not regular[i, j]
                         continue
                     assert regular[i, j]
@@ -278,21 +266,24 @@ def test_scan_matches_region_metrics():
             it, ib, il = (int(rng.integers(k)) for k in shape)
             t, b, l0 = float(scan["ts"][it]), float(scan["bs"][ib]), float(scan["l0s"][il])
             for case, key in ((1, "s2"), (2, "s1"), (3, "s12")):
-                ref = _case_objective(spec, t, b, l0, case)
+                ref = region_reference(spec, t, b, l0, case)
+                ref = ref["s1"] * ref["s2"] if case == 3 else ref[key]
                 assert scan[key][it, ib, il] == pytest.approx(ref, abs=1e-9)
 
 
 def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
-    amps = amplitude_grids(mode_basis(6), np.array([8.5153]))
-    t0, b_vec = zero_order_system(alpha_entries(*amps, 10.0, 6)[1])
-    ev = np.linalg.eigvals(t0[0])
+    points = region_points(ChainSpec(6), 8.5153, 10.0)
+    t0, _ = zero_order_system(points.zero)
+    ev = np.linalg.eigvals(t0)
     on_spectrum = float(ev[np.abs(ev.imag) < 1e-12][0].real)
     l0s = np.array([on_spectrum, on_spectrum + 0.05, 1.0837])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, regular = zero_order_resolvent(t0, b_vec, l0s)
-        s1, s2 = _region_column(amps, 10.0, 6, l0s, 1e-8)
-    assert regular.tolist() == [[False, True, True]]
+        _, regular = zero_order_resolvent(points.spectrum, l0s)
+        cells = region_cells(points, l0s)
+        s1 = case_metrics(points, cells, 2)[1]
+        s2 = case_metrics(points, cells, 1)[2]
+    assert regular.tolist() == [False, True, True]
     assert np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))
-    assert s1[0, 0] == 0.0 and s2[0, 0] == 0.0
-    assert s2[0, 2] > 0.3
+    assert s1[0] == 0.0 and s2[0] == 0.0
+    assert s2[2] > 0.3

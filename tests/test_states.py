@@ -7,8 +7,6 @@ from mqtransfer import (
     alpha_table,
     amplitude_set,
     assemble_sender,
-    boundary_sweep,
-    c_max_ray,
     is_physical,
     mode_basis,
     receiver_from_sender,
@@ -16,7 +14,15 @@ from mqtransfer import (
     solve_zero_order,
     zero_order_system,
 )
-from mqtransfer.states import SenderTemplate, _base_matrix, _first_order_direction, _ray_max, _SECOND_DIRECTION, block_rays
+from mqtransfer.states import SenderTemplate, block_rays
+from reference import (
+    SECOND_DIRECTION,
+    base_matrix,
+    boundary_sweep,
+    c_max_ray,
+    first_order_direction,
+    ray_max,
+)
 
 MIXED_X0 = np.array([0.25, 0.25, 0.25, 0.0, 0.0])
 
@@ -87,8 +93,8 @@ def test_c2_ray_case1_landmark():
 def test_ray_bisection_certificate(rng):
     x0, _ = _case1_x0()
     c2 = c_max_ray(x0, None, "c2")
-    m0 = _base_matrix(x0)
-    v2 = np.asarray(_SECOND_DIRECTION)
+    m0 = base_matrix(x0)
+    v2 = SECOND_DIRECTION
     assert np.linalg.eigvalsh(m0 + (c2 - 1e-7) * v2).min() >= -1e-10
     assert np.linalg.eigvalsh(m0 + (c2 + 1e-7) * v2).min() < -1e-10
 
@@ -125,12 +131,12 @@ def test_closed_form_ray_matches_bisection(rng):
         x0[4] = np.conj(x0[3])
         x1 = rng.normal(size=4) + 1j * rng.normal(size=4)
         x1 /= np.linalg.norm(x1)
-        m0 = _base_matrix(x0)
+        m0 = base_matrix(x0)
         positive, c1, c2 = block_rays(x0, x1)
         assert positive
-        for direction, closed in ((_first_order_direction(x1), c1),
-                                  (np.asarray(_SECOND_DIRECTION), c2)):
-            a = _ray_max(m0, direction, 1e-10)
+        for direction, closed in ((first_order_direction(x1), c1),
+                                  (SECOND_DIRECTION, c2)):
+            a = ray_max(m0, direction, 1e-10)
             assert a == pytest.approx(float(closed), abs=1e-8)
 
 
@@ -241,7 +247,7 @@ def test_block_rays_at_eigenvalue_crossing(table_n6_one):
     # the (N = 6, fixed_one) case-2 optimum sits where the two eigenvalues of
     # M23^-1 G cross; c1_max must keep full precision there
     res = table_n6_one[2]
-    m0, v1 = _base_matrix(res.x0), _first_order_direction(res.x1)
+    m0, v1 = base_matrix(res.x0), first_order_direction(res.x1)
     d14 = m0[np.ix_([0, 3], [0, 3])]
     m23 = m0[np.ix_([1, 2], [1, 2])]
     b14 = v1[np.ix_([0, 3], [1, 2])]
