@@ -1,4 +1,14 @@
-"""Command-line front end: deterministic CSV/JSON emission of every result."""
+"""Command-line front end: deterministic CSV/JSON emission of every result.
+
+Grid commands count their points before building any grid and refuse, with
+ResourceError, a request whose estimated memory exceeds GRID_BYTES. The
+estimates, measured with CPython 3.11 and numpy 2.4: region keeps 48 bytes
+per (t, b, lambda0) point (S1, S2, S12 and the three axes) and 288 per
+(t, lambda0) point of the b column in flight; curve about 16-20 KiB per b
+point at N = 6 and 42 (its h samples and the roots polished on them),
+counted as 32 KiB; amplitudes 24 bytes of arrays per time. A row held for
+output adds ROW_BYTES: every amplitudes row, and every region row in JSON.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +30,9 @@ from .states import case_metrics, region_cells, region_points
 from .two_qubit import alpha_table, random_density, receiver_from_sender, validate_density
 
 NUMERIC_EXIT = 3
+
+GRID_BYTES = 2**30
+ROW_BYTES = 768
 
 
 def _fmt(value: float, precision: str) -> str:
@@ -47,11 +60,20 @@ def _parse_floats(text: str, form: str) -> list[float]:
     return values
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, step = _parse_floats(text, "lo:hi:step")
-    if step <= 0 or hi < lo:
-        raise ConfigurationError(f"bad grid {text!r}")
-    return np.arange(lo, hi + 1e-12, step)
+def _parse_grids(cost, *texts: str) -> list[np.ndarray]:
+    """The 'lo:hi:step' grids, built once cost(*point counts) bytes fit in GRID_BYTES."""
+    bounds = []
+    for text in texts:
+        lo, hi, step = _parse_floats(text, "lo:hi:step")
+        if step <= 0 or hi < lo:
+            raise ConfigurationError(f"bad grid {text!r}")
+        bounds.append((lo, hi + 1e-12, step))
+    # the lengths np.arange will give, as floats: an oversized grid is refused unbuilt
+    need = cost(*(np.ceil((stop - lo) / step) for lo, stop, step in bounds))
+    if not need <= GRID_BYTES:
+        raise ResourceError(f"grids {' '.join(texts)} need about {need / 2**30:.3g} GiB, "
+                            f"over the {GRID_BYTES / 2**30:g} GiB limit")
+    return [np.arange(*b) for b in bounds]
 
 
 def _check_finite(args) -> None:
@@ -113,7 +135,7 @@ def _result_payload(res: OptResult) -> dict:
 
 def cmd_amplitudes(args) -> int:
     basis = mode_basis(args.n)
-    ts = _parse_grid(args.scan)
+    (ts,) = _parse_grids(lambda nt: (24 + ROW_BYTES) * nt, args.scan)
     f = endpoint_amplitude_grid(basis, ts)
     rows = [(t, z.real, z.imag, abs(z) ** 2) for t, z in zip(ts, f)]
     _emit(args, ["t", "f_re", "f_im", "f_abs2"], rows, _meta(args, "amplitudes"))
@@ -173,7 +195,10 @@ def cmd_solve(args) -> int:
 
 def cmd_region(args) -> int:
     spec = ChainSpec(args.n)
-    t_grid, b_grid, l0_grid = (_parse_grid(g) for g in (args.t_grid, args.b_grid, args.lambda0_grid))
+    row = ROW_BYTES if args.format == "json" else 0
+    t_grid, b_grid, l0_grid = _parse_grids(
+        lambda nt, nb, nl: (48 + row) * nt * nb * nl + 288 * nt * nl,
+        args.t_grid, args.b_grid, args.lambda0_grid)
     if b_grid[0] < 0.0:
         raise ConfigurationError(f"--b-grid must be >= 0, got {args.b_grid!r}")
     s1, s2 = np.zeros((2, len(t_grid), len(b_grid), len(l0_grid)))
@@ -212,7 +237,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_curve(args) -> int:
     spec = ChainSpec(args.n)
-    b_grid = _parse_grid(args.b_grid) if args.b_grid else None
+    b_grid = _parse_grids(lambda nb: 32 * 2**10 * nb, args.b_grid)[0] if args.b_grid else None
     if b_grid is not None:
         pts = uniform_curve(spec, b_window=(float(b_grid[0]), float(b_grid[-1])),
                             b_step=float(b_grid[1] - b_grid[0]) if len(b_grid) > 1 else 0.25)

@@ -10,7 +10,8 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
 - creatable intervals by bracketing and bisection on the smallest eigenvalue
   of the dense sender (ray_max, c_max_ray, boundary_sweep);
 - the single-quantum factor by a scalar loop over the eigenvalues sorted by
-  modulus (select_first_order);
+  modulus (select_first_order), and the basis in which the closed form reads
+  the single-quantum map as block-triangular (FIRST_BASIS);
 - the zero-order vector by a dense linear solve guarded by the 2-norm
   condition number (solve_zero_order_dense);
 - the semi-axes of a case, chaining the three (region_reference).
@@ -47,6 +48,13 @@ SECOND_DIRECTION = np.zeros((4, 4), dtype=complex)
 SECOND_DIRECTION[0, 3] = 1.0
 SECOND_DIRECTION += SECOND_DIRECTION.conj().T
 SECOND_DIRECTION.setflags(write=False)
+
+# Rows u0 = (13 + 24), u1 = (13 - 24), u2 = (12 + 34), u3 = (12 - 34) over
+# FIRST_LABELS (12, 13, 24, 34), each over sqrt(2). A chain's single-quantum
+# map F has G = U F U^T block upper-triangular: G[{u1, u2}, {u0, u3}] = 0.
+FIRST_BASIS = np.sqrt(0.5) * np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]])
+FIRST_BASIS.setflags(write=False)
+INVARIANT, QUOTIENT = [0, 3], [1, 2]
 
 
 def ray_max(m0: np.ndarray, direction: np.ndarray, tol: float, floor: float = -PSD_TOL) -> float:

@@ -219,6 +219,10 @@ def test_solve_rejects_non_finite_point(capsys, flag, argv):
     ["oracle-check", "--n", "4", "--samples", "0"],
     ["oracle-check", "--n", "4", "--samples", "-2"],
     ["region", "--n", "6", "--t-grid", "5:5.1:0.1", "--b-grid=-1:-1:1", "--lambda0-grid", "1:1:1"],
+    # 1e21 points each: counted and refused before any grid is built
+    ["region", "--n", "6", "--case", "3", "--t-grid", "0:1e12:1e-9", "--b-grid", "0:1:1",
+     "--lambda0-grid", "1:1:1"],
+    ["curve", "--n", "6", "--b-grid", "0:1e12:1e-9"],
 ])
 def test_out_of_range_counts_and_grids_are_one_line(capsys, argv):
     code, err = _run_error(capsys, argv)

@@ -4,6 +4,7 @@ import pytest
 from mqtransfer import (
     ChainSpec,
     SingularInputError,
+    ValidationError,
     alpha_table,
     amplitude_set,
     gauge_fix,
@@ -16,6 +17,7 @@ from mqtransfer import (
 )
 from mqtransfer.states import SenderTemplate, assemble_sender
 from mqtransfer.two_qubit import FIRST_LABELS
+from reference import FIRST_BASIS, INVARIANT, QUOTIENT
 
 
 def _table(n, t, b):
@@ -70,18 +72,52 @@ def test_first_order_landmark_eigenvalue():
     assert sol.lambda1 == pytest.approx(0.8145, abs=1e-3)
 
 
+def _in_block_form(g):
+    """The map U^T g U, which has the chain's block form when g[QUOTIENT, INVARIANT] = 0."""
+    return FIRST_BASIS.T @ g @ FIRST_BASIS
+
+
+def _coupled_diagonal(diagonal):
+    """diag(diagonal) in the basis u0..u3 plus couplings in the block C of
+    invariant rows (u0, u3) and quotient columns (u1, u2)."""
+    g = np.diag(diagonal).astype(complex)
+    g[0, 1] = g[3, 2] = 0.2
+    return _in_block_form(g)
+
+
 def test_solve_first_order_diagonal():
-    sol = solve_first_order(np.diag([0.5, 0.3, 0.1, -0.2]).astype(complex))
+    # the largest eigenvalue belongs to the invariant block: x1 is u0
+    sol = solve_first_order(_coupled_diagonal([0.5, 0.3, 0.1, -0.2]))
     assert sol.lambda1 == pytest.approx(0.5, abs=1e-14)
-    assert np.allclose(sol.x1, [1, 0, 0, 0])
+    assert np.allclose(sol.x1, FIRST_BASIS[0])
+    assert sol.selected == 0
+
+
+def test_solve_first_order_quotient_eigenvector():
+    # the largest eigenvalue belongs to the quotient block: x1 is U^T (u0 + u1)
+    # / sqrt(2) = e13, its u0 part (0.5 - 0.3)^-1 times the coupling 0.2 of u1
+    sol = solve_first_order(_coupled_diagonal([0.3, 0.5, 0.1, -0.2]))
+    assert sol.lambda1 == pytest.approx(0.5, abs=1e-14)
+    assert np.allclose(sol.x1, [0, 1, 0, 0])
     assert sol.selected == 0
 
 
 def test_solve_first_order_ordering(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    sol = solve_first_order(m, realness_tol=np.inf)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    g[np.ix_(QUOTIENT, INVARIANT)] = 0.0
+    sol = solve_first_order(_in_block_form(g), realness_tol=np.inf)
     mods = np.abs(sol.eigenvalues)
     assert np.all(np.diff(mods) <= 1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
+    lambda rng: np.diag(rng.normal(size=4)),  # diagonal over FIRST_LABELS, not over u0..u3
+    lambda rng: np.eye(3),
+])
+def test_solve_first_order_rejects_maps_without_block_form(rng, make):
+    with pytest.raises(ValidationError):
+        solve_first_order(make(rng))
 
 
 def test_solve_first_order_printed_point():
