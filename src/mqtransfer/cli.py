@@ -4,10 +4,11 @@ Grid commands count their points before building any grid and refuse, with
 ResourceError, a request whose estimated memory exceeds GRID_BYTES. The
 estimates, measured with CPython 3.11 and numpy 2.4: region keeps 48 bytes
 per (t, b, lambda0) point (S1, S2, S12 and the three axes) and 288 per
-(t, lambda0) point of the b column in flight; curve about 16-20 KiB per b
-point at N = 6 and 42 (its h samples and the roots polished on them),
-counted as 32 KiB; amplitudes 24 bytes of arrays per time. A row held for
-output adds ROW_BYTES: every amplitudes row, and every region row in JSON.
+(t, lambda0) point of the b column in flight; curve 18 bytes per (b, t)
+sample at N = 6, 42 and 102 (its samples of the curve value against each b
+and the roots polished on them), counted as 24 over the at most 20 N + 1
+times of the default window; amplitudes 24 bytes of arrays per time. Rows
+are written as they are produced, in CSV and in JSON, so none is held.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .two_qubit import alpha_table, random_density, receiver_from_sender, valida
 NUMERIC_EXIT = 3
 
 GRID_BYTES = 2**30
-ROW_BYTES = 768
 
 
 def _fmt(value: float, precision: str) -> str:
@@ -86,7 +86,7 @@ def _check_finite(args) -> None:
         raise ConfigurationError(f"--b must be finite and >= 0, got {args.b}")
 
 
-def _emit(args, header: list[str], rows: list, meta: dict) -> None:
+def _emit(args, header: list[str], rows, meta: dict) -> None:
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.format == "csv":
@@ -96,10 +96,17 @@ def _emit(args, header: list[str], rows: list, meta: dict) -> None:
                 writer.writerow([cell if isinstance(cell, str) else _fmt(cell, args.precision)
                                  for cell in row])
         else:
-            data = [dict(zip(header, [cell if isinstance(cell, str) else float(cell)
-                                      for cell in row])) for row in rows]
-            json.dump({"meta": meta, "data": data}, out, indent=2)
-            out.write("\n")
+            # the text of json.dump({"meta": meta, "data": rows}, indent=2), written
+            # one row at a time: the head runs through '"data": ['
+            out.write(json.dumps({"meta": meta, "data": []}, indent=2)[:-3])
+            empty = True
+            for row in rows:
+                item = dict(zip(header, [cell if isinstance(cell, str) else float(cell)
+                                         for cell in row]))
+                text = json.dumps(item, indent=2).replace("\n", "\n    ")
+                out.write(("\n    " if empty else ",\n    ") + text)
+                empty = False
+            out.write("]\n}\n" if empty else "\n  ]\n}\n")
     finally:
         if args.out:
             out.close()
@@ -135,9 +142,9 @@ def _result_payload(res: OptResult) -> dict:
 
 def cmd_amplitudes(args) -> int:
     basis = mode_basis(args.n)
-    (ts,) = _parse_grids(lambda nt: (24 + ROW_BYTES) * nt, args.scan)
+    (ts,) = _parse_grids(lambda nt: 24 * nt, args.scan)
     f = endpoint_amplitude_grid(basis, ts)
-    rows = [(t, z.real, z.imag, abs(z) ** 2) for t, z in zip(ts, f)]
+    rows = ((t, z.real, z.imag, abs(z) ** 2) for t, z in zip(ts, f))
     _emit(args, ["t", "f_re", "f_im", "f_abs2"], rows, _meta(args, "amplitudes"))
     return 0
 
@@ -195,9 +202,8 @@ def cmd_solve(args) -> int:
 
 def cmd_region(args) -> int:
     spec = ChainSpec(args.n)
-    row = ROW_BYTES if args.format == "json" else 0
     t_grid, b_grid, l0_grid = _parse_grids(
-        lambda nt, nb, nl: (48 + row) * nt * nb * nl + 288 * nt * nl,
+        lambda nt, nb, nl: 48 * nt * nb * nl + 288 * nt * nl,
         args.t_grid, args.b_grid, args.lambda0_grid)
     if b_grid[0] < 0.0:
         raise ConfigurationError(f"--b-grid must be >= 0, got {args.b_grid!r}")
@@ -237,7 +243,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_curve(args) -> int:
     spec = ChainSpec(args.n)
-    b_grid = _parse_grids(lambda nb: 32 * 2**10 * nb, args.b_grid)[0] if args.b_grid else None
+    b_grid = _parse_grids(lambda nb: 24 * (20 * args.n + 1) * nb, args.b_grid)[0] if args.b_grid else None
     if b_grid is not None:
         pts = uniform_curve(spec, b_window=(float(b_grid[0]), float(b_grid[-1])),
                             b_step=float(b_grid[1] - b_grid[0]) if len(b_grid) > 1 else 0.25)

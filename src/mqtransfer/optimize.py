@@ -3,10 +3,13 @@
 Four cases are covered: only the double-quantum weight free (case 1), only
 the single-quantum one (case 2), both free (case 3), and both free under the
 uniform-scaling constraint lambda1 = lambda2 (case 4), which confines (b, t)
-to a curve. The search is a coarse vectorized grid scan followed by
+to a curve. Cases 1-3 search a coarse vectorized grid scan followed by
 coordinatewise bracket searches (mqtransfer.search), each step one batched
 region evaluation; the landscape has kinks at positivity and
-eigenvalue-realness boundaries, so no derivatives are used.
+eigenvalue-realness boundaries, so no derivatives are used. Case 4 samples
+the curve in closed form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small
+the smaller eigenvalue of the transfer matrix W, along the t grid, and
+refines its best points with one bracket search in t.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .chain import ChainSpec, ModeBasis, amplitude_grids, mode_basis
+from .chain import ChainSpec, amplitude_grids, mode_basis
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root
 from .states import case_metrics, region_cells, region_metrics, region_points
@@ -33,18 +36,16 @@ __all__ = [
     "objective_landscape",
 ]
 
-# width below which a root or realness edge of h = lambda1 - lambda2 is located
-_ROOT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class OptProblem:
     """Search configuration; windows and steps are the documented defaults.
 
     A t_window of None resolves to the first transfer window of the chain
-    (see first_window). Case 4 samples the uniform-scaling curve instead of a
-    full (t, b) grid; curve intersections with |lambda| below
-    curve_min_lambda are discarded as degenerate.
+    (see first_window). Case 4 samples the uniform-scaling curve b(t) at
+    t_step instead of a full (t, b) grid, so b_step does not apply to it;
+    curve points with lambda at or below curve_min_lambda are discarded as
+    degenerate.
     """
 
     case: int
@@ -111,15 +112,14 @@ def lambda2_landmark(spec: ChainSpec, t_window: tuple[float, float] | None = Non
     window where the factor peaks near t ~ N. Results are cached per
     (spec, t_window, step).
     """
-    basis = mode_basis(spec.n_sites)
     n = spec.n_sites
     lo, hi = t_window if t_window is not None else (0.5 * n, 1.5 * n)
     ts = np.arange(lo, hi + step, step)
-    i = int(np.argmax(np.abs(_lambda2_grid(basis, ts))))
-    t_best, _ = bracket_max(lambda x: np.abs(_lambda2_grid(basis, x)),
+    i = int(np.argmax(np.abs(_curve(n, ts)[2])))
+    t_best, _ = bracket_max(lambda x: np.abs(_curve(n, x)[2]),
                             ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-8)
     t_best = float(t_best[0])
-    return t_best, float(_lambda2_grid(basis, np.array([t_best]))[0])
+    return t_best, float(_curve(n, np.array([t_best]))[2][0])
 
 
 def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
@@ -138,9 +138,25 @@ def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
 # vectorized grid machinery
 
 
-def _lambda2_grid(basis: ModeBasis, ts: np.ndarray) -> np.ndarray:
-    p, q, r, s = amplitude_grids(basis, ts)
-    return (p * s - q * r).real
+def _curve(n: int, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The curve value v(t), the mask D >= 0 and lambda2 = det W over ts (any shape).
+
+    With the phase ph = (-i)^(N-2), tau = tr W / ph and delta = det W / ph^2
+    are real, and W's eigenvalues are ph mu with mu^2 - tau mu + delta = 0.
+    Where D = tau^2 / 4 - delta >= 0 and N is even (ph = +-1) they are real,
+    lambda1 = c w_big with c = tanh(b/2)^(N-2) (see mqtransfer.solvers), and
+    lambda1 - lambda2 = w_big (c - w_small). So the curve is
+    tanh(b/2)^(N-2) = v = ph mu_small; past D = 0, v = ph tau / 2 continues
+    it. For odd N, ph is imaginary and v is NaN: no real pair, no curve.
+    """
+    p, q, r, s = amplitude_grids(mode_basis(n), ts)
+    ph = (-1j) ** (n - 2)
+    det = p * s - q * r
+    tau, delta = ((p + s) / ph).real, (det / ph ** 2).real
+    disc = 0.25 * tau ** 2 - delta
+    mu_small = 0.5 * tau - np.copysign(np.sqrt(np.maximum(disc, 0.0)), tau)
+    v = ph.real * mu_small if n % 2 == 0 else np.full_like(tau, np.nan)
+    return v, disc >= 0.0, det.real
 
 
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
@@ -250,7 +266,7 @@ def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
     """Maximize the case objective over (t, b, lambda0).
 
     Cases 1..3 scan the full grid; case 4 samples the uniform-scaling curve
-    and refines its best points along it.
+    b(t) and refines its best points along it.
     An all-zero feasible set yields a result with feasible=False.
     """
     if spec.n_sites < 4:
@@ -273,94 +289,42 @@ class CurvePoint:
     lam: float
 
 
-def _h(spec: ChainSpec, ts, b, realness_tol: float) -> np.ndarray:
-    """h = lambda1 - lambda2 at times ts and temperatures b, broadcast together.
-
-    NaN where no real single-quantum factor exists.
-    """
-    points = region_points(spec, ts, b, realness_tol)
-    return np.where(points.real, points.lambda1 - points.lambda2.real, np.nan)
-
-
-def _curve_roots(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray, h: np.ndarray,
-                 realness_tol: float, min_lambda: float):
-    """Roots of h along each row of a sampled grid, h[m] = h(ts[m], bs[m]).
-
-    A sign change between real samples is polished directly. Where h turns
-    NaN (two eigenvalues merge), the realness edge is located first and a
-    crossing on its real side is polished. Roots are kept when both factors
-    are real, the residual is below 1e-6 and the common value exceeds
-    min_lambda. Returns the row, t and common value of each root, ordered by
-    row and t; all brackets are searched together.
-    """
-    ts = np.broadcast_to(ts, h.shape)
-
-    def h_rows(rows: np.ndarray):
-        return lambda x: _h(spec, x, bs[rows, None], realness_tol)
-
-    real = np.isfinite(h)
-    a, c, lo, hi = h[:, :-1], h[:, 1:], ts[:, :-1], ts[:, 1:]
-    er, ei = np.nonzero(real[:, :-1] != real[:, 1:])
-    e_lo, e_hi, _ = bracket_root(lambda x: np.where(np.isfinite(h_rows(er)(x)), 1.0, -1.0),
-                                 lo[er, ei], hi[er, ei], _ROOT_TOL)
-    left_real = real[er, ei]
-    t_edge = np.where(left_real, e_lo, e_hi)
-    h_edge = _h(spec, t_edge, bs[er], realness_tol)
-    from_left = left_real & (a[er, ei] * h_edge < 0.0)
-    from_right = ~left_real & (h_edge * c[er, ei] < 0.0)
-    dr, di = np.nonzero(real[:, :-1] & real[:, 1:] & ((a == 0.0) | (a * c < 0.0)))
-    rows = np.concatenate([dr, er[from_left], er[from_right]])
-    cells = np.concatenate([di, ei[from_left], ei[from_right]])
-    r_lo = np.concatenate([lo[dr, di], lo[er, ei][from_left], t_edge[from_right]])
-    r_hi = np.concatenate([hi[dr, di], t_edge[from_left], hi[er, ei][from_right]])
-    order = np.lexsort((cells, rows))
-    rows = rows[order]
-    r_lo, r_hi, found = bracket_root(h_rows(rows), r_lo[order], r_hi[order], _ROOT_TOL)
-    t_root = 0.5 * (r_lo + r_hi)
-    lam = _lambda2_grid(mode_basis(spec.n_sites), t_root)
-    keep = found & (np.abs(_h(spec, t_root, bs[rows], realness_tol)) < 1e-6) & (lam > min_lambda)
-    return rows[keep], t_root[keep], lam[keep]
-
-
 def uniform_curve(spec: ChainSpec, b_window: tuple[float, float] = (0.0, 10.0),
                   t_window: tuple[float, float] | None = None,
                   b_step: float = 0.25, t_step: float = 0.05,
-                  realness_tol: float = 1e-8, min_lambda: float = 1e-3) -> list[CurvePoint]:
+                  min_lambda: float = 1e-3) -> list[CurvePoint]:
     """Sample the constraint curve lambda1(t, b) = lambda2(t).
 
-    For each b on the grid, roots in t are bracketed on a scan of the first
-    transfer window and polished by a bracket search; roots are kept only
-    when both factors are real, the residual is below 1e-6 and the common
-    value exceeds min_lambda (zero crossings of both factors are degenerate,
-    not scaling).
+    For each b on the grid, the roots in t of v(t) = tanh(b/2)^(N-2) (see
+    _curve) are bracketed on a scan of the first transfer window and
+    polished by a bracket search; roots are kept only where W's eigenvalues
+    are real, the residual is below 1e-6 and the common value exceeds
+    min_lambda (zero crossings of both factors are degenerate, not scaling).
+    For odd N, W has no real eigenvalue pair, so the curve is empty. For
+    N = 4n, ph = (-i)^(N-2) = -1 and a curve point needs tr W / ph < 0
+    where det W > 0; that the first window has none, so that this curve is
+    empty as well, rests on sampling.
     """
     _check_grid({"b_window": b_window, "t_window": t_window}, {"b_step": b_step, "t_step": t_step})
     t_lo, t_hi = t_window if t_window is not None else first_window(spec)
     ts = np.arange(t_lo, t_hi + 1e-9, t_step)
     bs = np.arange(b_window[0], b_window[1] + 1e-9, b_step)
-    # one b column at a time, which bounds the memory as in the region scan
-    h = np.array([_h(spec, ts, b, realness_tol) for b in bs])
-    rows, t_root, lam = _curve_roots(spec, ts, bs, h, realness_tol, min_lambda)
-    return [CurvePoint(b=float(bs[r]), t=float(t), lam=float(v))
-            for r, t, v in zip(rows, t_root, lam)]
-
-
-def _curve_roots_near(spec: ChainSpec, bs: np.ndarray, t_centers: np.ndarray,
-                      problem: OptProblem) -> np.ndarray:
-    """Per (b, t_center), the curve root closest to t_center within 2 t_step; NaN if none.
-
-    Re-solves a curve point after a small move in b.
-    """
-    offsets = np.arange(-2.0 * problem.t_step, 2.0 * problem.t_step, problem.t_step / 5.0)
-    ts = t_centers[:, None] + offsets
-    h = _h(spec, ts, bs[:, None], problem.realness_tol)
-    rows, t_root, _ = _curve_roots(spec, ts, bs, h, problem.realness_tol,
-                                   problem.curve_min_lambda)
-    order = np.lexsort((np.abs(t_root - t_centers[rows]), rows))
-    first = np.unique(rows[order], return_index=True)[1]
-    near = np.full(len(bs), np.nan)
-    near[rows[order][first]] = t_root[order][first]
-    return near
+    n = spec.n_sites
+    target = np.tanh(bs / 2.0) ** (n - 2)
+    v, real, lam = _curve(n, ts)
+    # a cell is polished only if one of its ends is real and above min_lambda:
+    # most sign changes at large N lie where the common value is tiny
+    ends = real & (lam > min_lambda)
+    g = v - target[:, None]
+    a, c = g[:, :-1], g[:, 1:]
+    rows, cells = np.nonzero(((a == 0.0) | (a * c < 0.0)) & (ends[:-1] | ends[1:]))
+    lo, hi, found = bracket_root(lambda x: _curve(n, x)[0] - target[rows, None],
+                                 ts[cells], ts[cells + 1], 1e-12)
+    t_root = 0.5 * (lo + hi)
+    v, real, lam = _curve(n, t_root)
+    keep = found & real & (np.abs(v - target[rows]) < 1e-6) & (lam > min_lambda)
+    return [CurvePoint(b=float(bs[r]), t=float(t), lam=float(value))
+            for r, t, value in zip(rows[keep], t_root[keep], lam[keep])]
 
 
 def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
@@ -385,50 +349,32 @@ def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
 
 
 def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
-    """Sample the curve, then refine its three best points in one bracket search over b.
+    """Sample the curve b(t) along the t grid, then refine its three best points
+    in one bracket search over t; b_step does not apply."""
+    n = spec.n_sites
+    t_lo, t_hi = problem.t_window if problem.t_window is not None else first_window(spec)
+    ts = np.arange(t_lo, t_hi + 1e-9, problem.t_step)
 
-    Each search point is re-rooted near the branch prediction t_i + s_i (b - b_i),
-    with the slope s_i = -h_b / h_t of the curve at point i; a curve point is
-    kept when the search finds nothing better along its branch.
-    """
-    curve = uniform_curve(spec, problem.b_window, problem.t_window,
-                          problem.b_step, problem.t_step,
-                          problem.realness_tol, problem.curve_min_lambda)
-    if not curve:
-        return _infeasible_result(problem)
+    def along_curve(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """b(t), the objective (-inf off the curve) and lambda0 at times t."""
+        v, real, lam = _curve(n, t)
+        on = real & (v >= 0.0) & (v < 1.0) & (lam > problem.curve_min_lambda)
+        b = 2.0 * np.arctanh(np.where(on, v, 0.0) ** (1.0 / (n - 2)))
+        on &= (b >= problem.b_window[0]) & (b <= problem.b_window[1])
+        obj, l0 = np.full(t.shape, -np.inf), np.ones(t.shape)
+        obj[on], l0[on] = _case4_best(spec, t[on], b[on], problem)
+        return b, obj, l0
 
-    curve_b = np.array([pt.b for pt in curve])
-    curve_t = np.array([pt.t for pt in curve])
-    objs, l0s = _case4_best(spec, curve_t, curve_b, problem)
-    top = np.argsort(-objs, kind="stable")[:3]
-    top = top[objs[top] > 0.0]
+    obj = along_curve(ts)[1]
+    top = np.argsort(-obj, kind="stable")[:3]
+    top = top[obj[top] > 0.0]
     if not top.size:
         return _infeasible_result(problem)
-    b0, t0, obj0, l00 = curve_b[top], curve_t[top], objs[top], l0s[top]
-
-    # branch slopes dt/db = -h_b / h_t by central differences
-    d = 1e-6
-    h = _h(spec, t0[:, None] + [d, -d, 0.0, 0.0], b0[:, None] + [0.0, 0.0, d, -d],
-           problem.realness_tol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = -(h[:, 2] - h[:, 3]) / (h[:, 0] - h[:, 1])
-    slope = np.where(np.isfinite(slope), slope, 0.0)
-
-    def on_curve(bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Re-rooted t, objective (-inf off the curve) and lambda0 at b values per point."""
-        centers = t0[:, None] + slope[:, None] * (bs - b0[:, None])
-        ts = _curve_roots_near(spec, bs.ravel(), centers.ravel(), problem).reshape(bs.shape)
-        found = np.isfinite(ts)
-        obj, l0 = _case4_best(spec, np.where(found, ts, centers).ravel(), bs.ravel(), problem)
-        return ts, np.where(found, obj.reshape(bs.shape), -np.inf), l0.reshape(bs.shape)
-
-    lo, hi = problem.b_window
-    b_new, _ = bracket_max(lambda x: on_curve(x)[1], np.maximum(lo, b0 - problem.b_step),
-                           np.minimum(hi, b0 + problem.b_step), problem.refine_tol)
-    t_new, obj_new, l0_new = (a[:, 0] for a in on_curve(b_new[:, None]))
-    better = obj_new > obj0
-    t, b, l0, obj = (np.where(better, new, old) for new, old in
-                     ((t_new, t0), (b_new, b0), (l0_new, l00), (obj_new, obj0)))
+    # |db/dt| reaches 4 near the table optima, so t is searched to refine_tol / 4
+    # for b(t) to be resolved to refine_tol as well
+    t, _ = bracket_max(lambda x: along_curve(x)[1], np.maximum(ts[0], ts[top] - problem.t_step),
+                       np.minimum(ts[-1], ts[top] + problem.t_step), problem.refine_tol / 4)
+    b, obj, l0 = along_curve(t)
     k = int(np.argmax(obj))
     return _finalize(spec, problem, float(t[k]), float(b[k]), float(l0[k]))
 

@@ -136,6 +136,18 @@ def test_region_json_format(capsys):
     assert doc["data"][0]["S2"] == pytest.approx(0.3116, abs=2e-3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "--n", "6", "--t-grid", "5:6:0.5", "--b-grid", "1:3:1", "--lambda0-grid", "1:1.2:0.1"],
+    ["curve", "--n", "7"],
+    ["curve", "--n", "6", "--b-grid", "2:3:0.25"],
+], ids=["region", "empty-curve", "curve"])
+def test_json_rows_written_one_at_a_time_read_as_json_dump(capsys, argv):
+    # the rows are streamed, yet the text is json.dump's at indent 2 for any row count
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_oracle_check_output(capsys):
     code, out = _run(capsys, ["oracle-check", "--n", "4", "--samples", "5", "--seed", "1"])
     assert code == 0

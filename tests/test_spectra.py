@@ -1,11 +1,13 @@
 """The closed-form single-quantum eigenproblem and the spectral identities behind it.
 
-Seeded property tests certify, for N in [4, 43] and so where no oracle
+Seeded property tests certify, for N up to 43 or 44 and so where no oracle
 reaches, that a chain's single-quantum map F is block-triangular in the basis
 of FIRST_BASIS with a quotient block built from the 2x2 transfer matrix
-W = [[p, q], [r, s]], and the spectra of F and of the 5x5 zero-order map T0
-in terms of the eigenvalues w1, w2 of W. The closed form is then checked
-against the numerical eigen-solver on the optimizer's scan grids.
+W = [[p, q], [r, s]], the spectra of F and of the 5x5 zero-order map T0 in
+terms of the eigenvalues w1, w2 of W, and the uniform-scaling identity
+lambda1 - lambda2 = w_big (c - w_small) that case 4's closed-form curve rests
+on. The closed form is then checked against the numerical eigen-solver on the
+optimizer's scan grids.
 """
 
 import warnings
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 
 from mqtransfer import ChainSpec, OptProblem, first_window, mode_basis
 from mqtransfer.chain import amplitude_grids
+from mqtransfer.optimize import _curve
 from mqtransfer.solvers import first_order_eig, zero_order_system
+from mqtransfer.states import region_points
 from mqtransfer.two_qubit import alpha_entries
 from reference import FIRST_BASIS, INVARIANT, QUOTIENT, select_first_order
 
@@ -87,6 +91,37 @@ def test_zero_order_spectrum_from_transfer_matrix(point):
     spectrum = np.array([abs(w1) ** 2, abs(w2) ** 2, w1 * np.conj(w2), w2 * np.conj(w1),
                          abs(w1 * w2) ** 2])
     assert _power_sums_match(t0, spectrum)
+
+
+@SEEDED
+@given(st.tuples(st.integers(4, 44), st.floats(0.0, 1.0), st.floats(0.0, 12.0)))
+@example((42, 0.55, 3.9))
+def test_uniform_scaling_identity_against_kernel(point):
+    # with ph = (-i)^(N-2), tr W / ph and det W / ph^2 are real for every N. For
+    # odd N, W's eigenvalues are then imaginary or a conjugate pair: no real
+    # lambda1 and no curve. For even N a real lambda1 is c w_big, so
+    # lambda1 - lambda2 = w_big (c - w_small) and the curve value is w_small.
+    # Checked at 32 times spread over [0, 2N)
+    n, t_frac, b = point
+    t = 2.0 * n * ((t_frac + np.arange(32) / 32.0) % 1.0)
+    p, q, r, s = amplitude_grids(mode_basis(n), t)
+    ph = (-1j) ** (n - 2)
+    assert np.abs(((p + s) / ph).imag).max() <= 1e-12
+    assert np.abs(((p * s - q * r) / ph ** 2).imag).max() <= 1e-12
+    points = region_points(ChainSpec(n), t, b)
+    v, real, lam = _curve(n, t)
+    found = np.flatnonzero(points.real & (np.abs(points.lambda1) > 1e-6))
+    if n % 2:
+        assert not found.size and np.isnan(v).all()
+        return
+    c = np.tanh(b / 2.0) ** (n - 2)
+    for k in found:
+        w_small, w_big = sorted(np.linalg.eigvals([[p[k], q[k]], [r[k], s[k]]]), key=abs)
+        lam1, lam2 = points.lambda1[k], points.lambda2.real[k]
+        assert abs(lam1 - (c * w_big).real) <= 1e-12
+        assert abs(lam1 - lam2 - (w_big * (c - w_small)).real) <= 1e-12
+        assert real[k] and abs(v[k] - w_small.real) <= 1e-12
+        assert lam[k] == lam2
 
 
 def _scan_maps(n):
