@@ -103,19 +103,27 @@ class OptResult:
     x1: np.ndarray | None
 
 
+# phase-grid entries per chunk of the lambda2_landmark scan (4 MB of complex)
+_CHUNK = 1 << 18
+
+
 @lru_cache(maxsize=64)
 def lambda2_landmark(spec: ChainSpec, t_window: tuple[float, float] | None = None,
                      step: float = 1e-3) -> tuple[float, float]:
     """Location and signed value of the largest |double-quantum factor|.
 
     The default window is [0.5 N, 1.5 N], which brackets the first transfer
-    window where the factor peaks near t ~ N. Results are cached per
-    (spec, t_window, step).
+    window where the factor peaks near t ~ N. The grid is scanned in chunks
+    of _CHUNK / N times, so that its phase grid stays near _CHUNK complex
+    numbers whatever N (one (1000 N) x N grid at N = 42 set the peak memory
+    of a whole table run). Results are cached per (spec, t_window, step).
     """
     n = spec.n_sites
     lo, hi = t_window if t_window is not None else (0.5 * n, 1.5 * n)
     ts = np.arange(lo, hi + step, step)
-    i = int(np.argmax(np.abs(_curve(n, ts)[2])))
+    rows = max(1, _CHUNK // n)
+    i = int(np.argmax(np.concatenate([np.abs(_curve(n, ts[k:k + rows])[2])
+                                      for k in range(0, len(ts), rows)])))
     t_best, _ = bracket_max(lambda x: np.abs(_curve(n, x)[2]),
                             ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-8)
     t_best = float(t_best[0])

@@ -10,10 +10,16 @@ G[{u1, u2}, {u1, u2}] = c [[s, -r], [-q, p]] with c = k3 (E - 1) =
 (-1)^N tanh(b/2)^(N-2) and W = [[p, q], [r, s]] the sender-to-receiver
 amplitudes. So the eigenvalues are those of two 2x2 blocks, spec(F) =
 c {w1, w2, w1 |w2|^2, w2 |w1|^2} with w1, w2 the eigenvalues of W. The
-zero-order sender vector solves a 5x5 linear system in which the zero-order
-factor enters as a free real parameter. Each solver works over the leading
-axes of stacked matrices; solve_first_order and solve_zero_order are its
-batches of one.
+zero-order sender vector solves the 5x5 system (lambda0 I - T0) x0 = B, in
+which the zero-order factor lambda0 enters as a free real parameter, also in
+closed form. In the moments z = M x (the sender's one-body matrix X and
+rho44, each less its value in the empty state) the map M T0 M^-1 is block
+lower-triangular, with the one-body block X -> W^H X W and the last entry
+|det W|^2, so spec(T0) = {|w1|^2, |w2|^2, w1 conj(w2), w2 conj(w1),
+|det W|^2}; with the Schur form of W the system is triangular and is solved
+by back-substitution, for a whole lambda0 axis at a time. Each solver works
+over the leading axes of stacked matrices; solve_first_order and
+solve_zero_order are its batches of one.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e10
+
+_ONE = np.int64(1)
+_FOUR = np.arange(4)
 
 # off-block entries of G above this times max|F| mean F is not a chain map
 BLOCK_TOL = 1e-10
@@ -87,11 +96,12 @@ def _block_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     G[i, j] is over (...). scale is the power of two just above max|m| (1
     where m = 0), so dividing by it is exact and keeps G's entries of order
     one: at N = 42 and b = 1e-4 the map's entries are near 1e-169, and the
-    eigenvectors, cubic in them, would underflow.
+    eigenvectors, cubic in them, would underflow. It is at least 2^-1021, so
+    that 1 / scale stays finite where max|m| is subnormal.
     """
     lead = m.shape[:-2]
     flat = m.transpose(-2, -1, *range(m.ndim - 2)).reshape(16, -1)
-    scale = np.ldexp(1.0, np.frexp(abs(flat).max(axis=0))[1])
+    scale = np.ldexp(1.0, np.maximum(np.frexp(abs(flat).max(axis=0))[1], -1021))
     return (_first_rotation() @ (flat / scale)).reshape((4, 4) + lead), scale.reshape(lead)[()]
 
 
@@ -99,10 +109,12 @@ def _null_vector(m00, m01, m10, m11, lam) -> tuple:
     """The larger column of adj(lam - M), a null vector of lam - M at an eigenvalue lam.
 
     The choice is a 0/1 integer weight: numpy multiplies a complex scalar by
-    an integer one far faster than by a boolean one.
+    an integer one far faster than by a boolean one, and forms the weight as
+    a numpy integer times the comparison far faster than as the comparison
+    plus a Python integer.
     """
     u, v = lam - m00, lam - m11
-    first = (abs(m01) + abs(u) >= abs(v) + abs(m10)) + 0
+    first = _ONE * (abs(m01) + abs(u) >= abs(v) + abs(m10))
     other = 1 - first
     return first * m01 + other * v, first * u + other * m10
 
@@ -199,42 +211,159 @@ def zero_order_system(table: AlphaTable | np.ndarray) -> tuple[np.ndarray, np.nd
     return t0, z[..., 3].copy()
 
 
+@cache
+def _moment_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M, M^-1 and the reading of the closed-form zero-order solve; built on first use.
+
+    z = M x takes the sender vector x = (rho11, rho22, rho33, rho23, rho32)
+    to its moments: the one-body matrix X = [[z0, z2], [z3, z1]], with
+    z0 = -rho11 - rho22 and z1 = -rho11 - rho33 the sender occupations less
+    one, and z4 = -rho11 - rho22 - rho33, rho44 less one. A chain's
+    G = M T0 M^-1 is block lower-triangular: G[:4, 4] = 0, G[:4, :4] is
+    X -> W^H X W (entry (X_ij, X_kl) = conj(W_ki) W_lj) and G[4, 4] =
+    |det W|^2. The flattened [T0 | B] times the reading (30, 28) gives
+    |W_ab|^2 for (a, b) = (0, 0), (1, 0), (0, 1), (1, 1); for each of them
+    conj(W_ab) W in row-major order; G[4, 0], G[4, 1], G[4, 3], G[4, 4]; and
+    the entries 0, 1, 2 and 4 of M B.
+    """
+    moments = np.array([[-1, -1, 0, 0, 0], [-1, 0, -1, 0, 0], [0, 0, 0, 1, 0],
+                        [0, 0, 0, 0, 1], [-1, -1, -1, 0, 0]], dtype=float)
+    inverse = np.array([[-1, -1, 0, 0, 1], [0, 1, 0, 0, -1], [1, 0, 0, 0, -1],
+                        [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], dtype=float)
+    # G and M B of each unit [T0 | B]
+    unit = np.eye(30).reshape(30, 5, 6)
+    g = moments @ unit[:, :, :5] @ inverse
+    m = unit[:, :, 5] @ moments.T
+    at = ((0, 2), (3, 1))  # the moment holding X_ij
+    choices = ((0, 0), (1, 0), (0, 1), (1, 1))
+    columns = [g[:, at[b][b], at[a][a]] for a, b in choices]
+    columns += [g[:, at[b][j], at[a][l]] for a, b in choices for l in (0, 1) for j in (0, 1)]
+    columns += [g[:, 4, 0], g[:, 4, 1], g[:, 4, 3], g[:, 4, 4], m[:, 0], m[:, 1], m[:, 2], m[:, 4]]
+    reading = np.stack(columns, axis=1).astype(complex)
+    for arr in (moments, inverse, reading):
+        arr.setflags(write=False)
+    return moments, inverse, reading
+
+
 def zero_order_spectrum(t0: np.ndarray, b_vec: np.ndarray) -> tuple:
-    """T0 = V diag(d) V^-1 and y = V^-1 B, over the leading axes of t0 (..., 5, 5)."""
-    d, v = np.linalg.eig(t0)
-    return d, v, np.linalg.solve(v, b_vec[..., None])[..., 0]
+    """The lambda0-free part of (lambda0 I - T0)^-1 B, over the leading axes of t0 (..., 5, 5).
+
+    Precondition: T0 and B have the chain's form (see _moment_maps);
+    solve_zero_order checks it. W is read off the one-body block up to a
+    phase, from the row of its largest entry |W_ab|^2, and put in the Schur
+    form W = Q T Q^H, T = [[t00, t01], [0, t11]]: Q's first column (a, b) is
+    the larger column of adj(t00 - W), an eigenvector of W (Q = I where W
+    is a multiple of I). Returns over (...), in this order: the exact
+    spectrum of T0 as |t00|^2, |t11|^2, |det W|^2 and conj(t00) t11 (the
+    fifth eigenvalue is its conjugate); entries 00, 11 and 01 of Q^H C Q for
+    the one-body part C of M B; the couplings conj(t00) t01, |t01|^2 and
+    2 conj(t01) t11 of the triangular rows; (M B)_4 and the z4 row as
+    entries 00, 11 and 2 conj(01) of Q^H R Q; and Q as |a|^2, 2 a b,
+    a conj(b), a^2 and conj(b)^2.
+    """
+    lead = b_vec.shape[:-1]
+    o = np.concatenate([t0, b_vec[..., None]], axis=-1).reshape(*lead, 30) @ _moment_maps()[2]
+    # W = conj(W_ab) W / |W_ab| for the largest |W_ab|, picked by a one-hot
+    # product; |W_ab|^2 can round below 0 where W is 0
+    big = o[..., :4].real
+    root = abs(big.max(axis=-1)) ** 0.5
+    pick = (big.argmax(axis=-1)[..., None] == _FOUR) / (root + (root == 0.0))[..., None]
+    w = (pick[..., None, :] @ o[..., 4:20].reshape(*lead, 4, 4))[..., 0, :]
+    w00, w01, w10, w11 = w.transpose(-1, *range(w.ndim - 1))
+    g40, g41, g43, g44, m0, m1, m2, m4 = o[..., 20:].transpose(-1, *range(o.ndim - 1))
+    half = 0.5 * (w00 + w11)
+    t00 = half + np.sqrt((0.5 * (w00 - w11)) ** 2 + w01 * w10)
+    t11 = 2.0 * half - t00
+    a, b = _null_vector(w00, w01, w10, w11, t00)
+    norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+    zero = norm == 0.0
+    a, b = a / (norm + zero) + zero, b / (norm + zero)
+    ca, cb = np.conj(a), np.conj(b)
+    ct00, cacb, caca, cbcb = np.conj(t00), ca * cb, ca * ca, cb * cb
+    t01 = caca * w01 - cbcb * w10 + cacb * (w11 - w00)
+    ct01 = np.conj(t01)
+    s = abs(a) ** 2
+    # Q^H H Q for the Hermitian C = [[m0, m2], [., m1]] and, for the z4 row
+    # g40 X00 + g41 X11 + g42 X01 + g43 X10 = tr(R X), R = [[g40, g43], [., g41]]:
+    # entries 00 and 01 (11 is the trace less 00)
+    m0, m1, g40, g41 = m0.real, m1.real, g40.real, g41.real
+    c00 = m1 + s * (m0 - m1) + 2.0 * (ca * m2 * b).real
+    e00 = g41 + s * (g40 - g41) + 2.0 * (ca * g43 * b).real
+    c01 = (m1 - m0) * cacb + m2 * caca - np.conj(m2) * cbcb
+    e01 = (g41 - g40) * cacb + g43 * caca - np.conj(g43) * cbcb
+    return (abs(t00) ** 2, abs(t11) ** 2, g44.real, ct00 * t11,
+            c00, m0 + m1 - c00, c01, ct00 * t01, abs(t01) ** 2, 2.0 * ct01 * t11,
+            m4.real, e00, g40 + g41 - e00, 2.0 * np.conj(e01),
+            s, 2.0 * a * b, a * cb, a * a, cbcb)
 
 
 def zero_order_resolvent(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndarray]:
-    """x0 = (lambda0 I - T0)^-1 B = V (lambda0 - d)^-1 y for a whole lambda0 axis.
+    """x0 = (lambda0 I - T0)^-1 B for a whole lambda0 axis, by back-substitution.
 
-    spectrum = (d, v, y) from zero_order_spectrum over leading axes (...);
-    lambda0s is (nl,) or (..., nl), broadcasting against them. Returns x0
-    (..., nl, 5) and the mask of regular cells. The one singularity rule: a
-    cell is regular when max|lambda0 - d| < COND_LIMIT * min|lambda0 - d|,
-    the condition number of lambda0 I - T0 read from its spectrum (a lower
-    bound of the 2-norm one); singular cells hold zeros.
+    spectrum comes from zero_order_spectrum over leading axes (...);
+    lambda0s is (nl,) or (..., nl), broadcasting against them. In the
+    moments the system is the Stein equation lambda0 X - W^H X W = C on the
+    one-body matrix, and with Y = Q^H X Q it is triangular: Y00, then Y01
+    (Y10 = conj Y01), then Y11, each over its own pole; z4 follows from its
+    row, over the pole |det W|^2, and x0 = M^-1 z. Returns x0 (..., nl, 5)
+    and the mask of regular cells. The one singularity rule: a cell is
+    regular when max|lambda0 - d| < COND_LIMIT * min|lambda0 - d| over the
+    exact spectrum d of T0; singular cells hold zeros.
     """
-    d, v, y = spectrum
-    gap = np.asarray(lambda0s, dtype=float)[..., None] - d[..., None, :]
-    dist = np.abs(gap)
-    regular = dist.max(axis=-1) < COND_LIMIT * dist.min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(regular[..., None], y[..., None, :] / gap, 0.0)
-    return coef @ np.swapaxes(v, -1, -2), regular
+    lam = np.asarray(lambda0s, dtype=float)
+    # a lone lambda0 is taken off its axis: at a point of shape () every cell
+    # quantity is then a numpy scalar ([()] of a 0-d array), which numpy
+    # works on far faster than on an array of one element
+    single = lam.shape[-1] == 1
+    lam = lam[..., 0][()] if single else lam
+    (d0, d1, d4, dp, c00, c11, c01, f01, f11, f10, m4, e00, e11, e10,
+     s, ab, acb, aa, cbb) = spectrum if single else (x[..., None] for x in spectrum)
+    g0, g1, g4, gp = lam - d0, lam - d1, lam - d4, lam - dp
+    dist = np.array([abs(g0), abs(g1), abs(g4), abs(gp)])
+    # 1/gap in regular cells and 0 in the others, where a gap may vanish
+    keep = _ONE * (dist.max(axis=0) < COND_LIMIT * dist.min(axis=0))
+    i0, i1, i4, ip = (keep / (g + (g == 0.0)) for g in (g0, g1, g4, gp))
+    y00 = c00 * i0
+    y01 = (c01 + f01 * y00) * ip
+    y11 = (c11 + f11 * y00 + (f10 * y01).real) * i1
+    z4 = (m4 + e00 * y00 + e11 * y11 + (e10 * y01).real) * i4
+    trace, dy = y00 + y11, y00 - y11
+    x00 = y11 + s * dy - (ab * y01).real
+    x01 = dy * acb + aa * y01 - cbb * np.conj(y01)
+    x0 = np.array([z4 - trace, trace - x00 - z4, x00 - z4, x01, np.conj(x01)])
+    x0 = x0.transpose(*range(1, x0.ndim), 0)
+    regular = keep == 1
+    return (x0[..., None, :], regular[..., None]) if single else (x0, regular)
 
 
 def solve_zero_order(t0: np.ndarray, b_vec: np.ndarray, lambda0: float) -> ZeroOrderSolution:
-    """Solve (lambda0 I - T0) x0 = B for the sender zero-order vector.
+    """Solve (lambda0 I - T0) x0 = B for the sender zero-order vector: a batch of one.
 
-    Raises SingularInputError where zero_order_resolvent finds the cell
-    singular (lambda0 on or numerically near the spectrum of T0).
+    Raises ValidationError unless T0 (5x5) and B (5) have the chain's form:
+    G[:4, 4] of G = M T0 M^-1 (see _moment_maps) at most BLOCK_TOL times the
+    larger of max|T0| and max|B| (T0's entries are differences of the
+    table's, which max|B| bounds where they cancel), and the closed form's
+    backward error |(lambda0 I - T0) x0 - B| / (|lambda0 I - T0| |x0| + |B|)
+    at most BLOCK_TOL, which fails where the one-body block is not
+    X -> W^H X W. Raises SingularInputError where zero_order_resolvent finds
+    the cell singular (lambda0 on or numerically near the spectrum of T0).
     """
     t0 = np.asarray(t0, dtype=complex)
     b_vec = np.asarray(b_vec, dtype=complex)
+    if t0.shape != (5, 5) or b_vec.shape != (5,):
+        raise ValidationError(f"expected a 5x5 zero-order map and a 5-vector, got shapes "
+                              f"{t0.shape} and {b_vec.shape}")
+    moments, inverse, _ = _moment_maps()
+    scale = max(np.abs(t0).max(), np.abs(b_vec).max())
+    if np.abs(moments[:4] @ t0 @ inverse[:, 4]).max() > BLOCK_TOL * scale:
+        raise ValidationError("map lacks the block-triangular form of a chain's zero-order map")
     (x0,), (regular,) = zero_order_resolvent(zero_order_spectrum(t0, b_vec), [lambda0])
     if not regular:
         raise SingularInputError(
             f"lambda0 = {lambda0} is too close to the spectrum of the zero-order map")
-    residual = float(np.linalg.norm(t0 @ x0 + b_vec - lambda0 * x0))
+    shifted = lambda0 * np.eye(5) - t0
+    residual = float(np.linalg.norm(shifted @ x0 - b_vec))
+    size = np.linalg.norm(shifted) * np.linalg.norm(x0) + np.linalg.norm(b_vec)
+    if residual > BLOCK_TOL * size:
+        raise ValidationError("map lacks the one-body form of a chain's zero-order map")
     return ZeroOrderSolution(lambda0=float(lambda0), x0=x0, residual=residual)

@@ -144,7 +144,8 @@ class RegionReport:
 class RegionPoints:
     """(t, b) stage over the broadcast shape of t and b: first_order_eig of the
     single-quantum map, the double-quantum coefficient lambda2 (complex, real up
-    to rounding) and the zero-order coefficients, whose spectrum is formed on use."""
+    to rounding) and the zero-order coefficients, whose closed-form spectrum
+    (zero_order_spectrum) is formed on use."""
 
     eigenvalues: np.ndarray
     selected: np.ndarray

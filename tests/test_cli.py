@@ -87,6 +87,17 @@ def test_solve_json(capsys):
     assert doc["data"]["residual"] < 1e-10
 
 
+def test_solve_on_subnormal_map_prints_no_warning(capsys):
+    # max|F| is subnormal at N = 4, t = 0, b = 1.5e-305
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--n", "4", "--t", "0", "--b", "1.5e-305", "--lambda0", "1"])
+    captured = capsys.readouterr()
+    assert code == 0 and not captured.err
+    doc = json.loads(captured.out)
+    assert all(np.isfinite(part) for pair in doc["data"]["x0"] for part in pair)
+
+
 def test_region_csv(capsys):
     code, out = _run(capsys, ["region", "--n", "6", "--t-grid", "8.4:8.6:0.1",
                               "--b-grid", "10:10:1", "--lambda0-grid", "1.0:1.1:0.05",

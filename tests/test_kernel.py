@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
+from mqtransfer.solvers import zero_order_system
 from mqtransfer.states import block_rays, case_metrics, region_cells, region_points
 from reference import c_max_ray, region_reference, select_first_order
 
@@ -28,10 +29,9 @@ lambda0s = st.floats(0.5, 2.0)
 
 
 def _forward_error_scale(points, lambda0) -> float:
-    """eps times the conditioning of x0 = V (lambda0 - d)^-1 V^-1 B at one point."""
-    d, v, _ = points.spectrum
-    dist = np.abs(lambda0 - d)
-    return EPS * dist.max() / dist.min() * np.linalg.cond(v)
+    """eps times the condition number of lambda0 I - T0 at one point, from the dense matrix."""
+    t0, _ = zero_order_system(points.zero)
+    return EPS * np.linalg.cond(lambda0 * np.eye(5) - t0)
 
 
 @SEEDED

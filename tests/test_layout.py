@@ -45,3 +45,24 @@ def test_traced_names_resolve():
     for module_name, func_name in tracing.TRACED:
         module = importlib.import_module(f"mqtransfer.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def _lapack_solves(path: Path) -> list[str]:
+    """Calls of numpy.linalg.eig or numpy.linalg.solve, and imports of them."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in ("eig", "solve")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            found.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name in ("eig", "solve")]
+    return found
+
+
+def test_no_dense_eig_or_solve_on_the_optimizer_path():
+    # the scale factors come in closed form from the block structure; only the
+    # oracle diagonalizes numerically (eigvalsh in positivity checks is fine)
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracle.py"]
+    offenders = [hit for path in modules for hit in _lapack_solves(path)]
+    assert not offenders, offenders

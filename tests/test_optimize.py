@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -17,12 +18,15 @@ from mqtransfer import (
     solve_first_order,
     uniform_curve,
 )
-from mqtransfer.optimize import _scan, objective_landscape
+from mqtransfer.chain import amplitude_grids
+from mqtransfer.optimize import _curve, _scan, objective_landscape
+from mqtransfer.search import bracket_max, bracket_root
 from mqtransfer.solvers import zero_order_resolvent, zero_order_system
 from mqtransfer.states import case_metrics, region_cells, region_metrics, region_points
 from reference import region_reference, select_first_order, solve_zero_order_dense
 
 _CASE_KEY = {1: "s2", 2: "s1", 3: "s12"}
+EPS = np.finfo(float).eps
 
 
 def _case_objective(spec, t, b, l0, case):
@@ -77,6 +81,37 @@ def test_lambda2_landmark_n42():
     t, val = lambda2_landmark(ChainSpec(42))
     assert t == pytest.approx(47.8855, abs=1e-2)
     assert abs(val) == pytest.approx(0.2621, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [6, 42])
+def test_lambda2_landmark_matches_one_grid_scan(n):
+    # the chunked scan against one scan of the whole step-1e-3 grid, the
+    # same bracket search after it
+    ts = np.arange(0.5 * n, 1.5 * n + 1e-3, 1e-3)
+    p, q, r, s = amplitude_grids(mode_basis(n), ts)
+    i = int(np.argmax(np.abs(p * s - q * r)))
+
+    def f(x):
+        p, q, r, s = amplitude_grids(mode_basis(n), x)
+        return np.abs(p * s - q * r)
+
+    t_ref, _ = bracket_max(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-8)
+    t, val = lambda2_landmark.__wrapped__(ChainSpec(n))
+    assert abs(t - t_ref[0]) <= 1e-12
+    p, q, r, s = amplitude_grids(mode_basis(n), t_ref)
+    assert abs(val - (p * s - q * r).real[0]) <= 1e-12
+
+
+def test_lambda2_landmark_memory_is_bounded():
+    # the scan runs in chunks of about 2^18 phases: at N = 102 one grid of
+    # all 102,001 times held 333 MB at its peak; 32 MB bounds the chunked one
+    tracemalloc.start()
+    try:
+        lambda2_landmark.__wrapped__(ChainSpec(102))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_lambda2_landmark_cache_matches_fresh_computation():
@@ -264,6 +299,64 @@ def test_resolvent_matches_solve_zero_order():
                     assert regular[i, j]
                     scale = max(1.0, float(np.max(np.abs(ref))))
                     assert np.max(np.abs(x0[i, j] - ref)) <= 1e-10 * scale
+
+
+def _merged_poles(n: int) -> np.ndarray:
+    """Times in the first window where W's eigenvalues merge: the discriminant
+    D = tau^2 / 4 - delta of optimize._curve changes sign there."""
+    ph = (-1j) ** (n - 2)
+
+    def disc(ts):
+        p, q, r, s = amplitude_grids(mode_basis(n), ts)
+        return 0.25 * (((p + s) / ph).real) ** 2 - ((p * s - q * r) / ph ** 2).real
+
+    lo, hi = first_window(ChainSpec(n))
+    ts = np.arange(lo, hi, 0.01)
+    d = disc(ts)
+    k = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    lo, hi, found = bracket_root(disc, ts[k], ts[k + 1], 1e-13)
+    return 0.5 * (lo + hi)[found]
+
+
+@pytest.mark.parametrize("n", [6, 7, 42])
+def test_resolvent_matches_solve_zero_order_at_merged_poles(n):
+    # where w1 = w2, T0 has a fourfold pole |w|^2 and no basis of eigenvectors:
+    # an eigendecomposition loses about half the digits there, the Schur
+    # back-substitution does not. Both sides are bounded by the dense solve's
+    # conditioning, cond(lambda0 I - T0) |x0| eps
+    spec, basis = ChainSpec(n), mode_basis(n)
+    ts = _merged_poles(n)
+    assert ts.size
+    l0s = np.arange(0.5, 2.0 + 1e-9, 0.1)
+    for b in (0.5, 4.0, 9.0):
+        x0, regular = zero_order_resolvent(region_points(spec, ts, b).spectrum, l0s)
+        for i, t in enumerate(ts):
+            t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
+            for j, l0 in enumerate(l0s):
+                ref = solve_zero_order_dense(t0, b_vec, float(l0))
+                assert regular[i, j] == (ref is not None)
+                if ref is not None:
+                    cond = np.linalg.cond(l0 * np.eye(5) - t0)
+                    scale = max(1.0, float(np.max(np.abs(ref))))
+                    assert np.max(np.abs(x0[i, j] - ref)) <= 64 * EPS * cond * scale
+
+
+@pytest.mark.parametrize("t", [5.0, 8.5153])
+def test_lambda0_on_each_exact_pole_is_singular(t):
+    # lambda0 set to each pole of the closed form: the real ones exactly (a
+    # zero gap) and, at t = 5.0 where W's eigenvalues are real, the pair
+    # w1 conj(w2) = w1 w2 too; every such cell is singular, holds zeros and
+    # raises no warning
+    points = region_points(ChainSpec(6), t, 10.0)
+    d0, d1, d4, dp = points.spectrum[:4]
+    assert _curve(6, np.array([t]))[1][0] == (t == 5.0)
+    poles = [d0, d1, d4] + ([dp.real] if t == 5.0 else [])
+    l0s = np.array(poles + [1.0837])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x0, regular = zero_order_resolvent(points.spectrum, l0s)
+    assert regular.tolist() == [False] * len(poles) + [True]
+    assert np.all(x0[:-1] == 0.0)
 
 
 def test_scan_matches_region_metrics():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from mqtransfer import (
     solve_zero_order,
     zero_order_system,
 )
-from mqtransfer.states import SenderTemplate, assemble_sender
+from mqtransfer.states import SenderTemplate, assemble_sender, region_cells, region_points
 from mqtransfer.two_qubit import FIRST_LABELS
-from reference import FIRST_BASIS, INVARIANT, QUOTIENT
+from reference import FIRST_BASIS, INVARIANT, QUOTIENT, solve_zero_order_dense
 
 
 def _table(n, t, b):
@@ -120,6 +122,17 @@ def test_solve_first_order_rejects_maps_without_block_form(rng, make):
         solve_first_order(make(rng))
 
 
+def test_first_order_eig_on_subnormal_maps():
+    # at N = 4, t = 0 and b near 1.5e-305 max|F| is subnormal (4e-322): the
+    # block scale must keep a finite reciprocal for the realness rule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (1.5302537705130027e-305, 1e-305, 5e-324):
+            points = region_points(ChainSpec(4), np.array([0.0, 1.0, 3.3]), b)
+            assert np.all(np.isfinite(points.lambda1)) and np.all(np.isfinite(points.x1))
+            assert np.all(np.isfinite(points.eigenvalues))
+
+
 def test_solve_first_order_printed_point():
     sol = solve_first_order(_table(6, 5.3768, 5.3790).first)
     assert sol.lambda1 == pytest.approx(0.7613, abs=1e-3)
@@ -184,6 +197,49 @@ def test_zero_order_solution_structure(rng):
     assert sol.residual < 1e-10
     assert np.max(np.abs(sol.x0[:3].imag)) < 1e-10
     assert sol.x0[4] == pytest.approx(np.conj(sol.x0[3]), abs=1e-10)
+
+
+@pytest.mark.parametrize("b", [0.0, 5e-324, 1e-305, 1e-6])
+def test_zero_order_at_tiny_temperature_factors(b):
+    # the closed form at b = 0 and tiny b, over t = 0 (W = 0) and later times,
+    # against the dense solve, with warnings as errors
+    spec = ChainSpec(6)
+    ts = np.array([0.0, 1.0, 5.6958, 8.5153])
+    l0s = np.array([0.6, 1.0, 1.0837, 1.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = region_points(spec, ts, b)
+        x0, ok, _, _ = region_cells(points, l0s)
+        for i, t in enumerate(ts):
+            t0, b_vec = zero_order_system(_table(6, float(t), b))
+            for j, l0 in enumerate(l0s):
+                ref = solve_zero_order_dense(t0, b_vec, float(l0))
+                sol = solve_zero_order(t0, b_vec, float(l0))
+                assert np.max(np.abs(x0[i, j] - ref)) < 1e-12
+                assert np.max(np.abs(sol.x0 - ref)) < 1e-12
+    assert np.all(np.isfinite(x0)) and ok.any()
+
+
+def _nudge(i, j):
+    def make(t0, b_vec):
+        t0 = t0.copy()
+        t0[i, j] += 0.3
+        return t0, b_vec
+    return make
+
+
+@pytest.mark.parametrize("make, match", [
+    (_nudge(0, 0), "block-triangular"),  # G[:4, 4] != 0
+    (_nudge(0, 3), "one-body"),  # G[:4, :4] no longer X -> W^H X W
+    (lambda t0, b_vec: (t0.T, b_vec), "block-triangular|one-body"),
+    (lambda t0, b_vec: (t0[:4, :4], b_vec[:4]), "5x5"),
+], ids=["z4 in a one-body row", "one-body block", "transposed", "4x4"])
+def test_solve_zero_order_rejects_maps_without_chain_form(make, match):
+    # the closed form reads W off the one-body block; a map without the
+    # chain's form is refused rather than solved wrongly
+    t0, b_vec = make(*zero_order_system(_table(6, 5.3, 2.0)))
+    with pytest.raises(ValidationError, match=match):
+        solve_zero_order(t0, b_vec, 1.2)
 
 
 def test_zero_order_singular_guard():

@@ -3,8 +3,10 @@
 Seeded property tests certify, for N up to 43 or 44 and so where no oracle
 reaches, that a chain's single-quantum map F is block-triangular in the basis
 of FIRST_BASIS with a quotient block built from the 2x2 transfer matrix
-W = [[p, q], [r, s]], the spectra of F and of the 5x5 zero-order map T0 in
-terms of the eigenvalues w1, w2 of W, and the uniform-scaling identity
+W = [[p, q], [r, s]], that the 5x5 zero-order map T0 is block
+lower-triangular in the moments MOMENTS with the one-body block
+X -> W^H X W, the spectra of F and of T0 in terms of the eigenvalues w1, w2
+of W, and the uniform-scaling identity
 lambda1 - lambda2 = w_big (c - w_small) that case 4's closed-form curve rests
 on. The closed form is then checked against the numerical eigen-solver on the
 optimizer's scan grids.
@@ -70,6 +72,31 @@ def test_first_order_map_is_block_triangular(point):
     # the quotient block is c adj(W)^T
     quotient = g[np.ix_(QUOTIENT, QUOTIENT)]
     assert np.abs(quotient - c * np.array([[s, -r], [-q, p]])).max() <= 1e-12 * scale
+
+
+# z = MOMENTS x: the sender's one-body matrix X = [[z0, z2], [z3, z1]], with
+# z0 = -rho11 - rho22 and z1 = -rho11 - rho33 its occupations less one, and
+# z4 = -rho11 - rho22 - rho33, rho44 less one, for x = (rho11, rho22, rho33,
+# rho23, rho32)
+MOMENTS = np.array([[-1, -1, 0, 0, 0], [-1, 0, -1, 0, 0], [0, 0, 0, 1, 0],
+                    [0, 0, 0, 0, 1], [-1, -1, -1, 0, 0]], dtype=float)
+ONE_BODY = ((0, 0), (1, 1), (0, 1), (1, 0))  # the X_ij held by z0..z3
+
+
+@SEEDED
+@given(chain_points)
+@example((42, 0.55, 3.0))
+@example((6, 0.0, 2.0))
+def test_zero_order_map_is_block_triangular(point):
+    # G = M T0 M^-1 is block lower-triangular; its one-body block is the
+    # superoperator of X -> W^H X W and its last entry |det W|^2. T0's
+    # entries are differences of terms of order one, so tol is absolute
+    w, _, _, _, t0 = _chain(*point)
+    g = MOMENTS @ t0 @ np.linalg.inv(MOMENTS)
+    assert np.abs(g[:4, 4]).max() <= 1e-12
+    superop = np.array([[np.conj(w[k, i]) * w[l, j] for k, l in ONE_BODY] for i, j in ONE_BODY])
+    assert np.abs(g[:4, :4] - superop).max() <= 1e-12
+    assert abs(g[4, 4] - abs(np.linalg.det(w)) ** 2) <= 1e-12
 
 
 @SEEDED
