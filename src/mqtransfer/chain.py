@@ -18,6 +18,7 @@ from .search import bracket_max
 __all__ = [
     "ChainSpec",
     "check_inverse_temperature",
+    "thermal_weights",
     "ModeBasis",
     "AmplitudeSet",
     "build_modes",
@@ -47,6 +48,17 @@ def check_inverse_temperature(b: float) -> None:
     """Reject a background inverse temperature b that is not finite and >= 0."""
     if not (np.isfinite(b) and b >= 0):
         raise ValidationError(f"inverse temperature must be finite and >= 0, got {b}")
+
+
+def thermal_weights(b):
+    """Ground and excited weights n = 1 / (1 + e^-b) and e^-b n of one background spin.
+
+    Written in e^-b, so both stay finite at every b >= 0 (e^b overflows above
+    b = 709); b may be an array.
+    """
+    decay = np.exp(-b)
+    ground = 1.0 / (1.0 + decay)
+    return ground, decay * ground
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    points = region_points(ChainSpec(args.n), args.t, args.b)
-    zero = solve_zero_order(*zero_order_system(points.zero), args.lambda0_value)
+    spec = ChainSpec(args.n)
+    table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
+    zero = solve_zero_order(*zero_order_system(table), args.lambda0_value)
+    points = region_points(spec, args.t, args.b)
     real = bool(points.real)
     payload = {
         "lambda2": _complex_pair(points.lambda2),

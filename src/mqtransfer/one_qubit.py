@@ -1,10 +1,11 @@
 """One-qubit sender and receiver on an N-site line.
 
 The sender occupies site 1; sites 2..N start in the thermal state with
-single-site excited-state weight p1 = 1/(1 + e^b). The receiver (site N)
-matrix is exact and closed-form: populations relax toward the background as
-|f|^2 transfers the sender population, and the coherence is carried with the
-endpoint amplitude damped by tanh(b/2)^(N-1).
+single-site excited-state weight p1 = 1/(1 + e^b), formed from e^-b
+(chain.thermal_weights) so that it stays finite at every b >= 0. The
+receiver (site N) matrix is exact and closed-form: populations relax toward
+the background as |f|^2 transfers the sender population, and the coherence
+is carried with the endpoint amplitude damped by tanh(b/2)^(N-1).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, check_inverse_temperature, endpoint_amplitude, endpoint_amplitude_grid, mode_basis
+from .chain import (ChainSpec, check_inverse_temperature, endpoint_amplitude, endpoint_amplitude_grid,
+                    mode_basis, thermal_weights)
 from .errors import SingularInputError, ValidationError
 from .search import bracket_max, bracket_root
 
@@ -51,18 +53,12 @@ class Qubit1State:
         return cls(a1_sq=a1_sq, phase_prod=complex(a0 * np.conj(a1)))
 
 
-def _populations(b: float) -> tuple[float, float]:
-    # ground/excited weights of one thermal background spin
-    p0 = np.exp(b / 2.0) / (2.0 * np.cosh(b / 2.0))
-    return p0, 1.0 - p0
-
-
 def receiver_state_1q(state: Qubit1State, t: float, b: float, spec: ChainSpec) -> np.ndarray:
     """Exact 2x2 receiver matrix at time t and background inverse temperature b."""
     check_inverse_temperature(b)
     basis = mode_basis(spec.n_sites)
     f = endpoint_amplitude(basis, t)
-    p0, p1 = _populations(b)
+    p0, p1 = thermal_weights(b)
     r11 = p0 + (p1 - state.a1_sq) * abs(f) ** 2
     r12 = (-np.tanh(b / 2.0)) ** (spec.n_sites - 1) * state.phase_prod * np.conj(f)
     return np.array([[r11, r12], [np.conj(r12), 1.0 - r11]], dtype=complex)
@@ -87,7 +83,7 @@ def lambda0_variant_a(state: Qubit1State, t: float, b: float, spec: ChainSpec) -
         raise SingularInputError("variant A is singular at a1_sq = 1 (empty ground population)")
     basis = mode_basis(spec.n_sites)
     f2 = abs(endpoint_amplitude(basis, t)) ** 2
-    p0, p1 = _populations(b)
+    p0, p1 = thermal_weights(b)
     return float((p0 + (p1 - state.a1_sq) * f2) / (1.0 - state.a1_sq))
 
 
@@ -102,13 +98,12 @@ def lambda0_variant_b(state: Qubit1State, t: float, b: float, spec: ChainSpec) -
         raise SingularInputError("variant B is singular at a1_sq = 0 (empty excited population)")
     basis = mode_basis(spec.n_sites)
     f2 = abs(endpoint_amplitude(basis, t)) ** 2
-    return float(f2 + (1.0 - f2) / (state.a1_sq * (1.0 + np.exp(b))))
+    return float(f2 + (1.0 - f2) * thermal_weights(b)[1] / state.a1_sq)
 
 
 def state_independent_target(b: float) -> float:
-    """Threshold 2 e^b / (1 + 2 e^b) for |f|^2; bounded below by 2/3 for b >= 0."""
-    eb = np.exp(b)
-    return float(2.0 * eb / (1.0 + 2.0 * eb))
+    """Threshold 2 e^b / (1 + 2 e^b) = 2 / (2 + e^-b) for |f|^2; bounded below by 2/3 for b >= 0."""
+    return float(2.0 / (2.0 + np.exp(-b)))
 
 
 def state_independent_time(b: float, spec: ChainSpec, t_max: float,
@@ -155,4 +150,4 @@ def perfect_zero_a1(t: float, b: float, spec: ChainSpec) -> float:
     is returned.
     """
     del t, spec  # the condition is independent of the transfer amplitude
-    return float(1.0 / (1.0 + np.exp(b)))
+    return float(thermal_weights(b)[1])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainSpec, check_inverse_temperature
+from .chain import ChainSpec, check_inverse_temperature, thermal_weights
 from .errors import ResourceError, ValidationError
 
 __all__ = [
@@ -100,7 +100,7 @@ def clear_cache() -> None:
 
 
 def _thermal_weights(b: float, count: int) -> np.ndarray:
-    w1 = np.array([np.exp(b / 2.0), np.exp(-b / 2.0)]) / (2.0 * np.cosh(b / 2.0))
+    w1 = np.array(thermal_weights(b))
     w = np.array([1.0])
     for _ in range(count):
         w = np.kron(w, w1)

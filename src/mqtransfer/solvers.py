@@ -2,35 +2,32 @@
 
 The double-quantum factor is read off directly. The single-quantum factor is
 an eigenvalue of the 4x4 single-quantum map F (rows and columns
-FIRST_LABELS), found in closed form. In the constant orthonormal basis
-u0 = (13 + 24), u1 = (13 - 24), u2 = (12 + 34), u3 = (12 - 34), each over
-sqrt(2), the chain's map G = U F U^T is block upper-triangular: span{u0, u3}
-is invariant, G[{u1, u2}, {u0, u3}] = 0, and the quotient block
-G[{u1, u2}, {u1, u2}] = c [[s, -r], [-q, p]] with c = k3 (E - 1) =
-(-1)^N tanh(b/2)^(N-2) and W = [[p, q], [r, s]] the sender-to-receiver
-amplitudes. So the eigenvalues are those of two 2x2 blocks, spec(F) =
-c {w1, w2, w1 |w2|^2, w2 |w1|^2} with w1, w2 the eigenvalues of W. The
-zero-order sender vector solves the 5x5 system (lambda0 I - T0) x0 = B, in
-which the zero-order factor lambda0 enters as a free real parameter, also in
-closed form. In the moments z = M x (the sender's one-body matrix X and
-rho44, each less its value in the empty state) the map M T0 M^-1 is block
-lower-triangular, with the one-body block X -> W^H X W and the last entry
-|det W|^2, so spec(T0) = {|w1|^2, |w2|^2, w1 conj(w2), w2 conj(w1),
-|det W|^2}; with the Schur form of W the system is triangular and is solved
-by back-substitution, for a whole lambda0 axis at a time. Each solver works
-over the leading axes of stacked matrices; solve_first_order and
-solve_zero_order are its batches of one.
+FIRST_LABELS), found in closed form from its blocks: in the constant basis
+BLOCK_BASIS the map is G = U F U^T = theta [[tau A, C], [0, tau Q]] with
+tau = tanh(b/2) (mqtransfer.two_qubit.transfer_blocks), so its eigenvalues
+are c = theta tau = (-1)^N tanh(b/2)^(N-2) times those of the 2x2 blocks A
+and Q, spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2} with w1, w2 the
+eigenvalues of the transfer matrix W = [[p, q], [r, s]]. The zero-order sender vector
+solves the 5x5 system (lambda0 I - T0) x0 = B, in which the zero-order factor
+lambda0 enters as a free real parameter, also in closed form. In the moments
+z = M x (MOMENTS) the map M T0 M^-1 is block lower-triangular, with the
+one-body block X -> W^H X W and the last entry |det W|^2, so spec(T0) =
+{|w1|^2, |w2|^2, w1 conj(w2), w2 conj(w1), |det W|^2}; with the Schur form of
+W the system is triangular and is solved by back-substitution, for a whole
+lambda0 axis at a time. Each solver works over the leading axes of its
+blocks: the region kernel (mqtransfer.states) passes it the blocks of
+transfer_blocks, and solve_first_order and solve_zero_order, its batches of
+one, read the same blocks out of one given matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import SingularInputError, ValidationError
-from .two_qubit import AlphaTable
+from .two_qubit import BLOCK_BASIS, MOMENTS, MOMENTS_INVERSE, ONE_BODY, AlphaTable
 
 __all__ = [
     "FirstOrderSolution",
@@ -47,7 +44,7 @@ __all__ = [
 COND_LIMIT = 1e10
 
 _ONE = np.int64(1)
-_FOUR = np.arange(4)
+_TINY = np.finfo(float).tiny
 
 # off-block entries of G above this times max|F| mean F is not a chain map
 BLOCK_TOL = 1e-10
@@ -78,33 +75,6 @@ class FirstOrderSolution:
         return float(self.eigenvalues[self.selected].real)
 
 
-@cache
-def _first_rotation() -> np.ndarray:
-    """U (x) U, so that vec(U m U^T) = (U (x) U) vec(m); built on first use, since
-    every numpy operation at import adds to the peak memory of runs that never
-    use it. The rows of U are u0, u3, u1, u2 over FIRST_LABELS, in block order:
-    G = U F U^T is [[A, C], [0, Q]] with A on {u0, u3} and Q on {u1, u2}."""
-    basis = np.sqrt(0.5) * np.array([[0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [1, 0, 0, 1]])
-    rotation = np.kron(basis, basis).astype(complex)
-    rotation.setflags(write=False)
-    return rotation
-
-
-def _block_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = U m U^T / scale of maps (..., 4, 4), with the matrix axes first, and scale.
-
-    G[i, j] is over (...). scale is the power of two just above max|m| (1
-    where m = 0), so dividing by it is exact and keeps G's entries of order
-    one: at N = 42 and b = 1e-4 the map's entries are near 1e-169, and the
-    eigenvectors, cubic in them, would underflow. It is at least 2^-1021, so
-    that 1 / scale stays finite where max|m| is subnormal.
-    """
-    lead = m.shape[:-2]
-    flat = m.transpose(-2, -1, *range(m.ndim - 2)).reshape(16, -1)
-    scale = np.ldexp(1.0, np.maximum(np.frexp(abs(flat).max(axis=0))[1], -1021))
-    return (_first_rotation() @ (flat / scale)).reshape((4, 4) + lead), scale.reshape(lead)[()]
-
-
 def _null_vector(m00, m01, m10, m11, lam) -> tuple:
     """The larger column of adj(lam - M), a null vector of lam - M at an eigenvalue lam.
 
@@ -119,32 +89,43 @@ def _null_vector(m00, m01, m10, m11, lam) -> tuple:
     return first * m01 + other * v, first * u + other * m10
 
 
-def first_order_eig(m: np.ndarray, realness_tol: float = 1e-8) -> tuple:
-    """Largest-modulus real eigenvalue of single-quantum maps (..., 4, 4), and its eigenvector.
+def first_order_eig(theta, tau, a, c, q, realness_tol: float = 1e-8) -> tuple:
+    """Largest-modulus real eigenvalue of maps G = theta [[tau A, C], [0, tau Q]], and its eigenvector.
 
-    Precondition: each map has the block form of the chain's maps (see the
-    module docstring); solve_first_order checks it, the kernel's maps have
-    it by construction. The eigenvalues are those of the 2x2 diagonal blocks
-    A and Q, from the quadratic formula. Realness means |Im| <= realness_tol
-    * max(1, |eigenvalue|). Returns the eigenvalues by descending modulus
-    (ties in input order A+, Q+, A-, Q-), the index of the first real one,
-    its value lambda1, its gauge-fixed unit vector x1 and the mask of maps
-    with a real eigenvalue; where that is False, selected is 0 and lambda1
-    and x1 are not meaningful. x1 is U^T (y, z): for an eigenvalue of A,
-    z = 0 and y is A's null vector; for one of Q, z is Q's null vector and
-    y = (lambda - A)^-1 C z, scaled by det(lambda - A) to stay finite.
-    Where that vector is zero (at b = 0, say, where F = 0), x1 is e12.
+    theta and tau are real, and the 2x2 blocks A, C and Q are given as their
+    entries (00, 01, 10, 11), all over leading axes (...) (see
+    mqtransfer.two_qubit.transfer_blocks). G = D (theta tau H) D^-1 with
+    H = [[A, C], [0, Q]] and D = diag(1, 1, tau, tau), so the eigenvalues are
+    theta tau times those of A and Q, from the quadratic formula, and an
+    eigenvector (y, z) of H gives (y, tau z) of G. The blocks are first
+    divided by their largest entry, so that the products that form x1 stay
+    clear of underflow where W is small (early times). Realness means
+    |Im| <= realness_tol * max(1, |eigenvalue|). Returns the eigenvalues by
+    descending modulus (ties in input order A+, Q+, A-, Q-), the index of
+    the first real one, its value lambda1, its gauge-fixed unit vector x1
+    and the mask of maps with a real eigenvalue; where that is False,
+    selected is 0 and lambda1 and x1 are not meaningful. x1 is U^T (y, z)
+    over FIRST_LABELS: for an eigenvalue of A, z = 0 and y is A's null
+    vector; for one of Q, z is Q's null vector and y = (lambda - A)^-1 C z,
+    both scaled by det(lambda - A) to stay finite. Where the eigenvalues are
+    0 in floating point (at b = 0, say, where F = 0) or that vector is zero,
+    x1 is e12.
     """
-    g, scale = _block_form(m)
-    a00, a01, a10, a11 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    q00, q01, q10, q11 = g[2, 2], g[2, 3], g[3, 2], g[3, 3]
+    # at least the smallest normal number: numpy divides a complex number by a
+    # subnormal one through its reciprocal, which overflows
+    size = np.maximum(abs(np.array([*a, *c, *q])).max(axis=0), _TINY)
+    a00, a01, a10, a11 = (x / size for x in a)
+    c00, c01, c10, c11 = (x / size for x in c)
+    q00, q01, q10, q11 = (x / size for x in q)
+    scale = theta * tau * size
     ha, hq = 0.5 * (a00 + a11), 0.5 * (q00 + q11)
     ra = np.sqrt((0.5 * (a00 - a11)) ** 2 + a01 * a10)
     rq = np.sqrt((0.5 * (q00 - q11)) ** 2 + q01 * q10)
     ev = np.array([ha + ra, hq + rq, ha - ra, hq - rq])
     mod = abs(ev)
-    # the realness rule, on the unscaled eigenvalues ev * scale
-    key = np.where(abs(ev.imag) <= realness_tol * np.maximum(mod, 1.0 / scale), mod, -1.0)
+    # the realness rule, on the eigenvalues scale * ev
+    unit = abs(scale)
+    key = np.where(abs(ev.imag) * unit <= realness_tol * np.maximum(mod * unit, 1.0), mod, -1.0)
     # the first real eigenvalue down a stable descending-modulus order
     pick = key.argmax(axis=0)
     real = key.max(axis=0) >= 0.0
@@ -156,17 +137,17 @@ def first_order_eig(m: np.ndarray, realness_tol: float = 1e-8) -> tuple:
     lam = in_a * ha + in_q * hq + sign * (in_a * ra + in_q * rq)
     ya0, ya1 = _null_vector(a00, a01, a10, a11, lam)
     z0, z1 = _null_vector(q00, q01, q10, q11, lam)
-    cz0 = g[0, 2] * z0 + g[0, 3] * z1
-    cz1 = g[1, 2] * z0 + g[1, 3] * z1
+    cz0 = c00 * z0 + c01 * z1
+    cz1 = c10 * z0 + c11 * z1
     la0, la1 = lam - a00, lam - a11
-    det = in_q * (la0 * la1 - a01 * a10)
+    weight = in_q * (la0 * la1 - a01 * a10) * tau
     y0 = in_a * ya0 + in_q * (la1 * cz0 + a01 * cz1)
     y1 = in_a * ya1 + in_q * (a10 * cz0 + la0 * cz1)
-    z0, z1 = det * z0, det * z1
+    z0, z1 = weight * z0, weight * z1
     x = np.array([y1 + z1, y0 + z0, y0 - z0, z1 - y1])  # U^T (y, z), up to sqrt(2)
     norm = np.hypot.reduce(abs(x), axis=0)
-    zero = norm == 0.0
-    x = x / (norm + zero)
+    zero = _ONE * ((norm == 0.0) | (scale == 0.0))
+    x = x * (1 - zero) / np.maximum(norm, _TINY)
     x[0] += zero
     ev = np.take_along_axis(ev, order, axis=0) * scale
     back = (*range(1, ev.ndim), 0)
@@ -176,16 +157,18 @@ def first_order_eig(m: np.ndarray, realness_tol: float = 1e-8) -> tuple:
 def solve_first_order(m: np.ndarray, realness_tol: float = 1e-8) -> FirstOrderSolution | None:
     """first_order_eig of one 4x4 map, or None if all its eigenvalues are complex.
 
-    Raises ValidationError unless m is a 4x4 map of the chain's block form:
-    its off-block entries G[{u1, u2}, {u0, u3}] at most BLOCK_TOL * max|m|.
+    The blocks are those of G = U m U^T, with theta = tau = 1. Raises
+    ValidationError unless m is a 4x4 map of the chain's block form: its
+    off-block entries G[{u1, u2}, {u0, u3}] at most BLOCK_TOL * max|m|.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 single-quantum map, got shape {m.shape}")
-    g, scale = _block_form(m)
-    if np.abs(g[2:, :2]).max() > BLOCK_TOL * np.abs(m).max() / scale:
+    g = BLOCK_BASIS @ m @ BLOCK_BASIS.T
+    if np.abs(g[2:, :2]).max() > BLOCK_TOL * np.abs(m).max():
         raise ValidationError("map lacks the block-triangular form of a chain's single-quantum map")
-    ev, selected, _, x1, real = first_order_eig(m, realness_tol)
+    ev, selected, _, x1, real = first_order_eig(
+        1.0, 1.0, g[:2, :2].ravel(), g[:2, 2:].ravel(), g[2:, 2:].ravel(), realness_tol)
     return FirstOrderSolution(eigenvalues=ev, selected=int(selected), x1=x1) if real else None
 
 
@@ -211,66 +194,27 @@ def zero_order_system(table: AlphaTable | np.ndarray) -> tuple[np.ndarray, np.nd
     return t0, z[..., 3].copy()
 
 
-@cache
-def _moment_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M, M^-1 and the reading of the closed-form zero-order solve; built on first use.
+def zero_order_spectrum(w, row, source) -> tuple:
+    """The lambda0-free part of (lambda0 I - T0)^-1 B, over leading axes (...).
 
-    z = M x takes the sender vector x = (rho11, rho22, rho33, rho23, rho32)
-    to its moments: the one-body matrix X = [[z0, z2], [z3, z1]], with
-    z0 = -rho11 - rho22 and z1 = -rho11 - rho33 the sender occupations less
-    one, and z4 = -rho11 - rho22 - rho33, rho44 less one. A chain's
-    G = M T0 M^-1 is block lower-triangular: G[:4, 4] = 0, G[:4, :4] is
-    X -> W^H X W (entry (X_ij, X_kl) = conj(W_ki) W_lj) and G[4, 4] =
-    |det W|^2. The flattened [T0 | B] times the reading (30, 28) gives
-    |W_ab|^2 for (a, b) = (0, 0), (1, 0), (0, 1), (1, 1); for each of them
-    conj(W_ab) W in row-major order; G[4, 0], G[4, 1], G[4, 3], G[4, 4]; and
-    the entries 0, 1, 2 and 4 of M B.
-    """
-    moments = np.array([[-1, -1, 0, 0, 0], [-1, 0, -1, 0, 0], [0, 0, 0, 1, 0],
-                        [0, 0, 0, 0, 1], [-1, -1, -1, 0, 0]], dtype=float)
-    inverse = np.array([[-1, -1, 0, 0, 1], [0, 1, 0, 0, -1], [1, 0, 0, 0, -1],
-                        [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], dtype=float)
-    # G and M B of each unit [T0 | B]
-    unit = np.eye(30).reshape(30, 5, 6)
-    g = moments @ unit[:, :, :5] @ inverse
-    m = unit[:, :, 5] @ moments.T
-    at = ((0, 2), (3, 1))  # the moment holding X_ij
-    choices = ((0, 0), (1, 0), (0, 1), (1, 1))
-    columns = [g[:, at[b][b], at[a][a]] for a, b in choices]
-    columns += [g[:, at[b][j], at[a][l]] for a, b in choices for l in (0, 1) for j in (0, 1)]
-    columns += [g[:, 4, 0], g[:, 4, 1], g[:, 4, 3], g[:, 4, 4], m[:, 0], m[:, 1], m[:, 2], m[:, 4]]
-    reading = np.stack(columns, axis=1).astype(complex)
-    for arr in (moments, inverse, reading):
-        arr.setflags(write=False)
-    return moments, inverse, reading
-
-
-def zero_order_spectrum(t0: np.ndarray, b_vec: np.ndarray) -> tuple:
-    """The lambda0-free part of (lambda0 I - T0)^-1 B, over the leading axes of t0 (..., 5, 5).
-
-    Precondition: T0 and B have the chain's form (see _moment_maps);
-    solve_zero_order checks it. W is read off the one-body block up to a
-    phase, from the row of its largest entry |W_ab|^2, and put in the Schur
-    form W = Q T Q^H, T = [[t00, t01], [0, t11]]: Q's first column (a, b) is
-    the larger column of adj(t00 - W), an eigenvector of W (Q = I where W
-    is a multiple of I). Returns over (...), in this order: the exact
-    spectrum of T0 as |t00|^2, |t11|^2, |det W|^2 and conj(t00) t11 (the
-    fifth eigenvalue is its conjugate); entries 00, 11 and 01 of Q^H C Q for
-    the one-body part C of M B; the couplings conj(t00) t01, |t01|^2 and
+    The system is given by its blocks in the moments (see the module
+    docstring and mqtransfer.two_qubit.transfer_blocks), each as its
+    entries: W as (W00, W01, W10, W11), the z4 row G[4] of G = M T0 M^-1 and
+    the inhomogeneity M B. X -> W^H X W does not change when W -> e^{i phi} W,
+    so W is needed only up to a phase. It is put in the Schur form
+    W = Q T Q^H, T = [[t00, t01], [0, t11]]: Q's first column (a, b) is the
+    larger column of adj(t00 - W), an eigenvector of W (Q = I where W is a
+    multiple of I). Returns over (...), in this order: the exact spectrum of
+    T0 as |t00|^2, |t11|^2, |det W|^2 and conj(t00) t11 (the fifth
+    eigenvalue is its conjugate); entries 00, 11 and 01 of Q^H C Q for the
+    one-body part C of M B; the couplings conj(t00) t01, |t01|^2 and
     2 conj(t01) t11 of the triangular rows; (M B)_4 and the z4 row as
     entries 00, 11 and 2 conj(01) of Q^H R Q; and Q as |a|^2, 2 a b,
     a conj(b), a^2 and conj(b)^2.
     """
-    lead = b_vec.shape[:-1]
-    o = np.concatenate([t0, b_vec[..., None]], axis=-1).reshape(*lead, 30) @ _moment_maps()[2]
-    # W = conj(W_ab) W / |W_ab| for the largest |W_ab|, picked by a one-hot
-    # product; |W_ab|^2 can round below 0 where W is 0
-    big = o[..., :4].real
-    root = abs(big.max(axis=-1)) ** 0.5
-    pick = (big.argmax(axis=-1)[..., None] == _FOUR) / (root + (root == 0.0))[..., None]
-    w = (pick[..., None, :] @ o[..., 4:20].reshape(*lead, 4, 4))[..., 0, :]
-    w00, w01, w10, w11 = w.transpose(-1, *range(w.ndim - 1))
-    g40, g41, g43, g44, m0, m1, m2, m4 = o[..., 20:].transpose(-1, *range(o.ndim - 1))
+    w00, w01, w10, w11 = w
+    g40, g41, _, g43, g44 = row
+    m0, m1, m2, _, m4 = source
     half = 0.5 * (w00 + w11)
     t00 = half + np.sqrt((0.5 * (w00 - w11)) ** 2 + w01 * w10)
     t11 = 2.0 * half - t00
@@ -308,7 +252,8 @@ def zero_order_resolvent(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndar
     row, over the pole |det W|^2, and x0 = M^-1 z. Returns x0 (..., nl, 5)
     and the mask of regular cells. The one singularity rule: a cell is
     regular when max|lambda0 - d| < COND_LIMIT * min|lambda0 - d| over the
-    exact spectrum d of T0; singular cells hold zeros.
+    exact spectrum d of T0 (formed as max / COND_LIMIT < min, which cannot
+    overflow at any finite lambda0); singular cells hold zeros.
     """
     lam = np.asarray(lambda0s, dtype=float)
     # a lone lambda0 is taken off its axis: at a point of shape () every cell
@@ -321,7 +266,7 @@ def zero_order_resolvent(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndar
     g0, g1, g4, gp = lam - d0, lam - d1, lam - d4, lam - dp
     dist = np.array([abs(g0), abs(g1), abs(g4), abs(gp)])
     # 1/gap in regular cells and 0 in the others, where a gap may vanish
-    keep = _ONE * (dist.max(axis=0) < COND_LIMIT * dist.min(axis=0))
+    keep = _ONE * (dist.max(axis=0) / COND_LIMIT < dist.min(axis=0))
     i0, i1, i4, ip = (keep / (g + (g == 0.0)) for g in (g0, g1, g4, gp))
     y00 = c00 * i0
     y01 = (c01 + f01 * y00) * ip
@@ -339,31 +284,44 @@ def zero_order_resolvent(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndar
 def solve_zero_order(t0: np.ndarray, b_vec: np.ndarray, lambda0: float) -> ZeroOrderSolution:
     """Solve (lambda0 I - T0) x0 = B for the sender zero-order vector: a batch of one.
 
-    Raises ValidationError unless T0 (5x5) and B (5) have the chain's form:
-    G[:4, 4] of G = M T0 M^-1 (see _moment_maps) at most BLOCK_TOL times the
-    larger of max|T0| and max|B| (T0's entries are differences of the
+    The blocks are read out of G = M T0 M^-1 and M B: W, up to a phase, off
+    the one-body block, from the row of its largest entry |W_ab|^2 (entry
+    (X_bj, X_al) of G is conj(W_ab) W_lj). Raises ValidationError unless T0
+    (5x5) and B (5) have the chain's form: G[:4, 4] at most BLOCK_TOL times
+    the larger of max|T0| and max|B| (T0's entries are differences of the
     table's, which max|B| bounds where they cancel), and the closed form's
     backward error |(lambda0 I - T0) x0 - B| / (|lambda0 I - T0| |x0| + |B|)
     at most BLOCK_TOL, which fails where the one-body block is not
-    X -> W^H X W. Raises SingularInputError where zero_order_resolvent finds
-    the cell singular (lambda0 on or numerically near the spectrum of T0).
+    X -> W^H X W; the 2-norms are taken by hypot, and the Frobenius norm of
+    lambda0 I - T0 over its largest entry, so no entry is squared and none
+    overflows at any finite lambda0. Raises SingularInputError
+    where zero_order_resolvent finds the cell singular (lambda0 on or
+    numerically near the spectrum of T0).
     """
     t0 = np.asarray(t0, dtype=complex)
     b_vec = np.asarray(b_vec, dtype=complex)
     if t0.shape != (5, 5) or b_vec.shape != (5,):
         raise ValidationError(f"expected a 5x5 zero-order map and a 5-vector, got shapes "
                               f"{t0.shape} and {b_vec.shape}")
-    moments, inverse, _ = _moment_maps()
-    scale = max(np.abs(t0).max(), np.abs(b_vec).max())
-    if np.abs(moments[:4] @ t0 @ inverse[:, 4]).max() > BLOCK_TOL * scale:
+    g = MOMENTS @ t0 @ MOMENTS_INVERSE
+    if np.abs(g[:4, 4]).max() > BLOCK_TOL * max(np.abs(t0).max(), np.abs(b_vec).max()):
         raise ValidationError("map lacks the block-triangular form of a chain's zero-order map")
-    (x0,), (regular,) = zero_order_resolvent(zero_order_spectrum(t0, b_vec), [lambda0])
+    at = {ij: z for z, ij in enumerate(ONE_BODY)}  # the moment holding X_ij
+    entries = ((0, 0), (0, 1), (1, 0), (1, 1))
+    power = [g[at[b, b], at[a, a]].real for a, b in entries]  # |W_ab|^2, which can round below 0
+    a, b = entries[int(np.argmax(power))]
+    root = np.sqrt(max(power)) if max(power) > 0.0 else 1.0
+    w = [g[at[b, j], at[a, l]] / root for l, j in entries]
+    (x0,), (regular,) = zero_order_resolvent(zero_order_spectrum(w, g[4], MOMENTS @ b_vec),
+                                             [lambda0])
     if not regular:
         raise SingularInputError(
             f"lambda0 = {lambda0} is too close to the spectrum of the zero-order map")
     shifted = lambda0 * np.eye(5) - t0
     residual = float(np.linalg.norm(shifted @ x0 - b_vec))
-    size = np.linalg.norm(shifted) * np.linalg.norm(x0) + np.linalg.norm(b_vec)
+    big = np.abs(shifted).max()  # > 0: where lambda0 I = T0 the cell is singular
+    size = (np.hypot.reduce(np.abs(shifted).ravel() / big) * (big * np.hypot.reduce(np.abs(x0)))
+            + np.hypot.reduce(np.abs(b_vec)))
     if residual > BLOCK_TOL * size:
         raise ValidationError("map lacks the one-body form of a chain's zero-order map")
     return ZeroOrderSolution(lambda0=float(lambda0), x0=x0, residual=residual)

@@ -5,6 +5,7 @@ single-quantum vector scaled by c1 >= 0, and a double-quantum weight
 c2 >= 0. Positivity of the assembled matrix bounds (c1, c2); the region is
 summarized by the two semi-axes S1 = c1_max * lambda1, S2 = c2_max * lambda2
 and their product, all from one batched kernel: region_points at (t, b),
+which reads the blocks of the transfer matrix (two_qubit.transfer_blocks),
 region_cells at lambda0 and the case mask case_metrics.
 """
 
@@ -16,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
-from .solvers import first_order_eig, zero_order_resolvent, zero_order_spectrum, zero_order_system
-from .two_qubit import alpha_entries
+from .solvers import first_order_eig, zero_order_resolvent, zero_order_spectrum
+from .two_qubit import transfer_blocks
 
 __all__ = [
     "SenderTemplate",
@@ -143,9 +144,9 @@ class RegionReport:
 @dataclass(frozen=True, eq=False)
 class RegionPoints:
     """(t, b) stage over the broadcast shape of t and b: first_order_eig of the
-    single-quantum map, the double-quantum coefficient lambda2 (complex, real up
-    to rounding) and the zero-order coefficients, whose closed-form spectrum
-    (zero_order_spectrum) is formed on use."""
+    single-quantum blocks, the double-quantum coefficient lambda2 (complex,
+    real up to rounding) and the zero-order blocks (W, G[4], M B), whose
+    closed-form spectrum (zero_order_spectrum) is formed on use."""
 
     eigenvalues: np.ndarray
     selected: np.ndarray
@@ -153,18 +154,19 @@ class RegionPoints:
     x1: np.ndarray
     real: np.ndarray
     lambda2: np.ndarray
-    zero: np.ndarray
+    zero_blocks: tuple
 
     @cached_property
     def spectrum(self) -> tuple:
-        return zero_order_spectrum(*zero_order_system(self.zero))
+        return zero_order_spectrum(*self.zero_blocks)
 
 
 def region_points(spec: ChainSpec, t, b, realness_tol: float = 1e-8) -> RegionPoints:
-    """The (t, b) stage at scalars or broadcasting arrays t and b (b unchecked)."""
-    first, zero, second = alpha_entries(*amplitude_grids(mode_basis(spec.n_sites), t), b,
-                                        spec.n_sites)
-    return RegionPoints(*first_order_eig(first, realness_tol), lambda2=second, zero=zero)
+    """The (t, b) stage at scalars or broadcasting arrays t and b (b unchecked),
+    straight from the blocks of mqtransfer.two_qubit.transfer_blocks."""
+    first, zero, second = transfer_blocks(*amplitude_grids(mode_basis(spec.n_sites), t), b,
+                                          spec.n_sites)
+    return RegionPoints(*first_order_eig(*first, realness_tol), lambda2=second, zero_blocks=zero)
 
 
 def region_cells(points: RegionPoints, lambda0s) -> tuple:

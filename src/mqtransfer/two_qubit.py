@@ -5,7 +5,12 @@ coherence orders: each receiver element of order n is a combination of the
 sender elements of the same order, with coefficients built from the four
 sender-to-receiver transition amplitudes and the background inverse
 temperature b. Basis order is |00>, |01>, |10>, |11> with sender sites
-(1, 2) and receiver sites (N-1, N).
+(1, 2) and receiver sites (N-1, N). The map is written once, in
+transfer_blocks, as closed-form blocks of the 2x2 transfer matrix
+W = [[p, q], [r, s]] of those amplitudes: the single-quantum map in the
+constant basis BLOCK_BASIS and the zero-order map in the moments MOMENTS.
+The region kernel and the solvers read the blocks; alpha_entries assembles
+the coefficient table from them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import AmplitudeSet, ChainSpec, check_inverse_temperature
+from .chain import AmplitudeSet, ChainSpec, check_inverse_temperature, thermal_weights
 from .errors import ValidationError
 
 __all__ = [
@@ -23,9 +28,14 @@ __all__ = [
     "ZERO_ROWS",
     "ZERO_COLS",
     "FIRST_LABELS",
+    "ONE_BODY",
+    "BLOCK_BASIS",
+    "MOMENTS",
+    "MOMENTS_INVERSE",
     "CoherenceBlocks",
     "AlphaTable",
     "decompose_blocks",
+    "transfer_blocks",
     "alpha_entries",
     "alpha_table",
     "receiver_from_sender",
@@ -46,6 +56,25 @@ ZERO_COLS = ("11", "22", "33", "44", "23", "32")
 FIRST_LABELS = ("12", "13", "24", "34")
 
 _IDX = {"1": 0, "2": 1, "3": 2, "4": 3}
+
+# Rows u0, u3, u1, u2 over FIRST_LABELS, with u0 = (13 + 24), u1 = (13 - 24),
+# u2 = (12 + 34) and u3 = (12 - 34), each over sqrt(2): U of the block form
+# G = U F U^T = [[A, C], [0, Q]] of the single-quantum map (transfer_blocks)
+BLOCK_BASIS = np.sqrt(0.5) * np.array([[0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [1, 0, 0, 1]])
+# z = MOMENTS x takes the zero-order sender vector x = (rho11, rho22, rho33,
+# rho23, rho32) to its moments: the one-body matrix X, with z0 = X00 and
+# z1 = X11 the occupations less one (-rho11 - rho22, -rho11 - rho33),
+# z2 = X01 = rho23 and z3 = X10 = rho32, and z4 = -rho11 - rho22 - rho33,
+# rho44 less one
+MOMENTS = np.array([[-1, -1, 0, 0, 0], [-1, 0, -1, 0, 0], [0, 0, 0, 1, 0],
+                    [0, 0, 0, 0, 1], [-1, -1, -1, 0, 0]], dtype=float)
+MOMENTS_INVERSE = np.array([[-1, -1, 0, 0, 1], [0, 1, 0, 0, -1], [1, 0, 0, 0, -1],
+                            [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], dtype=float)
+BLOCK_BASIS.setflags(write=False)
+MOMENTS.setflags(write=False)
+MOMENTS_INVERSE.setflags(write=False)
+# the entry X_ij of the one-body matrix held by z0..z3
+ONE_BODY = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12,
@@ -102,15 +131,56 @@ def decompose_blocks(rho: np.ndarray) -> CoherenceBlocks:
     return CoherenceBlocks(blocks=blocks)
 
 
-def _thermal_factors(b, n_sites: int) -> tuple:
-    """exp(b) and the background factors k1..k4 of the coefficient table."""
-    E = np.exp(b)
-    k1 = 1.0 / (1.0 + E)
-    k2 = 1.0 / (2.0 * (1.0 + np.cosh(b)))
-    th = np.tanh(b / 2.0) ** (n_sites - 3)
-    k3 = (-1) ** n_sites * np.exp(-b / 2.0) * th / (2.0 * np.cosh(b / 2.0))
-    k4 = (-1) ** n_sites * np.exp(b / 2.0) * th / (2.0 * np.cosh(b / 2.0))
-    return E, k1, k2, k3, k4
+def transfer_blocks(p, q, r, s, b, n_sites: int) -> tuple:
+    """The map as blocks of the transfer matrix W = [[p, q], [r, s]], stacked as (first, zero, second).
+
+    p, q, r, s and b broadcast as in alpha_entries, and every entry below is
+    over the broadcast axes; a 2x2 block is given as its entries (00, 01,
+    10, 11). With d = det W, tau = tanh(b/2), theta = (-1)^N tau^(N-3) and
+    the background weights n = 1 / (1 + e^-b) and k = e^-b n, all finite at
+    every b >= 0:
+
+    - first = (theta, tau, A, C, Q): in BLOCK_BASIS the single-quantum map is
+      G = U F U^T = theta [[tau A, C], [0, tau Q]], with the blocks of W alone
+      A = d conj([[s, q], [r, p]]), C = -[[conj(s) d - p, conj(q) d + r],
+      [conj(r) d + q, conj(p) d - s]] and Q = [[p, -r], [-q, s]];
+    - zero = (W, G[4], M B): in the moments z = M x (MOMENTS) the zero-order
+      map G = M T0 M^-1 has G[:4, :4] = X -> W^H X W, with entry
+      (X_ij, X_kl) = conj(W_ki) W_lj over ONE_BODY, and G[:4, 4] = 0; W is
+      (p, q, r, s), the z4 row is G[4] = (-k (|d|^2 - |p|^2 - |q|^2),
+      -k (|d|^2 - |r|^2 - |s|^2), -k (p conj(r) + q conj(s)), its conjugate,
+      |d|^2) and the inhomogeneity is M B = (n (|p|^2 + |r|^2 - 1),
+      n (|q|^2 + |s|^2 - 1), -n (p conj(q) + r conj(s)), its conjugate,
+      n^2 (|d|^2 - 1) + n k (|p|^2 + |q|^2 + |r|^2 + |s|^2 - 2));
+    - second = d, the double-quantum coefficient.
+
+    At the chain's amplitudes they reproduce the hand-expanded coefficient
+    table of tests/reference.py; there p = s, so Q = adj(W)^T.
+    """
+    if np.ndim(b):
+        # entries that depend on the amplitudes only must carry the axes of b too
+        p, q, r, s, b = np.broadcast_arrays(p, q, r, s, b)
+    n, k = thermal_weights(b)
+    tau = np.tanh(0.5 * b)
+    theta = (-1) ** n_sites * tau ** (n_sites - 3)
+    cp, cq, cr, cs = np.conj(p), np.conj(q), np.conj(r), np.conj(s)
+    d = p * s - q * r
+    first = (theta, tau, (d * cs, d * cq, d * cr, d * cp),
+             (p - cs * d, -(cq * d + r), -(cr * d + q), s - cp * d), (p, -r, -q, s))
+    ap, aq, ar, as_, ad = (abs(x) ** 2 for x in (p, q, r, s, d))
+    g42 = -k * (p * cr + q * cs)
+    m2 = -n * (p * cq + r * cs)
+    zero = ((p, q, r, s),
+            (-k * (ad - ap - aq), -k * (ad - ar - as_), g42, np.conj(g42), ad),
+            (n * (ap + ar - 1.0), n * (aq + as_ - 1.0), m2, np.conj(m2),
+             n * (n * (ad - 1.0) + k * (ap + aq + ar + as_ - 2.0))))
+    return first, zero, d
+
+
+def _stacked(rows: list) -> np.ndarray:
+    """Nested lists of entries over axes (...) as one array (..., rows, columns)."""
+    a = np.array(rows, dtype=complex)
+    return a.transpose(*range(2, a.ndim), 0, 1)
 
 
 def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
@@ -121,77 +191,22 @@ def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
     the broadcast axes lead the results. first is (..., 4, 4) with rows
     and columns FIRST_LABELS, zero is (..., 5, 6) with rows ZERO_ROWS and
     columns ZERO_COLS, and second is the double-quantum coefficient (...).
+    All are assembled from transfer_blocks: first = U^T G U, T0 = M^-1 G M
+    and B = M^-1 (M B), and zero is [T0[:, :3] + B | B | T0[:, 3:]].
     """
-    if np.ndim(b):
-        # entries that depend on the amplitudes only must carry the axes of b too
-        p, q, r, s, b = np.broadcast_arrays(p, q, r, s, b)
-    E, k1, k2, k3, k4 = _thermal_factors(b, n_sites)
-    w = q * r - p * s
-    cj = np.conj
-    ap, aq, ar, as_ = abs(p) ** 2, abs(q) ** 2, abs(r) ** 2, abs(s) ** 2
-
-    r11 = [
-        k1**2 * (E**2 + E * (ap + aq + ar + as_) + abs(w) ** 2),
-        k2 * (-(E + aq) * (ar - 1) + (-E * s + q * r * cj(p)) * cj(s)
-              + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_))),
-        k2 * (E + ar + as_ - p * (cj(p) * (E + as_) - s * cj(q) * cj(r))
-              - q * (E * cj(q) + r * (cj(q) * cj(r) - cj(p) * cj(s)))),
-        k2 * E * ((aq - 1) * (ar - 1) - (s + q * r * cj(p)) * cj(s)
-                  + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r))),
-        k1 * E * (p * cj(r) + q * cj(s)),
-    ]
-    r22 = [
-        k1**2 * (-(aq - 1) * (E + ar) + (q * r * cj(p) - E * s) * cj(s)
-                 + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_))),
-        k1**2 * (E * (aq - 1) * (ar - 1) + E * (E * s - q * r * cj(p)) * cj(s)
-                 + p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r))),
-        k1**2 * (E + ar + E * (aq * (E + ar) - (s + q * r * cj(p)) * cj(s)
-                               + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
-        k1**2 * E * (-(1 + E * aq) * (ar - 1) + E * (s + q * r * cj(p)) * cj(s)
-                     - p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r))),
-        k1 * (p * cj(r) - E * q * cj(s)),
-    ]
-    r33 = [
-        k1**2 * (E + aq + as_ - r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
-                 - p * (cj(p) * (E + as_) - s * cj(q) * cj(r))),
-        k1**2 * (E + aq + E * (-as_ + r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
-                               + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
-        k1**2 * (as_ + E * ((aq - 1) * (ar - 1) - q * r * cj(p) * cj(s))
-                 + E * p * (cj(p) * (E + as_) - s * cj(q) * cj(r))),
-        -k2 * (aq + as_ - 1 + E * (r * ((aq - 1) * cj(r) - q * cj(p) * cj(s))
-                                   + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
-        k1 * (q * cj(s) - E * p * cj(r)),
-    ]
-    # the 32 column of the population rows is the conjugate of the 23 column
-    for row in (r11, r22, r33):
-        row.append(cj(row[4]))
-    r23 = [
-        k1 * (p * cj(q) + r * cj(s)),
-        k1 * (p * cj(q) - E * r * cj(s)),
-        k1 * (r * cj(s) - E * p * cj(q)),
-        -k1 * E * (p * cj(q) + r * cj(s)),
-        p * cj(s),
-        r * cj(q),
-    ]
-    # row 32 is row 23 conjugated, with the 23 and 32 columns swapped
-    r32 = [cj(r23[k]) for k in (0, 1, 2, 3, 5, 4)]
-
-    first = [
-        [k3 * (E * s + w * cj(p)), -k3 * (E * q - w * cj(r)),
-         k4 * (q - w * cj(r)), k4 * (s + w * cj(p))],
-        [-k3 * (p * s * cj(q) + r * (E - aq)), k3 * (q * r * cj(s) + p * (E - as_)),
-         k4 * (p * (as_ - 1) - q * r * cj(s)), k4 * (r * (aq - 1) - p * s * cj(q))],
-        [k3 * (r * (aq - 1) - p * s * cj(q)), k3 * (q * r * cj(s) + p * (1 - as_)),
-         -k3 * (p + E * w * cj(s)), -k3 * (r - E * w * cj(q))],
-        [-k3 * (s + w * cj(p)), k3 * (q - w * cj(r)),
-         k3 * (E * w * cj(r) - q), -k3 * (E * w * cj(p) + s)],
-    ]
-
-    def stacked(rows: list) -> np.ndarray:
-        a = np.array(rows, dtype=complex)
-        return a.transpose(*range(2, a.ndim), 0, 1)
-
-    return stacked(first), stacked([r11, r22, r33, r23, r32]), p * s - q * r
+    first, (w, row, source), second = transfer_blocks(p, q, r, s, b, n_sites)
+    theta, tau, a, c, q_block = first
+    nil = np.zeros(np.shape(second))
+    ta, tq = [tau * x for x in a], [tau * x for x in q_block]
+    g = _stacked([[ta[0], ta[1], c[0], c[1]], [ta[2], ta[3], c[2], c[3]],
+                  [nil, nil, tq[0], tq[1]], [nil, nil, tq[2], tq[3]]])
+    first = np.asarray(theta)[..., None, None] * (BLOCK_BASIS.T @ g @ BLOCK_BASIS)
+    wm = (w[:2], w[2:])
+    one_body = [[np.conj(wm[k][i]) * wm[l][j] for k, l in ONE_BODY] + [nil] for i, j in ONE_BODY]
+    t0 = MOMENTS_INVERSE @ _stacked(one_body + [list(row)]) @ MOMENTS
+    b_vec = np.stack(source, axis=-1) @ MOMENTS_INVERSE.T
+    zero = np.concatenate([t0[..., :3] + b_vec[..., None], b_vec[..., None], t0[..., 3:]], axis=-1)
+    return first, zero, second
 
 
 @dataclass(frozen=True)

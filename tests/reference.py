@@ -5,6 +5,11 @@ way, one point at a time. It shares with the kernel in mqtransfer.states and
 mqtransfer.solvers only the coefficient table, the 5x5 zero-order system
 built from it and the tolerances PSD_TOL and COND_LIMIT:
 
+- the coefficient table as the hand-expanded algebra of the map, one
+  expression per coefficient (expanded_entries), which certifies the
+  assembly of mqtransfer.two_qubit.alpha_entries from the blocks of the
+  transfer matrix; it overflows for b above about 354 (e^b squared), so it
+  serves b <= 30;
 - the sender layout as dense 4x4 matrices (base_matrix, first_order_direction,
   SECOND_DIRECTION);
 - creatable intervals by bracketing and bisection on the smallest eigenvalue
@@ -42,6 +47,98 @@ def first_order_direction(x1: np.ndarray) -> np.ndarray:
     v = np.zeros((4, 4), dtype=complex)
     v[0, 1], v[0, 2], v[1, 3], v[2, 3] = np.asarray(x1, dtype=complex)
     return v + v.conj().T
+
+
+def _thermal_factors(b, n_sites: int) -> tuple:
+    """exp(b) and the background factors k1..k4 of the coefficient table."""
+    E = np.exp(b)
+    k1 = 1.0 / (1.0 + E)
+    k2 = 1.0 / (2.0 * (1.0 + np.cosh(b)))
+    th = np.tanh(b / 2.0) ** (n_sites - 3)
+    k3 = (-1) ** n_sites * np.exp(-b / 2.0) * th / (2.0 * np.cosh(b / 2.0))
+    k4 = (-1) ** n_sites * np.exp(b / 2.0) * th / (2.0 * np.cosh(b / 2.0))
+    return E, k1, k2, k3, k4
+
+
+def expanded_entries(p, q, r, s, b, n_sites: int) -> tuple:
+    """All map coefficients, stacked as (first, zero, second), from the expanded table.
+
+    p, q, r, s are f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N}: scalars or arrays
+    of one shape, and b a scalar or an array that broadcasts against them;
+    the broadcast axes lead the results. first is (..., 4, 4) with rows
+    and columns FIRST_LABELS, zero is (..., 5, 6) with rows ZERO_ROWS and
+    columns ZERO_COLS, and second is the double-quantum coefficient (...).
+    """
+    if np.ndim(b):
+        # entries that depend on the amplitudes only must carry the axes of b too
+        p, q, r, s, b = np.broadcast_arrays(p, q, r, s, b)
+    E, k1, k2, k3, k4 = _thermal_factors(b, n_sites)
+    w = q * r - p * s
+    cj = np.conj
+    ap, aq, ar, as_ = abs(p) ** 2, abs(q) ** 2, abs(r) ** 2, abs(s) ** 2
+
+    r11 = [
+        k1**2 * (E**2 + E * (ap + aq + ar + as_) + abs(w) ** 2),
+        k2 * (-(E + aq) * (ar - 1) + (-E * s + q * r * cj(p)) * cj(s)
+              + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_))),
+        k2 * (E + ar + as_ - p * (cj(p) * (E + as_) - s * cj(q) * cj(r))
+              - q * (E * cj(q) + r * (cj(q) * cj(r) - cj(p) * cj(s)))),
+        k2 * E * ((aq - 1) * (ar - 1) - (s + q * r * cj(p)) * cj(s)
+                  + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r))),
+        k1 * E * (p * cj(r) + q * cj(s)),
+    ]
+    r22 = [
+        k1**2 * (-(aq - 1) * (E + ar) + (q * r * cj(p) - E * s) * cj(s)
+                 + p * (s * cj(q) * cj(r) + cj(p) * (1 - as_))),
+        k1**2 * (E * (aq - 1) * (ar - 1) + E * (E * s - q * r * cj(p)) * cj(s)
+                 + p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r))),
+        k1**2 * (E + ar + E * (aq * (E + ar) - (s + q * r * cj(p)) * cj(s)
+                               + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
+        k1**2 * E * (-(1 + E * aq) * (ar - 1) + E * (s + q * r * cj(p)) * cj(s)
+                     - p * (cj(p) * (1 + E * as_) - E * s * cj(q) * cj(r))),
+        k1 * (p * cj(r) - E * q * cj(s)),
+    ]
+    r33 = [
+        k1**2 * (E + aq + as_ - r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
+                 - p * (cj(p) * (E + as_) - s * cj(q) * cj(r))),
+        k1**2 * (E + aq + E * (-as_ + r * ((E + aq) * cj(r) - q * cj(p) * cj(s))
+                               + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
+        k1**2 * (as_ + E * ((aq - 1) * (ar - 1) - q * r * cj(p) * cj(s))
+                 + E * p * (cj(p) * (E + as_) - s * cj(q) * cj(r))),
+        -k2 * (aq + as_ - 1 + E * (r * ((aq - 1) * cj(r) - q * cj(p) * cj(s))
+                                   + p * (cj(p) * (as_ - 1) - s * cj(q) * cj(r)))),
+        k1 * (q * cj(s) - E * p * cj(r)),
+    ]
+    # the 32 column of the population rows is the conjugate of the 23 column
+    for row in (r11, r22, r33):
+        row.append(cj(row[4]))
+    r23 = [
+        k1 * (p * cj(q) + r * cj(s)),
+        k1 * (p * cj(q) - E * r * cj(s)),
+        k1 * (r * cj(s) - E * p * cj(q)),
+        -k1 * E * (p * cj(q) + r * cj(s)),
+        p * cj(s),
+        r * cj(q),
+    ]
+    # row 32 is row 23 conjugated, with the 23 and 32 columns swapped
+    r32 = [cj(r23[k]) for k in (0, 1, 2, 3, 5, 4)]
+
+    first = [
+        [k3 * (E * s + w * cj(p)), -k3 * (E * q - w * cj(r)),
+         k4 * (q - w * cj(r)), k4 * (s + w * cj(p))],
+        [-k3 * (p * s * cj(q) + r * (E - aq)), k3 * (q * r * cj(s) + p * (E - as_)),
+         k4 * (p * (as_ - 1) - q * r * cj(s)), k4 * (r * (aq - 1) - p * s * cj(q))],
+        [k3 * (r * (aq - 1) - p * s * cj(q)), k3 * (q * r * cj(s) + p * (1 - as_)),
+         -k3 * (p + E * w * cj(s)), -k3 * (r - E * w * cj(q))],
+        [-k3 * (s + w * cj(p)), k3 * (q - w * cj(r)),
+         k3 * (E * w * cj(r) - q), -k3 * (E * w * cj(p) + s)],
+    ]
+
+    def stacked(rows: list) -> np.ndarray:
+        a = np.array(rows, dtype=complex)
+        return a.transpose(*range(2, a.ndim), 0, 1)
+
+    return stacked(first), stacked([r11, r22, r33, r23, r32]), p * s - q * r
 
 
 SECOND_DIRECTION = np.zeros((4, 4), dtype=complex)

@@ -87,6 +87,36 @@ def test_solve_json(capsys):
     assert doc["data"]["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "6", "--t", "5", "--b", "700", "--lambda0", "1"],
+    ["solve", "--n", "6", "--t", "5", "--b", "1e308", "--lambda0", "1"],
+    ["solve", "--n", "6", "--t", "5", "--b", "2", "--lambda0", "1e300"],
+    ["solve", "--n", "6", "--t", "5", "--b", "2", "--lambda0=-1e300"],
+    ["solve", "--n", "6", "--t", "5", "--b", "2", "--lambda0", "1.7e308"],
+    ["one-qubit", "--n", "5", "--t", "6", "--b", "1500", "--a1sq", "0.4"],
+], ids=["b700", "b1e308", "lambda0+1e300", "lambda0-1e300", "lambda0+1.7e308",
+         "one-qubit-b1500"])
+def test_extreme_finite_inputs_print_no_warning(capsys, argv):
+    # every finite b >= 0 and lambda0 is accepted, so each must give finite
+    # numbers: the thermal factors are formed from e^-b, the singularity rule
+    # and the backward-error scale square no large entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and not captured.err
+
+    def numbers(node):
+        if isinstance(node, dict):
+            return [x for v in node.values() for x in numbers(v)]
+        if isinstance(node, list):
+            return [x for v in node for x in numbers(v)]
+        return [node] if isinstance(node, float) else []
+
+    values = numbers(json.loads(captured.out)["data"])
+    assert values and all(np.isfinite(values))
+
+
 def test_solve_on_subnormal_map_prints_no_warning(capsys):
     # max|F| is subnormal at N = 4, t = 0, b = 1.5e-305
     with warnings.catch_warnings():

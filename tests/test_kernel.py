@@ -28,9 +28,10 @@ def chain_points(draw, count=1):
 lambda0s = st.floats(0.5, 2.0)
 
 
-def _forward_error_scale(points, lambda0) -> float:
-    """eps times the condition number of lambda0 I - T0 at one point, from the dense matrix."""
-    t0, _ = zero_order_system(points.zero)
+def _forward_error_scale(spec, t, b, lambda0) -> float:
+    """eps times the condition number of lambda0 I - T0 at one point, from the dense
+    matrix of the point's table."""
+    t0, _ = zero_order_system(alpha_table(amplitude_set(mode_basis(spec.n_sites), t), b, spec))
     return EPS * np.linalg.cond(lambda0 * np.eye(5) - t0)
 
 
@@ -51,7 +52,7 @@ def test_point_is_a_cell_of_a_batch(sample, l0s, i, j):
     assert one.lambda1 == pytest.approx(points.lambda1[i], rel=1e-12, abs=1e-14)
     assert one.lambda2 == pytest.approx(points.lambda2[i], rel=1e-12, abs=1e-14)
     assert one_cells[1][0] == cells[1][i, j]
-    tol = 64 * _forward_error_scale(one, l0s[j])
+    tol = 64 * _forward_error_scale(spec, ts[i], bs[i], l0s[j])
     for case in (1, 2, 3, 4):
         feasible, s1, s2 = case_metrics(points, cells, case)
         one_feasible, one_s1, one_s2 = case_metrics(one, one_cells, case)

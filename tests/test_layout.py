@@ -66,3 +66,20 @@ def test_no_dense_eig_or_solve_on_the_optimizer_path():
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracle.py"]
     offenders = [hit for path in modules for hit in _lapack_solves(path)]
     assert not offenders, offenders
+
+
+def test_no_module_but_two_qubit_references_alpha_entries():
+    # the region kernel and the solvers read the blocks of the transfer matrix
+    # (two_qubit.transfer_blocks); the table assembled from them is for the
+    # public table API, and no second path reads the map back out of it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "two_qubit.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "alpha_entries"]
+    assert not found, found

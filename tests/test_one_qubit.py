@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,24 @@ def test_receiver_low_temperature_population():
     t_max, f2 = endpoint_power_max(basis, 0.0, 15.0)
     rho = receiver_state_1q(Qubit1State.pure(1.0), t_max, 40.0, spec)
     assert rho[1, 1].real == pytest.approx(f2, abs=1e-12)
+
+
+@pytest.mark.parametrize("b", [1500.0, 1e308])
+def test_receiver_tends_to_zero_temperature_limit(b):
+    # b -> infinity: an empty background, rho11 = 1 - |a1|^2 |f|^2 and the
+    # coherence (-1)^(N-1) a0 a1* conj(f); finite at every b, warnings as errors
+    spec, t = ChainSpec(5), 6.0
+    state = Qubit1State.pure(0.4, phase=0.7)
+    f = endpoint_amplitude(mode_basis(5), t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = receiver_state_1q(state, t, b, spec)
+        variants = (lambda0_variant_a(state, t, b, spec), lambda0_variant_b(state, t, b, spec),
+                    state_independent_target(b), perfect_zero_a1(t, b, spec))
+    assert rho[0, 0].real == pytest.approx(1.0 - 0.4 * abs(f) ** 2, abs=1e-15)
+    assert rho[0, 1] == pytest.approx(state.phase_prod * np.conj(f), abs=1e-15)
+    assert variants == pytest.approx(((1.0 - 0.4 * abs(f) ** 2) / 0.6, abs(f) ** 2, 1.0, 0.0),
+                                     abs=1e-15)
 
 
 def test_receiver_against_oracle(rng):

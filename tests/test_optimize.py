@@ -376,8 +376,9 @@ def test_scan_matches_region_metrics():
 
 
 def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
-    points = region_points(ChainSpec(6), 8.5153, 10.0)
-    t0, _ = zero_order_system(points.zero)
+    spec = ChainSpec(6)
+    points = region_points(spec, 8.5153, 10.0)
+    t0, _ = zero_order_system(alpha_table(amplitude_set(mode_basis(6), 8.5153), 10.0, spec))
     ev = np.linalg.eigvals(t0)
     on_spectrum = float(ev[np.abs(ev.imag) < 1e-12][0].real)
     l0s = np.array([on_spectrum, on_spectrum + 0.05, 1.0837])

@@ -54,6 +54,10 @@ def test_lambda2_landmark_n6():
 def test_first_order_zero_at_infinite_temperature():
     table = _table(6, 5.3, 0.0)
     assert np.max(np.abs(table.first)) == 0.0
+    # every vector is an eigenvector of the zero map: the kernel reports e12
+    points = region_points(ChainSpec(6), np.array([0.0, 5.3, 9.1]), 0.0)
+    assert np.all(points.eigenvalues == 0.0) and points.real.all()
+    assert np.array_equal(points.x1, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
 
 
 def test_first_order_consistency_with_map(rng):

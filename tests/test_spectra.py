@@ -8,8 +8,11 @@ lower-triangular in the moments MOMENTS with the one-body block
 X -> W^H X W, the spectra of F and of T0 in terms of the eigenvalues w1, w2
 of W, and the uniform-scaling identity
 lambda1 - lambda2 = w_big (c - w_small) that case 4's closed-form curve rests
-on. The closed form is then checked against the numerical eigen-solver on the
-optimizer's scan grids.
+on. These properties are checked on the hand-expanded coefficient table of
+tests/reference.py, so they certify the paper's algebra and not the
+assembly from the blocks, which holds by construction. The closed form is
+then checked against the numerical eigen-solver on the optimizer's scan
+grids, with the blocks read out of the expanded table.
 """
 
 import warnings
@@ -24,8 +27,7 @@ from mqtransfer.chain import amplitude_grids
 from mqtransfer.optimize import _curve
 from mqtransfer.solvers import first_order_eig, zero_order_system
 from mqtransfer.states import region_points
-from mqtransfer.two_qubit import alpha_entries
-from reference import FIRST_BASIS, INVARIANT, QUOTIENT, select_first_order
+from reference import FIRST_BASIS, INVARIANT, QUOTIENT, expanded_entries, select_first_order
 
 # derandomized: every run draws the same examples
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -37,7 +39,7 @@ def _chain(n, t_frac, b):
     """At t = 2 N t_frac: W, the scale c = k3 (E - 1) = (-1)^N tanh(b/2)^(N-2), F,
     the largest prefactor |k4| = E |k3| of F's entries (floored at 1e-300) and T0."""
     p, q, r, s = amplitude_grids(mode_basis(n), 2.0 * n * t_frac)
-    first, zero, _ = alpha_entries(p, q, r, s, b, n)
+    first, zero, _ = expanded_entries(p, q, r, s, b, n)
     c = (-1) ** n * np.tanh(b / 2.0) ** (n - 2)
     k4 = np.exp(b / 2.0) * np.tanh(b / 2.0) ** (n - 3) / (2.0 * np.cosh(b / 2.0))
     return np.array([[p, q], [r, s]]), c, first, max(k4, 1e-300), zero_order_system(zero)[0]
@@ -157,7 +159,20 @@ def _scan_maps(n):
     t_lo, t_hi = first_window(ChainSpec(n))
     ts = np.arange(t_lo, t_hi + 1e-9, problem.t_step)
     bs = np.arange(problem.b_window[0], problem.b_window[1] + 1e-9, problem.b_step)
-    return alpha_entries(*amplitude_grids(mode_basis(n), ts), bs[:, None], n)[0]
+    return expanded_entries(*amplitude_grids(mode_basis(n), ts), bs[:, None], n)[0]
+
+
+def _blocks(maps):
+    """first_order_eig's arguments for maps F (k, 4, 4): theta = tau = 1 and the
+    blocks A, C and Q of U F U^T in the basis FIRST_BASIS, with rows and
+    columns INVARIANT (u0, u3) and QUOTIENT (u1, u2)."""
+    g = FIRST_BASIS @ maps @ FIRST_BASIS.T
+
+    def entries(rows, cols):
+        return tuple(g[:, i, j] for i in rows for j in cols)
+
+    return (1.0, 1.0, entries(INVARIANT, INVARIANT), entries(INVARIANT, QUOTIENT),
+            entries(QUOTIENT, QUOTIENT))
 
 
 @pytest.mark.parametrize("n", [6, 10, 42])
@@ -165,7 +180,7 @@ def test_closed_form_matches_eigen_reference_on_scan_grid(n):
     maps = _scan_maps(n).reshape(-1, 4, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ev, selected, lam1, x1, real = first_order_eig(maps)
+        ev, selected, lam1, x1, real = first_order_eig(*_blocks(maps))
     refs = [select_first_order(m) for m in maps]
     assert np.array_equal(real, [ref is not None for ref in refs])
     # the same eigenvalues, ordered by the same moduli; which of two equal
@@ -206,10 +221,10 @@ def test_closed_form_on_tiny_maps(b):
     # up to 4e-3 of the largest; the closed form reads them off the blocks
     n = 42
     p, q, r, s = amplitude_grids(mode_basis(n), np.linspace(21.0, 44.0, 47))
-    maps = alpha_entries(p, q, r, s, b, n)[0]
+    maps = expanded_entries(p, q, r, s, b, n)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ev, selected, _, x1, real = first_order_eig(maps)
+        ev, selected, _, x1, real = first_order_eig(*_blocks(maps))
     assert real.all()
     w = np.linalg.eigvals(np.stack([p, q, r, s], axis=-1).reshape(-1, 2, 2))
     w1, w2 = w[:, 0], w[:, 1]

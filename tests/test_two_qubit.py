@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mqtransfer import (
     ChainSpec,
@@ -12,12 +16,15 @@ from mqtransfer import (
     operator_coefficients,
     random_density,
     receiver_from_sender,
+    region_metrics,
     solve_zero_order,
     zero_order_system,
 )
+from mqtransfer.chain import amplitude_grids
 from mqtransfer.oracle import evolve_and_trace
 from mqtransfer.states import SenderTemplate, assemble_sender
-from mqtransfer.two_qubit import FIRST_LABELS, ZERO_COLS, ZERO_ROWS
+from mqtransfer.two_qubit import FIRST_LABELS, ZERO_COLS, ZERO_ROWS, alpha_entries
+from reference import expanded_entries
 
 
 def _table(n, t, b):
@@ -90,6 +97,47 @@ def test_table_conjugation_pairs(rng):
     for nm in ZERO_COLS:
         swapped = {"23": "32", "32": "23"}.get(nm, nm)
         assert table.coeff("32", nm) == pytest.approx(np.conj(table.coeff("23", swapped)), abs=1e-15)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.tuples(st.integers(4, 43), st.floats(0.0, 1.0), st.floats(0.0, 30.0)))
+@example((42, 0.55, 3.0))
+@example((6, 0.0, 0.0))
+def test_table_matches_expanded_reference(point):
+    # the table assembled from the blocks of W against the hand-expanded
+    # algebra, at t = 2 N t_frac: first to 1e-13 of its largest prefactor
+    # |k4| = e^(b/2) tanh(b/2)^(N-3) / (2 cosh(b/2)), zero to 1e-13
+    n, t_frac, b = point
+    amps = amplitude_grids(mode_basis(n), 2.0 * n * t_frac)
+    first, zero, second = alpha_entries(*amps, b, n)
+    ref_first, ref_zero, ref_second = expanded_entries(*amps, b, n)
+    k4 = np.exp(b / 2.0) * np.tanh(b / 2.0) ** (n - 3) / (2.0 * np.cosh(b / 2.0))
+    assert np.abs(first - ref_first).max() <= 1e-13 * k4
+    assert np.abs(zero - ref_zero).max() <= 1e-13
+    assert second == ref_second
+    # the conjugation pairs are exact: column 32 of the population rows, and
+    # row 32 against row 23 with the 23 and 32 columns swapped
+    assert np.array_equal(zero[:3, 5], np.conj(zero[:3, 4]))
+    assert np.array_equal(zero[4], np.conj(zero[3, [0, 1, 2, 3, 5, 4]]))
+
+
+@pytest.mark.parametrize("b", [354.0, 700.0, 1e308])
+def test_map_is_finite_at_large_b(b):
+    # written in e^-b, tanh(b/2) and n = 1 / (1 + e^-b), the map reaches its
+    # b -> infinity limit without overflow: at b = 60 it is there to 1e-26
+    spec = ChainSpec(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, limit = (_table(6, 5.3768, x) for x in (b, 60.0))
+        report, limit_report = (region_metrics(spec, 5.3768, x, 1.0837, 3) for x in (b, 60.0))
+    for got, want in ((table.first, limit.first), (table.zero, limit.zero),
+                      (table.second, limit.second)):
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got - want)) <= 1e-12
+    assert report.feasible and limit_report.feasible
+    for key in ("s1", "s2", "s12", "lambda1", "lambda2", "c1_max", "c2_max"):
+        assert getattr(report, key) == pytest.approx(getattr(limit_report, key), rel=1e-12)
+    assert np.max(np.abs(report.x0 - limit_report.x0)) <= 1e-12
+    assert np.max(np.abs(report.x1 - limit_report.x1)) <= 1e-12
 
 
 def test_every_coefficient_against_oracle():
