@@ -50,8 +50,6 @@ from .optimize import (
 )
 from .oracle import build_hamiltonian, evolve_and_trace, thermal_background
 from .solvers import (
-    FirstOrderSolution,
-    ZeroOrderSolution,
     gauge_fix,
     solve_first_order,
     solve_zero_order,

@@ -186,8 +186,14 @@ def cmd_map(args) -> int:
 def cmd_solve(args) -> int:
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
-    zero = solve_zero_order(*zero_order_system(table), args.lambda0_value)
     points = region_points(spec, args.t, args.b)
+    (x0,), (regular,) = solve_zero_order(points.spectrum, [args.lambda0_value])
+    if not regular:
+        raise SingularInputError(
+            f"lambda0 = {args.lambda0_value} is too close to the spectrum of the zero-order map")
+    # the backward check of the closed form, against the dense system of the table
+    t0, b_vec = zero_order_system(table)
+    residual = float(np.linalg.norm((args.lambda0_value * np.eye(5) - t0) @ x0 - b_vec))
     real = bool(points.real)
     payload = {
         "lambda2": _complex_pair(points.lambda2),
@@ -195,8 +201,8 @@ def cmd_solve(args) -> int:
         "lambda1_selected": points.lambda1.item() if real else None,
         "x1": [_complex_pair(z) for z in points.x1] if real else None,
         "lambda0": args.lambda0_value,
-        "x0": [_complex_pair(z) for z in zero.x0],
-        "residual": zero.residual,
+        "x0": [_complex_pair(z) for z in x0],
+        "residual": residual,
     }
     _emit_object(args, payload, _meta(args, "solve"))
     return 0

@@ -9,7 +9,10 @@ region evaluation; the landscape has kinks at positivity and
 eigenvalue-realness boundaries, so no derivatives are used. Case 4 samples
 the curve in closed form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small
 the smaller eigenvalue of the transfer matrix W, along the t grid, and
-refines its best points with one bracket search in t.
+refines its best points with one bracket search in t. Cases 2-4 need a real
+single-quantum factor, which mqtransfer.two_qubit.lambda1_real decides
+exactly and independently of b > 0; for odd N there is none, so those cases
+are infeasible there.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .chain import ChainSpec, amplitude_grids, mode_basis
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root
 from .states import case_metrics, region_cells, region_metrics, region_points
+from .two_qubit import lambda1_real, w_small
 
 __all__ = [
     "OptProblem",
@@ -57,7 +61,6 @@ class OptProblem:
     b_step: float = 0.25
     lambda0_step: float = 0.02
     refine_tol: float = 1e-4
-    realness_tol: float = 1e-8
     curve_min_lambda: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -103,27 +106,18 @@ class OptResult:
     x1: np.ndarray | None
 
 
-# phase-grid entries per chunk of the lambda2_landmark scan (4 MB of complex)
-_CHUNK = 1 << 18
-
-
 @lru_cache(maxsize=64)
-def lambda2_landmark(spec: ChainSpec, t_window: tuple[float, float] | None = None,
-                     step: float = 1e-3) -> tuple[float, float]:
-    """Location and signed value of the largest |double-quantum factor|.
+def lambda2_landmark(spec: ChainSpec) -> tuple[float, float]:
+    """Location and signed value of the largest |double-quantum factor| in [0.5 N, 1.5 N].
 
-    The default window is [0.5 N, 1.5 N], which brackets the first transfer
-    window where the factor peaks near t ~ N. The grid is scanned in chunks
-    of _CHUNK / N times, so that its phase grid stays near _CHUNK complex
-    numbers whatever N (one (1000 N) x N grid at N = 42 set the peak memory
-    of a whole table run). Results are cached per (spec, t_window, step).
+    The window brackets the first transfer window, where the factor peaks
+    near t ~ N. A scan at the optimizer's default t_step, 0.05, finds the
+    best grid time, and one bracket search over its two grid cells refines
+    it to 1e-8. Results are cached per spec.
     """
     n = spec.n_sites
-    lo, hi = t_window if t_window is not None else (0.5 * n, 1.5 * n)
-    ts = np.arange(lo, hi + step, step)
-    rows = max(1, _CHUNK // n)
-    i = int(np.argmax(np.concatenate([np.abs(_curve(n, ts[k:k + rows])[2])
-                                      for k in range(0, len(ts), rows)])))
+    ts = np.arange(0.5 * n, 1.5 * n + 1e-9, 0.05)
+    i = int(np.argmax(np.abs(_curve(n, ts)[2])))
     t_best, _ = bracket_max(lambda x: np.abs(_curve(n, x)[2]),
                             ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-8)
     t_best = float(t_best[0])
@@ -147,24 +141,18 @@ def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
 
 
 def _curve(n: int, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The curve value v(t), the mask D >= 0 and lambda2 = det W over ts (any shape).
+    """The curve value v(t), the mask of a real lambda1 at b > 0 and lambda2 = det W over ts.
 
-    With the phase ph = (-i)^(N-2), tau = tr W / ph and delta = det W / ph^2
-    are real, and W's eigenvalues are ph mu with mu^2 - tau mu + delta = 0.
-    Where D = tau^2 / 4 - delta >= 0 and N is even (ph = +-1) they are real,
-    lambda1 = c w_big with c = tanh(b/2)^(N-2) (see mqtransfer.solvers), and
-    lambda1 - lambda2 = w_big (c - w_small). So the curve is
-    tanh(b/2)^(N-2) = v = ph mu_small; past D = 0, v = ph tau / 2 continues
-    it. For odd N, ph is imaginary and v is NaN: no real pair, no curve.
+    Where lambda1 is real (mqtransfer.two_qubit.lambda1_real), N is even, W's
+    eigenvalues w_big and w_small are real, lambda1 = c w_big with
+    c = tanh(b/2)^(N-2) (see mqtransfer.solvers), and lambda1 - lambda2 =
+    w_big (c - w_small). So the curve is tanh(b/2)^(N-2) = v = w_small
+    (two_qubit.w_small, continued past the realness edge). For odd N, v is
+    NaN and the mask all False: no real pair, no curve.
     """
     p, q, r, s = amplitude_grids(mode_basis(n), ts)
-    ph = (-1j) ** (n - 2)
-    det = p * s - q * r
-    tau, delta = ((p + s) / ph).real, (det / ph ** 2).real
-    disc = 0.25 * tau ** 2 - delta
-    mu_small = 0.5 * tau - np.copysign(np.sqrt(np.maximum(disc, 0.0)), tau)
-    v = ph.real * mu_small if n % 2 == 0 else np.full_like(tau, np.nan)
-    return v, disc >= 0.0, det.real
+    trace, det = p + s, p * s - q * r
+    return w_small(trace, det, n), lambda1_real(trace, det, 1.0, n), det.real
 
 
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
@@ -186,7 +174,7 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
     s1 = np.zeros((len(ts), len(bs), len(l0s)))
     s2 = np.zeros_like(s1)
     for bi, b in enumerate(bs):
-        points = region_points(spec, ts, float(b), problem.realness_tol)
+        points = region_points(spec, ts, float(b))
         cells = region_cells(points, l0s)
         s1[:, bi] = case_metrics(points, cells, 2)[1]
         s2[:, bi] = case_metrics(points, cells, 1)[2]
@@ -213,7 +201,7 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
     t, b, l0 = start
     steps = {"t": problem.t_step, "b": problem.b_step, "l0": problem.lambda0_step}
 
-    points = partial(region_points, spec, realness_tol=problem.realness_tol)
+    points = partial(region_points, spec)
 
     def objective(pts, l0s) -> np.ndarray:
         _, s1, s2 = case_metrics(pts, region_cells(pts, l0s), problem.case)
@@ -236,7 +224,7 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
 def _finalize(spec: ChainSpec, problem: OptProblem, t: float, b: float,
               l0: float) -> OptResult:
     """Report the optimum through region_metrics, the kernel's batch of one."""
-    report = region_metrics(spec, t, b, l0, problem.case, problem.realness_tol)
+    report = region_metrics(spec, t, b, l0, problem.case)
     objective = {1: report.s2, 2: report.s1, 3: report.s12, 4: report.s12}[problem.case]
     return OptResult(
         case=problem.case, lambda0_mode=problem.lambda0_mode,
@@ -339,7 +327,7 @@ def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
                 problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
     """Largest s1 * s2 over lambda0 at each (t, b) pair, and the lambda0 giving it;
     the (t, b) stage runs once, each lambda0 search step only the lambda0 stage."""
-    points = region_points(spec, ts, bs, problem.realness_tol)
+    points = region_points(spec, ts, bs)
 
     def product(l0s) -> np.ndarray:
         _, s1, s2 = case_metrics(points, region_cells(points, l0s), 4)

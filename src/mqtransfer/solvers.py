@@ -7,36 +7,31 @@ BLOCK_BASIS the map is G = U F U^T = theta [[tau A, C], [0, tau Q]] with
 tau = tanh(b/2) (mqtransfer.two_qubit.transfer_blocks), so its eigenvalues
 are c = theta tau = (-1)^N tanh(b/2)^(N-2) times those of the 2x2 blocks A
 and Q, spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2} with w1, w2 the
-eigenvalues of the transfer matrix W = [[p, q], [r, s]]. The zero-order sender vector
-solves the 5x5 system (lambda0 I - T0) x0 = B, in which the zero-order factor
-lambda0 enters as a free real parameter, also in closed form. In the moments
+eigenvalues of the transfer matrix W = [[p, q], [r, s]]. Where they are
+real (mqtransfer.two_qubit.lambda1_real decides it, exactly, from tr W and
+det W) all four are, so the factor is the largest in modulus, the one
+solve_first_order reports. The zero-order sender vector solves the 5x5
+system (lambda0 I - T0) x0 = B, in which the zero-order factor lambda0
+enters as a free real parameter, also in closed form. In the moments
 z = M x (MOMENTS) the map M T0 M^-1 is block lower-triangular, with the
 one-body block X -> W^H X W and the last entry |det W|^2, so spec(T0) =
 {|w1|^2, |w2|^2, w1 conj(w2), w2 conj(w1), |det W|^2}; with the Schur form of
-W the system is triangular and is solved by back-substitution, for a whole
-lambda0 axis at a time. Each solver works over the leading axes of its
-blocks: the region kernel (mqtransfer.states) passes it the blocks of
-transfer_blocks, and solve_first_order and solve_zero_order, its batches of
-one, read the same blocks out of one given matrix.
+W the system is triangular, and solve_zero_order solves it by
+back-substitution, for a whole lambda0 axis at a time. Both solvers work
+over the leading axes of the blocks of transfer_blocks, which the region
+kernel (mqtransfer.states) passes them; a point is a batch of shape ().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import SingularInputError, ValidationError
-from .two_qubit import BLOCK_BASIS, MOMENTS, MOMENTS_INVERSE, ONE_BODY, AlphaTable
+from .two_qubit import AlphaTable
 
 __all__ = [
-    "FirstOrderSolution",
-    "ZeroOrderSolution",
-    "first_order_eig",
     "solve_first_order",
     "zero_order_system",
     "zero_order_spectrum",
-    "zero_order_resolvent",
     "solve_zero_order",
     "gauge_fix",
 ]
@@ -46,33 +41,12 @@ COND_LIMIT = 1e10
 _ONE = np.int64(1)
 _TINY = np.finfo(float).tiny
 
-# off-block entries of G above this times max|F| mean F is not a chain map
-BLOCK_TOL = 1e-10
-
 
 def gauge_fix(vec: np.ndarray) -> np.ndarray:
     """Rotate vectors (last axis) so each largest-modulus component is real positive."""
     vec = np.asarray(vec, dtype=complex)
     pick = np.take_along_axis(vec, np.abs(vec).argmax(axis=-1)[..., None], axis=-1)
     return vec * np.exp(-1j * np.arctan2(pick.imag, pick.real))
-
-
-@dataclass(frozen=True)
-class FirstOrderSolution:
-    """Eigen-data of the single-quantum map.
-
-    eigenvalues are sorted by descending modulus; selected indexes the
-    retained real eigenvalue; x1 is its unit-norm eigenvector, gauge-fixed so
-    the largest-modulus component is real positive.
-    """
-
-    eigenvalues: np.ndarray
-    selected: int
-    x1: np.ndarray
-
-    @property
-    def lambda1(self) -> float:
-        return float(self.eigenvalues[self.selected].real)
 
 
 def _null_vector(m00, m01, m10, m11, lam) -> tuple:
@@ -89,8 +63,8 @@ def _null_vector(m00, m01, m10, m11, lam) -> tuple:
     return first * m01 + other * v, first * u + other * m10
 
 
-def first_order_eig(theta, tau, a, c, q, realness_tol: float = 1e-8) -> tuple:
-    """Largest-modulus real eigenvalue of maps G = theta [[tau A, C], [0, tau Q]], and its eigenvector.
+def solve_first_order(theta, tau, a, c, q) -> tuple:
+    """Largest-modulus eigenvalue of maps G = theta [[tau A, C], [0, tau Q]], and its eigenvector.
 
     theta and tau are real, and the 2x2 blocks A, C and Q are given as their
     entries (00, 01, 10, 11), all over leading axes (...) (see
@@ -99,17 +73,16 @@ def first_order_eig(theta, tau, a, c, q, realness_tol: float = 1e-8) -> tuple:
     theta tau times those of A and Q, from the quadratic formula, and an
     eigenvector (y, z) of H gives (y, tau z) of G. The blocks are first
     divided by their largest entry, so that the products that form x1 stay
-    clear of underflow where W is small (early times). Realness means
-    |Im| <= realness_tol * max(1, |eigenvalue|). Returns the eigenvalues by
-    descending modulus (ties in input order A+, Q+, A-, Q-), the index of
-    the first real one, its value lambda1, its gauge-fixed unit vector x1
-    and the mask of maps with a real eigenvalue; where that is False,
-    selected is 0 and lambda1 and x1 are not meaningful. x1 is U^T (y, z)
-    over FIRST_LABELS: for an eigenvalue of A, z = 0 and y is A's null
-    vector; for one of Q, z is Q's null vector and y = (lambda - A)^-1 C z,
-    both scaled by det(lambda - A) to stay finite. Where the eigenvalues are
-    0 in floating point (at b = 0, say, where F = 0) or that vector is zero,
-    x1 is e12.
+    clear of underflow where W is small (early times). Returns the
+    eigenvalues by descending modulus (ties in input order A+, Q+, A-, Q-),
+    the real part lambda1 of the first and its gauge-fixed unit vector x1.
+    Where lambda1 is real (mqtransfer.two_qubit.lambda1_real) all four
+    eigenvalues are, so the first is the largest real one; elsewhere lambda1
+    and x1 are not meaningful. x1 is U^T (y, z) over FIRST_LABELS: for an
+    eigenvalue of A, z = 0 and y is A's null vector; for one of Q, z is Q's
+    null vector and y = (lambda - A)^-1 C z, both scaled by det(lambda - A)
+    to stay finite. Where the eigenvalues are 0 in floating point (at b = 0,
+    say, where F = 0) or that vector is zero, x1 is e12.
     """
     # at least the smallest normal number: numpy divides a complex number by a
     # subnormal one through its reciprocal, which overflows
@@ -122,16 +95,10 @@ def first_order_eig(theta, tau, a, c, q, realness_tol: float = 1e-8) -> tuple:
     ra = np.sqrt((0.5 * (a00 - a11)) ** 2 + a01 * a10)
     rq = np.sqrt((0.5 * (q00 - q11)) ** 2 + q01 * q10)
     ev = np.array([ha + ra, hq + rq, ha - ra, hq - rq])
-    mod = abs(ev)
-    # the realness rule, on the eigenvalues scale * ev
-    unit = abs(scale)
-    key = np.where(abs(ev.imag) * unit <= realness_tol * np.maximum(mod * unit, 1.0), mod, -1.0)
-    # the first real eigenvalue down a stable descending-modulus order
-    pick = key.argmax(axis=0)
-    real = key.max(axis=0) >= 0.0
-    order = (-mod).argsort(axis=0, kind="stable")
-    selected = (order == pick).argmax(axis=0) * real
-    # lam = ev[pick], gathered with 0/1 integer weights
+    # a stable descending-modulus order; lam = ev[pick] is gathered with 0/1
+    # integer weights
+    order = (-abs(ev)).argsort(axis=0, kind="stable")
+    pick = order[0]
     in_q, sign = pick % 2, 1 - 2 * (pick // 2)
     in_a = 1 - in_q
     lam = in_a * ha + in_q * hq + sign * (in_a * ra + in_q * rq)
@@ -151,34 +118,7 @@ def first_order_eig(theta, tau, a, c, q, realness_tol: float = 1e-8) -> tuple:
     x[0] += zero
     ev = np.take_along_axis(ev, order, axis=0) * scale
     back = (*range(1, ev.ndim), 0)
-    return ev.transpose(back), selected, lam.real * scale, gauge_fix(x.transpose(back)), real
-
-
-def solve_first_order(m: np.ndarray, realness_tol: float = 1e-8) -> FirstOrderSolution | None:
-    """first_order_eig of one 4x4 map, or None if all its eigenvalues are complex.
-
-    The blocks are those of G = U m U^T, with theta = tau = 1. Raises
-    ValidationError unless m is a 4x4 map of the chain's block form: its
-    off-block entries G[{u1, u2}, {u0, u3}] at most BLOCK_TOL * max|m|.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 single-quantum map, got shape {m.shape}")
-    g = BLOCK_BASIS @ m @ BLOCK_BASIS.T
-    if np.abs(g[2:, :2]).max() > BLOCK_TOL * np.abs(m).max():
-        raise ValidationError("map lacks the block-triangular form of a chain's single-quantum map")
-    ev, selected, _, x1, real = first_order_eig(
-        1.0, 1.0, g[:2, :2].ravel(), g[:2, 2:].ravel(), g[2:, 2:].ravel(), realness_tol)
-    return FirstOrderSolution(eigenvalues=ev, selected=int(selected), x1=x1) if real else None
-
-
-@dataclass(frozen=True)
-class ZeroOrderSolution:
-    """Sender zero-order vector (rho11, rho22, rho33, rho23, rho23*) at fixed lambda0."""
-
-    lambda0: float
-    x0: np.ndarray
-    residual: float
+    return ev.transpose(back), lam.real * scale, gauge_fix(x.transpose(back))
 
 
 def zero_order_system(table: AlphaTable | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +181,7 @@ def zero_order_spectrum(w, row, source) -> tuple:
             s, 2.0 * a * b, a * cb, a * a, cbcb)
 
 
-def zero_order_resolvent(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndarray]:
+def solve_zero_order(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndarray]:
     """x0 = (lambda0 I - T0)^-1 B for a whole lambda0 axis, by back-substitution.
 
     spectrum comes from zero_order_spectrum over leading axes (...);
@@ -279,49 +219,3 @@ def zero_order_resolvent(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndar
     x0 = x0.transpose(*range(1, x0.ndim), 0)
     regular = keep == 1
     return (x0[..., None, :], regular[..., None]) if single else (x0, regular)
-
-
-def solve_zero_order(t0: np.ndarray, b_vec: np.ndarray, lambda0: float) -> ZeroOrderSolution:
-    """Solve (lambda0 I - T0) x0 = B for the sender zero-order vector: a batch of one.
-
-    The blocks are read out of G = M T0 M^-1 and M B: W, up to a phase, off
-    the one-body block, from the row of its largest entry |W_ab|^2 (entry
-    (X_bj, X_al) of G is conj(W_ab) W_lj). Raises ValidationError unless T0
-    (5x5) and B (5) have the chain's form: G[:4, 4] at most BLOCK_TOL times
-    the larger of max|T0| and max|B| (T0's entries are differences of the
-    table's, which max|B| bounds where they cancel), and the closed form's
-    backward error |(lambda0 I - T0) x0 - B| / (|lambda0 I - T0| |x0| + |B|)
-    at most BLOCK_TOL, which fails where the one-body block is not
-    X -> W^H X W; the 2-norms are taken by hypot, and the Frobenius norm of
-    lambda0 I - T0 over its largest entry, so no entry is squared and none
-    overflows at any finite lambda0. Raises SingularInputError
-    where zero_order_resolvent finds the cell singular (lambda0 on or
-    numerically near the spectrum of T0).
-    """
-    t0 = np.asarray(t0, dtype=complex)
-    b_vec = np.asarray(b_vec, dtype=complex)
-    if t0.shape != (5, 5) or b_vec.shape != (5,):
-        raise ValidationError(f"expected a 5x5 zero-order map and a 5-vector, got shapes "
-                              f"{t0.shape} and {b_vec.shape}")
-    g = MOMENTS @ t0 @ MOMENTS_INVERSE
-    if np.abs(g[:4, 4]).max() > BLOCK_TOL * max(np.abs(t0).max(), np.abs(b_vec).max()):
-        raise ValidationError("map lacks the block-triangular form of a chain's zero-order map")
-    at = {ij: z for z, ij in enumerate(ONE_BODY)}  # the moment holding X_ij
-    entries = ((0, 0), (0, 1), (1, 0), (1, 1))
-    power = [g[at[b, b], at[a, a]].real for a, b in entries]  # |W_ab|^2, which can round below 0
-    a, b = entries[int(np.argmax(power))]
-    root = np.sqrt(max(power)) if max(power) > 0.0 else 1.0
-    w = [g[at[b, j], at[a, l]] / root for l, j in entries]
-    (x0,), (regular,) = zero_order_resolvent(zero_order_spectrum(w, g[4], MOMENTS @ b_vec),
-                                             [lambda0])
-    if not regular:
-        raise SingularInputError(
-            f"lambda0 = {lambda0} is too close to the spectrum of the zero-order map")
-    shifted = lambda0 * np.eye(5) - t0
-    residual = float(np.linalg.norm(shifted @ x0 - b_vec))
-    big = np.abs(shifted).max()  # > 0: where lambda0 I = T0 the cell is singular
-    size = (np.hypot.reduce(np.abs(shifted).ravel() / big) * (big * np.hypot.reduce(np.abs(x0)))
-            + np.hypot.reduce(np.abs(b_vec)))
-    if residual > BLOCK_TOL * size:
-        raise ValidationError("map lacks the one-body form of a chain's zero-order map")
-    return ZeroOrderSolution(lambda0=float(lambda0), x0=x0, residual=residual)

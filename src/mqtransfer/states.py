@@ -5,8 +5,11 @@ single-quantum vector scaled by c1 >= 0, and a double-quantum weight
 c2 >= 0. Positivity of the assembled matrix bounds (c1, c2); the region is
 summarized by the two semi-axes S1 = c1_max * lambda1, S2 = c2_max * lambda2
 and their product, all from one batched kernel: region_points at (t, b),
-which reads the blocks of the transfer matrix (two_qubit.transfer_blocks),
-region_cells at lambda0 and the case mask case_metrics.
+which reads the blocks of the transfer matrix (two_qubit.transfer_blocks)
+and the exact rule for a real single-quantum factor (two_qubit.lambda1_real),
+region_cells at lambda0 and the case mask case_metrics. For odd N the
+factor is real only at b = 0, where it vanishes, so cases 2-4 are
+infeasible there.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
-from .solvers import first_order_eig, zero_order_resolvent, zero_order_spectrum
-from .two_qubit import transfer_blocks
+from .solvers import solve_first_order, solve_zero_order, zero_order_spectrum
+from .two_qubit import lambda1_real, transfer_blocks
 
 __all__ = [
     "SenderTemplate",
@@ -143,13 +146,13 @@ class RegionReport:
 
 @dataclass(frozen=True, eq=False)
 class RegionPoints:
-    """(t, b) stage over the broadcast shape of t and b: first_order_eig of the
-    single-quantum blocks, the double-quantum coefficient lambda2 (complex,
-    real up to rounding) and the zero-order blocks (W, G[4], M B), whose
-    closed-form spectrum (zero_order_spectrum) is formed on use."""
+    """(t, b) stage over the broadcast shape of t and b: solve_first_order of the
+    single-quantum blocks, the mask real of points where lambda1 is real,
+    the double-quantum coefficient lambda2 (complex, real up to rounding) and
+    the zero-order blocks (W, G[4], M B), whose closed-form spectrum
+    (zero_order_spectrum) is formed on use."""
 
     eigenvalues: np.ndarray
-    selected: np.ndarray
     lambda1: np.ndarray
     x1: np.ndarray
     real: np.ndarray
@@ -161,21 +164,24 @@ class RegionPoints:
         return zero_order_spectrum(*self.zero_blocks)
 
 
-def region_points(spec: ChainSpec, t, b, realness_tol: float = 1e-8) -> RegionPoints:
+def region_points(spec: ChainSpec, t, b) -> RegionPoints:
     """The (t, b) stage at scalars or broadcasting arrays t and b (b unchecked),
     straight from the blocks of mqtransfer.two_qubit.transfer_blocks."""
     first, zero, second = transfer_blocks(*amplitude_grids(mode_basis(spec.n_sites), t), b,
                                           spec.n_sites)
-    return RegionPoints(*first_order_eig(*first, realness_tol), lambda2=second, zero_blocks=zero)
+    (p, _, _, s), tau = zero[0], first[1]
+    ev, lambda1, x1 = solve_first_order(*first)
+    return RegionPoints(ev, lambda1, x1, real=lambda1_real(p + s, second, tau, spec.n_sites),
+                        lambda2=second, zero_blocks=zero)
 
 
 def region_cells(points: RegionPoints, lambda0s) -> tuple:
-    """The lambda0 stage at every point; lambda0s as in zero_order_resolvent.
+    """The lambda0 stage at every point; lambda0s as in solve_zero_order.
 
     Returns x0 (points..., nl, 5), the mask ok of cells with a regular
     zero-order solve and a positive base state, c1_max and c2_max.
     """
-    x0, regular = zero_order_resolvent(points.spectrum, lambda0s)
+    x0, regular = solve_zero_order(points.spectrum, lambda0s)
     positive, c1_max, c2_max = block_rays(x0, points.x1[..., None, :])
     return x0, regular & positive, c1_max, c2_max
 
@@ -199,7 +205,7 @@ def case_metrics(points: RegionPoints, cells: tuple, case: int) -> tuple:
 
 
 def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
-                   case: int, realness_tol: float = 1e-8) -> RegionReport:
+                   case: int) -> RegionReport:
     """Measure the creatable region at one (t, b, lambda0) point: a batch of one.
 
     Infeasible points (see case_metrics) report zero metrics instead of raising.
@@ -207,7 +213,7 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
     if case not in (1, 2, 3, 4):
         raise ValueError(f"case must be 1..4, got {case}")
     check_inverse_temperature(b)
-    points = region_points(spec, t, b, realness_tol)
+    points = region_points(spec, t, b)
     feasible, s1, s2 = False, 0.0, 0.0
     # without a real lambda1 only case 1 can be feasible: skip the lambda0 stage
     if points.real or case == 1:

@@ -10,7 +10,9 @@ transfer_blocks, as closed-form blocks of the 2x2 transfer matrix
 W = [[p, q], [r, s]] of those amplitudes: the single-quantum map in the
 constant basis BLOCK_BASIS and the zero-order map in the moments MOMENTS.
 The region kernel and the solvers read the blocks; alpha_entries assembles
-the coefficient table from them.
+the coefficient table from them. Whether the single-quantum factor is real
+is decided here too, once and exactly, from tr W and det W (lambda1_real),
+and the uniform-scaling curve reads the smaller eigenvalue of W (w_small).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "AlphaTable",
     "decompose_blocks",
     "transfer_blocks",
+    "lambda1_real",
+    "w_small",
     "alpha_entries",
     "alpha_table",
     "receiver_from_sender",
@@ -175,6 +179,48 @@ def transfer_blocks(p, q, r, s, b, n_sites: int) -> tuple:
             (n * (ap + ar - 1.0), n * (aq + as_ - 1.0), m2, np.conj(m2),
              n * (n * (ad - 1.0) + k * (ap + aq + ar + as_ - 2.0))))
     return first, zero, d
+
+
+def _pair_form(trace, det, n_sites: int) -> tuple:
+    """W's characteristic polynomial in real form: ph, tr W / (2 ph) and D.
+
+    With the phase ph = (-i)^(N-2), tr W / ph and det W / ph^2 are real for
+    the chain, and W's eigenvalues are ph mu with mu^2 - (tr W / ph) mu +
+    det W / ph^2 = 0, of discriminant D = (tr W / ph)^2 / 4 - det W / ph^2.
+    """
+    ph = (-1j) ** ((n_sites - 2) % 4)
+    half = 0.5 * (trace / ph).real
+    return ph, half, half * half - (det / ph ** 2).real
+
+
+def lambda1_real(trace, det, tau, n_sites: int):
+    """Where the single-quantum factor lambda1 is real, from tr W, det W and tau = tanh(b/2).
+
+    The single-quantum map has spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2}
+    with c = theta tau real (transfer_blocks), so it is real where tau = 0,
+    which makes F = 0, and otherwise exactly where W's eigenvalues w1, w2
+    are (see _pair_form). For even N, ph = +-1 and they are real where
+    D >= 0; then all four eigenvalues of F are real, and lambda1 is the
+    largest in modulus. For odd N, ph is imaginary and W has a real
+    eigenvalue only where tr W = 0 or det W = 0 exactly, a set of measure
+    zero, so no point with tau > 0 counts as real. The arguments broadcast;
+    tau = 1 stands for any b > 0.
+    """
+    disc = _pair_form(trace, det, n_sites)[2]
+    return (tau == 0.0) | ((disc >= 0.0) & (n_sites % 2 == 0))
+
+
+def w_small(trace, det, n_sites: int):
+    """The smaller eigenvalue of W in modulus, real wherever lambda1_real holds at b > 0.
+
+    It is ph mu_small, the root of smaller modulus of the real quadratic of
+    _pair_form; past D = 0, where the roots are complex, tr W / 2 continues
+    it. NaN for odd N, where W has no real eigenvalue pair.
+    """
+    ph, half, disc = _pair_form(trace, det, n_sites)
+    if n_sites % 2:
+        return np.full(np.shape(half), np.nan)
+    return ph.real * (half - np.copysign(np.sqrt(np.maximum(disc, 0.0)), half))
 
 
 def _stacked(rows: list) -> np.ndarray:

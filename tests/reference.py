@@ -15,8 +15,11 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
 - creatable intervals by bracketing and bisection on the smallest eigenvalue
   of the dense sender (ray_max, c_max_ray, boundary_sweep);
 - the single-quantum factor by a scalar loop over the eigenvalues sorted by
-  modulus (select_first_order), and the basis in which the closed form reads
-  the single-quantum map as block-triangular (FIRST_BASIS);
+  modulus, with realness judged relative to each eigenvalue
+  (select_first_order), the rounding band in which that judgement and the
+  kernel's exact rule may differ (in_realness_band), and the basis in which
+  the closed form reads the single-quantum map as block-triangular
+  (FIRST_BASIS);
 - the zero-order vector by a dense linear solve guarded by the 2-norm
   condition number (solve_zero_order_dense);
 - the semi-axes of a case, chaining the three (region_reference).
@@ -154,6 +157,22 @@ FIRST_BASIS.setflags(write=False)
 INVARIANT, QUOTIENT = [0, 3], [1, 2]
 
 
+def block_arguments(maps: np.ndarray) -> tuple:
+    """mqtransfer.solvers.solve_first_order's arguments for maps F (..., 4, 4).
+
+    theta = tau = 1 and the entries of the blocks of U F U^T in the basis
+    FIRST_BASIS: A over rows and columns INVARIANT (u0, u3), C over rows
+    INVARIANT and columns QUOTIENT (u1, u2), Q over QUOTIENT.
+    """
+    g = FIRST_BASIS @ maps @ FIRST_BASIS.T
+
+    def entries(rows, cols):
+        return tuple(g[..., i, j] for i in rows for j in cols)
+
+    return (1.0, 1.0, entries(INVARIANT, INVARIANT), entries(INVARIANT, QUOTIENT),
+            entries(QUOTIENT, QUOTIENT))
+
+
 def ray_max(m0: np.ndarray, direction: np.ndarray, tol: float, floor: float = -PSD_TOL) -> float:
     """Largest c >= 0 with min eig(m0 + c*direction) >= floor, by bracketing and bisection."""
     def ok(c: float) -> bool:
@@ -219,23 +238,59 @@ def boundary_sweep(x0: np.ndarray, x1: np.ndarray, rays: int = 64) -> np.ndarray
     return np.array(pts)
 
 
-def select_first_order(m: np.ndarray, realness_tol: float = 1e-8):
+def select_first_order(m: np.ndarray, realness_tol: float = 1e-6):
     """(eigenvalues by descending modulus, selected index, lambda1, unit x1), or None.
 
     The first eigenvalue down the modulus ordering with
-    |Im| <= realness_tol * max(1, |eigenvalue|) is kept; x1 is rotated so
-    its largest-modulus component is real positive.
+    |Im| <= realness_tol * |eigenvalue| is kept, so a zero map has the real
+    eigenvalue 0; x1 is rotated so its largest-modulus component is real
+    positive.
     """
     ev, vecs = np.linalg.eig(np.asarray(m, dtype=complex))
     order = np.argsort(-np.abs(ev), kind="stable")
     ev, vecs = ev[order], vecs[:, order]
     for i in range(len(ev)):
-        if abs(ev[i].imag) <= realness_tol * max(1.0, abs(ev[i])):
+        if abs(ev[i].imag) <= realness_tol * abs(ev[i]):
             x1 = vecs[:, i]
             k = int(np.argmax(np.abs(x1)))
             x1 = x1 * np.exp(-1j * np.angle(x1[k]))
             return ev, i, float(ev[i].real), x1 / np.linalg.norm(x1)
     return None
+
+
+# the rounding band of in_realness_band: tanh(b/2), max|W| and |D| / max|W|^2
+# at or below these
+TAU_BAND = 1e-4
+W_BAND = 1e-7
+D_BAND = 1e-10
+
+
+def in_realness_band(n_sites: int, t: float, b: float) -> bool:
+    """Whether (N, t, b) lies where rounding, not the map, decides if lambda1 is real.
+
+    At b = 0 the map is exactly 0, and never in the band. Elsewhere the band
+    has three parts. The amplitudes carry absolute errors near 1e-16, so
+    where max|W| is at most W_BAND the eigenvalues of W, and so of F, can
+    have imaginary parts that a relative test (select_first_order) reads as
+    complex, above all where the larger eigenvalue of W is far below max|W|.
+    Where the discriminant D of W's characteristic polynomial in real form
+    (see mqtransfer.two_qubit.lambda1_real) is within D_BAND * max|W|^2 of
+    0, a dense eig moves a real pair off the real axis by about sqrt(eps) of
+    its size, or a complex pair onto it. And where tau = tanh(b/2) is at
+    most TAU_BAND, F's eigenvalues are tau times smaller than its coupling
+    block (see mqtransfer.solvers), so a dense eig moves them by about
+    eps / tau^2 of their size, and below tau ~ 1e-150 they underflow. Over
+    9,000 random points (N 4-43, t in [0, 2N], b in [0, 8] or log-uniform in
+    [1e-8, 1]) every disagreement lay inside this band.
+    """
+    amps = amplitude_set(mode_basis(n_sites), t)
+    p, q, r, s = amps.f11, amps.f1n, amps.f21, amps.f2n
+    ph = (-1j) ** ((n_sites - 2) % 4)
+    half = 0.5 * ((p + s) / ph).real
+    disc = half * half - ((p * s - q * r) / ph ** 2).real
+    size = max(abs(p), abs(q), abs(r), abs(s))
+    return b > 0.0 and (np.tanh(0.5 * b) <= TAU_BAND or size <= W_BAND
+                        or abs(disc) <= D_BAND * size ** 2)
 
 
 def solve_zero_order_dense(t0: np.ndarray, b_vec: np.ndarray, lambda0: float):
@@ -247,7 +302,7 @@ def solve_zero_order_dense(t0: np.ndarray, b_vec: np.ndarray, lambda0: float):
 
 
 def region_reference(spec: ChainSpec, t: float, b: float, lambda0: float, case: int,
-                     realness_tol: float = 1e-8, tol: float = 1e-12) -> dict:
+                     tol: float = 1e-12) -> dict:
     """Semi-axes of a case at one point from the scalar table and the references above.
 
     The rays are bisected to tol against the exact positivity boundary
@@ -256,7 +311,7 @@ def region_reference(spec: ChainSpec, t: float, b: float, lambda0: float, case: 
     RegionReport: zeros where infeasible, s1 = 0 in case 1, s2 = 0 in case 2.
     """
     table = alpha_table(amplitude_set(mode_basis(spec.n_sites), t), b, spec)
-    first = select_first_order(table.first, realness_tol)
+    first = select_first_order(table.first)
     out = {"feasible": False, "s1": 0.0, "s2": 0.0, "lambda1": None, "x0": None, "x1": None}
     if first is None and case != 1:
         return out

@@ -213,6 +213,30 @@ def test_table1_csv(capsys):
     assert float(case1[4]) == pytest.approx(0.8960, abs=2e-3)
 
 
+@pytest.mark.parametrize("n", [7, 43])
+def test_table1_odd_chain_has_no_case2(capsys, n):
+    # for odd N the transfer matrix W has no real eigenvalue at b > 0, so no
+    # single-quantum factor is real and case 2 is infeasible
+    code, out = _run(capsys, ["table1", "--n", str(n), "--precision", "full"])
+    assert code == 0
+    case2 = _csv_rows(out)[2]
+    assert case2[0] == "case2"
+    assert float(case2[1]) == 0.0
+    assert all(np.isnan(float(x)) for x in case2[3:])
+
+
+def test_solve_on_the_zero_order_spectrum_is_one_line(capsys):
+    # lambda0 on a real eigenvalue of the dense T0 is a singular cell of the kernel
+    from mqtransfer.solvers import zero_order_system
+    table = alpha_table(amplitude_set(mode_basis(6), 5.3), 0.0, ChainSpec(6))
+    ev = np.linalg.eigvals(zero_order_system(table)[0])
+    lambda0 = float(ev[np.abs(ev.imag) < 1e-9][0].real)
+    code, err = _run_error(capsys, ["solve", "--n", "6", "--t", "5.3", "--b", "0",
+                                    f"--lambda0={lambda0!r}"])
+    assert code == 3
+    assert len(err) == 1 and "too close to the spectrum" in err[0]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["amplitudes", "--n", "6"])   # missing --scan

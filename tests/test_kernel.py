@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
 from mqtransfer.solvers import zero_order_system
 from mqtransfer.states import block_rays, case_metrics, region_cells, region_points
-from reference import c_max_ray, region_reference, select_first_order
+from mqtransfer.chain import amplitude_grids
+from reference import (c_max_ray, expanded_entries, in_realness_band, region_reference,
+                       select_first_order)
 
 EPS = np.finfo(float).eps
 
@@ -61,29 +63,88 @@ def test_point_is_a_cell_of_a_batch(sample, l0s, i, j):
         assert one_s2[0] == pytest.approx(s2[i, j], rel=tol, abs=1e-14)
 
 
-@SEEDED
-@given(chain_points(), lambda0s)
-def test_kernel_matches_reference_chain(sample, lambda0):
+def test_kernel_matches_reference_chain():
     # scalar table, scalar eigen loop, dense cond-guarded solve and bisection
-    # rays against the batched kernel, at one (N, t, b, lambda0) point
-    n, (t,), (b,) = sample
-    spec = ChainSpec(n)
-    points = region_points(spec, t, b)
-    cells = region_cells(points, [lambda0])
-    first = select_first_order(alpha_table(amplitude_set(mode_basis(n), t), b, spec).first)
-    assert bool(points.real) == (first is not None)
-    if first is not None:
-        assert points.lambda1 == pytest.approx(first[2], rel=1e-12, abs=1e-14)
-        assert np.max(np.abs(points.x1 - first[3])) < 1e-9
-    for case in (1, 2, 3):
-        ref = region_reference(spec, t, b, lambda0, case)
-        feasible, s1, s2 = case_metrics(points, cells, case)
-        assert feasible[0] == ref["feasible"]
-        if ref["feasible"]:
-            scale = max(1.0, float(np.max(np.abs(ref["x0"]))))
-            assert np.max(np.abs(cells[0][0] - ref["x0"])) <= 1e-9 * scale
-        assert s1[0] == pytest.approx(ref["s1"], rel=1e-7, abs=1e-9)
-        assert s2[0] == pytest.approx(ref["s2"], rel=1e-7, abs=1e-9)
+    # rays against the batched kernel, at one (N, t, b, lambda0) point. Inside
+    # the rounding band of in_realness_band the two may judge lambda1's
+    # realness differently, so there the realness and feasibility flags and
+    # lambda1 and x1 are not compared; x0, s1 and s2 are compared everywhere.
+    # The draws favour t = 0 and early times, where W is at the rounding
+    # floor, so the band holds over a third of them (15 of 40); the uniform
+    # draws of test_x1_matches_dense_eigenvector_up_to_phase bound its share
+    # more tightly
+    banded = []
+
+    @SEEDED
+    @given(chain_points(), lambda0s)
+    def check(sample, lambda0):
+        n, (t,), (b,) = sample
+        spec = ChainSpec(n)
+        points = region_points(spec, t, b)
+        cells = region_cells(points, [lambda0])
+        first = select_first_order(alpha_table(amplitude_set(mode_basis(n), t), b, spec).first)
+        band = in_realness_band(n, t, b)
+        banded.append(band)
+        if not band:
+            assert bool(points.real) == (first is not None)
+            if first is not None:
+                assert points.lambda1 == pytest.approx(first[2], rel=1e-12, abs=1e-14)
+                assert np.max(np.abs(points.x1 - first[3])) < 1e-9
+        for case in (1, 2, 3):
+            ref = region_reference(spec, t, b, lambda0, case)
+            feasible, s1, s2 = case_metrics(points, cells, case)
+            if not band or case == 1:
+                assert feasible[0] == ref["feasible"]
+            if ref["feasible"]:
+                scale = max(1.0, float(np.max(np.abs(ref["x0"]))))
+                assert np.max(np.abs(cells[0][0] - ref["x0"])) <= 1e-9 * scale
+            assert s1[0] == pytest.approx(ref["s1"], rel=1e-7, abs=1e-9)
+            assert s2[0] == pytest.approx(ref["s2"], rel=1e-7, abs=1e-9)
+
+    check()
+    assert sum(banded) <= 0.5 * len(banded)
+
+
+# x1 is certified where the gap from lambda1 to the other eigenvalues exceeds
+# GAP_FLOOR * eps * max|F|; there its error is at most X1_BOUND * eps * max|F| / gap
+GAP_FLOOR = 1e6
+X1_BOUND = 64.0
+
+
+def test_x1_matches_dense_eigenvector_up_to_phase():
+    # uniform draws, unlike the boundary-seeking ones above: N in [4, 43],
+    # t in [0, 2N], b in [0, 8]. Outside the rounding band the kernel's exact
+    # realness rule agrees with the dense eig of the expanded table, and
+    # where lambda1 is real and isolated x1 is the dense eigenvector up to
+    # a phase (gauge_fix may pick another component of near-equal modulus,
+    # so no gauge is compared)
+    rng = np.random.default_rng(20261019)
+    draws, banded, certified = 300, 0, 0
+    for _ in range(draws):
+        n = int(rng.integers(4, 44))
+        t, b = rng.uniform(0.0, 2.0 * n), rng.uniform(0.0, 8.0)
+        points = region_points(ChainSpec(n), t, b)
+        first = expanded_entries(*amplitude_grids(mode_basis(n), t), b, n)[0]
+        if in_realness_band(n, t, b):
+            banded += 1
+            continue
+        assert bool(points.real) == (select_first_order(first) is not None)
+        if not points.real:
+            continue
+        ev, vecs = np.linalg.eig(first)
+        i = int(np.argmin(np.abs(ev - points.eigenvalues[0])))
+        gap = np.abs(np.delete(ev, i) - ev[i]).min()
+        scale = EPS * np.abs(first).max()
+        if gap <= GAP_FLOOR * scale:
+            continue
+        ref = vecs[:, i] / np.linalg.norm(vecs[:, i])
+        phase = np.vdot(ref, points.x1)
+        assert np.linalg.norm(points.x1 - phase / abs(phase) * ref) <= X1_BOUND * scale / gap
+        certified += 1
+    # W stays below the band's 1e-7 until the wavefront nears the receiver,
+    # about the first sixth of [0, 2N] (51 of the 300 draws)
+    assert banded <= 0.25 * draws
+    assert certified >= 40
 
 
 @st.composite

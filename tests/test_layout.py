@@ -83,3 +83,24 @@ def test_no_module_but_two_qubit_references_alpha_entries():
                      if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
             found += [f"{path.name}:{node.lineno}" for name in names if name == "alpha_entries"]
     assert not found, found
+
+
+def _imaginary_powers(path: Path) -> list[str]:
+    """Powers of an imaginary constant, such as the phase (-1j) ** (N - 2)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base = node.left.operand if isinstance(node.left, ast.UnaryOp) else node.left
+            if isinstance(base, ast.Constant) and isinstance(base.value, complex):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_but_two_qubit_forms_the_phase():
+    # the phase (-i)^(N-2) makes tr W and det W real, and with them decides
+    # whether lambda1 is real (two_qubit.lambda1_real, two_qubit.w_small); no
+    # second module forms it, so the realness rule stays written once
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "two_qubit.py"
+             for hit in _imaginary_powers(path)]
+    assert not found, found
+    assert _imaginary_powers(PACKAGE / "two_qubit.py")

@@ -12,9 +12,8 @@ from mqtransfer import (
     receiver_from_sender,
     region_metrics,
     solve_zero_order,
-    zero_order_system,
 )
-from mqtransfer.states import SenderTemplate, block_rays
+from mqtransfer.states import SenderTemplate, block_rays, region_points
 from reference import (
     SECOND_DIRECTION,
     base_matrix,
@@ -30,8 +29,8 @@ MIXED_X0 = np.array([0.25, 0.25, 0.25, 0.0, 0.0])
 def _case1_x0(lam0=1.0837):
     spec = ChainSpec(6)
     table = alpha_table(amplitude_set(mode_basis(6), 8.5153), 10.0, spec)
-    t0, b_vec = zero_order_system(table)
-    return solve_zero_order(t0, b_vec, lam0).x0, table
+    (x0,), _ = solve_zero_order(region_points(spec, 8.5153, 10.0).spectrum, [lam0])
+    return x0, table
 
 
 def test_assemble_maximally_mixed():

@@ -18,11 +18,10 @@ from mqtransfer import (
     receiver_from_sender,
     region_metrics,
     solve_zero_order,
-    zero_order_system,
 )
 from mqtransfer.chain import amplitude_grids
 from mqtransfer.oracle import evolve_and_trace
-from mqtransfer.states import SenderTemplate, assemble_sender
+from mqtransfer.states import SenderTemplate, assemble_sender, region_points
 from mqtransfer.two_qubit import FIRST_LABELS, ZERO_COLS, ZERO_ROWS, alpha_entries
 from reference import expanded_entries
 
@@ -201,10 +200,9 @@ def test_receiver_scales_double_quantum_weight():
     # sender built on the zero-order solution plus a double-quantum weight
     spec = ChainSpec(6)
     table = _table(6, 8.5153, 10.0)
-    t0, b_vec = zero_order_system(table)
-    zero = solve_zero_order(t0, b_vec, 1.0837)
+    (x0,), _ = solve_zero_order(region_points(spec, 8.5153, 10.0).spectrum, [1.0837])
     c2 = 0.2
-    sender = assemble_sender(SenderTemplate(x0=zero.x0, c2=c2))
+    sender = assemble_sender(SenderTemplate(x0=x0, c2=c2))
     out = receiver_from_sender(table, sender)
     assert out[0, 3] == pytest.approx(table.second * c2, abs=1e-12)
     assert abs(out[0, 3]) == pytest.approx(0.8960 * c2, abs=1e-3 * c2)
