@@ -265,6 +265,12 @@ W_BAND = 1e-7
 D_BAND = 1e-10
 
 
+def discriminant(n_sites: int, p, q, r, s):
+    """D = (tr W / ph)^2 / 4 - det W / ph^2 with ph = (-i)^(N-2), both terms real."""
+    ph = (-1j) ** ((n_sites - 2) % 4)
+    return (0.5 * (p + s) / ph).real ** 2 - ((p * s - q * r) / ph ** 2).real
+
+
 def in_realness_band(n_sites: int, t: float, b: float) -> bool:
     """Whether (N, t, b) lies where rounding, not the map, decides if lambda1 is real.
 
@@ -285,9 +291,7 @@ def in_realness_band(n_sites: int, t: float, b: float) -> bool:
     """
     amps = amplitude_set(mode_basis(n_sites), t)
     p, q, r, s = amps.f11, amps.f1n, amps.f21, amps.f2n
-    ph = (-1j) ** ((n_sites - 2) % 4)
-    half = 0.5 * ((p + s) / ph).real
-    disc = half * half - ((p * s - q * r) / ph ** 2).real
+    disc = discriminant(n_sites, p, q, r, s)
     size = max(abs(p), abs(q), abs(r), abs(s))
     return b > 0.0 and (np.tanh(0.5 * b) <= TAU_BAND or size <= W_BAND
                         or abs(disc) <= D_BAND * size ** 2)

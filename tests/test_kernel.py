@@ -67,12 +67,14 @@ def test_kernel_matches_reference_chain():
     # scalar table, scalar eigen loop, dense cond-guarded solve and bisection
     # rays against the batched kernel, at one (N, t, b, lambda0) point. Inside
     # the rounding band of in_realness_band the two may judge lambda1's
-    # realness differently, so there the realness and feasibility flags and
-    # lambda1 and x1 are not compared; x0, s1 and s2 are compared everywhere.
-    # The draws favour t = 0 and early times, where W is at the rounding
-    # floor, so the band holds over a third of them (15 of 40); the uniform
-    # draws of test_x1_matches_dense_eigenvector_up_to_phase bound its share
-    # more tightly
+    # realness differently, so there that comparison alone is skipped; wherever
+    # the two judgements agree, lambda1, x1 and the feasibility flags are
+    # compared as outside the band. The draws favour t = 0, early times and
+    # b near 0, where W or tanh(b/2) is at the rounding floor, so the band
+    # holds 19 of the 40 draws (10 of them judged differently); hypothesis
+    # derives the derandomized draws from this test's source, so an edit may
+    # redraw them. The uniform draws of
+    # test_x1_matches_dense_eigenvector_up_to_phase bound its share more tightly
     banded = []
 
     @SEEDED
@@ -85,15 +87,15 @@ def test_kernel_matches_reference_chain():
         first = select_first_order(alpha_table(amplitude_set(mode_basis(n), t), b, spec).first)
         band = in_realness_band(n, t, b)
         banded.append(band)
-        if not band:
-            assert bool(points.real) == (first is not None)
-            if first is not None:
-                assert points.lambda1 == pytest.approx(first[2], rel=1e-12, abs=1e-14)
-                assert np.max(np.abs(points.x1 - first[3])) < 1e-9
+        agree = bool(points.real) == (first is not None)
+        assert agree or band
+        if agree and first is not None:
+            assert points.lambda1 == pytest.approx(first[2], rel=1e-12, abs=1e-14)
+            assert np.max(np.abs(points.x1 - first[3])) < 1e-9
         for case in (1, 2, 3):
             ref = region_reference(spec, t, b, lambda0, case)
             feasible, s1, s2 = case_metrics(points, cells, case)
-            if not band or case == 1:
+            if agree or case == 1:
                 assert feasible[0] == ref["feasible"]
             if ref["feasible"]:
                 scale = max(1.0, float(np.max(np.abs(ref["x0"]))))
@@ -102,7 +104,7 @@ def test_kernel_matches_reference_chain():
             assert s2[0] == pytest.approx(ref["s2"], rel=1e-7, abs=1e-9)
 
     check()
-    assert sum(banded) <= 0.5 * len(banded)
+    assert len(banded) == 40 and sum(banded) <= 19
 
 
 # x1 is certified where the gap from lambda1 to the other eigenvalues exceeds

@@ -27,8 +27,8 @@ from mqtransfer.chain import amplitude_grids
 from mqtransfer.optimize import _curve
 from mqtransfer.solvers import solve_first_order, zero_order_system
 from mqtransfer.states import region_points
-from reference import (FIRST_BASIS, INVARIANT, QUOTIENT, block_arguments, expanded_entries,
-                       in_realness_band, select_first_order)
+from reference import (FIRST_BASIS, INVARIANT, QUOTIENT, block_arguments, discriminant,
+                       expanded_entries, in_realness_band, select_first_order)
 
 # derandomized: every run draws the same examples
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -223,7 +223,7 @@ def test_closed_form_on_tiny_maps(b):
         ev, _, x1 = solve_first_order(*block_arguments(maps))
         real = region_points(ChainSpec(n), ts, b).real
     # lambda1 is real where W's eigenvalues are, whatever the size of the map
-    assert np.array_equal(real, _discriminant(n, p, q, r, s) >= 0.0)
+    assert np.array_equal(real, discriminant(n, p, q, r, s) >= 0.0)
     w = np.linalg.eigvals(np.stack([p, q, r, s], axis=-1).reshape(-1, 2, 2))
     w1, w2 = w[:, 0], w[:, 1]
     spectrum = np.tanh(b / 2.0) ** (n - 2) * np.stack(
@@ -233,12 +233,6 @@ def test_closed_form_on_tiny_maps(b):
     lam = ev[:, 0]
     residual = np.linalg.norm(np.einsum("kij,kj->ki", maps, x1) - lam[:, None] * x1, axis=1)
     assert np.all(residual <= 1e-12 * np.linalg.norm(maps, axis=(1, 2)))
-
-
-def _discriminant(n, p, q, r, s):
-    """D = (tr W / ph)^2 / 4 - det W / ph^2 with ph = (-i)^(N-2), both terms real."""
-    ph = (-1j) ** (n - 2)
-    return (0.5 * (p + s) / ph).real ** 2 - ((p * s - q * r) / ph ** 2).real
 
 
 @SEEDED
@@ -256,4 +250,4 @@ def test_realness_mask_is_exact_and_temperature_free(n, t_frac, b1, b2):
     if n % 2:
         assert not real.any()
     else:
-        assert np.array_equal(real, _discriminant(n, *amplitude_grids(mode_basis(n), t)) >= 0.0)
+        assert np.array_equal(real, discriminant(n, *amplitude_grids(mode_basis(n), t)) >= 0.0)
