@@ -13,17 +13,13 @@ from .chain import (
     ChainSpec,
     ModeBasis,
     amplitude_set,
-    build_modes,
     endpoint_amplitude,
-    endpoint_amplitude_grid,
     endpoint_power_max,
     mode_basis,
     transition_amplitude,
-    transition_amplitude_grid,
 )
 from .errors import (
     ConfigurationError,
-    DomainError,
     ResourceError,
     SingularInputError,
     ValidationError,
@@ -57,18 +53,13 @@ from .solvers import (
 )
 from .states import (
     RegionReport,
-    SenderTemplate,
     assemble_sender,
-    is_physical,
     region_metrics,
 )
 from .two_qubit import (
     AlphaTable,
-    CoherenceBlocks,
     alpha_table,
     decompose_blocks,
-    matrix_from_coefficients,
-    operator_coefficients,
     random_density,
     receiver_from_sender,
     validate_density,

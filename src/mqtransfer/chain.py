@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .search import bracket_max
+from .search import grid_max
 
 __all__ = [
     "ChainSpec",
@@ -21,12 +21,9 @@ __all__ = [
     "thermal_weights",
     "ModeBasis",
     "AmplitudeSet",
-    "build_modes",
     "mode_basis",
     "transition_amplitude",
-    "transition_amplitude_grid",
     "endpoint_amplitude",
-    "endpoint_amplitude_grid",
     "endpoint_power_max",
     "amplitude_grids",
     "amplitude_set",
@@ -74,9 +71,11 @@ class ModeBasis:
     energies: np.ndarray
 
 
-def build_modes(spec: ChainSpec) -> ModeBasis:
-    """Diagonalize the single-excitation sector analytically."""
-    n = spec.n_sites
+@lru_cache(maxsize=64)
+def mode_basis(n_sites: int) -> ModeBasis:
+    """The single-excitation sector diagonalized analytically, cached per chain
+    length (the basis is immutable)."""
+    n = ChainSpec(n_sites).n_sites
     j = np.arange(1, n + 1)
     g = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
     energies = np.cos(np.pi * j / (n + 1))
@@ -85,66 +84,40 @@ def build_modes(spec: ChainSpec) -> ModeBasis:
     return ModeBasis(n_sites=n, g=g, energies=energies)
 
 
-@lru_cache(maxsize=64)
-def mode_basis(n_sites: int) -> ModeBasis:
-    """Cached ModeBasis for a chain length (the basis is immutable)."""
-    return build_modes(ChainSpec(n_sites))
-
-
 def _check_site(basis: ModeBasis, i: int) -> None:
     if not 1 <= i <= basis.n_sites:
         raise ConfigurationError(f"site index {i} out of range 1..{basis.n_sites}")
 
 
-def transition_amplitude(basis: ModeBasis, i: int, j: int, t: float) -> complex:
-    """Propagator matrix element f_ij(t) = sum_k g_ik g_jk exp(-i t eps_k).
+def transition_amplitude(basis: ModeBasis, i: int, j: int, ts):
+    """Propagator matrix element f_ij(t) = sum_k g_ik g_jk exp(-i t eps_k) over ts (any shape).
 
     Sites are 1-based. |f_ij| <= 1 and f_ij(0) = delta_ij.
     """
     _check_site(basis, i)
     _check_site(basis, j)
-    return complex(np.sum(basis.g[i - 1] * basis.g[j - 1] * np.exp(-1j * t * basis.energies)))
-
-
-def transition_amplitude_grid(basis: ModeBasis, i: int, j: int, ts: np.ndarray) -> np.ndarray:
-    """Vectorized f_ij over an array of times."""
-    _check_site(basis, i)
-    _check_site(basis, j)
-    ts = np.asarray(ts, dtype=float)
-    phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
+    phase = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=float), basis.energies))
     return phase @ (basis.g[i - 1] * basis.g[j - 1])
 
 
-def endpoint_amplitude(basis: ModeBasis, t: float) -> complex:
-    """End-to-end amplitude f(t) = sum_k exp(+i eps_k t) g_1k g_Nk.
+def endpoint_amplitude(basis: ModeBasis, ts):
+    """End-to-end amplitude f(t) = sum_k exp(+i eps_k t) g_1k g_Nk over ts (any shape).
 
     Purely real for odd N and purely imaginary for even N.
     """
-    n = basis.n_sites
-    return complex(np.sum(np.exp(1j * t * basis.energies) * basis.g[0] * basis.g[n - 1]))
-
-
-def endpoint_amplitude_grid(basis: ModeBasis, ts: np.ndarray) -> np.ndarray:
-    """Vectorized endpoint amplitude over an array of times."""
-    ts = np.asarray(ts, dtype=float)
-    phase = np.exp(1j * np.multiply.outer(ts, basis.energies))
+    phase = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), basis.energies))
     return phase @ (basis.g[0] * basis.g[basis.n_sites - 1])
 
 
-def endpoint_power_max(basis: ModeBasis, t_lo: float, t_hi: float,
-                       step: float = 1e-3) -> tuple[float, float]:
+def endpoint_power_max(basis: ModeBasis, t_lo: float, t_hi: float) -> tuple[float, float]:
     """Location and value of the largest |f(t)|^2 on [t_lo, t_hi].
 
-    Grid scan at the given step, then a bracket search (mqtransfer.search)
+    Grid scan at step 1e-3, then a bracket search (mqtransfer.search.grid_max)
     around the winning grid point down to 1e-9; adequate for the smooth
     almost-periodic |f|^2.
     """
-    ts = np.arange(t_lo, t_hi + step, step)
-    power = np.abs(endpoint_amplitude_grid(basis, ts)) ** 2
-    i = int(np.argmax(power))
-    t_best, value = bracket_max(lambda x: np.abs(endpoint_amplitude_grid(basis, x)) ** 2,
-                                ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-9)
-    return float(t_best[0]), float(value[0])
+    return grid_max(lambda x: np.abs(endpoint_amplitude(basis, x)) ** 2,
+                    np.arange(t_lo, t_hi + 1e-3, 1e-3), 1e-9)
 
 
 @dataclass(frozen=True)

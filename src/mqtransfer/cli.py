@@ -21,14 +21,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, amplitude_set, endpoint_amplitude_grid, mode_basis
-from .errors import ConfigurationError, DomainError, ResourceError, SingularInputError, ValidationError
+from .chain import ChainSpec, amplitude_set, endpoint_amplitude, mode_basis
+from .errors import ConfigurationError, ResourceError, SingularInputError, ValidationError
 from .one_qubit import Qubit1State, lambda0_variant_a, lambda0_variant_b, lambda1_1q, receiver_state_1q
 from .optimize import OptProblem, OptResult, objective_landscape, optimize, summary_table, uniform_curve
 from .oracle import evolve_and_trace
 from .solvers import solve_zero_order, zero_order_system
 from .states import case_metrics, region_cells, region_points
 from .two_qubit import alpha_table, random_density, receiver_from_sender, validate_density
+
+__all__ = ["NUMERIC_EXIT", "GRID_BYTES", "build_parser", "main"]
 
 NUMERIC_EXIT = 3
 
@@ -140,16 +142,16 @@ def _result_payload(res: OptResult) -> dict:
     return payload
 
 
-def cmd_amplitudes(args) -> int:
+def _cmd_amplitudes(args) -> int:
     basis = mode_basis(args.n)
     (ts,) = _parse_grids(lambda nt: 24 * nt, args.scan)
-    f = endpoint_amplitude_grid(basis, ts)
+    f = endpoint_amplitude(basis, ts)
     rows = ((t, z.real, z.imag, abs(z) ** 2) for t, z in zip(ts, f))
     _emit(args, ["t", "f_re", "f_im", "f_abs2"], rows, _meta(args, "amplitudes"))
     return 0
 
 
-def cmd_one_qubit(args) -> int:
+def _cmd_one_qubit(args) -> int:
     spec = ChainSpec(args.n)
     state = Qubit1State.pure(args.a1sq, args.phase)
     rho = receiver_state_1q(state, args.t, args.b, spec)
@@ -172,10 +174,10 @@ def _load_sender(path: str) -> np.ndarray:
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"sender file {path} is not a matrix of [re, im] pairs: "
                                   f"{exc}") from exc
-    return validate_density(m, psd_tol=None)
+    return validate_density(m)
 
 
-def cmd_map(args) -> int:
+def _cmd_map(args) -> int:
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
     rho_r = receiver_from_sender(table, _load_sender(args.sender))
@@ -183,7 +185,7 @@ def cmd_map(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
+def _cmd_solve(args) -> int:
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
     points = region_points(spec, args.t, args.b)
@@ -208,7 +210,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_region(args) -> int:
+def _cmd_region(args) -> int:
     spec = ChainSpec(args.n)
     t_grid, b_grid, l0_grid = _parse_grids(
         lambda nt, nb, nl: 48 * nt * nb * nl + 288 * nt * nl,
@@ -234,7 +236,7 @@ def _problem_from_args(args) -> OptProblem:
     return OptProblem(**kwargs)
 
 
-def cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> int:
     spec = ChainSpec(args.n)
     problem = _problem_from_args(args)
     res = optimize(problem, spec)
@@ -249,20 +251,16 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_curve(args) -> int:
+def _cmd_curve(args) -> int:
     spec = ChainSpec(args.n)
-    b_grid = _parse_grids(lambda nb: 24 * (20 * args.n + 1) * nb, args.b_grid)[0] if args.b_grid else None
-    if b_grid is not None:
-        pts = uniform_curve(spec, b_window=(float(b_grid[0]), float(b_grid[-1])),
-                            b_step=float(b_grid[1] - b_grid[0]) if len(b_grid) > 1 else 0.25)
-    else:
-        pts = uniform_curve(spec)
+    grids = _parse_grids(lambda nb: 24 * (20 * args.n + 1) * nb, args.b_grid) if args.b_grid else []
+    pts = uniform_curve(spec, *grids)
     rows = [(p.b, p.t, p.lam) for p in pts]
     _emit(args, ["b", "t", "lambda"], rows, _meta(args, "curve"))
     return 0
 
 
-def cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args) -> int:
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     spec = ChainSpec(args.n)
@@ -281,7 +279,7 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def cmd_table1(args) -> int:
+def _cmd_table1(args) -> int:
     spec = ChainSpec(args.n)
     mode = "fixed_one" if args.lambda0 == "one" else "free"
     results = summary_table(spec, mode)
@@ -321,23 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amplitudes", help="endpoint amplitude over a time grid")
     common(p)
     p.add_argument("--scan", required=True, help="time grid lo:hi:step")
-    p.set_defaults(func=cmd_amplitudes)
+    p.set_defaults(func=_cmd_amplitudes)
 
     p = sub.add_parser("one-qubit", help="one-qubit receiver matrix and scale factors")
     common(p, needs_tb=True)
     p.add_argument("--a1sq", type=float, required=True)
     p.add_argument("--phase", type=float, default=0.0)
-    p.set_defaults(func=cmd_one_qubit, format="json")
+    p.set_defaults(func=_cmd_one_qubit, format="json")
 
     p = sub.add_parser("map", help="two-qubit receiver for a sender matrix file")
     common(p, needs_tb=True)
     p.add_argument("--sender", required=True, help="JSON file, 4x4 row-major [re, im] pairs")
-    p.set_defaults(func=cmd_map, format="json")
+    p.set_defaults(func=_cmd_map, format="json")
 
     p = sub.add_parser("solve", help="scale factors and vectors at one point")
     common(p, needs_tb=True)
     p.add_argument("--lambda0", dest="lambda0_value", type=float, required=True)
-    p.set_defaults(func=cmd_solve, format="json")
+    p.set_defaults(func=_cmd_solve, format="json")
 
     p = sub.add_parser("region", help="region metrics over parameter grids")
     common(p)
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-grid", required=True, help="lo:hi:step")
     p.add_argument("--lambda0-grid", required=True, help="lo:hi:step")
     p.add_argument("--case", type=int, choices=(1, 2, 3, 4), default=3)
-    p.set_defaults(func=cmd_region)
+    p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("optimize", help="maximize a case objective")
     common(p)
@@ -353,22 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", choices=("free", "one"), default="free")
     p.add_argument("--t-window", default=None, help="override search window lo:hi")
     p.add_argument("--dump", default=None, help="CSV landscape dump path")
-    p.set_defaults(func=cmd_optimize, format="json")
+    p.set_defaults(func=_cmd_optimize, format="json")
 
     p = sub.add_parser("curve", help="uniform-scaling constraint curve")
     common(p)
     p.add_argument("--b-grid", default=None, help="lo:hi:step")
-    p.set_defaults(func=cmd_curve)
+    p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("oracle-check", help="max deviation of the analytic map vs brute-force evolution")
     common(p)
     p.add_argument("--samples", type=int, default=20)
-    p.set_defaults(func=cmd_oracle_check)
+    p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("table1", help="summary of all four cases for one chain")
     common(p)
     p.add_argument("--lambda0", choices=("free", "one"), default="free")
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(func=_cmd_table1)
 
     return parser
 
@@ -380,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_finite(args)
         return args.func(args)
     except (ConfigurationError, ValidationError, SingularInputError,
-            DomainError, ResourceError, OSError, np.linalg.LinAlgError) as exc:
+            ResourceError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigurationError", "ValidationError", "SingularInputError", "ResourceError"]
+
 
 class ConfigurationError(ValueError):
     """Invalid chain or run configuration (bad sizes, windows, ranges)."""
@@ -11,10 +13,6 @@ class ValidationError(ValueError):
 
 class SingularInputError(ValueError):
     """An input puts a solver on a singular point (zero denominator, spectrum hit)."""
-
-
-class DomainError(ValueError):
-    """A precondition on the physical domain is violated (non-physical base state)."""
 
 
 class ResourceError(RuntimeError):

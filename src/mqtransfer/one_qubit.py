@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (ChainSpec, check_inverse_temperature, endpoint_amplitude, endpoint_amplitude_grid,
-                    mode_basis, thermal_weights)
+from .chain import ChainSpec, check_inverse_temperature, endpoint_amplitude, mode_basis, thermal_weights
 from .errors import SingularInputError, ValidationError
-from .search import bracket_max, bracket_root
+from .search import bracket_root, grid_max
 
 __all__ = [
     "Qubit1State",
@@ -106,38 +105,33 @@ def state_independent_target(b: float) -> float:
     return float(2.0 / (2.0 + np.exp(-b)))
 
 
-def state_independent_time(b: float, spec: ChainSpec, t_max: float,
-                           grid_step: float = 0.01, tol: float = 1e-9) -> float | None:
+def state_independent_time(b: float, spec: ChainSpec, t_max: float) -> float | None:
     """Smallest t in (0, t_max] where |f(t)|^2 reaches the threshold for this b.
 
-    Scans a grid and narrows the first crossing with a bracket search; when
-    the threshold is only touched tangentially (it equals the global maximum),
-    the touching point is refined and returned. None when the window never
-    gets within tol.
+    Scans a grid of step 0.01 and narrows the first crossing with a bracket
+    search to 1e-9; when the threshold is only touched tangentially (it
+    equals the global maximum), the touching point is refined and returned.
+    None when the window never gets within 1e-9.
     """
     basis = mode_basis(spec.n_sites)
     target = state_independent_target(b)
-    ts = np.arange(0.0, t_max + grid_step, grid_step)
+    ts = np.arange(0.0, t_max + 0.01, 0.01)
     ts = ts[ts <= t_max + 1e-12]
 
     def excess(t: np.ndarray) -> np.ndarray:
-        return np.abs(endpoint_amplitude_grid(basis, t)) ** 2 - target
+        return np.abs(endpoint_amplitude(basis, t)) ** 2 - target
 
-    d = excess(ts)
-    above = np.nonzero(d >= 0.0)[0]
+    above = np.nonzero(excess(ts) >= 0.0)[0]
     if above.size:
         i = int(above[0])
         if i == 0:
             return float(ts[0])
-        lo, hi, _ = bracket_root(excess, ts[i - 1], ts[i], tol)
+        lo, hi, _ = bracket_root(excess, ts[i - 1], ts[i], 1e-9)
         return float(0.5 * (lo[0] + hi[0]))
 
     # tangential case: refine the closest approach
-    i = int(np.argmax(d))
-    t_best, d_best = bracket_max(excess, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], tol)
-    if abs(d_best[0]) <= tol:
-        return float(t_best[0])
-    return None
+    t_best, d_best = grid_max(excess, ts, 1e-9)
+    return t_best if abs(d_best) <= 1e-9 else None
 
 
 def perfect_zero_a1(t: float, b: float, spec: ChainSpec) -> float:

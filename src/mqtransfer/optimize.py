@@ -13,18 +13,25 @@ refines its best points with one bracket search in t. Cases 2-4 need a real
 single-quantum factor, which mqtransfer.two_qubit.lambda1_real decides
 exactly and independently of b > 0; for odd N there is none, so those cases
 are infeasible there.
+
+Every search runs on the one domain of the paper's table, fixed by the
+module constants: the b window B_WINDOW and its grid B_GRID of step B_STEP,
+the lambda0 window LAMBDA0_WINDOW and step LAMBDA0_STEP, the t step T_STEP,
+the refinement tolerance REFINE_TOL and CURVE_MIN_LAMBDA, at or below which a
+common value of lambda1 and lambda2 is degenerate. Only the t window can be
+set, per problem; by default it is the first transfer window (first_window).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .chain import ChainSpec, amplitude_grids, mode_basis
 from .errors import ConfigurationError
-from .search import bracket_max, bracket_root
+from .search import bracket_max, bracket_root, grid_max
 from .states import case_metrics, region_cells, region_metrics, region_points
 from .two_qubit import lambda1_real, w_small
 
@@ -40,50 +47,40 @@ __all__ = [
     "objective_landscape",
 ]
 
+# the search domain of the paper's table; B_GRID is the b axis of every search
+B_WINDOW = (0.0, 10.0)
+LAMBDA0_WINDOW = (0.5, 2.0)
+T_STEP = 0.05
+B_STEP = 0.25
+LAMBDA0_STEP = 0.02
+REFINE_TOL = 1e-4
+CURVE_MIN_LAMBDA = 1e-3
+B_GRID = np.arange(B_WINDOW[0], B_WINDOW[1] + 1e-9, B_STEP)
+B_GRID.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class OptProblem:
-    """Search configuration; windows and steps are the documented defaults.
+    """What to optimize: the case, the zero-order mode and the t window.
 
-    A t_window of None resolves to the first transfer window of the chain
-    (see first_window). Case 4 samples the uniform-scaling curve b(t) at
-    t_step instead of a full (t, b) grid, so b_step does not apply to it;
-    curve points with lambda at or below curve_min_lambda are discarded as
-    degenerate.
+    lambda0_mode is 'free' (lambda0 searched over LAMBDA0_WINDOW) or
+    'fixed_one'. A t_window of None resolves to the first transfer window of
+    the chain (see first_window). The rest of the search domain is the
+    module's constants.
     """
 
     case: int
     lambda0_mode: str = "free"
     t_window: tuple[float, float] | None = None
-    b_window: tuple[float, float] = (0.0, 10.0)
-    lambda0_window: tuple[float, float] = (0.5, 2.0)
-    t_step: float = 0.05
-    b_step: float = 0.25
-    lambda0_step: float = 0.02
-    refine_tol: float = 1e-4
-    curve_min_lambda: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.case not in (1, 2, 3, 4):
             raise ConfigurationError(f"case must be 1..4, got {self.case}")
         if self.lambda0_mode not in ("free", "fixed_one"):
             raise ConfigurationError(f"lambda0_mode must be 'free' or 'fixed_one', got {self.lambda0_mode}")
-        _check_grid({"t_window": self.t_window, "b_window": self.b_window,
-                     "lambda0_window": self.lambda0_window},
-                    {"t_step": self.t_step, "b_step": self.b_step,
-                     "lambda0_step": self.lambda0_step, "refine_tol": self.refine_tol})
-
-
-def _check_grid(windows: dict, positives: dict) -> None:
-    """Reject empty, non-finite or negative-b windows and non-positive steps or tolerances."""
-    for name, win in windows.items():
+        win = self.t_window
         if win is not None and not (np.all(np.isfinite(win)) and win[0] <= win[1]):
-            raise ConfigurationError(f"{name} must be finite and non-empty, got {win}")
-    if windows["b_window"][0] < 0.0:
-        raise ConfigurationError(f"b_window must start at b >= 0, got {windows['b_window']}")
-    for name, value in positives.items():
-        if not value > 0.0:
-            raise ConfigurationError(f"{name} must be positive, got {value}")
+            raise ConfigurationError(f"t_window must be finite and non-empty, got {win}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +108,18 @@ def lambda2_landmark(spec: ChainSpec) -> tuple[float, float]:
     """Location and signed value of the largest |double-quantum factor| in [0.5 N, 1.5 N].
 
     The window brackets the first transfer window, where the factor peaks
-    near t ~ N. A scan at the optimizer's default t_step, 0.05, finds the
-    best grid time, and one bracket search over its two grid cells refines
-    it to 1e-8. Results are cached per spec.
+    near t ~ N. A scan at T_STEP finds the best grid time, and one bracket
+    search over its two grid cells refines it to 1e-8. Results are cached
+    per spec.
     """
     n = spec.n_sites
-    ts = np.arange(0.5 * n, 1.5 * n + 1e-9, 0.05)
-    i = int(np.argmax(np.abs(_curve(n, ts)[2])))
-    t_best, _ = bracket_max(lambda x: np.abs(_curve(n, x)[2]),
-                            ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-8)
-    t_best = float(t_best[0])
+    t_best, _ = grid_max(lambda x: np.abs(_curve(n, x)[2]),
+                         np.arange(0.5 * n, 1.5 * n + 1e-9, T_STEP), 1e-8)
     return t_best, float(_curve(n, np.array([t_best]))[2][0])
 
 
-def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
-    """Default t search window [0.5 N, min(1.5 N, first double-quantum peak + margin)].
+def first_window(spec: ChainSpec) -> tuple[float, float]:
+    """Default t search window [0.5 N, min(1.5 N, first double-quantum peak + 1)].
 
     Later transfer windows can host larger scaled regions in long chains; the
     optimizer deliberately stays in the first one, where the reference optima
@@ -133,7 +127,7 @@ def first_window(spec: ChainSpec, margin: float = 1.0) -> tuple[float, float]:
     """
     n = spec.n_sites
     t_peak, _ = lambda2_landmark(spec)
-    return 0.5 * n, min(1.5 * n, t_peak + margin)
+    return 0.5 * n, min(1.5 * n, t_peak + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +149,24 @@ def _curve(n: int, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w_small(trace, det, n), lambda1_real(trace, det, 1.0, n), det.real
 
 
-def _scan(spec: ChainSpec, problem: OptProblem) -> dict:
-    """Coarse grid of region metrics, one b column at a time.
+def _t_grid(spec: ChainSpec, t_window: tuple[float, float] | None) -> np.ndarray:
+    t_lo, t_hi = t_window if t_window is not None else first_window(spec)
+    return np.arange(t_lo, t_hi + 1e-9, T_STEP)
+
+
+def _scan(spec: ChainSpec, problem: OptProblem, bs: np.ndarray) -> dict:
+    """Coarse grid of region metrics over the temperatures bs, one b column at a time.
 
     Returns axes ts, bs, l0s and s-arrays of shape (nt, nb, nl): s1 of case
     2, s2 of case 1 and their product, which is s1 * s2 of case 3. Metrics
     are zero at infeasible points, so argmax directly yields the best
     feasible cell.
     """
-    t_lo, t_hi = problem.t_window if problem.t_window is not None else first_window(spec)
-    ts = np.arange(t_lo, t_hi + 1e-9, problem.t_step)
-    bs = np.arange(problem.b_window[0], problem.b_window[1] + 1e-9, problem.b_step)
+    ts = _t_grid(spec, problem.t_window)
     if problem.lambda0_mode == "fixed_one":
         l0s = np.array([1.0])
     else:
-        l0s = np.arange(problem.lambda0_window[0], problem.lambda0_window[1] + 1e-9,
-                        problem.lambda0_step)
+        l0s = np.arange(LAMBDA0_WINDOW[0], LAMBDA0_WINDOW[1] + 1e-9, LAMBDA0_STEP)
     s1 = np.zeros((len(ts), len(bs), len(l0s)))
     s2 = np.zeros_like(s1)
     for bi, b in enumerate(bs):
@@ -199,7 +195,7 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
     or K zero-order scales at fixed (t, b); the last reuse one (t, b) stage.
     """
     t, b, l0 = start
-    steps = {"t": problem.t_step, "b": problem.b_step, "l0": problem.lambda0_step}
+    steps = {"t": T_STEP, "b": B_STEP, "l0": LAMBDA0_STEP}
 
     points = partial(region_points, spec)
 
@@ -210,7 +206,7 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
     def polish(x: float, axis: str, f) -> float:
         lo = max(windows[axis][0], x - steps[axis])
         hi = min(windows[axis][1], x + steps[axis])
-        return float(bracket_max(f, lo, hi, problem.refine_tol)[0][0])
+        return float(bracket_max(f, lo, hi, REFINE_TOL)[0][0])
 
     for _ in range(3):
         t = polish(t, "t", lambda x: objective(points(x[0], b), [l0]).T)
@@ -251,8 +247,8 @@ def _optimize_from_scan(spec: ChainSpec, problem: OptProblem, scan: dict) -> Opt
     start = (float(scan["ts"][it]), float(scan["bs"][ib]), float(scan["l0s"][il]))
     windows = {
         "t": (float(scan["ts"][0]), float(scan["ts"][-1])),
-        "b": problem.b_window,
-        "l0": problem.lambda0_window if problem.lambda0_mode == "free" else (1.0, 1.0),
+        "b": B_WINDOW,
+        "l0": LAMBDA0_WINDOW if problem.lambda0_mode == "free" else (1.0, 1.0),
     }
     t, b, l0 = _refine(spec, problem, start, windows)
     return _finalize(spec, problem, t, b, l0)
@@ -269,7 +265,7 @@ def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
         raise ConfigurationError("two-qubit optimization needs n_sites >= 4")
     if problem.case == 4:
         return _optimize_case4(problem, spec)
-    return _optimize_from_scan(spec, problem, _scan(spec, problem))
+    return _optimize_from_scan(spec, problem, _scan(spec, problem, B_GRID))
 
 
 # ---------------------------------------------------------------------------
@@ -285,32 +281,32 @@ class CurvePoint:
     lam: float
 
 
-def uniform_curve(spec: ChainSpec, b_window: tuple[float, float] = (0.0, 10.0),
-                  t_window: tuple[float, float] | None = None,
-                  b_step: float = 0.25, t_step: float = 0.05,
-                  min_lambda: float = 1e-3) -> list[CurvePoint]:
-    """Sample the constraint curve lambda1(t, b) = lambda2(t).
+def uniform_curve(spec: ChainSpec, bs=B_GRID) -> list[CurvePoint]:
+    """Sample the constraint curve lambda1(t, b) = lambda2(t) at each temperature of bs.
 
-    For each b on the grid, the roots in t of v(t) = tanh(b/2)^(N-2) (see
-    _curve) are bracketed on a scan of the first transfer window and
-    polished by a bracket search; roots are kept only where W's eigenvalues
-    are real, the residual is below 1e-6 and the common value exceeds
-    min_lambda (zero crossings of both factors are degenerate, not scaling).
-    For odd N, W has no real eigenvalue pair, so the curve is empty. For
-    N = 4n, ph = (-i)^(N-2) = -1 and a curve point needs tr W / ph < 0
-    where det W > 0; that the first window has none, so that this curve is
-    empty as well, rests on sampling.
+    bs is a one-dimensional grid of finite b >= 0. For each b, the roots in
+    t of v(t) = tanh(b/2)^(N-2) (see _curve) are bracketed on a scan of the
+    first transfer window at T_STEP and polished by a bracket search; roots
+    are kept only where W's eigenvalues are real, the residual is below 1e-6
+    and the common value exceeds CURVE_MIN_LAMBDA (zero crossings of both
+    factors are degenerate, not scaling). For odd N, W has no real
+    eigenvalue pair, so the curve is empty. For N = 4n, ph = (-i)^(N-2) = -1
+    and a curve point needs tr W / ph < 0 where det W > 0; that the first
+    window has none, so that this curve is empty as well, rests on sampling.
     """
-    _check_grid({"b_window": b_window, "t_window": t_window}, {"b_step": b_step, "t_step": t_step})
-    t_lo, t_hi = t_window if t_window is not None else first_window(spec)
-    ts = np.arange(t_lo, t_hi + 1e-9, t_step)
-    bs = np.arange(b_window[0], b_window[1] + 1e-9, b_step)
+    bs = np.asarray(bs, dtype=float)
+    if bs.ndim != 1:
+        raise ConfigurationError(f"the b grid must be one-dimensional, got shape {bs.shape}")
+    bad = bs[~(np.isfinite(bs) & (bs >= 0.0))]
+    if bad.size:
+        raise ConfigurationError(f"b must be finite and >= 0, got {bad[0]}")
+    ts = _t_grid(spec, None)
     n = spec.n_sites
     target = np.tanh(bs / 2.0) ** (n - 2)
     v, real, lam = _curve(n, ts)
-    # a cell is polished only if one of its ends is real and above min_lambda:
+    # a cell is polished only if one of its ends is real and above CURVE_MIN_LAMBDA:
     # most sign changes at large N lie where the common value is tiny
-    ends = real & (lam > min_lambda)
+    ends = real & (lam > CURVE_MIN_LAMBDA)
     g = v - target[:, None]
     a, c = g[:, :-1], g[:, 1:]
     rows, cells = np.nonzero(((a == 0.0) | (a * c < 0.0)) & (ends[:-1] | ends[1:]))
@@ -318,7 +314,7 @@ def uniform_curve(spec: ChainSpec, b_window: tuple[float, float] = (0.0, 10.0),
                                  ts[cells], ts[cells + 1], 1e-12)
     t_root = 0.5 * (lo + hi)
     v, real, lam = _curve(n, t_root)
-    keep = found & real & (np.abs(v - target[rows]) < 1e-6) & (lam > min_lambda)
+    keep = found & real & (np.abs(v - target[rows]) < 1e-6) & (lam > CURVE_MIN_LAMBDA)
     return [CurvePoint(b=float(bs[r]), t=float(t), lam=float(value))
             for r, t, value in zip(rows[keep], t_root[keep], lam[keep])]
 
@@ -335,28 +331,26 @@ def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
 
     if problem.lambda0_mode == "fixed_one":
         return product(np.ones(1))[:, 0], np.ones(len(ts))
-    lo, hi = problem.lambda0_window
-    step = problem.lambda0_step
-    grid = np.arange(lo, hi + 1e-9, step)
+    lo, hi = LAMBDA0_WINDOW
+    grid = np.arange(lo, hi + 1e-9, LAMBDA0_STEP)
     k = np.argmax(product(grid), axis=1)
-    l0, obj = bracket_max(product, np.maximum(lo, grid[k] - step),
-                          np.minimum(hi, grid[k] + step), problem.refine_tol)
+    l0, obj = bracket_max(product, np.maximum(lo, grid[k] - LAMBDA0_STEP),
+                          np.minimum(hi, grid[k] + LAMBDA0_STEP), REFINE_TOL)
     return obj, l0
 
 
 def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
     """Sample the curve b(t) along the t grid, then refine its three best points
-    in one bracket search over t; b_step does not apply."""
+    in one bracket search over t; B_STEP does not apply."""
     n = spec.n_sites
-    t_lo, t_hi = problem.t_window if problem.t_window is not None else first_window(spec)
-    ts = np.arange(t_lo, t_hi + 1e-9, problem.t_step)
+    ts = _t_grid(spec, problem.t_window)
 
     def along_curve(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """b(t), the objective (-inf off the curve) and lambda0 at times t."""
         v, real, lam = _curve(n, t)
-        on = real & (v >= 0.0) & (v < 1.0) & (lam > problem.curve_min_lambda)
+        on = real & (v >= 0.0) & (v < 1.0) & (lam > CURVE_MIN_LAMBDA)
         b = 2.0 * np.arctanh(np.where(on, v, 0.0) ** (1.0 / (n - 2)))
-        on &= (b >= problem.b_window[0]) & (b <= problem.b_window[1])
+        on &= (b >= B_WINDOW[0]) & (b <= B_WINDOW[1])
         obj, l0 = np.full(t.shape, -np.inf), np.ones(t.shape)
         obj[on], l0[on] = _case4_best(spec, t[on], b[on], problem)
         return b, obj, l0
@@ -366,10 +360,10 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
     top = top[obj[top] > 0.0]
     if not top.size:
         return _infeasible_result(problem)
-    # |db/dt| reaches 4 near the table optima, so t is searched to refine_tol / 4
-    # for b(t) to be resolved to refine_tol as well
-    t, _ = bracket_max(lambda x: along_curve(x)[1], np.maximum(ts[0], ts[top] - problem.t_step),
-                       np.minimum(ts[-1], ts[top] + problem.t_step), problem.refine_tol / 4)
+    # |db/dt| reaches 4 near the table optima, so t is searched to REFINE_TOL / 4
+    # for b(t) to be resolved to REFINE_TOL as well
+    t, _ = bracket_max(lambda x: along_curve(x)[1], np.maximum(ts[0], ts[top] - T_STEP),
+                       np.minimum(ts[-1], ts[top] + T_STEP), REFINE_TOL / 4)
     b, obj, l0 = along_curve(t)
     k = int(np.argmax(obj))
     return _finalize(spec, problem, float(t[k]), float(b[k]), float(l0[k]))
@@ -379,12 +373,10 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
 # shared table runs and landscape dumps
 
 
-def summary_table(spec: ChainSpec, lambda0_mode: str = "free",
-                  **problem_kwargs) -> dict[int, OptResult]:
+def summary_table(spec: ChainSpec, lambda0_mode: str = "free") -> dict[int, OptResult]:
     """Optimize all four cases, sharing one grid scan across cases 1..3."""
-    problems = {case: OptProblem(case=case, lambda0_mode=lambda0_mode, **problem_kwargs)
-                for case in (1, 2, 3, 4)}
-    scan = _scan(spec, problems[3])
+    problems = {case: OptProblem(case=case, lambda0_mode=lambda0_mode) for case in (1, 2, 3, 4)}
+    scan = _scan(spec, problems[3], B_GRID)
     results = {case: _optimize_from_scan(spec, problems[case], scan) for case in (1, 2, 3)}
     results[4] = _optimize_case4(problems[4], spec)
     return results
@@ -393,7 +385,7 @@ def summary_table(spec: ChainSpec, lambda0_mode: str = "free",
 def objective_landscape(spec: ChainSpec, problem: OptProblem,
                         b_fixed: float) -> tuple[list[str], list[tuple]]:
     """Long-format landscape rows (t, b, lambda0, value) at a fixed b."""
-    scan = _scan(spec, replace(problem, b_window=(b_fixed, b_fixed)))
+    scan = _scan(spec, problem, np.array([b_fixed]))
     arr = _objective_array(scan, problem.case) if problem.case != 4 else scan["s12"]
     rows = []
     for it, t in enumerate(scan["ts"]):

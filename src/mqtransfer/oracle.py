@@ -27,7 +27,6 @@ __all__ = [
     "build_hamiltonian",
     "thermal_background",
     "evolve_and_trace",
-    "clear_cache",
 ]
 
 # Measured at N = 12 on one Xeon core with one BLAS thread: the first
@@ -93,10 +92,6 @@ def _sectors(n: int) -> tuple[np.ndarray, np.ndarray, list]:
             array.setflags(write=False)
         _SECTOR_CACHE[n] = (counts, pos, sectors)
     return _SECTOR_CACHE[n]
-
-
-def clear_cache() -> None:
-    _SECTOR_CACHE.clear()
 
 
 def _thermal_weights(b: float, count: int) -> np.ndarray:

@@ -5,13 +5,14 @@ bracket, then shrinks each bracket to the grid cells around its best point
 (bracket_max) or to its first sign-change cell (bracket_root). There are no
 derivatives, so kinks at positivity and eigenvalue-realness boundaries are
 harmless; f must map an (M, K) array of points to an (M, K) array of values.
+grid_max scans f on a grid first and refines its best point by bracket_max.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["K", "bracket_max", "bracket_root"]
+__all__ = ["K", "bracket_max", "bracket_root", "grid_max"]
 
 # grid points per bracket and step; odd, so a shrunk bracket is centred on a
 # point already evaluated and the best value never decreases
@@ -48,6 +49,17 @@ def bracket_max(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
         if np.all(hi - lo <= tol):
             break
     return x[rows, j], values[rows, j]
+
+
+def grid_max(f, grid: np.ndarray, tol: float) -> tuple[float, float]:
+    """Best point of f and its value: the best point of the 1-D grid, refined by
+    bracket_max over the grid cells on either side of it down to tol.
+
+    f must also take the 1-D grid itself.
+    """
+    i = int(np.argmax(f(grid)))
+    best, value = bracket_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], tol)
+    return float(best[0]), float(value[0])
 
 
 def bracket_root(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

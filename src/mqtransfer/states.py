@@ -24,11 +24,9 @@ from .solvers import solve_first_order, solve_zero_order, zero_order_spectrum
 from .two_qubit import lambda1_real, transfer_blocks
 
 __all__ = [
-    "SenderTemplate",
     "RegionReport",
     "RegionPoints",
     "assemble_sender",
-    "is_physical",
     "block_rays",
     "region_points",
     "region_cells",
@@ -39,41 +37,21 @@ __all__ = [
 PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SenderTemplate:
-    """Ingredients of a block-structured sender matrix.
+def assemble_sender(x0, x1=None, c1: float = 0.0, c2: float = 0.0) -> np.ndarray:
+    """Hermitian unit-trace sender matrix (positivity not enforced).
 
-    x0 holds (rho11, rho22, rho33, rho23, rho23*); x1, when present, fills the
+    x0 holds (rho11, rho22, rho33, rho23, rho23*); x1, when given, fills the
     single-quantum elements (12, 13, 24, 34) with weight c1; c2 goes into the
     (1,4) element. The (4,4) element follows from the unit trace.
     """
-
-    x0: np.ndarray
-    x1: np.ndarray | None = None
-    c1: float = 0.0
-    c2: float = 0.0
-
-
-def assemble_sender(template: SenderTemplate) -> np.ndarray:
-    """Hermitian unit-trace matrix from a template (positivity not enforced)."""
-    x0 = np.asarray(template.x0, dtype=complex)
+    x0 = np.asarray(x0, dtype=complex)
     m = np.diag([x0[0].real, x0[1].real, x0[2].real,
                  1.0 - x0[0].real - x0[1].real - x0[2].real]).astype(complex)
     m[1, 2] = x0[3]
-    if template.x1 is not None:
-        m[[0, 0, 1, 2], [1, 2, 3, 3]] = template.c1 * np.asarray(template.x1, dtype=complex)
-    m[0, 3] = template.c2
+    if x1 is not None:
+        m[[0, 0, 1, 2], [1, 2, 3, 3]] = c1 * np.asarray(x1, dtype=complex)
+    m[0, 3] = c2
     return m + np.triu(m, 1).conj().T
-
-
-def is_physical(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff Hermitian, unit trace, and min eigenvalue >= -tol."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        return False
-    if abs(np.trace(rho) - 1.0) > 1e-12:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -tol)
 
 
 def block_rays(x0: np.ndarray, x1: np.ndarray):

@@ -34,7 +34,6 @@ __all__ = [
     "BLOCK_BASIS",
     "MOMENTS",
     "MOMENTS_INVERSE",
-    "CoherenceBlocks",
     "AlphaTable",
     "decompose_blocks",
     "transfer_blocks",
@@ -43,8 +42,6 @@ __all__ = [
     "alpha_entries",
     "alpha_table",
     "receiver_from_sender",
-    "operator_coefficients",
-    "matrix_from_coefficients",
     "validate_density",
     "random_density",
 ]
@@ -81,18 +78,16 @@ MOMENTS_INVERSE.setflags(write=False)
 ONE_BODY = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
-def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12,
-                     trace_tol: float = 1e-12, psd_tol: float | None = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and (optionally) positivity of a 4x4 state."""
+def validate_density(rho: np.ndarray) -> np.ndarray:
+    """Check that a 4x4 matrix is Hermitian and of unit trace, both within 1e-12
+    (positivity is not checked)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
         raise ValidationError("matrix trace is not 1 within tolerance")
-    if psd_tol is not None and np.linalg.eigvalsh(rho).min() < -psd_tol:
-        raise ValidationError("matrix has an eigenvalue below -psd_tol")
     return rho
 
 
@@ -103,25 +98,12 @@ def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-@dataclass(frozen=True)
-class CoherenceBlocks:
-    """Decomposition of a 4x4 matrix into coherence orders -2..2.
+def decompose_blocks(rho: np.ndarray) -> dict[int, np.ndarray]:
+    """Split a Hermitian 4x4 matrix into its coherence-order blocks n = -2..2.
 
     Block n keeps exactly the elements (i, j) with exc(j) - exc(i) = n and
     zeroes everywhere else; the blocks sum back to the full matrix.
     """
-
-    blocks: dict
-
-    def block(self, n: int) -> np.ndarray:
-        return self.blocks[n]
-
-    def to_matrix(self) -> np.ndarray:
-        return sum(self.blocks.values())
-
-
-def decompose_blocks(rho: np.ndarray) -> CoherenceBlocks:
-    """Split a Hermitian 4x4 matrix into its coherence-order blocks."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -129,10 +111,7 @@ def decompose_blocks(rho: np.ndarray) -> CoherenceBlocks:
         raise ValidationError("matrix is not Hermitian within 1e-12")
     exc = np.array(EXCITATION)
     order = exc[None, :] - exc[:, None]
-    blocks = {}
-    for n in range(-2, 3):
-        blocks[n] = np.where(order == n, rho, 0.0)
-    return CoherenceBlocks(blocks=blocks)
+    return {n: np.where(order == n, rho, 0.0) for n in range(-2, 3)}
 
 
 def transfer_blocks(p, q, r, s, b, n_sites: int) -> tuple:
@@ -297,7 +276,7 @@ def receiver_from_sender(table: AlphaTable, rho_s: np.ndarray) -> np.ndarray:
     positive (the map is linear), but a positive sender failing to produce a
     positive receiver is flagged, since the physical map preserves positivity.
     """
-    rho_s = validate_density(rho_s, psd_tol=None)
+    rho_s = validate_density(rho_s)
 
     def sel(nm: str) -> complex:
         return rho_s[_IDX[nm[0]], _IDX[nm[1]]]
@@ -323,42 +302,3 @@ def receiver_from_sender(table: AlphaTable, rho_s: np.ndarray) -> np.ndarray:
                       RuntimeWarning, stacklevel=2)
     return out
 
-
-def operator_coefficients(rho_s: np.ndarray) -> dict:
-    """Expansion coefficients of a two-qubit state over the product operator set.
-
-    Inverse of matrix_from_coefficients; the two are an exact linear bijection.
-    Keys '01', '02', '03' are real; the rest are complex.
-    """
-    rho_s = np.asarray(rho_s, dtype=complex)
-    return {
-        "01": (rho_s[0, 0] + rho_s[1, 1]).real - 0.5,
-        "02": (rho_s[0, 0] + rho_s[2, 2]).real - 0.5,
-        "03": 1.0 - 2.0 * (rho_s[1, 1] + rho_s[2, 2]).real,
-        "11": np.conj(rho_s[0, 1] + rho_s[2, 3]) / 2.0,
-        "12": np.conj(rho_s[0, 1] - rho_s[2, 3]),
-        "13": np.conj(rho_s[1, 2]),
-        "21": np.conj(rho_s[0, 2] + rho_s[1, 3]) / 2.0,
-        "22": np.conj(rho_s[0, 2] - rho_s[1, 3]),
-        "31": np.conj(rho_s[0, 3]),
-    }
-
-
-def matrix_from_coefficients(a: dict) -> np.ndarray:
-    """Assemble the two-qubit matrix from its operator coefficients."""
-    cj = np.conj
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = (1 + 2 * a["01"] + 2 * a["02"] + a["03"]) / 4.0
-    rho[1, 1] = (1 + 2 * a["01"] - 2 * a["02"] - a["03"]) / 4.0
-    rho[2, 2] = (1 - 2 * a["01"] + 2 * a["02"] - a["03"]) / 4.0
-    rho[3, 3] = 1.0 - rho[0, 0] - rho[1, 1] - rho[2, 2]
-    rho[0, 1] = (2 * cj(a["11"]) + cj(a["12"])) / 2.0
-    rho[2, 3] = (2 * cj(a["11"]) - cj(a["12"])) / 2.0
-    rho[0, 2] = (2 * cj(a["21"]) + cj(a["22"])) / 2.0
-    rho[1, 3] = (2 * cj(a["21"]) - cj(a["22"])) / 2.0
-    rho[1, 2] = cj(a["13"])
-    rho[0, 3] = cj(a["31"])
-    for i in range(4):
-        for j in range(i):
-            rho[i, j] = cj(rho[j, i])
-    return rho

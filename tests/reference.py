@@ -11,7 +11,8 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
   transfer matrix; it overflows for b above about 354 (e^b squared), so it
   serves b <= 30;
 - the sender layout as dense 4x4 matrices (base_matrix, first_order_direction,
-  SECOND_DIRECTION);
+  SECOND_DIRECTION), and physicality as Hermiticity, unit trace and a
+  smallest eigenvalue of at least -PSD_TOL (is_physical);
 - creatable intervals by bracketing and bisection on the smallest eigenvalue
   of the dense sender (ray_max, c_max_ray, boundary_sweep);
 - the single-quantum factor by a scalar loop over the eigenvalues sorted by
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mqtransfer import ChainSpec, DomainError, alpha_table, amplitude_set, mode_basis
+from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
 from mqtransfer.solvers import COND_LIMIT, zero_order_system
 from mqtransfer.states import PSD_TOL
 
@@ -44,6 +45,16 @@ def base_matrix(x0: np.ndarray) -> np.ndarray:
     m[1, 2] = x0[3]
     m[2, 1] = np.conj(x0[3])
     return m
+
+
+def is_physical(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
+    """True iff Hermitian, unit trace, and min eigenvalue >= -tol."""
+    rho = np.asarray(rho, dtype=complex)
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        return False
+    if abs(np.trace(rho) - 1.0) > 1e-12:
+        return False
+    return bool(np.linalg.eigvalsh(rho).min() >= -tol)
 
 
 def first_order_direction(x1: np.ndarray) -> np.ndarray:
@@ -205,16 +216,16 @@ def c_max_ray(x0: np.ndarray, x1: np.ndarray | None, which: str,
     """
     m0 = base_matrix(x0)
     if np.linalg.eigvalsh(m0).min() < -PSD_TOL:
-        raise DomainError("base sender state (c1 = c2 = 0) is not positive")
+        raise ValueError("base sender state (c1 = c2 = 0) is not positive")
     if which == "c2":
         return ray_max(m0, SECOND_DIRECTION, tol)
     if which == "c1":
         if x1 is None:
-            raise DomainError("the c1 ray needs a single-quantum vector x1")
+            raise ValueError("the c1 ray needs a single-quantum vector x1")
         return ray_max(m0, first_order_direction(x1), tol)
     if which == "corner":
         if x1 is None:
-            raise DomainError("the corner needs a single-quantum vector x1")
+            raise ValueError("the corner needs a single-quantum vector x1")
         return (ray_max(m0, first_order_direction(x1), tol),
                 ray_max(m0, SECOND_DIRECTION, tol))
     raise ValueError(f"unknown ray selector {which!r}")
@@ -228,7 +239,7 @@ def boundary_sweep(x0: np.ndarray, x1: np.ndarray, rays: int = 64) -> np.ndarray
     """
     m0 = base_matrix(x0)
     if np.linalg.eigvalsh(m0).min() < -PSD_TOL:
-        raise DomainError("base sender state is not positive")
+        raise ValueError("base sender state is not positive")
     v1 = first_order_direction(x1)
     pts = []
     for theta in np.linspace(0.0, np.pi / 2, rays):

@@ -230,7 +230,7 @@ def test_criterion_08_structural_invariants(table_n6_free, table_n42_free):
         for other in (-2, -1, 0, 1, 2):
             if abs(other) == order:
                 continue
-            dev = np.max(np.abs(pert.block(other) - base_blocks.block(other)))
+            dev = np.max(np.abs(pert[other] - base_blocks[other]))
             if dev > 1e-12:
                 errors.append(f"block {other} moved ({dev:.1e}) under order-{order} bump")
 

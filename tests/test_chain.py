@@ -9,9 +9,7 @@ from mqtransfer import (
     ValidationError,
     alpha_table,
     amplitude_set,
-    build_modes,
     endpoint_amplitude,
-    endpoint_amplitude_grid,
     endpoint_power_max,
     evolve_and_trace,
     lambda0_variant_a,
@@ -22,7 +20,6 @@ from mqtransfer import (
     region_metrics,
     thermal_background,
     transition_amplitude,
-    transition_amplitude_grid,
 )
 
 
@@ -35,7 +32,7 @@ def test_spec_validation():
 
 
 def test_energies_n2():
-    basis = build_modes(ChainSpec(2))
+    basis = mode_basis(2)
     assert np.allclose(basis.energies, [0.5, -0.5], atol=1e-15)
 
 
@@ -118,10 +115,10 @@ def test_endpoint_zero_time():
 def test_endpoint_grid_matches_scalar(rng):
     basis = mode_basis(8)
     ts = rng.uniform(0.0, 20.0, size=12)
-    grid = endpoint_amplitude_grid(basis, ts)
+    grid = endpoint_amplitude(basis, ts)
     for t, z in zip(ts, grid):
         assert z == pytest.approx(endpoint_amplitude(basis, t), abs=1e-13)
-    grid2 = transition_amplitude_grid(basis, 2, 7, ts)
+    grid2 = transition_amplitude(basis, 2, 7, ts)
     for t, z in zip(ts, grid2):
         assert z == pytest.approx(transition_amplitude(basis, 2, 7, t), abs=1e-13)
     # amplitude_set, a batch of one of amplitude_grids, against the scalar sums

@@ -307,6 +307,13 @@ def test_out_of_range_counts_and_grids_are_one_line(capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_curve_negative_b_grid_is_one_line(capsys):
+    # uniform_curve validates the grid it is given: a b below zero is refused
+    code, err = _run_error(capsys, ["curve", "--n", "6", "--b-grid=-1:2:0.5"])
+    assert code == 3
+    assert err == ["error: b must be finite and >= 0, got -1.0"]
+
+
 @pytest.mark.parametrize("a1sq", ["2", "-0.5"])
 def test_one_qubit_population_out_of_range_is_one_line(capsys, a1sq):
     # validated before any square root: a numpy warning would add lines

@@ -35,6 +35,39 @@ def test_no_private_cross_module_imports():
     assert not offenders, offenders
 
 
+def _defined_public_names(path: Path) -> list[str]:
+    """Top-level functions and classes of a module whose names are not private."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def test_public_surface_is_exported():
+    # every module lists in __all__ exactly the functions and classes it makes
+    # public, every listed name exists, and the package imports only listed
+    # names, so a deleted name cannot linger as a stale export
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"mqtransfer.{path.stem}")
+        exported = getattr(module, "__all__", None)
+        if exported is None:
+            problems.append(f"{path.name}: no __all__")
+            continue
+        problems += [f"{path.name}: {name} in __all__ is not defined"
+                     for name in exported if not hasattr(module, name)]
+        problems += [f"{path.name}: {name} is not in __all__"
+                     for name in _defined_public_names(path) if name not in exported]
+    init = PACKAGE / "__init__.py"
+    for node in ast.parse(init.read_text(), filename=str(init)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = importlib.import_module(f"mqtransfer.{node.module}").__all__
+            problems += [f"__init__.py: {alias.name} is not in {node.module}.__all__"
+                         for alias in node.names if alias.name not in exported]
+    assert not problems, problems
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer binds these (module, function) pairs by name
     path = PACKAGE.parent.parent / "perfbench" / "tracing.py"

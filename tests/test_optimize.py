@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -18,12 +19,14 @@ from mqtransfer import (
     uniform_curve,
 )
 from mqtransfer.chain import amplitude_grids
-from mqtransfer.optimize import _curve, _scan, objective_landscape
+from mqtransfer.optimize import B_GRID, _curve, _scan, objective_landscape
 from mqtransfer.search import bracket_max, bracket_root
 from mqtransfer.solvers import solve_zero_order, zero_order_system
 from mqtransfer.states import case_metrics, region_cells, region_metrics, region_points
 from reference import region_reference, select_first_order, solve_zero_order_dense
 
+# the package's optimize is the function; the module holds the search constants
+optimize_module = importlib.import_module("mqtransfer.optimize")
 _CASE_KEY = {1: "s2", 2: "s1", 3: "s12"}
 EPS = np.finfo(float).eps
 
@@ -39,26 +42,16 @@ def test_problem_validation():
     with pytest.raises(ConfigurationError):
         OptProblem(case=1, lambda0_mode="pinned")
     with pytest.raises(ConfigurationError):
-        OptProblem(case=1, b_window=(3.0, 1.0))
-    with pytest.raises(ConfigurationError):
         OptProblem(case=1, t_window=(9.0, 3.0))
 
 
 @pytest.mark.parametrize("call", [
-    lambda: optimize(OptProblem(case=1, t_step=0.0), ChainSpec(6)),
-    lambda: optimize(OptProblem(case=1, t_step=-0.05), ChainSpec(6)),
     lambda: optimize(OptProblem(case=1, t_window=(float("nan"), 5.0)), ChainSpec(6)),
-    lambda: optimize(OptProblem(case=1, b_step=0.0), ChainSpec(6)),
-    lambda: optimize(OptProblem(case=1, lambda0_step=0.0), ChainSpec(6)),
-    lambda: optimize(OptProblem(case=3, refine_tol=0.0), ChainSpec(6)),
-    lambda: uniform_curve(ChainSpec(6), t_step=0.0),
-    lambda: uniform_curve(ChainSpec(6), b_step=-0.25),
-    lambda: uniform_curve(ChainSpec(6), b_window=(0.0, float("inf"))),
-    lambda: optimize(OptProblem(case=4, b_window=(-1.0, 2.0)), ChainSpec(6)),
-    lambda: uniform_curve(ChainSpec(6), b_window=(-0.5, 2.0)),
-], ids=["t_step=0", "t_step<0", "t_window=nan", "b_step=0", "lambda0_step=0",
-        "refine_tol=0", "curve t_step=0", "curve b_step<0", "curve b_window=inf",
-        "b_window<0", "curve b_window<0"])
+    lambda: uniform_curve(ChainSpec(6), [0.0, float("inf")]),
+    lambda: uniform_curve(ChainSpec(6), [-0.5, 2.0]),
+    lambda: uniform_curve(ChainSpec(6), [1.0, float("nan")]),
+    lambda: uniform_curve(ChainSpec(6), 2.0),
+], ids=["t_window=nan", "curve b_window=inf", "curve b_window<0", "curve b=nan", "curve b scalar"])
 def test_bad_steps_and_windows_are_configuration_errors(call):
     with pytest.raises(ConfigurationError):
         call()
@@ -123,7 +116,7 @@ def test_lambda2_landmark_cache_matches_fresh_computation():
 
 
 def test_uniform_curve_passes_reference_point():
-    pts = uniform_curve(ChainSpec(6), b_window=(2.3462, 2.3462), b_step=1.0)
+    pts = uniform_curve(ChainSpec(6), [2.3462])
     assert len(pts) == 1
     assert pts[0].t == pytest.approx(5.6651, abs=1e-3)
     assert pts[0].lam == pytest.approx(0.2956, abs=1e-3)
@@ -151,9 +144,10 @@ def test_uniform_curve_points_are_roots(n):
         assert pt.lam == pytest.approx(table.second.real, abs=1e-12)
 
 
-def test_case4_stays_in_b_window():
+def test_case4_stays_in_b_window(monkeypatch):
     # the optimum over the default window (N = 6, fixed_one) lies at b = 2.095
-    res = optimize(OptProblem(case=4, lambda0_mode="fixed_one", b_window=(0.0, 2.0)), ChainSpec(6))
+    monkeypatch.setattr(optimize_module, "B_WINDOW", (0.0, 2.0))
+    res = optimize(OptProblem(case=4, lambda0_mode="fixed_one"), ChainSpec(6))
     assert res.feasible
     assert res.b_opt <= 2.0
 
@@ -180,10 +174,12 @@ def test_region_column_matches_region_metrics():
                     assert got[row, col] == 0.0
 
 
-def test_optimize_infeasible_window():
+def test_optimize_infeasible_window(monkeypatch):
     # at b = 0 the single-quantum factor vanishes identically
+    monkeypatch.setattr(optimize_module, "B_WINDOW", (0.0, 0.0))
+    monkeypatch.setattr(optimize_module, "B_GRID", np.zeros(1))
     spec = ChainSpec(6)
-    problem = OptProblem(case=2, b_window=(0.0, 0.0))
+    problem = OptProblem(case=2)
     res = optimize(problem, spec)
     assert not res.feasible
     assert res.objective == 0.0
@@ -268,7 +264,7 @@ def test_case4_local_certificate(request, fixture, n):
         l0s = np.arange(0.5, 2.0 + 1e-9, 0.002)
     for db in (1e-3, -1e-3, 2e-2, -2e-2):
         b = res.b_opt + db
-        pts = uniform_curve(spec, b_window=(b, b), b_step=1.0)
+        pts = uniform_curve(spec, [b])
         t = min(pts, key=lambda pt: abs(pt.t - res.t_opt)).t
         best = max(region_metrics(spec, t, b, float(l0), case=4).s12 for l0 in l0s)
         assert best <= res.s12 * (1.0 + 1e-7)
@@ -360,11 +356,11 @@ def test_lambda0_on_each_exact_pole_is_singular(t):
 
 
 def test_scan_matches_region_metrics():
+    # 40 random cells of the default scan grid against the point-by-point reference
     rng = np.random.default_rng(11)
     for n in (6, 42):
         spec = ChainSpec(n)
-        problem = OptProblem(case=3, t_step=0.5, b_step=1.5, lambda0_step=0.1)
-        scan = _scan(spec, problem)
+        scan = _scan(spec, OptProblem(case=3), B_GRID)
         shape = scan["s12"].shape
         for _ in range(40):
             it, ib, il = (int(rng.integers(k)) for k in shape)

@@ -15,7 +15,7 @@ from mqtransfer import (
     receiver_state_1q,
     thermal_background,
 )
-from mqtransfer.oracle import clear_cache, evolve_and_trace
+from mqtransfer.oracle import evolve_and_trace
 from mqtransfer.two_qubit import decompose_blocks, random_density
 
 
@@ -137,7 +137,7 @@ def test_oracle_block_non_mixing(rng):
     bumped[1, 0] += 0.03
     pert = decompose_blocks(evolve_and_trace(bumped, t, b, spec))
     for order in (0, 2, -2):
-        assert np.max(np.abs(pert.block(order) - base.block(order))) < 1e-12
+        assert np.max(np.abs(pert[order] - base[order])) < 1e-12
 
 
 @pytest.mark.parametrize("n_sender", [1, 2])
@@ -170,14 +170,6 @@ def test_analytic_maps_match_oracle_n10(rng):
                            [np.conj(state.phase_prod), state.a1_sq]])
         assert np.linalg.norm(receiver_state_1q(state, t, b, spec)
                               - evolve_and_trace(sender, t, b, spec)) < 1e-9
-
-
-def test_clear_cache_recomputes_identically(rng):
-    spec = ChainSpec(7)
-    sender = random_density(rng)
-    first = evolve_and_trace(sender, 4.4, 0.8, spec)
-    clear_cache()
-    assert np.array_equal(evolve_and_trace(sender, 4.4, 0.8, spec), first)
 
 
 @pytest.mark.parametrize("t, b", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mqtransfer.search import bracket_max, bracket_root
+from mqtransfer.search import bracket_max, bracket_root, grid_max
 
 
 def test_bracket_max_quadratic():
@@ -14,6 +14,22 @@ def test_bracket_max_keeps_bracket_ends():
     # a maximum at the end of the bracket is found, not only interior ones
     x, _ = bracket_max(lambda x: x, 2.0, 3.0, 1e-9)
     assert x[0] == 3.0
+
+
+def test_grid_max_refines_the_best_grid_point():
+    # cos(x) + cos(3 x) / 2 peaks at 0 on the grid's span; its best grid
+    # point is -0.1, and only the two grid cells around it are searched
+    f = lambda x: np.cos(x) + 0.5 * np.cos(3.0 * x)  # noqa: E731
+    grid = np.arange(-1.0, 6.2, 0.3)
+    x, value = grid_max(f, grid, 1e-10)
+    i = int(np.argmax(f(grid)))
+    ref_x, ref_value = bracket_max(f, grid[i - 1], grid[i + 1], 1e-10)
+    assert (x, value) == (float(ref_x[0]), float(ref_value[0]))
+    # f is flat to rounding within about sqrt(eps) of its peak
+    assert abs(x) < 1e-7 and isinstance(x, float)
+    # a best point at an end of the grid brackets only the cell inside
+    x, _ = grid_max(lambda x: -x, grid, 1e-10)
+    assert x == grid[0]
 
 
 def test_bracket_root_step_indicator():

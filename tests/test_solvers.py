@@ -15,7 +15,7 @@ from mqtransfer import (
     solve_zero_order,
     zero_order_system,
 )
-from mqtransfer.states import SenderTemplate, assemble_sender, region_cells, region_points
+from mqtransfer.states import assemble_sender, region_cells, region_points
 from mqtransfer.two_qubit import FIRST_LABELS
 from reference import FIRST_BASIS, INVARIANT, QUOTIENT, block_arguments, solve_zero_order_dense
 
@@ -253,7 +253,7 @@ def test_scaled_transfer_identities(rng):
         if not regular:
             continue
         c1, c2 = 0.02, 0.02
-        sender = assemble_sender(SenderTemplate(x0=x0, x1=first.x1, c1=c1, c2=c2))
+        sender = assemble_sender(x0, first.x1, c1=c1, c2=c2)
         out = receiver_from_sender(table, sender)
         # double quantum scales by lambda2
         assert out[0, 3] == pytest.approx(table.second * c2, abs=1e-10)

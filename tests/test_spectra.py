@@ -22,9 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mqtransfer import ChainSpec, OptProblem, first_window, mode_basis
+from mqtransfer import ChainSpec, first_window, mode_basis
 from mqtransfer.chain import amplitude_grids
-from mqtransfer.optimize import _curve
+from mqtransfer.optimize import B_GRID, T_STEP, _curve
 from mqtransfer.solvers import solve_first_order, zero_order_system
 from mqtransfer.states import region_points
 from reference import (FIRST_BASIS, INVARIANT, QUOTIENT, block_arguments, discriminant,
@@ -157,11 +157,9 @@ def test_uniform_scaling_identity_against_kernel(point):
 def _scan_maps(n):
     """The optimizer's default scan grid ts and bs, and the single-quantum maps on
     it, (nb, nt, 4, 4)."""
-    problem = OptProblem(case=3)
     t_lo, t_hi = first_window(ChainSpec(n))
-    ts = np.arange(t_lo, t_hi + 1e-9, problem.t_step)
-    bs = np.arange(problem.b_window[0], problem.b_window[1] + 1e-9, problem.b_step)
-    return ts, bs, expanded_entries(*amplitude_grids(mode_basis(n), ts), bs[:, None], n)[0]
+    ts = np.arange(t_lo, t_hi + 1e-9, T_STEP)
+    return ts, B_GRID, expanded_entries(*amplitude_grids(mode_basis(n), ts), B_GRID[:, None], n)[0]
 
 
 @pytest.mark.parametrize("n", [6, 10, 42])

@@ -3,23 +3,22 @@ import pytest
 
 from mqtransfer import (
     ChainSpec,
-    DomainError,
     alpha_table,
     amplitude_set,
     assemble_sender,
-    is_physical,
     mode_basis,
     receiver_from_sender,
     region_metrics,
     solve_zero_order,
 )
-from mqtransfer.states import SenderTemplate, block_rays, region_points
+from mqtransfer.states import block_rays, region_points
 from reference import (
     SECOND_DIRECTION,
     base_matrix,
     boundary_sweep,
     c_max_ray,
     first_order_direction,
+    is_physical,
     ray_max,
 )
 
@@ -34,15 +33,14 @@ def _case1_x0(lam0=1.0837):
 
 
 def test_assemble_maximally_mixed():
-    m = assemble_sender(SenderTemplate(x0=MIXED_X0))
+    m = assemble_sender(MIXED_X0)
     assert np.allclose(m, np.eye(4) / 4.0)
 
 
 def test_assemble_template_structure(rng):
     x1 = rng.normal(size=4) + 1j * rng.normal(size=4)
     x1 /= np.linalg.norm(x1)
-    tpl = SenderTemplate(x0=np.array([0.3, 0.2, 0.2, 0.05j, -0.05j]), x1=x1, c1=0.1, c2=0.07)
-    m = assemble_sender(tpl)
+    m = assemble_sender(np.array([0.3, 0.2, 0.2, 0.05j, -0.05j]), x1, c1=0.1, c2=0.07)
     assert np.max(np.abs(m - m.conj().T)) < 1e-15
     assert np.trace(m) == pytest.approx(1.0, abs=1e-15)
     assert m[0, 1] == pytest.approx(0.1 * x1[0], abs=1e-15)
@@ -56,12 +54,12 @@ def test_assemble_printed_case4_optimum():
     x0 = np.array([0.49962, 0.20645, 0.08884, -0.07298j, 0.07298j])
     x1 = np.array([0.98333, -0.15484j, -0.01482j, -0.09414])
     x1 = x1 / np.linalg.norm(x1)
-    base = assemble_sender(SenderTemplate(x0=x0))
+    base = assemble_sender(x0)
     assert is_physical(base, tol=1e-6)
     c1, c2 = c_max_ray(x0, x1, "corner")
-    loaded = assemble_sender(SenderTemplate(x0=x0, x1=x1, c1=0.9 * c1, c2=0.0))
+    loaded = assemble_sender(x0, x1, c1=0.9 * c1)
     assert is_physical(loaded, tol=1e-8)
-    loaded = assemble_sender(SenderTemplate(x0=x0, c2=0.9 * c2))
+    loaded = assemble_sender(x0, c2=0.9 * c2)
     assert is_physical(loaded, tol=1e-8)
 
 
@@ -104,7 +102,7 @@ def test_ray_bracketing_boundary(rng):
     x1 /= np.linalg.norm(x1)
     x0 = np.array([0.3, 0.25, 0.2, 0.02j, -0.02j])
     c1 = c_max_ray(x0, x1, "c1")
-    bad = assemble_sender(SenderTemplate(x0=x0, x1=x1, c1=c1 + 1e-6))
+    bad = assemble_sender(x0, x1, c1=c1 + 1e-6)
     assert np.linalg.eigvalsh(bad).min() < -1e-10
 
 
@@ -116,9 +114,9 @@ def test_ray_monotonicity():
 
 
 def test_ray_requires_physical_base():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         c_max_ray(np.array([0.6, 0.5, 0.2, 0.0, 0.0]), None, "c2")  # rho44 < 0
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         c_max_ray(MIXED_X0, None, "c1")  # missing x1
 
 
@@ -179,9 +177,7 @@ def test_receiver_physicality_of_assembled_senders(rng):
         rep = region_metrics(spec, t, b, rng.uniform(0.9, 1.4), case=3)
         if not rep.feasible:
             continue
-        tpl = SenderTemplate(x0=rep.x0, x1=rep.x1,
-                             c1=0.8 * rep.c1_max, c2=0.5 * rep.c2_max)
-        sender = assemble_sender(tpl)
+        sender = assemble_sender(rep.x0, rep.x1, c1=0.8 * rep.c1_max, c2=0.5 * rep.c2_max)
         assert is_physical(sender, tol=1e-9)
         table = alpha_table(amplitude_set(basis, t), b, spec)
         out = receiver_from_sender(table, sender)
@@ -196,12 +192,11 @@ def test_block_scaled_end_to_end(rng):
     rep = region_metrics(spec, t, b, lam0, case=3)
     assert rep.feasible
     c1, c2 = 0.5 * rep.c1_max, 0.5 * rep.c2_max
-    sender = assemble_sender(SenderTemplate(x0=rep.x0, x1=rep.x1, c1=c1, c2=c2))
+    sender = assemble_sender(rep.x0, rep.x1, c1=c1, c2=c2)
     table = alpha_table(amplitude_set(basis, t), b, spec)
     out = receiver_from_sender(table, sender)
     scaled_x0 = lam0 * rep.x0
-    rebuilt = assemble_sender(SenderTemplate(
-        x0=scaled_x0, x1=rep.x1, c1=rep.lambda1 * c1, c2=rep.lambda2 * c2))
+    rebuilt = assemble_sender(scaled_x0, rep.x1, c1=rep.lambda1 * c1, c2=rep.lambda2 * c2)
     assert np.max(np.abs(out - rebuilt)) < 1e-9
 
 

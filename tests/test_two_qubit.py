@@ -11,9 +11,7 @@ from mqtransfer import (
     amplitude_set,
     alpha_table,
     decompose_blocks,
-    matrix_from_coefficients,
     mode_basis,
-    operator_coefficients,
     random_density,
     receiver_from_sender,
     region_metrics,
@@ -21,7 +19,7 @@ from mqtransfer import (
 )
 from mqtransfer.chain import amplitude_grids
 from mqtransfer.oracle import evolve_and_trace
-from mqtransfer.states import SenderTemplate, assemble_sender, region_points
+from mqtransfer.states import assemble_sender, region_points
 from mqtransfer.two_qubit import FIRST_LABELS, ZERO_COLS, ZERO_ROWS, alpha_entries
 from reference import expanded_entries
 
@@ -42,9 +40,9 @@ def _random_hermitian(rng, dim=4):
 
 def test_blocks_identity():
     blocks = decompose_blocks(np.eye(4) / 4.0)
-    assert np.allclose(blocks.block(0), np.eye(4) / 4.0)
+    assert np.allclose(blocks[0], np.eye(4) / 4.0)
     for n in (-2, -1, 1, 2):
-        assert np.all(blocks.block(n) == 0)
+        assert np.all(blocks[n] == 0)
 
 
 def test_blocks_double_quantum_element():
@@ -52,21 +50,21 @@ def test_blocks_double_quantum_element():
     m[0, 3] = 0.3 + 0.1j
     m[3, 0] = 0.3 - 0.1j
     blocks = decompose_blocks(m)
-    assert blocks.block(2)[0, 3] == 0.3 + 0.1j
-    assert blocks.block(-2)[3, 0] == 0.3 - 0.1j
-    assert np.all(blocks.block(0) == 0)
+    assert blocks[2][0, 3] == 0.3 + 0.1j
+    assert blocks[-2][3, 0] == 0.3 - 0.1j
+    assert np.all(blocks[0] == 0)
 
 
 def test_blocks_round_trip(rng):
     m = _random_hermitian(rng)
     blocks = decompose_blocks(m)
-    assert np.max(np.abs(blocks.to_matrix() - m)) < 1e-15
+    assert np.max(np.abs(sum(blocks.values()) - m)) < 1e-15
 
 
 def test_blocks_adjoint_pairing(rng):
     blocks = decompose_blocks(_random_hermitian(rng))
     for n in (1, 2):
-        assert np.max(np.abs(blocks.block(-n) - blocks.block(n).conj().T)) < 1e-15
+        assert np.max(np.abs(blocks[-n] - blocks[n].conj().T)) < 1e-15
 
 
 def test_blocks_reject_non_hermitian(rng):
@@ -202,7 +200,7 @@ def test_receiver_scales_double_quantum_weight():
     table = _table(6, 8.5153, 10.0)
     (x0,), _ = solve_zero_order(region_points(spec, 8.5153, 10.0).spectrum, [1.0837])
     c2 = 0.2
-    sender = assemble_sender(SenderTemplate(x0=x0, c2=c2))
+    sender = assemble_sender(x0, c2=c2)
     out = receiver_from_sender(table, sender)
     assert out[0, 3] == pytest.approx(table.second * c2, abs=1e-12)
     assert abs(out[0, 3]) == pytest.approx(0.8960 * c2, abs=1e-3 * c2)
@@ -218,7 +216,7 @@ def test_block_independence(rng):
     bumped[3, 0] += 0.05
     pert = decompose_blocks(receiver_from_sender(table, bumped))
     for n in (-1, 0, 1):
-        assert np.max(np.abs(pert.block(n) - base.block(n))) < 1e-12
+        assert np.max(np.abs(pert[n] - base[n])) < 1e-12
 
 
 def test_receiver_trace_hermiticity_psd(rng):
@@ -235,36 +233,3 @@ def test_receiver_validates_input(rng):
     with pytest.raises(ValidationError):
         receiver_from_sender(table, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
 
-
-# ---------------------------------------------------------------------------
-# operator dictionary
-
-
-def test_dictionary_zero_coefficients():
-    a = {k: 0.0 for k in ("01", "02", "03", "11", "12", "13", "21", "22", "31")}
-    assert np.allclose(matrix_from_coefficients(a), np.eye(4) / 4.0)
-
-
-def test_dictionary_double_quantum_entry():
-    a = {k: 0.0 for k in ("01", "02", "03", "11", "12", "13", "21", "22", "31")}
-    a["31"] = 0.2 - 0.3j
-    m = matrix_from_coefficients(a)
-    assert m[0, 3] == pytest.approx(np.conj(a["31"]), abs=1e-15)
-
-
-def test_dictionary_round_trip(rng):
-    a = {
-        "01": rng.normal() * 0.1, "02": rng.normal() * 0.1, "03": rng.normal() * 0.1,
-        "11": (rng.normal() + 1j * rng.normal()) * 0.1,
-        "12": (rng.normal() + 1j * rng.normal()) * 0.1,
-        "13": (rng.normal() + 1j * rng.normal()) * 0.1,
-        "21": (rng.normal() + 1j * rng.normal()) * 0.1,
-        "22": (rng.normal() + 1j * rng.normal()) * 0.1,
-        "31": (rng.normal() + 1j * rng.normal()) * 0.1,
-    }
-    back = operator_coefficients(matrix_from_coefficients(a))
-    for key, val in a.items():
-        assert back[key] == pytest.approx(val, abs=1e-15)
-    rho = random_density(rng)
-    again = matrix_from_coefficients(operator_coefficients(rho))
-    assert np.max(np.abs(again - rho)) < 1e-15
