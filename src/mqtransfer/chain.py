@@ -41,10 +41,12 @@ class ChainSpec:
             raise ConfigurationError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
 
 
-def check_inverse_temperature(b: float) -> None:
-    """Reject a background inverse temperature b that is not finite and >= 0."""
-    if not (np.isfinite(b) and b >= 0):
-        raise ValidationError(f"inverse temperature must be finite and >= 0, got {b}")
+def check_inverse_temperature(b) -> None:
+    """Reject an inverse temperature b (scalar or array) unless finite and >= 0; name the first bad one."""
+    ok = np.isfinite(b) & (b >= 0)
+    if not ok.all():
+        raise ValidationError(f"inverse temperature must be finite and >= 0, "
+                              f"got {np.ravel(b)[~np.ravel(ok)][0]}")
 
 
 def thermal_weights(b):
@@ -122,9 +124,10 @@ def endpoint_power_max(basis: ModeBasis, t_lo: float, t_hi: float) -> tuple[floa
 
 @dataclass(frozen=True)
 class AmplitudeSet:
-    """The four sender-to-receiver amplitudes at time t, plus the endpoint one.
+    """The four sender-to-receiver amplitudes at time t.
 
-    f11 = f_{1,N-1}, f1n = f_{1,N}, f21 = f_{2,N-1}, f2n = f_{2,N}.
+    f11 = f_{1,N-1}, f1n = f_{1,N}, f21 = f_{2,N-1}, f2n = f_{2,N}; the
+    endpoint amplitude is conj(f1n), since g and the energies are real.
     """
 
     t: float
@@ -132,7 +135,6 @@ class AmplitudeSet:
     f1n: complex
     f21: complex
     f2n: complex
-    f_end: complex
 
 
 def amplitude_grids(basis: ModeBasis, ts) -> tuple:
@@ -146,12 +148,9 @@ def amplitude_grids(basis: ModeBasis, ts) -> tuple:
 
 
 def amplitude_set(basis: ModeBasis, t: float) -> AmplitudeSet:
-    """Amplitudes between sender sites (1, 2) and receiver sites (N-1, N).
-
-    The endpoint amplitude is conj(f_{1,N}), since g and the energies are real.
-    """
+    """Amplitudes between sender sites (1, 2) and receiver sites (N-1, N)."""
     n = basis.n_sites
     if n < 4:
         raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {n}")
     f11, f1n, f21, f2n = (complex(f) for f in amplitude_grids(basis, t))
-    return AmplitudeSet(t=t, f11=f11, f1n=f1n, f21=f21, f2n=f2n, f_end=f1n.conjugate())
+    return AmplitudeSet(t=t, f11=f11, f1n=f1n, f21=f21, f2n=f2n)

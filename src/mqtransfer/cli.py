@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, amplitude_set, endpoint_amplitude, mode_basis
+from .chain import ChainSpec, amplitude_set, check_inverse_temperature, endpoint_amplitude, mode_basis
 from .errors import ConfigurationError, ResourceError, SingularInputError, ValidationError
 from .one_qubit import Qubit1State, lambda0_variant_a, lambda0_variant_b, lambda1_1q, receiver_state_1q
 from .optimize import OptProblem, OptResult, objective_landscape, optimize, summary_table, uniform_curve
@@ -79,13 +79,11 @@ def _parse_grids(cost, *texts: str) -> list[np.ndarray]:
 
 
 def _check_finite(args) -> None:
-    """Reject non-finite point parameters and a negative --b before they reach a solver."""
+    """Reject non-finite --t, --b, --lambda0 (a negative --b meets the library's b rule)."""
     for attr, flag in (("t", "--t"), ("b", "--b"), ("lambda0_value", "--lambda0")):
         value = getattr(args, attr, None)
         if value is not None and not np.isfinite(value):
             raise ConfigurationError(f"{flag} must be finite, got {value}")
-    if getattr(args, "b", 0.0) < 0.0:
-        raise ConfigurationError(f"--b must be finite and >= 0, got {args.b}")
 
 
 def _emit(args, header: list[str], rows, meta: dict) -> None:
@@ -215,8 +213,7 @@ def _cmd_region(args) -> int:
     t_grid, b_grid, l0_grid = _parse_grids(
         lambda nt, nb, nl: 48 * nt * nb * nl + 288 * nt * nl,
         args.t_grid, args.b_grid, args.lambda0_grid)
-    if b_grid[0] < 0.0:
-        raise ConfigurationError(f"--b-grid must be >= 0, got {args.b_grid!r}")
+    check_inverse_temperature(b_grid)
     s1, s2 = np.zeros((2, len(t_grid), len(b_grid), len(l0_grid)))
     # one b column at a time, which bounds the memory as in the optimizer's scan
     for bi, b in enumerate(b_grid):
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="chain length")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--precision", choices=("6", "full"), default="6")
         if needs_tb:
             p.add_argument("--t", type=float, required=True)
@@ -361,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="max deviation of the analytic map vs brute-force evolution")
     common(p)
     p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("table1", help="summary of all four cases for one chain")

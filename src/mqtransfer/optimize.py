@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .chain import ChainSpec, amplitude_grids, mode_basis
+from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root, grid_max
 from .states import case_metrics, region_cells, region_metrics, region_points
@@ -284,7 +284,8 @@ class CurvePoint:
 def uniform_curve(spec: ChainSpec, bs=B_GRID) -> list[CurvePoint]:
     """Sample the constraint curve lambda1(t, b) = lambda2(t) at each temperature of bs.
 
-    bs is a one-dimensional grid of finite b >= 0. For each b, the roots in
+    bs is a one-dimensional grid of finite b >= 0 (a bad b raises the
+    ValidationError of check_inverse_temperature). For each b, the roots in
     t of v(t) = tanh(b/2)^(N-2) (see _curve) are bracketed on a scan of the
     first transfer window at T_STEP and polished by a bracket search; roots
     are kept only where W's eigenvalues are real, the residual is below 1e-6
@@ -297,9 +298,7 @@ def uniform_curve(spec: ChainSpec, bs=B_GRID) -> list[CurvePoint]:
     bs = np.asarray(bs, dtype=float)
     if bs.ndim != 1:
         raise ConfigurationError(f"the b grid must be one-dimensional, got shape {bs.shape}")
-    bad = bs[~(np.isfinite(bs) & (bs >= 0.0))]
-    if bad.size:
-        raise ConfigurationError(f"b must be finite and >= 0, got {bad[0]}")
+    check_inverse_temperature(bs)
     ts = _t_grid(spec, None)
     n = spec.n_sites
     target = np.tanh(bs / 2.0) ** (n - 2)

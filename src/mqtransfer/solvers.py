@@ -7,12 +7,15 @@ BLOCK_BASIS the map is G = U F U^T = theta [[tau A, C], [0, tau Q]] with
 tau = tanh(b/2) (mqtransfer.two_qubit.transfer_blocks), so its eigenvalues
 are c = theta tau = (-1)^N tanh(b/2)^(N-2) times those of the 2x2 blocks A
 and Q, spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2} with w1, w2 the
-eigenvalues of the transfer matrix W = [[p, q], [r, s]]. Where they are
-real (mqtransfer.two_qubit.lambda1_real decides it, exactly, from tr W and
-det W) all four are, so the factor is the largest in modulus, the one
-solve_first_order reports. The zero-order sender vector solves the 5x5
-system (lambda0 I - T0) x0 = B, in which the zero-order factor lambda0
-enters as a free real parameter, also in closed form. In the moments
+eigenvalues of the transfer matrix W = [[p, q], [r, s]]. The blocks must
+come from transfer_blocks: W is then a 2x2 block of the unitary propagator
+e^{-iht}, so ||W||_2 <= 1 and |w_i| |w_j|^2 <= |w_i|, and the factor is
+always lambda1 = c w_big, w_big the larger eigenvalue of W. Where W's
+eigenvalues are real (mqtransfer.two_qubit.lambda1_real decides it, exactly,
+from tr W and det W) all four are. One helper (_eigenpair) solves every 2x2
+eigenproblem here. The zero-order sender vector solves the 5x5 system
+(lambda0 I - T0) x0 = B, in which the zero-order factor lambda0 enters as a
+free real parameter, also in closed form. In the moments
 z = M x (MOMENTS) the map M T0 M^-1 is block lower-triangular, with the
 one-body block X -> W^H X W and the last entry |det W|^2, so spec(T0) =
 {|w1|^2, |w2|^2, w1 conj(w2), w2 conj(w1), |det W|^2}; with the Schur form of
@@ -49,74 +52,70 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec * np.exp(-1j * np.arctan2(pick.imag, pick.real))
 
 
-def _null_vector(m00, m01, m10, m11, lam) -> tuple:
-    """The larger column of adj(lam - M), a null vector of lam - M at an eigenvalue lam.
+def _eigenpair(m00, m01, m10, m11) -> tuple:
+    """(big, small, v0, v1): the eigenvalues of 2x2 matrices M, the larger in modulus first.
 
-    The choice is a 0/1 integer weight: numpy multiplies a complex scalar by
-    an integer one far faster than by a boolean one, and forms the weight as
-    a numpy integer times the comparison far faster than as the comparison
-    plus a Python integer.
+    The entries broadcast over leading axes (...). On a tie in modulus big is
+    the root half + root of the quadratic formula. (v0, v1) is the larger
+    column of adj(big - M), an eigenvector of big, zero only where M is a
+    multiple of I. Each choice is a 0/1 integer weight: numpy multiplies a
+    complex scalar by an integer one far faster than by a boolean one, and
+    forms the weight as a numpy integer times the comparison far faster than
+    as the comparison plus a Python integer.
     """
-    u, v = lam - m00, lam - m11
+    half = 0.5 * (m00 + m11)
+    root = np.sqrt((0.5 * (m00 - m11)) ** 2 + m01 * m10)
+    sign = 1 - 2 * _ONE * (abs(half - root) > abs(half + root))
+    big, small = half + sign * root, half - sign * root
+    u, v = big - m00, big - m11
     first = _ONE * (abs(m01) + abs(u) >= abs(v) + abs(m10))
     other = 1 - first
-    return first * m01 + other * v, first * u + other * m10
+    return big, small, first * m01 + other * v, first * u + other * m10
 
 
 def solve_first_order(theta, tau, a, c, q) -> tuple:
     """Largest-modulus eigenvalue of maps G = theta [[tau A, C], [0, tau Q]], and its eigenvector.
 
     theta and tau are real, and the 2x2 blocks A, C and Q are given as their
-    entries (00, 01, 10, 11), all over leading axes (...) (see
-    mqtransfer.two_qubit.transfer_blocks). G = D (theta tau H) D^-1 with
-    H = [[A, C], [0, Q]] and D = diag(1, 1, tau, tau), so the eigenvalues are
-    theta tau times those of A and Q, from the quadratic formula, and an
-    eigenvector (y, z) of H gives (y, tau z) of G. The blocks are first
-    divided by their largest entry, so that the products that form x1 stay
-    clear of underflow where W is small (early times). Returns the
-    eigenvalues by descending modulus (ties in input order A+, Q+, A-, Q-),
-    the real part lambda1 of the first and its gauge-fixed unit vector x1.
-    Where lambda1 is real (mqtransfer.two_qubit.lambda1_real) all four
-    eigenvalues are, so the first is the largest real one; elsewhere lambda1
-    and x1 are not meaningful. x1 is U^T (y, z) over FIRST_LABELS: for an
-    eigenvalue of A, z = 0 and y is A's null vector; for one of Q, z is Q's
-    null vector and y = (lambda - A)^-1 C z, both scaled by det(lambda - A)
-    to stay finite. Where the eigenvalues are 0 in floating point (at b = 0,
-    say, where F = 0) or that vector is zero, x1 is e12.
+    entries (00, 01, 10, 11), all over leading axes (...), from
+    mqtransfer.two_qubit.transfer_blocks for a W of spectral radius at most
+    1, as every chain's is; no other blocks are checked for.
+    G = D (theta tau H) D^-1 with H = [[A, C], [0, Q]] and
+    D = diag(1, 1, tau, tau), so the eigenvalues are c = theta tau times
+    those of Q (similar to W^T), w_big and w_small, and of A,
+    w_big |w_small|^2 and w_small |w_big|^2: with |w| <= 1, in that order by
+    descending modulus. An eigenvector (y, z) of H gives (y, tau z) of G.
+    The blocks are first divided by their largest entry, so that the
+    products that form x1 stay clear of underflow where W is small (early
+    times). Returns the four eigenvalues in that order, the real part
+    lambda1 of the first and its gauge-fixed unit vector x1; where lambda1
+    is not real (mqtransfer.two_qubit.lambda1_real) they are not meaningful.
+    x1 is U^T (y, z) over FIRST_LABELS with z Q's null vector and
+    y = (lambda - A)^-1 C z, both scaled by det(lambda - A) to stay finite.
+    Where the eigenvalues are 0 in floating point (at b = 0, say, where
+    F = 0) or that vector is zero, x1 is e12.
     """
     # at least the smallest normal number: numpy divides a complex number by a
     # subnormal one through its reciprocal, which overflows
     size = np.maximum(abs(np.array([*a, *c, *q])).max(axis=0), _TINY)
     a00, a01, a10, a11 = (x / size for x in a)
     c00, c01, c10, c11 = (x / size for x in c)
-    q00, q01, q10, q11 = (x / size for x in q)
     scale = theta * tau * size
-    ha, hq = 0.5 * (a00 + a11), 0.5 * (q00 + q11)
-    ra = np.sqrt((0.5 * (a00 - a11)) ** 2 + a01 * a10)
-    rq = np.sqrt((0.5 * (q00 - q11)) ** 2 + q01 * q10)
-    ev = np.array([ha + ra, hq + rq, ha - ra, hq - rq])
-    # a stable descending-modulus order; lam = ev[pick] is gathered with 0/1
-    # integer weights
-    order = (-abs(ev)).argsort(axis=0, kind="stable")
-    pick = order[0]
-    in_q, sign = pick % 2, 1 - 2 * (pick // 2)
-    in_a = 1 - in_q
-    lam = in_a * ha + in_q * hq + sign * (in_a * ra + in_q * rq)
-    ya0, ya1 = _null_vector(a00, a01, a10, a11, lam)
-    z0, z1 = _null_vector(q00, q01, q10, q11, lam)
+    lam, q_small, z0, z1 = _eigenpair(*(x / size for x in q))
+    a_big, a_small, _, _ = _eigenpair(a00, a01, a10, a11)
     cz0 = c00 * z0 + c01 * z1
     cz1 = c10 * z0 + c11 * z1
     la0, la1 = lam - a00, lam - a11
-    weight = in_q * (la0 * la1 - a01 * a10) * tau
-    y0 = in_a * ya0 + in_q * (la1 * cz0 + a01 * cz1)
-    y1 = in_a * ya1 + in_q * (a10 * cz0 + la0 * cz1)
+    weight = (la0 * la1 - a01 * a10) * tau
+    y0 = la1 * cz0 + a01 * cz1
+    y1 = a10 * cz0 + la0 * cz1
     z0, z1 = weight * z0, weight * z1
     x = np.array([y1 + z1, y0 + z0, y0 - z0, z1 - y1])  # U^T (y, z), up to sqrt(2)
     norm = np.hypot.reduce(abs(x), axis=0)
     zero = _ONE * ((norm == 0.0) | (scale == 0.0))
     x = x * (1 - zero) / np.maximum(norm, _TINY)
     x[0] += zero
-    ev = np.take_along_axis(ev, order, axis=0) * scale
+    ev = np.array([lam, q_small, a_big, a_small]) * scale
     back = (*range(1, ev.ndim), 0)
     return ev.transpose(back), lam.real * scale, gauge_fix(x.transpose(back))
 
@@ -142,23 +141,20 @@ def zero_order_spectrum(w, row, source) -> tuple:
     entries: W as (W00, W01, W10, W11), the z4 row G[4] of G = M T0 M^-1 and
     the inhomogeneity M B. X -> W^H X W does not change when W -> e^{i phi} W,
     so W is needed only up to a phase. It is put in the Schur form
-    W = Q T Q^H, T = [[t00, t01], [0, t11]]: Q's first column (a, b) is the
-    larger column of adj(t00 - W), an eigenvector of W (Q = I where W is a
-    multiple of I). Returns over (...), in this order: the exact spectrum of
-    T0 as |t00|^2, |t11|^2, |det W|^2 and conj(t00) t11 (the fifth
-    eigenvalue is its conjugate); entries 00, 11 and 01 of Q^H C Q for the
-    one-body part C of M B; the couplings conj(t00) t01, |t01|^2 and
-    2 conj(t01) t11 of the triangular rows; (M B)_4 and the z4 row as
-    entries 00, 11 and 2 conj(01) of Q^H R Q; and Q as |a|^2, 2 a b,
-    a conj(b), a^2 and conj(b)^2.
+    W = Q T Q^H, T = [[t00, t01], [0, t11]], with t00 the larger eigenvalue
+    of W (any order gives a Schur form) and Q's first column (a, b) its
+    eigenvector of _eigenpair (Q = I where W is a multiple of I). Returns
+    over (...), in this order: the exact spectrum of T0 as |t00|^2, |t11|^2,
+    |det W|^2 and conj(t00) t11 (the fifth eigenvalue is its conjugate);
+    entries 00, 11 and 01 of Q^H C Q for the one-body part C of M B; the
+    couplings conj(t00) t01, |t01|^2 and 2 conj(t01) t11 of the triangular
+    rows; (M B)_4 and the z4 row as entries 00, 11 and 2 conj(01) of
+    Q^H R Q; and Q as |a|^2, 2 a b, a conj(b), a^2 and conj(b)^2.
     """
     w00, w01, w10, w11 = w
     g40, g41, _, g43, g44 = row
     m0, m1, m2, _, m4 = source
-    half = 0.5 * (w00 + w11)
-    t00 = half + np.sqrt((0.5 * (w00 - w11)) ** 2 + w01 * w10)
-    t11 = 2.0 * half - t00
-    a, b = _null_vector(w00, w01, w10, w11, t00)
+    t00, t11, a, b = _eigenpair(w00, w01, w10, w11)
     norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
     zero = norm == 0.0
     a, b = a / (norm + zero) + zero, b / (norm + zero)

@@ -179,11 +179,11 @@ def lambda1_real(trace, det, tau, n_sites: int):
     with c = theta tau real (transfer_blocks), so it is real where tau = 0,
     which makes F = 0, and otherwise exactly where W's eigenvalues w1, w2
     are (see _pair_form). For even N, ph = +-1 and they are real where
-    D >= 0; then all four eigenvalues of F are real, and lambda1 is the
-    largest in modulus. For odd N, ph is imaginary and W has a real
-    eigenvalue only where tr W = 0 or det W = 0 exactly, a set of measure
-    zero, so no point with tau > 0 counts as real. The arguments broadcast;
-    tau = 1 stands for any b > 0.
+    D >= 0; then all four eigenvalues of F are real, and lambda1 = c w_big,
+    w_big the larger eigenvalue of W (mqtransfer.solvers). For odd N, ph is
+    imaginary and W has a real eigenvalue only where tr W = 0 or det W = 0
+    exactly, a set of measure zero, so no point with tau > 0 counts as real.
+    The arguments broadcast; tau = 1 stands for any b > 0.
     """
     disc = _pair_form(trace, det, n_sites)[2]
     return (tau == 0.0) | ((disc >= 0.0) & (n_sites % 2 == 0))

@@ -20,6 +20,7 @@ from mqtransfer import (
     region_metrics,
     thermal_background,
     transition_amplitude,
+    uniform_curve,
 )
 
 
@@ -129,7 +130,8 @@ def test_endpoint_grid_matches_scalar(rng):
             for field, (i, j) in (("f11", (1, n - 1)), ("f1n", (1, n)),
                                   ("f21", (2, n - 1)), ("f2n", (2, n))):
                 assert abs(getattr(amps, field) - transition_amplitude(basis, i, j, t)) < 1e-13
-            assert abs(amps.f_end - endpoint_amplitude(basis, t)) < 1e-13
+            # the endpoint amplitude is conj(f_{1,N})
+            assert abs(amps.f1n.conjugate() - endpoint_amplitude(basis, t)) < 1e-13
 
 
 def test_endpoint_power_max_small_chain():
@@ -145,7 +147,7 @@ def test_amplitude_set_structure():
     for f in (amps.f11, amps.f1n, amps.f21, amps.f2n):
         assert abs(f) < 1e-12
     amps = amplitude_set(basis, 8.5153)
-    for f in (amps.f11, amps.f1n, amps.f21, amps.f2n, amps.f_end):
+    for f in (amps.f11, amps.f1n, amps.f21, amps.f2n):
         assert abs(f) <= 1.0 + 1e-12
     with pytest.raises(ConfigurationError):
         amplitude_set(mode_basis(3), 1.0)
@@ -160,8 +162,10 @@ def test_amplitude_set_structure():
     lambda b: lambda0_variant_b(Qubit1State.pure(0.4), 5.0, b, ChainSpec(5)),
     lambda b: evolve_and_trace(np.eye(4) / 4.0, 5.0, b, ChainSpec(4)),
     lambda b: thermal_background(b, 3),
+    lambda b: uniform_curve(ChainSpec(6), [1.0, b]),
 ], ids=["region_metrics", "alpha_table", "receiver_state_1q", "lambda1_1q",
-        "lambda0_variant_a", "lambda0_variant_b", "evolve_and_trace", "thermal_background"])
+        "lambda0_variant_a", "lambda0_variant_b", "evolve_and_trace", "thermal_background",
+        "uniform_curve"])
 @pytest.mark.parametrize("b", [-0.5, float("nan"), float("inf")])
 def test_every_entry_point_rejects_b_outside_domain(call, b):
     # one domain for the inverse temperature, one check and one message

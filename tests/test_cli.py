@@ -202,6 +202,14 @@ def test_oracle_check_deterministic(capsys):
     assert first == second
 
 
+def test_seed_only_on_oracle_check(capsys):
+    # the one command that draws random numbers is the one that takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["amplitudes", "--n", "6", "--scan", "0:1:1", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_table1_csv(capsys):
     code, out = _run(capsys, ["table1", "--n", "6", "--lambda0", "free"])
     assert code == 0
@@ -287,9 +295,13 @@ def test_map_malformed_json_is_one_line(tmp_path, capsys):
     ("--b", ["--t", "1.0", "--b", "-1", "--lambda0", "1.0"]),
 ])
 def test_solve_rejects_non_finite_point(capsys, flag, argv):
+    # the CLI refuses a non-finite value; a negative --b meets the library's
+    # one domain rule for the inverse temperature
     code, err = _run_error(capsys, ["solve", "--n", "6"] + argv)
     assert code == 3
-    assert len(err) == 1 and f"{flag} must be finite" in err[0]
+    expected = (f"{flag} must be finite" if "-1" not in argv
+                else "inverse temperature must be finite and >= 0, got -1.0")
+    assert len(err) == 1 and expected in err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -309,9 +321,10 @@ def test_out_of_range_counts_and_grids_are_one_line(capsys, argv):
 
 def test_curve_negative_b_grid_is_one_line(capsys):
     # uniform_curve validates the grid it is given: a b below zero is refused
+    # with the library's one message
     code, err = _run_error(capsys, ["curve", "--n", "6", "--b-grid=-1:2:0.5"])
     assert code == 3
-    assert err == ["error: b must be finite and >= 0, got -1.0"]
+    assert err == ["error: inverse temperature must be finite and >= 0, got -1.0"]
 
 
 @pytest.mark.parametrize("a1sq", ["2", "-0.5"])

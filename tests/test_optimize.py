@@ -10,6 +10,7 @@ from mqtransfer import (
     ChainSpec,
     ConfigurationError,
     OptProblem,
+    ValidationError,
     alpha_table,
     amplitude_set,
     first_window,
@@ -45,15 +46,18 @@ def test_problem_validation():
         OptProblem(case=1, t_window=(9.0, 3.0))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: optimize(OptProblem(case=1, t_window=(float("nan"), 5.0)), ChainSpec(6)),
-    lambda: uniform_curve(ChainSpec(6), [0.0, float("inf")]),
-    lambda: uniform_curve(ChainSpec(6), [-0.5, 2.0]),
-    lambda: uniform_curve(ChainSpec(6), [1.0, float("nan")]),
-    lambda: uniform_curve(ChainSpec(6), 2.0),
+@pytest.mark.parametrize("call, error", [
+    (lambda: optimize(OptProblem(case=1, t_window=(float("nan"), 5.0)), ChainSpec(6)),
+     ConfigurationError),
+    (lambda: uniform_curve(ChainSpec(6), [0.0, float("inf")]), ValidationError),
+    (lambda: uniform_curve(ChainSpec(6), [-0.5, 2.0]), ValidationError),
+    (lambda: uniform_curve(ChainSpec(6), [1.0, float("nan")]), ValidationError),
+    (lambda: uniform_curve(ChainSpec(6), 2.0), ConfigurationError),
 ], ids=["t_window=nan", "curve b_window=inf", "curve b_window<0", "curve b=nan", "curve b scalar"])
-def test_bad_steps_and_windows_are_configuration_errors(call):
-    with pytest.raises(ConfigurationError):
+def test_bad_steps_and_windows_are_configuration_errors(call, error):
+    # a b outside [0, inf) meets the one domain rule of every entry point, whose
+    # error is a ValidationError (chain.check_inverse_temperature)
+    with pytest.raises(error):
         call()
 
 

@@ -16,8 +16,8 @@ from mqtransfer import (
     zero_order_system,
 )
 from mqtransfer.states import assemble_sender, region_cells, region_points
-from mqtransfer.two_qubit import FIRST_LABELS
-from reference import FIRST_BASIS, INVARIANT, QUOTIENT, block_arguments, solve_zero_order_dense
+from mqtransfer.two_qubit import FIRST_LABELS, transfer_blocks
+from reference import FIRST_BASIS, block_arguments, solve_zero_order_dense
 
 
 def _table(n, t, b):
@@ -95,15 +95,6 @@ def _coupled_diagonal(diagonal):
     return _in_block_form(g)
 
 
-def test_solve_first_order_diagonal():
-    # the largest eigenvalue belongs to the invariant block: x1 is u0
-    f = _coupled_diagonal([0.5, 0.3, 0.1, -0.2])
-    _, lambda1, x1 = solve_first_order(*block_arguments(f))
-    assert lambda1 == pytest.approx(0.5, abs=1e-14)
-    assert np.allclose(x1, FIRST_BASIS[0])
-    assert np.allclose(f @ x1, lambda1 * x1)
-
-
 def test_solve_first_order_quotient_eigenvector():
     # the largest eigenvalue belongs to the quotient block: x1 is U^T (u0 + u1)
     # / sqrt(2) = e13, its u0 part (0.5 - 0.3)^-1 times the coupling 0.2 of u1
@@ -115,15 +106,18 @@ def test_solve_first_order_quotient_eigenvector():
 
 
 def test_solve_first_order_ordering(rng):
-    # complex blocks too: the eigenvalues come by descending modulus, and they
-    # are those of the dense map
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    g[np.ix_(QUOTIENT, INVARIANT)] = 0.0
-    ev, _, _ = solve_first_order(*block_arguments(_in_block_form(g)))
-    mods = np.abs(ev)
-    assert np.all(np.diff(mods) <= 1e-12)
-    dense = np.linalg.eigvals(_in_block_form(g))
-    assert np.abs(ev[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
+    # on a chain's blocks the eigenvalues come by descending modulus as listed
+    # (Q's larger and smaller root, then A's), and they are those of the dense map
+    for _ in range(20):
+        n = int(rng.integers(4, 45))
+        t, b = rng.uniform(0.0, 3.0 * n), rng.uniform(0.0, 10.0)
+        amps = amplitude_set(mode_basis(n), t)
+        first, _, _ = transfer_blocks(amps.f11, amps.f1n, amps.f21, amps.f2n, b, n)
+        ev, _, _ = solve_first_order(*first)
+        mods = np.abs(ev)
+        assert np.all(np.diff(mods) <= 1e-12)
+        dense = np.linalg.eigvals(_table(n, t, b).first)
+        assert np.abs(ev[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
 
 
 def test_first_order_eig_on_subnormal_maps():

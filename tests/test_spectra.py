@@ -6,7 +6,8 @@ of FIRST_BASIS with a quotient block built from the 2x2 transfer matrix
 W = [[p, q], [r, s]], that the 5x5 zero-order map T0 is block
 lower-triangular in the moments MOMENTS with the one-body block
 X -> W^H X W, the spectra of F and of T0 in terms of the eigenvalues w1, w2
-of W, and the uniform-scaling identity
+of W, that W is a contraction (which fixes the order of F's spectrum), and
+the uniform-scaling identity
 lambda1 - lambda2 = w_big (c - w_small) that case 4's closed-form curve rests
 on. These properties are checked on the hand-expanded coefficient table of
 tests/reference.py, so they certify the paper's algebra and not the
@@ -110,6 +111,21 @@ def test_first_order_spectrum_from_transfer_matrix(point):
     w1, w2 = np.linalg.eigvals(w)
     spectrum = c * np.array([w1, w2, w1 * abs(w2) ** 2, w2 * abs(w1) ** 2])
     assert _power_sums_match(first / scale, spectrum / scale)
+
+
+def test_transfer_matrix_is_a_contraction():
+    # W is a block of the unitary propagator e^{-iht}, so |w| <= ||W||_2 <= 1 and
+    # |w_i| |w_j|^2 <= |w_i|: spec(F) = c {w_big, w_small, w_big |w_small|^2,
+    # w_small |w_big|^2} is by descending modulus as listed, and lambda1 = c w_big.
+    # Checked for every N the tests reach, at t in [0, 3N) by T_STEP and on the
+    # scan's b grid
+    for n in range(4, 45):
+        ts = np.arange(0.0, 3.0 * n, T_STEP)
+        p, q, r, s = amplitude_grids(mode_basis(n), ts)
+        w = np.stack([p, q, r, s], axis=-1).reshape(-1, 2, 2)
+        assert np.linalg.svd(w, compute_uv=False).max() <= 1.0 + 1e-12
+        mods = np.abs(region_points(ChainSpec(n), ts, B_GRID[:, None]).eigenvalues)
+        assert np.all(np.diff(mods, axis=-1) <= 1e-12 * mods[..., :1])
 
 
 @SEEDED
