@@ -2,13 +2,17 @@
 
 Grid commands count their points before building any grid and refuse, with
 ResourceError, a request whose estimated memory exceeds GRID_BYTES. The
-estimates, measured with CPython 3.11 and numpy 2.4: region keeps 48 bytes
-per (t, b, lambda0) point (S1, S2, S12 and the three axes) and 288 per
-(t, lambda0) point of the b column in flight; curve 18 bytes per (b, t)
-sample at N = 6, 42 and 102 (its samples of the curve value against each b
-and the roots polished on them), counted as 24 over the at most 20 N + 1
-times of the default window; amplitudes 24 bytes of arrays per time. Rows
-are written as they are produced, in CSV and in JSON, so none is held.
+estimates are peaks measured with tracemalloc (CPython 3.11, numpy 2.4),
+rounded up. region (_region_bytes) holds 48 bytes per (t, b, lambda0) point
+(S1, S2, S12 and the three axes); while its b columns stream through the
+kernel, 256 per (t, lambda0) point (the lambda0 stage, about 57 bytes, held
+across all b, and the column in flight) and 1100 + 32 N per time (the
+t-stage, held across all b, and the amplitude phase grid that builds it),
+plus 1 MiB. curve takes 18 bytes per (b, t) sample at N = 6, 42 and 102
+(its samples of the curve value against each b and the roots polished on
+them), counted as 24 over the at most 20 N + 1 times of the default window;
+amplitudes 24 bytes of arrays per time. Rows are written as they are
+produced, in CSV and in JSON, so none is held.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .one_qubit import Qubit1State, lambda0_variant_a, lambda0_variant_b, lambda
 from .optimize import OptProblem, OptResult, objective_landscape, optimize, summary_table, uniform_curve
 from .oracle import evolve_and_trace
 from .solvers import solve_zero_order, zero_order_system
-from .states import case_metrics, region_cells, region_points
+from .states import (base_vector, case_metrics, region_cells, region_columns, region_points,
+                     time_stage)
 from .two_qubit import alpha_table, random_density, receiver_from_sender, validate_density
 
 __all__ = ["NUMERIC_EXIT", "GRID_BYTES", "build_parser", "main"]
@@ -186,11 +191,13 @@ def _cmd_map(args) -> int:
 def _cmd_solve(args) -> int:
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
-    points = region_points(spec, args.t, args.b)
-    (x0,), (regular,) = solve_zero_order(points.spectrum, [args.lambda0_value])
-    if not regular:
+    times = time_stage(spec, args.t)
+    points = region_points(times, args.b)
+    zero = solve_zero_order(times.spectrum, [args.lambda0_value])
+    if not zero[1][0]:
         raise SingularInputError(
             f"lambda0 = {args.lambda0_value} is too close to the spectrum of the zero-order map")
+    (x0,) = base_vector(region_cells(points, zero)[0])
     # the backward check of the closed form, against the dense system of the table
     t0, b_vec = zero_order_system(table)
     residual = float(np.linalg.norm((args.lambda0_value * np.eye(5) - t0) @ x0 - b_vec))
@@ -208,17 +215,21 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _region_bytes(n_sites: int, nt, nb, nl):
+    """The peak memory of region over nt times, nb temperatures and nl zero-order scales."""
+    return 2**20 + 48 * nt * nb * nl + 256 * nt * nl + (1100 + 32 * n_sites) * nt
+
+
 def _cmd_region(args) -> int:
     spec = ChainSpec(args.n)
     t_grid, b_grid, l0_grid = _parse_grids(
-        lambda nt, nb, nl: 48 * nt * nb * nl + 288 * nt * nl,
+        lambda nt, nb, nl: _region_bytes(args.n, nt, nb, nl),
         args.t_grid, args.b_grid, args.lambda0_grid)
     check_inverse_temperature(b_grid)
     s1, s2 = np.zeros((2, len(t_grid), len(b_grid), len(l0_grid)))
-    # one b column at a time, which bounds the memory as in the optimizer's scan
-    for bi, b in enumerate(b_grid):
-        points = region_points(spec, t_grid, b)
-        _, s1[:, bi], s2[:, bi] = case_metrics(points, region_cells(points, l0_grid), args.case)
+    for bi, (points, cells) in enumerate(region_columns(spec, t_grid, b_grid, l0_grid)):
+        _, s1[:, bi], s2[:, bi] = case_metrics(points, cells, args.case)
+        del points, cells  # else they live on while the next column is formed
     grids = np.meshgrid(t_grid, b_grid, l0_grid, indexing="ij")
     rows = zip(*(a.ravel() for a in (*grids, s1, s2, s1 * s2)))
     _emit(args, ["t", "b", "lambda0", "S1", "S2", "S12"], rows, _meta(args, "region"))

@@ -3,9 +3,11 @@
 Four cases are covered: only the double-quantum weight free (case 1), only
 the single-quantum one (case 2), both free (case 3), and both free under the
 uniform-scaling constraint lambda1 = lambda2 (case 4), which confines (b, t)
-to a curve. Cases 1-3 search a coarse vectorized grid scan followed by
-coordinatewise bracket searches (mqtransfer.search), each step one batched
-region evaluation; the landscape has kinks at positivity and
+to a curve. Cases 1-3 search a coarse vectorized grid scan, which streams
+its b columns through one t-stage and one lambda0 stage of the region
+kernel (mqtransfer.states.region_columns), followed by coordinatewise
+bracket searches (mqtransfer.search), each step one batched region
+evaluation; the landscape has kinks at positivity and
 eigenvalue-realness boundaries, so no derivatives are used. Case 4 samples
 the curve in closed form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small
 the smaller eigenvalue of the transfer matrix W, along the t grid, and
@@ -25,14 +27,16 @@ set, per problem; by default it is the first transfer window (first_window).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root, grid_max
-from .states import case_metrics, region_cells, region_metrics, region_points
+from .solvers import solve_zero_order
+from .states import (case_metrics, region_cells, region_columns, region_metrics, region_points,
+                     time_stage)
 from .two_qubit import lambda1_real, w_small
 
 __all__ = [
@@ -169,9 +173,7 @@ def _scan(spec: ChainSpec, problem: OptProblem, bs: np.ndarray) -> dict:
         l0s = np.arange(LAMBDA0_WINDOW[0], LAMBDA0_WINDOW[1] + 1e-9, LAMBDA0_STEP)
     s1 = np.zeros((len(ts), len(bs), len(l0s)))
     s2 = np.zeros_like(s1)
-    for bi, b in enumerate(bs):
-        points = region_points(spec, ts, float(b))
-        cells = region_cells(points, l0s)
+    for bi, (points, cells) in enumerate(region_columns(spec, ts, bs, l0s)):
         s1[:, bi] = case_metrics(points, cells, 2)[1]
         s2[:, bi] = case_metrics(points, cells, 1)[2]
         del points, cells  # else they live on while the next column is formed
@@ -192,16 +194,20 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
 
     Each search step evaluates the region kernel over the search grid of the
     axis: K times at fixed (b, lambda0), K temperatures at fixed (t, lambda0)
-    or K zero-order scales at fixed (t, b); the last reuse one (t, b) stage.
+    or K zero-order scales at fixed (t, b). The last two build one t-stage
+    per search, and the b search one lambda0 stage too, so that each of its
+    steps is a temperature step only.
     """
     t, b, l0 = start
     steps = {"t": T_STEP, "b": B_STEP, "l0": LAMBDA0_STEP}
 
-    points = partial(region_points, spec)
-
-    def objective(pts, l0s) -> np.ndarray:
-        _, s1, s2 = case_metrics(pts, region_cells(pts, l0s), problem.case)
+    def objective(points, zero) -> np.ndarray:
+        _, s1, s2 = case_metrics(points, region_cells(points, zero), problem.case)
         return {1: s2, 2: s1, 3: s1 * s2}[problem.case]
+
+    def at_times(ts) -> np.ndarray:
+        times = time_stage(spec, ts)
+        return objective(region_points(times, b), solve_zero_order(times.spectrum, [l0]))
 
     def polish(x: float, axis: str, f) -> float:
         lo = max(windows[axis][0], x - steps[axis])
@@ -209,11 +215,13 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, flo
         return float(bracket_max(f, lo, hi, REFINE_TOL)[0][0])
 
     for _ in range(3):
-        t = polish(t, "t", lambda x: objective(points(x[0], b), [l0]).T)
-        b = polish(b, "b", lambda x: objective(points(t, x[0]), [l0]).T)
+        t = polish(t, "t", lambda x: at_times(x[0]).T)
+        times = time_stage(spec, t)
+        zero = solve_zero_order(times.spectrum, [l0])
+        b = polish(b, "b", lambda x: objective(region_points(times, x[0]), zero).T)
         if problem.lambda0_mode == "free":
-            at_tb = points(t, b)
-            l0 = polish(l0, "l0", lambda x: objective(at_tb, x))
+            at_tb = region_points(times, b)
+            l0 = polish(l0, "l0", lambda x: objective(at_tb, solve_zero_order(times.spectrum, x)))
     return t, b, l0
 
 
@@ -321,11 +329,14 @@ def uniform_curve(spec: ChainSpec, bs=B_GRID) -> list[CurvePoint]:
 def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
                 problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
     """Largest s1 * s2 over lambda0 at each (t, b) pair, and the lambda0 giving it;
-    the (t, b) stage runs once, each lambda0 search step only the lambda0 stage."""
-    points = region_points(spec, ts, bs)
+    the t-stage and the temperature step run once, each lambda0 search step
+    only the lambda0 stage and region_cells."""
+    times = time_stage(spec, ts)
+    points = region_points(times, bs)
 
     def product(l0s) -> np.ndarray:
-        _, s1, s2 = case_metrics(points, region_cells(points, l0s), 4)
+        cells = region_cells(points, solve_zero_order(times.spectrum, l0s))
+        _, s1, s2 = case_metrics(points, cells, 4)
         return s1 * s2
 
     if problem.lambda0_mode == "fixed_one":

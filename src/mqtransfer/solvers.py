@@ -20,9 +20,14 @@ z = M x (MOMENTS) the map M T0 M^-1 is block lower-triangular, with the
 one-body block X -> W^H X W and the last entry |det W|^2, so spec(T0) =
 {|w1|^2, |w2|^2, w1 conj(w2), w2 conj(w1), |det W|^2}; with the Schur form of
 W the system is triangular, and solve_zero_order solves it by
-back-substitution, for a whole lambda0 axis at a time. Both solvers work
-over the leading axes of the blocks of transfer_blocks, which the region
-kernel (mqtransfer.states) passes them; a point is a batch of shape ().
+back-substitution, for a whole lambda0 axis at a time. The inverse
+temperature b enters both maps only through four factors (theta, tau, n and
+k of mqtransfer.two_qubit.temperature_factors), so each solver is split in
+two: solve_first_order and solve_zero_order solve the b-free problems once
+per time (and lambda0), and first_order_at and zero_order_at are the cheap
+temperature steps that apply the factors of one b. All of them work over
+the leading axes of the blocks of transfer_blocks, which the region kernel
+(mqtransfer.states) passes them; a point is a batch of shape ().
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ from .two_qubit import AlphaTable
 
 __all__ = [
     "solve_first_order",
+    "first_order_at",
     "zero_order_system",
     "zero_order_spectrum",
     "solve_zero_order",
+    "zero_order_at",
     "gauge_fix",
 ]
 
@@ -73,51 +80,60 @@ def _eigenpair(m00, m01, m10, m11) -> tuple:
     return big, small, first * m01 + other * v, first * u + other * m10
 
 
-def solve_first_order(theta, tau, a, c, q) -> tuple:
-    """Largest-modulus eigenvalue of maps G = theta [[tau A, C], [0, tau Q]], and its eigenvector.
+def solve_first_order(a, c, q) -> tuple:
+    """The b-free single-quantum eigenproblem of H = [[A, C], [0, Q]], for first_order_at.
 
-    theta and tau are real, and the 2x2 blocks A, C and Q are given as their
-    entries (00, 01, 10, 11), all over leading axes (...), from
-    mqtransfer.two_qubit.transfer_blocks for a W of spectral radius at most
-    1, as every chain's is; no other blocks are checked for.
-    G = D (theta tau H) D^-1 with H = [[A, C], [0, Q]] and
-    D = diag(1, 1, tau, tau), so the eigenvalues are c = theta tau times
-    those of Q (similar to W^T), w_big and w_small, and of A,
-    w_big |w_small|^2 and w_small |w_big|^2: with |w| <= 1, in that order by
-    descending modulus. An eigenvector (y, z) of H gives (y, tau z) of G.
-    The blocks are first divided by their largest entry, so that the
-    products that form x1 stay clear of underflow where W is small (early
-    times). Returns the four eigenvalues in that order, the real part
-    lambda1 of the first and its gauge-fixed unit vector x1; where lambda1
-    is not real (mqtransfer.two_qubit.lambda1_real) they are not meaningful.
-    x1 is U^T (y, z) over FIRST_LABELS with z Q's null vector and
-    y = (lambda - A)^-1 C z, both scaled by det(lambda - A) to stay finite.
-    Where the eigenvalues are 0 in floating point (at b = 0, say, where
-    F = 0) or that vector is zero, x1 is e12.
+    The 2x2 blocks A, C and Q are given as their entries (00, 01, 10, 11),
+    over leading axes (...), from mqtransfer.two_qubit.transfer_blocks for a
+    W of spectral radius at most 1, as every chain's is; no other blocks are
+    checked for. The single-quantum map is G = theta [[tau A, C], [0, tau Q]]
+    = D (theta tau H) D^-1 with D = diag(1, 1, tau, tau), so its eigenvalues
+    are c = theta tau times those of H: of Q (similar to W^T), w_big and
+    w_small, and of A, w_big |w_small|^2 and w_small |w_big|^2, with |w| <= 1
+    in that order by descending modulus; an eigenvector (y, z) of H gives
+    (y, tau z) of G. z is Q's null vector for w_big and y = (w_big - A)^-1 C z,
+    both scaled by det(w_big - A) to stay finite. The blocks are first divided
+    by their largest entry, size, so that the products that form them stay
+    clear of underflow where W is small (early times). Returns size, the
+    four eigenvalues of H over size (..., 4), y and z (each as its entries 0
+    and 1) and d = det(w_big - A): (y, d z) is an eigenvector of H for w_big.
     """
     # at least the smallest normal number: numpy divides a complex number by a
     # subnormal one through its reciprocal, which overflows
     size = np.maximum(abs(np.array([*a, *c, *q])).max(axis=0), _TINY)
     a00, a01, a10, a11 = (x / size for x in a)
     c00, c01, c10, c11 = (x / size for x in c)
-    scale = theta * tau * size
     lam, q_small, z0, z1 = _eigenpair(*(x / size for x in q))
     a_big, a_small, _, _ = _eigenpair(a00, a01, a10, a11)
     cz0 = c00 * z0 + c01 * z1
     cz1 = c10 * z0 + c11 * z1
     la0, la1 = lam - a00, lam - a11
-    weight = (la0 * la1 - a01 * a10) * tau
-    y0 = la1 * cz0 + a01 * cz1
-    y1 = a10 * cz0 + la0 * cz1
+    ev = np.array([lam, q_small, a_big, a_small])
+    y = (la1 * cz0 + a01 * cz1, a10 * cz0 + la0 * cz1)
+    return size, ev.transpose(*range(1, ev.ndim), 0), y, la0 * la1 - a01 * a10, (z0, z1)
+
+
+def first_order_at(first: tuple, theta, tau) -> tuple:
+    """The temperature step of the single-quantum factor: solve_first_order's H at theta and tau.
+
+    theta and tau broadcast against the leading axes of first. Returns the
+    four eigenvalues of G (..., 4), the real part lambda1 of the first and
+    its gauge-fixed unit vector x1 (..., 4); where lambda1 is not real
+    (mqtransfer.two_qubit.lambda1_real) they are not meaningful. Where the
+    eigenvalues are 0 in floating point (at b = 0, say, where F = 0) or the
+    vector is zero, x1 is e12.
+    """
+    size, ev, (y0, y1), det, (z0, z1) = first
+    scale = theta * tau * size
+    weight = det * tau
     z0, z1 = weight * z0, weight * z1
-    x = np.array([y1 + z1, y0 + z0, y0 - z0, z1 - y1])  # U^T (y, z), up to sqrt(2)
+    x = np.array([y1 + z1, y0 + z0, y0 - z0, z1 - y1])  # U^T (y, tau z), up to sqrt(2)
     norm = np.hypot.reduce(abs(x), axis=0)
     zero = _ONE * ((norm == 0.0) | (scale == 0.0))
     x = x * (1 - zero) / np.maximum(norm, _TINY)
     x[0] += zero
-    ev = np.array([lam, q_small, a_big, a_small]) * scale
-    back = (*range(1, ev.ndim), 0)
-    return ev.transpose(back), lam.real * scale, gauge_fix(x.transpose(back))
+    ev = ev * np.asarray(scale)[..., None]
+    return ev, ev[..., 0].real, gauge_fix(x.transpose(*range(1, x.ndim), 0))
 
 
 def zero_order_system(table: AlphaTable | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,21 +150,21 @@ def zero_order_system(table: AlphaTable | np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def zero_order_spectrum(w, row, source) -> tuple:
-    """The lambda0-free part of (lambda0 I - T0)^-1 B, over leading axes (...).
+    """The lambda0- and b-free part of (lambda0 I - T0)^-1 B, over leading axes (...).
 
-    The system is given by its blocks in the moments (see the module
+    The system is given by its b-free blocks in the moments (see the module
     docstring and mqtransfer.two_qubit.transfer_blocks), each as its
-    entries: W as (W00, W01, W10, W11), the z4 row G[4] of G = M T0 M^-1 and
-    the inhomogeneity M B. X -> W^H X W does not change when W -> e^{i phi} W,
-    so W is needed only up to a phase. It is put in the Schur form
-    W = Q T Q^H, T = [[t00, t01], [0, t11]], with t00 the larger eigenvalue
-    of W (any order gives a Schur form) and Q's first column (a, b) its
-    eigenvector of _eigenpair (Q = I where W is a multiple of I). Returns
-    over (...), in this order: the exact spectrum of T0 as |t00|^2, |t11|^2,
-    |det W|^2 and conj(t00) t11 (the fifth eigenvalue is its conjugate);
-    entries 00, 11 and 01 of Q^H C Q for the one-body part C of M B; the
-    couplings conj(t00) t01, |t01|^2 and 2 conj(t01) t11 of the triangular
-    rows; (M B)_4 and the z4 row as entries 00, 11 and 2 conj(01) of
+    entries: W as (W00, W01, W10, W11), the z4 row R of G = M T0 M^-1 and
+    the inhomogeneity S of M B. X -> W^H X W does not change when
+    W -> e^{i phi} W, so W is needed only up to a phase. It is put in the
+    Schur form W = Q T Q^H, T = [[t00, t01], [0, t11]], with t00 the larger
+    eigenvalue of W (any order gives a Schur form) and Q's first column
+    (a, b) its eigenvector of _eigenpair (Q = I where W is a multiple of I).
+    Returns over (...), in this order: the exact spectrum of T0 as |t00|^2,
+    |t11|^2, |det W|^2 and conj(t00) t11 (the fifth eigenvalue is its
+    conjugate); entries 00, 11 and 01 of Q^H C Q for the one-body part C of
+    S; the couplings conj(t00) t01, |t01|^2 and 2 conj(t01) t11 of the
+    triangular rows; S4 and the z4 row as entries 00, 11 and 2 conj(01) of
     Q^H R Q; and Q as |a|^2, 2 a b, a conj(b), a^2 and conj(b)^2.
     """
     w00, w01, w10, w11 = w
@@ -177,19 +193,25 @@ def zero_order_spectrum(w, row, source) -> tuple:
             s, 2.0 * a * b, a * cb, a * a, cbcb)
 
 
-def solve_zero_order(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndarray]:
-    """x0 = (lambda0 I - T0)^-1 B for a whole lambda0 axis, by back-substitution.
+def solve_zero_order(spectrum: tuple, lambda0s) -> tuple:
+    """The lambda0 stage: (lambda0 I - T0) z = M B for a whole lambda0 axis at unit sources.
 
     spectrum comes from zero_order_spectrum over leading axes (...);
     lambda0s is (nl,) or (..., nl), broadcasting against them. In the
-    moments the system is the Stein equation lambda0 X - W^H X W = C on the
-    one-body matrix, and with Y = Q^H X Q it is triangular: Y00, then Y01
-    (Y10 = conj Y01), then Y11, each over its own pole; z4 follows from its
-    row, over the pole |det W|^2, and x0 = M^-1 z. Returns x0 (..., nl, 5)
-    and the mask of regular cells. The one singularity rule: a cell is
-    regular when max|lambda0 - d| < COND_LIMIT * min|lambda0 - d| over the
-    exact spectrum d of T0 (formed as max / COND_LIMIT < min, which cannot
-    overflow at any finite lambda0); singular cells hold zeros.
+    moments the system is the Stein equation lambda0 X - W^H X W = n C on
+    the one-body matrix, and with Y = Q^H X Q it is triangular: Y00, then
+    Y01 (Y10 = conj Y01), then Y11, each over its own pole; z4 follows from
+    its row, over the pole |det W|^2. Every source is n or k times a b-free
+    one (mqtransfer.two_qubit.transfer_blocks), so one back-substitution at
+    n = k = 1 serves every b (zero_order_at). Returns, over (..., nl), the
+    one-body solution X at n = 1 as X00, X11 and X01; the three terms of
+    rho44 = 1 + z4 = P + k (2 - k) Q + n k Z, from n^2 = 1 - k (2 - k):
+    P = (lambda0 - 1) / (lambda0 - |det W|^2), Q = (1 - |det W|^2) /
+    (lambda0 - |det W|^2) and Z, the z4 of the one-body solution and of
+    the source S4; and the mask of regular cells. The one singularity rule:
+    a cell is regular when max|lambda0 - d| < COND_LIMIT * min|lambda0 - d|
+    over the exact spectrum d of T0 (formed as max / COND_LIMIT < min, which
+    cannot overflow at any finite lambda0); singular cells hold zeros.
     """
     lam = np.asarray(lambda0s, dtype=float)
     # a lone lambda0 is taken off its axis: at a point of shape () every cell
@@ -207,11 +229,30 @@ def solve_zero_order(spectrum: tuple, lambda0s) -> tuple[np.ndarray, np.ndarray]
     y00 = c00 * i0
     y01 = (c01 + f01 * y00) * ip
     y11 = (c11 + f11 * y00 + (f10 * y01).real) * i1
-    z4 = (m4 + e00 * y00 + e11 * y11 + (e10 * y01).real) * i4
+    z = (m4 + e00 * y00 + e11 * y11 + (e10 * y01).real) * i4
     trace, dy = y00 + y11, y00 - y11
     x00 = y11 + s * dy - (ab * y01).real
     x01 = dy * acb + aa * y01 - cbb * np.conj(y01)
-    x0 = np.array([z4 - trace, trace - x00 - z4, x00 - z4, x01, np.conj(x01)])
-    x0 = x0.transpose(*range(1, x0.ndim), 0)
-    regular = keep == 1
-    return (x0[..., None, :], regular[..., None]) if single else (x0, regular)
+    unit = (x00, trace - x00, x01, (lam - 1.0) * i4, (1.0 - d4) * i4, z, keep == 1)
+    if single:
+        unit = tuple(x[..., None] for x in unit)
+    return unit[:-1], unit[-1]
+
+
+def zero_order_at(unit: tuple, n, k) -> tuple:
+    """The temperature step of the zero-order vector: solve_zero_order's solution at n and k.
+
+    n and k (chain.thermal_weights) broadcast against the leading axes of
+    unit, without its lambda0 axis. Returns the base state's entries rho11,
+    rho22, rho33, rho44 and rho23 over (..., nl). z4 = n k Z - n^2 Q is
+    formed directly, so it keeps its precision where it is small (large
+    lambda0), and rho44 = 1 + z4 from its own row in powers of k = 1 - n,
+    so it keeps its relative precision where it is of order e^-2b (large b);
+    the others are n X less z4.
+    """
+    x00, x11, x01, p, q, z = unit
+    n, k = np.asarray(n)[..., None], np.asarray(k)[..., None]
+    nkz = (n * k) * z
+    z4 = nkz - (n * n) * q
+    x00, x11 = n * x00, n * x11
+    return z4 - x00 - x11, x11 - z4, x00 - z4, p + (k * (2.0 - k)) * q + nkz, n * x01

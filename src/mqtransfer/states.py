@@ -4,12 +4,23 @@ A sender is assembled from the zero-order vector, an optional unit
 single-quantum vector scaled by c1 >= 0, and a double-quantum weight
 c2 >= 0. Positivity of the assembled matrix bounds (c1, c2); the region is
 summarized by the two semi-axes S1 = c1_max * lambda1, S2 = c2_max * lambda2
-and their product, all from one batched kernel: region_points at (t, b),
-which reads the blocks of the transfer matrix (two_qubit.transfer_blocks)
-and the exact rule for a real single-quantum factor (two_qubit.lambda1_real),
-region_cells at lambda0 and the case mask case_metrics. For odd N the
-factor is real only at b = 0, where it vanishes, so cases 2-4 are
-infeasible there.
+and their product, all from one batched kernel in three stages. The
+inverse temperature b reaches the map only through four factors
+(two_qubit.temperature_factors), so:
+
+- time_stage, once per time grid: the amplitudes, the b-free blocks of the
+  transfer matrix W (two_qubit.transfer_blocks), the single-quantum
+  eigenproblem of H (solvers.solve_first_order), the mask of a real
+  single-quantum factor at b > 0 (two_qubit.lambda1_real), lambda2 = det W
+  and the Schur form of the zero-order system;
+- solvers.solve_zero_order on its spectrum, once per (t, lambda0): one
+  back-substitution at unit sources, whose singularity mask is b-free;
+- the temperature step, per b: region_points (the theta tau scale and x1)
+  and region_cells (the base state from n and k, then the rays).
+
+region_columns streams a grid through them one b column at a time, and
+case_metrics is the case mask. For odd N the single-quantum factor is real
+only at b = 0, where it vanishes, so cases 2-4 are infeasible there.
 """
 
 from __future__ import annotations
@@ -20,16 +31,21 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
-from .solvers import solve_first_order, solve_zero_order, zero_order_spectrum
-from .two_qubit import lambda1_real, transfer_blocks
+from .solvers import (first_order_at, solve_first_order, solve_zero_order, zero_order_at,
+                      zero_order_spectrum)
+from .two_qubit import lambda1_real, temperature_factors, transfer_blocks
 
 __all__ = [
     "RegionReport",
+    "TimeStage",
     "RegionPoints",
     "assemble_sender",
     "block_rays",
+    "time_stage",
     "region_points",
     "region_cells",
+    "base_vector",
+    "region_columns",
     "case_metrics",
     "region_metrics",
 ]
@@ -54,38 +70,37 @@ def assemble_sender(x0, x1=None, c1: float = 0.0, c2: float = 0.0) -> np.ndarray
     return m + np.triu(m, 1).conj().T
 
 
-def block_rays(x0: np.ndarray, x1: np.ndarray):
+def block_rays(base: tuple, x1: np.ndarray):
     """Closed-form creatable intervals c1_max and c2_max, over leading axes.
 
-    The base state of x0 (..., 5) is block-diagonal on {1}, {2,3}, {4}, so
-    c2_max = sqrt(rho11 rho44). The single-quantum direction of x1 (..., 4)
-    couples only {1,4} to {2,3}; with B its {1,4} x {2,3} block, c1_max =
-    1/sigma_max, where sigma_max^2 is the larger eigenvalue of the 2x2 matrix
-    M23^-1 B^H D14^-1 B. Returns (positive, c1_max, c2_max): positive marks
-    base states whose smallest eigenvalue is at least -PSD_TOL, and both
-    lengths are zero elsewhere. The test suite certifies these values against
-    bisection on the dense sender matrix.
+    base is the base state as its entries (rho11, rho22, rho33, rho44, rho23)
+    (region_cells), and x1 (..., 4) the single-quantum direction. The base
+    state is block-diagonal on {1}, {2,3}, {4}, so c2_max = sqrt(rho11 rho44).
+    The single-quantum direction couples only {1,4} to {2,3}; with B its
+    {1,4} x {2,3} block, c1_max = 1/sigma_max, where sigma_max^2 is the
+    larger eigenvalue of the 2x2 matrix M23^-1 B^H D14^-1 B. Returns
+    (positive, c1_max, c2_max): positive marks base states whose smallest
+    eigenvalue is at least -PSD_TOL, and both lengths are zero elsewhere.
+    The test suite certifies these values against bisection on the dense
+    sender matrix.
     """
-    x0 = np.asarray(x0)
-    r11, r22, r33 = x0[..., 0].real, x0[..., 1].real, x0[..., 2].real
-    r44 = 1.0 - r11 - r22 - r33
-    x23 = x0[..., 3]
+    r11, r22, r33, r44, x23 = base
     off2 = np.abs(x23) ** 2
     blk_min = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + off2)
     positive = (r11 >= -PSD_TOL) & (r44 >= -PSD_TOL) & (blk_min >= -PSD_TOL)
-    c2 = np.where(positive, np.sqrt(np.clip(r11 * r44, 0.0, None)), 0.0)
+    c2 = np.where(positive, np.sqrt(np.maximum(r11 * r44, 0.0)), 0.0)
     x1 = np.asarray(x1)
     # B rows are sites 1 and 4, columns sites 2 and 3
     b12, b13, b42, b43 = x1[..., 0], x1[..., 1], np.conj(x1[..., 2]), np.conj(x1[..., 3])
-    d1 = np.clip(r11, 1e-30, None)
-    d4 = np.clip(r44, 1e-30, None)
+    d1 = np.maximum(r11, 1e-30)
+    d4 = np.maximum(r44, 1e-30)
     # M23^-1 G, G = B^H D14^-1 B, is similar to the Hermitian H = L^-1 G L^-H
     # with M23 = L L^H (Cholesky). With v = (-rho23/rho22, 1), each entry of H
     # is a product or a sum of squares of B (1, 0) and B v, and the larger
     # eigenvalue of H comes from (h22 - h33)^2 + 4|h23|^2, a sum of squares
     # that does not cancel where the two eigenvalues cross
-    d2 = np.clip(r22, 1e-30, None)
-    det_m = np.clip(r22 * r33 - off2, 1e-30, None)
+    d2 = np.maximum(r22, 1e-30)
+    det_m = np.maximum(r22 * r33 - off2, 1e-30)
     ratio = x23 / d2
     w1, w4 = b13 - b12 * ratio, b43 - b42 * ratio
     h22 = (np.abs(b12) ** 2 / d1 + np.abs(b42) ** 2 / d4) / d2
@@ -123,16 +138,16 @@ class RegionReport:
 
 
 @dataclass(frozen=True, eq=False)
-class RegionPoints:
-    """(t, b) stage over the broadcast shape of t and b: solve_first_order of the
-    single-quantum blocks, the mask real of points where lambda1 is real,
-    the double-quantum coefficient lambda2 (complex, real up to rounding) and
-    the zero-order blocks (W, G[4], M B), whose closed-form spectrum
-    (zero_order_spectrum) is formed on use."""
+class TimeStage:
+    """The t-stage over the shape of t: everything of the region kernel that does
+    not depend on b. first is solvers.solve_first_order of the single-quantum
+    blocks, real the mask of times where lambda1 is real at b > 0, lambda2 the
+    double-quantum coefficient det W (complex, real up to rounding), and
+    zero_blocks the b-free zero-order blocks (W, R, S), whose closed-form
+    Schur data (zero_order_spectrum) is formed on use."""
 
-    eigenvalues: np.ndarray
-    lambda1: np.ndarray
-    x1: np.ndarray
+    n_sites: int
+    first: tuple
     real: np.ndarray
     lambda2: np.ndarray
     zero_blocks: tuple
@@ -142,26 +157,76 @@ class RegionPoints:
         return zero_order_spectrum(*self.zero_blocks)
 
 
-def region_points(spec: ChainSpec, t, b) -> RegionPoints:
-    """The (t, b) stage at scalars or broadcasting arrays t and b (b unchecked),
-    straight from the blocks of mqtransfer.two_qubit.transfer_blocks."""
-    first, zero, second = transfer_blocks(*amplitude_grids(mode_basis(spec.n_sites), t), b,
-                                          spec.n_sites)
-    (p, _, _, s), tau = zero[0], first[1]
-    ev, lambda1, x1 = solve_first_order(*first)
-    return RegionPoints(ev, lambda1, x1, real=lambda1_real(p + s, second, tau, spec.n_sites),
-                        lambda2=second, zero_blocks=zero)
+def time_stage(spec: ChainSpec, t) -> TimeStage:
+    """The t-stage at a scalar or an array of times t."""
+    p, q, r, s = amplitude_grids(mode_basis(spec.n_sites), t)
+    first, zero, d = transfer_blocks(p, q, r, s)
+    return TimeStage(spec.n_sites, solve_first_order(*first),
+                     lambda1_real(p + s, d, 1.0, spec.n_sites), d, zero)
 
 
-def region_cells(points: RegionPoints, lambda0s) -> tuple:
-    """The lambda0 stage at every point; lambda0s as in solve_zero_order.
+@dataclass(frozen=True, eq=False)
+class RegionPoints:
+    """The single-quantum temperature step over the broadcast shape of t and b:
+    the four eigenvalues of the single-quantum map, lambda1 and x1
+    (solvers.first_order_at), the mask real of points where lambda1 is real,
+    the t-stage's lambda2 (over the shape of t) and the background weights n
+    and k that region_cells applies."""
 
-    Returns x0 (points..., nl, 5), the mask ok of cells with a regular
-    zero-order solve and a positive base state, c1_max and c2_max.
+    eigenvalues: np.ndarray
+    lambda1: np.ndarray
+    x1: np.ndarray
+    real: np.ndarray
+    lambda2: np.ndarray
+    weights: tuple
+
+
+def region_points(times: TimeStage, b) -> RegionPoints:
+    """The temperature step of the t-stage times at b, a scalar or an array that
+    broadcasts against the times (b unchecked)."""
+    theta, tau, n, k = temperature_factors(b, times.n_sites)
+    ev, lambda1, x1 = first_order_at(times.first, theta, tau)
+    # F = 0 at tau = 0, where every eigenvalue is real (two_qubit.lambda1_real)
+    real = times.real | (tau == 0.0)
+    return RegionPoints(ev, lambda1, x1, real, times.lambda2, (n, k))
+
+
+def region_cells(points: RegionPoints, zero: tuple) -> tuple:
+    """The zero-order temperature step and the rays at every point and lambda0.
+
+    zero is solvers.solve_zero_order on the spectrum of the points' t-stage,
+    over (times..., nl), and broadcasts against the points. Returns the base
+    state's entries (rho11, rho22, rho33, rho44, rho23), each
+    (points..., nl), the mask ok of cells with a regular zero-order solve and
+    a positive base state, c1_max and c2_max.
     """
-    x0, regular = solve_zero_order(points.spectrum, lambda0s)
-    positive, c1_max, c2_max = block_rays(x0, points.x1[..., None, :])
-    return x0, regular & positive, c1_max, c2_max
+    unit, regular = zero
+    base = zero_order_at(unit, *points.weights)
+    positive, c1_max, c2_max = block_rays(base, points.x1[..., None, :])
+    return base, regular & positive, c1_max, c2_max
+
+
+def base_vector(base: tuple) -> np.ndarray:
+    """The zero-order sender vector x0 (..., 5) = (rho11, rho22, rho33, rho23, rho32)
+    of region_cells' base state entries."""
+    r11, r22, r33, _, r23 = base
+    x0 = np.array([r11, r22, r33, r23, np.conj(r23)], dtype=complex)
+    return x0.transpose(*range(1, x0.ndim), 0)
+
+
+def region_columns(spec: ChainSpec, ts, bs, lambda0s):
+    """The region kernel over the grid ts x bs x lambda0s, one b column at a time.
+
+    One t-stage over ts and one lambda0 stage over (ts, lambda0s) serve every
+    column; yields (points, cells) of region_points and region_cells for each
+    b of bs in turn, each over (nt,) and (nt, nl). Both stages are freed once
+    the last column is out.
+    """
+    times = time_stage(spec, ts)
+    zero = solve_zero_order(times.spectrum, lambda0s)
+    for b in bs:
+        points = region_points(times, float(b))
+        yield points, region_cells(points, zero)
 
 
 def case_metrics(points: RegionPoints, cells: tuple, case: int) -> tuple:
@@ -191,11 +256,13 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
     if case not in (1, 2, 3, 4):
         raise ValueError(f"case must be 1..4, got {case}")
     check_inverse_temperature(b)
-    points = region_points(spec, t, b)
+    times = time_stage(spec, t)
+    points = region_points(times, b)
     feasible, s1, s2 = False, 0.0, 0.0
     # without a real lambda1 only case 1 can be feasible: skip the lambda0 stage
     if points.real or case == 1:
-        cells = x0, _, c1_max, c2_max = region_cells(points, [lambda0])
+        cells = base, _, c1_max, c2_max = region_cells(
+            points, solve_zero_order(times.spectrum, [lambda0]))
         feasible, s1, s2 = (x.item() for x in case_metrics(points, cells, case))
     keep1 = feasible and case != 1
     return RegionReport(
@@ -205,6 +272,6 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
         c1_max=c1_max.item() if keep1 else 0.0,
         c2_max=c2_max.item() if feasible and case != 2 else 0.0,
         feasible=feasible,
-        x0=x0[0] if feasible else None,
+        x0=base_vector(base)[0] if feasible else None,
         x1=points.x1 if keep1 else None,
     )

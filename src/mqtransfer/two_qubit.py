@@ -9,8 +9,10 @@ temperature b. Basis order is |00>, |01>, |10>, |11> with sender sites
 transfer_blocks, as closed-form blocks of the 2x2 transfer matrix
 W = [[p, q], [r, s]] of those amplitudes: the single-quantum map in the
 constant basis BLOCK_BASIS and the zero-order map in the moments MOMENTS.
-The region kernel and the solvers read the blocks; alpha_entries assembles
-the coefficient table from them. Whether the single-quantum factor is real
+The blocks are free of b, which enters the map only through the four
+factors of temperature_factors. The region kernel and the solvers read the
+blocks once per time and apply the factors per b; alpha_entries assembles
+the coefficient table from both. Whether the single-quantum factor is real
 is decided here too, once and exactly, from tr W and det W (lambda1_real),
 and the uniform-scaling curve reads the smaller eigenvalue of W (w_small).
 """
@@ -37,6 +39,7 @@ __all__ = [
     "AlphaTable",
     "decompose_blocks",
     "transfer_blocks",
+    "temperature_factors",
     "lambda1_real",
     "w_small",
     "alpha_entries",
@@ -114,50 +117,55 @@ def decompose_blocks(rho: np.ndarray) -> dict[int, np.ndarray]:
     return {n: np.where(order == n, rho, 0.0) for n in range(-2, 3)}
 
 
-def transfer_blocks(p, q, r, s, b, n_sites: int) -> tuple:
-    """The map as blocks of the transfer matrix W = [[p, q], [r, s]], stacked as (first, zero, second).
+def transfer_blocks(p, q, r, s) -> tuple:
+    """The map's b-free blocks of the transfer matrix W = [[p, q], [r, s]]: (first, zero, second).
 
-    p, q, r, s and b broadcast as in alpha_entries, and every entry below is
-    over the broadcast axes; a 2x2 block is given as its entries (00, 01,
-    10, 11). With d = det W, tau = tanh(b/2), theta = (-1)^N tau^(N-3) and
-    the background weights n = 1 / (1 + e^-b) and k = e^-b n, all finite at
-    every b >= 0:
+    p, q, r and s are scalars or arrays of one shape, and every entry below
+    is over their axes; a 2x2 block is given as its entries (00, 01, 10, 11).
+    The inverse temperature b enters the map only through the four factors
+    of temperature_factors: theta, tau = tanh(b/2), n = 1 / (1 + e^-b) and
+    k = e^-b n. With d = det W:
 
-    - first = (theta, tau, A, C, Q): in BLOCK_BASIS the single-quantum map is
-      G = U F U^T = theta [[tau A, C], [0, tau Q]], with the blocks of W alone
+    - first = (A, C, Q): in BLOCK_BASIS the single-quantum map is
+      G = U F U^T = theta [[tau A, C], [0, tau Q]], with
       A = d conj([[s, q], [r, p]]), C = -[[conj(s) d - p, conj(q) d + r],
       [conj(r) d + q, conj(p) d - s]] and Q = [[p, -r], [-q, s]];
-    - zero = (W, G[4], M B): in the moments z = M x (MOMENTS) the zero-order
-      map G = M T0 M^-1 has G[:4, :4] = X -> W^H X W, with entry
+    - zero = (W, R, S): in the moments z = M x (MOMENTS) the zero-order map
+      G = M T0 M^-1 has G[:4, :4] = X -> W^H X W, with entry
       (X_ij, X_kl) = conj(W_ki) W_lj over ONE_BODY, and G[:4, 4] = 0; W is
-      (p, q, r, s), the z4 row is G[4] = (-k (|d|^2 - |p|^2 - |q|^2),
-      -k (|d|^2 - |r|^2 - |s|^2), -k (p conj(r) + q conj(s)), its conjugate,
-      |d|^2) and the inhomogeneity is M B = (n (|p|^2 + |r|^2 - 1),
-      n (|q|^2 + |s|^2 - 1), -n (p conj(q) + r conj(s)), its conjugate,
-      n^2 (|d|^2 - 1) + n k (|p|^2 + |q|^2 + |r|^2 + |s|^2 - 2));
+      (p, q, r, s); the z4 row is G[4] = (k R0, k R1, k R2, k R3, R4) with
+      R = (|p|^2 + |q|^2 - |d|^2, |r|^2 + |s|^2 - |d|^2, -(p conj(r) + q conj(s)),
+      its conjugate, |d|^2), and the inhomogeneity is M B = (n S0, n S1, n S2,
+      n S3, n^2 (|d|^2 - 1) + n k S4) with S = (|p|^2 + |r|^2 - 1,
+      |q|^2 + |s|^2 - 1, -(p conj(q) + r conj(s)), its conjugate,
+      |p|^2 + |q|^2 + |r|^2 + |s|^2 - 2);
     - second = d, the double-quantum coefficient.
 
     At the chain's amplitudes they reproduce the hand-expanded coefficient
     table of tests/reference.py; there p = s, so Q = adj(W)^T.
     """
-    if np.ndim(b):
-        # entries that depend on the amplitudes only must carry the axes of b too
-        p, q, r, s, b = np.broadcast_arrays(p, q, r, s, b)
-    n, k = thermal_weights(b)
-    tau = np.tanh(0.5 * b)
-    theta = (-1) ** n_sites * tau ** (n_sites - 3)
     cp, cq, cr, cs = np.conj(p), np.conj(q), np.conj(r), np.conj(s)
     d = p * s - q * r
-    first = (theta, tau, (d * cs, d * cq, d * cr, d * cp),
+    first = ((d * cs, d * cq, d * cr, d * cp),
              (p - cs * d, -(cq * d + r), -(cr * d + q), s - cp * d), (p, -r, -q, s))
     ap, aq, ar, as_, ad = (abs(x) ** 2 for x in (p, q, r, s, d))
-    g42 = -k * (p * cr + q * cs)
-    m2 = -n * (p * cq + r * cs)
-    zero = ((p, q, r, s),
-            (-k * (ad - ap - aq), -k * (ad - ar - as_), g42, np.conj(g42), ad),
-            (n * (ap + ar - 1.0), n * (aq + as_ - 1.0), m2, np.conj(m2),
-             n * (n * (ad - 1.0) + k * (ap + aq + ar + as_ - 2.0))))
+    r2 = -(p * cr + q * cs)
+    s2 = -(p * cq + r * cs)
+    zero = ((p, q, r, s), (-(ad - ap - aq), -(ad - ar - as_), r2, np.conj(r2), ad),
+            (ap + ar - 1.0, aq + as_ - 1.0, s2, np.conj(s2), ap + aq + ar + as_ - 2.0))
     return first, zero, d
+
+
+def temperature_factors(b, n_sites: int) -> tuple:
+    """theta, tau, n and k of transfer_blocks at inverse temperatures b (any shape).
+
+    tau = tanh(b/2), theta = (-1)^N tau^(N-3) and the background weights
+    n = 1 / (1 + e^-b) and k = e^-b n (chain.thermal_weights), all finite
+    at every b >= 0.
+    """
+    n, k = thermal_weights(b)
+    tau = np.tanh(0.5 * b)
+    return (-1) ** n_sites * tau ** (n_sites - 3), tau, n, k
 
 
 def _pair_form(trace, det, n_sites: int) -> tuple:
@@ -216,20 +224,26 @@ def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
     the broadcast axes lead the results. first is (..., 4, 4) with rows
     and columns FIRST_LABELS, zero is (..., 5, 6) with rows ZERO_ROWS and
     columns ZERO_COLS, and second is the double-quantum coefficient (...).
-    All are assembled from transfer_blocks: first = U^T G U, T0 = M^-1 G M
-    and B = M^-1 (M B), and zero is [T0[:, :3] + B | B | T0[:, 3:]].
+    All are assembled from transfer_blocks and temperature_factors:
+    first = U^T G U, T0 = M^-1 G M and B = M^-1 (M B), and zero is
+    [T0[:, :3] + B | B | T0[:, 3:]].
     """
-    first, (w, row, source), second = transfer_blocks(p, q, r, s, b, n_sites)
-    theta, tau, a, c, q_block = first
+    if np.ndim(b):
+        # entries that depend on the amplitudes only must carry the axes of b too
+        p, q, r, s, b = np.broadcast_arrays(p, q, r, s, b)
+    (a, c, q_block), (w, row, source), second = transfer_blocks(p, q, r, s)
+    theta, tau, n, k = temperature_factors(b, n_sites)
     nil = np.zeros(np.shape(second))
     ta, tq = [tau * x for x in a], [tau * x for x in q_block]
     g = _stacked([[ta[0], ta[1], c[0], c[1]], [ta[2], ta[3], c[2], c[3]],
                   [nil, nil, tq[0], tq[1]], [nil, nil, tq[2], tq[3]]])
     first = np.asarray(theta)[..., None, None] * (BLOCK_BASIS.T @ g @ BLOCK_BASIS)
     wm = (w[:2], w[2:])
-    one_body = [[np.conj(wm[k][i]) * wm[l][j] for k, l in ONE_BODY] + [nil] for i, j in ONE_BODY]
-    t0 = MOMENTS_INVERSE @ _stacked(one_body + [list(row)]) @ MOMENTS
-    b_vec = np.stack(source, axis=-1) @ MOMENTS_INVERSE.T
+    one_body = [[np.conj(wm[u][i]) * wm[v][j] for u, v in ONE_BODY] + [nil] for i, j in ONE_BODY]
+    g4 = [k * x for x in row[:4]] + [row[4]]
+    t0 = MOMENTS_INVERSE @ _stacked(one_body + [g4]) @ MOMENTS
+    mb = [n * x for x in source[:4]] + [n * (n * (row[4] - 1.0) + k * source[4])]
+    b_vec = np.stack(mb, axis=-1) @ MOMENTS_INVERSE.T
     zero = np.concatenate([t0[..., :3] + b_vec[..., None], b_vec[..., None], t0[..., 3:]], axis=-1)
     return first, zero, second
 

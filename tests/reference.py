@@ -23,12 +23,15 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
   (FIRST_BASIS);
 - the zero-order vector by a dense linear solve guarded by the 2-norm
   condition number (solve_zero_order_dense);
-- the semi-axes of a case, chaining the three (region_reference).
+- the semi-axes of a case, chaining the three (region_reference);
+- the base state and the semi-axes at 50 digits, from the moments system
+  in mpmath (moments_reference).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from mpmath import mp
 
 from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
 from mqtransfer.solvers import COND_LIMIT, zero_order_system
@@ -45,6 +48,14 @@ def base_matrix(x0: np.ndarray) -> np.ndarray:
     m[1, 2] = x0[3]
     m[2, 1] = np.conj(x0[3])
     return m
+
+
+def base_entries(x0: np.ndarray) -> tuple:
+    """The base state entries (rho11, rho22, rho33, rho44, rho23) of block_rays for a
+    zero-order vector x0 (..., 5), rho44 from the unit trace."""
+    x0 = np.asarray(x0)
+    r11, r22, r33 = x0[..., 0].real, x0[..., 1].real, x0[..., 2].real
+    return r11, r22, r33, 1.0 - r11 - r22 - r33, x0[..., 3]
 
 
 def is_physical(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -171,17 +182,17 @@ INVARIANT, QUOTIENT = [0, 3], [1, 2]
 def block_arguments(maps: np.ndarray) -> tuple:
     """mqtransfer.solvers.solve_first_order's arguments for maps F (..., 4, 4).
 
-    theta = tau = 1 and the entries of the blocks of U F U^T in the basis
-    FIRST_BASIS: A over rows and columns INVARIANT (u0, u3), C over rows
-    INVARIANT and columns QUOTIENT (u1, u2), Q over QUOTIENT.
+    The entries of the blocks of U F U^T in the basis FIRST_BASIS: A over
+    rows and columns INVARIANT (u0, u3), C over rows INVARIANT and columns
+    QUOTIENT (u1, u2), Q over QUOTIENT; F is then the map of
+    solvers.first_order_at at theta = tau = 1.
     """
     g = FIRST_BASIS @ maps @ FIRST_BASIS.T
 
     def entries(rows, cols):
         return tuple(g[..., i, j] for i in rows for j in cols)
 
-    return (1.0, 1.0, entries(INVARIANT, INVARIANT), entries(INVARIANT, QUOTIENT),
-            entries(QUOTIENT, QUOTIENT))
+    return entries(INVARIANT, INVARIANT), entries(INVARIANT, QUOTIENT), entries(QUOTIENT, QUOTIENT)
 
 
 def ray_max(m0: np.ndarray, direction: np.ndarray, tol: float, floor: float = -PSD_TOL) -> float:
@@ -346,3 +357,87 @@ def region_reference(spec: ChainSpec, t: float, b: float, lambda0: float, case: 
     if case != 2 and lam2 > 0.0:
         out["s2"] = ray_max(m0, SECOND_DIRECTION, tol, floor=0.0) * lam2
     return out
+
+
+def moments_reference(n_sites: int, t: float, b: float, lambda0: float, digits: int = 50) -> dict:
+    """The base state, lambda1, x1 and the semi-axes at one point, in mpmath at digits.
+
+    The amplitudes are summed over the sine modes, and the zero-order vector
+    solves the 5x5 moments system (lambda0 I - G) z = M B written out from
+    the blocks of W (mqtransfer.two_qubit.transfer_blocks); x0 = M^-1 z,
+    rho44 = 1 + z4. lambda1 = theta tau w_big, and x1 is U^T (y, tau z) with
+    z Q's null vector and y = (w_big - A)^-1 C z. c1_max and c2_max are the
+    closed forms of mqtransfer.states.block_rays, which lose no digits at
+    this precision. Returns rho (rho11, rho22, rho33, rho44, rho23) and
+    lambda1 as mpmath numbers, and s1 = c1_max lambda1 (0 unless lambda1 is
+    real and positive) and s2 = c2_max lambda2 (0 unless lambda2 > 0), both
+    of a positive base state.
+    """
+    with mp.workdps(digits):
+        n = n_sites
+        t, b, lam0 = mp.mpf(t), mp.mpf(b), mp.mpf(lambda0)
+        g = [[mp.sqrt(mp.mpf(2) / (n + 1)) * mp.sin(mp.pi * j * k / (n + 1))
+              for k in range(1, n + 1)] for j in range(1, n + 1)]
+        phase = [mp.expj(-t * mp.cos(mp.pi * k / (n + 1))) for k in range(1, n + 1)]
+
+        def amp(i, j):
+            return mp.fsum(g[i][k] * g[j][k] * phase[k] for k in range(n))
+
+        p, q, r, s = amp(0, n - 2), amp(0, n - 1), amp(1, n - 2), amp(1, n - 1)
+        ex = mp.exp(-b)
+        nw = 1 / (1 + ex)
+        kw = ex * nw
+        tau = mp.tanh(b / 2)
+        theta = (-1) ** n * tau ** (n - 3)
+        d = p * s - q * r
+        w = [[p, q], [r, s]]
+        ap, aq, ar, as_, ad = (abs(x) ** 2 for x in (p, q, r, s, d))
+        one_body = ((0, 0), (1, 1), (0, 1), (1, 0))
+        a = mp.matrix(5, 5)
+        for row, (i, j) in enumerate(one_body):
+            for col, (k, l) in enumerate(one_body):
+                a[row, col] = -mp.conj(w[k][i]) * w[l][j]
+            a[row, row] += lam0
+        r2 = -(p * mp.conj(r) + q * mp.conj(s))
+        for col, value in enumerate((ap + aq - ad, ar + as_ - ad, r2, mp.conj(r2))):
+            a[4, col] = -kw * value
+        a[4, 4] = lam0 - ad
+        s2 = -(p * mp.conj(q) + r * mp.conj(s))
+        rhs = mp.matrix([nw * (ap + ar - 1), nw * (aq + as_ - 1), nw * s2, nw * mp.conj(s2),
+                         nw * nw * (ad - 1) + nw * kw * (ap + aq + ar + as_ - 2)])
+        z = mp.lu_solve(a, rhs)
+        rho = (mp.re(-z[0] - z[1] + z[4]), mp.re(z[1] - z[4]), mp.re(z[0] - z[4]),
+               mp.re(1 + z[4]), z[2])
+        # single-quantum factor: Q's larger root and the eigenvector of H
+        half = (p + s) / 2
+        root = mp.sqrt(((p - s) / 2) ** 2 + q * r)
+        w_big = half + root if abs(half + root) >= abs(half - root) else half - root
+        a_blk = [[d * mp.conj(s), d * mp.conj(q)], [d * mp.conj(r), d * mp.conj(p)]]
+        c_blk = [[p - mp.conj(s) * d, -(mp.conj(q) * d + r)],
+                 [-(mp.conj(r) * d + q), s - mp.conj(p) * d]]
+        q_blk = [[p, -r], [-q, s]]
+        zv = ([q_blk[0][1], w_big - q_blk[0][0]] if abs(q_blk[0][1]) + abs(w_big - q_blk[0][0])
+              >= abs(w_big - q_blk[1][1]) + abs(q_blk[1][0])
+              else [w_big - q_blk[1][1], q_blk[1][0]])
+        cz = [c_blk[i][0] * zv[0] + c_blk[i][1] * zv[1] for i in range(2)]
+        m = mp.matrix([[w_big - a_blk[0][0], -a_blk[0][1]], [-a_blk[1][0], w_big - a_blk[1][1]]])
+        y = mp.lu_solve(m, mp.matrix(cz))
+        x1 = [y[1] + tau * zv[1], y[0] + tau * zv[0], y[0] - tau * zv[0], tau * zv[1] - y[1]]
+        norm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in x1))
+        x1 = [x / norm for x in x1]
+        lam1 = theta * tau * w_big
+        r11, r22, r33, r44, r23 = rho
+        blk_min = (r22 + r33) / 2 - mp.sqrt(((r22 - r33) / 2) ** 2 + abs(r23) ** 2)
+        positive = min(r11, r44, blk_min) >= 0
+        s1 = s2v = mp.mpf(0)
+        if positive:
+            bm = mp.matrix([[x1[0], x1[1]], [mp.conj(x1[2]), mp.conj(x1[3])]])
+            gm = bm.H * mp.diag([1 / r11, 1 / r44]) * bm
+            pm = mp.inverse(mp.matrix([[r22, r23], [mp.conj(r23), r33]])) * gm
+            tr, det = pm[0, 0] + pm[1, 1], pm[0, 0] * pm[1, 1] - pm[0, 1] * pm[1, 0]
+            sigma2 = mp.re(tr / 2 + mp.sqrt(tr ** 2 / 4 - det))
+            if abs(mp.im(lam1)) <= mp.mpf(10) ** (5 - digits) and mp.re(lam1) > 0:
+                s1 = mp.re(lam1) / mp.sqrt(sigma2)
+            if mp.re(d) > 0:
+                s2v = mp.sqrt(r11 * r44) * mp.re(d)
+        return {"rho": rho, "lambda1": lam1, "s1": s1, "s2": s2v, "positive": positive}

@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from mqtransfer import ChainSpec, amplitude_set, alpha_table, mode_basis, receiver_from_sender
-from mqtransfer.cli import main
+from mqtransfer.cli import _region_bytes, main
 from mqtransfer.two_qubit import random_density
 
 
@@ -164,6 +165,26 @@ def test_curve_csv(capsys):
     assert len(rows) > 1
     lams = [float(r[2]) for r in rows[1:]]
     assert all(l > 1e-3 for l in lams)
+
+
+def test_region_memory_estimate(tmp_path):
+    # the estimate the grid guard uses, against the traced peak of a region
+    # run at N = 6: it must bound the peak without overstating it twice
+    out = tmp_path / "region.csv"
+    argv = ["region", "--n", "6", "--t-grid", "3:7:0.01", "--b-grid", "0:0.5:0.25",
+            "--lambda0-grid", "0.5:0.99:0.01", "--out", str(out)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out) as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows == 401 * 3 * 50
+    estimate = _region_bytes(6, 401, 3, 50)
+    assert 0.5 * estimate < peak < estimate
 
 
 def test_region_json_format(capsys):

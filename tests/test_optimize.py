@@ -23,13 +23,21 @@ from mqtransfer.chain import amplitude_grids
 from mqtransfer.optimize import B_GRID, _curve, _scan, objective_landscape
 from mqtransfer.search import bracket_max, bracket_root
 from mqtransfer.solvers import solve_zero_order, zero_order_system
-from mqtransfer.states import case_metrics, region_cells, region_metrics, region_points
+from mqtransfer.states import (base_vector, case_metrics, region_cells, region_columns,
+                               region_metrics, region_points, time_stage)
 from reference import region_reference, select_first_order, solve_zero_order_dense
 
 # the package's optimize is the function; the module holds the search constants
 optimize_module = importlib.import_module("mqtransfer.optimize")
 _CASE_KEY = {1: "s2", 2: "s1", 3: "s12"}
 EPS = np.finfo(float).eps
+
+
+def _kernel_x0(spec, ts, b, l0s):
+    """The kernel's zero-order vectors x0 (ts..., nl, 5) at one b and the regular mask."""
+    times = time_stage(spec, ts)
+    zero = solve_zero_order(times.spectrum, l0s)
+    return base_vector(region_cells(region_points(times, b), zero)[0]), zero[1]
 
 
 def _case_objective(spec, t, b, l0, case):
@@ -163,8 +171,9 @@ def test_region_column_matches_region_metrics():
     ts = np.array([6.2, 6.2, 6.2, 5.4, 8.5])
     bs = np.array([4.5, 4.5, 2.0, 5.4, 10.0])
     l0s = np.array([[1.1, 1.2], [0.9, 1.1], [1.1, 1.3], [1.26, 1.0], [1.08, 1.5]])
-    points = region_points(spec, ts, bs)
-    cells = region_cells(points, l0s)
+    times = time_stage(spec, ts)
+    points = region_points(times, bs)
+    cells = region_cells(points, solve_zero_order(times.spectrum, l0s))
     for case in (1, 2, 3):
         _, s1, s2 = case_metrics(points, cells, case)
         got = {"s1": s1, "s2": s2, "s12": s1 * s2}[_CASE_KEY[case]]
@@ -217,7 +226,7 @@ def test_batched_eigen_selection_matches_scalar():
     basis = mode_basis(6)
     ts = np.linspace(3.0, 9.0, 40)
     for b in (0.7, 4.2, 9.5):
-        points = region_points(spec, ts, b)
+        points = region_points(time_stage(spec, ts), b)
         lam, vec, found = points.lambda1, points.x1, points.real
         for i, t in enumerate(ts):
             table = alpha_table(amplitude_set(basis, float(t)), b, spec)
@@ -288,7 +297,7 @@ def test_resolvent_matches_solve_zero_order():
         lo, hi = first_window(spec)
         ts = np.linspace(lo, hi, 9)
         for b in (0.5, 4.0, 9.0):
-            x0, regular = solve_zero_order(region_points(spec, ts, b).spectrum, l0s)
+            x0, regular = _kernel_x0(spec, ts, b, l0s)
             for i, t in enumerate(ts):
                 t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
                 for j, l0 in enumerate(l0s):
@@ -329,7 +338,7 @@ def test_resolvent_matches_solve_zero_order_at_merged_poles(n):
     assert ts.size
     l0s = np.arange(0.5, 2.0 + 1e-9, 0.1)
     for b in (0.5, 4.0, 9.0):
-        x0, regular = solve_zero_order(region_points(spec, ts, b).spectrum, l0s)
+        x0, regular = _kernel_x0(spec, ts, b, l0s)
         for i, t in enumerate(ts):
             t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
             for j, l0 in enumerate(l0s):
@@ -347,14 +356,14 @@ def test_lambda0_on_each_exact_pole_is_singular(t):
     # zero gap) and, at t = 5.0 where W's eigenvalues are real, the pair
     # w1 conj(w2) = w1 w2 too; every such cell is singular, holds zeros and
     # raises no warning
-    points = region_points(ChainSpec(6), t, 10.0)
-    d0, d1, d4, dp = points.spectrum[:4]
+    spec = ChainSpec(6)
+    d0, d1, d4, dp = time_stage(spec, t).spectrum[:4]
     assert _curve(6, np.array([t]))[1][0] == (t == 5.0)
     poles = [d0, d1, d4] + ([dp.real] if t == 5.0 else [])
     l0s = np.array(poles + [1.0837])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x0, regular = solve_zero_order(points.spectrum, l0s)
+        x0, regular = _kernel_x0(spec, t, 10.0, l0s)
     assert regular.tolist() == [False] * len(poles) + [True]
     assert np.all(x0[:-1] == 0.0)
 
@@ -375,20 +384,49 @@ def test_scan_matches_region_metrics():
                 assert scan[key][it, ib, il] == pytest.approx(ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [6, 42])
+def test_scan_edge_columns_match_reference(n):
+    # the streamed scan at its edges against the point-by-point reference, at
+    # seeded cells: the b = 0 column, where tau = 0 makes the single-quantum
+    # map vanish (lambda1 real everywhere, x1 = e12) and n = k = 1/2, the
+    # b = 10 column, and the lambda0 = 1 row
+    spec = ChainSpec(n)
+    scan = _scan(spec, OptProblem(case=3), B_GRID)
+    ts, bs, l0s = scan["ts"], scan["bs"], scan["l0s"]
+    points, _ = next(region_columns(spec, ts, bs[:1], l0s))
+    assert bs[0] == 0.0 and points.real.all() and np.all(points.eigenvalues == 0.0)
+    assert np.array_equal(points.x1, np.tile([1.0, 0.0, 0.0, 0.0], (len(ts), 1)))
+    assert points.weights == (0.5, 0.5)
+    assert bs[-1] == 10.0
+    rng = np.random.default_rng(n)
+    one = int(np.argmin(np.abs(l0s - 1.0)))
+    cells = ([(int(rng.integers(len(ts))), 0, int(rng.integers(len(l0s)))) for _ in range(8)]
+             + [(int(rng.integers(len(ts))), len(bs) - 1, int(rng.integers(len(l0s))))
+                for _ in range(8)]
+             + [(int(rng.integers(len(ts))), int(rng.integers(len(bs))), one) for _ in range(8)])
+    for it, ib, il in cells:
+        t, b, l0 = float(ts[it]), float(bs[ib]), float(l0s[il])
+        for case, key in ((1, "s2"), (2, "s1"), (3, "s12")):
+            ref = region_reference(spec, t, b, l0, case)
+            ref = ref["s1"] * ref["s2"] if case == 3 else ref[key]
+            assert scan[key][it, ib, il] == pytest.approx(ref, abs=1e-9)
+
+
 def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
     spec = ChainSpec(6)
-    points = region_points(spec, 8.5153, 10.0)
+    times = time_stage(spec, 8.5153)
+    points = region_points(times, 10.0)
     t0, _ = zero_order_system(alpha_table(amplitude_set(mode_basis(6), 8.5153), 10.0, spec))
     ev = np.linalg.eigvals(t0)
     on_spectrum = float(ev[np.abs(ev.imag) < 1e-12][0].real)
     l0s = np.array([on_spectrum, on_spectrum + 0.05, 1.0837])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, regular = solve_zero_order(points.spectrum, l0s)
-        cells = region_cells(points, l0s)
+        zero = solve_zero_order(times.spectrum, l0s)
+        cells = region_cells(points, zero)
         s1 = case_metrics(points, cells, 2)[1]
         s2 = case_metrics(points, cells, 1)[2]
-    assert regular.tolist() == [False, True, True]
+    assert zero[1].tolist() == [False, True, True]
     assert np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))
     assert s1[0] == 0.0 and s2[0] == 0.0
     assert s2[2] > 0.3

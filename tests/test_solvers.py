@@ -15,8 +15,9 @@ from mqtransfer import (
     solve_zero_order,
     zero_order_system,
 )
-from mqtransfer.states import assemble_sender, region_cells, region_points
-from mqtransfer.two_qubit import FIRST_LABELS, transfer_blocks
+from mqtransfer.solvers import first_order_at
+from mqtransfer.states import assemble_sender, base_vector, region_cells, region_points, time_stage
+from mqtransfer.two_qubit import FIRST_LABELS, temperature_factors, transfer_blocks
 from reference import FIRST_BASIS, block_arguments, solve_zero_order_dense
 
 
@@ -24,10 +25,17 @@ def _table(n, t, b):
     return alpha_table(amplitude_set(mode_basis(n), t), b, ChainSpec(n))
 
 
+def _points(n, t, b):
+    """The kernel's single-quantum temperature step at (t, b)."""
+    return region_points(time_stage(ChainSpec(n), t), b)
+
+
 def _x0(n, t, b, lambda0):
     """The kernel's zero-order vector at one point, and whether its cell is regular."""
-    (x0,), (regular,) = solve_zero_order(region_points(ChainSpec(n), t, b).spectrum, [lambda0])
-    return x0, regular
+    times = time_stage(ChainSpec(n), t)
+    zero = solve_zero_order(times.spectrum, [lambda0])
+    (x0,) = base_vector(region_cells(region_points(times, b), zero)[0])
+    return x0, zero[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +67,7 @@ def test_first_order_zero_at_infinite_temperature():
     table = _table(6, 5.3, 0.0)
     assert np.max(np.abs(table.first)) == 0.0
     # every vector is an eigenvector of the zero map: the kernel reports e12
-    points = region_points(ChainSpec(6), np.array([0.0, 5.3, 9.1]), 0.0)
+    points = _points(6, np.array([0.0, 5.3, 9.1]), 0.0)
     assert np.all(points.eigenvalues == 0.0) and points.real.all()
     assert np.array_equal(points.x1, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
 
@@ -77,7 +85,7 @@ def test_first_order_consistency_with_map(rng):
 
 
 def test_first_order_landmark_eigenvalue():
-    points = region_points(ChainSpec(6), 5.0326, 10.0)
+    points = _points(6, 5.0326, 10.0)
     assert points.real
     assert points.lambda1 == pytest.approx(0.8145, abs=1e-3)
 
@@ -99,7 +107,7 @@ def test_solve_first_order_quotient_eigenvector():
     # the largest eigenvalue belongs to the quotient block: x1 is U^T (u0 + u1)
     # / sqrt(2) = e13, its u0 part (0.5 - 0.3)^-1 times the coupling 0.2 of u1
     f = _coupled_diagonal([0.3, 0.5, 0.1, -0.2])
-    _, lambda1, x1 = solve_first_order(*block_arguments(f))
+    _, lambda1, x1 = first_order_at(solve_first_order(*block_arguments(f)), 1.0, 1.0)
     assert lambda1 == pytest.approx(0.5, abs=1e-14)
     assert np.allclose(x1, [0, 1, 0, 0])
     assert np.allclose(f @ x1, lambda1 * x1)
@@ -112,8 +120,9 @@ def test_solve_first_order_ordering(rng):
         n = int(rng.integers(4, 45))
         t, b = rng.uniform(0.0, 3.0 * n), rng.uniform(0.0, 10.0)
         amps = amplitude_set(mode_basis(n), t)
-        first, _, _ = transfer_blocks(amps.f11, amps.f1n, amps.f21, amps.f2n, b, n)
-        ev, _, _ = solve_first_order(*first)
+        first, _, _ = transfer_blocks(amps.f11, amps.f1n, amps.f21, amps.f2n)
+        theta, tau, _, _ = temperature_factors(b, n)
+        ev, _, _ = first_order_at(solve_first_order(*first), theta, tau)
         mods = np.abs(ev)
         assert np.all(np.diff(mods) <= 1e-12)
         dense = np.linalg.eigvals(_table(n, t, b).first)
@@ -126,13 +135,13 @@ def test_first_order_eig_on_subnormal_maps():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for b in (1.5302537705130027e-305, 1e-305, 5e-324):
-            points = region_points(ChainSpec(4), np.array([0.0, 1.0, 3.3]), b)
+            points = _points(4, np.array([0.0, 1.0, 3.3]), b)
             assert np.all(np.isfinite(points.lambda1)) and np.all(np.isfinite(points.x1))
             assert np.all(np.isfinite(points.eigenvalues))
 
 
 def test_solve_first_order_printed_point():
-    points = region_points(ChainSpec(6), 5.3768, 5.3790)
+    points = _points(6, 5.3768, 5.3790)
     assert points.real
     assert points.lambda1 == pytest.approx(0.7613, abs=1e-3)
     expected = np.array([0.88361, -0.46820j, -0.00216j, -0.00408])
@@ -141,7 +150,7 @@ def test_solve_first_order_printed_point():
 
 def test_solve_first_order_absent():
     # above the realness boundary every eigenvalue is complex
-    points = region_points(ChainSpec(6), 5.75, 0.5)
+    points = _points(6, 5.75, 0.5)
     assert not points.real
     assert np.all(np.abs(points.eigenvalues.imag) > 1e-3 * np.abs(points.eigenvalues))
 
@@ -212,8 +221,10 @@ def test_zero_order_at_tiny_temperature_factors(b):
     l0s = np.array([0.6, 1.0, 1.0837, 1.9])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        points = region_points(spec, ts, b)
-        x0, ok, _, _ = region_cells(points, l0s)
+        times = time_stage(spec, ts)
+        zero = solve_zero_order(times.spectrum, l0s)
+        base, ok, _, _ = region_cells(region_points(times, b), zero)
+        x0 = base_vector(base)
         for i, t in enumerate(ts):
             t0, b_vec = zero_order_system(_table(6, float(t), b))
             for j, l0 in enumerate(l0s):
@@ -239,7 +250,7 @@ def test_scaled_transfer_identities(rng):
     for _ in range(5):
         t, b = rng.uniform(3, 9), rng.uniform(0.5, 9)
         table = _table(6, t, b)
-        first = region_points(ChainSpec(6), t, b)
+        first = _points(6, t, b)
         if not first.real:
             continue
         lam0 = rng.uniform(0.9, 1.5)

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from mqtransfer import ChainSpec, first_window, mode_basis
 from mqtransfer.chain import amplitude_grids
 from mqtransfer.optimize import B_GRID, T_STEP, _curve
-from mqtransfer.solvers import solve_first_order, zero_order_system
-from mqtransfer.states import region_points
+from mqtransfer.solvers import first_order_at, solve_first_order, zero_order_system
+from mqtransfer.states import region_points, time_stage
 from reference import (FIRST_BASIS, INVARIANT, QUOTIENT, block_arguments, discriminant,
                        expanded_entries, in_realness_band, select_first_order)
 
@@ -124,7 +124,7 @@ def test_transfer_matrix_is_a_contraction():
         p, q, r, s = amplitude_grids(mode_basis(n), ts)
         w = np.stack([p, q, r, s], axis=-1).reshape(-1, 2, 2)
         assert np.linalg.svd(w, compute_uv=False).max() <= 1.0 + 1e-12
-        mods = np.abs(region_points(ChainSpec(n), ts, B_GRID[:, None]).eigenvalues)
+        mods = np.abs(region_points(time_stage(ChainSpec(n), ts), B_GRID[:, None]).eigenvalues)
         assert np.all(np.diff(mods, axis=-1) <= 1e-12 * mods[..., :1])
 
 
@@ -154,7 +154,7 @@ def test_uniform_scaling_identity_against_kernel(point):
     ph = (-1j) ** (n - 2)
     assert np.abs(((p + s) / ph).imag).max() <= 1e-12
     assert np.abs(((p * s - q * r) / ph ** 2).imag).max() <= 1e-12
-    points = region_points(ChainSpec(n), t, b)
+    points = region_points(time_stage(ChainSpec(n), t), b)
     v, real, lam = _curve(n, t)
     found = np.flatnonzero(points.real & (np.abs(points.lambda1) > 1e-6))
     if n % 2:
@@ -184,11 +184,11 @@ def test_closed_form_matches_eigen_reference_on_scan_grid(n):
     maps = maps.reshape(-1, 4, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ev, lam1, x1 = solve_first_order(*block_arguments(maps))
+        ev, lam1, x1 = first_order_at(solve_first_order(*block_arguments(maps)), 1.0, 1.0)
     # the kernel's exact realness rule on the same grid, against the dense eig
     # outside the rounding band (at N = 42 the first window opens before the
     # wavefront reaches the receiver: there W is below the band's 1e-7)
-    real = region_points(ChainSpec(n), ts, bs[:, None]).real.ravel()
+    real = region_points(time_stage(ChainSpec(n), ts), bs[:, None]).real.ravel()
     refs = [select_first_order(m) for m in maps]
     band = np.array([in_realness_band(n, t, b) for b in bs for t in ts])
     assert np.array_equal(real[~band], [ref is not None for ref, out in zip(refs, band) if not out])
@@ -234,8 +234,8 @@ def test_closed_form_on_tiny_maps(b):
     maps = expanded_entries(p, q, r, s, b, n)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ev, _, x1 = solve_first_order(*block_arguments(maps))
-        real = region_points(ChainSpec(n), ts, b).real
+        ev, _, x1 = first_order_at(solve_first_order(*block_arguments(maps)), 1.0, 1.0)
+        real = region_points(time_stage(ChainSpec(n), ts), b).real
     # lambda1 is real where W's eigenvalues are, whatever the size of the map
     assert np.array_equal(real, discriminant(n, p, q, r, s) >= 0.0)
     w = np.linalg.eigvals(np.stack([p, q, r, s], axis=-1).reshape(-1, 2, 2))
@@ -257,10 +257,10 @@ def test_realness_mask_is_exact_and_temperature_free(n, t_frac, b1, b2):
     # for b > 0 the kernel's mask of a real lambda1 does not depend on b: it is
     # D >= 0 for even N and empty for odd N. 64 times over [0, 2N)
     t = 2.0 * n * ((t_frac + np.arange(64) / 64.0) % 1.0)
-    spec = ChainSpec(n)
-    real = region_points(spec, t, b1).real
-    assert np.array_equal(real, region_points(spec, t, b2).real)
-    assert np.array_equal(real, region_points(spec, t, np.array([b1, b2])[:, None]).real[1])
+    times = time_stage(ChainSpec(n), t)
+    real = region_points(times, b1).real
+    assert np.array_equal(real, region_points(times, b2).real)
+    assert np.array_equal(real, region_points(times, np.array([b1, b2])[:, None]).real[1])
     if n % 2:
         assert not real.any()
     else:

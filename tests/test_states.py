@@ -11,9 +11,10 @@ from mqtransfer import (
     region_metrics,
     solve_zero_order,
 )
-from mqtransfer.states import block_rays, region_points
+from mqtransfer.states import base_vector, block_rays, region_cells, region_points, time_stage
 from reference import (
     SECOND_DIRECTION,
+    base_entries,
     base_matrix,
     boundary_sweep,
     c_max_ray,
@@ -28,7 +29,9 @@ MIXED_X0 = np.array([0.25, 0.25, 0.25, 0.0, 0.0])
 def _case1_x0(lam0=1.0837):
     spec = ChainSpec(6)
     table = alpha_table(amplitude_set(mode_basis(6), 8.5153), 10.0, spec)
-    (x0,), _ = solve_zero_order(region_points(spec, 8.5153, 10.0).spectrum, [lam0])
+    times = time_stage(spec, 8.5153)
+    zero = solve_zero_order(times.spectrum, [lam0])
+    (x0,) = base_vector(region_cells(region_points(times, 10.0), zero)[0])
     return x0, table
 
 
@@ -129,7 +132,7 @@ def test_closed_form_ray_matches_bisection(rng):
         x1 = rng.normal(size=4) + 1j * rng.normal(size=4)
         x1 /= np.linalg.norm(x1)
         m0 = base_matrix(x0)
-        positive, c1, c2 = block_rays(x0, x1)
+        positive, c1, c2 = block_rays(base_entries(x0), x1)
         assert positive
         for direction, closed in ((first_order_direction(x1), c1),
                                   (SECOND_DIRECTION, c2)):
@@ -225,7 +228,7 @@ def test_block_rays_match_bisection_on_seeded_points():
             rep = region_metrics(spec, t, b, lam0, case=3)
             if not rep.feasible:
                 continue
-            positive, c1, c2 = block_rays(rep.x0, rep.x1)
+            positive, c1, c2 = block_rays(base_entries(rep.x0), rep.x1)
             assert positive
             c1_ref, c2_ref = c_max_ray(rep.x0, rep.x1, "corner")
             assert float(c1) == pytest.approx(c1_ref, abs=1e-8)
@@ -249,5 +252,5 @@ def test_block_rays_at_eigenvalue_crossing(table_n6_one):
     m23_inv_half = (evecs / np.sqrt(evals)) @ evecs.conj().T
     hermitian = m23_inv_half @ b14.conj().T @ np.linalg.inv(d14) @ b14 @ m23_inv_half
     c1_ref = 1.0 / np.sqrt(np.linalg.eigvalsh(hermitian).max())
-    _, c1, _ = block_rays(res.x0, res.x1)
+    _, c1, _ = block_rays(base_entries(res.x0), res.x1)
     assert float(c1) == pytest.approx(c1_ref, rel=1e-12)

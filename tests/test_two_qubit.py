@@ -19,7 +19,7 @@ from mqtransfer import (
 )
 from mqtransfer.chain import amplitude_grids
 from mqtransfer.oracle import evolve_and_trace
-from mqtransfer.states import assemble_sender, region_points
+from mqtransfer.states import assemble_sender, base_vector, region_cells, region_points, time_stage
 from mqtransfer.two_qubit import FIRST_LABELS, ZERO_COLS, ZERO_ROWS, alpha_entries
 from reference import expanded_entries
 
@@ -198,7 +198,9 @@ def test_receiver_scales_double_quantum_weight():
     # sender built on the zero-order solution plus a double-quantum weight
     spec = ChainSpec(6)
     table = _table(6, 8.5153, 10.0)
-    (x0,), _ = solve_zero_order(region_points(spec, 8.5153, 10.0).spectrum, [1.0837])
+    times = time_stage(spec, 8.5153)
+    zero = solve_zero_order(times.spectrum, [1.0837])
+    (x0,) = base_vector(region_cells(region_points(times, 10.0), zero)[0])
     c2 = 0.2
     sender = assemble_sender(x0, c2=c2)
     out = receiver_from_sender(table, sender)
