@@ -138,8 +138,11 @@ class AmplitudeSet:
 
 
 def amplitude_grids(basis: ModeBasis, ts) -> tuple:
-    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts (any shape), sharing one phase grid."""
+    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts (any shape), sharing one phase grid.
+    Every two-qubit path starts here, so N < 4 (no disjoint sender and receiver) is refused."""
     n, g = basis.n_sites, basis.g
+    if n < 4:
+        raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {n}")
     phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
     weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
     f = phase @ weights
@@ -149,8 +152,5 @@ def amplitude_grids(basis: ModeBasis, ts) -> tuple:
 
 def amplitude_set(basis: ModeBasis, t: float) -> AmplitudeSet:
     """Amplitudes between sender sites (1, 2) and receiver sites (N-1, N)."""
-    n = basis.n_sites
-    if n < 4:
-        raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {n}")
     f11, f1n, f21, f2n = (complex(f) for f in amplitude_grids(basis, t))
     return AmplitudeSet(t=t, f11=f11, f1n=f1n, f21=f21, f2n=f2n)

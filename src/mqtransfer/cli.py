@@ -3,22 +3,23 @@
 Grid commands count their points before building any grid and refuse, with
 ResourceError, a request whose estimated memory exceeds GRID_BYTES. The
 estimates are peaks measured with tracemalloc (CPython 3.11, numpy 2.4),
-rounded up. region (_region_bytes) holds 48 bytes per (t, b, lambda0) point
-(S1, S2, S12 and the three axes); while its b columns stream through the
-kernel, 256 per (t, lambda0) point (the lambda0 stage, about 57 bytes, held
-across all b, and the column in flight) and 1100 + 32 N per time (the
-t-stage, held across all b, and the amplitude phase grid that builds it),
-plus 1 MiB. curve takes 18 bytes per (b, t) sample at N = 6, 42 and 102
-(its samples of the curve value against each b and the roots polished on
-them), counted as 24 over the at most 20 N + 1 times of the default window;
-amplitudes 24 bytes of arrays per time. Rows are written as they are
-produced, in CSV and in JSON, so none is held.
+rounded up. region (_region_bytes) holds 16 bytes per (t, b, lambda0) point
+(S1 and S2; a row's S12 and axes are formed as it is written); while its b
+columns stream through the kernel, 352 per (t, lambda0) point (the lambda0
+stage, about 57 bytes, held across all b, and the column in flight) and
+1100 + 32 N per time (the t-stage, held across all b, and the amplitude
+phase grid that builds it), plus 1 MiB. curve takes 18 bytes per (b, t)
+sample at N = 6, 42 and 102 (its samples of the curve value against each b
+and the roots polished on them), counted as 24 over the at most 20 N + 1
+times of the default window; amplitudes 24 bytes of arrays per time. Rows
+are written as they are produced, in CSV and in JSON, so none is held.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -217,7 +218,7 @@ def _cmd_solve(args) -> int:
 
 def _region_bytes(n_sites: int, nt, nb, nl):
     """The peak memory of region over nt times, nb temperatures and nl zero-order scales."""
-    return 2**20 + 48 * nt * nb * nl + 256 * nt * nl + (1100 + 32 * n_sites) * nt
+    return 2**20 + 16 * nt * nb * nl + 352 * nt * nl + (1100 + 32 * n_sites) * nt
 
 
 def _cmd_region(args) -> int:
@@ -230,8 +231,8 @@ def _cmd_region(args) -> int:
     for bi, (points, cells) in enumerate(region_columns(spec, t_grid, b_grid, l0_grid)):
         _, s1[:, bi], s2[:, bi] = case_metrics(points, cells, args.case)
         del points, cells  # else they live on while the next column is formed
-    grids = np.meshgrid(t_grid, b_grid, l0_grid, indexing="ij")
-    rows = zip(*(a.ravel() for a in (*grids, s1, s2, s1 * s2)))
+    rows = ((t, b, l0, x, y, x * y) for (t, b, l0), x, y
+            in zip(itertools.product(t_grid, b_grid, l0_grid), s1.ravel(), s2.ravel()))
     _emit(args, ["t", "b", "lambda0", "S1", "S2", "S12"], rows, _meta(args, "region"))
     return 0
 

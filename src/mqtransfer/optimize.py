@@ -5,9 +5,9 @@ the single-quantum one (case 2), both free (case 3), and both free under the
 uniform-scaling constraint lambda1 = lambda2 (case 4), which confines (b, t)
 to a curve. Cases 1-3 search a coarse vectorized grid scan, which streams
 its b columns through one t-stage and one lambda0 stage of the region
-kernel (mqtransfer.states.region_columns), followed by coordinatewise
-bracket searches (mqtransfer.search), each step one batched region
-evaluation; the landscape has kinks at positivity and
+kernel (mqtransfer.states.region_columns) and keeps each case's best cell,
+followed by coordinatewise bracket searches (mqtransfer.search), each step
+one batched region evaluation; the landscape has kinks at positivity and
 eigenvalue-realness boundaries, so no derivatives are used. Case 4 samples
 the curve in closed form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small
 the smaller eigenvalue of the transfer matrix W, along the t grid, and
@@ -26,6 +26,7 @@ set, per problem; by default it is the first transfer window (first_window).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,61 +159,68 @@ def _t_grid(spec: ChainSpec, t_window: tuple[float, float] | None) -> np.ndarray
     return np.arange(t_lo, t_hi + 1e-9, T_STEP)
 
 
-def _scan(spec: ChainSpec, problem: OptProblem, bs: np.ndarray) -> dict:
-    """Coarse grid of region metrics over the temperatures bs, one b column at a time.
+def _lambda0_grid(lambda0_mode: str) -> np.ndarray:
+    if lambda0_mode == "fixed_one":
+        return np.ones(1)
+    return np.arange(LAMBDA0_WINDOW[0], LAMBDA0_WINDOW[1] + 1e-9, LAMBDA0_STEP)
 
-    Returns axes ts, bs, l0s and s-arrays of shape (nt, nb, nl): s1 of case
-    2, s2 of case 1 and their product, which is s1 * s2 of case 3. Metrics
-    are zero at infeasible points, so argmax directly yields the best
-    feasible cell.
-    """
-    ts = _t_grid(spec, problem.t_window)
-    if problem.lambda0_mode == "fixed_one":
-        l0s = np.array([1.0])
-    else:
-        l0s = np.arange(LAMBDA0_WINDOW[0], LAMBDA0_WINDOW[1] + 1e-9, LAMBDA0_STEP)
-    s1 = np.zeros((len(ts), len(bs), len(l0s)))
-    s2 = np.zeros_like(s1)
-    for bi, (points, cells) in enumerate(region_columns(spec, ts, bs, l0s)):
-        s1[:, bi] = case_metrics(points, cells, 2)[1]
-        s2[:, bi] = case_metrics(points, cells, 1)[2]
+
+def _objective(s1, s2, case: int):
+    """The objective of a case from its semi-axes: s2 (case 1), s1 (case 2) or s1 * s2."""
+    return s2 if case == 1 else s1 if case == 2 else s1 * s2
+
+
+def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float, float, float]]:
+    """Best cell (value, t, b, lambda0) of cases 1..3 on the coarse grid, one b column at a time.
+
+    The objectives are s2 of case 1, s1 of case 2 and their product, s1 * s2 of case 3. Metrics
+    are zero at infeasible cells, so a best value of zero means none is feasible. A later column
+    replaces a best cell only when strictly greater: ties go to the smaller b."""
+    ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
+    best = dict.fromkeys((1, 2, 3), (-np.inf, 0.0, 0.0, 0.0))
+    for b, (points, cells) in zip(B_GRID, region_columns(spec, ts, B_GRID, l0s)):
+        s1 = case_metrics(points, cells, 2)[1]
+        s2 = case_metrics(points, cells, 1)[2]
         del points, cells  # else they live on while the next column is formed
-    return {"ts": ts, "bs": bs, "l0s": l0s, "s1": s1, "s2": s2, "s12": s1 * s2}
-
-
-def _objective_array(scan: dict, case: int) -> np.ndarray:
-    return {1: scan["s2"], 2: scan["s1"], 3: scan["s12"]}[case]
+        for case in best:
+            value = _objective(s1, s2, case)
+            k = int(np.argmax(value))
+            if value.flat[k] > best[case][0]:
+                it, il = divmod(k, len(l0s))
+                best[case] = (float(value.flat[k]), float(ts[it]), float(b), float(l0s[il]))
+    return best
 
 
 # ---------------------------------------------------------------------------
 # refinement
 
 
-def _refine(spec: ChainSpec, problem: OptProblem, start: tuple[float, float, float],
-            windows: dict) -> tuple[float, float, float]:
+def _refine(spec: ChainSpec, problem: OptProblem, start: tuple) -> tuple[float, float, float]:
     """Coordinatewise bracket searches around a coarse grid winner.
 
     Each search step evaluates the region kernel over the search grid of the
     axis: K times at fixed (b, lambda0), K temperatures at fixed (t, lambda0)
     or K zero-order scales at fixed (t, b). The last two build one t-stage
     per search, and the b search one lambda0 stage too, so that each of its
-    steps is a temperature step only.
+    steps is a temperature step only. An axis is searched one grid step either
+    side, within the t grid, B_WINDOW or LAMBDA0_WINDOW (lambda0 only if free).
     """
     t, b, l0 = start
-    steps = {"t": T_STEP, "b": B_STEP, "l0": LAMBDA0_STEP}
+    ts = _t_grid(spec, problem.t_window)
+    axes = {"t": (T_STEP, ts[0], ts[-1]), "b": (B_STEP, *B_WINDOW),
+            "l0": (LAMBDA0_STEP, *LAMBDA0_WINDOW)}
 
     def objective(points, zero) -> np.ndarray:
         _, s1, s2 = case_metrics(points, region_cells(points, zero), problem.case)
-        return {1: s2, 2: s1, 3: s1 * s2}[problem.case]
+        return _objective(s1, s2, problem.case)
 
     def at_times(ts) -> np.ndarray:
         times = time_stage(spec, ts)
         return objective(region_points(times, b), solve_zero_order(times.spectrum, [l0]))
 
     def polish(x: float, axis: str, f) -> float:
-        lo = max(windows[axis][0], x - steps[axis])
-        hi = min(windows[axis][1], x + steps[axis])
-        return float(bracket_max(f, lo, hi, REFINE_TOL)[0][0])
+        step, lo, hi = axes[axis]
+        return float(bracket_max(f, max(lo, x - step), min(hi, x + step), REFINE_TOL)[0][0])
 
     for _ in range(3):
         t = polish(t, "t", lambda x: at_times(x[0]).T)
@@ -229,12 +237,12 @@ def _finalize(spec: ChainSpec, problem: OptProblem, t: float, b: float,
               l0: float) -> OptResult:
     """Report the optimum through region_metrics, the kernel's batch of one."""
     report = region_metrics(spec, t, b, l0, problem.case)
-    objective = {1: report.s2, 2: report.s1, 3: report.s12, 4: report.s12}[problem.case]
     return OptResult(
         case=problem.case, lambda0_mode=problem.lambda0_mode,
         feasible=report.feasible, t_opt=t, b_opt=b, lambda0_opt=l0,
         lambda1=report.lambda1, lambda2=report.lambda2 if problem.case != 2 else None,
-        s1=report.s1, s2=report.s2, s12=report.s12, objective=objective,
+        s1=report.s1, s2=report.s2, s12=report.s12,
+        objective=_objective(report.s1, report.s2, problem.case),
         x0=report.x0, x1=report.x1,
     )
 
@@ -246,34 +254,24 @@ def _infeasible_result(problem: OptProblem) -> OptResult:
                      s1=0.0, s2=0.0, s12=0.0, objective=0.0, x0=None, x1=None)
 
 
-def _optimize_from_scan(spec: ChainSpec, problem: OptProblem, scan: dict) -> OptResult:
-    arr = _objective_array(scan, problem.case)
-    flat = int(np.argmax(arr))
-    if arr.flat[flat] <= 0.0:
+def _optimize_from_scan(spec: ChainSpec, problem: OptProblem, best: tuple) -> OptResult:
+    """Refine the scan's best cell (value, t, b, lambda0) of the problem's case."""
+    value, *start = best
+    if value <= 0.0:
         return _infeasible_result(problem)
-    it, ib, il = np.unravel_index(flat, arr.shape)
-    start = (float(scan["ts"][it]), float(scan["bs"][ib]), float(scan["l0s"][il]))
-    windows = {
-        "t": (float(scan["ts"][0]), float(scan["ts"][-1])),
-        "b": B_WINDOW,
-        "l0": LAMBDA0_WINDOW if problem.lambda0_mode == "free" else (1.0, 1.0),
-    }
-    t, b, l0 = _refine(spec, problem, start, windows)
-    return _finalize(spec, problem, t, b, l0)
+    return _finalize(spec, problem, *_refine(spec, problem, start))
 
 
 def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
     """Maximize the case objective over (t, b, lambda0).
 
-    Cases 1..3 scan the full grid; case 4 samples the uniform-scaling curve
-    b(t) and refines its best points along it.
+    Cases 1..3 scan the full grid and refine its best cell; case 4 samples the
+    uniform-scaling curve b(t) and refines its best points along it.
     An all-zero feasible set yields a result with feasible=False.
     """
-    if spec.n_sites < 4:
-        raise ConfigurationError("two-qubit optimization needs n_sites >= 4")
     if problem.case == 4:
         return _optimize_case4(problem, spec)
-    return _optimize_from_scan(spec, problem, _scan(spec, problem, B_GRID))
+    return _optimize_from_scan(spec, problem, _scan(spec, problem)[problem.case])
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +335,12 @@ def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
     def product(l0s) -> np.ndarray:
         cells = region_cells(points, solve_zero_order(times.spectrum, l0s))
         _, s1, s2 = case_metrics(points, cells, 4)
-        return s1 * s2
+        return _objective(s1, s2, 4)
 
+    grid = _lambda0_grid(problem.lambda0_mode)
     if problem.lambda0_mode == "fixed_one":
-        return product(np.ones(1))[:, 0], np.ones(len(ts))
+        return product(grid)[:, 0], np.ones(len(ts))
     lo, hi = LAMBDA0_WINDOW
-    grid = np.arange(lo, hi + 1e-9, LAMBDA0_STEP)
     k = np.argmax(product(grid), axis=1)
     l0, obj = bracket_max(product, np.maximum(lo, grid[k] - LAMBDA0_STEP),
                           np.minimum(hi, grid[k] + LAMBDA0_STEP), REFINE_TOL)
@@ -386,19 +384,18 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
 def summary_table(spec: ChainSpec, lambda0_mode: str = "free") -> dict[int, OptResult]:
     """Optimize all four cases, sharing one grid scan across cases 1..3."""
     problems = {case: OptProblem(case=case, lambda0_mode=lambda0_mode) for case in (1, 2, 3, 4)}
-    scan = _scan(spec, problems[3], B_GRID)
-    results = {case: _optimize_from_scan(spec, problems[case], scan) for case in (1, 2, 3)}
+    best = _scan(spec, problems[3])
+    results = {case: _optimize_from_scan(spec, problems[case], best[case]) for case in (1, 2, 3)}
     results[4] = _optimize_case4(problems[4], spec)
     return results
 
 
 def objective_landscape(spec: ChainSpec, problem: OptProblem,
                         b_fixed: float) -> tuple[list[str], list[tuple]]:
-    """Long-format landscape rows (t, b, lambda0, value) at a fixed b."""
-    scan = _scan(spec, problem, np.array([b_fixed]))
-    arr = _objective_array(scan, problem.case) if problem.case != 4 else scan["s12"]
-    rows = []
-    for it, t in enumerate(scan["ts"]):
-        for il, l0 in enumerate(scan["l0s"]):
-            rows.append((float(t), float(b_fixed), float(l0), float(arr[it, 0, il])))
+    """Long-format landscape rows (t, b, lambda0, value) of the case objective at a fixed b."""
+    ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
+    ((points, cells),) = region_columns(spec, ts, [b_fixed], l0s)
+    values = _objective(*case_metrics(points, cells, problem.case)[1:], problem.case)
+    rows = [(float(t), float(b_fixed), float(l0), float(v))
+            for (t, l0), v in zip(itertools.product(ts, l0s), values.ravel())]
     return ["t", "b", "lambda0", "value"], rows

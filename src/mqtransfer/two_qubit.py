@@ -81,16 +81,21 @@ MOMENTS_INVERSE.setflags(write=False)
 ONE_BODY = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
-def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check that a 4x4 matrix is Hermitian and of unit trace, both within 1e-12
-    (positivity is not checked)."""
+def _hermitian(rho: np.ndarray) -> np.ndarray:
+    """rho as a complex array, once it is 4x4 and Hermitian within 1e-12."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValidationError("matrix is not Hermitian within tolerance")
+        raise ValidationError("matrix is not Hermitian within 1e-12")
+    return rho
+
+
+def validate_density(rho: np.ndarray) -> np.ndarray:
+    """Check that a 4x4 matrix is Hermitian and of unit trace within 1e-12 (not positivity)."""
+    rho = _hermitian(rho)
     if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-        raise ValidationError("matrix trace is not 1 within tolerance")
+        raise ValidationError("matrix trace is not 1 within 1e-12")
     return rho
 
 
@@ -107,11 +112,7 @@ def decompose_blocks(rho: np.ndarray) -> dict[int, np.ndarray]:
     Block n keeps exactly the elements (i, j) with exc(j) - exc(i) = n and
     zeroes everywhere else; the blocks sum back to the full matrix.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValidationError("matrix is not Hermitian within 1e-12")
+    rho = _hermitian(rho)
     exc = np.array(EXCITATION)
     order = exc[None, :] - exc[:, None]
     return {n: np.where(order == n, rho, 0.0) for n in range(-2, 3)}

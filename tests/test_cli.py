@@ -348,6 +348,25 @@ def test_curve_negative_b_grid_is_one_line(capsys):
     assert err == ["error: inverse temperature must be finite and >= 0, got -1.0"]
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("argv", [
+    ["table1"],
+    ["optimize", "--case", "3"],
+    ["region", "--t-grid", "1:2:0.5", "--b-grid", "1:1:1", "--lambda0-grid", "1:1:1"],
+    ["curve"],
+    ["solve", "--t", "1.0", "--b", "1.0", "--lambda0", "1.0"],
+    ["map", "--t", "1.0", "--b", "1.0", "--sender", "SENDER"],
+], ids=["table1", "optimize", "region", "curve", "solve", "map"])
+def test_two_qubit_commands_need_four_sites(tmp_path, capsys, argv, n):
+    sender_file = tmp_path / "sender.json"
+    sender_file.write_text(json.dumps([[[0.25 * (i == j), 0.0] for j in range(4)]
+                                       for i in range(4)]))
+    argv = [str(sender_file) if a == "SENDER" else a for a in argv]
+    code, err = _run_error(capsys, argv[:1] + ["--n", n] + argv[1:])
+    assert code == 3
+    assert err == [f"error: two-qubit amplitudes need n_sites >= 4, got {n}"]
+
+
 @pytest.mark.parametrize("a1sq", ["2", "-0.5"])
 def test_one_qubit_population_out_of_range_is_one_line(capsys, a1sq):
     # validated before any square root: a numpy warning would add lines

@@ -20,7 +20,8 @@ from mqtransfer import (
     uniform_curve,
 )
 from mqtransfer.chain import amplitude_grids
-from mqtransfer.optimize import B_GRID, _curve, _scan, objective_landscape
+from mqtransfer.optimize import (B_GRID, _curve, _lambda0_grid, _scan, _t_grid,
+                                 objective_landscape, summary_table)
 from mqtransfer.search import bracket_max, bracket_root
 from mqtransfer.solvers import solve_zero_order, zero_order_system
 from mqtransfer.states import (base_vector, case_metrics, region_cells, region_columns,
@@ -38,6 +39,17 @@ def _kernel_x0(spec, ts, b, l0s):
     times = time_stage(spec, ts)
     zero = solve_zero_order(times.spectrum, l0s)
     return base_vector(region_cells(region_points(times, b), zero)[0]), zero[1]
+
+
+def _scan_grid(spec, problem):
+    """The scan's axes ts and l0s and the objective grids (nt, nb, nl) of cases
+    1..3, assembled column by column from region_columns."""
+    ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
+    s1, s2 = np.zeros((2, len(ts), len(B_GRID), len(l0s)))
+    for bi, (points, cells) in enumerate(region_columns(spec, ts, B_GRID, l0s)):
+        s1[:, bi] = case_metrics(points, cells, 2)[1]
+        s2[:, bi] = case_metrics(points, cells, 1)[2]
+    return ts, l0s, {1: s2, 2: s1, 3: s1 * s2}
 
 
 def _case_objective(spec, t, b, l0, case):
@@ -373,15 +385,14 @@ def test_scan_matches_region_metrics():
     rng = np.random.default_rng(11)
     for n in (6, 42):
         spec = ChainSpec(n)
-        scan = _scan(spec, OptProblem(case=3), B_GRID)
-        shape = scan["s12"].shape
+        ts, l0s, grids = _scan_grid(spec, OptProblem(case=3))
         for _ in range(40):
-            it, ib, il = (int(rng.integers(k)) for k in shape)
-            t, b, l0 = float(scan["ts"][it]), float(scan["bs"][ib]), float(scan["l0s"][il])
+            it, ib, il = (int(rng.integers(k)) for k in grids[3].shape)
+            t, b, l0 = float(ts[it]), float(B_GRID[ib]), float(l0s[il])
             for case, key in ((1, "s2"), (2, "s1"), (3, "s12")):
                 ref = region_reference(spec, t, b, l0, case)
                 ref = ref["s1"] * ref["s2"] if case == 3 else ref[key]
-                assert scan[key][it, ib, il] == pytest.approx(ref, abs=1e-9)
+                assert grids[case][it, ib, il] == pytest.approx(ref, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [6, 42])
@@ -391,8 +402,8 @@ def test_scan_edge_columns_match_reference(n):
     # map vanish (lambda1 real everywhere, x1 = e12) and n = k = 1/2, the
     # b = 10 column, and the lambda0 = 1 row
     spec = ChainSpec(n)
-    scan = _scan(spec, OptProblem(case=3), B_GRID)
-    ts, bs, l0s = scan["ts"], scan["bs"], scan["l0s"]
+    ts, l0s, grids = _scan_grid(spec, OptProblem(case=3))
+    bs = B_GRID
     points, _ = next(region_columns(spec, ts, bs[:1], l0s))
     assert bs[0] == 0.0 and points.real.all() and np.all(points.eigenvalues == 0.0)
     assert np.array_equal(points.x1, np.tile([1.0, 0.0, 0.0, 0.0], (len(ts), 1)))
@@ -409,7 +420,53 @@ def test_scan_edge_columns_match_reference(n):
         for case, key in ((1, "s2"), (2, "s1"), (3, "s12")):
             ref = region_reference(spec, t, b, l0, case)
             ref = ref["s1"] * ref["s2"] if case == 3 else ref[key]
-            assert scan[key][it, ib, il] == pytest.approx(ref, abs=1e-9)
+            assert grids[case][it, ib, il] == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["free", "fixed_one"])
+@pytest.mark.parametrize("n", [6, 42])
+def test_scan_keeps_each_case_best_cell(n, mode):
+    # the best cell the scan keeps per case is the maximum of the full grid,
+    # bitwise, at the same (t, b, lambda0)
+    spec = ChainSpec(n)
+    problem = OptProblem(case=3, lambda0_mode=mode)
+    ts, l0s, grids = _scan_grid(spec, problem)
+    best = _scan(spec, problem)
+    assert set(best) == {1, 2, 3}
+    for case, grid in grids.items():
+        it, ib, il = np.unravel_index(np.argmax(grid), grid.shape)
+        assert best[case] == (grid[it, ib, il], ts[it], B_GRID[ib], l0s[il])
+
+
+def test_scan_holds_no_grid():
+    # at N = 42 free the grid is 558 x 41 x 76 cells; the scan keeps one best
+    # cell per case, so its traced peak stays below two float64 grids
+    spec = ChainSpec(42)
+    problem = OptProblem(case=3)
+    _scan(spec, problem)  # fills first_window's cache
+    tracemalloc.start()
+    try:
+        _scan(spec, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = len(_t_grid(spec, None)) * len(B_GRID) * len(_lambda0_grid("free"))
+    assert cells == 558 * 41 * 76
+    assert peak < 2 * 8 * cells
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("call", [
+    lambda spec: summary_table(spec),
+    lambda spec: optimize(OptProblem(case=1), spec),
+    lambda spec: optimize(OptProblem(case=4), spec),
+    lambda spec: region_metrics(spec, 1.0, 1.0, 1.0, 3),
+    lambda spec: uniform_curve(spec),
+], ids=["summary_table", "optimize", "optimize_case4", "region_metrics", "uniform_curve"])
+def test_two_qubit_paths_need_four_sites(call, n):
+    # a two-qubit sender and receiver need N >= 4, one rule in amplitude_grids
+    with pytest.raises(ConfigurationError, match="need n_sites >= 4"):
+        call(ChainSpec(n))
 
 
 def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
