@@ -3,12 +3,21 @@
 Four cases are covered: only the double-quantum weight free (case 1), only
 the single-quantum one (case 2), both free (case 3), and both free under the
 uniform-scaling constraint lambda1 = lambda2 (case 4), which confines (b, t)
-to a curve. Cases 1-3 search a coarse vectorized grid scan, which streams
-its b columns through one t-stage and one lambda0 stage of the region
-kernel (mqtransfer.states.region_columns) and keeps each case's best cell,
-followed by coordinatewise bracket searches (mqtransfer.search), each step
-one batched region evaluation; the landscape has kinks at positivity and
-eigenvalue-realness boundaries, so no derivatives are used. Case 4 samples
+to a curve. Cases 1-3 search a coarse vectorized grid scan that keeps each
+case's best cell, followed by coordinatewise bracket searches
+(mqtransfer.search), each step one batched region evaluation; the landscape
+has kinks at positivity and eigenvalue-realness boundaries, so no
+derivatives are used. The scan builds one t-stage and one lambda0 stage of
+the region kernel (mqtransfer.states) and the temperature step of every b
+column, and runs the rest of the kernel, the zero-order temperature step and
+the rays, only at the (t, b) pairs that can still win. On a positive base
+state c1_max <= 1 and c2_max <= 1/2, so C2 lambda2+, C1 lambda1+ and their
+product bound the three objectives at every lambda0 of a pair (C1, C2 these
+bounds with a slack, lambda1+ and lambda2+ the factors' positive parts); the
+exact objectives at the few pairs of largest bound give each case a floor,
+and a pair runs only if its bound exceeds the floor and the running best of
+some case. The pairs left out cannot hold a first maximum, so the scan's
+best cells are those of the full grid (see _scan). Case 4 samples
 the curve in closed form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small
 the smaller eigenvalue of the transfer matrix W, along the t grid, and
 refines its best points with one bracket search in t. Cases 2-4 need a real
@@ -36,8 +45,8 @@ from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_b
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root, grid_max
 from .solvers import solve_zero_order
-from .states import (case_metrics, region_cells, region_columns, region_metrics, region_points,
-                     time_stage)
+from .states import (RegionPoints, case_metrics, region_cells, region_columns, region_metrics,
+                     region_points, time_stage)
 from .two_qubit import lambda1_real, w_small
 
 __all__ = [
@@ -62,6 +71,15 @@ REFINE_TOL = 1e-4
 CURVE_MIN_LAMBDA = 1e-3
 B_GRID = np.arange(B_WINDOW[0], B_WINDOW[1] + 1e-9, B_STEP)
 B_GRID.setflags(write=False)
+# the grid scan's bounds c1_max <= 1 and c2_max <= 1/2 of a positive base state, each
+# with its slack (see _scan), and the pairs of largest bound that seed each case's floor;
+# a batch of the scan holds about _CHUNK_CELLS cells: the temporaries of the rays of a
+# much larger batch outgrow a core's 2 MB cache, and a smaller one pays numpy's per-call
+# cost more often at a lone lambda0
+_C1_BOUND = 1.0 + 1e-3
+_C2_BOUND = 0.5 + 1e-3
+_SEED_PAIRS = 8
+_CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -171,23 +189,77 @@ def _objective(s1, s2, case: int):
 
 
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float, float, float]]:
-    """Best cell (value, t, b, lambda0) of cases 1..3 on the coarse grid, one b column at a time.
+    """Best cell (value, t, b, lambda0) of cases 1..3 on the coarse grid.
 
     The objectives are s2 of case 1, s1 of case 2 and their product, s1 * s2 of case 3. Metrics
-    are zero at infeasible cells, so a best value of zero means none is feasible. A later column
-    replaces a best cell only when strictly greater: ties go to the smaller b."""
+    are zero at infeasible cells, so a best value of zero means none is feasible; the first cell
+    of the grid holds it then. Of equal values the first in (b, t, lambda0) order is kept: ties
+    go to the smaller b.
+
+    Bounds. On a positive base state c2_max = sqrt(rho11 rho44) <= (rho11 + rho44) / 2 <= 1/2,
+    and c1_max <= 1: an entry x1_k of the unit vector x1 has modulus at least 1/2, and the 2x2
+    principal minor of its two sites gives c1_max |x1_k| <= sqrt(rho_ii rho_jj) <= 1/2
+    (mqtransfer.states.block_rays). So at a (t, b) pair, at every lambda0, the three objectives
+    are at most U1 = C2 lambda2+, U2 = C1 lambda1+ and U1 U2, with lambda2+ = max(lambda2, 0),
+    lambda1+ the positive part of lambda1 where it is real and 0 elsewhere, and C1 and C2 the
+    two bounds plus a slack (_C1_BOUND, _C2_BOUND). The bounds need only region_points and the
+    t-stage's lambda2. The slack covers PSD_TOL and the rounding of the base state, whose unit
+    trace holds to about COND_LIMIT times the unit roundoff, and it makes every bound strictly
+    greater than its objective wherever the bound is positive (the objective is 0 elsewhere).
+
+    Seed and stream. The objectives at the _SEED_PAIRS pairs of largest bound of each case give
+    each case a floor, a value the grid attains. The pairs whose bound exceeds the floor in some
+    case then run in (b, t) order, _CHUNK_CELLS cells at a time, through the lambda0-dependent
+    part of the kernel: the zero-order temperature step, the rays and the case mask. A chunk
+    first drops the pairs whose bound does not exceed the running best in any case.
+
+    Exactness. A pair left out has, in every case, a bound at most the floor, which the grid's
+    maximum is not below, or at most the running best, which only a strictly greater value
+    replaces. Its value is below its bound or zero, so it holds no first maximum but a zero one,
+    which the first cell holds. The pairs that run keep their order, so argmax breaks ties as it
+    would over the full grid.
+    """
     ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
-    best = dict.fromkeys((1, 2, 3), (-np.inf, 0.0, 0.0, 0.0))
-    for b, (points, cells) in zip(B_GRID, region_columns(spec, ts, B_GRID, l0s)):
+    times = time_stage(spec, ts)
+    unit, regular = solve_zero_order(times.spectrum, l0s)
+    # the temperature step of each b column, stacked over (b, t); the eigenvalues over
+    # (b, 4, t), the layout in which region_points forms them
+    columns = [region_points(times, float(b)) for b in B_GRID]
+    ev = np.stack([p.eigenvalues.T for p in columns])
+    lam1, x1, real = (np.stack([getattr(p, f) for p in columns]) for f in ("lambda1", "x1", "real"))
+    n, k = np.array([p.weights for p in columns]).T
+    del columns
+    u1 = np.broadcast_to(_C2_BOUND * np.maximum(times.lambda2.real, 0.0), lam1.shape)
+    u2 = _C1_BOUND * np.where(real & (lam1 > 0.0), lam1, 0.0)
+    bounds = np.array([u1, u2, u1 * u2])  # (case, b, t)
+
+    def objectives(jb, it) -> list:
+        """The objectives of cases 1..3 over (pairs, lambda0) at the (b, t) index pairs jb, it."""
+        points = RegionPoints(ev[jb, :, it], lam1[jb, it], x1[jb, it], real[jb, it],
+                              times.lambda2[it], (n[jb], k[jb]))
+        cells = region_cells(points, (tuple(x[it] for x in unit), regular[it]))
         s1 = case_metrics(points, cells, 2)[1]
         s2 = case_metrics(points, cells, 1)[2]
-        del points, cells  # else they live on while the next column is formed
-        for case in best:
-            value = _objective(s1, s2, case)
-            k = int(np.argmax(value))
-            if value.flat[k] > best[case][0]:
-                it, il = divmod(k, len(l0s))
-                best[case] = (float(value.flat[k]), float(ts[it]), float(b), float(l0s[il]))
+        return [_objective(s1, s2, case) for case in (1, 2, 3)]
+
+    seed = np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]
+    floor = np.array([v.max() for v in objectives(*np.divmod(np.unique(seed), len(ts)))])
+    jb, it = np.nonzero((bounds > floor[:, None, None]).any(axis=0))
+    best = dict.fromkeys((1, 2, 3), (0.0, float(ts[0]), float(B_GRID[0]), float(l0s[0])))
+    size = max(1, _CHUNK_CELLS // len(l0s))
+    for lo in range(0, len(jb), size):
+        j, i = jb[lo:lo + size], it[lo:lo + size]
+        top = np.maximum(floor, [best[case][0] for case in (1, 2, 3)])
+        keep = (bounds[:, j, i] > top[:, None]).any(axis=0)
+        if not keep.any():
+            continue
+        j, i = j[keep], i[keep]
+        for case, value in zip((1, 2, 3), objectives(j, i)):
+            cell = int(np.argmax(value))
+            if value.flat[cell] > best[case][0]:
+                pair, il = divmod(cell, len(l0s))
+                best[case] = (float(value.flat[cell]), float(ts[i[pair]]), float(B_GRID[j[pair]]),
+                              float(l0s[il]))
     return best
 
 
@@ -204,6 +276,9 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple) -> tuple[float, 
     per search, and the b search one lambda0 stage too, so that each of its
     steps is a temperature step only. An axis is searched one grid step either
     side, within the t grid, B_WINDOW or LAMBDA0_WINDOW (lambda0 only if free).
+    At most three rounds of the searches run; a round that moves no coordinate
+    is a fixed point, since a round depends only on (t, b, lambda0), and ends
+    the refinement.
     """
     t, b, l0 = start
     ts = _t_grid(spec, problem.t_window)
@@ -223,6 +298,7 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple) -> tuple[float, 
         return float(bracket_max(f, max(lo, x - step), min(hi, x + step), REFINE_TOL)[0][0])
 
     for _ in range(3):
+        before = t, b, l0
         t = polish(t, "t", lambda x: at_times(x[0]).T)
         times = time_stage(spec, t)
         zero = solve_zero_order(times.spectrum, [l0])
@@ -230,6 +306,8 @@ def _refine(spec: ChainSpec, problem: OptProblem, start: tuple) -> tuple[float, 
         if problem.lambda0_mode == "free":
             at_tb = region_points(times, b)
             l0 = polish(l0, "l0", lambda x: objective(at_tb, solve_zero_order(times.spectrum, x)))
+        if (t, b, l0) == before:
+            break
     return t, b, l0
 
 

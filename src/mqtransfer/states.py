@@ -81,8 +81,12 @@ def block_rays(base: tuple, x1: np.ndarray):
     larger eigenvalue of the 2x2 matrix M23^-1 B^H D14^-1 B. Returns
     (positive, c1_max, c2_max): positive marks base states whose smallest
     eigenvalue is at least -PSD_TOL, and both lengths are zero elsewhere.
-    The test suite certifies these values against bisection on the dense
-    sender matrix.
+    On a positive base state of unit trace c2_max <= (rho11 + rho44) / 2
+    <= 1/2, and c1_max <= 1 for a unit x1: an entry x1_k, of sites i and j,
+    has modulus at least 1/2, and the 2x2 principal minor of sites i and j
+    gives c1_max |x1_k| <= sqrt(rho_ii rho_jj) <= 1/2 (the grid scan of
+    mqtransfer.optimize prunes with these bounds). The test suite certifies
+    these values against bisection on the dense sender matrix.
     """
     r11, r22, r33, r44, x23 = base
     off2 = np.abs(x23) ** 2

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
 from mqtransfer.solvers import solve_zero_order, zero_order_system
-from mqtransfer.states import (base_vector, block_rays, case_metrics, region_cells, region_points,
-                               time_stage)
+from mqtransfer.optimize import _C1_BOUND, _C2_BOUND, B_GRID, _lambda0_grid, _t_grid
+from mqtransfer.states import (base_vector, block_rays, case_metrics, region_cells, region_columns,
+                               region_points, time_stage)
 from mqtransfer.chain import amplitude_grids
 from reference import (base_entries, c_max_ray, expanded_entries, in_realness_band,
                        moments_reference, region_reference, select_first_order)
@@ -154,12 +155,14 @@ def test_x1_matches_dense_eigenvector_up_to_phase():
 
 
 @st.composite
-def positive_senders(draw):
-    """A positive base state x0 (populations >= 0.05) and a unit vector x1."""
-    pops = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4)))
+def positive_senders(draw, floor=0.05, coherence=0.9):
+    """A positive base state x0 and a unit vector x1: populations drawn from [floor, 1]
+    before normalization and |rho23| up to coherence sqrt(rho22 rho33)."""
+    pops = np.array(draw(st.lists(st.floats(floor, 1.0), min_size=4, max_size=4)))
+    assume(pops.sum() > 0.0)
     r11, r22, r33, _ = pops / pops.sum()
     bound = np.sqrt(r22 * r33)
-    x23 = bound * draw(st.floats(0.0, 0.9)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    x23 = bound * draw(st.floats(0.0, coherence)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
     parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
     x1 = np.array(parts[:4]) + 1j * np.array(parts[4:])
     norm = np.linalg.norm(x1)
@@ -176,6 +179,33 @@ def test_closed_form_rays_match_bisection(sender):
     c1_ref, c2_ref = c_max_ray(x0, x1, "corner", tol=1e-11)
     assert float(c1) == pytest.approx(c1_ref, abs=1e-8)
     assert float(c2) == pytest.approx(c2_ref, abs=1e-8)
+
+
+@SEEDED
+@given(positive_senders(floor=0.0, coherence=1.0))
+@example((np.array([0.5, 0.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
+@example((np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
+def test_rays_obey_the_scan_bounds(sender):
+    # the premise of the grid scan's pruning (optimize._scan): on a positive base
+    # state c1_max <= 1 and c2_max <= 1/2, within the scan's slack, up to the
+    # edges of positivity; the examples reach c2_max = 1/2 (rho11 = rho44 = 1/2)
+    # and c1_max = 1/2 (rho11 = rho22 = 1/2, x1 = e12)
+    x0, x1 = sender
+    positive, c1, c2 = block_rays(base_entries(x0), x1)
+    assert positive
+    assert c1 <= _C1_BOUND and c2 <= _C2_BOUND
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 10, 42])
+def test_grid_rays_obey_the_scan_bounds(n):
+    # the same premise at every ok cell of the default scan grid
+    spec = ChainSpec(n)
+    ts, l0s = _t_grid(spec, None), _lambda0_grid("free")
+    checked = 0
+    for _, (_, ok, c1, c2) in region_columns(spec, ts, B_GRID, l0s):
+        assert np.all(c1[ok] <= _C1_BOUND) and np.all(c2[ok] <= _C2_BOUND)
+        checked += ok.sum()
+    assert checked > 0
 
 
 # the largest relative errors of the parent commit's kernel (rho44 formed as

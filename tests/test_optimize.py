@@ -23,13 +23,14 @@ from mqtransfer.chain import amplitude_grids
 from mqtransfer.optimize import (B_GRID, _curve, _lambda0_grid, _scan, _t_grid,
                                  objective_landscape, summary_table)
 from mqtransfer.search import bracket_max, bracket_root
-from mqtransfer.solvers import solve_zero_order, zero_order_system
+from mqtransfer.solvers import solve_zero_order, zero_order_at, zero_order_system
 from mqtransfer.states import (base_vector, case_metrics, region_cells, region_columns,
                                region_metrics, region_points, time_stage)
 from reference import region_reference, select_first_order, solve_zero_order_dense
 
 # the package's optimize is the function; the module holds the search constants
 optimize_module = importlib.import_module("mqtransfer.optimize")
+states_module = importlib.import_module("mqtransfer.states")
 _CASE_KEY = {1: "s2", 2: "s1", 3: "s12"}
 EPS = np.finfo(float).eps
 
@@ -424,18 +425,61 @@ def test_scan_edge_columns_match_reference(n):
 
 
 @pytest.mark.parametrize("mode", ["free", "fixed_one"])
-@pytest.mark.parametrize("n", [6, 42])
-def test_scan_keeps_each_case_best_cell(n, mode):
-    # the best cell the scan keeps per case is the maximum of the full grid,
-    # bitwise, at the same (t, b, lambda0)
+@pytest.mark.parametrize("n, t_window", [
+    *(pytest.param(n, None, id=str(n)) for n in (4, 5, 6, 7, 8, 10, 12, 42, 43, 44)),
+    pytest.param(6, (4.0, 8.0), id="6-window"),
+])
+def test_scan_keeps_each_case_best_cell(n, t_window, mode):
+    # the best cell the pruned scan keeps per case is the first maximum of the
+    # full grid in (b, t, lambda0) order, bitwise, at the same (t, b, lambda0);
+    # where no cell is feasible (odd N, and cases 2 and 3 at N = 44) it is the
+    # grid's first cell with value 0
     spec = ChainSpec(n)
-    problem = OptProblem(case=3, lambda0_mode=mode)
+    problem = OptProblem(case=3, lambda0_mode=mode, t_window=t_window)
     ts, l0s, grids = _scan_grid(spec, problem)
     best = _scan(spec, problem)
     assert set(best) == {1, 2, 3}
     for case, grid in grids.items():
-        it, ib, il = np.unravel_index(np.argmax(grid), grid.shape)
+        by_b = grid.transpose(1, 0, 2)  # the scan's order: b, then t, then lambda0
+        ib, it, il = np.unravel_index(np.argmax(by_b), by_b.shape)
         assert best[case] == (grid[it, ib, il], ts[it], B_GRID[ib], l0s[il])
+        if not grid.any():
+            assert best[case] == (0.0, ts[0], 0.0, l0s[0])
+
+
+def test_scan_prunes_most_rows(monkeypatch):
+    # the pruning at work: at N = 42 free, fewer than half of the grid's (t, b)
+    # rows reach the zero-order temperature step of the scan
+    spec = ChainSpec(42)
+    rows = []
+
+    def counted(unit, n, k):
+        rows.append(len(unit[0]))
+        return zero_order_at(unit, n, k)
+
+    monkeypatch.setattr(states_module, "zero_order_at", counted)
+    _scan(spec, OptProblem(case=3))
+    assert 0 < sum(rows) < 0.5 * len(_t_grid(spec, None)) * len(B_GRID)
+
+
+def test_refine_stops_at_a_fixed_point(monkeypatch):
+    # at N = 6 with lambda0 = 1 the second round of case 1's refinement moves
+    # nothing, so it is the last: two rounds of two bracket searches, not three;
+    # one round from its result moves nothing either
+    spec = ChainSpec(6)
+    problem = OptProblem(case=1, lambda0_mode="fixed_one")
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return bracket_max(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "bracket_max", counted)
+    end = optimize_module._refine(spec, problem, _scan(spec, problem)[1][1:])
+    assert len(searches) == 4
+    searches.clear()
+    assert optimize_module._refine(spec, problem, end) == end
+    assert len(searches) == 2
 
 
 def test_scan_holds_no_grid():
