@@ -1,18 +1,18 @@
 """Brute-force simulator used as ground truth for the analytic maps.
 
 The XX chain conserves the excitation number, so its Hamiltonian splits into
-one real block per sector of k excitations (k = 0..N). Each sector block is
-built from the same bond-hop rule as the full 2^N Hamiltonian and
-diagonalized once per N. A product initial state (sender times thermal
-background) couples sectors at most n_sender apart, so only those
-sector-pair blocks are evolved, each as U_k rho0[k, k'] U_k'^H with
-U_k = V_k exp(-i E_k t) V_k^T, and the receiver partial trace is read from
-them directly. Of each block product only what the trace reads is formed:
-rho0 joins a state only to the states of the same background, and the trace
-keeps only the entries whose row and column share the environment. Nothing
-here uses the sine-mode formulas. Site 1 is the most significant tensor
-factor; the sender occupies the leading sites and the receiver the trailing
-ones, so the analytic and brute-force conventions coincide.
+one real block per sector of k excitations (k = 0..N), built from the same
+bond-hop rule as the full 2^N Hamiltonian and diagonalized once per N. For a
+product initial state sender (x) diag(w) the receiver matrix is
+out[r, r2] = sum_{s, s2} sender[s, s2] G[(r, s), (r2, s2)], with the Gram
+matrix G = sum_{e, g} w_g U[(e, r), (s, g)] conj U[(e, r2), (s2, g)] (e the
+environment the receiver trace sums over, g the background). In the sector
+propagator U_k = V_k exp(-i E_k t) V_k^T the block of receiver r and sender s
+has |e| = k - |r| and |g| = k - |s|, and w_g depends on |g| alone, so the
+blocks of one pair (|e|, |g|) stack into one matrix m that adds w_g m m^H to
+G. Nothing here uses the sine-mode formulas. Site 1 is the most significant
+tensor factor; the sender occupies the leading sites and the receiver the
+trailing ones, so the analytic and brute-force conventions coincide.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ __all__ = [
     "evolve_and_trace",
 ]
 
-# Measured at N = 12 on one Xeon core with one BLAS thread: the first
-# evolve_and_trace call (all sector eigendecompositions and one sample) takes
-# about 1 s, each further sample 0.5 s, at a peak RSS of 152 MB. The dense
-# Hamiltonian of build_hamiltonian is 256 MB by itself at that size.
+# Measured at N = 12, 4x4 sender, one Xeon core, one BLAS thread: the first
+# evolve_and_trace call (sector eigendecompositions, Gram index sets and one
+# sample) takes about 0.9 s, each further sample 0.27 s, at a peak RSS of
+# 122 MB. The dense Hamiltonian of build_hamiltonian is 256 MB by itself.
 MAX_SITES = 12
 
-# per N: the result of _sectors
-_SECTOR_CACHE: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
+# per N and per (N, n_sender): the results of _sectors and _gram_groups
+_SECTOR_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+_GRAM_CACHE: dict[tuple[int, int], tuple[np.ndarray, list[tuple]]] = {}
 
 
 def _check_sites(n: int) -> None:
@@ -72,34 +73,60 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def _sectors(n: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Excitation count and in-sector index of every basis state, and per
-    sector k = 0..N its basis states, eigenvalues and real eigenvectors."""
+def _popcounts(n: int) -> np.ndarray:
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
+def _sectors(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per sector k = 0..N its basis states, eigenvalues and real eigenvectors."""
     if n not in _SECTOR_CACHE:
-        states = np.arange(1 << n)
-        counts = ((states[:, None] >> np.arange(n)) & 1).sum(axis=1)
-        pos = np.empty_like(states)
+        counts = _popcounts(n)
+        pos = np.empty(1 << n, dtype=np.intp)
         src, dst = _hops(n)
         sectors = []
         for k in range(n + 1):
-            basis = states[counts == k]
+            basis = np.flatnonzero(counts == k)
             pos[basis] = np.arange(basis.size)
             hop = counts[src] == k
             h = np.zeros((basis.size, basis.size))
             h[pos[dst[hop]], pos[src[hop]]] = h[pos[src[hop]], pos[dst[hop]]] = 0.5
             sectors.append((basis, *np.linalg.eigh(h)))
-        for array in (counts, pos, *(array for sector in sectors for array in sector)):
+        for array in (array for sector in sectors for array in sector):
             array.setflags(write=False)
-        _SECTOR_CACHE[n] = (counts, pos, sectors)
+        _SECTOR_CACHE[n] = sectors
     return _SECTOR_CACHE[n]
 
 
+def _gram_groups(n: int, n_sender: int) -> tuple[np.ndarray, list[tuple]]:
+    """Offsets of the sector propagators stacked flat in k order; per pair
+    (|e|, |g|), the labels r * 2^n_sender + s of its blocks (r, s) in U_{|e|+|r|},
+    a background g of the class, and per block the stack offsets of the rows
+    (e, r) and in-sector indices of the columns (s, g), e and g ascending."""
+    if (n, n_sender) not in _GRAM_CACHE:
+        n_bg, d_rec = n - n_sender, 1 << n_sender
+        bases = [basis for basis, _, _ in _sectors(n)]
+        starts = np.cumsum([0] + [basis.size ** 2 for basis in bases])
+        counts = _popcounts(n_bg)
+        by_count = [np.flatnonzero(counts == c) for c in range(n_bg + 1)]
+        groups = []
+        for c_env, env in enumerate(by_count):
+            for c_bg, bg in enumerate(by_count):
+                blocks = [(r, s, c_env + counts[r]) for r in range(d_rec) for s in range(d_rec)
+                          if c_env + counts[r] == c_bg + counts[s]]
+                if blocks:
+                    rows = [starts[k] + bases[k].size * np.searchsorted(bases[k], (env << n_sender) | r)
+                            for r, _, k in blocks]
+                    cols = [np.searchsorted(bases[k], (s << n_bg) | bg) for _, s, k in blocks]
+                    groups.append((np.array([r * d_rec + s for r, s, _ in blocks]), bg[0],
+                                   np.array(rows), np.array(cols)))
+        _GRAM_CACHE[n, n_sender] = starts, groups
+    return _GRAM_CACHE[n, n_sender]
+
+
 def _thermal_weights(b: float, count: int) -> np.ndarray:
-    w1 = np.array(thermal_weights(b))
-    w = np.array([1.0])
-    for _ in range(count):
-        w = np.kron(w, w1)
-    return w
+    ground, excited = thermal_weights(b)
+    ones = _popcounts(count)
+    return ground ** (count - ones) * excited ** ones
 
 
 def thermal_background(b: float, count: int) -> np.ndarray:
@@ -128,33 +155,16 @@ def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) ->
         raise ValidationError(f"chain of {n} sites cannot host sender and receiver")
     _check_sites(n)
 
-    counts, pos, sectors = _sectors(n)
-    n_bg = n - n_sender
-    d_rec = 1 << n_sender
-    weights = _thermal_weights(b, n_bg)
-    # U_k = V_k exp(-i E_k t) V_k^T, complex symmetric; V_k is real, so two real products
-    props = [(vecs * np.cos(evals * t)) @ vecs.T - 1j * ((vecs * np.sin(evals * t)) @ vecs.T)
-             for _, evals, vecs in sectors]
-    out = np.zeros((d_rec, d_rec), dtype=complex)
-    for k, (basis, _, _) in enumerate(sectors):
-        env, rec = basis >> n_sender, basis & (d_rec - 1)
-        for k2 in range(max(0, k - n_sender), min(n, k + n_sender) + 1):
-            basis2 = sectors[k2][0]
-            bg2 = basis2 & ((1 << n_bg) - 1)
-            # U_k rho0[k, k2]: rho0 = sender (x) diag(weights) joins a column
-            # state only to the rows of the same background, one per sender
-            # state; a column of the symmetric U_k is its row
-            u_rho = np.zeros((basis.size, basis2.size), dtype=complex)
-            for a, row in enumerate(sender):
-                src = (a << n_bg) | bg2
-                hit = counts[src] == k
-                rho0 = row[basis2[hit] >> n_bg] * weights[bg2[hit]]
-                u_rho[:, hit] += props[k][pos[src[hit]]].T * rho0
-            # the receiver trace of U_k rho0[k, k2] U_k2^H needs only the entries
-            # whose row and column share the environment, one per receiver state
-            for r2 in range(d_rec):
-                dst = (env << n_sender) | r2
-                hit = counts[dst] == k2
-                np.add.at(out[:, r2], rec[hit],
-                          np.einsum("ij,ij->i", u_rho[hit], props[k2][pos[dst[hit]]].conj()))
-    return out
+    starts, groups = _gram_groups(n, n_sender)
+    weights = _thermal_weights(b, n - n_sender)
+    # U_k = V_k exp(-i E_k t) V_k^T from two real products, stacked flat in k order
+    stacked = np.empty(starts[-1], dtype=complex)
+    for (basis, evals, vecs), start in zip(_sectors(n), starts):
+        u = stacked[start:start + basis.size ** 2].reshape(basis.shape * 2)
+        u.real = (vecs * np.cos(evals * t)) @ vecs.T
+        u.imag = -((vecs * np.sin(evals * t)) @ vecs.T)
+    gram = np.zeros((sender.size, sender.size), dtype=complex)
+    for labels, bg, rows, cols in groups:
+        m = stacked[rows[:, :, None] + cols[:, None, :]].reshape(labels.size, -1)
+        gram[np.ix_(labels, labels)] += weights[bg] * (m @ m.conj().T)
+    return np.einsum("rapb,ab->rp", gram.reshape(sender.shape * 2), sender)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mqtransfer import (
     receiver_state_1q,
     thermal_background,
 )
+from mqtransfer import oracle
 from mqtransfer.oracle import evolve_and_trace
 from mqtransfer.two_qubit import decompose_blocks, random_density
 
@@ -23,11 +26,16 @@ def _excitation_counts(n):
     return np.array([bin(s).count("1") for s in range(1 << n)])
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_spectrum(n):
+    return np.linalg.eigh(build_hamiltonian(ChainSpec(n)))
+
+
 def _dense_evolve_and_trace(sender, t, b, n):
-    # certifying reference: full 2^N Hamiltonian, one eigh, full evolution,
-    # trace over all but the trailing receiver sites
+    # certifying reference: full 2^N Hamiltonian, one eigh per N, full
+    # evolution, trace over all but the trailing receiver sites
     n_sender = sender.shape[0].bit_length() - 1
-    evals, evecs = np.linalg.eigh(build_hamiltonian(ChainSpec(n)))
+    evals, evecs = _dense_spectrum(n)
     rho0 = np.kron(sender, thermal_background(b, n - n_sender))
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     rho_t = u @ rho0 @ u.conj().T
@@ -143,7 +151,7 @@ def test_oracle_block_non_mixing(rng):
 @pytest.mark.parametrize("n_sender", [1, 2])
 def test_sector_oracle_matches_dense_reference(rng, n_sender):
     # the map is linear, so a general complex matrix exercises every block
-    for n in range(2 * n_sender, 9):
+    for n in range(2 * n_sender, 10):
         spec = ChainSpec(n)
         points = [(0.0, 0.0), (0.0, 1.3), (2.1, 0.0)] + [
             (rng.uniform(0, 2 * n), rng.uniform(0, 6)) for _ in range(2)]
@@ -154,12 +162,11 @@ def test_sector_oracle_matches_dense_reference(rng, n_sender):
             assert np.max(np.abs(got - _dense_evolve_and_trace(sender, t, b, n))) < 1e-12
 
 
-def test_analytic_maps_match_oracle_n10(rng):
-    # N = 10 is an N = 2 + 4n chain, where the uniform-scaling curve exists
-    n = 10
+def _check_analytic_maps_against_oracle(rng, n, points):
+    # both sender sizes: the two-qubit table map and the one-qubit map
     spec = ChainSpec(n)
     basis = mode_basis(n)
-    for _ in range(3):
+    for _ in range(points):
         t, b = rng.uniform(0, 2 * n), rng.uniform(0, 6)
         rho_s = random_density(rng)
         table = alpha_table(amplitude_set(basis, t), b, spec)
@@ -170,6 +177,34 @@ def test_analytic_maps_match_oracle_n10(rng):
                            [np.conj(state.phase_prod), state.a1_sq]])
         assert np.linalg.norm(receiver_state_1q(state, t, b, spec)
                               - evolve_and_trace(sender, t, b, spec)) < 1e-9
+
+
+def test_analytic_maps_match_oracle_n10(rng):
+    # N = 10 is an N = 2 + 4n chain, where the uniform-scaling curve exists
+    _check_analytic_maps_against_oracle(rng, 10, 3)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_analytic_maps_match_oracle_up_to_max_sites(rng, n):
+    # the sector oracle's range ends at MAX_SITES = 12
+    assert n <= oracle.MAX_SITES
+    _check_analytic_maps_against_oracle(rng, n, 1)
+
+
+def test_oracle_caches_are_keyed_by_sender_size(rng, monkeypatch):
+    # the Gram index sets depend on (N, n_sender): alternating sender sizes at
+    # one N gives what a run on empty caches gives
+    spec = ChainSpec(6)
+    t, b = 2.9, 0.8
+    senders = [random_density(rng), np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]),
+               random_density(rng)]
+    cached = [evolve_and_trace(sender, t, b, spec) for sender in senders]
+    for sender, got in zip(senders, cached):
+        monkeypatch.setattr(oracle, "_SECTOR_CACHE", {})
+        monkeypatch.setattr(oracle, "_GRAM_CACHE", {})
+        fresh = evolve_and_trace(sender, t, b, spec)
+        assert got.shape == fresh.shape == sender.shape
+        assert np.max(np.abs(got - fresh)) < 1e-15
 
 
 @pytest.mark.parametrize("t, b", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
