@@ -21,6 +21,7 @@ import argparse
 import csv
 import itertools
 import json
+import re
 import sys
 
 import numpy as np
@@ -41,6 +42,9 @@ __all__ = ["NUMERIC_EXIT", "GRID_BYTES", "build_parser", "main"]
 NUMERIC_EXIT = 3
 
 GRID_BYTES = 2**30
+
+# the start of a negative number in any form float() reads, or of a grid that starts with one
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(value: float, precision: str) -> str:
@@ -380,9 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts with a negative number joined to its option, '--t -5e0'
+    as '--t=-5e0': argparse reads a separate '-5e0', '-inf' or '-1:2:1' as an option (only
+    plain decimals such as '-1.5' as numbers)."""
+    out: list[str] = []
+    for text in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(text):
+            out[-1] += "=" + text
+        else:
+            out.append(text)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_finite(args)
         return args.func(args)

@@ -5,25 +5,29 @@ the single-quantum one (case 2), both free (case 3), and both free under the
 uniform-scaling constraint lambda1 = lambda2 (case 4), which confines (b, t)
 to a curve. Cases 1-3 search a coarse vectorized grid scan that keeps each
 case's best cell, followed by coordinatewise bracket searches
-(mqtransfer.search), each step one batched region evaluation; the landscape
-has kinks at positivity and eigenvalue-realness boundaries, so no
-derivatives are used. The scan builds one t-stage and one lambda0 stage of
-the region kernel (mqtransfer.states) and the temperature step of every b
-column, and runs the rest of the kernel, the zero-order temperature step and
-the rays, only at the (t, b) pairs that can still win. On a positive base
-state c1_max <= 1 and c2_max <= 1/2, so C2 lambda2+, C1 lambda1+ and their
-product bound the three objectives at every lambda0 of a pair (C1, C2 these
-bounds with a slack, lambda1+ and lambda2+ the factors' positive parts); the
-exact objectives at the few pairs of largest bound give each case a floor,
-and a pair runs only if its bound exceeds the floor and the running best of
-some case. The pairs left out cannot hold a first maximum, so the scan's
-best cells are those of the full grid (see _scan). Case 4 samples
-the curve in closed form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small
-the smaller eigenvalue of the transfer matrix W, along the t grid, and
-refines its best points with one bracket search in t. Cases 2-4 need a real
-single-quantum factor, which mqtransfer.two_qubit.lambda1_real decides
-exactly and independently of b > 0; for odd N there is none, so those cases
-are infeasible there.
+(mqtransfer.search) that refine the cases' cells together: one search per
+axis over one bracket per case, each step one batched region evaluation over
+(cases, K) points. A bracket stops at REFINE_TOL on its own, so each case
+ends where it would if refined alone, and optimize of one case is a batch of
+one (see _refine). The landscape has kinks at positivity and
+eigenvalue-realness boundaries, so no derivatives are used. The scan builds
+one t-stage and one lambda0 stage of the region kernel (mqtransfer.states)
+and the temperature step of every b column, and runs the rest of the kernel,
+the zero-order temperature step and the rays, only at the (t, b) pairs that
+can still win. On a positive base state c2_max <= 1/2 and c1_max <= 1 / (2
+max(|x12| + |x34|, |x13| + |x24|)) <= 1/sqrt(2) for the pair's unit x1, so C2
+lambda2+, C1 lambda1+ and their product bound the three objectives at every
+lambda0 of a pair (C1, C2 these bounds with a slack, lambda1+ and lambda2+
+the factors' positive parts); the exact objectives at the few pairs of
+largest bound give each case a floor, and a pair runs only if its bound
+exceeds the floor and the running best of some case. The pairs left out
+cannot hold a first maximum, so the scan's best cells are those of the full
+grid (see _scan). Case 4 samples the curve in closed form, b(t) from
+tanh(b/2)^(N-2) = w_small(t) with w_small the smaller eigenvalue of the
+transfer matrix W, along the t grid, and refines its best points with one
+bracket search in t. Cases 2-4 need a real single-quantum factor, which
+mqtransfer.two_qubit.lambda1_real decides exactly and independently of b > 0;
+for odd N there is none, so those cases are infeasible there.
 
 Every search runs on the one domain of the paper's table, fixed by the
 module constants: the b window B_WINDOW and its grid B_GRID of step B_STEP,
@@ -71,13 +75,13 @@ REFINE_TOL = 1e-4
 CURVE_MIN_LAMBDA = 1e-3
 B_GRID = np.arange(B_WINDOW[0], B_WINDOW[1] + 1e-9, B_STEP)
 B_GRID.setflags(write=False)
-# the grid scan's bounds c1_max <= 1 and c2_max <= 1/2 of a positive base state, each
-# with its slack (see _scan), and the pairs of largest bound that seed each case's floor;
+# the slack of the grid scan's bounds on c1_max and c2_max (see _scan and _c1_bound),
+# c2_max <= 1/2 with it, and the pairs of largest bound that seed each case's floor;
 # a batch of the scan holds about _CHUNK_CELLS cells: the temporaries of the rays of a
 # much larger batch outgrow a core's 2 MB cache, and a smaller one pays numpy's per-call
 # cost more often at a lone lambda0
-_C1_BOUND = 1.0 + 1e-3
-_C2_BOUND = 0.5 + 1e-3
+_SLACK = 1e-3
+_C2_BOUND = 0.5 + _SLACK
 _SEED_PAIRS = 8
 _CHUNK_CELLS = 4096
 
@@ -188,6 +192,16 @@ def _objective(s1, s2, case: int):
     return s2 if case == 1 else s1 if case == 2 else s1 * s2
 
 
+def _c1_bound(x1: np.ndarray) -> np.ndarray:
+    """A bound, with the scan's slack, on c1_max of a positive base state along unit vectors x1
+    (..., 4) = (x12, x13, x24, x34): the 2x2 principal minors of sites {1, 2} and {3, 4} give
+    c1_max (|x12| + |x34|) <= (rho11 + rho22 + rho33 + rho44) / 2 = 1/2, and those of {1, 3}
+    and {2, 4} c1_max (|x13| + |x24|) <= 1/2; for a unit x1 the larger sum is at least
+    1/sqrt(2)."""
+    a = np.abs(x1)
+    return 0.5 / np.maximum(a[..., 0] + a[..., 3], a[..., 1] + a[..., 2]) + _SLACK
+
+
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float, float, float]]:
     """Best cell (value, t, b, lambda0) of cases 1..3 on the coarse grid.
 
@@ -197,15 +211,15 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     go to the smaller b.
 
     Bounds. On a positive base state c2_max = sqrt(rho11 rho44) <= (rho11 + rho44) / 2 <= 1/2,
-    and c1_max <= 1: an entry x1_k of the unit vector x1 has modulus at least 1/2, and the 2x2
-    principal minor of its two sites gives c1_max |x1_k| <= sqrt(rho_ii rho_jj) <= 1/2
-    (mqtransfer.states.block_rays). So at a (t, b) pair, at every lambda0, the three objectives
-    are at most U1 = C2 lambda2+, U2 = C1 lambda1+ and U1 U2, with lambda2+ = max(lambda2, 0),
-    lambda1+ the positive part of lambda1 where it is real and 0 elsewhere, and C1 and C2 the
-    two bounds plus a slack (_C1_BOUND, _C2_BOUND). The bounds need only region_points and the
-    t-stage's lambda2. The slack covers PSD_TOL and the rounding of the base state, whose unit
-    trace holds to about COND_LIMIT times the unit roundoff, and it makes every bound strictly
-    greater than its objective wherever the bound is positive (the objective is 0 elsewhere).
+    and c1_max along the pair's unit x1 is at most 1 / (2 max(|x12| + |x34|, |x13| + |x24|))
+    (_c1_bound; mqtransfer.states.block_rays). So at a (t, b) pair, at every lambda0, the three
+    objectives are at most U1 = C2 lambda2+, U2 = C1 lambda1+ and U1 U2, with lambda2+ =
+    max(lambda2, 0), lambda1+ the positive part of lambda1 where it is real and 0 elsewhere,
+    and C1 and C2 the two bounds plus a slack (_c1_bound, _C2_BOUND). The bounds need only
+    region_points and the t-stage's lambda2. The slack covers PSD_TOL and the rounding of the
+    base state, whose unit trace holds to about COND_LIMIT times the unit roundoff, and it
+    makes every bound strictly greater than its objective wherever the bound is positive (the
+    objective is 0 elsewhere).
 
     Seed and stream. The objectives at the _SEED_PAIRS pairs of largest bound of each case give
     each case a floor, a value the grid attains. The pairs whose bound exceeds the floor in some
@@ -230,7 +244,7 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     n, k = np.array([p.weights for p in columns]).T
     del columns
     u1 = np.broadcast_to(_C2_BOUND * np.maximum(times.lambda2.real, 0.0), lam1.shape)
-    u2 = _C1_BOUND * np.where(real & (lam1 > 0.0), lam1, 0.0)
+    u2 = np.where(real & (lam1 > 0.0), _c1_bound(x1) * lam1, 0.0)
     bounds = np.array([u1, u2, u1 * u2])  # (case, b, t)
 
     def objectives(jb, it) -> list:
@@ -267,48 +281,59 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
 # refinement
 
 
-def _refine(spec: ChainSpec, problem: OptProblem, start: tuple) -> tuple[float, float, float]:
-    """Coordinatewise bracket searches around a coarse grid winner.
+def _refine(spec: ChainSpec, problem: OptProblem,
+            starts: dict[int, tuple]) -> dict[int, tuple[float, float, float]]:
+    """Coordinatewise bracket searches around the grid winners starts, case -> (t, b, lambda0),
+    of cases 1..3, all refined together under the problem's zero-order mode and t window
+    (its case is not read).
 
-    Each search step evaluates the region kernel over the search grid of the
-    axis: K times at fixed (b, lambda0), K temperatures at fixed (t, lambda0)
-    or K zero-order scales at fixed (t, b). The last two build one t-stage
-    per search, and the b search one lambda0 stage too, so that each of its
-    steps is a temperature step only. An axis is searched one grid step either
-    side, within the t grid, B_WINDOW or LAMBDA0_WINDOW (lambda0 only if free).
-    At most three rounds of the searches run; a round that moves no coordinate
-    is a fixed point, since a round depends only on (t, b, lambda0), and ends
-    the refinement.
+    A round runs one bracket_max per axis, t, then b, then lambda0 if free, with one bracket
+    per case, each one grid step either side within the t grid, B_WINDOW or LAMBDA0_WINDOW.
+    So each search step is one region kernel call over (cases, K) points: the t search builds
+    a t-stage over them at each case's b and lambda0, the b search one t-stage at the cases'
+    times and one lambda0 stage, whose steps are temperature steps only, and the lambda0
+    search one temperature step. A row's objective is s2 (case 1), s1 (case 2) or s1 * s2,
+    with s1 from the case-2 mask and s2 from the case-1 mask (as in _scan). bracket_max
+    stops each bracket at REFINE_TOL on its own and the kernel's rows do not mix, so each
+    case ends where it would if refined alone. At most three rounds run; a round in which no
+    case moves ends the refinement: it is a fixed point of every case, since a round depends
+    only on (t, b, lambda0), and so a case that stops moving before the others stays put.
     """
-    t, b, l0 = start
+    cases = list(starts)
+    t, b, l0 = (np.array(x, dtype=float) for x in zip(*starts.values()))
     ts = _t_grid(spec, problem.t_window)
     axes = {"t": (T_STEP, ts[0], ts[-1]), "b": (B_STEP, *B_WINDOW),
             "l0": (LAMBDA0_STEP, *LAMBDA0_WINDOW)}
 
     def objective(points, zero) -> np.ndarray:
-        _, s1, s2 = case_metrics(points, region_cells(points, zero), problem.case)
-        return _objective(s1, s2, problem.case)
+        cells = region_cells(points, zero)
+        s1 = case_metrics(points, cells, 2)[1].reshape(len(cases), -1)
+        s2 = case_metrics(points, cells, 1)[2].reshape(len(cases), -1)
+        return np.array([_objective(s1[row], s2[row], case) for row, case in enumerate(cases)])
 
-    def at_times(ts) -> np.ndarray:
-        times = time_stage(spec, ts)
-        return objective(region_points(times, b), solve_zero_order(times.spectrum, [l0]))
+    def at_times(x) -> np.ndarray:
+        times = time_stage(spec, x)
+        return objective(region_points(times, b[:, None]),
+                         solve_zero_order(times.spectrum, l0[:, None, None]))
 
-    def polish(x: float, axis: str, f) -> float:
+    def polish(x: np.ndarray, axis: str, f) -> np.ndarray:
         step, lo, hi = axes[axis]
-        return float(bracket_max(f, max(lo, x - step), min(hi, x + step), REFINE_TOL)[0][0])
+        return bracket_max(f, np.maximum(lo, x - step), np.minimum(hi, x + step), REFINE_TOL)[0]
 
     for _ in range(3):
-        before = t, b, l0
-        t = polish(t, "t", lambda x: at_times(x[0]).T)
-        times = time_stage(spec, t)
-        zero = solve_zero_order(times.spectrum, [l0])
-        b = polish(b, "b", lambda x: objective(region_points(times, x[0]), zero).T)
+        before = np.array([t, b, l0])
+        t = polish(t, "t", at_times)
+        # times of shape (cases, 1): the amplitudes' product then rounds as at a lone time
+        times = time_stage(spec, t[:, None])
+        zero = solve_zero_order(times.spectrum, l0[:, None, None])
+        b = polish(b, "b", lambda x: objective(region_points(times, x), zero))
         if problem.lambda0_mode == "free":
-            at_tb = region_points(times, b)
-            l0 = polish(l0, "l0", lambda x: objective(at_tb, solve_zero_order(times.spectrum, x)))
-        if (t, b, l0) == before:
+            at_tb = region_points(times, b[:, None])
+            l0 = polish(l0, "l0", lambda x: objective(
+                at_tb, solve_zero_order(times.spectrum, x[:, None, :])))
+        if np.array_equal(before, [t, b, l0]):
             break
-    return t, b, l0
+    return {case: (float(t[row]), float(b[row]), float(l0[row])) for row, case in enumerate(cases)}
 
 
 def _finalize(spec: ChainSpec, problem: OptProblem, t: float, b: float,
@@ -332,12 +357,15 @@ def _infeasible_result(problem: OptProblem) -> OptResult:
                      s1=0.0, s2=0.0, s12=0.0, objective=0.0, x0=None, x1=None)
 
 
-def _optimize_from_scan(spec: ChainSpec, problem: OptProblem, best: tuple) -> OptResult:
-    """Refine the scan's best cell (value, t, b, lambda0) of the problem's case."""
-    value, *start = best
-    if value <= 0.0:
-        return _infeasible_result(problem)
-    return _finalize(spec, problem, *_refine(spec, problem, start))
+def _scan_and_refine(spec: ChainSpec, problems: dict[int, OptProblem]) -> dict[int, OptResult]:
+    """Cases 1..3 of problems, which share a zero-order mode and a t window: one grid scan, then
+    one refinement of the feasible cases' best cells together."""
+    shared = next(iter(problems.values()))
+    best = _scan(spec, shared)
+    starts = {case: best[case][1:] for case in problems if best[case][0] > 0.0}
+    ends = _refine(spec, shared, starts) if starts else {}
+    return {case: _finalize(spec, problem, *ends[case]) if case in ends
+            else _infeasible_result(problem) for case, problem in problems.items()}
 
 
 def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
@@ -349,7 +377,7 @@ def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
     """
     if problem.case == 4:
         return _optimize_case4(problem, spec)
-    return _optimize_from_scan(spec, problem, _scan(spec, problem)[problem.case])
+    return _scan_and_refine(spec, {problem.case: problem})[problem.case]
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +488,9 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
 
 
 def summary_table(spec: ChainSpec, lambda0_mode: str = "free") -> dict[int, OptResult]:
-    """Optimize all four cases, sharing one grid scan across cases 1..3."""
+    """Optimize all four cases, sharing one grid scan and one refinement across cases 1..3."""
     problems = {case: OptProblem(case=case, lambda0_mode=lambda0_mode) for case in (1, 2, 3, 4)}
-    best = _scan(spec, problems[3])
-    results = {case: _optimize_from_scan(spec, problems[case], best[case]) for case in (1, 2, 3)}
+    results = _scan_and_refine(spec, {case: problems[case] for case in (1, 2, 3)})
     results[4] = _optimize_case4(problems[4], spec)
     return results
 

@@ -33,22 +33,29 @@ def _brackets(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def bracket_max(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Best point of f in each bracket [lo, hi] and its value.
 
-    Shrinks each bracket to the two cells around its best grid point until
-    every bracket is narrower than tol; the ends of the first brackets are
-    candidates too. For a unimodal f the maximum lies within tol of the
-    returned point.
+    Shrinks each bracket to the two cells around its best grid point; the
+    ends of the first brackets are candidates too. A bracket stops once it
+    is narrower than tol: its point and value are kept from that step while
+    the other rows go on, so each row's result is that of its bracket
+    searched alone (f still sees every row). For a unimodal f the maximum
+    lies within tol of the returned point.
     """
     lo, hi = _brackets(lo, hi)
-    rows = np.arange(lo.size)
+    best, top = np.empty(lo.size), np.empty(lo.size)
+    live = np.arange(lo.size)
     for _ in range(_MAX_STEPS):
         x = _grids(lo, hi)
         values = f(x)
+        x, values = x[live], values[live]
         j = np.argmax(values, axis=1)
-        lo = x[rows, np.maximum(j - 1, 0)]
-        hi = x[rows, np.minimum(j + 1, K - 1)]
-        if np.all(hi - lo <= tol):
+        rows = np.arange(live.size)
+        best[live], top[live] = x[rows, j], values[rows, j]
+        lo[live] = x[rows, np.maximum(j - 1, 0)]
+        hi[live] = x[rows, np.minimum(j + 1, K - 1)]
+        live = live[hi[live] - lo[live] > tol]
+        if not live.size:
             break
-    return x[rows, j], values[rows, j]
+    return best, top
 
 
 def grid_max(f, grid: np.ndarray, tol: float) -> tuple[float, float]:

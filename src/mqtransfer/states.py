@@ -82,10 +82,10 @@ def block_rays(base: tuple, x1: np.ndarray):
     (positive, c1_max, c2_max): positive marks base states whose smallest
     eigenvalue is at least -PSD_TOL, and both lengths are zero elsewhere.
     On a positive base state of unit trace c2_max <= (rho11 + rho44) / 2
-    <= 1/2, and c1_max <= 1 for a unit x1: an entry x1_k, of sites i and j,
-    has modulus at least 1/2, and the 2x2 principal minor of sites i and j
-    gives c1_max |x1_k| <= sqrt(rho_ii rho_jj) <= 1/2 (the grid scan of
-    mqtransfer.optimize prunes with these bounds). The test suite certifies
+    <= 1/2, and the 2x2 principal minors of sites {1, 2} and {3, 4} give
+    c1_max (|x12| + |x34|) <= 1/2, those of {1, 3} and {2, 4}
+    c1_max (|x13| + |x24|) <= 1/2 (the grid scan of mqtransfer.optimize
+    prunes with these bounds). The test suite certifies
     these values against bisection on the dense sender matrix.
     """
     r11, r22, r33, r44, x23 = base

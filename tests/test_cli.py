@@ -270,6 +270,35 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["amplitudes", "--n", "6"])   # missing --scan
     assert excinfo.value.code == 2
+    # a negative number is a value, but not one of the flag's choices
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table1", "--n", "6", "--lambda0", "-1e0"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["-1e300", "-5e0", "-.5E1", "-1.5"])
+def test_negative_number_after_a_flag_is_its_value(capsys, value):
+    # argparse alone reads a separate '-1e300' or '-.5E1' as an option and exits 2;
+    # lambda0 < 0 is in the domain, so both forms print the same result
+    joined = _run(capsys, ["solve", "--n", "6", "--t", "5", "--b", "1", f"--lambda0={value}"])
+    separate = _run(capsys, ["solve", "--n", "6", "--t", "5", "--b", "1", "--lambda0", value])
+    assert separate == joined and joined[0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--n", "6", "--t", "5", "--b", "-1e300", "--lambda0", "1"], "inverse temperature"),
+    (["one-qubit", "--n", "5", "--t", "-inf", "--b", "1", "--a1sq", "0.4"], "--t must be finite"),
+    (["region", "--n", "6", "--t-grid", "1:2:1", "--b-grid", "-1e0:1:1", "--lambda0-grid",
+      "1:1:1"], "inverse temperature"),
+    (["amplitudes", "--n", "6", "--scan", "-1e1:-2e1:1"], "bad grid"),
+    (["optimize", "--n", "6", "--case", "1", "--t-window", "-2e0:-3e0"], "t_window"),
+], ids=["solve", "one-qubit", "region", "amplitudes", "optimize"])
+def test_negative_values_meet_the_domain_rules(capsys, argv, message):
+    # a value that starts with a negative number reaches the domain rules on every
+    # subcommand: one line and exit 3, not an argparse usage error
+    code, err = _run_error(capsys, argv)
+    assert code == 3
+    assert len(err) == 1 and message in err[0]
 
 
 def test_bad_grid_is_numeric_error(capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
 from mqtransfer.solvers import solve_zero_order, zero_order_system
-from mqtransfer.optimize import _C1_BOUND, _C2_BOUND, B_GRID, _lambda0_grid, _t_grid
+from mqtransfer.optimize import _C2_BOUND, B_GRID, _c1_bound, _lambda0_grid, _t_grid
 from mqtransfer.states import (base_vector, block_rays, case_metrics, region_cells, region_columns,
                                region_points, time_stage)
 from mqtransfer.chain import amplitude_grids
@@ -187,13 +187,14 @@ def test_closed_form_rays_match_bisection(sender):
 @example((np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
 def test_rays_obey_the_scan_bounds(sender):
     # the premise of the grid scan's pruning (optimize._scan): on a positive base
-    # state c1_max <= 1 and c2_max <= 1/2, within the scan's slack, up to the
-    # edges of positivity; the examples reach c2_max = 1/2 (rho11 = rho44 = 1/2)
-    # and c1_max = 1/2 (rho11 = rho22 = 1/2, x1 = e12)
+    # state c1_max <= 1 / (2 max(|x12| + |x34|, |x13| + |x24|)) and c2_max <= 1/2,
+    # within the scan's slack, up to the edges of positivity; the examples reach
+    # c2_max = 1/2 (rho11 = rho44 = 1/2) and the c1 bound 1/2 (rho11 = rho22 = 1/2,
+    # x1 = e12)
     x0, x1 = sender
     positive, c1, c2 = block_rays(base_entries(x0), x1)
     assert positive
-    assert c1 <= _C1_BOUND and c2 <= _C2_BOUND
+    assert c1 <= _c1_bound(x1) and c2 <= _C2_BOUND
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 10, 42])
@@ -202,8 +203,9 @@ def test_grid_rays_obey_the_scan_bounds(n):
     spec = ChainSpec(n)
     ts, l0s = _t_grid(spec, None), _lambda0_grid("free")
     checked = 0
-    for _, (_, ok, c1, c2) in region_columns(spec, ts, B_GRID, l0s):
-        assert np.all(c1[ok] <= _C1_BOUND) and np.all(c2[ok] <= _C2_BOUND)
+    for points, (_, ok, c1, c2) in region_columns(spec, ts, B_GRID, l0s):
+        c1_bound = np.broadcast_to(_c1_bound(points.x1)[:, None], c1.shape)
+        assert np.all(c1[ok] <= c1_bound[ok]) and np.all(c2[ok] <= _C2_BOUND)
         checked += ok.sum()
     assert checked > 0
 

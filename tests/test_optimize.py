@@ -463,23 +463,40 @@ def test_scan_prunes_most_rows(monkeypatch):
 
 
 def test_refine_stops_at_a_fixed_point(monkeypatch):
-    # at N = 6 with lambda0 = 1 the second round of case 1's refinement moves
-    # nothing, so it is the last: two rounds of two bracket searches, not three;
-    # one round from its result moves nothing either
+    # at N = 6 with lambda0 = 1 the second round of the joint refinement moves no
+    # case, so it is the last: two rounds of two bracket searches over one bracket
+    # per case, not three; one round from its end moves nothing either
     spec = ChainSpec(6)
-    problem = OptProblem(case=1, lambda0_mode="fixed_one")
+    problem = OptProblem(case=3, lambda0_mode="fixed_one")
     searches = []
 
-    def counted(*args, **kwargs):
-        searches.append(args)
-        return bracket_max(*args, **kwargs)
+    def counted(f, lo, hi, tol):
+        searches.append(np.size(lo))
+        return bracket_max(f, lo, hi, tol)
 
     monkeypatch.setattr(optimize_module, "bracket_max", counted)
-    end = optimize_module._refine(spec, problem, _scan(spec, problem)[1][1:])
-    assert len(searches) == 4
+    starts = {case: cell[1:] for case, cell in _scan(spec, problem).items()}
+    end = optimize_module._refine(spec, problem, starts)
+    assert searches == [3] * 4
     searches.clear()
     assert optimize_module._refine(spec, problem, end) == end
-    assert len(searches) == 2
+    assert searches == [3] * 2
+
+
+@pytest.mark.parametrize("mode", ["free", "fixed_one"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 10, 42, 43, 44])
+def test_joint_refinement_equals_one_case_calls(n, mode):
+    # the kernel's rows do not mix and each bracket stops at REFINE_TOL on its own,
+    # so refining cases 1..3 together ends each case bitwise where a batch of one
+    # ends it. Every case starts from its scan cell, the infeasible ones (cases 2
+    # and 3 of odd N, whose rows are all zero) too
+    spec = ChainSpec(n)
+    problem = OptProblem(case=3, lambda0_mode=mode)
+    starts = {case: cell[1:] for case, cell in _scan(spec, problem).items()}
+    joint = optimize_module._refine(spec, problem, starts)
+    assert list(joint) == [1, 2, 3]
+    for case, start in starts.items():
+        assert joint[case] == optimize_module._refine(spec, problem, {case: start})[case]
 
 
 def test_scan_holds_no_grid():

@@ -56,20 +56,20 @@ def test_bracket_root_reports_lost_brackets():
 
 
 def test_many_brackets_equal_one_bracket_calls():
-    # rows never mix. Root brackets all shrink by 1/(K - 1) per step, so a
-    # batch gives the single results exactly; a maximum bracket shrinks
-    # faster when its best point is at an end, and the batch then runs extra
-    # steps on it, so it agrees within the tolerance
+    # rows never mix, and each bracket stops once it is narrower than tol, so a
+    # batch gives the single results exactly. The last bracket holds a maximum at
+    # its end, where it shrinks to one cell per step and stops before the others
     def f(x):
         return np.sin(3.0 * x) + 0.1 * x
 
-    lows = np.array([0.0, 0.7, 1.9, 2.6, 4.1])
-    highs = lows + 0.8
+    lows = np.array([0.0, 0.7, 1.9, 2.6, 4.1, 0.3])
+    highs = np.append(lows[:-1] + 0.8, 0.5)
     x, value = bracket_max(f, lows, highs, 1e-10)
     lo, hi, found = bracket_root(f, lows, highs, 1e-12)
+    assert x[-1] == 0.5
     for i, (a, b) in enumerate(zip(lows, highs)):
         x1, value1 = bracket_max(f, a, b, 1e-10)
-        assert abs(x[i] - x1[0]) <= 1e-10 and value[i] >= value1[0] - 1e-15
+        assert (x[i], value[i]) == (x1[0], value1[0])
         lo1, hi1, found1 = bracket_root(f, a, b, 1e-12)
         assert (lo[i], hi[i], found[i]) == (lo1[0], hi1[0], found1[0])
     # against a dense scan of each bracket
@@ -80,7 +80,6 @@ def test_many_brackets_equal_one_bracket_calls():
         assert found[i] == bool(sign.size)
         if sign.size:
             assert lo[i] - 1e-12 <= grid[sign[0] + 1] and hi[i] + 1e-12 >= grid[sign[0]]
-
 
 
 def test_tolerance_below_float_spacing_ends():
