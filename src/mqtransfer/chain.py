@@ -17,6 +17,7 @@ from .search import grid_max
 
 __all__ = [
     "ChainSpec",
+    "check_time",
     "check_inverse_temperature",
     "thermal_weights",
     "ModeBasis",
@@ -39,6 +40,13 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, int) or self.n_sites < 2:
             raise ConfigurationError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
+
+
+def check_time(t) -> None:
+    """Reject a time t (scalar or array) unless finite; name the first bad one."""
+    ok = np.isfinite(t)
+    if not ok.all():
+        raise ValidationError(f"time must be finite, got {np.ravel(t)[~np.ravel(ok)][0]}")
 
 
 def check_inverse_temperature(b) -> None:
@@ -98,6 +106,7 @@ def transition_amplitude(basis: ModeBasis, i: int, j: int, ts):
     """
     _check_site(basis, i)
     _check_site(basis, j)
+    check_time(ts)
     phase = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=float), basis.energies))
     return phase @ (basis.g[i - 1] * basis.g[j - 1])
 
@@ -107,6 +116,7 @@ def endpoint_amplitude(basis: ModeBasis, ts):
 
     Purely real for odd N and purely imaginary for even N.
     """
+    check_time(ts)
     phase = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), basis.energies))
     return phase @ (basis.g[0] * basis.g[basis.n_sites - 1])
 
@@ -139,10 +149,12 @@ class AmplitudeSet:
 
 def amplitude_grids(basis: ModeBasis, ts) -> tuple:
     """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts (any shape), sharing one phase grid.
-    Every two-qubit path starts here, so N < 4 (no disjoint sender and receiver) is refused."""
+    Every two-qubit path starts here, so N < 4 (no disjoint sender and receiver) and a
+    non-finite time are refused."""
     n, g = basis.n_sites, basis.g
     if n < 4:
         raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {n}")
+    check_time(ts)
     phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
     weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
     f = phase @ weights

@@ -18,6 +18,7 @@ are written as they are produced, in CSV and in JSON, so none is held.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -35,7 +36,7 @@ from .oracle import evolve_and_trace
 from .solvers import solve_zero_order, zero_order_system
 from .states import (base_vector, case_metrics, region_cells, region_columns, region_points,
                      time_stage)
-from .two_qubit import alpha_table, random_density, receiver_from_sender, validate_density
+from .two_qubit import alpha_table, random_density, receiver_from_sender
 
 __all__ = ["NUMERIC_EXIT", "GRID_BYTES", "build_parser", "main"]
 
@@ -88,52 +89,53 @@ def _parse_grids(cost, *texts: str) -> list[np.ndarray]:
     return [np.arange(*b) for b in bounds]
 
 
-def _check_finite(args) -> None:
-    """Reject non-finite --t, --b, --lambda0 (a negative --b meets the library's b rule)."""
-    for attr, flag in (("t", "--t"), ("b", "--b"), ("lambda0_value", "--lambda0")):
-        value = getattr(args, attr, None)
-        if value is not None and not np.isfinite(value):
-            raise ConfigurationError(f"{flag} must be finite, got {value}")
+@contextlib.contextmanager
+def _opened(path: str | None):
+    """The file at path opened for writing, or else sys.stdout as it is at call time."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
-def _emit(args, header: list[str], rows, meta: dict) -> None:
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+def _write_csv(out, header: list[str], rows, precision: str) -> None:
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell if isinstance(cell, str) else _fmt(cell, precision) for cell in row])
+
+
+def _meta(args) -> dict:
+    return {"n": args.n, "command": args.command, "version": __version__}
+
+
+def _emit(args, header: list[str], rows) -> None:
+    with _opened(args.out) as out:
         if args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([cell if isinstance(cell, str) else _fmt(cell, args.precision)
-                                 for cell in row])
-        else:
-            # the text of json.dump({"meta": meta, "data": rows}, indent=2), written
-            # one row at a time: the head runs through '"data": ['
-            out.write(json.dumps({"meta": meta, "data": []}, indent=2)[:-3])
-            empty = True
-            for row in rows:
-                item = dict(zip(header, [cell if isinstance(cell, str) else float(cell)
-                                         for cell in row]))
-                text = json.dumps(item, indent=2).replace("\n", "\n    ")
-                out.write(("\n    " if empty else ",\n    ") + text)
-                empty = False
-            out.write("]\n}\n" if empty else "\n  ]\n}\n")
-    finally:
-        if args.out:
-            out.close()
+            _write_csv(out, header, rows, args.precision)
+            return
+        # the text of json.dump({"meta": meta, "data": rows}, indent=2), written
+        # one row at a time: the head runs through '"data": ['
+        out.write(json.dumps({"meta": _meta(args), "data": []}, indent=2)[:-3])
+        empty = True
+        for row in rows:
+            item = dict(zip(header, [cell if isinstance(cell, str) else float(cell)
+                                     for cell in row]))
+            text = json.dumps(item, indent=2).replace("\n", "\n    ")
+            out.write(("\n    " if empty else ",\n    ") + text)
+            empty = False
+        out.write("]\n}\n" if empty else "\n  ]\n}\n")
 
 
-def _emit_object(args, payload, meta: dict) -> None:
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        json.dump({"meta": meta, "data": payload}, out, indent=2)
+def _emit_object(args, payload) -> None:
+    with _opened(args.out) as out:
+        json.dump({"meta": _meta(args), "data": payload}, out, indent=2)
         out.write("\n")
-    finally:
-        if args.out:
-            out.close()
 
 
-def _meta(args, command: str) -> dict:
-    return {"n": args.n, "command": command, "version": __version__}
+def _lambda0_mode(args) -> str:
+    return "fixed_one" if args.lambda0 == "one" else "free"
 
 
 def _result_payload(res: OptResult) -> dict:
@@ -155,7 +157,7 @@ def _cmd_amplitudes(args) -> int:
     (ts,) = _parse_grids(lambda nt: 24 * nt, args.scan)
     f = endpoint_amplitude(basis, ts)
     rows = ((t, z.real, z.imag, abs(z) ** 2) for t, z in zip(ts, f))
-    _emit(args, ["t", "f_re", "f_im", "f_abs2"], rows, _meta(args, "amplitudes"))
+    _emit(args, ["t", "f_re", "f_im", "f_abs2"], rows)
     return 0
 
 
@@ -171,29 +173,30 @@ def _cmd_one_qubit(args) -> int:
         payload["lambda0_variant_a"] = lambda0_variant_a(state, args.t, args.b, spec)
     if args.a1sq > 0.0:
         payload["lambda0_variant_b"] = lambda0_variant_b(state, args.t, args.b, spec)
-    _emit_object(args, payload, _meta(args, "one-qubit"))
+    _emit_object(args, payload)
     return 0
 
 
 def _load_sender(path: str) -> np.ndarray:
     with open(path) as fh:
         try:
-            m = np.array([[complex(re, im) for re, im in row] for row in json.load(fh)])
+            return np.array([[complex(re, im) for re, im in row] for row in json.load(fh)])
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"sender file {path} is not a matrix of [re, im] pairs: "
                                   f"{exc}") from exc
-    return validate_density(m)
 
 
 def _cmd_map(args) -> int:
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
     rho_r = receiver_from_sender(table, _load_sender(args.sender))
-    _emit_object(args, {"receiver": _matrix_pairs(rho_r)}, _meta(args, "map"))
+    _emit_object(args, {"receiver": _matrix_pairs(rho_r)})
     return 0
 
 
 def _cmd_solve(args) -> int:
+    if not np.isfinite(args.lambda0_value):
+        raise ConfigurationError(f"--lambda0 must be finite, got {args.lambda0_value}")
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
     times = time_stage(spec, args.t)
@@ -216,7 +219,7 @@ def _cmd_solve(args) -> int:
         "x0": [_complex_pair(z) for z in x0],
         "residual": residual,
     }
-    _emit_object(args, payload, _meta(args, "solve"))
+    _emit_object(args, payload)
     return 0
 
 
@@ -237,30 +240,19 @@ def _cmd_region(args) -> int:
         del points, cells  # else they live on while the next column is formed
     rows = ((t, b, l0, x, y, x * y) for (t, b, l0), x, y
             in zip(itertools.product(t_grid, b_grid, l0_grid), s1.ravel(), s2.ravel()))
-    _emit(args, ["t", "b", "lambda0", "S1", "S2", "S12"], rows, _meta(args, "region"))
+    _emit(args, ["t", "b", "lambda0", "S1", "S2", "S12"], rows)
     return 0
-
-
-def _problem_from_args(args) -> OptProblem:
-    mode = "fixed_one" if args.lambda0 == "one" else "free"
-    kwargs = {"case": args.case, "lambda0_mode": mode}
-    if args.t_window:
-        kwargs["t_window"] = tuple(_parse_floats(args.t_window, "lo:hi"))
-    return OptProblem(**kwargs)
 
 
 def _cmd_optimize(args) -> int:
     spec = ChainSpec(args.n)
-    problem = _problem_from_args(args)
+    window = tuple(_parse_floats(args.t_window, "lo:hi")) if args.t_window else None
+    problem = OptProblem(args.case, _lambda0_mode(args), window)
     res = optimize(problem, spec)
-    _emit_object(args, _result_payload(res), _meta(args, "optimize"))
+    _emit_object(args, _result_payload(res))
     if args.dump and res.feasible:
-        header, rows = objective_landscape(spec, problem, res.b_opt)
-        with open(args.dump, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(c, args.precision) for c in row])
+        with _opened(args.dump) as out:
+            _write_csv(out, *objective_landscape(spec, problem, res.b_opt), args.precision)
     return 0
 
 
@@ -269,7 +261,7 @@ def _cmd_curve(args) -> int:
     grids = _parse_grids(lambda nb: 24 * (20 * args.n + 1) * nb, args.b_grid) if args.b_grid else []
     pts = uniform_curve(spec, *grids)
     rows = [(p.b, p.t, p.lam) for p in pts]
-    _emit(args, ["b", "t", "lambda"], rows, _meta(args, "curve"))
+    _emit(args, ["b", "t", "lambda"], rows)
     return 0
 
 
@@ -287,27 +279,18 @@ def _cmd_oracle_check(args) -> int:
         table = alpha_table(amplitude_set(basis, t), b, spec)
         dev = np.linalg.norm(receiver_from_sender(table, rho_s) - evolve_and_trace(rho_s, t, b, spec))
         worst = max(worst, float(dev))
-    print(f"max Frobenius deviation analytic vs oracle (n={args.n}, "
-          f"samples={args.samples}): {_fmt(worst, args.precision)}")
+    with _opened(args.out) as out:
+        print(f"max Frobenius deviation analytic vs oracle (n={args.n}, "
+              f"samples={args.samples}): {_fmt(worst, args.precision)}", file=out)
     return 0
 
 
 def _cmd_table1(args) -> int:
-    spec = ChainSpec(args.n)
-    mode = "fixed_one" if args.lambda0 == "one" else "free"
-    results = summary_table(spec, mode)
-    rows = []
-    for case in (1, 2, 3, 4):
-        res = results[case]
-        rows.append((
-            f"case{case}",
-            res.s1, res.s2,
-            res.lambda1 if res.lambda1 is not None else float("nan"),
-            res.lambda2 if res.lambda2 is not None else float("nan"),
-            res.t_opt, res.b_opt, res.lambda0_opt,
-        ))
-    _emit(args, ["case", "S1", "S2", "lambda1", "lambda2", "t_opt", "b_opt", "lambda0_opt"],
-          rows, _meta(args, "table1"))
+    results = summary_table(ChainSpec(args.n), _lambda0_mode(args))
+    rows = ((f"case{case}", res.s1, res.s2,
+             *(float("nan") if x is None else x for x in (res.lambda1, res.lambda2)),
+             res.t_opt, res.b_opt, res.lambda0_opt) for case, res in results.items())
+    _emit(args, ["case", "S1", "S2", "lambda1", "lambda2", "t_opt", "b_opt", "lambda0_opt"], rows)
     return 0
 
 
@@ -319,17 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_tb: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, needs_tb: bool = False, rows: bool = False,
+               digits: str | None = None) -> None:
+        """--n and --out; --format for commands that write rows, and --precision, helped by
+        digits, wherever digits are printed."""
         p.add_argument("--n", type=int, required=True, help="chain length")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--precision", choices=("6", "full"), default="6")
+        if rows:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            digits = "digits of CSV cells (JSON always carries full repr floats)"
+        if digits:
+            p.add_argument("--precision", choices=("6", "full"), default="6", help=digits)
         if needs_tb:
             p.add_argument("--t", type=float, required=True)
             p.add_argument("--b", type=float, required=True)
 
     p = sub.add_parser("amplitudes", help="endpoint amplitude over a time grid")
-    common(p)
+    common(p, rows=True)
     p.add_argument("--scan", required=True, help="time grid lo:hi:step")
     p.set_defaults(func=_cmd_amplitudes)
 
@@ -337,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_tb=True)
     p.add_argument("--a1sq", type=float, required=True)
     p.add_argument("--phase", type=float, default=0.0)
-    p.set_defaults(func=_cmd_one_qubit, format="json")
+    p.set_defaults(func=_cmd_one_qubit)
 
     p = sub.add_parser("map", help="two-qubit receiver for a sender matrix file")
     common(p, needs_tb=True)
     p.add_argument("--sender", required=True, help="JSON file, 4x4 row-major [re, im] pairs")
-    p.set_defaults(func=_cmd_map, format="json")
+    p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("solve", help="scale factors and vectors at one point")
     common(p, needs_tb=True)
     p.add_argument("--lambda0", dest="lambda0_value", type=float, required=True)
-    p.set_defaults(func=_cmd_solve, format="json")
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("region", help="region metrics over parameter grids")
-    common(p)
+    common(p, rows=True)
     p.add_argument("--t-grid", required=True, help="lo:hi:step")
     p.add_argument("--b-grid", required=True, help="lo:hi:step")
     p.add_argument("--lambda0-grid", required=True, help="lo:hi:step")
@@ -358,26 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("optimize", help="maximize a case objective")
-    common(p)
+    common(p, digits="digits of the --dump CSV")
     p.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--lambda0", choices=("free", "one"), default="free")
     p.add_argument("--t-window", default=None, help="override search window lo:hi")
     p.add_argument("--dump", default=None, help="CSV landscape dump path")
-    p.set_defaults(func=_cmd_optimize, format="json")
+    p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("curve", help="uniform-scaling constraint curve")
-    common(p)
+    common(p, rows=True)
     p.add_argument("--b-grid", default=None, help="lo:hi:step")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("oracle-check", help="max deviation of the analytic map vs brute-force evolution")
-    common(p)
+    common(p, digits="digits of the deviation")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("table1", help="summary of all four cases for one chain")
-    common(p)
+    common(p, rows=True)
     p.add_argument("--lambda0", choices=("free", "one"), default="free")
     p.set_defaults(func=_cmd_table1)
 
@@ -401,7 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        _check_finite(args)
         return args.func(args)
     except (ConfigurationError, ValidationError, SingularInputError,
             ResourceError, OSError, np.linalg.LinAlgError) as exc:

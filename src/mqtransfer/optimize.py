@@ -173,7 +173,7 @@ def _curve(n: int, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     p, q, r, s = amplitude_grids(mode_basis(n), ts)
     trace, det = p + s, p * s - q * r
-    return w_small(trace, det, n), lambda1_real(trace, det, 1.0, n), det.real
+    return w_small(trace, det, n), lambda1_real(trace, det, n), det.real
 
 
 def _t_grid(spec: ChainSpec, t_window: tuple[float, float] | None) -> np.ndarray:
@@ -187,9 +187,14 @@ def _lambda0_grid(lambda0_mode: str) -> np.ndarray:
     return np.arange(LAMBDA0_WINDOW[0], LAMBDA0_WINDOW[1] + 1e-9, LAMBDA0_STEP)
 
 
-def _objective(s1, s2, case: int):
-    """The objective of a case from its semi-axes: s2 (case 1), s1 (case 2) or s1 * s2."""
-    return s2 if case == 1 else s1 if case == 2 else s1 * s2
+def _objectives(points: RegionPoints, cells: tuple) -> list:
+    """The objectives of cases 1..4 at every cell of region_cells: s2 (case 1), s1 (case 2) and
+    s1 * s2 (cases 3 and 4), with s1 from the case-2 mask and s2 from the case-1 mask. Metrics
+    are zero where a case is infeasible, so these equal each case's own mask's readings."""
+    s1 = case_metrics(points, cells, 2)[1]
+    s2 = case_metrics(points, cells, 1)[2]
+    product = s1 * s2
+    return [s2, s1, product, product]
 
 
 def _c1_bound(x1: np.ndarray) -> np.ndarray:
@@ -205,10 +210,9 @@ def _c1_bound(x1: np.ndarray) -> np.ndarray:
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float, float, float]]:
     """Best cell (value, t, b, lambda0) of cases 1..3 on the coarse grid.
 
-    The objectives are s2 of case 1, s1 of case 2 and their product, s1 * s2 of case 3. Metrics
-    are zero at infeasible cells, so a best value of zero means none is feasible; the first cell
-    of the grid holds it then. Of equal values the first in (b, t, lambda0) order is kept: ties
-    go to the smaller b.
+    The objectives are those of _objectives. Metrics are zero at infeasible cells, so a best
+    value of zero means none is feasible; the first cell of the grid holds it then. Of equal
+    values the first in (b, t, lambda0) order is kept: ties go to the smaller b.
 
     Bounds. On a positive base state c2_max = sqrt(rho11 rho44) <= (rho11 + rho44) / 2 <= 1/2,
     and c1_max along the pair's unit x1 is at most 1 / (2 max(|x12| + |x34|, |x13| + |x24|))
@@ -252,9 +256,7 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
         points = RegionPoints(ev[jb, :, it], lam1[jb, it], x1[jb, it], real[jb, it],
                               times.lambda2[it], (n[jb], k[jb]))
         cells = region_cells(points, (tuple(x[it] for x in unit), regular[it]))
-        s1 = case_metrics(points, cells, 2)[1]
-        s2 = case_metrics(points, cells, 1)[2]
-        return [_objective(s1, s2, case) for case in (1, 2, 3)]
+        return _objectives(points, cells)[:3]
 
     seed = np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]
     floor = np.array([v.max() for v in objectives(*np.divmod(np.unique(seed), len(ts)))])
@@ -292,12 +294,12 @@ def _refine(spec: ChainSpec, problem: OptProblem,
     So each search step is one region kernel call over (cases, K) points: the t search builds
     a t-stage over them at each case's b and lambda0, the b search one t-stage at the cases'
     times and one lambda0 stage, whose steps are temperature steps only, and the lambda0
-    search one temperature step. A row's objective is s2 (case 1), s1 (case 2) or s1 * s2,
-    with s1 from the case-2 mask and s2 from the case-1 mask (as in _scan). bracket_max
-    stops each bracket at REFINE_TOL on its own and the kernel's rows do not mix, so each
-    case ends where it would if refined alone. At most three rounds run; a round in which no
-    case moves ends the refinement: it is a fixed point of every case, since a round depends
-    only on (t, b, lambda0), and so a case that stops moving before the others stays put.
+    search one temperature step. A row's objective is its case's entry of _objectives.
+    bracket_max stops each bracket at REFINE_TOL on its own and the kernel's rows do not mix,
+    so each case ends where it would if refined alone. At most three rounds run; a round in
+    which no case moves ends the refinement: it is a fixed point of every case, since a round
+    depends only on (t, b, lambda0), and so a case that stops moving before the others stays
+    put.
     """
     cases = list(starts)
     t, b, l0 = (np.array(x, dtype=float) for x in zip(*starts.values()))
@@ -306,10 +308,8 @@ def _refine(spec: ChainSpec, problem: OptProblem,
             "l0": (LAMBDA0_STEP, *LAMBDA0_WINDOW)}
 
     def objective(points, zero) -> np.ndarray:
-        cells = region_cells(points, zero)
-        s1 = case_metrics(points, cells, 2)[1].reshape(len(cases), -1)
-        s2 = case_metrics(points, cells, 1)[2].reshape(len(cases), -1)
-        return np.array([_objective(s1[row], s2[row], case) for row, case in enumerate(cases)])
+        values = _objectives(points, region_cells(points, zero))
+        return np.array([values[case - 1][row].ravel() for row, case in enumerate(cases)])
 
     def at_times(x) -> np.ndarray:
         times = time_stage(spec, x)
@@ -345,7 +345,7 @@ def _finalize(spec: ChainSpec, problem: OptProblem, t: float, b: float,
         feasible=report.feasible, t_opt=t, b_opt=b, lambda0_opt=l0,
         lambda1=report.lambda1, lambda2=report.lambda2 if problem.case != 2 else None,
         s1=report.s1, s2=report.s2, s12=report.s12,
-        objective=_objective(report.s1, report.s2, problem.case),
+        objective=(report.s2, report.s1, report.s12, report.s12)[problem.case - 1],
         x0=report.x0, x1=report.x1,
     )
 
@@ -439,9 +439,7 @@ def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
     points = region_points(times, bs)
 
     def product(l0s) -> np.ndarray:
-        cells = region_cells(points, solve_zero_order(times.spectrum, l0s))
-        _, s1, s2 = case_metrics(points, cells, 4)
-        return _objective(s1, s2, 4)
+        return _objectives(points, region_cells(points, solve_zero_order(times.spectrum, l0s)))[3]
 
     grid = _lambda0_grid(problem.lambda0_mode)
     if problem.lambda0_mode == "fixed_one":
@@ -500,7 +498,7 @@ def objective_landscape(spec: ChainSpec, problem: OptProblem,
     """Long-format landscape rows (t, b, lambda0, value) of the case objective at a fixed b."""
     ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
     ((points, cells),) = region_columns(spec, ts, [b_fixed], l0s)
-    values = _objective(*case_metrics(points, cells, problem.case)[1:], problem.case)
+    values = _objectives(points, cells)[problem.case - 1]
     rows = [(float(t), float(b_fixed), float(l0), float(v))
             for (t, l0), v in zip(itertools.product(ts, l0s), values.ravel())]
     return ["t", "b", "lambda0", "value"], rows

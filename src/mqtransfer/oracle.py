@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainSpec, check_inverse_temperature, thermal_weights
+from .chain import ChainSpec, check_inverse_temperature, check_time, thermal_weights
 from .errors import ResourceError, ValidationError
 
 __all__ = [
@@ -146,8 +146,7 @@ def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) ->
     sender = np.asarray(sender, dtype=complex)
     if sender.shape not in ((2, 2), (4, 4)):
         raise ValidationError(f"sender must be 2x2 or 4x4, got shape {sender.shape}")
-    if not np.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t}")
+    check_time(t)
     check_inverse_temperature(b)
     n = spec.n_sites
     n_sender = 1 if sender.shape == (2, 2) else 2

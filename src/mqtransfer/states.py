@@ -166,7 +166,7 @@ def time_stage(spec: ChainSpec, t) -> TimeStage:
     p, q, r, s = amplitude_grids(mode_basis(spec.n_sites), t)
     first, zero, d = transfer_blocks(p, q, r, s)
     return TimeStage(spec.n_sites, solve_first_order(*first),
-                     lambda1_real(p + s, d, 1.0, spec.n_sites), d, zero)
+                     lambda1_real(p + s, d, spec.n_sites), d, zero)
 
 
 @dataclass(frozen=True, eq=False)

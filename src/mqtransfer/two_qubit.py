@@ -181,21 +181,22 @@ def _pair_form(trace, det, n_sites: int) -> tuple:
     return ph, half, half * half - (det / ph ** 2).real
 
 
-def lambda1_real(trace, det, tau, n_sites: int):
-    """Where the single-quantum factor lambda1 is real, from tr W, det W and tau = tanh(b/2).
+def lambda1_real(trace, det, n_sites: int):
+    """Where the single-quantum factor lambda1 is real at b > 0, from tr W and det W.
 
     The single-quantum map has spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2}
-    with c = theta tau real (transfer_blocks), so it is real where tau = 0,
-    which makes F = 0, and otherwise exactly where W's eigenvalues w1, w2
-    are (see _pair_form). For even N, ph = +-1 and they are real where
-    D >= 0; then all four eigenvalues of F are real, and lambda1 = c w_big,
-    w_big the larger eigenvalue of W (mqtransfer.solvers). For odd N, ph is
+    with c = theta tau real (transfer_blocks), so at b > 0 it is real
+    exactly where W's eigenvalues w1, w2 are (see _pair_form); at b = 0,
+    tau = 0 makes F = 0, real everywhere (mqtransfer.states.region_points
+    adds that case). For even N, ph = +-1 and they are real where D >= 0;
+    then all four eigenvalues of F are real, and lambda1 = c w_big, w_big
+    the larger eigenvalue of W (mqtransfer.solvers). For odd N, ph is
     imaginary and W has a real eigenvalue only where tr W = 0 or det W = 0
-    exactly, a set of measure zero, so no point with tau > 0 counts as real.
-    The arguments broadcast; tau = 1 stands for any b > 0.
+    exactly, a set of measure zero, so no point counts as real. The
+    arguments broadcast.
     """
     disc = _pair_form(trace, det, n_sites)[2]
-    return (tau == 0.0) | ((disc >= 0.0) & (n_sites % 2 == 0))
+    return (disc >= 0.0) & (n_sites % 2 == 0)
 
 
 def w_small(trace, det, n_sites: int):
@@ -221,24 +222,21 @@ def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
     """All map coefficients, stacked as (first, zero, second).
 
     p, q, r, s are f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N}: scalars or arrays
-    of one shape, and b a scalar or an array that broadcasts against them;
-    the broadcast axes lead the results. first is (..., 4, 4) with rows
-    and columns FIRST_LABELS, zero is (..., 5, 6) with rows ZERO_ROWS and
-    columns ZERO_COLS, and second is the double-quantum coefficient (...).
+    of one shape, whose axes lead the results, and b is a scalar. first is
+    (..., 4, 4) with rows and columns FIRST_LABELS, zero is (..., 5, 6) with
+    rows ZERO_ROWS and columns ZERO_COLS, and second is the double-quantum
+    coefficient (...).
     All are assembled from transfer_blocks and temperature_factors:
     first = U^T G U, T0 = M^-1 G M and B = M^-1 (M B), and zero is
     [T0[:, :3] + B | B | T0[:, 3:]].
     """
-    if np.ndim(b):
-        # entries that depend on the amplitudes only must carry the axes of b too
-        p, q, r, s, b = np.broadcast_arrays(p, q, r, s, b)
     (a, c, q_block), (w, row, source), second = transfer_blocks(p, q, r, s)
     theta, tau, n, k = temperature_factors(b, n_sites)
     nil = np.zeros(np.shape(second))
     ta, tq = [tau * x for x in a], [tau * x for x in q_block]
     g = _stacked([[ta[0], ta[1], c[0], c[1]], [ta[2], ta[3], c[2], c[3]],
                   [nil, nil, tq[0], tq[1]], [nil, nil, tq[2], tq[3]]])
-    first = np.asarray(theta)[..., None, None] * (BLOCK_BASIS.T @ g @ BLOCK_BASIS)
+    first = theta * (BLOCK_BASIS.T @ g @ BLOCK_BASIS)
     wm = (w[:2], w[2:])
     one_body = [[np.conj(wm[u][i]) * wm[v][j] for u, v in ONE_BODY] + [nil] for i, j in ONE_BODY]
     g4 = [k * x for x in row[:4]] + [row[4]]

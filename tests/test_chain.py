@@ -172,3 +172,22 @@ def test_every_entry_point_rejects_b_outside_domain(call, b):
     with pytest.raises(ValidationError, match="inverse temperature must be finite and >= 0"):
         call(b)
     call(0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: region_metrics(ChainSpec(6), t, 1.0, 1.0, case=3),
+    lambda t: alpha_table(amplitude_set(mode_basis(6), t), 1.0, ChainSpec(6)),
+    lambda t: receiver_state_1q(Qubit1State.pure(0.4), t, 1.0, ChainSpec(5)),
+    lambda t: lambda1_1q(t, 1.0, ChainSpec(5)),
+    lambda t: lambda0_variant_a(Qubit1State.pure(0.4), t, 1.0, ChainSpec(5)),
+    lambda t: lambda0_variant_b(Qubit1State.pure(0.4), t, 1.0, ChainSpec(5)),
+    lambda t: transition_amplitude(mode_basis(5), 1, 5, t),
+    lambda t: evolve_and_trace(np.eye(4) / 4.0, t, 1.0, ChainSpec(4)),
+], ids=["region_metrics", "alpha_table", "receiver_state_1q", "lambda1_1q",
+        "lambda0_variant_a", "lambda0_variant_b", "transition_amplitude", "evolve_and_trace"])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_every_entry_point_rejects_non_finite_time(call, t):
+    # one rule for the time on the analytic and the oracle side, one check and one message
+    with pytest.raises(ValidationError, match=f"time must be finite, got {t}"):
+        call(t)
+    call(5.0)

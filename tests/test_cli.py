@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mqtransfer import ChainSpec, amplitude_set, alpha_table, mode_basis, receiver_from_sender
-from mqtransfer.cli import _region_bytes, main
+from mqtransfer.cli import _region_bytes, build_parser, main
 from mqtransfer.two_qubit import random_density
 
 
@@ -78,7 +78,7 @@ def test_map_rejects_bad_sender(tmp_path, capsys):
 
 def test_solve_json(capsys):
     code, out = _run(capsys, ["solve", "--n", "6", "--t", "8.5153", "--b", "10.0",
-                              "--lambda0", "1.0837", "--precision", "full"])
+                              "--lambda0", "1.0837"])
     assert code == 0
     doc = json.loads(out)
     lam2 = complex(*doc["data"]["lambda2"])
@@ -287,7 +287,7 @@ def test_negative_number_after_a_flag_is_its_value(capsys, value):
 
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--n", "6", "--t", "5", "--b", "-1e300", "--lambda0", "1"], "inverse temperature"),
-    (["one-qubit", "--n", "5", "--t", "-inf", "--b", "1", "--a1sq", "0.4"], "--t must be finite"),
+    (["one-qubit", "--n", "5", "--t", "-inf", "--b", "1", "--a1sq", "0.4"], "time must be finite"),
     (["region", "--n", "6", "--t-grid", "1:2:1", "--b-grid", "-1e0:1:1", "--lambda0-grid",
       "1:1:1"], "inverse temperature"),
     (["amplitudes", "--n", "6", "--scan", "-1e1:-2e1:1"], "bad grid"),
@@ -345,13 +345,13 @@ def test_map_malformed_json_is_one_line(tmp_path, capsys):
     ("--b", ["--t", "1.0", "--b", "-1", "--lambda0", "1.0"]),
 ])
 def test_solve_rejects_non_finite_point(capsys, flag, argv):
-    # the CLI refuses a non-finite value; a negative --b meets the library's
-    # one domain rule for the inverse temperature
+    # --t and --b meet the library's domain rules, the ones the oracle applies too; the
+    # CLI itself checks only --lambda0, which the library takes at any value
     code, err = _run_error(capsys, ["solve", "--n", "6"] + argv)
     assert code == 3
-    expected = (f"{flag} must be finite" if "-1" not in argv
-                else "inverse temperature must be finite and >= 0, got -1.0")
-    assert len(err) == 1 and expected in err[0]
+    rule = {"--t": "time must be finite", "--b": "inverse temperature must be finite and >= 0",
+            "--lambda0": "--lambda0 must be finite"}[flag]
+    assert err == [f"error: {rule}, got {float(argv[argv.index(flag) + 1])}"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -405,3 +405,74 @@ def test_one_qubit_population_out_of_range_is_one_line(capsys, a1sq):
                                         "--a1sq", a1sq])
     assert code == 3
     assert err == [f"error: a1_sq must lie in [0, 1], got {float(a1sq)}"]
+
+
+# Every option of every subcommand, as (value in a base call or None for left out, another
+# value); '{run}' is the call's own directory and '{tmp}' the test's. Every subcommand
+# takes --out, and those that write rows --format and --precision.
+ROWS = {"--format": (None, "json"), "--precision": (None, "full")}
+OPTIONS = {
+    "amplitudes": {"--n": ("4", "5"), "--scan": ("0:2:1", "0:3:1"), **ROWS},
+    "one-qubit": {"--n": ("5", "6"), "--t": ("6", "7"), "--b": ("2", "3"),
+                  "--a1sq": ("0.4", "0.5"), "--phase": (None, "1")},
+    "map": {"--n": ("6", "7"), "--t": ("5.5", "6"), "--b": ("3", "2"),
+            "--sender": ("{tmp}/a.json", "{tmp}/b.json")},
+    "solve": {"--n": ("6", "8"), "--t": ("8.5153", "8"), "--b": ("10", "9"),
+              "--lambda0": ("1.0837", "1.2")},
+    "region": {"--n": ("6", "8"), "--t-grid": ("8.4:8.6:0.1", "8.4:8.5:0.1"),
+               "--b-grid": ("10:10:1", "9:9:1"), "--lambda0-grid": ("1:1.1:0.05", "1:1:1"),
+               "--case": ("1", "3"), **ROWS},
+    "optimize": {"--n": ("6", "8"), "--case": ("1", "2"), "--lambda0": ("one", "free"),
+                 "--t-window": (None, "5:9"), "--dump": ("{run}/dump.csv", "{run}/other.csv"),
+                 "--precision": (None, "full")},
+    "curve": {"--n": ("6", "8"), "--b-grid": ("2:3:0.25", "2:2.25:0.25"), **ROWS},
+    "oracle-check": {"--n": ("4", "5"), "--samples": ("2", "3"), "--seed": (None, "2"),
+                     "--precision": (None, "full")},
+    "table1": {"--n": ("4", "6"), "--lambda0": ("one", "free"), **ROWS},
+}
+for _options in OPTIONS.values():
+    _options["--out"] = (None, "{run}/out.txt")
+# the output flags a subcommand does not take, since it would not read them
+DROPPED = {"one-qubit": ("--format", "--precision"), "map": ("--format", "--precision"),
+           "solve": ("--format", "--precision"), "optimize": ("--format",),
+           "oracle-check": ("--format",)}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_every_option_changes_what_is_written(tmp_path, capsys, command):
+    # the parser takes exactly the options above, and each one changes stdout or a
+    # file written; --out moves stdout, byte for byte, into its file, and a dropped
+    # output flag is a usage error
+    for name, seed in (("a", 7), ("b", 8)):
+        rho = random_density(np.random.default_rng(seed))
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps([[[z.real, z.imag] for z in row] for row in rho]))
+    runs = iter(range(len(OPTIONS[command]) + 1))
+
+    def argv(changed=None, run=tmp_path):
+        values = {flag: value for flag, (value, _) in OPTIONS[command].items()}
+        if changed:
+            values[changed] = OPTIONS[command][changed][1]
+        return [command] + [text.format(run=run, tmp=tmp_path) for flag, value in values.items()
+                            if value is not None for text in (flag, value)]
+
+    def written(changed=None):
+        run = tmp_path / f"run{next(runs)}"
+        run.mkdir()
+        code, out = _run(capsys, argv(changed, run))
+        assert code == 0
+        return out, {path.name: path.read_bytes() for path in run.iterdir()}
+
+    # less the command and its function
+    assert len(vars(build_parser().parse_args(argv()))) - 2 == len(OPTIONS[command])
+    base = written()
+    for flag in OPTIONS[command]:
+        out, files = written(flag)
+        if flag == "--out":
+            assert (out, files) == ("", {**base[1], "out.txt": base[0].encode()})
+        assert (out, files) != base, flag
+    for flag in DROPPED.get(command, ()):
+        with pytest.raises(SystemExit) as exc:
+            main(argv() + [flag, "json" if flag == "--format" else "full"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
