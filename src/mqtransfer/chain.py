@@ -129,7 +129,7 @@ def endpoint_power_max(basis: ModeBasis, t_lo: float, t_hi: float) -> tuple[floa
     almost-periodic |f|^2.
     """
     return grid_max(lambda x: np.abs(endpoint_amplitude(basis, x)) ** 2,
-                    np.arange(t_lo, t_hi + 1e-3, 1e-3), 1e-9)
+                    np.arange(t_lo, t_hi + 1e-9, 1e-3), 1e-9)
 
 
 @dataclass(frozen=True)

@@ -110,28 +110,26 @@ def _meta(args) -> dict:
     return {"n": args.n, "command": args.command, "version": __version__}
 
 
-def _emit(args, header: list[str], rows) -> None:
-    with _opened(args.out) as out:
-        if args.format == "csv":
-            _write_csv(out, header, rows, args.precision)
-            return
-        # the text of json.dump({"meta": meta, "data": rows}, indent=2), written
-        # one row at a time: the head runs through '"data": ['
-        out.write(json.dumps({"meta": _meta(args), "data": []}, indent=2)[:-3])
-        empty = True
-        for row in rows:
-            item = dict(zip(header, [cell if isinstance(cell, str) else float(cell)
-                                     for cell in row]))
-            text = json.dumps(item, indent=2).replace("\n", "\n    ")
-            out.write(("\n    " if empty else ",\n    ") + text)
-            empty = False
-        out.write("]\n}\n" if empty else "\n  ]\n}\n")
+def _emit(args, out, header: list[str], rows) -> None:
+    if args.format == "csv":
+        _write_csv(out, header, rows, args.precision)
+        return
+    # the text of json.dump({"meta": meta, "data": rows}, indent=2), written
+    # one row at a time: the head runs through '"data": ['
+    out.write(json.dumps({"meta": _meta(args), "data": []}, indent=2)[:-3])
+    empty = True
+    for row in rows:
+        item = dict(zip(header, [cell if isinstance(cell, str) else float(cell)
+                                 for cell in row]))
+        text = json.dumps(item, indent=2).replace("\n", "\n    ")
+        out.write(("\n    " if empty else ",\n    ") + text)
+        empty = False
+    out.write("]\n}\n" if empty else "\n  ]\n}\n")
 
 
-def _emit_object(args, payload) -> None:
-    with _opened(args.out) as out:
-        json.dump({"meta": _meta(args), "data": payload}, out, indent=2)
-        out.write("\n")
+def _emit_object(args, out, payload) -> None:
+    json.dump({"meta": _meta(args), "data": payload}, out, indent=2)
+    out.write("\n")
 
 
 def _lambda0_mode(args) -> str:
@@ -152,16 +150,15 @@ def _result_payload(res: OptResult) -> dict:
     return payload
 
 
-def _cmd_amplitudes(args) -> int:
+def _cmd_amplitudes(args, out) -> None:
     basis = mode_basis(args.n)
     (ts,) = _parse_grids(lambda nt: 24 * nt, args.scan)
     f = endpoint_amplitude(basis, ts)
     rows = ((t, z.real, z.imag, abs(z) ** 2) for t, z in zip(ts, f))
-    _emit(args, ["t", "f_re", "f_im", "f_abs2"], rows)
-    return 0
+    _emit(args, out, ["t", "f_re", "f_im", "f_abs2"], rows)
 
 
-def _cmd_one_qubit(args) -> int:
+def _cmd_one_qubit(args, out) -> None:
     spec = ChainSpec(args.n)
     state = Qubit1State.pure(args.a1sq, args.phase)
     rho = receiver_state_1q(state, args.t, args.b, spec)
@@ -173,8 +170,7 @@ def _cmd_one_qubit(args) -> int:
         payload["lambda0_variant_a"] = lambda0_variant_a(state, args.t, args.b, spec)
     if args.a1sq > 0.0:
         payload["lambda0_variant_b"] = lambda0_variant_b(state, args.t, args.b, spec)
-    _emit_object(args, payload)
-    return 0
+    _emit_object(args, out, payload)
 
 
 def _load_sender(path: str) -> np.ndarray:
@@ -186,15 +182,14 @@ def _load_sender(path: str) -> np.ndarray:
                                   f"{exc}") from exc
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args, out) -> None:
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
     rho_r = receiver_from_sender(table, _load_sender(args.sender))
-    _emit_object(args, {"receiver": _matrix_pairs(rho_r)})
-    return 0
+    _emit_object(args, out, {"receiver": _matrix_pairs(rho_r)})
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, out) -> None:
     if not np.isfinite(args.lambda0_value):
         raise ConfigurationError(f"--lambda0 must be finite, got {args.lambda0_value}")
     spec = ChainSpec(args.n)
@@ -219,8 +214,7 @@ def _cmd_solve(args) -> int:
         "x0": [_complex_pair(z) for z in x0],
         "residual": residual,
     }
-    _emit_object(args, payload)
-    return 0
+    _emit_object(args, out, payload)
 
 
 def _region_bytes(n_sites: int, nt, nb, nl):
@@ -228,7 +222,7 @@ def _region_bytes(n_sites: int, nt, nb, nl):
     return 2**20 + 16 * nt * nb * nl + 352 * nt * nl + (1100 + 32 * n_sites) * nt
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args, out) -> None:
     spec = ChainSpec(args.n)
     t_grid, b_grid, l0_grid = _parse_grids(
         lambda nt, nb, nl: _region_bytes(args.n, nt, nb, nl),
@@ -240,32 +234,29 @@ def _cmd_region(args) -> int:
         del points, cells  # else they live on while the next column is formed
     rows = ((t, b, l0, x, y, x * y) for (t, b, l0), x, y
             in zip(itertools.product(t_grid, b_grid, l0_grid), s1.ravel(), s2.ravel()))
-    _emit(args, ["t", "b", "lambda0", "S1", "S2", "S12"], rows)
-    return 0
+    _emit(args, out, ["t", "b", "lambda0", "S1", "S2", "S12"], rows)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args, out) -> None:
     spec = ChainSpec(args.n)
     window = tuple(_parse_floats(args.t_window, "lo:hi")) if args.t_window else None
     problem = OptProblem(args.case, _lambda0_mode(args), window)
     res = optimize(problem, spec)
-    _emit_object(args, _result_payload(res))
+    _emit_object(args, out, _result_payload(res))
     if args.dump and res.feasible:
-        with _opened(args.dump) as out:
-            _write_csv(out, *objective_landscape(spec, problem, res.b_opt), args.precision)
-    return 0
+        with _opened(args.dump) as dump:
+            _write_csv(dump, *objective_landscape(spec, problem, res.b_opt), args.precision)
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args, out) -> None:
     spec = ChainSpec(args.n)
     grids = _parse_grids(lambda nb: 24 * (20 * args.n + 1) * nb, args.b_grid) if args.b_grid else []
     pts = uniform_curve(spec, *grids)
     rows = [(p.b, p.t, p.lam) for p in pts]
-    _emit(args, ["b", "t", "lambda"], rows)
-    return 0
+    _emit(args, out, ["b", "t", "lambda"], rows)
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args, out) -> None:
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     spec = ChainSpec(args.n)
@@ -279,19 +270,16 @@ def _cmd_oracle_check(args) -> int:
         table = alpha_table(amplitude_set(basis, t), b, spec)
         dev = np.linalg.norm(receiver_from_sender(table, rho_s) - evolve_and_trace(rho_s, t, b, spec))
         worst = max(worst, float(dev))
-    with _opened(args.out) as out:
-        print(f"max Frobenius deviation analytic vs oracle (n={args.n}, "
-              f"samples={args.samples}): {_fmt(worst, args.precision)}", file=out)
-    return 0
+    print(f"max Frobenius deviation analytic vs oracle (n={args.n}, "
+          f"samples={args.samples}): {_fmt(worst, args.precision)}", file=out)
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args, out) -> None:
     results = summary_table(ChainSpec(args.n), _lambda0_mode(args))
     rows = ((f"case{case}", res.s1, res.s2,
              *(float("nan") if x is None else x for x in (res.lambda1, res.lambda2)),
              res.t_opt, res.b_opt, res.lambda0_opt) for case, res in results.items())
-    _emit(args, ["case", "S1", "S2", "lambda1", "lambda2", "t_opt", "b_opt", "lambda0_opt"], rows)
-    return 0
+    _emit(args, out, ["case", "S1", "S2", "lambda1", "lambda2", "t_opt", "b_opt", "lambda0_opt"], rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,11 +378,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        # opened before the command runs, as the shell's '> F' is: an unwritable path
+        # costs no work, and a command that fails leaves F empty
+        with _opened(args.out) as out:
+            args.func(args, out)
     except (ConfigurationError, ValidationError, SingularInputError,
             ResourceError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, check_inverse_temperature, endpoint_amplitude, mode_basis, thermal_weights
+from .chain import (ChainSpec, check_inverse_temperature, check_time, endpoint_amplitude, mode_basis,
+                    thermal_weights)
 from .errors import SingularInputError, ValidationError
 from .search import bracket_root, grid_max
 
@@ -102,6 +103,7 @@ def lambda0_variant_b(state: Qubit1State, t: float, b: float, spec: ChainSpec) -
 
 def state_independent_target(b: float) -> float:
     """Threshold 2 e^b / (1 + 2 e^b) = 2 / (2 + e^-b) for |f|^2; bounded below by 2/3 for b >= 0."""
+    check_inverse_temperature(b)
     return float(2.0 / (2.0 + np.exp(-b)))
 
 
@@ -113,8 +115,9 @@ def state_independent_time(b: float, spec: ChainSpec, t_max: float) -> float | N
     equals the global maximum), the touching point is refined and returned.
     None when the window never gets within 1e-9.
     """
+    target = state_independent_target(b)  # checks b
+    check_time(t_max)
     basis = mode_basis(spec.n_sites)
-    target = state_independent_target(b)
     ts = np.arange(0.0, t_max + 0.01, 0.01)
     ts = ts[ts <= t_max + 1e-12]
 
@@ -134,14 +137,15 @@ def state_independent_time(b: float, spec: ChainSpec, t_max: float) -> float | N
     return t_best if abs(d_best) <= 1e-9 else None
 
 
-def perfect_zero_a1(t: float, b: float, spec: ChainSpec) -> float:
+def perfect_zero_a1(b: float) -> float:
     """Excited population making the zero-order transfer exact (lambda0 = 1).
 
     Both restoring variants give |a1|^2 = 1/(1 + e^b): the sender population
     must match the thermal background, after which the diagonal is a fixed
     point of the map. At |f(t)| = 1 the condition is degenerate (perfect
     state transfer; every |a1|^2 satisfies it) and the same canonical value
-    is returned.
+    is returned. The condition is independent of the transfer amplitude, so of
+    the time and the chain.
     """
-    del t, spec  # the condition is independent of the transfer amplitude
+    check_inverse_temperature(b)
     return float(thermal_weights(b)[1])

@@ -17,6 +17,8 @@ trailing ones, so the analytic and brute-force conventions coincide.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .chain import ChainSpec, check_inverse_temperature, check_time, thermal_weights
@@ -34,10 +36,6 @@ __all__ = [
 # sample) takes about 0.9 s, each further sample 0.27 s, at a peak RSS of
 # 122 MB. The dense Hamiltonian of build_hamiltonian is 256 MB by itself.
 MAX_SITES = 12
-
-# per N and per (N, n_sender): the results of _sectors and _gram_groups
-_SECTOR_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-_GRAM_CACHE: dict[tuple[int, int], tuple[np.ndarray, list[tuple]]] = {}
 
 
 def _check_sites(n: int) -> None:
@@ -77,50 +75,48 @@ def _popcounts(n: int) -> np.ndarray:
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
 
 
+@lru_cache(maxsize=None)
 def _sectors(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per sector k = 0..N its basis states, eigenvalues and real eigenvectors."""
-    if n not in _SECTOR_CACHE:
-        counts = _popcounts(n)
-        pos = np.empty(1 << n, dtype=np.intp)
-        src, dst = _hops(n)
-        sectors = []
-        for k in range(n + 1):
-            basis = np.flatnonzero(counts == k)
-            pos[basis] = np.arange(basis.size)
-            hop = counts[src] == k
-            h = np.zeros((basis.size, basis.size))
-            h[pos[dst[hop]], pos[src[hop]]] = h[pos[src[hop]], pos[dst[hop]]] = 0.5
-            sectors.append((basis, *np.linalg.eigh(h)))
-        for array in (array for sector in sectors for array in sector):
-            array.setflags(write=False)
-        _SECTOR_CACHE[n] = sectors
-    return _SECTOR_CACHE[n]
+    counts = _popcounts(n)
+    pos = np.empty(1 << n, dtype=np.intp)
+    src, dst = _hops(n)
+    sectors = []
+    for k in range(n + 1):
+        basis = np.flatnonzero(counts == k)
+        pos[basis] = np.arange(basis.size)
+        hop = counts[src] == k
+        h = np.zeros((basis.size, basis.size))
+        h[pos[dst[hop]], pos[src[hop]]] = h[pos[src[hop]], pos[dst[hop]]] = 0.5
+        sectors.append((basis, *np.linalg.eigh(h)))
+    for array in (array for sector in sectors for array in sector):
+        array.setflags(write=False)
+    return sectors
 
 
+@lru_cache(maxsize=None)
 def _gram_groups(n: int, n_sender: int) -> tuple[np.ndarray, list[tuple]]:
     """Offsets of the sector propagators stacked flat in k order; per pair
     (|e|, |g|), the labels r * 2^n_sender + s of its blocks (r, s) in U_{|e|+|r|},
     a background g of the class, and per block the stack offsets of the rows
     (e, r) and in-sector indices of the columns (s, g), e and g ascending."""
-    if (n, n_sender) not in _GRAM_CACHE:
-        n_bg, d_rec = n - n_sender, 1 << n_sender
-        bases = [basis for basis, _, _ in _sectors(n)]
-        starts = np.cumsum([0] + [basis.size ** 2 for basis in bases])
-        counts = _popcounts(n_bg)
-        by_count = [np.flatnonzero(counts == c) for c in range(n_bg + 1)]
-        groups = []
-        for c_env, env in enumerate(by_count):
-            for c_bg, bg in enumerate(by_count):
-                blocks = [(r, s, c_env + counts[r]) for r in range(d_rec) for s in range(d_rec)
-                          if c_env + counts[r] == c_bg + counts[s]]
-                if blocks:
-                    rows = [starts[k] + bases[k].size * np.searchsorted(bases[k], (env << n_sender) | r)
-                            for r, _, k in blocks]
-                    cols = [np.searchsorted(bases[k], (s << n_bg) | bg) for _, s, k in blocks]
-                    groups.append((np.array([r * d_rec + s for r, s, _ in blocks]), bg[0],
-                                   np.array(rows), np.array(cols)))
-        _GRAM_CACHE[n, n_sender] = starts, groups
-    return _GRAM_CACHE[n, n_sender]
+    n_bg, d_rec = n - n_sender, 1 << n_sender
+    bases = [basis for basis, _, _ in _sectors(n)]
+    starts = np.cumsum([0] + [basis.size ** 2 for basis in bases])
+    counts = _popcounts(n_bg)
+    by_count = [np.flatnonzero(counts == c) for c in range(n_bg + 1)]
+    groups = []
+    for c_env, env in enumerate(by_count):
+        for c_bg, bg in enumerate(by_count):
+            blocks = [(r, s, c_env + counts[r]) for r in range(d_rec) for s in range(d_rec)
+                      if c_env + counts[r] == c_bg + counts[s]]
+            if blocks:
+                rows = [starts[k] + bases[k].size * np.searchsorted(bases[k], (env << n_sender) | r)
+                        for r, _, k in blocks]
+                cols = [np.searchsorted(bases[k], (s << n_bg) | bg) for _, s, k in blocks]
+                groups.append((np.array([r * d_rec + s for r, s, _ in blocks]), bg[0],
+                               np.array(rows), np.array(cols)))
+    return starts, groups
 
 
 def _thermal_weights(b: float, count: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
+from .errors import ConfigurationError
 from .solvers import (first_order_at, solve_first_order, solve_zero_order, zero_order_at,
                       zero_order_spectrum)
 from .two_qubit import lambda1_real, temperature_factors, transfer_blocks
@@ -258,7 +259,7 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
     Infeasible points (see case_metrics) report zero metrics instead of raising.
     """
     if case not in (1, 2, 3, 4):
-        raise ValueError(f"case must be 1..4, got {case}")
+        raise ConfigurationError(f"case must be 1..4, got {case}")
     check_inverse_temperature(b)
     times = time_stage(spec, t)
     points = region_points(times, b)

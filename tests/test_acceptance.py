@@ -297,7 +297,7 @@ def test_criterion_10_perfect_zero_order():
         spec = ChainSpec(n)
         t = rng.uniform(0.0, 3.0 * n)
         b = rng.uniform(0.0, 6.0)
-        a1 = perfect_zero_a1(t, b, spec)
+        a1 = perfect_zero_a1(b)
         state = Qubit1State.pure(a1)
         worst = max(worst,
                     abs(lambda0_variant_a(state, t, b, spec) - 1.0),

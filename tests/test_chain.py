@@ -16,8 +16,11 @@ from mqtransfer import (
     lambda0_variant_b,
     lambda1_1q,
     mode_basis,
+    perfect_zero_a1,
     receiver_state_1q,
     region_metrics,
+    state_independent_target,
+    state_independent_time,
     thermal_background,
     transition_amplitude,
     uniform_curve,
@@ -141,6 +144,15 @@ def test_endpoint_power_max_small_chain():
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n, t_lo, t_hi", [
+    (4, 14.863, 16.217), (5, 2.816, 2.911), (6, 27.043, 27.144), (7, 21.89, 22.283), (8, 4.053, 5.51),
+])
+def test_endpoint_power_max_stays_in_its_window(n, t_lo, t_hi):
+    # the scan grid ends at t_hi, not a step past it, where |f|^2 rises out of the window
+    t, _ = endpoint_power_max(mode_basis(n), t_lo, t_hi)
+    assert t_lo - 1e-9 <= t <= t_hi + 1e-9
+
+
 def test_amplitude_set_structure():
     basis = mode_basis(6)
     amps = amplitude_set(basis, 0.0)
@@ -163,9 +175,12 @@ def test_amplitude_set_structure():
     lambda b: evolve_and_trace(np.eye(4) / 4.0, 5.0, b, ChainSpec(4)),
     lambda b: thermal_background(b, 3),
     lambda b: uniform_curve(ChainSpec(6), [1.0, b]),
+    lambda b: perfect_zero_a1(b),
+    lambda b: state_independent_target(b),
+    lambda b: state_independent_time(b, ChainSpec(5), 10.0),
 ], ids=["region_metrics", "alpha_table", "receiver_state_1q", "lambda1_1q",
         "lambda0_variant_a", "lambda0_variant_b", "evolve_and_trace", "thermal_background",
-        "uniform_curve"])
+        "uniform_curve", "perfect_zero_a1", "state_independent_target", "state_independent_time"])
 @pytest.mark.parametrize("b", [-0.5, float("nan"), float("inf")])
 def test_every_entry_point_rejects_b_outside_domain(call, b):
     # one domain for the inverse temperature, one check and one message
@@ -183,8 +198,10 @@ def test_every_entry_point_rejects_b_outside_domain(call, b):
     lambda t: lambda0_variant_b(Qubit1State.pure(0.4), t, 1.0, ChainSpec(5)),
     lambda t: transition_amplitude(mode_basis(5), 1, 5, t),
     lambda t: evolve_and_trace(np.eye(4) / 4.0, t, 1.0, ChainSpec(4)),
+    lambda t: state_independent_time(1.0, ChainSpec(5), t),
 ], ids=["region_metrics", "alpha_table", "receiver_state_1q", "lambda1_1q",
-        "lambda0_variant_a", "lambda0_variant_b", "transition_amplitude", "evolve_and_trace"])
+        "lambda0_variant_a", "lambda0_variant_b", "transition_amplitude", "evolve_and_trace",
+        "state_independent_time"])
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
 def test_every_entry_point_rejects_non_finite_time(call, t):
     # one rule for the time on the analytic and the oracle side, one check and one message

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mqtransfer import ChainSpec, amplitude_set, alpha_table, mode_basis, receiver_from_sender
+from mqtransfer import cli
 from mqtransfer.cli import _region_bytes, build_parser, main
 from mqtransfer.two_qubit import random_density
 
@@ -264,6 +265,27 @@ def test_solve_on_the_zero_order_spectrum_is_one_line(capsys):
                                     f"--lambda0={lambda0!r}"])
     assert code == 3
     assert len(err) == 1 and "too close to the spectrum" in err[0]
+
+
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    # --out is opened before the command runs, as the shell's '>' is: a path that
+    # cannot be written costs no table
+    def no_table(*args):
+        raise AssertionError("summary_table ran before --out was opened")
+
+    monkeypatch.setattr(cli, "summary_table", no_table)
+    code, err = _run_error(capsys, ["table1", "--n", "6", "--out", str(tmp_path / "missing" / "t.csv")])
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_failed_command_leaves_out_empty(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    code, err = _run_error(capsys, ["solve", "--n", "6", "--t", "5", "--b", "-1", "--lambda0", "1",
+                                    "--out", str(out)])
+    assert code == 3
+    assert err == ["error: inverse temperature must be finite and >= 0, got -1.0"]
+    assert out.read_bytes() == b""
 
 
 def test_usage_error_exit_code():

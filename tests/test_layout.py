@@ -137,3 +137,18 @@ def test_no_module_but_two_qubit_forms_the_phase():
              for hit in _imaginary_powers(path)]
     assert not found, found
     assert _imaginary_powers(PACKAGE / "two_qubit.py")
+
+
+def test_cli_opens_out_once_and_commands_return_nothing():
+    # main opens --out before the command runs and hands the stream to it; only the
+    # --dump landscape, written after a feasible optimum, opens a file of its own.
+    # A command returns nothing: main gives the exit code
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    opens = sorted(f"{func.name}: {ast.unparse(node)}" for func in functions for node in ast.walk(func)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "_opened")
+    assert opens == ["_cmd_optimize: _opened(args.dump)", "main: _opened(args.out)"]
+    returns = [f"cli.py:{node.lineno} {func.name}" for func in functions if func.name.startswith("_cmd_")
+               for node in ast.walk(func) if isinstance(node, ast.Return) and node.value is not None]
+    assert not returns, returns

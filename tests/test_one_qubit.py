@@ -67,7 +67,7 @@ def test_receiver_tends_to_zero_temperature_limit(b):
         warnings.simplefilter("error")
         rho = receiver_state_1q(state, t, b, spec)
         variants = (lambda0_variant_a(state, t, b, spec), lambda0_variant_b(state, t, b, spec),
-                    state_independent_target(b), perfect_zero_a1(t, b, spec))
+                    state_independent_target(b), perfect_zero_a1(b))
     assert rho[0, 0].real == pytest.approx(1.0 - 0.4 * abs(f) ** 2, abs=1e-15)
     assert rho[0, 1] == pytest.approx(state.phase_prod * np.conj(f), abs=1e-15)
     assert variants == pytest.approx(((1.0 - 0.4 * abs(f) ** 2) / 0.6, abs(f) ** 2, 1.0, 0.0),
@@ -204,7 +204,7 @@ def test_perfect_zero_closed_loop(rng):
         n = int(rng.integers(2, 9))
         spec = ChainSpec(n)
         t, b = rng.uniform(0, 3 * n), rng.uniform(0, 6)
-        a1 = perfect_zero_a1(t, b, spec)
+        a1 = perfect_zero_a1(b)
         assert 0.0 < a1 <= 0.5
         state = Qubit1State.pure(a1)
         assert lambda0_variant_a(state, t, b, spec) == pytest.approx(1.0, abs=1e-10)
@@ -212,7 +212,7 @@ def test_perfect_zero_closed_loop(rng):
 
 
 def test_perfect_zero_basic_value():
-    assert perfect_zero_a1(0.0, 0.0, ChainSpec(4)) == pytest.approx(0.5, abs=1e-15)
+    assert perfect_zero_a1(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_perfect_transfer_degeneracy():

@@ -191,7 +191,7 @@ def test_analytic_maps_match_oracle_up_to_max_sites(rng, n):
     _check_analytic_maps_against_oracle(rng, n, 1)
 
 
-def test_oracle_caches_are_keyed_by_sender_size(rng, monkeypatch):
+def test_oracle_caches_are_keyed_by_sender_size(rng):
     # the Gram index sets depend on (N, n_sender): alternating sender sizes at
     # one N gives what a run on empty caches gives
     spec = ChainSpec(6)
@@ -200,8 +200,8 @@ def test_oracle_caches_are_keyed_by_sender_size(rng, monkeypatch):
                random_density(rng)]
     cached = [evolve_and_trace(sender, t, b, spec) for sender in senders]
     for sender, got in zip(senders, cached):
-        monkeypatch.setattr(oracle, "_SECTOR_CACHE", {})
-        monkeypatch.setattr(oracle, "_GRAM_CACHE", {})
+        oracle._sectors.cache_clear()
+        oracle._gram_groups.cache_clear()
         fresh = evolve_and_trace(sender, t, b, spec)
         assert got.shape == fresh.shape == sender.shape
         assert np.max(np.abs(got - fresh)) < 1e-15

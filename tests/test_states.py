@@ -3,6 +3,8 @@ import pytest
 
 from mqtransfer import (
     ChainSpec,
+    ConfigurationError,
+    OptProblem,
     alpha_table,
     amplitude_set,
     assemble_sender,
@@ -254,3 +256,11 @@ def test_block_rays_at_eigenvalue_crossing(table_n6_one):
     c1_ref = 1.0 / np.sqrt(np.linalg.eigvalsh(hermitian).max())
     _, c1, _ = block_rays(base_entries(res.x0), res.x1)
     assert float(c1) == pytest.approx(c1_ref, rel=1e-12)
+
+
+def test_region_metrics_rejects_a_case_outside_1_to_4():
+    # the same error type and message as OptProblem, which holds the rule for optimize
+    for call in (lambda: region_metrics(ChainSpec(6), 5.0, 1.0, 1.0, case=5),
+                 lambda: OptProblem(5, "free")):
+        with pytest.raises(ConfigurationError, match="case must be 1..4, got 5"):
+            call()
