@@ -134,9 +134,10 @@ def endpoint_power_max(basis: ModeBasis, t_lo: float, t_hi: float) -> tuple[floa
 
 @dataclass(frozen=True)
 class AmplitudeSet:
-    """The four sender-to-receiver amplitudes at time t.
+    """The three sender-to-receiver amplitudes at time t.
 
-    f11 = f_{1,N-1}, f1n = f_{1,N}, f21 = f_{2,N-1}, f2n = f_{2,N}; the
+    f11 = f_{1,N-1}, which the chain's mirror symmetry makes equal to
+    f_{2,N}, f1n = f_{1,N} and f21 = f_{2,N-1} (see amplitude_grids); the
     endpoint amplitude is conj(f1n), since g and the energies are real.
     """
 
@@ -144,19 +145,22 @@ class AmplitudeSet:
     f11: complex
     f1n: complex
     f21: complex
-    f2n: complex
 
 
 def amplitude_grids(basis: ModeBasis, ts) -> tuple:
-    """f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N} over ts (any shape), sharing one phase grid.
-    Every two-qubit path starts here, so N < 4 (no disjoint sender and receiver) and a
-    non-finite time are refused."""
+    """p = f_{1,N-1} = f_{2,N}, q = f_{1,N} and r = f_{2,N-1} over ts (any shape), sharing one
+    phase grid. The mirror symmetry of the sine modes, g[N-1-j, k] = (-1)^k g[j, k], gives
+    f_{2,N} = f_{1,N-1}, so the transfer matrix W = [[p, q], [r, p]] of these amplitudes has
+    equal diagonal entries exactly, from one weight column; it also fixes their parity:
+    for even N, p is real and q and r imaginary, for odd N the reverse. Every two-qubit
+    path starts here, so N < 4 (no disjoint sender and receiver) and a non-finite time are
+    refused."""
     n, g = basis.n_sites, basis.g
     if n < 4:
         raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {n}")
     check_time(ts)
     phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
-    weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2], g[1] * g[n - 1]], axis=1)
+    weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2]], axis=1)
     f = phase @ weights
     # unlike np.moveaxis, a transpose costs no Python-level axis handling
     return tuple(f.transpose(-1, *range(f.ndim - 1)))
@@ -164,5 +168,5 @@ def amplitude_grids(basis: ModeBasis, ts) -> tuple:
 
 def amplitude_set(basis: ModeBasis, t: float) -> AmplitudeSet:
     """Amplitudes between sender sites (1, 2) and receiver sites (N-1, N)."""
-    f11, f1n, f21, f2n = (complex(f) for f in amplitude_grids(basis, t))
-    return AmplitudeSet(t=t, f11=f11, f1n=f1n, f21=f21, f2n=f2n)
+    f11, f1n, f21 = (complex(f) for f in amplitude_grids(basis, t))
+    return AmplitudeSet(t=t, f11=f11, f1n=f1n, f21=f21)

@@ -26,8 +26,8 @@ grid (see _scan). Case 4 samples the curve in closed form, b(t) from
 tanh(b/2)^(N-2) = w_small(t) with w_small the smaller eigenvalue of the
 transfer matrix W, along the t grid, and refines its best points with one
 bracket search in t. Cases 2-4 need a real single-quantum factor, which
-mqtransfer.two_qubit.lambda1_real decides exactly and independently of b > 0;
-for odd N there is none, so those cases are infeasible there.
+mqtransfer.two_qubit.transfer_spectrum decides exactly and independently of
+b > 0; for odd N there is none, so those cases are infeasible there.
 
 Every search runs on the one domain of the paper's table, fixed by the
 module constants: the b window B_WINDOW and its grid B_GRID of step B_STEP,
@@ -51,7 +51,7 @@ from .search import bracket_max, bracket_root, grid_max
 from .solvers import solve_zero_order
 from .states import (RegionPoints, case_metrics, region_cells, region_columns, region_metrics,
                      region_points, time_stage)
-from .two_qubit import lambda1_real, w_small
+from .two_qubit import transfer_spectrum
 
 __all__ = [
     "OptProblem",
@@ -148,9 +148,15 @@ def lambda2_landmark(spec: ChainSpec) -> tuple[float, float]:
 def first_window(spec: ChainSpec) -> tuple[float, float]:
     """Default t search window [0.5 N, min(1.5 N, first double-quantum peak + 1)].
 
-    Later transfer windows can host larger scaled regions in long chains; the
-    optimizer deliberately stays in the first one, where the reference optima
-    live. Pass an explicit t_window to search further.
+    The optimizer stays in this first transfer window, where the reference
+    optima live; pass an explicit t_window to search elsewhere. Later windows
+    are not better across the board. With free lambda0 on [1.5 N, 2.5 N] and
+    [2.5 N, 3.5 N], N = 42 reaches more in case 3 (0.00168 and 0.00109 against
+    0.00070 here) and case 4 (0.00056 and 0.00029 against 0.00019), but less
+    in case 1 (0.049 and 0.058 against 0.115) and case 2 (0.039 against
+    0.047); at N = 6 every case reaches less there. Several of those optima sit
+    on a window edge (t = 63 at N = 42, t = 9 and 15 at N = 6), so [k +- 0.5] N
+    does not delimit the later transfer windows.
     """
     n = spec.n_sites
     t_peak, _ = lambda2_landmark(spec)
@@ -164,16 +170,17 @@ def first_window(spec: ChainSpec) -> tuple[float, float]:
 def _curve(n: int, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The curve value v(t), the mask of a real lambda1 at b > 0 and lambda2 = det W over ts.
 
-    Where lambda1 is real (mqtransfer.two_qubit.lambda1_real), N is even, W's
+    Where lambda1 is real (mqtransfer.two_qubit.transfer_spectrum), N is even, W's
     eigenvalues w_big and w_small are real, lambda1 = c w_big with
     c = tanh(b/2)^(N-2) (see mqtransfer.solvers), and lambda1 - lambda2 =
-    w_big (c - w_small). So the curve is tanh(b/2)^(N-2) = v = w_small
-    (two_qubit.w_small, continued past the realness edge). For odd N, v is
-    NaN and the mask all False: no real pair, no curve.
+    w_big (c - w_small). So the curve is tanh(b/2)^(N-2) = v = Re w_small, which
+    past the realness edge, where w_small = p +- i sqrt(-q r), continues as p. For
+    odd N, v is NaN and the mask all False: no real pair, no curve.
     """
-    p, q, r, s = amplitude_grids(mode_basis(n), ts)
-    trace, det = p + s, p * s - q * r
-    return w_small(trace, det, n), lambda1_real(trace, det, n), det.real
+    p, q, r = amplitude_grids(mode_basis(n), ts)
+    w = transfer_spectrum(p, q, r, n)
+    v = w.small.real if n % 2 == 0 else np.full(np.shape(p), np.nan)
+    return v, w.real, (p * p - q * r).real
 
 
 def _t_grid(spec: ChainSpec, t_window: tuple[float, float] | None) -> np.ndarray:
@@ -403,9 +410,10 @@ def uniform_curve(spec: ChainSpec, bs=B_GRID) -> list[CurvePoint]:
     are kept only where W's eigenvalues are real, the residual is below 1e-6
     and the common value exceeds CURVE_MIN_LAMBDA (zero crossings of both
     factors are degenerate, not scaling). For odd N, W has no real
-    eigenvalue pair, so the curve is empty. For N = 4n, ph = (-i)^(N-2) = -1
-    and a curve point needs tr W / ph < 0 where det W > 0; that the first
-    window has none, so that this curve is empty as well, rests on sampling.
+    eigenvalue pair, so the curve is empty. A curve point needs both of W's
+    eigenvalues positive (w_small = tanh(b/2)^(N-2) and lambda2 = w_big w_small
+    > 0), so p > 0; that the first window has no such point for N = 4n, so
+    that this curve is empty as well, rests on sampling.
     """
     bs = np.asarray(bs, dtype=float)
     if bs.ndim != 1:

@@ -7,13 +7,13 @@ BLOCK_BASIS the map is G = U F U^T = theta [[tau A, C], [0, tau Q]] with
 tau = tanh(b/2) (mqtransfer.two_qubit.transfer_blocks), so its eigenvalues
 are c = theta tau = (-1)^N tanh(b/2)^(N-2) times those of the 2x2 blocks A
 and Q, spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2} with w1, w2 the
-eigenvalues of the transfer matrix W = [[p, q], [r, s]]. The blocks must
-come from transfer_blocks: W is then a 2x2 block of the unitary propagator
-e^{-iht}, so ||W||_2 <= 1 and |w_i| |w_j|^2 <= |w_i|, and the factor is
-always lambda1 = c w_big, w_big the larger eigenvalue of W. Where W's
-eigenvalues are real (mqtransfer.two_qubit.lambda1_real decides it, exactly,
-from tr W and det W) all four are. One helper (_eigenpair) solves every 2x2
-eigenproblem here. The zero-order sender vector solves the 5x5 system
+eigenvalues of the chain's transfer matrix W = [[p, q], [r, p]]. W is a 2x2
+block of the unitary propagator e^{-iht}, so ||W||_2 <= 1 and
+|w_i| |w_j|^2 <= |w_i|, and the factor is always lambda1 = c w_big, w_big the
+larger eigenvalue of W. W's eigen-data, and where its eigenvalues are real
+(then all four are), come in closed form from
+mqtransfer.two_qubit.transfer_spectrum; no 2x2 eigenproblem is solved here.
+The zero-order sender vector solves the 5x5 system
 (lambda0 I - T0) x0 = B, in which the zero-order factor lambda0 enters as a
 free real parameter, also in closed form. In the moments
 z = M x (MOMENTS) the map M T0 M^-1 is block lower-triangular, with the
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .two_qubit import AlphaTable
+from .two_qubit import AlphaTable, TransferSpectrum
 
 __all__ = [
     "solve_first_order",
@@ -59,58 +59,39 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec * np.exp(-1j * np.arctan2(pick.imag, pick.real))
 
 
-def _eigenpair(m00, m01, m10, m11) -> tuple:
-    """(big, small, v0, v1): the eigenvalues of 2x2 matrices M, the larger in modulus first.
-
-    The entries broadcast over leading axes (...). On a tie in modulus big is
-    the root half + root of the quadratic formula. (v0, v1) is the larger
-    column of adj(big - M), an eigenvector of big, zero only where M is a
-    multiple of I. Each choice is a 0/1 integer weight: numpy multiplies a
-    complex scalar by an integer one far faster than by a boolean one, and
-    forms the weight as a numpy integer times the comparison far faster than
-    as the comparison plus a Python integer.
-    """
-    half = 0.5 * (m00 + m11)
-    root = np.sqrt((0.5 * (m00 - m11)) ** 2 + m01 * m10)
-    sign = 1 - 2 * _ONE * (abs(half - root) > abs(half + root))
-    big, small = half + sign * root, half - sign * root
-    u, v = big - m00, big - m11
-    first = _ONE * (abs(m01) + abs(u) >= abs(v) + abs(m10))
-    other = 1 - first
-    return big, small, first * m01 + other * v, first * u + other * m10
-
-
-def solve_first_order(a, c, q) -> tuple:
+def solve_first_order(first: tuple, w: TransferSpectrum) -> tuple:
     """The b-free single-quantum eigenproblem of H = [[A, C], [0, Q]], for first_order_at.
 
-    The 2x2 blocks A, C and Q are given as their entries (00, 01, 10, 11),
-    over leading axes (...), from mqtransfer.two_qubit.transfer_blocks for a
-    W of spectral radius at most 1, as every chain's is; no other blocks are
-    checked for. The single-quantum map is G = theta [[tau A, C], [0, tau Q]]
-    = D (theta tau H) D^-1 with D = diag(1, 1, tau, tau), so its eigenvalues
-    are c = theta tau times those of H: of Q (similar to W^T), w_big and
-    w_small, and of A, w_big |w_small|^2 and w_small |w_big|^2, with |w| <= 1
-    in that order by descending modulus; an eigenvector (y, z) of H gives
-    (y, tau z) of G. z is Q's null vector for w_big and y = (w_big - A)^-1 C z,
-    both scaled by det(w_big - A) to stay finite. The blocks are first divided
-    by their largest entry, size, so that the products that form them stay
-    clear of underflow where W is small (early times). Returns size, the
-    four eigenvalues of H over size (..., 4), y and z (each as its entries 0
-    and 1) and d = det(w_big - A): (y, d z) is an eigenvector of H for w_big.
+    first is the blocks (A, C, Q) of mqtransfer.two_qubit.transfer_blocks, each as its
+    entries (00, 01, 10, 11) over leading axes (...), and w the eigen-data of the same W
+    (two_qubit.transfer_spectrum), from which H's eigen-data is read. The single-quantum
+    map is G = theta [[tau A, C], [0, tau Q]] = D (theta tau H) D^-1 with
+    D = diag(1, 1, tau, tau), so its eigenvalues are c = theta tau times those of H: of
+    Q = [[p, -r], [-q, p]], W's eigenvalues w_big and w_small, and of A = d conj(W),
+    d conj(w_big) = w_small |w_big|^2 and d conj(w_small) = w_big |w_small|^2, which come
+    in that order by descending modulus as |w| <= 1; an eigenvector (y, z) of H gives
+    (y, tau z) of G. z = (v1, -v0) is Q's eigenvector for w_big, for W's (v0, v1), and
+    y = (w_big - A)^-1 C z, scaled by det(w_big - A) to stay finite. The blocks and the
+    eigenvalues are first divided by the blocks' largest entry, size, so that the products
+    that form y and the determinant stay clear of underflow where W is small (early times).
+    Returns size, the four eigenvalues of H over size (..., 4), y and z (each as its
+    entries 0 and 1) and d = det(w_big - A): (y, d z) is an eigenvector of H for w_big.
     """
+    a, c, q = first
     # at least the smallest normal number: numpy divides a complex number by a
     # subnormal one through its reciprocal, which overflows
     size = np.maximum(abs(np.array([*a, *c, *q])).max(axis=0), _TINY)
-    a00, a01, a10, a11 = (x / size for x in a)
+    a00, a01, a10, _ = (x / size for x in a)
     c00, c01, c10, c11 = (x / size for x in c)
-    lam, q_small, z0, z1 = _eigenpair(*(x / size for x in q))
-    a_big, a_small, _, _ = _eigenpair(a00, a01, a10, a11)
+    big, small = w.big / size, w.small / size
+    ev = np.array([big, small, small * abs(w.big) ** 2, big * abs(w.small) ** 2])
+    z0, z1 = w.v1, -w.v0
     cz0 = c00 * z0 + c01 * z1
     cz1 = c10 * z0 + c11 * z1
-    la0, la1 = lam - a00, lam - a11
-    ev = np.array([lam, q_small, a_big, a_small])
-    y = (la1 * cz0 + a01 * cz1, a10 * cz0 + la0 * cz1)
-    return size, ev.transpose(*range(1, ev.ndim), 0), y, la0 * la1 - a01 * a10, (z0, z1)
+    la = big - a00  # A's diagonal entries are equal
+    y = (la * cz0 + a01 * cz1, a10 * cz0 + la * cz1)
+    det = (big - ev[2]) * (big - ev[3])
+    return size, ev.transpose(*range(1, ev.ndim), 0), y, det, (z0, z1)
 
 
 def first_order_at(first: tuple, theta, tau) -> tuple:
@@ -119,7 +100,7 @@ def first_order_at(first: tuple, theta, tau) -> tuple:
     theta and tau broadcast against the leading axes of first. Returns the
     four eigenvalues of G (..., 4), the real part lambda1 of the first and
     its gauge-fixed unit vector x1 (..., 4); where lambda1 is not real
-    (mqtransfer.two_qubit.lambda1_real) they are not meaningful. Where the
+    (mqtransfer.two_qubit.transfer_spectrum) they are not meaningful. Where the
     eigenvalues are 0 in floating point (at b = 0, say, where F = 0) or the
     vector is zero, x1 is e12.
     """
@@ -149,35 +130,33 @@ def zero_order_system(table: AlphaTable | np.ndarray) -> tuple[np.ndarray, np.nd
     return t0, z[..., 3].copy()
 
 
-def zero_order_spectrum(w, row, source) -> tuple:
+def zero_order_spectrum(w: TransferSpectrum, row, source) -> tuple:
     """The lambda0- and b-free part of (lambda0 I - T0)^-1 B, over leading axes (...).
 
-    The system is given by its b-free blocks in the moments (see the module
-    docstring and mqtransfer.two_qubit.transfer_blocks), each as its
-    entries: W as (W00, W01, W10, W11), the z4 row R of G = M T0 M^-1 and
-    the inhomogeneity S of M B. X -> W^H X W does not change when
-    W -> e^{i phi} W, so W is needed only up to a phase. It is put in the
-    Schur form W = Q T Q^H, T = [[t00, t01], [0, t11]], with t00 the larger
-    eigenvalue of W (any order gives a Schur form) and Q's first column
-    (a, b) its eigenvector of _eigenpair (Q = I where W is a multiple of I).
-    Returns over (...), in this order: the exact spectrum of T0 as |t00|^2,
-    |t11|^2, |det W|^2 and conj(t00) t11 (the fifth eigenvalue is its
-    conjugate); entries 00, 11 and 01 of Q^H C Q for the one-body part C of
-    S; the couplings conj(t00) t01, |t01|^2 and 2 conj(t01) t11 of the
-    triangular rows; S4 and the z4 row as entries 00, 11 and 2 conj(01) of
-    Q^H R Q; and Q as |a|^2, 2 a b, a conj(b), a^2 and conj(b)^2.
+    The system is given by W's eigen-data (mqtransfer.two_qubit.transfer_spectrum) and its
+    b-free blocks in the moments (see the module docstring and
+    mqtransfer.two_qubit.transfer_blocks), each as its entries: the z4 row R of
+    G = M T0 M^-1 and the inhomogeneity S of M B. X -> W^H X W does not change when
+    W -> e^{i phi} W, so W is needed only up to a phase. It is put in the Schur form
+    W = Q T Q^H, T = [[t00, t01], [0, t11]], with t00 = w_big, t11 = w_small and Q's first
+    column (a, b) the unit eigenvector (v0, v1) = (sqrt q, +-sqrt r) of w_big (Q = I where
+    q = r = 0). Then t01 = conj(a)^2 q - conj(b)^2 r = |q| - |r|, which is real. Returns
+    over (...), in this order: the exact spectrum of T0 as |t00|^2, |t11|^2, |det W|^2 and
+    conj(t00) t11 (the fifth eigenvalue is its conjugate); entries 00, 11 and 01 of
+    Q^H C Q for the one-body part C of S; the couplings conj(t00) t01, |t01|^2 and
+    2 t01 t11 of the triangular rows; S4 and the z4 row as entries 00, 11 and 2 conj(01)
+    of Q^H R Q; and Q as |a|^2, 2 a b, a conj(b), a^2 and conj(b)^2.
     """
-    w00, w01, w10, w11 = w
+    t00, t11, a, b = w.big, w.small, w.v0, w.v1
     g40, g41, _, g43, g44 = row
     m0, m1, m2, _, m4 = source
-    t00, t11, a, b = _eigenpair(w00, w01, w10, w11)
-    norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+    aa, bb = abs(a) ** 2, abs(b) ** 2
+    t01 = aa - bb
+    norm = (aa + bb) ** 0.5
     zero = norm == 0.0
     a, b = a / (norm + zero) + zero, b / (norm + zero)
     ca, cb = np.conj(a), np.conj(b)
     ct00, cacb, caca, cbcb = np.conj(t00), ca * cb, ca * ca, cb * cb
-    t01 = caca * w01 - cbcb * w10 + cacb * (w11 - w00)
-    ct01 = np.conj(t01)
     s = abs(a) ** 2
     # Q^H H Q for the Hermitian C = [[m0, m2], [., m1]] and, for the z4 row
     # g40 X00 + g41 X11 + g42 X01 + g43 X10 = tr(R X), R = [[g40, g43], [., g41]]:
@@ -188,7 +167,7 @@ def zero_order_spectrum(w, row, source) -> tuple:
     c01 = (m1 - m0) * cacb + m2 * caca - np.conj(m2) * cbcb
     e01 = (g41 - g40) * cacb + g43 * caca - np.conj(g43) * cbcb
     return (abs(t00) ** 2, abs(t11) ** 2, g44.real, ct00 * t11,
-            c00, m0 + m1 - c00, c01, ct00 * t01, abs(t01) ** 2, 2.0 * ct01 * t11,
+            c00, m0 + m1 - c00, c01, ct00 * t01, t01 * t01, 2.0 * t01 * t11,
             m4.real, e00, g40 + g41 - e00, 2.0 * np.conj(e01),
             s, 2.0 * a * b, a * cb, a * a, cbcb)
 

@@ -8,11 +8,11 @@ and their product, all from one batched kernel in three stages. The
 inverse temperature b reaches the map only through four factors
 (two_qubit.temperature_factors), so:
 
-- time_stage, once per time grid: the amplitudes, the b-free blocks of the
-  transfer matrix W (two_qubit.transfer_blocks), the single-quantum
-  eigenproblem of H (solvers.solve_first_order), the mask of a real
-  single-quantum factor at b > 0 (two_qubit.lambda1_real), lambda2 = det W
-  and the Schur form of the zero-order system;
+- time_stage, once per time grid: the amplitudes, W's eigen-data with the
+  mask of a real single-quantum factor at b > 0 (two_qubit.transfer_spectrum),
+  the b-free blocks of the transfer matrix W (two_qubit.transfer_blocks), the
+  single-quantum eigenproblem of H (solvers.solve_first_order), lambda2 =
+  det W and the Schur form of the zero-order system;
 - solvers.solve_zero_order on its spectrum, once per (t, lambda0): one
   back-substitution at unit sources, whose singularity mask is b-free;
 - the temperature step, per b: region_points (the theta tau scale and x1)
@@ -34,7 +34,7 @@ from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_b
 from .errors import ConfigurationError
 from .solvers import (first_order_at, solve_first_order, solve_zero_order, zero_order_at,
                       zero_order_spectrum)
-from .two_qubit import lambda1_real, temperature_factors, transfer_blocks
+from .two_qubit import temperature_factors, transfer_blocks, transfer_spectrum
 
 __all__ = [
     "RegionReport",
@@ -148,8 +148,8 @@ class TimeStage:
     not depend on b. first is solvers.solve_first_order of the single-quantum
     blocks, real the mask of times where lambda1 is real at b > 0, lambda2 the
     double-quantum coefficient det W (complex, real up to rounding), and
-    zero_blocks the b-free zero-order blocks (W, R, S), whose closed-form
-    Schur data (zero_order_spectrum) is formed on use."""
+    zero_blocks W's eigen-data and the b-free zero-order blocks (R, S), whose
+    closed-form Schur data (zero_order_spectrum) is formed on use."""
 
     n_sites: int
     first: tuple
@@ -164,10 +164,10 @@ class TimeStage:
 
 def time_stage(spec: ChainSpec, t) -> TimeStage:
     """The t-stage at a scalar or an array of times t."""
-    p, q, r, s = amplitude_grids(mode_basis(spec.n_sites), t)
-    first, zero, d = transfer_blocks(p, q, r, s)
-    return TimeStage(spec.n_sites, solve_first_order(*first),
-                     lambda1_real(p + s, d, spec.n_sites), d, zero)
+    p, q, r = amplitude_grids(mode_basis(spec.n_sites), t)
+    w = transfer_spectrum(p, q, r, spec.n_sites)
+    first, zero, d = transfer_blocks(p, q, r)
+    return TimeStage(spec.n_sites, solve_first_order(first, w), w.real, d, (w, *zero))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +191,7 @@ def region_points(times: TimeStage, b) -> RegionPoints:
     broadcasts against the times (b unchecked)."""
     theta, tau, n, k = temperature_factors(b, times.n_sites)
     ev, lambda1, x1 = first_order_at(times.first, theta, tau)
-    # F = 0 at tau = 0, where every eigenvalue is real (two_qubit.lambda1_real)
+    # F = 0 at tau = 0, where every eigenvalue is real (two_qubit.transfer_spectrum)
     real = times.real | (tau == 0.0)
     return RegionPoints(ev, lambda1, x1, real, times.lambda2, (n, k))
 

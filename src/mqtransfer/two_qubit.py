@@ -2,19 +2,21 @@
 
 The receiver density matrix is linear in the sender one and never mixes
 coherence orders: each receiver element of order n is a combination of the
-sender elements of the same order, with coefficients built from the four
+sender elements of the same order, with coefficients built from the three
 sender-to-receiver transition amplitudes and the background inverse
 temperature b. Basis order is |00>, |01>, |10>, |11> with sender sites
 (1, 2) and receiver sites (N-1, N). The map is written once, in
-transfer_blocks, as closed-form blocks of the 2x2 transfer matrix
-W = [[p, q], [r, s]] of those amplitudes: the single-quantum map in the
+transfer_blocks, as closed-form blocks of the chain's 2x2 transfer matrix
+W = [[p, q], [r, p]] of those amplitudes (mirror-symmetric, so its diagonal
+entries are equal; chain.amplitude_grids): the single-quantum map in the
 constant basis BLOCK_BASIS and the zero-order map in the moments MOMENTS.
 The blocks are free of b, which enters the map only through the four
 factors of temperature_factors. The region kernel and the solvers read the
 blocks once per time and apply the factors per b; alpha_entries assembles
-the coefficient table from both. Whether the single-quantum factor is real
-is decided here too, once and exactly, from tr W and det W (lambda1_real),
-and the uniform-scaling curve reads the smaller eigenvalue of W (w_small).
+the coefficient table from both. What W's spectrum is, is decided here
+too, once and in closed form (transfer_spectrum): its eigenvalues
+p +- sqrt(q) sqrt(r), an eigenvector, and where the single-quantum factor
+is real.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ __all__ = [
     "MOMENTS_INVERSE",
     "AlphaTable",
     "decompose_blocks",
+    "TransferSpectrum",
+    "transfer_spectrum",
     "transfer_blocks",
     "temperature_factors",
-    "lambda1_real",
-    "w_small",
     "alpha_entries",
     "alpha_table",
     "receiver_from_sender",
@@ -60,6 +62,7 @@ ZERO_COLS = ("11", "22", "33", "44", "23", "32")
 FIRST_LABELS = ("12", "13", "24", "34")
 
 _IDX = {"1": 0, "2": 1, "3": 2, "4": 3}
+_ONE = np.int64(1)
 
 # Rows u0, u3, u1, u2 over FIRST_LABELS, with u0 = (13 + 24), u1 = (13 - 24),
 # u2 = (12 + 34) and u3 = (12 - 34), each over sqrt(2): U of the block form
@@ -118,42 +121,85 @@ def decompose_blocks(rho: np.ndarray) -> dict[int, np.ndarray]:
     return {n: np.where(order == n, rho, 0.0) for n in range(-2, 3)}
 
 
-def transfer_blocks(p, q, r, s) -> tuple:
-    """The map's b-free blocks of the transfer matrix W = [[p, q], [r, s]]: (first, zero, second).
+@dataclass(frozen=True)
+class TransferSpectrum:
+    """W's eigen-data over the shape of its entries (transfer_spectrum).
 
-    p, q, r and s are scalars or arrays of one shape, and every entry below
-    is over their axes; a 2x2 block is given as its entries (00, 01, 10, 11).
-    The inverse temperature b enters the map only through the four factors
-    of temperature_factors: theta, tau = tanh(b/2), n = 1 / (1 + e^-b) and
-    k = e^-b n. With d = det W:
+    big and small are the eigenvalues, the larger in modulus first; (v0, v1)
+    is an eigenvector for big, and real the mask where the single-quantum
+    factor is real at b > 0.
+    """
+
+    big: np.ndarray
+    small: np.ndarray
+    v0: np.ndarray
+    v1: np.ndarray
+    real: np.ndarray
+
+
+def transfer_spectrum(p, q, r, n_sites: int) -> TransferSpectrum:
+    """The eigen-data of the chain's transfer matrix W = [[p, q], [r, p]], over the shape of p, q, r.
+
+    With equal diagonal entries, W (sqrt q, +-sqrt r) = (p +- sqrt(q) sqrt(r)) (sqrt q, +-sqrt r):
+    big and small are p +- sqrt(q) sqrt(r), the larger in modulus first (the + root on a
+    tie), and (v0, v1) = (sqrt q, +-sqrt r) an eigenvector for big, zero only where
+    q = r = 0 (W = p I). The square roots are taken apart, so their product does not
+    underflow where q r would.
+
+    real marks where the single-quantum factor lambda1 is real at b > 0. The single-quantum
+    map has spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2} with c = theta tau real
+    (transfer_blocks), so it is real exactly where W's eigenvalues are. For even N, p is real
+    and q, r are imaginary (chain.amplitude_grids), so q r is real and the eigenvalues are
+    real where q r >= 0, read as -Im q Im r >= 0 from the parts the parity leaves; then all
+    four eigenvalues of F are real and lambda1 = c big (mqtransfer.solvers). For odd N, p is
+    imaginary and q r real, so W has a real eigenvalue only where tr W = 0 or det W = 0
+    exactly, a set of measure zero, and the mask is empty. At b = 0, tau = 0 makes F = 0, real
+    everywhere (mqtransfer.states.region_points adds that case).
+    """
+    v0, v1 = np.sqrt(q), np.sqrt(r)
+    root = v0 * v1
+    # a 0/1 integer weight: numpy multiplies a complex number by an integer far faster
+    # than by a boolean
+    sign = 1 - 2 * _ONE * (abs(p - root) > abs(p + root))
+    return TransferSpectrum(p + sign * root, p - sign * root, v0, sign * v1,
+                            (n_sites % 2 == 0) & (q.imag * r.imag <= 0.0))
+
+
+def transfer_blocks(p, q, r) -> tuple:
+    """The map's b-free blocks of the transfer matrix W = [[p, q], [r, p]]: (first, zero, second).
+
+    p, q and r are scalars or arrays of one shape (chain.amplitude_grids), and every entry
+    below is over their axes; a 2x2 block is given as its entries (00, 01, 10, 11). The
+    inverse temperature b enters the map only through the four factors of
+    temperature_factors: theta, tau = tanh(b/2), n = 1 / (1 + e^-b) and k = e^-b n. With
+    d = det W = p^2 - q r:
 
     - first = (A, C, Q): in BLOCK_BASIS the single-quantum map is
-      G = U F U^T = theta [[tau A, C], [0, tau Q]], with
-      A = d conj([[s, q], [r, p]]), C = -[[conj(s) d - p, conj(q) d + r],
-      [conj(r) d + q, conj(p) d - s]] and Q = [[p, -r], [-q, s]];
-    - zero = (W, R, S): in the moments z = M x (MOMENTS) the zero-order map
-      G = M T0 M^-1 has G[:4, :4] = X -> W^H X W, with entry
-      (X_ij, X_kl) = conj(W_ki) W_lj over ONE_BODY, and G[:4, 4] = 0; W is
-      (p, q, r, s); the z4 row is G[4] = (k R0, k R1, k R2, k R3, R4) with
-      R = (|p|^2 + |q|^2 - |d|^2, |r|^2 + |s|^2 - |d|^2, -(p conj(r) + q conj(s)),
-      its conjugate, |d|^2), and the inhomogeneity is M B = (n S0, n S1, n S2,
-      n S3, n^2 (|d|^2 - 1) + n k S4) with S = (|p|^2 + |r|^2 - 1,
-      |q|^2 + |s|^2 - 1, -(p conj(q) + r conj(s)), its conjugate,
-      |p|^2 + |q|^2 + |r|^2 + |s|^2 - 2);
+      G = U F U^T = theta [[tau A, C], [0, tau Q]], with A = d conj(W),
+      C = -[[conj(p) d - p, conj(q) d + r], [conj(r) d + q, conj(p) d - p]] and
+      Q = [[p, -r], [-q, p]] = adj(W)^T;
+    - zero = (R, S): in the moments z = M x (MOMENTS) the zero-order map
+      G = M T0 M^-1 has G[:4, :4] = X -> W^H X W, with entry (X_ij, X_kl) = conj(W_ki) W_lj
+      over ONE_BODY, and G[:4, 4] = 0; the z4 row is G[4] = (k R0, k R1, k R2, k R3, R4)
+      with R = (|p|^2 + |q|^2 - |d|^2, |r|^2 + |p|^2 - |d|^2, -(p conj(r) + q conj(p)),
+      its conjugate, |d|^2), and the inhomogeneity is M B = (n S0, n S1, n S2, n S3,
+      n^2 (|d|^2 - 1) + n k S4) with S = (|p|^2 + |r|^2 - 1, |q|^2 + |p|^2 - 1,
+      -(p conj(q) + r conj(p)), its conjugate, 2 |p|^2 + |q|^2 + |r|^2 - 2);
     - second = d, the double-quantum coefficient.
 
-    At the chain's amplitudes they reproduce the hand-expanded coefficient
-    table of tests/reference.py; there p = s, so Q = adj(W)^T.
+    They reproduce the hand-expanded coefficient table of tests/reference.py at the
+    chain's amplitudes.
     """
-    cp, cq, cr, cs = np.conj(p), np.conj(q), np.conj(r), np.conj(s)
-    d = p * s - q * r
-    first = ((d * cs, d * cq, d * cr, d * cp),
-             (p - cs * d, -(cq * d + r), -(cr * d + q), s - cp * d), (p, -r, -q, s))
-    ap, aq, ar, as_, ad = (abs(x) ** 2 for x in (p, q, r, s, d))
-    r2 = -(p * cr + q * cs)
-    s2 = -(p * cq + r * cs)
-    zero = ((p, q, r, s), (-(ad - ap - aq), -(ad - ar - as_), r2, np.conj(r2), ad),
-            (ap + ar - 1.0, aq + as_ - 1.0, s2, np.conj(s2), ap + aq + ar + as_ - 2.0))
+    cp, cq, cr = np.conj(p), np.conj(q), np.conj(r)
+    d = p * p - q * r
+    dcp = d * cp
+    first = ((dcp, d * cq, d * cr, dcp), (p - dcp, -(cq * d + r), -(cr * d + q), p - dcp),
+             (p, -r, -q, p))
+    ap, aq, ar, ad = (abs(x) ** 2 for x in (p, q, r, d))
+    r2 = -(p * cr + q * cp)
+    s2 = -(p * cq + r * cp)
+    zero = ((-(ad - ap - aq), -(ad - ar - ap), r2, np.conj(r2), ad),
+            (ap + ar - 1.0, aq + ap - 1.0, s2, np.conj(s2), ap + aq + ar + ap - 2.0))
     return first, zero, d
 
 
@@ -169,60 +215,17 @@ def temperature_factors(b, n_sites: int) -> tuple:
     return (-1) ** n_sites * tau ** (n_sites - 3), tau, n, k
 
 
-def _pair_form(trace, det, n_sites: int) -> tuple:
-    """W's characteristic polynomial in real form: ph, tr W / (2 ph) and D.
-
-    With the phase ph = (-i)^(N-2), tr W / ph and det W / ph^2 are real for
-    the chain, and W's eigenvalues are ph mu with mu^2 - (tr W / ph) mu +
-    det W / ph^2 = 0, of discriminant D = (tr W / ph)^2 / 4 - det W / ph^2.
-    """
-    ph = (-1j) ** ((n_sites - 2) % 4)
-    half = 0.5 * (trace / ph).real
-    return ph, half, half * half - (det / ph ** 2).real
-
-
-def lambda1_real(trace, det, n_sites: int):
-    """Where the single-quantum factor lambda1 is real at b > 0, from tr W and det W.
-
-    The single-quantum map has spec(F) = c {w1, w2, w1 |w2|^2, w2 |w1|^2}
-    with c = theta tau real (transfer_blocks), so at b > 0 it is real
-    exactly where W's eigenvalues w1, w2 are (see _pair_form); at b = 0,
-    tau = 0 makes F = 0, real everywhere (mqtransfer.states.region_points
-    adds that case). For even N, ph = +-1 and they are real where D >= 0;
-    then all four eigenvalues of F are real, and lambda1 = c w_big, w_big
-    the larger eigenvalue of W (mqtransfer.solvers). For odd N, ph is
-    imaginary and W has a real eigenvalue only where tr W = 0 or det W = 0
-    exactly, a set of measure zero, so no point counts as real. The
-    arguments broadcast.
-    """
-    disc = _pair_form(trace, det, n_sites)[2]
-    return (disc >= 0.0) & (n_sites % 2 == 0)
-
-
-def w_small(trace, det, n_sites: int):
-    """The smaller eigenvalue of W in modulus, real wherever lambda1_real holds at b > 0.
-
-    It is ph mu_small, the root of smaller modulus of the real quadratic of
-    _pair_form; past D = 0, where the roots are complex, tr W / 2 continues
-    it. NaN for odd N, where W has no real eigenvalue pair.
-    """
-    ph, half, disc = _pair_form(trace, det, n_sites)
-    if n_sites % 2:
-        return np.full(np.shape(half), np.nan)
-    return ph.real * (half - np.copysign(np.sqrt(np.maximum(disc, 0.0)), half))
-
-
 def _stacked(rows: list) -> np.ndarray:
     """Nested lists of entries over axes (...) as one array (..., rows, columns)."""
     a = np.array(rows, dtype=complex)
     return a.transpose(*range(2, a.ndim), 0, 1)
 
 
-def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
+def alpha_entries(p, q, r, b, n_sites: int) -> tuple:
     """All map coefficients, stacked as (first, zero, second).
 
-    p, q, r, s are f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N}: scalars or arrays
-    of one shape, whose axes lead the results, and b is a scalar. first is
+    p, q, r are f_{1,N-1} = f_{2,N}, f_{1,N} and f_{2,N-1} (chain.amplitude_grids): scalars
+    or arrays of one shape, whose axes lead the results, and b is a scalar. first is
     (..., 4, 4) with rows and columns FIRST_LABELS, zero is (..., 5, 6) with
     rows ZERO_ROWS and columns ZERO_COLS, and second is the double-quantum
     coefficient (...).
@@ -230,14 +233,14 @@ def alpha_entries(p, q, r, s, b, n_sites: int) -> tuple:
     first = U^T G U, T0 = M^-1 G M and B = M^-1 (M B), and zero is
     [T0[:, :3] + B | B | T0[:, 3:]].
     """
-    (a, c, q_block), (w, row, source), second = transfer_blocks(p, q, r, s)
+    (a, c, q_block), (row, source), second = transfer_blocks(p, q, r)
     theta, tau, n, k = temperature_factors(b, n_sites)
     nil = np.zeros(np.shape(second))
     ta, tq = [tau * x for x in a], [tau * x for x in q_block]
     g = _stacked([[ta[0], ta[1], c[0], c[1]], [ta[2], ta[3], c[2], c[3]],
                   [nil, nil, tq[0], tq[1]], [nil, nil, tq[2], tq[3]]])
     first = theta * (BLOCK_BASIS.T @ g @ BLOCK_BASIS)
-    wm = (w[:2], w[2:])
+    wm = ((p, q), (r, p))
     one_body = [[np.conj(wm[u][i]) * wm[v][j] for u, v in ONE_BODY] + [nil] for i, j in ONE_BODY]
     g4 = [k * x for x in row[:4]] + [row[4]]
     t0 = MOMENTS_INVERSE @ _stacked(one_body + [g4]) @ MOMENTS
@@ -277,7 +280,7 @@ class AlphaTable:
 def alpha_table(amps: AmplitudeSet, b: float, spec: ChainSpec) -> AlphaTable:
     """Evaluate the full coefficient table at one (t, b) point."""
     check_inverse_temperature(b)
-    first, zero, second = alpha_entries(amps.f11, amps.f1n, amps.f21, amps.f2n, b, spec.n_sites)
+    first, zero, second = alpha_entries(amps.f11, amps.f1n, amps.f21, b, spec.n_sites)
     return AlphaTable(n_sites=spec.n_sites, b=b, zero=zero, first=first, second=complex(second))
 
 

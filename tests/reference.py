@@ -24,11 +24,15 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
 - the zero-order vector by a dense linear solve guarded by the 2-norm
   condition number (solve_zero_order_dense);
 - the semi-axes of a case, chaining the three (region_reference);
-- the base state and the semi-axes at 50 digits, from the moments system
-  in mpmath (moments_reference).
+- the amplitudes p = f_{1,N-1}, q = f_{1,N}, r = f_{2,N-1} and s = f_{2,N}
+  at 50 digits, each summed on its own in mpmath (amplitudes_mp); from
+  them, where W's eigenvalues are real (realness_reference), and the base
+  state and the semi-axes from the moments system (moments_reference).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -179,22 +183,6 @@ FIRST_BASIS.setflags(write=False)
 INVARIANT, QUOTIENT = [0, 3], [1, 2]
 
 
-def block_arguments(maps: np.ndarray) -> tuple:
-    """mqtransfer.solvers.solve_first_order's arguments for maps F (..., 4, 4).
-
-    The entries of the blocks of U F U^T in the basis FIRST_BASIS: A over
-    rows and columns INVARIANT (u0, u3), C over rows INVARIANT and columns
-    QUOTIENT (u1, u2), Q over QUOTIENT; F is then the map of
-    solvers.first_order_at at theta = tau = 1.
-    """
-    g = FIRST_BASIS @ maps @ FIRST_BASIS.T
-
-    def entries(rows, cols):
-        return tuple(g[..., i, j] for i in rows for j in cols)
-
-    return entries(INVARIANT, INVARIANT), entries(INVARIANT, QUOTIENT), entries(QUOTIENT, QUOTIENT)
-
-
 def ray_max(m0: np.ndarray, direction: np.ndarray, tol: float, floor: float = -PSD_TOL) -> float:
     """Largest c >= 0 with min eig(m0 + c*direction) >= floor, by bracketing and bisection."""
     def ok(c: float) -> bool:
@@ -280,17 +268,11 @@ def select_first_order(m: np.ndarray, realness_tol: float = 1e-6):
     return None
 
 
-# the rounding band of in_realness_band: tanh(b/2), max|W| and |D| / max|W|^2
+# the rounding band of in_realness_band: tanh(b/2), max|W| and |Re(q r)| / max|W|^2
 # at or below these
 TAU_BAND = 1e-4
 W_BAND = 1e-7
 D_BAND = 1e-10
-
-
-def discriminant(n_sites: int, p, q, r, s):
-    """D = (tr W / ph)^2 / 4 - det W / ph^2 with ph = (-i)^(N-2), both terms real."""
-    ph = (-1j) ** ((n_sites - 2) % 4)
-    return (0.5 * (p + s) / ph).real ** 2 - ((p * s - q * r) / ph ** 2).real
 
 
 def in_realness_band(n_sites: int, t: float, b: float) -> bool:
@@ -301,22 +283,22 @@ def in_realness_band(n_sites: int, t: float, b: float) -> bool:
     where max|W| is at most W_BAND the eigenvalues of W, and so of F, can
     have imaginary parts that a relative test (select_first_order) reads as
     complex, above all where the larger eigenvalue of W is far below max|W|.
-    Where the discriminant D of W's characteristic polynomial in real form
-    (see mqtransfer.two_qubit.lambda1_real) is within D_BAND * max|W|^2 of
-    0, a dense eig moves a real pair off the real axis by about sqrt(eps) of
-    its size, or a complex pair onto it. And where tau = tanh(b/2) is at
-    most TAU_BAND, F's eigenvalues are tau times smaller than its coupling
-    block (see mqtransfer.solvers), so a dense eig moves them by about
-    eps / tau^2 of their size, and below tau ~ 1e-150 they underflow. Over
+    Where q r, whose sign decides whether W's eigenvalues p +- sqrt(q r) are
+    real (see mqtransfer.two_qubit.transfer_spectrum), is within
+    D_BAND * max|W|^2 of 0, a dense eig moves a real pair off the real axis
+    by about sqrt(eps) of its size, or a complex pair onto it. And where
+    tau = tanh(b/2) is at most TAU_BAND, F's eigenvalues are tau times
+    smaller than its coupling block (see mqtransfer.solvers), so a dense eig
+    moves them by about eps / tau^2 of their size, and below tau ~ 1e-150
+    they underflow. Over
     9,000 random points (N 4-43, t in [0, 2N], b in [0, 8] or log-uniform in
     [1e-8, 1]) every disagreement lay inside this band.
     """
     amps = amplitude_set(mode_basis(n_sites), t)
-    p, q, r, s = amps.f11, amps.f1n, amps.f21, amps.f2n
-    disc = discriminant(n_sites, p, q, r, s)
-    size = max(abs(p), abs(q), abs(r), abs(s))
+    p, q, r = amps.f11, amps.f1n, amps.f21
+    size = max(abs(p), abs(q), abs(r))
     return b > 0.0 and (np.tanh(0.5 * b) <= TAU_BAND or size <= W_BAND
-                        or abs(disc) <= D_BAND * size ** 2)
+                        or abs((q * r).real) <= D_BAND * size ** 2)
 
 
 def solve_zero_order_dense(t0: np.ndarray, b_vec: np.ndarray, lambda0: float):
@@ -359,10 +341,51 @@ def region_reference(spec: ChainSpec, t: float, b: float, lambda0: float, case: 
     return out
 
 
+@lru_cache(maxsize=None)
+def _modes_mp(n_sites: int, digits: int) -> tuple:
+    """The mode weights g_ik g_jk of (p, q, r, s) and the energies, at digits."""
+    with mp.workdps(digits):
+        n = n_sites
+        g = [[mp.sqrt(mp.mpf(2) / (n + 1)) * mp.sin(mp.pi * j * k / (n + 1))
+              for k in range(1, n + 1)] for j in (1, 2, n - 1, n)]
+        weights = [[g[i][k] * g[j][k] for k in range(n)] for i, j in ((0, 2), (0, 3), (1, 2), (1, 3))]
+        return weights, [mp.cos(mp.pi * k / (n + 1)) for k in range(1, n + 1)]
+
+
+def amplitudes_mp(n_sites: int, t: float, digits: int = 50) -> tuple:
+    """(p, q, r, s) = (f_{1,N-1}, f_{1,N}, f_{2,N-1}, f_{2,N}) at t, as mpmath numbers summed
+    over the sine modes at digits, each on its own (s is not taken equal to p)."""
+    weights, energies = _modes_mp(n_sites, digits)
+    with mp.workdps(digits):
+        phase = [mp.expj(-mp.mpf(t) * e) for e in energies]
+        return tuple(mp.fdot(row, phase) for row in weights)
+
+
+# the band of realness_reference: |Re(q r)| at or below REAL_BAND * max|W|
+REAL_BAND = 1e-15
+
+
+def realness_reference(n_sites: int, ts) -> tuple:
+    """Where W's eigenvalues are real at the times ts (1-d) of an even N, at 50 digits.
+
+    For even N, p is real and q, r are imaginary, so W's eigenvalues p +- sqrt(q r) are
+    real where D = Re(q r) >= 0; D is formed from amplitudes_mp. Returns that mask and the
+    mask of times where |D| <= REAL_BAND max(|p|, |q|, |r|): there the float amplitudes,
+    with absolute errors near 1e-16, cannot decide the sign.
+    """
+    real, skip = [], []
+    for t in np.asarray(ts, dtype=float):
+        p, q, r, _ = amplitudes_mp(n_sites, float(t))
+        d = mp.re(q * r)
+        real.append(d >= 0)
+        skip.append(abs(d) <= REAL_BAND * max(abs(p), abs(q), abs(r)))
+    return np.array(real, dtype=bool), np.array(skip, dtype=bool)
+
+
 def moments_reference(n_sites: int, t: float, b: float, lambda0: float, digits: int = 50) -> dict:
     """The base state, lambda1, x1 and the semi-axes at one point, in mpmath at digits.
 
-    The amplitudes are summed over the sine modes, and the zero-order vector
+    The amplitudes are those of amplitudes_mp, and the zero-order vector
     solves the 5x5 moments system (lambda0 I - G) z = M B written out from
     the blocks of W (mqtransfer.two_qubit.transfer_blocks); x0 = M^-1 z,
     rho44 = 1 + z4. lambda1 = theta tau w_big, and x1 is U^T (y, tau z) with
@@ -375,15 +398,8 @@ def moments_reference(n_sites: int, t: float, b: float, lambda0: float, digits: 
     """
     with mp.workdps(digits):
         n = n_sites
-        t, b, lam0 = mp.mpf(t), mp.mpf(b), mp.mpf(lambda0)
-        g = [[mp.sqrt(mp.mpf(2) / (n + 1)) * mp.sin(mp.pi * j * k / (n + 1))
-              for k in range(1, n + 1)] for j in range(1, n + 1)]
-        phase = [mp.expj(-t * mp.cos(mp.pi * k / (n + 1))) for k in range(1, n + 1)]
-
-        def amp(i, j):
-            return mp.fsum(g[i][k] * g[j][k] * phase[k] for k in range(n))
-
-        p, q, r, s = amp(0, n - 2), amp(0, n - 1), amp(1, n - 2), amp(1, n - 1)
+        b, lam0 = mp.mpf(b), mp.mpf(lambda0)
+        p, q, r, s = amplitudes_mp(n, t, digits)
         ex = mp.exp(-b)
         nw = 1 / (1 + ex)
         kw = ex * nw

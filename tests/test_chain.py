@@ -25,6 +25,7 @@ from mqtransfer import (
     transition_amplitude,
     uniform_curve,
 )
+from mqtransfer.chain import amplitude_grids
 
 
 def test_spec_validation():
@@ -130,11 +131,26 @@ def test_endpoint_grid_matches_scalar(rng):
         basis = mode_basis(n)
         for t in rng.uniform(0.0, 3.0 * n, size=6):
             amps = amplitude_set(basis, float(t))
-            for field, (i, j) in (("f11", (1, n - 1)), ("f1n", (1, n)),
-                                  ("f21", (2, n - 1)), ("f2n", (2, n))):
+            for field, (i, j) in (("f11", (1, n - 1)), ("f1n", (1, n)), ("f21", (2, n - 1))):
                 assert abs(getattr(amps, field) - transition_amplitude(basis, i, j, t)) < 1e-13
             # the endpoint amplitude is conj(f_{1,N})
             assert abs(amps.f1n.conjugate() - endpoint_amplitude(basis, t)) < 1e-13
+
+
+def test_amplitudes_are_mirror_symmetric_with_fixed_parity():
+    # the transfer matrix W = [[p, q], [r, p]] rests on f_{2,N} = f_{1,N-1} = p, the
+    # mirror symmetry of the sine modes, and the realness rule of
+    # two_qubit.transfer_spectrum on the parity of the amplitudes: for even N, p is
+    # real and q, r imaginary; for odd N the reverse. Over t in [0, 3N) at step 0.05
+    for n in range(4, 65):
+        basis = mode_basis(n)
+        ts = np.arange(0.0, 3.0 * n, 0.05)
+        p, q, r = amplitude_grids(basis, ts)
+        assert np.abs(transition_amplitude(basis, 2, n, ts) - p).max() <= 1e-13
+        amps = amplitude_set(basis, float(ts[len(ts) // 3]))
+        assert abs(transition_amplitude(basis, 2, n, amps.t) - amps.f11) <= 1e-13
+        off = (p.imag, q.real, r.real) if n % 2 == 0 else (p.real, q.imag, r.imag)
+        assert max(np.abs(x).max() for x in off) <= 1e-14
 
 
 def test_endpoint_power_max_small_chain():
@@ -156,10 +172,10 @@ def test_endpoint_power_max_stays_in_its_window(n, t_lo, t_hi):
 def test_amplitude_set_structure():
     basis = mode_basis(6)
     amps = amplitude_set(basis, 0.0)
-    for f in (amps.f11, amps.f1n, amps.f21, amps.f2n):
+    for f in (amps.f11, amps.f1n, amps.f21):
         assert abs(f) < 1e-12
     amps = amplitude_set(basis, 8.5153)
-    for f in (amps.f11, amps.f1n, amps.f21, amps.f2n):
+    for f in (amps.f11, amps.f1n, amps.f21):
         assert abs(f) <= 1.0 + 1e-12
     with pytest.raises(ConfigurationError):
         amplitude_set(mode_basis(3), 1.0)

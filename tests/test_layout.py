@@ -129,14 +129,13 @@ def _imaginary_powers(path: Path) -> list[str]:
     return found
 
 
-def test_no_module_but_two_qubit_forms_the_phase():
-    # the phase (-i)^(N-2) makes tr W and det W real, and with them decides
-    # whether lambda1 is real (two_qubit.lambda1_real, two_qubit.w_small); no
-    # second module forms it, so the realness rule stays written once
-    found = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "two_qubit.py"
-             for hit in _imaginary_powers(path)]
+def test_no_module_forms_the_phase():
+    # W = [[p, q], [r, p]] is read in its mirror-symmetric form: its eigenvalues
+    # p +- sqrt(q) sqrt(r) and where they are real come from the parity of the
+    # amplitudes (two_qubit.transfer_spectrum), so no module forms a phase such
+    # as (-i)^(N-2) to make tr W and det W real
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _imaginary_powers(path)]
     assert not found, found
-    assert _imaginary_powers(PACKAGE / "two_qubit.py")
 
 
 def test_cli_opens_out_once_and_commands_return_nothing():

@@ -94,6 +94,21 @@ def test_first_window_caps_after_peak():
     assert hi == pytest.approx(48.885, abs=1e-2)
 
 
+def test_later_windows_at_n42_favour_case_3_not_case_1():
+    # first_window's docstring: at N = 42 with free lambda0, case 3 reaches more on
+    # [1.5 N, 2.5 N] than in the first window, case 1 less
+    spec = ChainSpec(42)
+    found = {}
+    for window in (None, (63.0, 105.0)):
+        problems = {case: OptProblem(case, "free", window) for case in (1, 3)}
+        found[window] = optimize_module._scan_and_refine(spec, problems)
+    first, later = found[None], found[(63.0, 105.0)]
+    assert later[3].objective == pytest.approx(0.00168, rel=5e-3)
+    assert first[3].objective == pytest.approx(0.000696, rel=5e-3)
+    assert later[1].objective == pytest.approx(0.0487, rel=5e-3)
+    assert first[1].objective == pytest.approx(0.1146, rel=5e-3)
+
+
 def test_lambda2_landmark_n42():
     t, val = lambda2_landmark(ChainSpec(42))
     assert t == pytest.approx(47.8855, abs=1e-2)
@@ -105,18 +120,18 @@ def test_lambda2_landmark_matches_one_grid_scan(n):
     # the step-0.05 scan against a scan of the step-1e-3 grid, the same
     # bracket search after each: both find the same peak
     ts = np.arange(0.5 * n, 1.5 * n + 1e-3, 1e-3)
-    p, q, r, s = amplitude_grids(mode_basis(n), ts)
-    i = int(np.argmax(np.abs(p * s - q * r)))
+    p, q, r = amplitude_grids(mode_basis(n), ts)
+    i = int(np.argmax(np.abs(p * p - q * r)))
 
     def f(x):
-        p, q, r, s = amplitude_grids(mode_basis(n), x)
-        return np.abs(p * s - q * r)
+        p, q, r = amplitude_grids(mode_basis(n), x)
+        return np.abs(p * p - q * r)
 
     t_ref, _ = bracket_max(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], 1e-8)
     t, val = lambda2_landmark.__wrapped__(ChainSpec(n))
     assert abs(t - t_ref[0]) <= 1e-6
-    p, q, r, s = amplitude_grids(mode_basis(n), np.array([t]))
-    assert val == (p * s - q * r).real[0]
+    p, q, r = amplitude_grids(mode_basis(n), np.array([t]))
+    assert val == (p * p - q * r).real[0]
     assert abs(val) >= f(t_ref)[0] * (1.0 - 1e-12)
 
 
@@ -324,13 +339,12 @@ def test_resolvent_matches_solve_zero_order():
 
 
 def _merged_poles(n: int) -> np.ndarray:
-    """Times in the first window where W's eigenvalues merge: the discriminant
-    D = tau^2 / 4 - delta of optimize._curve changes sign there."""
-    ph = (-1j) ** (n - 2)
+    """Times in the first window where W's eigenvalues p +- sqrt(q r) merge: q r,
+    real for every N, changes sign there."""
 
     def disc(ts):
-        p, q, r, s = amplitude_grids(mode_basis(n), ts)
-        return 0.25 * (((p + s) / ph).real) ** 2 - ((p * s - q * r) / ph ** 2).real
+        _, q, r = amplitude_grids(mode_basis(n), ts)
+        return (q * r).real
 
     lo, hi = first_window(ChainSpec(n))
     ts = np.arange(lo, hi, 0.01)
@@ -481,6 +495,31 @@ def test_refine_stops_at_a_fixed_point(monkeypatch):
     searches.clear()
     assert optimize_module._refine(spec, problem, end) == end
     assert searches == [3] * 2
+
+
+def test_refinement_finds_the_same_optimum_on_a_quarter_step_grid(monkeypatch):
+    # the basin check: at N = 6 a scan grid at a quarter of T_STEP and B_STEP
+    # refines cases 1-3 to the optima of the default grid, in both lambda0 modes,
+    # so the coarse grid does not miss a narrower, higher peak. In free mode case
+    # 3 lies on a flat ridge, located to about 1e-3 in b, not to REFINE_TOL
+    spec = ChainSpec(6)
+    first_window(spec)  # the window's landmark is cached at the default step
+    problems = {mode: {case: OptProblem(case, mode) for case in (1, 2, 3)}
+                for mode in ("free", "fixed_one")}
+    coarse = {mode: optimize_module._scan_and_refine(spec, p) for mode, p in problems.items()}
+    t_step, b_step = optimize_module.T_STEP / 4, optimize_module.B_STEP / 4
+    monkeypatch.setattr(optimize_module, "T_STEP", t_step)
+    monkeypatch.setattr(optimize_module, "B_STEP", b_step)
+    monkeypatch.setattr(optimize_module, "B_GRID", np.arange(
+        optimize_module.B_WINDOW[0], optimize_module.B_WINDOW[1] + 1e-9, b_step))
+    for mode, p in problems.items():
+        fine = optimize_module._scan_and_refine(spec, p)
+        for case in (1, 2, 3):
+            a, b = coarse[mode][case], fine[case]
+            assert a.feasible and b.feasible
+            assert abs(a.t_opt - b.t_opt) <= 1e-3 and abs(a.b_opt - b.b_opt) <= 1e-3
+            assert abs(a.lambda0_opt - b.lambda0_opt) <= 1e-3
+            assert b.objective == pytest.approx(a.objective, rel=1e-7)
 
 
 @pytest.mark.parametrize("mode", ["free", "fixed_one"])

@@ -17,8 +17,10 @@ from mqtransfer import (
 )
 from mqtransfer.solvers import first_order_at
 from mqtransfer.states import assemble_sender, base_vector, region_cells, region_points, time_stage
-from mqtransfer.two_qubit import FIRST_LABELS, temperature_factors, transfer_blocks
-from reference import FIRST_BASIS, block_arguments, solve_zero_order_dense
+from mqtransfer.chain import amplitude_grids
+from mqtransfer.two_qubit import (BLOCK_BASIS, FIRST_LABELS, temperature_factors, transfer_blocks,
+                                  transfer_spectrum)
+from reference import solve_zero_order_dense
 
 
 def _table(n, t, b):
@@ -90,27 +92,27 @@ def test_first_order_landmark_eigenvalue():
     assert points.lambda1 == pytest.approx(0.8145, abs=1e-3)
 
 
-def _in_block_form(g):
-    """The map U^T g U, which has the chain's block form when g[QUOTIENT, INVARIANT] = 0."""
-    return FIRST_BASIS.T @ g @ FIRST_BASIS
-
-
-def _coupled_diagonal(diagonal):
-    """diag(diagonal) in the basis u0..u3 plus couplings in the block C of
-    invariant rows (u0, u3) and quotient columns (u1, u2)."""
-    g = np.diag(diagonal).astype(complex)
-    g[0, 1] = g[3, 2] = 0.2
-    return _in_block_form(g)
-
-
 def test_solve_first_order_quotient_eigenvector():
-    # the largest eigenvalue belongs to the quotient block: x1 is U^T (u0 + u1)
-    # / sqrt(2) = e13, its u0 part (0.5 - 0.3)^-1 times the coupling 0.2 of u1
-    f = _coupled_diagonal([0.3, 0.5, 0.1, -0.2])
-    _, lambda1, x1 = first_order_at(solve_first_order(*block_arguments(f)), 1.0, 1.0)
-    assert lambda1 == pytest.approx(0.5, abs=1e-14)
-    assert np.allclose(x1, [0, 1, 0, 0])
-    assert np.allclose(f @ x1, lambda1 * x1)
+    # the eigenvector of lambda1 = c w_big lives on the quotient block: with z Q's
+    # eigenvector for w_big and y = (w_big - A)^-1 C z from a dense solve on the
+    # blocks of transfer_blocks, x1 is U^T (y, tau z) up to a phase, and an
+    # eigenvector of the coefficient table's single-quantum map
+    for n, t, b in ((6, 5.3768, 5.3790), (6, 5.0326, 10.0), (42, 41.33, 9.0)):
+        p, q, r = amplitude_grids(mode_basis(n), t)
+        a, c, qb = (np.array(x).reshape(2, 2) for x in transfer_blocks(p, q, r)[0])
+        w, vecs = np.linalg.eig(qb)
+        k = int(np.argmax(np.abs(w)))
+        z = vecs[:, k]
+        y = np.linalg.solve(w[k] * np.eye(2) - a, c @ z)
+        _, tau, _, _ = temperature_factors(b, n)
+        x = BLOCK_BASIS.T @ np.concatenate([y, tau * z])
+        x = x / np.linalg.norm(x)
+        points = _points(n, t, b)
+        assert points.real
+        phase = np.vdot(x, points.x1)
+        assert np.linalg.norm(points.x1 - phase / abs(phase) * x) <= 1e-12
+        f = _table(n, t, b).first
+        assert np.linalg.norm(f @ points.x1 - points.lambda1 * points.x1) <= 1e-12 * np.abs(f).max()
 
 
 def test_solve_first_order_ordering(rng):
@@ -119,14 +121,26 @@ def test_solve_first_order_ordering(rng):
     for _ in range(20):
         n = int(rng.integers(4, 45))
         t, b = rng.uniform(0.0, 3.0 * n), rng.uniform(0.0, 10.0)
-        amps = amplitude_set(mode_basis(n), t)
-        first, _, _ = transfer_blocks(amps.f11, amps.f1n, amps.f21, amps.f2n)
+        p, q, r = amplitude_grids(mode_basis(n), t)
+        first, _, _ = transfer_blocks(p, q, r)
         theta, tau, _, _ = temperature_factors(b, n)
-        ev, _, _ = first_order_at(solve_first_order(*first), theta, tau)
+        ev, _, _ = first_order_at(solve_first_order(first, transfer_spectrum(p, q, r, n)),
+                                  theta, tau)
         mods = np.abs(ev)
         assert np.all(np.diff(mods) <= 1e-12)
         dense = np.linalg.eigvals(_table(n, t, b).first)
         assert np.abs(ev[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
+
+
+def test_solve_first_order_takes_the_chains_eigen_data_only():
+    # W's eigen-data comes from transfer_spectrum, not from a block: passed the
+    # three blocks, or a block in place of the eigen-data, it refuses
+    p, q, r = amplitude_grids(mode_basis(6), 5.3)
+    first, _, _ = transfer_blocks(p, q, r)
+    with pytest.raises(TypeError):
+        solve_first_order(*first)
+    with pytest.raises(AttributeError):
+        solve_first_order(first, first[2])
 
 
 def test_first_order_eig_on_subnormal_maps():

@@ -105,9 +105,9 @@ def test_table_matches_expanded_reference(point):
     # algebra, at t = 2 N t_frac: first to 1e-13 of its largest prefactor
     # |k4| = e^(b/2) tanh(b/2)^(N-3) / (2 cosh(b/2)), zero to 1e-13
     n, t_frac, b = point
-    amps = amplitude_grids(mode_basis(n), 2.0 * n * t_frac)
-    first, zero, second = alpha_entries(*amps, b, n)
-    ref_first, ref_zero, ref_second = expanded_entries(*amps, b, n)
+    p, q, r = amplitude_grids(mode_basis(n), 2.0 * n * t_frac)
+    first, zero, second = alpha_entries(p, q, r, b, n)
+    ref_first, ref_zero, ref_second = expanded_entries(p, q, r, p, b, n)
     k4 = np.exp(b / 2.0) * np.tanh(b / 2.0) ** (n - 3) / (2.0 * np.cosh(b / 2.0))
     assert np.abs(first - ref_first).max() <= 1e-13 * k4
     assert np.abs(zero - ref_zero).max() <= 1e-13
