@@ -21,7 +21,11 @@ lambda0 of a pair (C1, C2 these bounds with a slack, lambda1+ and lambda2+
 the factors' positive parts); the exact objectives at the few pairs of
 largest bound give each case a floor, and a pair runs only if its bound
 exceeds the floor and the running best of some case. The pairs left out
-cannot hold a first maximum, so the scan's best cells are those of the full
+cannot hold a first maximum. Within a pair, the closed form of c1_max
+(mqtransfer.states.c1_rays) runs only at the cells whose own bound, from the
+2x2 principal minors c1_max |x_ij| <= sqrt(rho_ii rho_jj), can still win case
+2 or 3; the other cells read s1 = 0 and could not have won. So the scan's
+best cells are those of the full
 grid (see _scan). Case 4 samples the curve in closed form, b(t) from
 tanh(b/2)^(N-2) = w_small(t) with w_small the smaller eigenvalue of the
 transfer matrix W, along the t grid, and refines its best points with one
@@ -49,8 +53,8 @@ from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_b
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root, grid_max
 from .solvers import solve_zero_order
-from .states import (RegionPoints, case_metrics, region_cells, region_columns, region_metrics,
-                     region_points, time_stage)
+from .states import (RegionPoints, base_cells, c1_rays, case_metrics, region_cells,
+                     region_columns, region_metrics, region_points, time_stage)
 from .two_qubit import transfer_spectrum
 
 __all__ = [
@@ -214,6 +218,22 @@ def _c1_bound(x1: np.ndarray) -> np.ndarray:
     return 0.5 / np.maximum(a[..., 0] + a[..., 3], a[..., 1] + a[..., 2]) + _SLACK
 
 
+def _c1_cell_bound(base: tuple, x1: np.ndarray) -> np.ndarray:
+    """A bound, with the scan's slack, on c1_max of positive base states (entries as in
+    mqtransfer.states.base_cells) along unit vectors x1 (..., 4) that broadcast against them:
+    the 2x2 principal minor of sites i and j gives c1_max^2 |x_ij|^2 <= rho_ii rho_jj for (ij)
+    in {12, 13, 24, 34}. A term with |x_ij|^2 at or below the smallest normal float is +inf
+    (that minor bounds nothing), and rho_ii is floored at its square root, so no term is 0 * inf.
+    """
+    tiny = np.finfo(float).tiny
+    r11, r22, r33, r44 = (np.maximum(r, np.sqrt(tiny)) for r in base[:4])
+    a2 = np.abs(x1) ** 2
+    inv = np.divide(1.0, a2, out=np.full(a2.shape, np.inf), where=a2 > tiny)
+    c1_sq = np.minimum(np.minimum(r11 * r22 * inv[..., 0], r11 * r33 * inv[..., 1]),
+                       np.minimum(r22 * r44 * inv[..., 2], r33 * r44 * inv[..., 3]))
+    return np.sqrt(c1_sq) + _SLACK
+
+
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float, float, float]]:
     """Best cell (value, t, b, lambda0) of cases 1..3 on the coarse grid.
 
@@ -223,26 +243,35 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
 
     Bounds. On a positive base state c2_max = sqrt(rho11 rho44) <= (rho11 + rho44) / 2 <= 1/2,
     and c1_max along the pair's unit x1 is at most 1 / (2 max(|x12| + |x34|, |x13| + |x24|))
-    (_c1_bound; mqtransfer.states.block_rays). So at a (t, b) pair, at every lambda0, the three
+    (_c1_bound; mqtransfer.states.c1_rays). So at a (t, b) pair, at every lambda0, the three
     objectives are at most U1 = C2 lambda2+, U2 = C1 lambda1+ and U1 U2, with lambda2+ =
     max(lambda2, 0), lambda1+ the positive part of lambda1 where it is real and 0 elsewhere,
     and C1 and C2 the two bounds plus a slack (_c1_bound, _C2_BOUND). The bounds need only
-    region_points and the t-stage's lambda2. The slack covers PSD_TOL and the rounding of the
-    base state, whose unit trace holds to about COND_LIMIT times the unit roundoff, and it
-    makes every bound strictly greater than its objective wherever the bound is positive (the
-    objective is 0 elsewhere).
+    region_points and the t-stage's lambda2. At a cell, once base_cells has given its base
+    state and s2 = c2_max lambda2+, the minors of sites (ij) in {12, 13, 24, 34} give c1_max
+    |x_ij| <= sqrt(rho_ii rho_jj), so s1 is at most V = C1cell lambda1+ and s1 s2 at most
+    V s2, with C1cell the least of those ratios plus the slack (_c1_cell_bound; a pair with
+    x_ij = 0 bounds nothing). The slack covers PSD_TOL and the rounding of the base state,
+    whose unit trace holds to about COND_LIMIT times the unit roundoff, and it makes every
+    bound strictly greater than its objective wherever the bound is positive (the objective
+    is 0 elsewhere).
 
     Seed and stream. The objectives at the _SEED_PAIRS pairs of largest bound of each case give
     each case a floor, a value the grid attains. The pairs whose bound exceeds the floor in some
     case then run in (b, t) order, _CHUNK_CELLS cells at a time, through the lambda0-dependent
-    part of the kernel: the zero-order temperature step, the rays and the case mask. A chunk
-    first drops the pairs whose bound does not exceed the running best in any case.
+    part of the kernel: the zero-order temperature step, the positivity rays (base_cells) and
+    the case mask. A chunk first drops the pairs whose bound does not exceed the running best
+    in any case, and forms c1_max (c1_rays) only at its ok cells where V or V s2 exceeds the
+    floor and the running best of case 2 or 3; its other cells keep c1_max = 0.
 
     Exactness. A pair left out has, in every case, a bound at most the floor, which the grid's
     maximum is not below, or at most the running best, which only a strictly greater value
     replaces. Its value is below its bound or zero, so it holds no first maximum but a zero one,
-    which the first cell holds. The pairs that run keep their order, so argmax breaks ties as it
-    would over the full grid.
+    which the first cell holds. The same holds for a cell whose c1_max is not formed: in cases
+    2 and 3 its value is below V or V s2, which is at most the floor or the running best, and
+    the 0 it reads instead is no greater, so it neither holds nor hides a first maximum. Where
+    c1_max is formed it is c1_rays' value at that cell, as over the full grid. The pairs that
+    run keep their order, so argmax breaks ties as it would over the full grid.
     """
     ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
     times = time_stage(spec, ts)
@@ -254,19 +283,29 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     lam1, x1, real = (np.stack([getattr(p, f) for p in columns]) for f in ("lambda1", "x1", "real"))
     n, k = np.array([p.weights for p in columns]).T
     del columns
-    u1 = np.broadcast_to(_C2_BOUND * np.maximum(times.lambda2.real, 0.0), lam1.shape)
-    u2 = np.where(real & (lam1 > 0.0), _c1_bound(x1) * lam1, 0.0)
+    lam1_pos = np.where(real & (lam1 > 0.0), lam1, 0.0)
+    lam2_pos = np.maximum(times.lambda2.real, 0.0)
+    u1 = np.broadcast_to(_C2_BOUND * lam2_pos, lam1.shape)
+    u2 = _c1_bound(x1) * lam1_pos
     bounds = np.array([u1, u2, u1 * u2])  # (case, b, t)
 
-    def objectives(jb, it) -> list:
-        """The objectives of cases 1..3 over (pairs, lambda0) at the (b, t) index pairs jb, it."""
+    def objectives(jb, it, top) -> list:
+        """The objectives of cases 1..3 over (pairs, lambda0) at the (b, t) index pairs jb, it,
+        with c1_max formed only at the ok cells whose bound exceeds top in case 2 or 3."""
         points = RegionPoints(ev[jb, :, it], lam1[jb, it], x1[jb, it], real[jb, it],
                               times.lambda2[it], (n[jb], k[jb]))
-        cells = region_cells(points, (tuple(x[it] for x in unit), regular[it]))
-        return _objectives(points, cells)[:3]
+        base, ok, c2_max = base_cells(points, (tuple(x[it] for x in unit), regular[it]))
+        s1_bound = _c1_cell_bound(base, points.x1[:, None, :]) * lam1_pos[jb, it, None]
+        run = ok & ((s1_bound > top[1]) | (s1_bound * c2_max * lam2_pos[it, None] > top[2]))
+        row, il = np.nonzero(run)
+        c1_max = np.zeros(ok.shape)
+        if row.size:
+            c1_max[row, il] = c1_rays(tuple(x[row, il] for x in base), points.x1[row])
+        return _objectives(points, (base, ok, c1_max, c2_max))[:3]
 
     seed = np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]
-    floor = np.array([v.max() for v in objectives(*np.divmod(np.unique(seed), len(ts)))])
+    floor = np.array([v.max() for v in objectives(*np.divmod(np.unique(seed), len(ts)),
+                                                   np.zeros(3))])
     jb, it = np.nonzero((bounds > floor[:, None, None]).any(axis=0))
     best = dict.fromkeys((1, 2, 3), (0.0, float(ts[0]), float(B_GRID[0]), float(l0s[0])))
     size = max(1, _CHUNK_CELLS // len(l0s))
@@ -277,7 +316,7 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
         if not keep.any():
             continue
         j, i = j[keep], i[keep]
-        for case, value in zip((1, 2, 3), objectives(j, i)):
+        for case, value in zip((1, 2, 3), objectives(j, i, top)):
             cell = int(np.argmax(value))
             if value.flat[cell] > best[case][0]:
                 pair, il = divmod(cell, len(l0s))

@@ -16,7 +16,9 @@ inverse temperature b reaches the map only through four factors
 - solvers.solve_zero_order on its spectrum, once per (t, lambda0): one
   back-substitution at unit sources, whose singularity mask is b-free;
 - the temperature step, per b: region_points (the theta tau scale and x1)
-  and region_cells (the base state from n and k, then the rays).
+  and region_cells (the base state from n and k, then the rays): base_cells
+  (positivity and c2_max, c2_rays) and the single-quantum ray c1_max
+  (c1_rays), which a caller may run on fewer cells.
 
 region_columns streams a grid through them one b column at a time, and
 case_metrics is the case mask. For odd N the single-quantum factor is real
@@ -41,9 +43,11 @@ __all__ = [
     "TimeStage",
     "RegionPoints",
     "assemble_sender",
-    "block_rays",
+    "c2_rays",
+    "c1_rays",
     "time_stage",
     "region_points",
+    "base_cells",
     "region_cells",
     "base_vector",
     "region_columns",
@@ -71,29 +75,37 @@ def assemble_sender(x0, x1=None, c1: float = 0.0, c2: float = 0.0) -> np.ndarray
     return m + np.triu(m, 1).conj().T
 
 
-def block_rays(base: tuple, x1: np.ndarray):
-    """Closed-form creatable intervals c1_max and c2_max, over leading axes.
+def c2_rays(base: tuple):
+    """Positivity of the base state and the creatable interval c2_max, over leading axes.
 
     base is the base state as its entries (rho11, rho22, rho33, rho44, rho23)
-    (region_cells), and x1 (..., 4) the single-quantum direction. The base
-    state is block-diagonal on {1}, {2,3}, {4}, so c2_max = sqrt(rho11 rho44).
-    The single-quantum direction couples only {1,4} to {2,3}; with B its
-    {1,4} x {2,3} block, c1_max = 1/sigma_max, where sigma_max^2 is the
-    larger eigenvalue of the 2x2 matrix M23^-1 B^H D14^-1 B. Returns
-    (positive, c1_max, c2_max): positive marks base states whose smallest
-    eigenvalue is at least -PSD_TOL, and both lengths are zero elsewhere.
-    On a positive base state of unit trace c2_max <= (rho11 + rho44) / 2
-    <= 1/2, and the 2x2 principal minors of sites {1, 2} and {3, 4} give
-    c1_max (|x12| + |x34|) <= 1/2, those of {1, 3} and {2, 4}
-    c1_max (|x13| + |x24|) <= 1/2 (the grid scan of mqtransfer.optimize
-    prunes with these bounds). The test suite certifies
-    these values against bisection on the dense sender matrix.
+    (region_cells). The base state is block-diagonal on {1}, {2,3}, {4}, so it
+    is positive where rho11, rho44 and the smaller eigenvalue of its {2,3}
+    block are at least -PSD_TOL, and c2_max = sqrt(rho11 rho44) there. Returns
+    (positive, c2_max), c2_max zero where the base state is not positive. On a
+    positive base state of unit trace c2_max <= (rho11 + rho44) / 2 <= 1/2.
     """
     r11, r22, r33, r44, x23 = base
-    off2 = np.abs(x23) ** 2
-    blk_min = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + off2)
+    blk_min = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + np.abs(x23) ** 2)
     positive = (r11 >= -PSD_TOL) & (r44 >= -PSD_TOL) & (blk_min >= -PSD_TOL)
-    c2 = np.where(positive, np.sqrt(np.maximum(r11 * r44, 0.0)), 0.0)
+    return positive, np.where(positive, np.sqrt(np.maximum(r11 * r44, 0.0)), 0.0)
+
+
+def c1_rays(base: tuple, x1: np.ndarray) -> np.ndarray:
+    """Closed-form creatable interval c1_max of a positive base state, over leading axes.
+
+    base is as for c2_rays, and x1 (..., 4) the single-quantum direction. The
+    single-quantum direction couples only {1,4} to {2,3}; with B its
+    {1,4} x {2,3} block, c1_max = 1/sigma_max, where sigma_max^2 is the
+    larger eigenvalue of the 2x2 matrix M23^-1 B^H D14^-1 B. The value is
+    meaningful only where c2_rays marks the base state positive. There each
+    2x2 principal minor of the sender gives c1_max |x_ij| <= sqrt(rho_ii rho_jj)
+    for (ij) in {12, 13, 24, 34}, since the base state has no entry there (the
+    grid scan of mqtransfer.optimize runs this formula only on the cells that
+    these bounds cannot rule out). The test suite certifies these values
+    against bisection on the dense sender matrix.
+    """
+    r11, r22, r33, r44, x23 = base
     x1 = np.asarray(x1)
     # B rows are sites 1 and 4, columns sites 2 and 3
     b12, b13, b42, b43 = x1[..., 0], x1[..., 1], np.conj(x1[..., 2]), np.conj(x1[..., 3])
@@ -105,16 +117,15 @@ def block_rays(base: tuple, x1: np.ndarray):
     # eigenvalue of H comes from (h22 - h33)^2 + 4|h23|^2, a sum of squares
     # that does not cancel where the two eigenvalues cross
     d2 = np.maximum(r22, 1e-30)
-    det_m = np.maximum(r22 * r33 - off2, 1e-30)
+    det_m = np.maximum(r22 * r33 - np.abs(x23) ** 2, 1e-30)
     ratio = x23 / d2
     w1, w4 = b13 - b12 * ratio, b43 - b42 * ratio
     h22 = (np.abs(b12) ** 2 / d1 + np.abs(b42) ** 2 / d4) / d2
     h33 = d2 * (np.abs(w1) ** 2 / d1 + np.abs(w4) ** 2 / d4) / det_m
     h23 = (np.conj(b12) * w1 / d1 + np.conj(b42) * w4 / d4) / np.sqrt(det_m)
     sigma2 = 0.5 * (h22 + h33) + np.sqrt(0.25 * (h22 - h33) ** 2 + np.abs(h23) ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c1 = np.where(positive, 1.0 / np.sqrt(sigma2), 0.0)
-    return positive, c1, c2
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(sigma2)
 
 
 @dataclass(frozen=True)
@@ -196,19 +207,26 @@ def region_points(times: TimeStage, b) -> RegionPoints:
     return RegionPoints(ev, lambda1, x1, real, times.lambda2, (n, k))
 
 
-def region_cells(points: RegionPoints, zero: tuple) -> tuple:
-    """The zero-order temperature step and the rays at every point and lambda0.
+def base_cells(points: RegionPoints, zero: tuple) -> tuple:
+    """The zero-order temperature step and the positivity rays at every point and lambda0.
 
     zero is solvers.solve_zero_order on the spectrum of the points' t-stage,
     over (times..., nl), and broadcasts against the points. Returns the base
     state's entries (rho11, rho22, rho33, rho44, rho23), each
     (points..., nl), the mask ok of cells with a regular zero-order solve and
-    a positive base state, c1_max and c2_max.
+    a positive base state, and c2_max (c2_rays).
     """
     unit, regular = zero
     base = zero_order_at(unit, *points.weights)
-    positive, c1_max, c2_max = block_rays(base, points.x1[..., None, :])
-    return base, regular & positive, c1_max, c2_max
+    positive, c2_max = c2_rays(base)
+    return base, regular & positive, c2_max
+
+
+def region_cells(points: RegionPoints, zero: tuple) -> tuple:
+    """base_cells and the single-quantum ray at every point and lambda0: the base state's
+    entries, the mask ok, c1_max (c1_rays, zero where not ok) and c2_max."""
+    base, ok, c2_max = base_cells(points, zero)
+    return base, ok, np.where(ok, c1_rays(base, points.x1[..., None, :]), 0.0), c2_max
 
 
 def base_vector(base: tuple) -> np.ndarray:

@@ -55,8 +55,8 @@ def base_matrix(x0: np.ndarray) -> np.ndarray:
 
 
 def base_entries(x0: np.ndarray) -> tuple:
-    """The base state entries (rho11, rho22, rho33, rho44, rho23) of block_rays for a
-    zero-order vector x0 (..., 5), rho44 from the unit trace."""
+    """The base state entries (rho11, rho22, rho33, rho44, rho23) of c2_rays and c1_rays
+    for a zero-order vector x0 (..., 5), rho44 from the unit trace."""
     x0 = np.asarray(x0)
     r11, r22, r33 = x0[..., 0].real, x0[..., 1].real, x0[..., 2].real
     return r11, r22, r33, 1.0 - r11 - r22 - r33, x0[..., 3]
@@ -314,7 +314,7 @@ def region_reference(spec: ChainSpec, t: float, b: float, lambda0: float, case: 
     """Semi-axes of a case at one point from the scalar table and the references above.
 
     The rays are bisected to tol against the exact positivity boundary
-    (smallest eigenvalue 0), which the closed form of block_rays locates.
+    (smallest eigenvalue 0), which the closed forms of c2_rays and c1_rays locate.
     Returns feasible, s1, s2, lambda1, x0 and x1 with the conventions of
     RegionReport: zeros where infeasible, s1 = 0 in case 1, s2 = 0 in case 2.
     """
@@ -390,7 +390,7 @@ def moments_reference(n_sites: int, t: float, b: float, lambda0: float, digits: 
     the blocks of W (mqtransfer.two_qubit.transfer_blocks); x0 = M^-1 z,
     rho44 = 1 + z4. lambda1 = theta tau w_big, and x1 is U^T (y, tau z) with
     z Q's null vector and y = (w_big - A)^-1 C z. c1_max and c2_max are the
-    closed forms of mqtransfer.states.block_rays, which lose no digits at
+    closed forms of mqtransfer.states.c2_rays and c1_rays, which lose no digits at
     this precision. Returns rho (rho11, rho22, rho33, rho44, rho23) and
     lambda1 as mpmath numbers, and s1 = c1_max lambda1 (0 unless lambda1 is
     real and positive) and s2 = c2_max lambda2 (0 unless lambda2 > 0), both

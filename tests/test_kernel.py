@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
 from mqtransfer.solvers import solve_zero_order, zero_order_system
-from mqtransfer.optimize import _C2_BOUND, B_GRID, _c1_bound, _lambda0_grid, _t_grid
-from mqtransfer.states import (base_vector, block_rays, case_metrics, region_cells, region_columns,
-                               region_points, time_stage)
+from mqtransfer.optimize import (_C2_BOUND, B_GRID, _c1_bound, _c1_cell_bound, _lambda0_grid,
+                                 _t_grid)
+from mqtransfer.states import (PSD_TOL, base_vector, c1_rays, c2_rays, case_metrics, region_cells,
+                               region_columns, region_points, time_stage)
 from mqtransfer.chain import amplitude_grids
 from reference import (base_entries, c_max_ray, expanded_entries, in_realness_band,
                        moments_reference, region_reference, select_first_order)
@@ -182,10 +183,10 @@ def positive_senders(draw, floor=0.05, coherence=0.9):
 @given(positive_senders())
 def test_closed_form_rays_match_bisection(sender):
     x0, x1 = sender
-    positive, c1, c2 = block_rays(base_entries(x0), x1)
+    positive, c2 = c2_rays(base_entries(x0))
     assert positive
     c1_ref, c2_ref = c_max_ray(x0, x1, "corner", tol=1e-11)
-    assert float(c1) == pytest.approx(c1_ref, abs=1e-8)
+    assert float(c1_rays(base_entries(x0), x1)) == pytest.approx(c1_ref, abs=1e-8)
     assert float(c2) == pytest.approx(c2_ref, abs=1e-8)
 
 
@@ -193,16 +194,24 @@ def test_closed_form_rays_match_bisection(sender):
 @given(positive_senders(floor=0.0, coherence=1.0))
 @example((np.array([0.5, 0.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
 @example((np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
+@example((np.array([0.5, 0.25, 0.25, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)))
+@example((np.array([-0.5 * PSD_TOL, 0.5, 0.25, 0.0, 0.0]), np.full(4, 0.5 + 0.0j)))
+@example((np.array([0.25, 0.25, 0.25, 0.1, 0.1]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
 def test_rays_obey_the_scan_bounds(sender):
     # the premise of the grid scan's pruning (optimize._scan): on a positive base
-    # state c1_max <= 1 / (2 max(|x12| + |x34|, |x13| + |x24|)) and c2_max <= 1/2,
-    # within the scan's slack, up to the edges of positivity; the examples reach
-    # c2_max = 1/2 (rho11 = rho44 = 1/2) and the c1 bound 1/2 (rho11 = rho22 = 1/2,
-    # x1 = e12)
+    # state c2_max <= 1/2, c1_max <= 1 / (2 max(|x12| + |x34|, |x13| + |x24|)) per
+    # (t, b) pair and c1_max <= min sqrt(rho_ii rho_jj) / |x_ij| per cell, within
+    # the scan's slack, up to the edges of positivity. The examples reach c2_max =
+    # 1/2 (rho11 = rho44 = 1/2) and the c1 bounds 1/2 (rho11 = rho22 = 1/2, x1 =
+    # e12); x_ij = 0 where rho_ii rho_jj = 0 (rho44 = 0 with x24 = x34 = 0); rho11
+    # below zero within PSD_TOL; and x1 = e12, the direction of the b = 0 column
     x0, x1 = sender
-    positive, c1, c2 = block_rays(base_entries(x0), x1)
+    base = base_entries(x0)
+    positive, c2 = c2_rays(base)
+    c1 = c1_rays(base, x1)
     assert positive
     assert c1 <= _c1_bound(x1) and c2 <= _C2_BOUND
+    assert c1 <= _c1_cell_bound(base, x1)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 10, 42])
@@ -211,9 +220,10 @@ def test_grid_rays_obey_the_scan_bounds(n):
     spec = ChainSpec(n)
     ts, l0s = _t_grid(spec, None), _lambda0_grid("free")
     checked = 0
-    for points, (_, ok, c1, c2) in region_columns(spec, ts, B_GRID, l0s):
+    for points, (base, ok, c1, c2) in region_columns(spec, ts, B_GRID, l0s):
         c1_bound = np.broadcast_to(_c1_bound(points.x1)[:, None], c1.shape)
         assert np.all(c1[ok] <= c1_bound[ok]) and np.all(c2[ok] <= _C2_BOUND)
+        assert np.all(c1[ok] <= _c1_cell_bound(base, points.x1[:, None, :])[ok])
         checked += ok.sum()
     assert checked > 0
 

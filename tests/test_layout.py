@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mqtransfer"
@@ -151,3 +152,32 @@ def test_cli_opens_out_once_and_commands_return_nothing():
     returns = [f"cli.py:{node.lineno} {func.name}" for func in functions if func.name.startswith("_cmd_")
                for node in ast.walk(func) if isinstance(node, ast.Return) and node.value is not None]
     assert not returns, returns
+
+
+def _ray_rules(path: Path) -> list[str]:
+    """Where a module writes the positivity rule, a comparison with -PSD_TOL or any other use of
+    PSD_TOL, or the closed-form eigenvalue of a 2x2 Hermitian block, sqrt(0.25 * (a - b) ** 2
+    + ...), from which both the positivity rule and sigma_max are formed."""
+    found = []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        names = ([node.id] if isinstance(node, ast.Name) else
+                 [node.attr] if isinstance(node, ast.Attribute) else
+                 [alias.name for alias in node.names]
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+        hit = "PSD_TOL" in names and not isinstance(getattr(node, "ctx", None), ast.Store)
+        hit |= isinstance(node, ast.Call) and bool(
+            re.match(r"(np\.)?sqrt\(0\.25 \* \(.+ - .+\) \*\* 2 \+ ", ast.unparse(node)))
+        if hit:
+            owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append(f"{path.name}:{'/'.join(owner) or '<module>'}")
+    return sorted(set(found))
+
+
+def test_rays_are_formed_only_in_states():
+    # the grid scan prunes with bounds on the rays but forms no ray of its own: the
+    # positivity rule and the closed form of sigma_max live in one function each of
+    # states (c2_rays and c1_rays), so the scan cannot fork them
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _ray_rules(path)]
+    assert found == ["states.py:c1_rays", "states.py:c2_rays"], found

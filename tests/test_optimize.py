@@ -24,8 +24,8 @@ from mqtransfer.optimize import (B_GRID, _curve, _lambda0_grid, _scan, _t_grid,
                                  objective_landscape, summary_table)
 from mqtransfer.search import bracket_max, bracket_root
 from mqtransfer.solvers import solve_zero_order, zero_order_at, zero_order_system
-from mqtransfer.states import (base_vector, case_metrics, region_cells, region_columns,
-                               region_metrics, region_points, time_stage)
+from mqtransfer.states import (base_cells, base_vector, c1_rays, case_metrics, region_cells,
+                               region_columns, region_metrics, region_points, time_stage)
 from reference import region_reference, select_first_order, solve_zero_order_dense
 
 # the package's optimize is the function; the module holds the search constants
@@ -440,7 +440,7 @@ def test_scan_edge_columns_match_reference(n):
 
 @pytest.mark.parametrize("mode", ["free", "fixed_one"])
 @pytest.mark.parametrize("n, t_window", [
-    *(pytest.param(n, None, id=str(n)) for n in (4, 5, 6, 7, 8, 10, 12, 42, 43, 44)),
+    *(pytest.param(n, None, id=str(n)) for n in (4, 5, 6, 7, 8, 9, 10, 12, 16, 30, 42, 43, 44)),
     pytest.param(6, (4.0, 8.0), id="6-window"),
 ])
 def test_scan_keeps_each_case_best_cell(n, t_window, mode):
@@ -474,6 +474,37 @@ def test_scan_prunes_most_rows(monkeypatch):
     monkeypatch.setattr(states_module, "zero_order_at", counted)
     _scan(spec, OptProblem(case=3))
     assert 0 < sum(rows) < 0.5 * len(_t_grid(spec, None)) * len(B_GRID)
+
+
+def test_scan_forms_c1_max_on_few_cells(monkeypatch):
+    # the per-cell bounds at work: at N = 42 free the closed form of c1_max runs on
+    # fewer than 15 % of the cells of a regular, positive base state that the scan
+    # forms (8.8 % when this test was written)
+    positive, formed = [], []
+
+    def counted_cells(points, zero):
+        cells = base_cells(points, zero)
+        positive.append(int(cells[1].sum()))
+        return cells
+
+    def counted_rays(base, x1):
+        formed.append(base[0].size)
+        return c1_rays(base, x1)
+
+    monkeypatch.setattr(optimize_module, "base_cells", counted_cells)
+    monkeypatch.setattr(optimize_module, "c1_rays", counted_rays)
+    _scan(ChainSpec(42), OptProblem(case=3))
+    assert 0 < sum(formed) < 0.15 * sum(positive)
+
+
+@pytest.mark.parametrize("mode", ["free", "fixed_one"])
+def test_scan_raises_no_floating_point_warning(mode):
+    # the bounds meet x_ij = 0, base states with a zero or slightly negative
+    # population and lambda1 = 0 on the grid; none of them warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (*range(4, 13), 42, 43, 44):
+            _scan(ChainSpec(n), OptProblem(case=3, lambda0_mode=mode))
 
 
 def test_refine_stops_at_a_fixed_point(monkeypatch):

@@ -13,7 +13,8 @@ from mqtransfer import (
     region_metrics,
     solve_zero_order,
 )
-from mqtransfer.states import base_vector, block_rays, region_cells, region_points, time_stage
+from mqtransfer.states import (base_vector, c1_rays, c2_rays, region_cells, region_points,
+                               time_stage)
 from reference import (
     SECOND_DIRECTION,
     base_entries,
@@ -134,7 +135,8 @@ def test_closed_form_ray_matches_bisection(rng):
         x1 = rng.normal(size=4) + 1j * rng.normal(size=4)
         x1 /= np.linalg.norm(x1)
         m0 = base_matrix(x0)
-        positive, c1, c2 = block_rays(base_entries(x0), x1)
+        positive, c2 = c2_rays(base_entries(x0))
+        c1 = c1_rays(base_entries(x0), x1)
         assert positive
         for direction, closed in ((first_order_direction(x1), c1),
                                   (SECOND_DIRECTION, c2)):
@@ -230,7 +232,8 @@ def test_block_rays_match_bisection_on_seeded_points():
             rep = region_metrics(spec, t, b, lam0, case=3)
             if not rep.feasible:
                 continue
-            positive, c1, c2 = block_rays(base_entries(rep.x0), rep.x1)
+            positive, c2 = c2_rays(base_entries(rep.x0))
+            c1 = c1_rays(base_entries(rep.x0), rep.x1)
             assert positive
             c1_ref, c2_ref = c_max_ray(rep.x0, rep.x1, "corner")
             assert float(c1) == pytest.approx(c1_ref, abs=1e-8)
@@ -254,7 +257,7 @@ def test_block_rays_at_eigenvalue_crossing(table_n6_one):
     m23_inv_half = (evecs / np.sqrt(evals)) @ evecs.conj().T
     hermitian = m23_inv_half @ b14.conj().T @ np.linalg.inv(d14) @ b14 @ m23_inv_half
     c1_ref = 1.0 / np.sqrt(np.linalg.eigvalsh(hermitian).max())
-    _, c1, _ = block_rays(base_entries(res.x0), res.x1)
+    c1 = c1_rays(base_entries(res.x0), res.x1)
     assert float(c1) == pytest.approx(c1_ref, rel=1e-12)
 
 
