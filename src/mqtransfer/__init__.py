@@ -44,7 +44,7 @@ from .optimize import (
     summary_table,
     uniform_curve,
 )
-from .oracle import build_hamiltonian, evolve_and_trace, thermal_background
+from .oracle import build_hamiltonian, evolve_and_trace
 from .solvers import (
     gauge_fix,
     solve_first_order,

@@ -114,11 +114,10 @@ def transition_amplitude(basis: ModeBasis, i: int, j: int, ts):
 def endpoint_amplitude(basis: ModeBasis, ts):
     """End-to-end amplitude f(t) = sum_k exp(+i eps_k t) g_1k g_Nk over ts (any shape).
 
-    Purely real for odd N and purely imaginary for even N.
+    Purely real for odd N and purely imaginary for even N. It is conj(f_1N) (g and the
+    energies are real), + 0j turning a -0.0 imaginary part, as at t = 0, into 0.0.
     """
-    check_time(ts)
-    phase = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), basis.energies))
-    return phase @ (basis.g[0] * basis.g[basis.n_sites - 1])
+    return np.conj(transition_amplitude(basis, 1, basis.n_sites, ts)) + 0j
 
 
 def endpoint_power_max(basis: ModeBasis, t_lo: float, t_hi: float) -> tuple[float, float]:

@@ -15,21 +15,22 @@ one t-stage and one lambda0 stage of the region kernel (mqtransfer.states)
 and the temperature step of every b column, and runs the rest of the kernel,
 the zero-order temperature step and the rays, only at the (t, b) pairs that
 can still win. On a positive base state c2_max <= 1/2 and c1_max <= 1 / (2
-max(|x12| + |x34|, |x13| + |x24|)) <= 1/sqrt(2) for the pair's unit x1, so C2
-lambda2+, C1 lambda1+ and their product bound the three objectives at every
-lambda0 of a pair (C1, C2 these bounds with a slack, lambda1+ and lambda2+
-the factors' positive parts); the exact objectives at the few pairs of
-largest bound give each case a floor, and a pair runs only if its bound
-exceeds the floor and the running best of some case. The pairs left out
-cannot hold a first maximum. Within a pair, the closed form of c1_max
-(mqtransfer.states.c1_rays) runs only at the cells whose own bound, from the
-2x2 principal minors c1_max |x_ij| <= sqrt(rho_ii rho_jj), can still win case
-2 or 3; the other cells read s1 = 0 and could not have won. So the scan's
-best cells are those of the full
-grid (see _scan). Case 4 samples the curve in closed form, b(t) from
-tanh(b/2)^(N-2) = w_small(t) with w_small the smaller eigenvalue of the
-transfer matrix W, along the t grid, and refines its best points with one
-bracket search in t. Cases 2-4 need a real single-quantum factor, which
+max(|x12| + |x34|, |x13| + |x24|)) <= 1/sqrt(2) for the pair's unit x1, so
+C2 lambda2+, C1 lambda1+ and their product bound the three objectives at
+every lambda0 of a pair (C1, C2 these bounds with a slack, lambda1+ and
+lambda2+ the factors' positive parts, states.positive_factors; one table
+reads every case's objective or bound off s1 and s2, _case_table); the exact
+objectives at the few pairs of largest bound give each case a floor, and a
+pair runs only if its bound exceeds the floor and the running best of some
+case. The pairs left out cannot hold a first maximum. Within a pair, the
+closed form of c1_max (mqtransfer.states.c1_rays) runs only at the cells
+whose own bound, from the 2x2 principal minors c1_max |x_ij| <= sqrt(rho_ii
+rho_jj), can still win case 2 or 3; the other cells read s1 = 0 and could
+not have won. So the scan's best cells are those of the full grid (see
+_scan). Case 4 samples the curve in closed form, b(t) from tanh(b/2)^(N-2) =
+w_small(t) with w_small the smaller eigenvalue of the transfer matrix W,
+along the t grid, and refines its best points with one bracket search in t.
+Cases 2-4 need a real single-quantum factor, which
 mqtransfer.two_qubit.transfer_spectrum decides exactly and independently of
 b > 0; for odd N there is none, so those cases are infeasible there.
 
@@ -53,8 +54,8 @@ from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_b
 from .errors import ConfigurationError
 from .search import bracket_max, bracket_root, grid_max
 from .solvers import solve_zero_order
-from .states import (RegionPoints, base_cells, c1_rays, case_metrics, region_cells,
-                     region_columns, region_metrics, region_points, time_stage)
+from .states import (base_cells, c1_rays, positive_factors, region_cells, region_columns,
+                     region_metrics, region_points, semi_axes, time_stage)
 from .two_qubit import transfer_spectrum
 
 __all__ = [
@@ -198,14 +199,15 @@ def _lambda0_grid(lambda0_mode: str) -> np.ndarray:
     return np.arange(LAMBDA0_WINDOW[0], LAMBDA0_WINDOW[1] + 1e-9, LAMBDA0_STEP)
 
 
-def _objectives(points: RegionPoints, cells: tuple) -> list:
-    """The objectives of cases 1..4 at every cell of region_cells: s2 (case 1), s1 (case 2) and
-    s1 * s2 (cases 3 and 4), with s1 from the case-2 mask and s2 from the case-1 mask. Metrics
-    are zero where a case is infeasible, so these equal each case's own mask's readings."""
-    s1 = case_metrics(points, cells, 2)[1]
-    s2 = case_metrics(points, cells, 1)[2]
-    product = s1 * s2
-    return [s2, s1, product, product]
+def _case_table(s1, s2) -> list:
+    """The objectives of cases 1..4 read off the semi-axes: s2, s1, s1 s2 and s1 s2."""
+    return [s2, s1] + [s1 * s2] * 2
+
+
+def _objectives(factors: tuple, cells: tuple) -> list:
+    """The objectives of cases 1..4 at every cell of region_cells, from states.semi_axes: zero
+    where a case is infeasible, so each equals its own case mask's (states.case_metrics)."""
+    return _case_table(*semi_axes(factors, cells))
 
 
 def _c1_bound(x1: np.ndarray) -> np.ndarray:
@@ -244,23 +246,23 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     Bounds. On a positive base state c2_max = sqrt(rho11 rho44) <= (rho11 + rho44) / 2 <= 1/2,
     and c1_max along the pair's unit x1 is at most 1 / (2 max(|x12| + |x34|, |x13| + |x24|))
     (_c1_bound; mqtransfer.states.c1_rays). So at a (t, b) pair, at every lambda0, the three
-    objectives are at most U1 = C2 lambda2+, U2 = C1 lambda1+ and U1 U2, with lambda2+ =
-    max(lambda2, 0), lambda1+ the positive part of lambda1 where it is real and 0 elsewhere,
-    and C1 and C2 the two bounds plus a slack (_c1_bound, _C2_BOUND). The bounds need only
-    region_points and the t-stage's lambda2. At a cell, once base_cells has given its base
-    state and s2 = c2_max lambda2+, the minors of sites (ij) in {12, 13, 24, 34} give c1_max
-    |x_ij| <= sqrt(rho_ii rho_jj), so s1 is at most V = C1cell lambda1+ and s1 s2 at most
-    V s2, with C1cell the least of those ratios plus the slack (_c1_cell_bound; a pair with
-    x_ij = 0 bounds nothing). The slack covers PSD_TOL and the rounding of the base state,
-    whose unit trace holds to about COND_LIMIT times the unit roundoff, and it makes every
-    bound strictly greater than its objective wherever the bound is positive (the objective
-    is 0 elsewhere).
+    objectives are at most U1 = C2 lambda2+, U2 = C1 lambda1+ and U1 U2 (_case_table), with
+    lambda1+ and lambda2+ the factors' positive parts (states.positive_factors) and C1 and C2
+    the two bounds plus a slack (_c1_bound, _C2_BOUND). The bounds need only region_points, of
+    which the scan keeps x1, lambda1+, n and k per pair and lambda2+ per t. At a cell, once
+    base_cells has given its base state and s2 = c2_max lambda2+, the minors of sites (ij) in
+    {12, 13, 24, 34} give c1_max |x_ij| <= sqrt(rho_ii rho_jj), so s1 is at most V = C1cell
+    lambda1+ and s1 s2 at most V s2, with C1cell the least of those ratios plus the slack
+    (_c1_cell_bound; a pair with x_ij = 0 bounds nothing). The slack covers PSD_TOL and the
+    rounding of the base state, whose unit trace holds to about COND_LIMIT times the unit
+    roundoff, and it makes every bound strictly greater than its objective wherever the bound is
+    positive (the objective is 0 elsewhere).
 
     Seed and stream. The objectives at the _SEED_PAIRS pairs of largest bound of each case give
     each case a floor, a value the grid attains. The pairs whose bound exceeds the floor in some
     case then run in (b, t) order, _CHUNK_CELLS cells at a time, through the lambda0-dependent
     part of the kernel: the zero-order temperature step, the positivity rays (base_cells) and
-    the case mask. A chunk first drops the pairs whose bound does not exceed the running best
+    the semi-axes (states.semi_axes). A chunk first drops the pairs whose bound does not exceed the running best
     in any case, and forms c1_max (c1_rays) only at its ok cells where V or V s2 exceeds the
     floor and the running best of case 2 or 3; its other cells keep c1_max = 0.
 
@@ -276,32 +278,28 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
     times = time_stage(spec, ts)
     unit, regular = solve_zero_order(times.spectrum, l0s)
-    # the temperature step of each b column, stacked over (b, t); the eigenvalues over
-    # (b, 4, t), the layout in which region_points forms them
+    # the temperature step of each b column, stacked over (b, t)
     columns = [region_points(times, float(b)) for b in B_GRID]
-    ev = np.stack([p.eigenvalues.T for p in columns])
-    lam1, x1, real = (np.stack([getattr(p, f) for p in columns]) for f in ("lambda1", "x1", "real"))
+    x1 = np.stack([p.x1 for p in columns])
     n, k = np.array([p.weights for p in columns]).T
-    del columns
-    lam1_pos = np.where(real & (lam1 > 0.0), lam1, 0.0)
-    lam2_pos = np.maximum(times.lambda2.real, 0.0)
-    u1 = np.broadcast_to(_C2_BOUND * lam2_pos, lam1.shape)
-    u2 = _c1_bound(x1) * lam1_pos
-    bounds = np.array([u1, u2, u1 * u2])  # (case, b, t)
+    parts = [positive_factors(p) for p in columns]
+    lam1_pos, lam2_pos = np.stack([f[0] for f in parts]), parts[0][1]
+    del columns, parts
+    bounds = np.array(_case_table(_c1_bound(x1) * lam1_pos,
+                                  np.broadcast_to(_C2_BOUND * lam2_pos, lam1_pos.shape))[:3])
 
     def objectives(jb, it, top) -> list:
         """The objectives of cases 1..3 over (pairs, lambda0) at the (b, t) index pairs jb, it,
         with c1_max formed only at the ok cells whose bound exceeds top in case 2 or 3."""
-        points = RegionPoints(ev[jb, :, it], lam1[jb, it], x1[jb, it], real[jb, it],
-                              times.lambda2[it], (n[jb], k[jb]))
-        base, ok, c2_max = base_cells(points, (tuple(x[it] for x in unit), regular[it]))
-        s1_bound = _c1_cell_bound(base, points.x1[:, None, :]) * lam1_pos[jb, it, None]
-        run = ok & ((s1_bound > top[1]) | (s1_bound * c2_max * lam2_pos[it, None] > top[2]))
+        factors, x1_at = (lam1_pos[jb, it], lam2_pos[it]), x1[jb, it]
+        base, ok, c2_max = base_cells((n[jb], k[jb]), (tuple(x[it] for x in unit), regular[it]))
+        s1_bound = _c1_cell_bound(base, x1_at[:, None, :]) * factors[0][:, None]
+        run = ok & ((s1_bound > top[1]) | (s1_bound * c2_max * factors[1][:, None] > top[2]))
         row, il = np.nonzero(run)
         c1_max = np.zeros(ok.shape)
         if row.size:
-            c1_max[row, il] = c1_rays(tuple(x[row, il] for x in base), points.x1[row])
-        return _objectives(points, (base, ok, c1_max, c2_max))[:3]
+            c1_max[row, il] = c1_rays(tuple(x[row, il] for x in base), x1_at[row])
+        return _objectives(factors, (base, ok, c1_max, c2_max))[:3]
 
     seed = np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]
     floor = np.array([v.max() for v in objectives(*np.divmod(np.unique(seed), len(ts)),
@@ -354,7 +352,7 @@ def _refine(spec: ChainSpec, problem: OptProblem,
             "l0": (LAMBDA0_STEP, *LAMBDA0_WINDOW)}
 
     def objective(points, zero) -> np.ndarray:
-        values = _objectives(points, region_cells(points, zero))
+        values = _objectives(positive_factors(points), region_cells(points, zero))
         return np.array([values[case - 1][row].ravel() for row, case in enumerate(cases)])
 
     def at_times(x) -> np.ndarray:
@@ -391,7 +389,7 @@ def _finalize(spec: ChainSpec, problem: OptProblem, t: float, b: float,
         feasible=report.feasible, t_opt=t, b_opt=b, lambda0_opt=l0,
         lambda1=report.lambda1, lambda2=report.lambda2 if problem.case != 2 else None,
         s1=report.s1, s2=report.s2, s12=report.s12,
-        objective=(report.s2, report.s1, report.s12, report.s12)[problem.case - 1],
+        objective=_case_table(report.s1, report.s2)[problem.case - 1],
         x0=report.x0, x1=report.x1,
     )
 
@@ -484,9 +482,10 @@ def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
     only the lambda0 stage and region_cells."""
     times = time_stage(spec, ts)
     points = region_points(times, bs)
+    factors = positive_factors(points)
 
     def product(l0s) -> np.ndarray:
-        return _objectives(points, region_cells(points, solve_zero_order(times.spectrum, l0s)))[3]
+        return _objectives(factors, region_cells(points, solve_zero_order(times.spectrum, l0s)))[3]
 
     grid = _lambda0_grid(problem.lambda0_mode)
     if problem.lambda0_mode == "fixed_one":
@@ -545,7 +544,7 @@ def objective_landscape(spec: ChainSpec, problem: OptProblem,
     """Long-format landscape rows (t, b, lambda0, value) of the case objective at a fixed b."""
     ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
     ((points, cells),) = region_columns(spec, ts, [b_fixed], l0s)
-    values = _objectives(points, cells)[problem.case - 1]
+    values = _objectives(positive_factors(points), cells)[problem.case - 1]
     rows = [(float(t), float(b_fixed), float(l0), float(v))
             for (t, l0), v in zip(itertools.product(ts, l0s), values.ravel())]
     return ["t", "b", "lambda0", "value"], rows

@@ -27,7 +27,6 @@ from .errors import ResourceError, ValidationError
 __all__ = [
     "MAX_SITES",
     "build_hamiltonian",
-    "thermal_background",
     "evolve_and_trace",
 ]
 
@@ -119,18 +118,6 @@ def _gram_groups(n: int, n_sender: int) -> tuple[np.ndarray, list[tuple]]:
     return starts, groups
 
 
-def _thermal_weights(b: float, count: int) -> np.ndarray:
-    ground, excited = thermal_weights(b)
-    ones = _popcounts(count)
-    return ground ** (count - ones) * excited ** ones
-
-
-def thermal_background(b: float, count: int) -> np.ndarray:
-    """Diagonal thermal state of `count` background spins (unit trace)."""
-    check_inverse_temperature(b)
-    return np.diag(_thermal_weights(b, count))
-
-
 def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) -> np.ndarray:
     """Receiver matrix of the full evolved state.
 
@@ -151,7 +138,9 @@ def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) ->
     _check_sites(n)
 
     starts, groups = _gram_groups(n, n_sender)
-    weights = _thermal_weights(b, n - n_sender)
+    ground, excited = thermal_weights(b)
+    ones = _popcounts(n - n_sender)
+    weights = ground ** (n - n_sender - ones) * excited ** ones
     # U_k = V_k exp(-i E_k t) V_k^T from two real products, stacked flat in k order
     stacked = np.empty(starts[-1], dtype=complex)
     for (basis, evals, vecs), start in zip(_sectors(n), starts):

@@ -16,13 +16,16 @@ inverse temperature b reaches the map only through four factors
 - solvers.solve_zero_order on its spectrum, once per (t, lambda0): one
   back-substitution at unit sources, whose singularity mask is b-free;
 - the temperature step, per b: region_points (the theta tau scale and x1)
-  and region_cells (the base state from n and k, then the rays): base_cells
-  (positivity and c2_max, c2_rays) and the single-quantum ray c1_max
-  (c1_rays), which a caller may run on fewer cells.
+  and region_cells (the base state, then the rays): base_cells (the base
+  state from the background weights n and k, positivity and c2_max,
+  c2_rays) and the single-quantum ray c1_max (c1_rays), which a caller may
+  run on fewer cells.
 
-region_columns streams a grid through them one b column at a time, and
-case_metrics is the case mask. For odd N the single-quantum factor is real
-only at b = 0, where it vanishes, so cases 2-4 are infeasible there.
+region_columns streams a grid through them one b column at a time. The
+semi-axes are formed once: positive_factors (lambda1+, lambda2+), semi_axes
+(s1 = c1_max lambda1+, s2 = c2_max lambda2+) and the case mask case_metrics.
+For odd N the single-quantum factor is real only at b = 0, where it
+vanishes, so cases 2-4 are infeasible there.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ __all__ = [
     "region_cells",
     "base_vector",
     "region_columns",
+    "positive_factors",
+    "semi_axes",
     "case_metrics",
     "region_metrics",
 ]
@@ -115,9 +120,10 @@ def c1_rays(base: tuple, x1: np.ndarray) -> np.ndarray:
     # with M23 = L L^H (Cholesky). With v = (-rho23/rho22, 1), each entry of H
     # is a product or a sum of squares of B (1, 0) and B v, and the larger
     # eigenvalue of H comes from (h22 - h33)^2 + 4|h23|^2, a sum of squares
-    # that does not cancel where the two eigenvalues cross
+    # that does not cancel where the two eigenvalues cross. det M23 = d2 (rho33 -
+    # |rho23|^2 / d2) has both pivots floored as d1 and d4 are, so a clamped rho22 keeps rho33
     d2 = np.maximum(r22, 1e-30)
-    det_m = np.maximum(r22 * r33 - np.abs(x23) ** 2, 1e-30)
+    det_m = np.maximum(d2 * r33 - np.abs(x23) ** 2, d2 * 1e-30)
     ratio = x23 / d2
     w1, w4 = b13 - b12 * ratio, b43 - b42 * ratio
     h22 = (np.abs(b12) ** 2 / d1 + np.abs(b42) ** 2 / d4) / d2
@@ -187,7 +193,7 @@ class RegionPoints:
     the four eigenvalues of the single-quantum map, lambda1 and x1
     (solvers.first_order_at), the mask real of points where lambda1 is real,
     the t-stage's lambda2 (over the shape of t) and the background weights n
-    and k that region_cells applies."""
+    and k that base_cells applies."""
 
     eigenvalues: np.ndarray
     lambda1: np.ndarray
@@ -207,17 +213,17 @@ def region_points(times: TimeStage, b) -> RegionPoints:
     return RegionPoints(ev, lambda1, x1, real, times.lambda2, (n, k))
 
 
-def base_cells(points: RegionPoints, zero: tuple) -> tuple:
+def base_cells(weights: tuple, zero: tuple) -> tuple:
     """The zero-order temperature step and the positivity rays at every point and lambda0.
 
-    zero is solvers.solve_zero_order on the spectrum of the points' t-stage,
-    over (times..., nl), and broadcasts against the points. Returns the base
-    state's entries (rho11, rho22, rho33, rho44, rho23), each
-    (points..., nl), the mask ok of cells with a regular zero-order solve and
-    a positive base state, and c2_max (c2_rays).
+    weights are the background weights (n, k) of region_points, and zero is
+    solvers.solve_zero_order on the spectrum of the t-stage, over (times..., nl);
+    they broadcast against each other. Returns the base state's entries (rho11,
+    rho22, rho33, rho44, rho23), each (points..., nl), the mask ok of cells with
+    a regular zero-order solve and a positive base state, and c2_max (c2_rays).
     """
     unit, regular = zero
-    base = zero_order_at(unit, *points.weights)
+    base = zero_order_at(unit, *weights)
     positive, c2_max = c2_rays(base)
     return base, regular & positive, c2_max
 
@@ -225,7 +231,7 @@ def base_cells(points: RegionPoints, zero: tuple) -> tuple:
 def region_cells(points: RegionPoints, zero: tuple) -> tuple:
     """base_cells and the single-quantum ray at every point and lambda0: the base state's
     entries, the mask ok, c1_max (c1_rays, zero where not ok) and c2_max."""
-    base, ok, c2_max = base_cells(points, zero)
+    base, ok, c2_max = base_cells(points.weights, zero)
     return base, ok, np.where(ok, c1_rays(base, points.x1[..., None, :]), 0.0), c2_max
 
 
@@ -252,22 +258,28 @@ def region_columns(spec: ChainSpec, ts, bs, lambda0s):
         yield points, region_cells(points, zero)
 
 
-def case_metrics(points: RegionPoints, cells: tuple, case: int) -> tuple:
-    """The case mask: feasibility and semi-axes s1, s2 of a case at every cell.
+def positive_factors(points: RegionPoints) -> tuple:
+    """lambda1+ (lambda1 where real and > 0, else 0; over the points) and lambda2+ =
+    max(lambda2, 0) (over the shape of t): the positive parts of the factors."""
+    lam1 = points.lambda1
+    return np.where(points.real & (lam1 > 0.0), lam1, 0.0), np.maximum(points.lambda2.real, 0.0)
 
-    Case 1 keeps only the double-quantum ray, case 2 only the single-quantum
-    one, cases 3 and 4 both; all but case 1 need a real single-quantum
-    factor, and every case a regular zero-order solve and a positive base
-    state. A kept semi-axis is its ray length times a positive scale factor.
-    """
+
+def semi_axes(factors: tuple, cells: tuple) -> tuple:
+    """s1 = c1_max lambda1+ and s2 = c2_max lambda2+ at the cells of region_cells from the
+    positive_factors of their points; zero where not ok, masked before scaling."""
+    lam1, lam2 = (a[..., None] for a in factors)
     _, ok, c1_max, c2_max = cells
-    real, lam1, lam2 = (a[..., None] for a in (points.real, points.lambda1, points.lambda2.real))
-    feasible = ok & (real | (case == 1))
-    lam1 = np.where(real & (lam1 > 0.0), lam1, 0.0) if case != 1 else 0.0
-    lam2 = np.where(lam2 > 0.0, lam2, 0.0) if case != 2 else 0.0
-    # without a real lambda1, c1_max is meaningless or infinite: select before scaling
-    s1 = np.where(feasible & (lam1 > 0.0), c1_max, 0.0) * lam1
-    return feasible, s1, np.where(feasible, c2_max, 0.0) * lam2
+    return np.where(ok & (lam1 > 0.0), c1_max, 0.0) * lam1, np.where(ok, c2_max, 0.0) * lam2
+
+
+def case_metrics(points: RegionPoints, cells: tuple, case: int) -> tuple:
+    """The case mask: feasibility and semi-axes s1, s2 of a case at every cell. Case 1
+    keeps only s2, case 2 only s1, cases 3 and 4 both; all but case 1 need a real
+    single-quantum factor, and every case an ok cell."""
+    feasible = cells[1] & (points.real[..., None] | (case == 1))
+    s1, s2 = semi_axes(positive_factors(points), cells)
+    return feasible, np.where(case != 1, s1, 0.0), np.where(feasible & (case != 2), s2, 0.0)
 
 
 def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,

@@ -102,9 +102,9 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Random full-rank density matrix (Ginibre construction)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank two-qubit density matrix (Ginibre construction)."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

@@ -24,6 +24,8 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
 - the zero-order vector by a dense linear solve guarded by the 2-norm
   condition number (solve_zero_order_dense);
 - the semi-axes of a case, chaining the three (region_reference);
+- the thermal state of the background spins as a Kronecker product of
+  one spin's weights (thermal_background), for the dense oracle tests;
 - the amplitudes p = f_{1,N-1}, q = f_{1,N}, r = f_{2,N-1} and s = f_{2,N}
   at 50 digits, each summed on its own in mpmath (amplitudes_mp); from
   them, where W's eigenvalues are real (realness_reference), and the base
@@ -32,12 +34,13 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from mpmath import mp
 
 from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
+from mqtransfer.chain import check_inverse_temperature, thermal_weights
 from mqtransfer.solvers import COND_LIMIT, zero_order_system
 from mqtransfer.states import PSD_TOL
 
@@ -60,6 +63,13 @@ def base_entries(x0: np.ndarray) -> tuple:
     x0 = np.asarray(x0)
     r11, r22, r33 = x0[..., 0].real, x0[..., 1].real, x0[..., 2].real
     return r11, r22, r33, 1.0 - r11 - r22 - r33, x0[..., 3]
+
+
+def thermal_background(b: float, count: int) -> np.ndarray:
+    """Diagonal thermal state of `count` background spins (unit trace), site 1 the most
+    significant tensor factor."""
+    check_inverse_temperature(b)
+    return reduce(np.kron, [np.diag(thermal_weights(b))] * count, np.ones((1, 1)))
 
 
 def is_physical(rho: np.ndarray, tol: float = PSD_TOL) -> bool:

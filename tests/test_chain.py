@@ -21,11 +21,11 @@ from mqtransfer import (
     region_metrics,
     state_independent_target,
     state_independent_time,
-    thermal_background,
     transition_amplitude,
     uniform_curve,
 )
 from mqtransfer.chain import amplitude_grids
+from reference import thermal_background
 
 
 def test_spec_validation():

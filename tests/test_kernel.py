@@ -179,8 +179,15 @@ def positive_senders(draw, floor=0.05, coherence=0.9):
     return np.array([r11, r22, r33, x23, np.conj(x23)]), x1
 
 
+# rho22 at zero or below the rays' floor of 1e-30, with rho33 > 0 and x1 = e13
+CLAMPED_RHO22 = [(np.array(x0, dtype=complex), np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
+                 for x0 in ([0.5, 0.0, 0.5, 0.0, 0.0], [0.5, 1e-31, 0.5, 0.0, 0.0],
+                            [0.3, 0.0, 0.4, 0.0, 0.0])]
+
+
 @SEEDED
 @given(positive_senders())
+@example(CLAMPED_RHO22[2])
 def test_closed_form_rays_match_bisection(sender):
     x0, x1 = sender
     positive, c2 = c2_rays(base_entries(x0))
@@ -190,6 +197,18 @@ def test_closed_form_rays_match_bisection(sender):
     assert float(c2) == pytest.approx(c2_ref, abs=1e-8)
 
 
+@pytest.mark.parametrize("sender", CLAMPED_RHO22, ids=["rho22=0", "rho22=1e-31", "rho44=0.3"])
+def test_c1_rays_match_bisection_where_rho22_is_clamped(sender):
+    # the {2,3} block's second pivot is its Schur complement, rho33 here, also where
+    # rho22 is below its floor; the {1,3} minor gives c1_max = sqrt(rho11 rho33). Only
+    # c1 is compared: with rho44 = 0, bisection lets c2 reach about sqrt(PSD_TOL / 2), so
+    # only the third point is also an example of test_closed_form_rays_match_bisection
+    x0, x1 = sender
+    c1 = float(c1_rays(base_entries(x0), x1))
+    assert c1 == pytest.approx(np.sqrt(x0[0].real * x0[2].real), rel=1e-12)
+    assert c1 == pytest.approx(c_max_ray(x0, x1, "corner", tol=1e-11)[0], abs=1e-8)
+
+
 @SEEDED
 @given(positive_senders(floor=0.0, coherence=1.0))
 @example((np.array([0.5, 0.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
@@ -197,6 +216,9 @@ def test_closed_form_rays_match_bisection(sender):
 @example((np.array([0.5, 0.25, 0.25, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)))
 @example((np.array([-0.5 * PSD_TOL, 0.5, 0.25, 0.0, 0.0]), np.full(4, 0.5 + 0.0j)))
 @example((np.array([0.25, 0.25, 0.25, 0.1, 0.1]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
+@example(CLAMPED_RHO22[0])
+@example(CLAMPED_RHO22[1])
+@example(CLAMPED_RHO22[2])
 def test_rays_obey_the_scan_bounds(sender):
     # the premise of the grid scan's pruning (optimize._scan): on a positive base
     # state c2_max <= 1/2, c1_max <= 1 / (2 max(|x12| + |x34|, |x13| + |x24|)) per
@@ -204,7 +226,8 @@ def test_rays_obey_the_scan_bounds(sender):
     # the scan's slack, up to the edges of positivity. The examples reach c2_max =
     # 1/2 (rho11 = rho44 = 1/2) and the c1 bounds 1/2 (rho11 = rho22 = 1/2, x1 =
     # e12); x_ij = 0 where rho_ii rho_jj = 0 (rho44 = 0 with x24 = x34 = 0); rho11
-    # below zero within PSD_TOL; and x1 = e12, the direction of the b = 0 column
+    # below zero within PSD_TOL; x1 = e12, the direction of the b = 0 column; and
+    # rho22 at or below the floor of c1_rays (CLAMPED_RHO22)
     x0, x1 = sender
     base = base_entries(x0)
     positive, c2 = c2_rays(base)

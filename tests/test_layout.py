@@ -181,3 +181,30 @@ def test_rays_are_formed_only_in_states():
     # states (c2_rays and c1_rays), so the scan cannot fork them
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _ray_rules(path)]
     assert found == ["states.py:c1_rays", "states.py:c2_rays"], found
+
+
+def _positive_parts(path: Path) -> list[str]:
+    """Where a module forms the positive part of a factor: np.maximum(x, 0.0) or
+    np.where(..., x, 0.0) of an x that names lambda1 or lambda2 (or lam1, lam2)."""
+    found = []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    arity = {"maximum": 2, "where": 3}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and len(node.args) == arity.get(node.func.attr)):
+            continue
+        value, last = node.args[-2], node.args[-1]
+        if (isinstance(last, ast.Constant) and last.value == 0
+                and re.search(r"\blam(bda)?[12]\b", ast.unparse(value))):
+            owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append(f"{path.name}:{'/'.join(owner) or '<module>'}")
+    return sorted(set(found))
+
+
+def test_positive_parts_are_formed_only_in_states():
+    # the semi-axes s1 = c1_max lambda1+ and s2 = c2_max lambda2+ and the scan's bounds
+    # read the positive parts of the factors from one function of states, so no caller
+    # writes its own rule for them
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _positive_parts(path)]
+    assert found == ["states.py:positive_factors"], found

@@ -482,8 +482,8 @@ def test_scan_forms_c1_max_on_few_cells(monkeypatch):
     # forms (8.8 % when this test was written)
     positive, formed = [], []
 
-    def counted_cells(points, zero):
-        cells = base_cells(points, zero)
+    def counted_cells(weights, zero):
+        cells = base_cells(weights, zero)
         positive.append(int(cells[1].sum()))
         return cells
 
@@ -495,6 +495,28 @@ def test_scan_forms_c1_max_on_few_cells(monkeypatch):
     monkeypatch.setattr(optimize_module, "c1_rays", counted_rays)
     _scan(ChainSpec(42), OptProblem(case=3))
     assert 0 < sum(formed) < 0.15 * sum(positive)
+
+
+def test_scan_forms_the_semi_axes_once_per_batch(monkeypatch):
+    # at N = 42 free the scan forms the semi-axes once per base_cells call (its floor's seed
+    # and each batch that runs) from the positive parts it holds per pair, and never runs
+    # the case mask
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls.append(name)
+            return func(*args)
+        monkeypatch.setattr(optimize_module, name, wrapper)
+
+    counted("base_cells", base_cells)
+    counted("semi_axes", optimize_module.semi_axes)
+    for module in (states_module, optimize_module):
+        monkeypatch.setattr(module, "case_metrics", lambda *args: calls.append("case_metrics"),
+                            raising=False)
+    _scan(ChainSpec(42), OptProblem(case=3))
+    assert calls.count("base_cells") > 1 and "case_metrics" not in calls
+    assert calls == ["base_cells", "semi_axes"] * calls.count("base_cells")
 
 
 @pytest.mark.parametrize("mode", ["free", "fixed_one"])

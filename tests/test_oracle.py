@@ -15,11 +15,11 @@ from mqtransfer import (
     mode_basis,
     receiver_from_sender,
     receiver_state_1q,
-    thermal_background,
 )
 from mqtransfer import oracle
 from mqtransfer.oracle import evolve_and_trace
 from mqtransfer.two_qubit import decompose_blocks, random_density
+from reference import thermal_background
 
 
 def _excitation_counts(n):
