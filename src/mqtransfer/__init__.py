@@ -3,9 +3,9 @@
 The library computes how the coherence-order blocks of a small sender density
 matrix arrive, scaled but unmixed, at the far end of a spin-1/2 chain with a
 thermal background, and it measures and optimizes the region of sender states
-that make this exact. A brute-force simulator, diagonalizing the chain one
-excitation sector at a time, certifies every analytic formula at small chain
-length.
+that make this exact. An oracle independent of the analytic map, which evolves the
+receiver's Jordan-Wigner operators under the numerically diagonalized hopping
+matrix, certifies every analytic formula at any chain length.
 """
 
 from .chain import (

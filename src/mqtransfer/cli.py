@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-grid", default=None, help="lo:hi:step")
     p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("oracle-check", help="max deviation of the analytic map vs brute-force evolution")
+    p = sub.add_parser("oracle-check", help="max deviation of the analytic map vs the Jordan-Wigner oracle")
     common(p, digits="digits of the deviation")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)

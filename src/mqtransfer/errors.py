@@ -16,4 +16,4 @@ class SingularInputError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """Request exceeds the brute-force simulation resource guard."""
+    """Request exceeds a memory guard (a CLI grid estimate, the dense Hamiltonian)."""

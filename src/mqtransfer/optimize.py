@@ -301,8 +301,9 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
             c1_max[row, il] = c1_rays(tuple(x[row, il] for x in base), x1_at[row])
         return _objectives(factors, (base, ok, c1_max, c2_max))[:3]
 
-    seed = np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]
-    floor = np.array([v.max() for v in objectives(*np.divmod(np.unique(seed), len(ts)),
+    seed = np.zeros(bounds[0].size, dtype=bool)
+    seed[np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]] = True
+    floor = np.array([v.max() for v in objectives(*np.divmod(np.flatnonzero(seed), len(ts)),
                                                    np.zeros(3))])
     jb, it = np.nonzero((bounds > floor[:, None, None]).any(axis=0))
     best = dict.fromkeys((1, 2, 3), (0.0, float(ts[0]), float(B_GRID[0]), float(l0s[0])))

@@ -1,23 +1,35 @@
-"""Brute-force simulator used as ground truth for the analytic maps.
+"""Receiver-end Jordan-Wigner certifier: ground truth for the analytic maps at any N.
 
-The XX chain conserves the excitation number, so its Hamiltonian splits into
-one real block per sector of k excitations (k = 0..N), built from the same
-bond-hop rule as the full 2^N Hamiltonian and diagonalized once per N. For a
-product initial state sender (x) diag(w) the receiver matrix is
-out[r, r2] = sum_{s, s2} sender[s, s2] G[(r, s), (r2, s2)], with the Gram
-matrix G = sum_{e, g} w_g U[(e, r), (s, g)] conj U[(e, r2), (s2, g)] (e the
-environment the receiver trace sums over, g the background). In the sector
-propagator U_k = V_k exp(-i E_k t) V_k^T the block of receiver r and sender s
-has |e| = k - |r| and |g| = k - |s|, and w_g depends on |g| alone, so the
-blocks of one pair (|e|, |g|) stack into one matrix m that adds w_g m m^H to
-G. Nothing here uses the sine-mode formulas. Site 1 is the most significant
-tensor factor; the sender occupies the leading sites and the receiver the
-trailing ones, so the analytic and brute-force conventions coincide.
+Nothing here uses the sine modes, the amplitudes or two_qubit.transfer_blocks:
+the one-particle hopping matrix h = (1/2) adjacency of the path is diagonalized
+numerically, U = V exp(-i E t) V^T. Site 1 is the most significant tensor
+factor; the sender occupies the leading m sites (m = 1 or 2), the receiver the
+trailing m, and every other site starts in the thermal state
+diag(n, e^-b n) (chain.thermal_weights), |1> the excited level.
+
+With the string ordered from the receiver end, c_j = sigma-_j Z_{j+1} ... Z_N
+(sigma- = |0><1|, Z = |0><0| - |1><1|; Lieb, Schultz and Mattis 1961), each bond
+is +(1/2) c_i^+ c_{i+1} + h.c., so c_j(t) = sum_k U_jk c_k, and a receiver c_j
+carries no string outside the receiver. Each receiver matrix unit is then a
+combination of the 4^m monomials that take one of 1, c, c^+, c^+ c per receiver
+site in site order (one 4^m x 4^m solve), and
+rho_R[r, r'] = <(|r'><r|)(t)>. A factor of an evolved monomial splits into a
+sender part, a sender-local matrix times the background parity P_B, and a
+background part. Moving each sender part left past the background parts before
+it costs a sign each, so an expectation is tr(rho_S x sender matrices) times a
+Wick sum over the background parts, with <c^+ c> = e^-b n and <c c^+> = n. Under
+an odd power of P_B the background state weighs |1> by -e^-b n, so <c^+ c> turns
+into -e^-b n and every site outside a pair gives tanh(b/2): the sum takes
+tanh(b/2)^(N - m - pairs), finite at b = 0.
+
+build_hamiltonian, the dense 2^N Hamiltonian from the same bond-hop rule, is
+kept for dense tests.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
+from functools import reduce
 
 import numpy as np
 
@@ -30,16 +42,12 @@ __all__ = [
     "evolve_and_trace",
 ]
 
-# Measured at N = 12, 4x4 sender, one Xeon core, one BLAS thread: the first
-# evolve_and_trace call (sector eigendecompositions, Gram index sets and one
-# sample) takes about 0.9 s, each further sample 0.27 s, at a peak RSS of
-# 122 MB. The dense Hamiltonian of build_hamiltonian is 256 MB by itself.
+# Guards only the dense 2^N matrix of build_hamiltonian: 16 * 4^N bytes, 256 MB
+# at N = 12. evolve_and_trace needs the N x N hopping matrix alone.
 MAX_SITES = 12
 
-
-def _check_sites(n: int) -> None:
-    if n > MAX_SITES:
-        raise ResourceError(f"oracle limited to {MAX_SITES} sites, got {n}")
+# the factors one receiver site adds to a monomial, True for an adjoint: 1, c, c^+, c^+ c
+_SITE_FACTORS = ((), (False,), (True,), (True, False))
 
 
 def _hops(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,59 +71,26 @@ def _hops(n: int) -> tuple[np.ndarray, np.ndarray]:
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Nearest-neighbor hopping Hamiltonian on the full 2^N space."""
     n = spec.n_sites
-    _check_sites(n)
+    if n > MAX_SITES:
+        raise ResourceError(f"dense Hamiltonian limited to {MAX_SITES} sites, got {n}")
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     src, dst = _hops(n)
     h[dst, src] = h[src, dst] = 0.5
     return h
 
 
-def _popcounts(n: int) -> np.ndarray:
-    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+def _lowering(m: int) -> list[np.ndarray]:
+    """sigma-_k Z_{k+1} ... Z_m on m sites, k = 1..m: c_k with its string cut to those sites."""
+    lower, z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
+    return [reduce(np.kron, [np.eye(2)] * k + [lower] + [z] * (m - 1 - k)) for k in range(m)]
 
 
-@lru_cache(maxsize=None)
-def _sectors(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per sector k = 0..N its basis states, eigenvalues and real eigenvectors."""
-    counts = _popcounts(n)
-    pos = np.empty(1 << n, dtype=np.intp)
-    src, dst = _hops(n)
-    sectors = []
-    for k in range(n + 1):
-        basis = np.flatnonzero(counts == k)
-        pos[basis] = np.arange(basis.size)
-        hop = counts[src] == k
-        h = np.zeros((basis.size, basis.size))
-        h[pos[dst[hop]], pos[src[hop]]] = h[pos[src[hop]], pos[dst[hop]]] = 0.5
-        sectors.append((basis, *np.linalg.eigh(h)))
-    for array in (array for sector in sectors for array in sector):
-        array.setflags(write=False)
-    return sectors
-
-
-@lru_cache(maxsize=None)
-def _gram_groups(n: int, n_sender: int) -> tuple[np.ndarray, list[tuple]]:
-    """Offsets of the sector propagators stacked flat in k order; per pair
-    (|e|, |g|), the labels r * 2^n_sender + s of its blocks (r, s) in U_{|e|+|r|},
-    a background g of the class, and per block the stack offsets of the rows
-    (e, r) and in-sector indices of the columns (s, g), e and g ascending."""
-    n_bg, d_rec = n - n_sender, 1 << n_sender
-    bases = [basis for basis, _, _ in _sectors(n)]
-    starts = np.cumsum([0] + [basis.size ** 2 for basis in bases])
-    counts = _popcounts(n_bg)
-    by_count = [np.flatnonzero(counts == c) for c in range(n_bg + 1)]
-    groups = []
-    for c_env, env in enumerate(by_count):
-        for c_bg, bg in enumerate(by_count):
-            blocks = [(r, s, c_env + counts[r]) for r in range(d_rec) for s in range(d_rec)
-                      if c_env + counts[r] == c_bg + counts[s]]
-            if blocks:
-                rows = [starts[k] + bases[k].size * np.searchsorted(bases[k], (env << n_sender) | r)
-                        for r, _, k in blocks]
-                cols = [np.searchsorted(bases[k], (s << n_bg) | bg) for _, s, k in blocks]
-                groups.append((np.array([r * d_rec + s for r, s, _ in blocks]), bg[0],
-                               np.array(rows), np.array(cols)))
-    return starts, groups
+def _wick(parts: list, pair) -> complex:
+    """Sum over the pairings of parts, signed by their crossings; 0 for an odd count."""
+    if not parts:
+        return 1.0
+    return sum((-1) ** j * pair(parts[0], g) * _wick(parts[1:j + 1] + parts[j + 2:], pair)
+               for j, g in enumerate(parts[1:]))
 
 
 def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) -> np.ndarray:
@@ -132,23 +107,42 @@ def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) ->
     check_time(t)
     check_inverse_temperature(b)
     n = spec.n_sites
-    n_sender = 1 if sender.shape == (2, 2) else 2
-    if n < 2 * n_sender:
+    m = 1 if sender.shape == (2, 2) else 2
+    if n < 2 * m:
         raise ValidationError(f"chain of {n} sites cannot host sender and receiver")
-    _check_sites(n)
 
-    starts, groups = _gram_groups(n, n_sender)
+    energies, modes = np.linalg.eigh(0.5 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+    u = (modes * np.exp(-1j * energies * t)) @ modes.T
     ground, excited = thermal_weights(b)
-    ones = _popcounts(n - n_sender)
-    weights = ground ** (n - n_sender - ones) * excited ** ones
-    # U_k = V_k exp(-i E_k t) V_k^T from two real products, stacked flat in k order
-    stacked = np.empty(starts[-1], dtype=complex)
-    for (basis, evals, vecs), start in zip(_sectors(n), starts):
-        u = stacked[start:start + basis.size ** 2].reshape(basis.shape * 2)
-        u.real = (vecs * np.cos(evals * t)) @ vecs.T
-        u.imag = -((vecs * np.sin(evals * t)) @ vecs.T)
-    gram = np.zeros((sender.size, sender.size), dtype=complex)
-    for labels, bg, rows, cols in groups:
-        m = stacked[rows[:, :, None] + cols[:, None, :]].reshape(labels.size, -1)
-        gram[np.ix_(labels, labels)] += weights[bg] * (m @ m.conj().T)
-    return np.einsum("rapb,ab->rp", gram.reshape(sender.shape * 2), sender)
+    tau = np.tanh(0.5 * b)
+    ops = _lowering(m)
+    # per receiver factor (site k, adjoint): its sender matrix and background coefficients
+    parts = {}
+    for k, adj in itertools.product(range(m), (False, True)):
+        row = np.conj(u[n - m + k]) if adj else u[n - m + k]
+        parts[k, adj] = (sum(row[j] * (ops[j].T if adj else ops[j]) for j in range(m)), row[m:])
+
+    def expectation(factors: list) -> complex:
+        total = 0j
+        for in_sender in itertools.product((False, True), repeat=len(factors)):
+            crossed = sum(not x for i, s in enumerate(in_sender) if s for x in in_sender[:i])
+            odd = sum(in_sender) % 2
+            bg = [f for f, s in zip(factors, in_sender) if not s]
+            # <c^+ c> and <c c^+> of a background site, under P_B when odd
+            weight = {(True, False): -excited if odd else excited, (False, True): ground}
+
+            def pair(f, g):
+                return weight.get((f[1], g[1]), 0.0) * (parts[f][1] @ parts[g][1])
+
+            trace = np.trace(reduce(np.matmul, [parts[f][0] for f, s in zip(factors, in_sender) if s],
+                                    sender))
+            total += (-1) ** crossed * trace * _wick(bg, pair) * tau ** (odd * (n - m - len(bg) // 2))
+        return total
+
+    monomials = [[(k, adj) for k, choice in enumerate(combo) for adj in _SITE_FACTORS[choice]]
+                 for combo in itertools.product(range(4), repeat=m)]
+    local = [reduce(np.matmul, [ops[k].T if adj else ops[k] for k, adj in mono], np.eye(1 << m))
+             for mono in monomials]
+    units = np.linalg.solve(np.array([mat.ravel() for mat in local]).T, np.eye(4 ** m))
+    values = np.array([expectation(mono) for mono in monomials]) @ units
+    return values.reshape(sender.shape).T

@@ -218,6 +218,15 @@ def test_oracle_check_output(capsys):
     assert deviation < 1e-9
 
 
+def test_oracle_check_reaches_the_headline_chain(capsys):
+    # the certifier has no site cap: N = 42 exits 0, in the line the benchmark parses
+    code, out = _run(capsys, ["oracle-check", "--n", "42", "--samples", "3"])
+    assert code == 0
+    head, deviation = out.strip().rsplit(" ", 1)
+    assert head == "max Frobenius deviation analytic vs oracle (n=42, samples=3):"
+    assert float(deviation) < 1e-9
+
+
 def test_oracle_check_deterministic(capsys):
     _, first = _run(capsys, ["oracle-check", "--n", "4", "--samples", "3", "--seed", "9"])
     _, second = _run(capsys, ["oracle-check", "--n", "4", "--samples", "3", "--seed", "9"])

@@ -208,3 +208,23 @@ def test_positive_parts_are_formed_only_in_states():
     # writes its own rule for them
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _positive_parts(path)]
     assert found == ["states.py:positive_factors"], found
+
+
+def test_oracle_is_independent_of_the_analytic_map():
+    # the certifier diagonalizes the hopping matrix itself: it reads no module of the
+    # analytic map, and from chain only the spec, the domain rules and the thermal weights
+    analytic = {"two_qubit", "solvers", "states", "optimize", "one_qubit", "search"}
+    from_chain = {"ChainSpec", "check_time", "check_inverse_temperature", "thermal_weights"}
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("mqtransfer")):
+            module = (node.module or "").removeprefix("mqtransfer").lstrip(".")
+            names = {alias.name for alias in node.names}
+            if not module:
+                found += sorted(names & (analytic | {"chain"}))
+            elif module in analytic or (module == "chain" and not names <= from_chain):
+                found.append(f"{module}: {sorted(names)}")
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("mqtransfer") and alias.name.split(".")[-1] in analytic | {"chain"}]
+    assert not found, found

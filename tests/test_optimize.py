@@ -1,7 +1,11 @@
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,3 +644,14 @@ def test_lambda0_on_zero_order_spectrum_is_infeasible_cell():
     assert np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))
     assert s1[0] == 0.0 and s2[0] == 0.0
     assert s2[2] > 0.3
+
+
+def test_summary_table_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, about 8 ms of a fresh process; the
+    # scan seeds its floors from a mask of pairs instead
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from mqtransfer import ChainSpec, summary_table; "
+            "summary_table(ChainSpec(6)); print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

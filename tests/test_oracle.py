@@ -1,7 +1,16 @@
+"""The receiver-end Jordan-Wigner certifier of mqtransfer.oracle.
+
+The brute-force sector reference of tests/reference.py (sector_trace) is
+checked against the dense 2^N evolution, the certifier against it up to
+N = 12, and the analytic maps against the certifier up to N = 100.
+"""
+
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mqtransfer import (
     ChainSpec,
@@ -16,10 +25,10 @@ from mqtransfer import (
     receiver_from_sender,
     receiver_state_1q,
 )
-from mqtransfer import oracle
+import reference
 from mqtransfer.oracle import evolve_and_trace
 from mqtransfer.two_qubit import decompose_blocks, random_density
-from reference import thermal_background
+from reference import sector_trace, thermal_background
 
 
 def _excitation_counts(n):
@@ -69,10 +78,9 @@ def test_single_excitation_sector_spectrum():
 
 
 def test_resource_guard():
+    # the dense 2^N matrix is capped; the certifier needs only the N x N hopping matrix
     with pytest.raises(ResourceError):
         build_hamiltonian(ChainSpec(13))
-    with pytest.raises(ResourceError):
-        evolve_and_trace(np.eye(4) / 4.0, 1.0, 1.0, ChainSpec(13))
 
 
 def test_thermal_background():
@@ -150,33 +158,49 @@ def test_oracle_block_non_mixing(rng):
 
 @pytest.mark.parametrize("n_sender", [1, 2])
 def test_sector_oracle_matches_dense_reference(rng, n_sender):
-    # the map is linear, so a general complex matrix exercises every block
+    # the sector reference against the full 2^N evolution; the map is linear, so a
+    # general complex matrix exercises every block
     for n in range(2 * n_sender, 10):
-        spec = ChainSpec(n)
         points = [(0.0, 0.0), (0.0, 1.3), (2.1, 0.0)] + [
             (rng.uniform(0, 2 * n), rng.uniform(0, 6)) for _ in range(2)]
         for t, b in points:
             dim = 1 << n_sender
             sender = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            got = evolve_and_trace(sender, t, b, spec)
+            got = sector_trace(sender, t, b, n)
             assert np.max(np.abs(got - _dense_evolve_and_trace(sender, t, b, n))) < 1e-12
 
 
-def _check_analytic_maps_against_oracle(rng, n, points):
+@pytest.mark.parametrize("n_sender", [1, 2])
+def test_certifier_matches_sector_reference(rng, n_sender):
+    # N = 2..12 (one-qubit sender) and 4..12 (two-qubit), at t = 0, at b = 0 and at
+    # random points, on general complex senders
+    dim = 1 << n_sender
+    for n in range(2 * n_sender, 13):
+        points = [(0.0, 0.0), (0.0, 1.3), (2.1, 0.0)] + [
+            (rng.uniform(0, 3 * n), rng.uniform(0, 10)) for _ in range(2 if n < 11 else 1)]
+        for t, b in points:
+            sender = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            got = evolve_and_trace(sender, t, b, ChainSpec(n))
+            assert np.max(np.abs(got - sector_trace(sender, t, b, n))) <= 1e-12
+
+
+def _check_maps_at(rng, n, t, b):
     # both sender sizes: the two-qubit table map and the one-qubit map
     spec = ChainSpec(n)
-    basis = mode_basis(n)
+    rho_s = random_density(rng)
+    table = alpha_table(amplitude_set(mode_basis(n), t), b, spec)
+    assert np.linalg.norm(receiver_from_sender(table, rho_s)
+                          - evolve_and_trace(rho_s, t, b, spec)) < 1e-9
+    state = Qubit1State.pure(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
+    sender = np.array([[1 - state.a1_sq, state.phase_prod],
+                       [np.conj(state.phase_prod), state.a1_sq]])
+    assert np.linalg.norm(receiver_state_1q(state, t, b, spec)
+                          - evolve_and_trace(sender, t, b, spec)) < 1e-9
+
+
+def _check_analytic_maps_against_oracle(rng, n, points):
     for _ in range(points):
-        t, b = rng.uniform(0, 2 * n), rng.uniform(0, 6)
-        rho_s = random_density(rng)
-        table = alpha_table(amplitude_set(basis, t), b, spec)
-        assert np.linalg.norm(receiver_from_sender(table, rho_s)
-                              - evolve_and_trace(rho_s, t, b, spec)) < 1e-9
-        state = Qubit1State.pure(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
-        sender = np.array([[1 - state.a1_sq, state.phase_prod],
-                           [np.conj(state.phase_prod), state.a1_sq]])
-        assert np.linalg.norm(receiver_state_1q(state, t, b, spec)
-                              - evolve_and_trace(sender, t, b, spec)) < 1e-9
+        _check_maps_at(rng, n, rng.uniform(0, 2 * n), rng.uniform(0, 6))
 
 
 def test_analytic_maps_match_oracle_n10(rng):
@@ -186,23 +210,47 @@ def test_analytic_maps_match_oracle_n10(rng):
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_analytic_maps_match_oracle_up_to_max_sites(rng, n):
-    # the sector oracle's range ends at MAX_SITES = 12
-    assert n <= oracle.MAX_SITES
+    # the last chains the sector reference also reaches (test_certifier_matches_sector_reference)
     _check_analytic_maps_against_oracle(rng, n, 1)
 
 
+@pytest.mark.parametrize("n", [14, 18, 42, 43, 100])
+def test_analytic_maps_match_certifier_at_long_chains(rng, n):
+    # past the sector reference: random points, t = 0, t = N, b = 0 and b = 10
+    points = [(0.0, 2.0), (n, 0.0), (n, 10.0), (rng.uniform(0, 3 * n), 0.0),
+              (rng.uniform(0, 3 * n), 10.0)] + [(rng.uniform(0, 3 * n), rng.uniform(0, 10))
+                                               for _ in range(3)]
+    for t, b in points:
+        _check_maps_at(rng, n, t, b)
+
+
+def test_analytic_maps_match_certifier_at_the_n42_optima(rng, table_n42_free, table_n42_one):
+    # the (t, b) of every optimum criterion 6 checks, in both lambda0 modes
+    for results in (table_n42_free, table_n42_one):
+        for res in results.values():
+            _check_maps_at(rng, 42, res.t_opt, res.b_opt)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(4, 64), st.floats(0.0, 1.0), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+@example(42, 0.0, 0.0, 0)
+@example(64, 1.0, 10.0, 1)
+def test_analytic_maps_match_certifier_property(n, t_frac, b, seed):
+    # t = 3 N t_frac over [0, 3N], b over [0, 10]
+    _check_maps_at(np.random.default_rng(seed), n, 3.0 * n * t_frac, b)
+
+
 def test_oracle_caches_are_keyed_by_sender_size(rng):
-    # the Gram index sets depend on (N, n_sender): alternating sender sizes at
-    # one N gives what a run on empty caches gives
-    spec = ChainSpec(6)
+    # the sector reference's Gram index sets depend on (N, n_sender): alternating
+    # sender sizes at one N gives what a run on empty caches gives
     t, b = 2.9, 0.8
     senders = [random_density(rng), np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]),
                random_density(rng)]
-    cached = [evolve_and_trace(sender, t, b, spec) for sender in senders]
+    cached = [sector_trace(sender, t, b, 6) for sender in senders]
     for sender, got in zip(senders, cached):
-        oracle._sectors.cache_clear()
-        oracle._gram_groups.cache_clear()
-        fresh = evolve_and_trace(sender, t, b, spec)
+        reference.sectors.cache_clear()
+        reference.gram_groups.cache_clear()
+        fresh = sector_trace(sender, t, b, 6)
         assert got.shape == fresh.shape == sender.shape
         assert np.max(np.abs(got - fresh)) < 1e-15
 
