@@ -73,12 +73,14 @@ class ModeBasis:
     """Sine modes g[j, k] = sqrt(2/(N+1)) sin(pi (j+1)(k+1)/(N+1)) and energies.
 
     Rows are sites, columns are modes (both 0-based internally); energies[k]
-    = cos(pi (k+1)/(N+1)) are strictly decreasing in k and lie in (-1, 1).
+    = cos(pi (k+1)/(N+1)) are strictly decreasing in k and lie in (-1, 1). The weight
+    columns (N, 3) of p, q and r (amplitude_grids) are g_1 g_{N-1}, g_1 g_N and g_2 g_{N-1}.
     """
 
     n_sites: int
     g: np.ndarray
     energies: np.ndarray
+    weights: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -89,9 +91,10 @@ def mode_basis(n_sites: int) -> ModeBasis:
     j = np.arange(1, n + 1)
     g = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
     energies = np.cos(np.pi * j / (n + 1))
-    g.setflags(write=False)
-    energies.setflags(write=False)
-    return ModeBasis(n_sites=n, g=g, energies=energies)
+    weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2]], axis=1)
+    for array in (g, energies, weights):
+        array.setflags(write=False)
+    return ModeBasis(n_sites=n, g=g, energies=energies, weights=weights)
 
 
 def _check_site(basis: ModeBasis, i: int) -> None:
@@ -150,17 +153,15 @@ def amplitude_grids(basis: ModeBasis, ts) -> tuple:
     """p = f_{1,N-1} = f_{2,N}, q = f_{1,N} and r = f_{2,N-1} over ts (any shape), sharing one
     phase grid. The mirror symmetry of the sine modes, g[N-1-j, k] = (-1)^k g[j, k], gives
     f_{2,N} = f_{1,N-1}, so the transfer matrix W = [[p, q], [r, p]] of these amplitudes has
-    equal diagonal entries exactly, from one weight column; it also fixes their parity:
-    for even N, p is real and q and r imaginary, for odd N the reverse. Every two-qubit
-    path starts here, so N < 4 (no disjoint sender and receiver) and a non-finite time are
-    refused."""
-    n, g = basis.n_sites, basis.g
-    if n < 4:
-        raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {n}")
+    equal diagonal entries exactly, from one weight column of ModeBasis.weights; it also
+    fixes their parity: for even N, p is real and q and r imaginary, for odd N the reverse.
+    Every two-qubit path starts here, so N < 4 (no disjoint sender and receiver) and a
+    non-finite time are refused."""
+    if basis.n_sites < 4:
+        raise ConfigurationError(f"two-qubit amplitudes need n_sites >= 4, got {basis.n_sites}")
     check_time(ts)
     phase = np.exp(-1j * np.multiply.outer(ts, basis.energies))
-    weights = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2]], axis=1)
-    f = phase @ weights
+    f = phase @ basis.weights
     # unlike np.moveaxis, a transpose costs no Python-level axis handling
     return tuple(f.transpose(-1, *range(f.ndim - 1)))
 

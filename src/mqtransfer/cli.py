@@ -33,7 +33,7 @@ from .errors import ConfigurationError, ResourceError, SingularInputError, Valid
 from .one_qubit import Qubit1State, lambda0_variant_a, lambda0_variant_b, lambda1_1q, receiver_state_1q
 from .optimize import OptProblem, OptResult, objective_landscape, optimize, summary_table, uniform_curve
 from .oracle import evolve_and_trace
-from .solvers import solve_zero_order, zero_order_system
+from .solvers import check_lambda0, solve_zero_order, zero_order_system
 from .states import (base_vector, case_metrics, region_cells, region_columns, region_points,
                      time_stage)
 from .two_qubit import alpha_table, random_density, receiver_from_sender
@@ -190,8 +190,7 @@ def _cmd_map(args, out) -> None:
 
 
 def _cmd_solve(args, out) -> None:
-    if not np.isfinite(args.lambda0_value):
-        raise ConfigurationError(f"--lambda0 must be finite, got {args.lambda0_value}")
+    check_lambda0(args.lambda0_value)
     spec = ChainSpec(args.n)
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
     times = time_stage(spec, args.t)

@@ -281,7 +281,7 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     # the temperature step of each b column, stacked over (b, t)
     columns = [region_points(times, float(b)) for b in B_GRID]
     x1 = np.stack([p.x1 for p in columns])
-    n, k = np.array([p.weights for p in columns]).T
+    n, k = np.array([p.weights for p in columns]).T[..., None]  # with a lambda0 axis
     parts = [positive_factors(p) for p in columns]
     lam1_pos, lam2_pos = np.stack([f[0] for f in parts]), parts[0][1]
     del columns, parts

@@ -27,16 +27,19 @@ two: solve_first_order and solve_zero_order solve the b-free problems once
 per time (and lambda0), and first_order_at and zero_order_at are the cheap
 temperature steps that apply the factors of one b. All of them work over
 the leading axes of the blocks of transfer_blocks, which the region kernel
-(mqtransfer.states) passes them; a point is a batch of shape ().
+(mqtransfer.states) passes them; a point is a batch of shape (). A scalar
+lambda0 gives no lambda0 axis, and a list of one an axis of length one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .two_qubit import AlphaTable, TransferSpectrum
 
 __all__ = [
+    "check_lambda0",
     "solve_first_order",
     "first_order_at",
     "zero_order_system",
@@ -52,10 +55,17 @@ _ONE = np.int64(1)
 _TINY = np.finfo(float).tiny
 
 
+def check_lambda0(lambda0) -> None:
+    """Reject a zero-order factor lambda0 unless finite."""
+    if not np.isfinite(lambda0):
+        raise ValidationError(f"lambda0 must be finite, got {lambda0}")
+
+
 def gauge_fix(vec: np.ndarray) -> np.ndarray:
     """Rotate vectors (last axis) so each largest-modulus component is real positive."""
     vec = np.asarray(vec, dtype=complex)
-    pick = np.take_along_axis(vec, np.abs(vec).argmax(axis=-1)[..., None], axis=-1)
+    at = np.abs(vec).argmax(axis=-1)  # one vector is indexed: take_along_axis costs ~8 us
+    pick = vec[at] if vec.ndim == 1 else np.take_along_axis(vec, at[..., None], axis=-1)
     return vec * np.exp(-1j * np.arctan2(pick.imag, pick.real))
 
 
@@ -176,13 +186,14 @@ def solve_zero_order(spectrum: tuple, lambda0s) -> tuple:
     """The lambda0 stage: (lambda0 I - T0) z = M B for a whole lambda0 axis at unit sources.
 
     spectrum comes from zero_order_spectrum over leading axes (...);
-    lambda0s is (nl,) or (..., nl), broadcasting against them. In the
-    moments the system is the Stein equation lambda0 X - W^H X W = n C on
-    the one-body matrix, and with Y = Q^H X Q it is triangular: Y00, then
+    lambda0s is (nl,) or (..., nl), broadcasting against them, or a scalar,
+    which gives cells (...) with no lambda0 axis ([lambda0] gives (..., 1)).
+    In the moments the system is the Stein equation lambda0 X - W^H X W = n C
+    on the one-body matrix, and with Y = Q^H X Q it is triangular: Y00, then
     Y01 (Y10 = conj Y01), then Y11, each over its own pole; z4 follows from
     its row, over the pole |det W|^2. Every source is n or k times a b-free
     one (mqtransfer.two_qubit.transfer_blocks), so one back-substitution at
-    n = k = 1 serves every b (zero_order_at). Returns, over (..., nl), the
+    n = k = 1 serves every b (zero_order_at). Returns, over the cells, the
     one-body solution X at n = 1 as X00, X11 and X01; the three terms of
     rho44 = 1 + z4 = P + k (2 - k) Q + n k Z, from n^2 = 1 - k (2 - k):
     P = (lambda0 - 1) / (lambda0 - |det W|^2), Q = (1 - |det W|^2) /
@@ -193,11 +204,12 @@ def solve_zero_order(spectrum: tuple, lambda0s) -> tuple:
     cannot overflow at any finite lambda0); singular cells hold zeros.
     """
     lam = np.asarray(lambda0s, dtype=float)
-    # a lone lambda0 is taken off its axis: at a point of shape () every cell
+    # a lone lambda0 is solved off its axis: at a point of shape () every cell
     # quantity is then a numpy scalar ([()] of a 0-d array), which numpy
     # works on far faster than on an array of one element
-    single = lam.shape[-1] == 1
-    lam = lam[..., 0][()] if single else lam
+    axis = lam.ndim > 0
+    single = not axis or lam.shape[-1] == 1
+    lam = (lam[..., 0] if axis and single else lam)[()]
     (d0, d1, d4, dp, c00, c11, c01, f01, f11, f10, m4, e00, e11, e10,
      s, ab, acb, aa, cbb) = spectrum if single else (x[..., None] for x in spectrum)
     g0, g1, g4, gp = lam - d0, lam - d1, lam - d4, lam - dp
@@ -213,7 +225,7 @@ def solve_zero_order(spectrum: tuple, lambda0s) -> tuple:
     x00 = y11 + s * dy - (ab * y01).real
     x01 = dy * acb + aa * y01 - cbb * np.conj(y01)
     unit = (x00, trace - x00, x01, (lam - 1.0) * i4, (1.0 - d4) * i4, z, keep == 1)
-    if single:
+    if axis and single:
         unit = tuple(x[..., None] for x in unit)
     return unit[:-1], unit[-1]
 
@@ -221,16 +233,15 @@ def solve_zero_order(spectrum: tuple, lambda0s) -> tuple:
 def zero_order_at(unit: tuple, n, k) -> tuple:
     """The temperature step of the zero-order vector: solve_zero_order's solution at n and k.
 
-    n and k (chain.thermal_weights) broadcast against the leading axes of
-    unit, without its lambda0 axis. Returns the base state's entries rho11,
-    rho22, rho33, rho44 and rho23 over (..., nl). z4 = n k Z - n^2 Q is
+    n and k (chain.thermal_weights) broadcast against unit, with its lambda0
+    axis if it has one (mqtransfer.states.region_cells). Returns the base state's
+    entries rho11, rho22, rho33, rho44 and rho23 over the cells. z4 = n k Z - n^2 Q is
     formed directly, so it keeps its precision where it is small (large
     lambda0), and rho44 = 1 + z4 from its own row in powers of k = 1 - n,
     so it keeps its relative precision where it is of order e^-2b (large b);
     the others are n X less z4.
     """
     x00, x11, x01, p, q, z = unit
-    n, k = np.asarray(n)[..., None], np.asarray(k)[..., None]
     nkz = (n * k) * z
     z4 = nkz - (n * n) * q
     x00, x11 = n * x00, n * x11

@@ -37,8 +37,8 @@ import numpy as np
 
 from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
 from .errors import ConfigurationError
-from .solvers import (first_order_at, solve_first_order, solve_zero_order, zero_order_at,
-                      zero_order_spectrum)
+from .solvers import (check_lambda0, first_order_at, solve_first_order, solve_zero_order,
+                      zero_order_at, zero_order_spectrum)
 from .two_qubit import temperature_factors, transfer_blocks, transfer_spectrum
 
 __all__ = [
@@ -86,9 +86,10 @@ def c2_rays(base: tuple):
     base is the base state as its entries (rho11, rho22, rho33, rho44, rho23)
     (region_cells). The base state is block-diagonal on {1}, {2,3}, {4}, so it
     is positive where rho11, rho44 and the smaller eigenvalue of its {2,3}
-    block are at least -PSD_TOL, and c2_max = sqrt(rho11 rho44) there. Returns
-    (positive, c2_max), c2_max zero where the base state is not positive. On a
-    positive base state of unit trace c2_max <= (rho11 + rho44) / 2 <= 1/2.
+    block are at least -PSD_TOL, and c2_max = sqrt(max(rho11 rho44, 0)) there, the ray to
+    exact positivity (at rho44 = 0 it is 0, where bisection to the floor gives sqrt(PSD_TOL
+    rho11)). Returns (positive, c2_max), c2_max zero where the base state is not positive.
+    On a positive base state of unit trace c2_max <= (rho11 + rho44) / 2 <= 1/2.
     """
     r11, r22, r33, r44, x23 = base
     blk_min = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + np.abs(x23) ** 2)
@@ -193,7 +194,7 @@ class RegionPoints:
     the four eigenvalues of the single-quantum map, lambda1 and x1
     (solvers.first_order_at), the mask real of points where lambda1 is real,
     the t-stage's lambda2 (over the shape of t) and the background weights n
-    and k that base_cells applies."""
+    and k that region_cells applies."""
 
     eigenvalues: np.ndarray
     lambda1: np.ndarray
@@ -213,14 +214,19 @@ def region_points(times: TimeStage, b) -> RegionPoints:
     return RegionPoints(ev, lambda1, x1, real, times.lambda2, (n, k))
 
 
+def _on_cells(x, cell, point, axis: int = -1):
+    """x over the points, given the lambda0 axis (at axis) where cell has more axes than point."""
+    return np.expand_dims(x, axis) if cell.ndim > point.ndim else x
+
+
 def base_cells(weights: tuple, zero: tuple) -> tuple:
     """The zero-order temperature step and the positivity rays at every point and lambda0.
 
-    weights are the background weights (n, k) of region_points, and zero is
-    solvers.solve_zero_order on the spectrum of the t-stage, over (times..., nl);
-    they broadcast against each other. Returns the base state's entries (rho11,
-    rho22, rho33, rho44, rho23), each (points..., nl), the mask ok of cells with
-    a regular zero-order solve and a positive base state, and c2_max (c2_rays).
+    zero is solvers.solve_zero_order on the spectrum of the t-stage, and weights the
+    background weights (n, k) of region_points with the lambda0 axis of zero, if any
+    (region_cells). Returns the base state's entries (rho11, rho22, rho33, rho44, rho23)
+    over the cells, the mask ok of cells with a regular zero-order solve and a positive
+    base state, and c2_max (c2_rays).
     """
     unit, regular = zero
     base = zero_order_at(unit, *weights)
@@ -230,9 +236,12 @@ def base_cells(weights: tuple, zero: tuple) -> tuple:
 
 def region_cells(points: RegionPoints, zero: tuple) -> tuple:
     """base_cells and the single-quantum ray at every point and lambda0: the base state's
-    entries, the mask ok, c1_max (c1_rays, zero where not ok) and c2_max."""
-    base, ok, c2_max = base_cells(points.weights, zero)
-    return base, ok, np.where(ok, c1_rays(base, points.x1[..., None, :]), 0.0), c2_max
+    entries, the mask ok, c1_max (c1_rays, zero where not ok) and c2_max; the lambda0 axis
+    of zero, if any, follows the axes of the points."""
+    weights = tuple(_on_cells(w, zero[1], points.lambda2) for w in points.weights)
+    base, ok, c2_max = base_cells(weights, zero)
+    x1 = _on_cells(points.x1, zero[1], points.lambda2, -2)
+    return base, ok, np.where(ok, c1_rays(base, x1), 0.0), c2_max
 
 
 def base_vector(base: tuple) -> np.ndarray:
@@ -268,8 +277,8 @@ def positive_factors(points: RegionPoints) -> tuple:
 def semi_axes(factors: tuple, cells: tuple) -> tuple:
     """s1 = c1_max lambda1+ and s2 = c2_max lambda2+ at the cells of region_cells from the
     positive_factors of their points; zero where not ok, masked before scaling."""
-    lam1, lam2 = (a[..., None] for a in factors)
     _, ok, c1_max, c2_max = cells
+    lam1, lam2 = (_on_cells(a, ok, factors[0]) for a in factors)
     return np.where(ok & (lam1 > 0.0), c1_max, 0.0) * lam1, np.where(ok, c2_max, 0.0) * lam2
 
 
@@ -277,7 +286,7 @@ def case_metrics(points: RegionPoints, cells: tuple, case: int) -> tuple:
     """The case mask: feasibility and semi-axes s1, s2 of a case at every cell. Case 1
     keeps only s2, case 2 only s1, cases 3 and 4 both; all but case 1 need a real
     single-quantum factor, and every case an ok cell."""
-    feasible = cells[1] & (points.real[..., None] | (case == 1))
+    feasible = cells[1] & (_on_cells(points.real, cells[1], points.real) | (case == 1))
     s1, s2 = semi_axes(positive_factors(points), cells)
     return feasible, np.where(case != 1, s1, 0.0), np.where(feasible & (case != 2), s2, 0.0)
 
@@ -291,13 +300,14 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
     if case not in (1, 2, 3, 4):
         raise ConfigurationError(f"case must be 1..4, got {case}")
     check_inverse_temperature(b)
+    check_lambda0(lambda0)
     times = time_stage(spec, t)
     points = region_points(times, b)
     feasible, s1, s2 = False, 0.0, 0.0
     # without a real lambda1 only case 1 can be feasible: skip the lambda0 stage
     if points.real or case == 1:
         cells = base, _, c1_max, c2_max = region_cells(
-            points, solve_zero_order(times.spectrum, [lambda0]))
+            points, solve_zero_order(times.spectrum, lambda0))
         feasible, s1, s2 = (x.item() for x in case_metrics(points, cells, case))
     keep1 = feasible and case != 1
     return RegionReport(
@@ -307,6 +317,6 @@ def region_metrics(spec: ChainSpec, t: float, b: float, lambda0: float,
         c1_max=c1_max.item() if keep1 else 0.0,
         c2_max=c2_max.item() if feasible and case != 2 else 0.0,
         feasible=feasible,
-        x0=base_vector(base)[0] if feasible else None,
+        x0=base_vector(base) if feasible else None,
         x1=points.x1 if keep1 else None,
     )

@@ -61,8 +61,12 @@ ZERO_COLS = ("11", "22", "33", "44", "23", "32")
 # first-order element order, shared by the map and the scale-factor matrix
 FIRST_LABELS = ("12", "13", "24", "34")
 
-_IDX = {"1": 0, "2": 1, "3": 2, "4": 3}
 _ONE = np.int64(1)
+# the (rows, columns) of ZERO_COLS and FIRST_LABELS, and of the receiver entries above the
+# diagonal that receiver_from_sender fills: 23, FIRST_LABELS and 14
+_ZERO_AT = ((0, 1, 2, 3, 1, 2), (0, 1, 2, 3, 2, 1))
+_FIRST_AT = ((0, 0, 1, 2), (1, 2, 3, 3))
+_UPPER_AT = ((1, 0, 0, 1, 2, 0), (2, 1, 2, 3, 3, 3))
 
 # Rows u0, u3, u1, u2 over FIRST_LABELS, with u0 = (13 + 24), u1 = (13 - 24),
 # u2 = (12 + 34) and u3 = (12 - 34), each over sqrt(2): U of the block form
@@ -215,10 +219,11 @@ def temperature_factors(b, n_sites: int) -> tuple:
     return (-1) ** n_sites * tau ** (n_sites - 3), tau, n, k
 
 
-def _stacked(rows: list) -> np.ndarray:
-    """Nested lists of entries over axes (...) as one array (..., rows, columns)."""
-    a = np.array(rows, dtype=complex)
-    return a.transpose(*range(2, a.ndim), 0, 1)
+# where alpha_entries puts the entries of (A, C, Q) of transfer_blocks in the 4x4 G =
+# [[tau A, C], [0, tau Q]], and the products conj(w_a) w_b of w = (p, q, r), as 3 a + b,
+# in the one-body block conj(W_ki) W_lj over ONE_BODY of the zero-order G
+_G_AT = ((0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3), (0, 1, 0, 1, 2, 3, 2, 3, 2, 3, 2, 3))
+_ONE_BODY_AT = np.array([(0, 8, 2, 6), (4, 0, 3, 1), (1, 6, 0, 7), (3, 2, 5, 0)])
 
 
 def alpha_entries(p, q, r, b, n_sites: int) -> tuple:
@@ -235,17 +240,23 @@ def alpha_entries(p, q, r, b, n_sites: int) -> tuple:
     """
     (a, c, q_block), (row, source), second = transfer_blocks(p, q, r)
     theta, tau, n, k = temperature_factors(b, n_sites)
-    nil = np.zeros(np.shape(second))
-    ta, tq = [tau * x for x in a], [tau * x for x in q_block]
-    g = _stacked([[ta[0], ta[1], c[0], c[1]], [ta[2], ta[3], c[2], c[3]],
-                  [nil, nil, tq[0], tq[1]], [nil, nil, tq[2], tq[3]]])
-    first = theta * (BLOCK_BASIS.T @ g @ BLOCK_BASIS)
-    wm = ((p, q), (r, p))
-    one_body = [[np.conj(wm[u][i]) * wm[v][j] for u, v in ONE_BODY] + [nil] for i, j in ONE_BODY]
-    g4 = [k * x for x in row[:4]] + [row[4]]
-    t0 = MOMENTS_INVERSE @ _stacked(one_body + [g4]) @ MOMENTS
-    mb = [n * x for x in source[:4]] + [n * (n * (row[4] - 1.0) + k * source[4])]
-    b_vec = np.stack(mb, axis=-1) @ MOMENTS_INVERSE.T
+    blocks = np.array((*a, *c, *q_block))
+    blocks[:4] *= tau
+    blocks[8:] *= tau
+    g = np.zeros((4, 4) + blocks.shape[1:], dtype=complex)
+    g[_G_AT] = blocks
+    first = theta * (BLOCK_BASIS.T @ g.transpose(*range(2, g.ndim), 0, 1) @ BLOCK_BASIS)
+    # conj(w_a) w_b from the real and imaginary parts, so that each rounds as a product of
+    # complex scalars does: numpy fuses the multiply-adds of a complex array product
+    w = np.array((p, q, r), dtype=complex)
+    x, y = w.real[:, None], w.imag[:, None]
+    products = np.stack((x * w.real + y * w.imag, x * w.imag - y * w.real), -1).view(complex)
+    g = np.zeros((5, 5) + blocks.shape[1:], dtype=complex)
+    g[:4, :4] = products.reshape(9, *blocks.shape[1:])[_ONE_BODY_AT]
+    g[4, :4], g[4, 4] = k * np.array(row[:4]), row[4]
+    t0 = MOMENTS_INVERSE @ g.transpose(*range(2, g.ndim), 0, 1) @ MOMENTS
+    mb = n * np.array((*source[:4], n * (row[4] - 1.0) + k * source[4]))
+    b_vec = mb.transpose(*range(1, mb.ndim), 0) @ MOMENTS_INVERSE.T
     zero = np.concatenate([t0[..., :3] + b_vec[..., None], b_vec[..., None], t0[..., 3:]], axis=-1)
     return first, zero, second
 
@@ -293,27 +304,15 @@ def receiver_from_sender(table: AlphaTable, rho_s: np.ndarray) -> np.ndarray:
     positive receiver is flagged, since the physical map preserves positivity.
     """
     rho_s = validate_density(rho_s)
-
-    def sel(nm: str) -> complex:
-        return rho_s[_IDX[nm[0]], _IDX[nm[1]]]
-
+    z = table.zero @ rho_s[_ZERO_AT]
     out = np.zeros((4, 4), dtype=complex)
-    svec0 = np.array([sel(nm) for nm in ZERO_COLS])
-    z = table.zero @ svec0
     out[0, 0], out[1, 1], out[2, 2] = z[0].real, z[1].real, z[2].real
-    out[1, 2] = z[3]
-    out[2, 1] = np.conj(z[3])
-    svec1 = np.array([sel(nm) for nm in FIRST_LABELS])
-    f = table.first @ svec1
-    for lab, val in zip(FIRST_LABELS, f):
-        i, j = _IDX[lab[0]], _IDX[lab[1]]
-        out[i, j] = val
-        out[j, i] = np.conj(val)
-    out[0, 3] = table.second * rho_s[0, 3]
-    out[3, 0] = np.conj(out[0, 3])
+    upper = np.concatenate([z[3:4], table.first @ rho_s[_FIRST_AT], [table.second * rho_s[0, 3]]])
+    out[_UPPER_AT] = upper
+    out[_UPPER_AT[::-1]] = np.conj(upper)
     out[3, 3] = 1.0 - out[0, 0] - out[1, 1] - out[2, 2]
-
-    if np.linalg.eigvalsh(rho_s).min() >= -1e-10 and np.linalg.eigvalsh(out).min() < -1e-8:
+    # the receiver first: a positive one, the common case, needs no eigvalsh of the sender
+    if np.linalg.eigvalsh(out).min() < -1e-8 and np.linalg.eigvalsh(rho_s).min() >= -1e-10:
         warnings.warn("receiver of a positive sender failed positivity at 1e-8",
                       RuntimeWarning, stacklevel=2)
     return out

@@ -28,7 +28,8 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
   one spin's weights (thermal_background), for the dense oracle tests;
 - the receiver matrix of the full evolution, simulated one excitation sector
   at a time with its own copy of the bond-hop rule (sector_trace), the
-  brute-force ground truth of mqtransfer.oracle up to N = 12;
+  brute-force ground truth of mqtransfer.oracle up to N = 12, where a memory
+  guard (SECTOR_BYTES_CAP) stops it;
 - the amplitudes p = f_{1,N-1}, q = f_{1,N}, r = f_{2,N-1} and s = f_{2,N}
   at 50 digits, each summed on its own in mpmath (amplitudes_mp); from
   them, where W's eigenvalues are real (realness_reference), and the base
@@ -38,16 +39,20 @@ built from it and the tolerances PSD_TOL and COND_LIMIT:
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from math import comb
 
 import numpy as np
 from mpmath import mp
 
-from mqtransfer import ChainSpec, alpha_table, amplitude_set, mode_basis
+from mqtransfer import ChainSpec, ResourceError, alpha_table, amplitude_set, mode_basis
 from mqtransfer.chain import check_inverse_temperature, thermal_weights
 from mqtransfer.solvers import COND_LIMIT, zero_order_system
 from mqtransfer.states import PSD_TOL
 
 BISECT_TOL = 1e-9
+# the largest stack of sector propagators sector_trace allocates: 64 MiB admits N = 12
+# (41 MiB) and refuses N = 13 (159 MiB)
+SECTOR_BYTES_CAP = 2**26
 
 
 def base_matrix(x0: np.ndarray) -> np.ndarray:
@@ -148,8 +153,14 @@ def sector_trace(sender: np.ndarray, t: float, b: float, n: int) -> np.ndarray:
     exp(-i E_k t) V_k^T the block of receiver r and sender s has |e| = k - |r| and
     |g| = k - |s|, and w_g depends on |g| alone, so the blocks of one pair (|e|, |g|)
     stack into one matrix m that adds w_g m m^H to G (gram_groups). Its cost and memory
-    grow as C(2N, N): 41 MB of stacked propagators at N = 12, 159 MB at N = 13.
+    grow as C(2N, N): 41 MiB of stacked propagators at N = 12, 159 MiB at N = 13 and
+    612 MiB at N = 14, so an N whose 16 C(2N, N) bytes pass SECTOR_BYTES_CAP is refused
+    with a ResourceError before anything is built.
     """
+    stack_bytes = 16 * comb(2 * n, n)
+    if stack_bytes > SECTOR_BYTES_CAP:
+        raise ResourceError(f"sector_trace at N = {n} would stack {stack_bytes / 2**20:.0f} MiB "
+                            f"of propagators, over the {SECTOR_BYTES_CAP / 2**20:.0f} MiB cap")
     sender = np.asarray(sender, dtype=complex)
     n_sender = sender.shape[0].bit_length() - 1
     starts, groups = gram_groups(n, n_sender)

@@ -54,6 +54,15 @@ def test_orthonormality():
         assert np.max(np.abs(g @ g.T - np.eye(n))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 42])
+def test_mode_basis_weight_columns(n):
+    # the weight columns of p, q and r: g_1 g_{N-1}, g_1 g_N and g_2 g_{N-1} (1-based rows)
+    basis = mode_basis(n)
+    g = basis.g
+    want = np.stack([g[0] * g[n - 2], g[0] * g[n - 1], g[1] * g[n - 2]], axis=1)
+    assert np.array_equal(basis.weights, want) and not basis.weights.flags.writeable
+
+
 def test_orthogonality_n5_sites_1_3():
     g = mode_basis(5).g
     assert abs(np.dot(g[0], g[2])) < 1e-12

@@ -374,14 +374,16 @@ def test_map_malformed_json_is_one_line(tmp_path, capsys):
     ("--b", ["--t", "1.0", "--b", "inf", "--lambda0", "1.0"]),
     ("--lambda0", ["--t", "1.0", "--b", "1.0", "--lambda0", "inf"]),
     ("--b", ["--t", "1.0", "--b", "-1", "--lambda0", "1.0"]),
+    ("--lambda0", ["--t", "1.0", "--b", "1.0", "--lambda0", "nan"]),
+    ("--lambda0", ["--t", "1.0", "--b", "1.0", "--lambda0", "-inf"]),
 ])
 def test_solve_rejects_non_finite_point(capsys, flag, argv):
-    # --t and --b meet the library's domain rules, the ones the oracle applies too; the
-    # CLI itself checks only --lambda0, which the library takes at any value
+    # --t, --b and --lambda0 meet the library's domain rules (--t and --b the ones the
+    # oracle applies too, --lambda0 the one region_metrics applies)
     code, err = _run_error(capsys, ["solve", "--n", "6"] + argv)
     assert code == 3
     rule = {"--t": "time must be finite", "--b": "inverse temperature must be finite and >= 0",
-            "--lambda0": "--lambda0 must be finite"}[flag]
+            "--lambda0": "lambda0 must be finite"}[flag]
     assert err == [f"error: {rule}, got {float(argv[argv.index(flag) + 1])}"]
 
 

@@ -68,6 +68,35 @@ def test_point_is_a_cell_of_a_batch(sample, l0s, i, j):
         assert one_s2[0] == pytest.approx(s2[i, j], rel=tol, abs=1e-14)
 
 
+def _bits(x) -> tuple:
+    """The shape, dtype and bytes of a kernel quantity, for bitwise comparisons."""
+    x = np.asarray(x)
+    return x.shape, x.dtype, x.tobytes()
+
+
+@pytest.mark.parametrize("n, t, b, lambda0", [
+    (42, 40.3, 2.0, 1.1), (42, 58.2, 0.0, 0.9), (6, 5.5, 3.0, 1.7), (10, 9.7, 7.0, 0.6),
+    (7, 6.1, 1.5, 1.2), (42, 35.0, 4.0, None), (6, 8.5, 0.0, None)])
+def test_scalar_lambda0_is_the_list_of_one_without_its_axis(n, t, b, lambda0):
+    # a scalar lambda0 gives the cells of [lambda0] bitwise, as numpy scalars without the
+    # lambda0 axis, also at b = 0 and at a singular cell (lambda0 = |t00|^2 of the spectrum
+    # of T0, where lambda0 is None)
+    times = time_stage(ChainSpec(n), t)
+    points = region_points(times, b)
+    lambda0 = float(times.spectrum[0]) if lambda0 is None else lambda0
+    (unit, regular), (unit1, regular1) = (solve_zero_order(times.spectrum, x)
+                                          for x in (lambda0, [lambda0]))
+    assert regular == regular1[0] and regular1.shape == (1,) and np.ndim(regular) == 0
+    for x, x1 in zip((*unit, regular), (*unit1, regular1)):
+        assert _bits(x) == _bits(np.asarray(x1)[0])
+    cells, cells1 = (region_cells(points, zero) for zero in ((unit, regular), (unit1, regular1)))
+    for x, x1 in zip((*cells[0], *cells[1:]), (*cells1[0], *cells1[1:])):
+        assert _bits(x) == _bits(np.asarray(x1)[0])
+    for case in (1, 2, 3, 4):
+        for x, x1 in zip(case_metrics(points, cells, case), case_metrics(points, cells1, case)):
+            assert _bits(x) == _bits(x1[0])
+
+
 def test_kernel_matches_reference_chain():
     # scalar table, scalar eigen loop, dense cond-guarded solve and bisection
     # rays against the batched kernel, at one (N, t, b, lambda0) point. The two
@@ -195,6 +224,17 @@ def test_closed_form_rays_match_bisection(sender):
     c1_ref, c2_ref = c_max_ray(x0, x1, "corner", tol=1e-11)
     assert float(c1_rays(base_entries(x0), x1)) == pytest.approx(c1_ref, abs=1e-8)
     assert float(c2) == pytest.approx(c2_ref, abs=1e-8)
+
+
+def test_c2_rays_give_the_ray_to_exact_positivity():
+    # c2_rays accepts a base state down to -PSD_TOL but measures c2_max to exact
+    # positivity, sqrt(max(rho11 rho44, 0)): at rho44 = 0 it is 0, where bisection
+    # on the same floor (c_max_ray) reaches sqrt(PSD_TOL rho11) = 7.07e-6
+    x0, x1 = CLAMPED_RHO22[0]
+    positive, c2 = c2_rays(base_entries(x0))
+    assert positive and c2 == 0.0
+    assert c_max_ray(x0, x1, "corner", tol=1e-11)[1] == pytest.approx(np.sqrt(0.5 * PSD_TOL),
+                                                                       rel=1e-3)
 
 
 @pytest.mark.parametrize("sender", CLAMPED_RHO22, ids=["rho22=0", "rho22=1e-31", "rho44=0.3"])

@@ -6,6 +6,8 @@ N = 12, and the analytic maps against the certifier up to N = 100.
 """
 
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +255,20 @@ def test_oracle_caches_are_keyed_by_sender_size(rng):
         fresh = sector_trace(sender, t, b, 6)
         assert got.shape == fresh.shape == sender.shape
         assert np.max(np.abs(got - fresh)) < 1e-15
+
+
+def test_sector_reference_refuses_a_stack_past_its_cap():
+    # 16 C(2N, N) bytes of propagators: 41 MiB at N = 12 fit the cap, 612 MiB at N = 14
+    # are refused before any sector is built
+    assert 16 * math.comb(24, 12) <= reference.SECTOR_BYTES_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="612 MiB"):
+            sector_trace(np.eye(4) / 4.0, 1.0, 1.0, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("t, b", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),

@@ -177,6 +177,18 @@ def test_gauge_fix():
     assert fixed[k].real > 0
 
 
+def test_gauge_fix_of_one_vector_is_its_row_of_a_batch(rng):
+    # one vector takes the path that indexes its largest entry; a batch takes
+    # take_along_axis. Rows with ties of modulus pick the first, as argmax does
+    batch = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+    batch[:8] = [0.5, -0.5j, 0.5, 0.1]
+    batch[8:16, 2] = 0.0
+    fixed = gauge_fix(batch)
+    for row, want in zip(batch, fixed):
+        got = gauge_fix(row)
+        assert got.shape == (4,) and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # zero order
 

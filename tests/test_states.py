@@ -5,6 +5,7 @@ from mqtransfer import (
     ChainSpec,
     ConfigurationError,
     OptProblem,
+    ValidationError,
     alpha_table,
     amplitude_set,
     assemble_sender,
@@ -267,3 +268,10 @@ def test_region_metrics_rejects_a_case_outside_1_to_4():
                  lambda: OptProblem(5, "free")):
         with pytest.raises(ConfigurationError, match="case must be 1..4, got 5"):
             call()
+
+
+@pytest.mark.parametrize("lambda0", [float("nan"), float("inf"), -float("inf")])
+def test_region_metrics_rejects_a_non_finite_lambda0(lambda0):
+    # checked at the boundary, not left to give a silent infeasible report
+    with pytest.raises(ValidationError, match=f"lambda0 must be finite, got {lambda0}"):
+        region_metrics(ChainSpec(42), 42.0, 5.0, lambda0, 3)

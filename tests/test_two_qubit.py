@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqtransfer import (
+    AlphaTable,
     ChainSpec,
     ValidationError,
     amplitude_set,
@@ -235,3 +237,24 @@ def test_receiver_validates_input(rng):
     with pytest.raises(ValidationError):
         receiver_from_sender(table, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
 
+
+# the identity map as a table (rows ZERO_ROWS, columns ZERO_COLS): the receiver is the sender
+IDENTITY_TABLE = AlphaTable(n_sites=6, b=1.0, zero=np.eye(6, dtype=complex)[[0, 1, 2, 4, 5]],
+                            first=np.eye(4, dtype=complex), second=1.0)
+
+
+def test_receiver_flags_a_positive_sender_that_leaves_positivity():
+    # a table altered to scale the double-quantum coefficient tenfold breaks positivity:
+    # the warning fires for a positive sender, and not for a sender that is not positive,
+    # nor for the unaltered identity map
+    sender = np.eye(4, dtype=complex) / 4.0
+    sender[0, 3] = sender[3, 0] = 0.2
+    not_positive = sender.copy()
+    not_positive[0, 3] = not_positive[3, 0] = 0.3
+    altered = dataclasses.replace(IDENTITY_TABLE, second=10.0)
+    with pytest.warns(RuntimeWarning, match="failed positivity"):
+        receiver_from_sender(altered, sender)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.linalg.eigvalsh(receiver_from_sender(altered, not_positive)).min() < -1e-8
+        assert np.array_equal(receiver_from_sender(IDENTITY_TABLE, sender), sender)
