@@ -195,11 +195,11 @@ def _cmd_solve(args, out) -> None:
     table = alpha_table(amplitude_set(mode_basis(args.n), args.t), args.b, spec)
     times = time_stage(spec, args.t)
     points = region_points(times, args.b)
-    zero = solve_zero_order(times.spectrum, [args.lambda0_value])
-    if not zero[1][0]:
+    zero = solve_zero_order(times.spectrum, args.lambda0_value)
+    if not zero[1]:
         raise SingularInputError(
             f"lambda0 = {args.lambda0_value} is too close to the spectrum of the zero-order map")
-    (x0,) = base_vector(region_cells(points, zero)[0])
+    x0 = base_vector(region_cells(points, zero)[0])
     # the backward check of the closed form, against the dense system of the table
     t0, b_vec = zero_order_system(table)
     residual = float(np.linalg.norm((args.lambda0_value * np.eye(5) - t0) @ x0 - b_vec))

@@ -20,15 +20,15 @@ z = M x (MOMENTS) the map M T0 M^-1 is block lower-triangular, with the
 one-body block X -> W^H X W and the last entry |det W|^2, so spec(T0) =
 {|w1|^2, |w2|^2, w1 conj(w2), w2 conj(w1), |det W|^2}; with the Schur form of
 W the system is triangular, and solve_zero_order solves it by
-back-substitution, for a whole lambda0 axis at a time. The inverse
+back-substitution, for many lambda0 at a time. The inverse
 temperature b enters both maps only through four factors (theta, tau, n and
 k of mqtransfer.two_qubit.temperature_factors), so each solver is split in
 two: solve_first_order and solve_zero_order solve the b-free problems once
 per time (and lambda0), and first_order_at and zero_order_at are the cheap
 temperature steps that apply the factors of one b. All of them work over
 the leading axes of the blocks of transfer_blocks, which the region kernel
-(mqtransfer.states) passes them; a point is a batch of shape (). A scalar
-lambda0 gives no lambda0 axis, and a list of one an axis of length one.
+(mqtransfer.states) passes them; a point is a batch of shape (), and lambda0
+broadcasts against the spectrum by numpy's rules alone (solve_zero_order).
 """
 
 from __future__ import annotations
@@ -183,35 +183,29 @@ def zero_order_spectrum(w: TransferSpectrum, row, source) -> tuple:
 
 
 def solve_zero_order(spectrum: tuple, lambda0s) -> tuple:
-    """The lambda0 stage: (lambda0 I - T0) z = M B for a whole lambda0 axis at unit sources.
+    """The lambda0 stage: (lambda0 I - T0) z = M B at unit sources, at every cell.
 
-    spectrum comes from zero_order_spectrum over leading axes (...);
-    lambda0s is (nl,) or (..., nl), broadcasting against them, or a scalar,
-    which gives cells (...) with no lambda0 axis ([lambda0] gives (..., 1)).
-    In the moments the system is the Stein equation lambda0 X - W^H X W = n C
-    on the one-body matrix, and with Y = Q^H X Q it is triangular: Y00, then
-    Y01 (Y10 = conj Y01), then Y11, each over its own pole; z4 follows from
-    its row, over the pole |det W|^2. Every source is n or k times a b-free
-    one (mqtransfer.two_qubit.transfer_blocks), so one back-substitution at
-    n = k = 1 serves every b (zero_order_at). Returns, over the cells, the
-    one-body solution X at n = 1 as X00, X11 and X01; the three terms of
-    rho44 = 1 + z4 = P + k (2 - k) Q + n k Z, from n^2 = 1 - k (2 - k):
-    P = (lambda0 - 1) / (lambda0 - |det W|^2), Q = (1 - |det W|^2) /
-    (lambda0 - |det W|^2) and Z, the z4 of the one-body solution and of
-    the source S4; and the mask of regular cells. The one singularity rule:
-    a cell is regular when max|lambda0 - d| < COND_LIMIT * min|lambda0 - d|
-    over the exact spectrum d of T0 (formed as max / COND_LIMIT < min, which
-    cannot overflow at any finite lambda0); singular cells hold zeros.
+    spectrum comes from zero_order_spectrum, and lambda0s broadcasts against its
+    axes by numpy's rules alone: the cells are np.broadcast_shapes of the two (a
+    spectrum over (nt, 1) and lambda0s over (nl,) give (nt, nl), a point and a
+    scalar lambda0 numpy scalars). In the moments the system is the Stein
+    equation lambda0 X - W^H X W = n C on the one-body matrix, and with
+    Y = Q^H X Q it is triangular: Y00, then Y01 (Y10 = conj Y01), then Y11, each over
+    its own pole; z4 follows from its row, over the pole |det W|^2. Every source
+    is n or k times a b-free one (mqtransfer.two_qubit.transfer_blocks), so one
+    back-substitution at n = k = 1 serves every b (zero_order_at). Returns, over
+    the cells, the one-body solution X at n = 1 as X00, X11 and X01; the three
+    terms of rho44 = 1 + z4 = P + k (2 - k) Q + n k Z, from n^2 = 1 - k (2 - k):
+    P = (lambda0 - 1) / (lambda0 - |det W|^2),
+    Q = (1 - |det W|^2) / (lambda0 - |det W|^2) and Z, the z4 of the one-body solution and of the source S4; and
+    the mask of regular cells. The one singularity rule: a cell is regular when
+    max|lambda0 - d| < COND_LIMIT * min|lambda0 - d| over the exact spectrum d
+    of T0 (formed as max / COND_LIMIT < min, which cannot overflow at any finite
+    lambda0); singular cells hold zeros.
     """
-    lam = np.asarray(lambda0s, dtype=float)
-    # a lone lambda0 is solved off its axis: at a point of shape () every cell
-    # quantity is then a numpy scalar ([()] of a 0-d array), which numpy
-    # works on far faster than on an array of one element
-    axis = lam.ndim > 0
-    single = not axis or lam.shape[-1] == 1
-    lam = (lam[..., 0] if axis and single else lam)[()]
+    lam = np.asarray(lambda0s, dtype=float)[()]
     (d0, d1, d4, dp, c00, c11, c01, f01, f11, f10, m4, e00, e11, e10,
-     s, ab, acb, aa, cbb) = spectrum if single else (x[..., None] for x in spectrum)
+     s, ab, acb, aa, cbb) = spectrum
     g0, g1, g4, gp = lam - d0, lam - d1, lam - d4, lam - dp
     dist = np.array([abs(g0), abs(g1), abs(g4), abs(gp)])
     # 1/gap in regular cells and 0 in the others, where a gap may vanish
@@ -224,17 +218,14 @@ def solve_zero_order(spectrum: tuple, lambda0s) -> tuple:
     trace, dy = y00 + y11, y00 - y11
     x00 = y11 + s * dy - (ab * y01).real
     x01 = dy * acb + aa * y01 - cbb * np.conj(y01)
-    unit = (x00, trace - x00, x01, (lam - 1.0) * i4, (1.0 - d4) * i4, z, keep == 1)
-    if axis and single:
-        unit = tuple(x[..., None] for x in unit)
-    return unit[:-1], unit[-1]
+    return (x00, trace - x00, x01, (lam - 1.0) * i4, (1.0 - d4) * i4, z), keep == 1
 
 
 def zero_order_at(unit: tuple, n, k) -> tuple:
     """The temperature step of the zero-order vector: solve_zero_order's solution at n and k.
 
-    n and k (chain.thermal_weights) broadcast against unit, with its lambda0
-    axis if it has one (mqtransfer.states.region_cells). Returns the base state's
+    n and k (chain.thermal_weights) broadcast against unit's cells
+    (mqtransfer.states.region_cells). Returns the base state's
     entries rho11, rho22, rho33, rho44 and rho23 over the cells. z4 = n k Z - n^2 Q is
     formed directly, so it keeps its precision where it is small (large
     lambda0), and rho44 = 1 + z4 from its own row in powers of k = 1 - n,

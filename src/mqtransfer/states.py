@@ -21,11 +21,14 @@ inverse temperature b reaches the map only through four factors
   c2_rays) and the single-quantum ray c1_max (c1_rays), which a caller may
   run on fewer cells.
 
-region_columns streams a grid through them one b column at a time. The
-semi-axes are formed once: positive_factors (lambda1+, lambda2+), semi_axes
-(s1 = c1_max lambda1+, s2 = c2_max lambda2+) and the case mask case_metrics.
-For odd N the single-quantum factor is real only at b = 0, where it
-vanishes, so cases 2-4 are infeasible there.
+The stages follow numpy broadcasting alone: the cells take the broadcast
+shape of the spectrum and lambda0, and the points broadcast against them
+(over (nt, 1) against cells (nt, nl), say); region_columns streams a grid
+through them one b column at a time. The semi-axes are formed once:
+positive_factors (lambda1+, lambda2+), semi_axes (s1 = c1_max lambda1+, s2 =
+c2_max lambda2+) and the case mask case_metrics. For odd N the
+single-quantum factor is real only at b = 0, where it vanishes, so cases 2-4
+are infeasible there.
 """
 
 from __future__ import annotations
@@ -214,19 +217,14 @@ def region_points(times: TimeStage, b) -> RegionPoints:
     return RegionPoints(ev, lambda1, x1, real, times.lambda2, (n, k))
 
 
-def _on_cells(x, cell, point, axis: int = -1):
-    """x over the points, given the lambda0 axis (at axis) where cell has more axes than point."""
-    return np.expand_dims(x, axis) if cell.ndim > point.ndim else x
-
-
 def base_cells(weights: tuple, zero: tuple) -> tuple:
     """The zero-order temperature step and the positivity rays at every point and lambda0.
 
     zero is solvers.solve_zero_order on the spectrum of the t-stage, and weights the
-    background weights (n, k) of region_points with the lambda0 axis of zero, if any
-    (region_cells). Returns the base state's entries (rho11, rho22, rho33, rho44, rho23)
-    over the cells, the mask ok of cells with a regular zero-order solve and a positive
-    base state, and c2_max (c2_rays).
+    background weights (n, k) of region_points, which broadcast against zero's cells.
+    Returns the base state's entries (rho11, rho22, rho33, rho44, rho23) over the cells,
+    the mask ok of cells with a regular zero-order solve and a positive base state, and
+    c2_max (c2_rays).
     """
     unit, regular = zero
     base = zero_order_at(unit, *weights)
@@ -235,13 +233,11 @@ def base_cells(weights: tuple, zero: tuple) -> tuple:
 
 
 def region_cells(points: RegionPoints, zero: tuple) -> tuple:
-    """base_cells and the single-quantum ray at every point and lambda0: the base state's
-    entries, the mask ok, c1_max (c1_rays, zero where not ok) and c2_max; the lambda0 axis
-    of zero, if any, follows the axes of the points."""
-    weights = tuple(_on_cells(w, zero[1], points.lambda2) for w in points.weights)
-    base, ok, c2_max = base_cells(weights, zero)
-    x1 = _on_cells(points.x1, zero[1], points.lambda2, -2)
-    return base, ok, np.where(ok, c1_rays(base, x1), 0.0), c2_max
+    """base_cells and the single-quantum ray, the points broadcast against zero's cells: the
+    base state's entries, the mask ok, c1_max (c1_rays; meaningful only where ok holds, and
+    every reader selects by ok first) and c2_max."""
+    base, ok, c2_max = base_cells(points.weights, zero)
+    return base, ok, c1_rays(base, points.x1), c2_max
 
 
 def base_vector(base: tuple) -> np.ndarray:
@@ -255,15 +251,17 @@ def base_vector(base: tuple) -> np.ndarray:
 def region_columns(spec: ChainSpec, ts, bs, lambda0s):
     """The region kernel over the grid ts x bs x lambda0s, one b column at a time.
 
-    One t-stage over ts and one lambda0 stage over (ts, lambda0s) serve every
-    column; yields (points, cells) of region_points and region_cells for each
-    b of bs in turn, each over (nt,) and (nt, nl). Both stages are freed once
-    the last column is out.
+    One t-stage over ts (nt,) and one lambda0 stage over (nt, nl) serve every column; yields
+    (points, cells) of region_points and region_cells for each b of bs in turn, over (nt, 1)
+    and (nt, nl). The points take their axis after the temperature step, so the t-stage
+    rounds as the grid scan's. Both stages are freed once the last column is out.
     """
     times = time_stage(spec, ts)
-    zero = solve_zero_order(times.spectrum, lambda0s)
+    zero = solve_zero_order(tuple(x[:, None] for x in times.spectrum), lambda0s)
     for b in bs:
-        points = region_points(times, float(b))
+        p = region_points(times, float(b))
+        points = RegionPoints(*(x[:, None] for x in (p.eigenvalues, p.lambda1, p.x1, p.real,
+                                                      p.lambda2)), p.weights)
         yield points, region_cells(points, zero)
 
 
@@ -276,17 +274,17 @@ def positive_factors(points: RegionPoints) -> tuple:
 
 def semi_axes(factors: tuple, cells: tuple) -> tuple:
     """s1 = c1_max lambda1+ and s2 = c2_max lambda2+ at the cells of region_cells from the
-    positive_factors of their points; zero where not ok, masked before scaling."""
+    positive_factors of their points, broadcast; zero where not ok, masked before scaling."""
     _, ok, c1_max, c2_max = cells
-    lam1, lam2 = (_on_cells(a, ok, factors[0]) for a in factors)
+    lam1, lam2 = factors
     return np.where(ok & (lam1 > 0.0), c1_max, 0.0) * lam1, np.where(ok, c2_max, 0.0) * lam2
 
 
 def case_metrics(points: RegionPoints, cells: tuple, case: int) -> tuple:
-    """The case mask: feasibility and semi-axes s1, s2 of a case at every cell. Case 1
-    keeps only s2, case 2 only s1, cases 3 and 4 both; all but case 1 need a real
-    single-quantum factor, and every case an ok cell."""
-    feasible = cells[1] & (_on_cells(points.real, cells[1], points.real) | (case == 1))
+    """The case mask: feasibility and semi-axes s1, s2 of a case at every cell, the points
+    broadcast. Case 1 keeps only s2, case 2 only s1, cases 3 and 4 both; all but case 1
+    need a real single-quantum factor, and every case an ok cell."""
+    feasible = cells[1] & (points.real | (case == 1))
     s1, s2 = semi_axes(positive_factors(points), cells)
     return feasible, np.where(case != 1, s1, 0.0), np.where(feasible & (case != 2), s2, 0.0)
 

@@ -33,6 +33,13 @@ def test_amplitudes_csv_landmark(capsys):
     assert float(best[3]) == pytest.approx(0.6730, abs=5e-4)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_amplitudes_print_an_unsigned_zero_at_t0(capsys, n):
+    # f(0) = 0: the imaginary part that conj turns into -0.0 prints as 0.0 (chain.endpoint_amplitude)
+    _, out = _run(capsys, ["amplitudes", "--n", str(n), "--scan", "0:0:1", "--precision", "full"])
+    assert _csv_rows(out)[1][2] == "0.0"
+
+
 def test_amplitudes_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -49,52 +49,56 @@ def test_point_is_a_cell_of_a_batch(sample, l0s, i, j):
     # roundings, so the two agree to the conditioning of the cell
     n, ts, bs = sample
     spec, l0s = ChainSpec(n), np.array(l0s)
-    times = time_stage(spec, ts)
-    points = region_points(times, bs)
+    # the points over (3, 1) and the cells over (3, 4), by broadcasting
+    times = time_stage(spec, ts[:, None])
+    points = region_points(times, bs[:, None])
     cells = region_cells(points, solve_zero_order(times.spectrum, l0s))
     one_times = time_stage(spec, ts[i])
     one = region_points(one_times, bs[i])
-    one_cells = region_cells(one, solve_zero_order(one_times.spectrum, [l0s[j]]))
-    assert one.real == points.real[i]
-    assert one.lambda1 == pytest.approx(points.lambda1[i], rel=1e-12, abs=1e-14)
-    assert one.lambda2 == pytest.approx(points.lambda2[i], rel=1e-12, abs=1e-14)
-    assert one_cells[1][0] == cells[1][i, j]
+    one_cells = region_cells(one, solve_zero_order(one_times.spectrum, l0s[j]))
+    assert one.real == points.real[i, 0]
+    assert one.lambda1 == pytest.approx(points.lambda1[i, 0], rel=1e-12, abs=1e-14)
+    assert one.lambda2 == pytest.approx(points.lambda2[i, 0], rel=1e-12, abs=1e-14)
+    assert one_cells[1] == cells[1][i, j]
     tol = 64 * _forward_error_scale(spec, ts[i], bs[i], l0s[j])
     for case in (1, 2, 3, 4):
         feasible, s1, s2 = case_metrics(points, cells, case)
         one_feasible, one_s1, one_s2 = case_metrics(one, one_cells, case)
-        assert one_feasible[0] == feasible[i, j]
-        assert one_s1[0] == pytest.approx(s1[i, j], rel=tol, abs=1e-14)
-        assert one_s2[0] == pytest.approx(s2[i, j], rel=tol, abs=1e-14)
-
-
-def _bits(x) -> tuple:
-    """The shape, dtype and bytes of a kernel quantity, for bitwise comparisons."""
-    x = np.asarray(x)
-    return x.shape, x.dtype, x.tobytes()
+        assert one_feasible == feasible[i, j]
+        assert one_s1 == pytest.approx(s1[i, j], rel=tol, abs=1e-14)
+        assert one_s2 == pytest.approx(s2[i, j], rel=tol, abs=1e-14)
 
 
 @pytest.mark.parametrize("n, t, b, lambda0", [
     (42, 40.3, 2.0, 1.1), (42, 58.2, 0.0, 0.9), (6, 5.5, 3.0, 1.7), (10, 9.7, 7.0, 0.6),
     (7, 6.1, 1.5, 1.2), (42, 35.0, 4.0, None), (6, 8.5, 0.0, None)])
 def test_scalar_lambda0_is_the_list_of_one_without_its_axis(n, t, b, lambda0):
-    # a scalar lambda0 gives the cells of [lambda0] bitwise, as numpy scalars without the
-    # lambda0 axis, also at b = 0 and at a singular cell (lambda0 = |t00|^2 of the spectrum
-    # of T0, where lambda0 is None)
-    times = time_stage(ChainSpec(n), t)
+    # numpy broadcasting alone: at a point, a scalar lambda0 gives 0-d cells (the zero-order
+    # solve and the base state as numpy scalars), and [lambda0] the same cells over (1,),
+    # also at b = 0 and at a singular cell (lambda0 = |t00|^2 of the spectrum of T0, where
+    # lambda0 is None). Not bitwise: numpy rounds complex products of scalars and of arrays
+    # differently, so the two agree to the conditioning of the cell (over 1,500 seeded
+    # points the zero-order solve differed in its last bits at 564, the case metrics at none)
+    spec = ChainSpec(n)
+    times = time_stage(spec, t)
     points = region_points(times, b)
     lambda0 = float(times.spectrum[0]) if lambda0 is None else lambda0
     (unit, regular), (unit1, regular1) = (solve_zero_order(times.spectrum, x)
                                           for x in (lambda0, [lambda0]))
-    assert regular == regular1[0] and regular1.shape == (1,) and np.ndim(regular) == 0
-    for x, x1 in zip((*unit, regular), (*unit1, regular1)):
-        assert _bits(x) == _bits(np.asarray(x1)[0])
+    assert regular == regular1[0] and regular1.shape == (1,)
     cells, cells1 = (region_cells(points, zero) for zero in ((unit, regular), (unit1, regular1)))
-    for x, x1 in zip((*cells[0], *cells[1:]), (*cells1[0], *cells1[1:])):
-        assert _bits(x) == _bits(np.asarray(x1)[0])
+    assert all(isinstance(x, np.generic) for x in (*unit, regular, *cells[0]))
+    assert all(np.ndim(x) == 0 for x in cells[1:])
+    assert all(np.shape(x) == (1,) for x in (*unit1, *cells1[0], *cells1[1:]))
+    tol = 64 * _forward_error_scale(spec, t, b, lambda0) if regular else 0.0
+    (_, ok, c1, _), (_, ok1, c1_1, _) = cells, cells1
+    assert ok == ok1[0] and (not ok or c1 == pytest.approx(c1_1[0], rel=tol))
+    for x, x1 in zip((*unit, *cells[0], cells[3]), (*unit1, *cells1[0], cells1[3])):
+        assert x == pytest.approx(x1[0], rel=tol, abs=1e-14)
     for case in (1, 2, 3, 4):
         for x, x1 in zip(case_metrics(points, cells, case), case_metrics(points, cells1, case)):
-            assert _bits(x) == _bits(x1[0])
+            assert np.ndim(x) == 0 and x1.shape == (1,)
+            assert x == pytest.approx(x1[0], rel=tol, abs=1e-14)
 
 
 def test_kernel_matches_reference_chain():
@@ -284,9 +288,9 @@ def test_grid_rays_obey_the_scan_bounds(n):
     ts, l0s = _t_grid(spec, None), _lambda0_grid("free")
     checked = 0
     for points, (base, ok, c1, c2) in region_columns(spec, ts, B_GRID, l0s):
-        c1_bound = np.broadcast_to(_c1_bound(points.x1)[:, None], c1.shape)
+        c1_bound = np.broadcast_to(_c1_bound(points.x1), c1.shape)
         assert np.all(c1[ok] <= c1_bound[ok]) and np.all(c2[ok] <= _C2_BOUND)
-        assert np.all(c1[ok] <= _c1_cell_bound(base, points.x1[:, None, :])[ok])
+        assert np.all(c1[ok] <= _c1_cell_bound(base, points.x1)[ok])
         checked += ok.sum()
     assert checked > 0
 

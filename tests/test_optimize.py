@@ -30,7 +30,8 @@ from mqtransfer.search import bracket_max, bracket_root
 from mqtransfer.solvers import solve_zero_order, zero_order_at, zero_order_system
 from mqtransfer.states import (base_cells, base_vector, c1_rays, case_metrics, region_cells,
                                region_columns, region_metrics, region_points, time_stage)
-from reference import region_reference, select_first_order, solve_zero_order_dense
+from reference import (moments_reference, region_reference, select_first_order,
+                       solve_zero_order_dense)
 
 # the package's optimize is the function; the module holds the search constants
 optimize_module = importlib.import_module("mqtransfer.optimize")
@@ -40,7 +41,8 @@ EPS = np.finfo(float).eps
 
 
 def _kernel_x0(spec, ts, b, l0s):
-    """The kernel's zero-order vectors x0 (ts..., nl, 5) at one b and the regular mask."""
+    """The kernel's zero-order vectors x0 (..., 5) at one b and the regular mask, over the
+    broadcast shape of ts and l0s."""
     times = time_stage(spec, ts)
     zero = solve_zero_order(times.spectrum, l0s)
     return base_vector(region_cells(region_points(times, b), zero)[0]), zero[1]
@@ -203,8 +205,8 @@ def test_region_column_matches_region_metrics():
     ts = np.array([6.2, 6.2, 6.2, 5.4, 8.5])
     bs = np.array([4.5, 4.5, 2.0, 5.4, 10.0])
     l0s = np.array([[1.1, 1.2], [0.9, 1.1], [1.1, 1.3], [1.26, 1.0], [1.08, 1.5]])
-    times = time_stage(spec, ts)
-    points = region_points(times, bs)
+    times = time_stage(spec, ts[:, None])
+    points = region_points(times, bs[:, None])
     cells = region_cells(points, solve_zero_order(times.spectrum, l0s))
     for case in (1, 2, 3):
         _, s1, s2 = case_metrics(points, cells, case)
@@ -315,6 +317,23 @@ def test_case4_local_certificate(request, fixture, n):
         assert best <= res.s12 * (1.0 + 1e-7)
 
 
+@pytest.mark.parametrize("fixture, n", [("table_n6_free", 6), ("table_n6_one", 6),
+                                        ("table_n42_free", 42), ("table_n42_one", 42)])
+def test_table_rows_match_the_50_digit_reference(request, fixture, n):
+    # the value of every table row at its point: each nonzero S1 and S2 against the moments
+    # system in mpmath at 50 digits, at the reported (t, b, lambda0); the worst of the 24 is
+    # 5.0e-14 relative (N = 42 free, case 4, S1)
+    checked = 0
+    for res in request.getfixturevalue(fixture).values():
+        ref = moments_reference(n, res.t_opt, res.b_opt, res.lambda0_opt) if res.feasible else {}
+        for key in ("s1", "s2"):
+            got = getattr(res, key)
+            if got != 0.0:
+                assert abs(got - float(ref[key])) <= 1e-12 * abs(float(ref[key]))
+                checked += 1
+    assert checked == 6
+
+
 # ---------------------------------------------------------------------------
 # the batched grid kernel against the scalar, certified paths
 
@@ -329,7 +348,7 @@ def test_resolvent_matches_solve_zero_order():
         lo, hi = first_window(spec)
         ts = np.linspace(lo, hi, 9)
         for b in (0.5, 4.0, 9.0):
-            x0, regular = _kernel_x0(spec, ts, b, l0s)
+            x0, regular = _kernel_x0(spec, ts[:, None], b, l0s)
             for i, t in enumerate(ts):
                 t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
                 for j, l0 in enumerate(l0s):
@@ -369,7 +388,7 @@ def test_resolvent_matches_solve_zero_order_at_merged_poles(n):
     assert ts.size
     l0s = np.arange(0.5, 2.0 + 1e-9, 0.1)
     for b in (0.5, 4.0, 9.0):
-        x0, regular = _kernel_x0(spec, ts, b, l0s)
+        x0, regular = _kernel_x0(spec, ts[:, None], b, l0s)
         for i, t in enumerate(ts):
             t0, b_vec = zero_order_system(alpha_table(amplitude_set(basis, float(t)), b, spec))
             for j, l0 in enumerate(l0s):
@@ -425,7 +444,7 @@ def test_scan_edge_columns_match_reference(n):
     bs = B_GRID
     points, _ = next(region_columns(spec, ts, bs[:1], l0s))
     assert bs[0] == 0.0 and points.real.all() and np.all(points.eigenvalues == 0.0)
-    assert np.array_equal(points.x1, np.tile([1.0, 0.0, 0.0, 0.0], (len(ts), 1)))
+    assert np.array_equal(points.x1, np.tile([1.0, 0.0, 0.0, 0.0], (len(ts), 1, 1)))
     assert points.weights == (0.5, 0.5)
     assert bs[-1] == 10.0
     rng = np.random.default_rng(n)

@@ -247,7 +247,7 @@ def test_zero_order_at_tiny_temperature_factors(b):
     l0s = np.array([0.6, 1.0, 1.0837, 1.9])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        times = time_stage(spec, ts)
+        times = time_stage(spec, ts[:, None])
         zero = solve_zero_order(times.spectrum, l0s)
         base, ok, _, _ = region_cells(region_points(times, b), zero)
         x0 = base_vector(base)
