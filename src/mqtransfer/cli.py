@@ -22,6 +22,7 @@ import contextlib
 import csv
 import itertools
 import json
+import random
 import re
 import sys
 
@@ -36,7 +37,7 @@ from .oracle import evolve_and_trace
 from .solvers import check_lambda0, solve_zero_order, zero_order_system
 from .states import (base_vector, case_metrics, region_cells, region_columns, region_points,
                      time_stage)
-from .two_qubit import alpha_table, random_density, receiver_from_sender
+from .two_qubit import alpha_table, receiver_from_sender
 
 __all__ = ["NUMERIC_EXIT", "GRID_BYTES", "build_parser", "main"]
 
@@ -258,12 +259,21 @@ def _cmd_curve(args, out) -> None:
 def _cmd_oracle_check(args, out) -> None:
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
+    # random.Random would take a negative seed as its absolute value
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     spec = ChainSpec(args.n)
-    rng = np.random.default_rng(args.seed)
+    # the stdlib generator, loaded with numpy already: numpy.random costs a fresh process
+    # about 14 ms to import
+    rng = random.Random(args.seed)
     basis = mode_basis(args.n)
     worst = 0.0
     for _ in range(args.samples):
-        rho_s = random_density(rng)
+        # a Ginibre sender, as two_qubit.random_density draws one from a numpy Generator
+        g = np.array([[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)]
+                      for _ in range(4)])
+        rho_s = g @ g.conj().T
+        rho_s /= np.trace(rho_s).real
         t = rng.uniform(0.0, 2.0 * args.n)
         b = rng.uniform(0.0, 6.0)
         table = alpha_table(amplitude_set(basis, t), b, spec)

@@ -22,6 +22,17 @@ an odd power of P_B the background state weighs |1> by -e^-b n, so <c^+ c> turns
 into -e^-b n and every site outside a pair gives tanh(b/2): the sum takes
 tanh(b/2)^(N - m - pairs), finite at b = 0.
 
+All of that combinatorics depends on the sender size m alone, and _skeleton
+builds it once per m: the lowering operators on m sites, the 4^m monomials and
+their units solve, each split of a monomial into sender and background factors
+with its crossing sign, parity and count of background pairs, and the signed
+Wick pairings of those background factors. None of it reads t, b, N or the
+sender: they enter only through U, whose receiver rows give the 2m sender
+matrices and, as the Gram matrix of their background parts, the value of every
+pair, through the weights n, e^-b n and tanh(b/2), and through the exponent
+N - m - pairs. A call does one eigh, the traces of the sender products against
+rho_S, one Gram matrix and a sum over the skeleton's terms.
+
 build_hamiltonian, the dense 2^N Hamiltonian from the same bond-hop rule, is
 kept for dense tests.
 """
@@ -29,7 +40,8 @@ kept for dense tests.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +58,8 @@ __all__ = [
 # at N = 12. evolve_and_trace needs the N x N hopping matrix alone.
 MAX_SITES = 12
 
-# the factors one receiver site adds to a monomial, True for an adjoint: 1, c, c^+, c^+ c
-_SITE_FACTORS = ((), (False,), (True,), (True, False))
+# the factors one receiver site adds to a monomial, 1 for an adjoint: 1, c, c^+, c^+ c
+_SITE_FACTORS = ((), (0,), (1,), (1, 0))
 
 
 def _hops(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,18 +91,76 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def _lowering(m: int) -> list[np.ndarray]:
-    """sigma-_k Z_{k+1} ... Z_m on m sites, k = 1..m: c_k with its string cut to those sites."""
+def _pairings(items: list):
+    """Each pairing of items, in their order, with its sign (-1)^crossings; none for an odd count."""
+    if not items:
+        yield 1, []
+    for j in range(1, len(items)):
+        for sign, pairs in _pairings(items[1:j] + items[j + 1:]):
+            yield (-1) ** (j - 1) * sign, [(items[0], items[j])] + pairs
+
+
+class _Skeleton(NamedTuple):
+    """The terms of evolve_and_trace for one sender size m (_skeleton).
+
+    A receiver factor is f = 2 k + adj: c_k, or c_k^+ for adj = 1. A term is one
+    sender/background split of one monomial and one nonzero pairing of its
+    background factors.
+    """
+
+    factor_ops: np.ndarray  # (2m, m, 2^m, 2^m): c_j, or c_j^T for an adjoint f, per sender site j
+    chain: tuple  # per product length L >= 1: (index of its first L - 1 factors, last factor)
+    trace_at: np.ndarray  # (terms,) the sender product a term traces, over all lengths from 0
+    gram_at: np.ndarray  # (terms, m) its pairs (f, g) as 2m f + g, padded with (2m)^2 for a 1
+    sign: np.ndarray  # (terms,) crossings, pairing and parity signs together
+    excited: np.ndarray  # (terms,) its <c^+ c> pairs
+    ground: np.ndarray  # (terms,) its <c c^+> pairs
+    odd: np.ndarray  # (terms,) 1 where the sender holds an odd count of factors
+    units: np.ndarray  # (terms, 4^m) the matrix units of its monomial
+
+
+@lru_cache(maxsize=None)
+def _skeleton(m: int) -> _Skeleton:
+    """The skeleton of evolve_and_trace for m sender (and receiver) sites."""
     lower, z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
-    return [reduce(np.kron, [np.eye(2)] * k + [lower] + [z] * (m - 1 - k)) for k in range(m)]
+    # sigma-_k Z_{k+1} ... Z_m on m sites, k = 1..m: c_k with its string cut to those sites
+    ops = [reduce(np.kron, [np.eye(2)] * k + [lower] + [z] * (m - 1 - k)) for k in range(m)]
+    factor_ops = np.array([[op.T if f % 2 else op for op in ops] for f in range(2 * m)])
+    monomials = [[2 * k + adj for k, choice in enumerate(combo) for adj in _SITE_FACTORS[choice]]
+                 for combo in itertools.product(range(4), repeat=m)]
+    local = [reduce(np.matmul, [factor_ops[f, f // 2] for f in mono], np.eye(1 << m))
+             for mono in monomials]
+    units = np.linalg.solve(np.array([mat.ravel() for mat in local]).T, np.eye(4 ** m))
 
-
-def _wick(parts: list, pair) -> complex:
-    """Sum over the pairings of parts, signed by their crossings; 0 for an odd count."""
-    if not parts:
-        return 1.0
-    return sum((-1) ** j * pair(parts[0], g) * _wick(parts[1:j + 1] + parts[j + 2:], pair)
-               for j, g in enumerate(parts[1:]))
+    terms = []
+    for mono, factors in enumerate(monomials):
+        for in_sender in itertools.product((False, True), repeat=len(factors)):
+            crossed = sum(not x for i, s in enumerate(in_sender) if s for x in in_sender[:i])
+            odd = sum(in_sender) % 2
+            held = tuple(f for f, s in zip(factors, in_sender) if s)
+            for sign, pairs in _pairings([f for f, s in zip(factors, in_sender) if not s]):
+                # a background pair is <c^+ c> = e^-b n, negated under P_B when odd, or
+                # <c c^+> = n; c c and c^+ c^+ pair to zero
+                kinds = [(f % 2, g % 2) for f, g in pairs]
+                if not set(kinds) <= {(1, 0), (0, 1)}:
+                    continue
+                excited = kinds.count((1, 0))
+                terms.append((held, [2 * m * f + g for f, g in pairs] + [4 * m * m] * (m - len(pairs)),
+                              (-1) ** (crossed + odd * excited) * sign, excited,
+                              len(pairs) - excited, odd, mono))
+    # the sender products by length, each of length L built on its first L - 1 factors
+    prefixes = {h[:i] for h, *_ in terms for i in range(len(h) + 1)}
+    products = [sorted(h for h in prefixes if len(h) == length) for length in range(2 * m + 1)]
+    index = {h: i for level in products for i, h in enumerate(level)}
+    offsets = np.cumsum([0] + [len(level) for level in products])
+    chain = tuple((np.array([index[h[:-1]] for h in level]), np.array([h[-1] for h in level]))
+                  for level in products[1:])
+    held, *columns, mono = zip(*terms)
+    trace_at = np.array([offsets[len(h)] + index[h] for h in held])
+    skeleton = _Skeleton(factor_ops, chain, trace_at, *map(np.array, columns), units[list(mono)])
+    for array in itertools.chain(skeleton[:1], *skeleton[1], skeleton[2:]):
+        array.setflags(write=False)
+    return skeleton
 
 
 def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) -> np.ndarray:
@@ -110,39 +180,23 @@ def evolve_and_trace(sender: np.ndarray, t: float, b: float, spec: ChainSpec) ->
     m = 1 if sender.shape == (2, 2) else 2
     if n < 2 * m:
         raise ValidationError(f"chain of {n} sites cannot host sender and receiver")
+    skeleton = _skeleton(m)
 
     energies, modes = np.linalg.eigh(0.5 * (np.eye(n, k=1) + np.eye(n, k=-1)))
     u = (modes * np.exp(-1j * energies * t)) @ modes.T
+    # row f = 2 k + adj holds the coefficients of receiver factor f, c_k(t) = sum_j U_kj c_j
+    # or its adjoint: over the sender sites they form its sender matrix, and the rest its
+    # background part
+    rows = np.stack((u[n - m:], np.conj(u[n - m:])), axis=1).reshape(2 * m, n)
+    mats = np.einsum("fj,fjxy->fxy", rows[:, :m], skeleton.factor_ops)
+    levels = [np.eye(1 << m, dtype=complex)[None]]
+    for prefix, last in skeleton.chain:
+        levels.append(levels[-1][prefix] @ mats[last])
+    traces = np.einsum("pxy,yx->p", np.concatenate(levels), sender)
+    gram = np.append(rows[:, m:] @ rows[:, m:].T, 1.0)
     ground, excited = thermal_weights(b)
     tau = np.tanh(0.5 * b)
-    ops = _lowering(m)
-    # per receiver factor (site k, adjoint): its sender matrix and background coefficients
-    parts = {}
-    for k, adj in itertools.product(range(m), (False, True)):
-        row = np.conj(u[n - m + k]) if adj else u[n - m + k]
-        parts[k, adj] = (sum(row[j] * (ops[j].T if adj else ops[j]) for j in range(m)), row[m:])
-
-    def expectation(factors: list) -> complex:
-        total = 0j
-        for in_sender in itertools.product((False, True), repeat=len(factors)):
-            crossed = sum(not x for i, s in enumerate(in_sender) if s for x in in_sender[:i])
-            odd = sum(in_sender) % 2
-            bg = [f for f, s in zip(factors, in_sender) if not s]
-            # <c^+ c> and <c c^+> of a background site, under P_B when odd
-            weight = {(True, False): -excited if odd else excited, (False, True): ground}
-
-            def pair(f, g):
-                return weight.get((f[1], g[1]), 0.0) * (parts[f][1] @ parts[g][1])
-
-            trace = np.trace(reduce(np.matmul, [parts[f][0] for f, s in zip(factors, in_sender) if s],
-                                    sender))
-            total += (-1) ** crossed * trace * _wick(bg, pair) * tau ** (odd * (n - m - len(bg) // 2))
-        return total
-
-    monomials = [[(k, adj) for k, choice in enumerate(combo) for adj in _SITE_FACTORS[choice]]
-                 for combo in itertools.product(range(4), repeat=m)]
-    local = [reduce(np.matmul, [ops[k].T if adj else ops[k] for k, adj in mono], np.eye(1 << m))
-             for mono in monomials]
-    units = np.linalg.solve(np.array([mat.ravel() for mat in local]).T, np.eye(4 ** m))
-    values = np.array([expectation(mono) for mono in monomials]) @ units
-    return values.reshape(sender.shape).T
+    weights = (skeleton.sign * traces[skeleton.trace_at] * gram[skeleton.gram_at].prod(axis=1)
+               * excited ** skeleton.excited * ground ** skeleton.ground
+               * tau ** (skeleton.odd * (n - m - skeleton.excited - skeleton.ground)))
+    return (weights @ skeleton.units).reshape(sender.shape).T

@@ -81,9 +81,11 @@ MOMENTS = np.array([[-1, -1, 0, 0, 0], [-1, 0, -1, 0, 0], [0, 0, 0, 1, 0],
                     [0, 0, 0, 0, 1], [-1, -1, -1, 0, 0]], dtype=float)
 MOMENTS_INVERSE = np.array([[-1, -1, 0, 0, 1], [0, 1, 0, 0, -1], [1, 0, 0, 0, -1],
                             [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], dtype=float)
-BLOCK_BASIS.setflags(write=False)
-MOMENTS.setflags(write=False)
-MOMENTS_INVERSE.setflags(write=False)
+# complex copies for alpha_entries, whose products with complex arrays would cast them each call
+_BLOCK_BASIS_C, _MOMENTS_C, _MOMENTS_INVERSE_C = (x.astype(complex)
+                                                  for x in (BLOCK_BASIS, MOMENTS, MOMENTS_INVERSE))
+for _matrix in (BLOCK_BASIS, MOMENTS, MOMENTS_INVERSE, _BLOCK_BASIS_C, _MOMENTS_C, _MOMENTS_INVERSE_C):
+    _matrix.setflags(write=False)
 # the entry X_ij of the one-body matrix held by z0..z3
 ONE_BODY = ((0, 0), (1, 1), (0, 1), (1, 0))
 
@@ -245,7 +247,7 @@ def alpha_entries(p, q, r, b, n_sites: int) -> tuple:
     blocks[8:] *= tau
     g = np.zeros((4, 4) + blocks.shape[1:], dtype=complex)
     g[_G_AT] = blocks
-    first = theta * (BLOCK_BASIS.T @ g.transpose(*range(2, g.ndim), 0, 1) @ BLOCK_BASIS)
+    first = theta * (_BLOCK_BASIS_C.T @ g.transpose(*range(2, g.ndim), 0, 1) @ _BLOCK_BASIS_C)
     # conj(w_a) w_b from the real and imaginary parts, so that each rounds as a product of
     # complex scalars does: numpy fuses the multiply-adds of a complex array product
     w = np.array((p, q, r), dtype=complex)
@@ -254,9 +256,9 @@ def alpha_entries(p, q, r, b, n_sites: int) -> tuple:
     g = np.zeros((5, 5) + blocks.shape[1:], dtype=complex)
     g[:4, :4] = products.reshape(9, *blocks.shape[1:])[_ONE_BODY_AT]
     g[4, :4], g[4, 4] = k * np.array(row[:4]), row[4]
-    t0 = MOMENTS_INVERSE @ g.transpose(*range(2, g.ndim), 0, 1) @ MOMENTS
+    t0 = _MOMENTS_INVERSE_C @ g.transpose(*range(2, g.ndim), 0, 1) @ _MOMENTS_C
     mb = n * np.array((*source[:4], n * (row[4] - 1.0) + k * source[4]))
-    b_vec = mb.transpose(*range(1, mb.ndim), 0) @ MOMENTS_INVERSE.T
+    b_vec = mb.transpose(*range(1, mb.ndim), 0) @ _MOMENTS_INVERSE_C.T
     zero = np.concatenate([t0[..., :3] + b_vec[..., None], b_vec[..., None], t0[..., 3:]], axis=-1)
     return first, zero, second
 

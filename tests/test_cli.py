@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,16 @@ def test_oracle_check_deterministic(capsys):
     assert first == second
 
 
+def test_oracle_check_leaves_numpy_random_unloaded():
+    # numpy.random is about 14 ms of a fresh process: the command draws from random.Random
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from mqtransfer.cli import main; "
+            "main(['oracle-check', '--n', '6', '--samples', '2']); print('numpy.random' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_seed_only_on_oracle_check(capsys):
     # the one command that draws random numbers is the one that takes --seed
     with pytest.raises(SystemExit) as exc:
@@ -402,6 +416,7 @@ def test_solve_rejects_non_finite_point(capsys, flag, argv):
     ["region", "--n", "6", "--case", "3", "--t-grid", "0:1e12:1e-9", "--b-grid", "0:1:1",
      "--lambda0-grid", "1:1:1"],
     ["curve", "--n", "6", "--b-grid", "0:1e12:1e-9"],
+    ["oracle-check", "--n", "4", "--seed", "-1"],
 ])
 def test_out_of_range_counts_and_grids_are_one_line(capsys, argv):
     code, err = _run_error(capsys, argv)

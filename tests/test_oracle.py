@@ -28,6 +28,7 @@ from mqtransfer import (
     receiver_state_1q,
 )
 import reference
+from mqtransfer import oracle
 from mqtransfer.oracle import evolve_and_trace
 from mqtransfer.two_qubit import decompose_blocks, random_density
 from reference import sector_trace, thermal_background
@@ -253,6 +254,20 @@ def test_oracle_caches_are_keyed_by_sender_size(rng):
         reference.sectors.cache_clear()
         reference.gram_groups.cache_clear()
         fresh = sector_trace(sender, t, b, 6)
+        assert got.shape == fresh.shape == sender.shape
+        assert np.max(np.abs(got - fresh)) < 1e-15
+
+
+def test_certifier_skeleton_is_keyed_by_sender_size(rng):
+    # the certifier's skeleton depends on the sender size alone: alternating 2x2 and
+    # 4x4 senders at one N gives what a run on an empty cache gives
+    t, b, spec = 2.9, 0.8, ChainSpec(6)
+    senders = [random_density(rng), np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]),
+               random_density(rng), np.array([[0.6, 0.1j], [-0.1j, 0.4]])]
+    cached = [evolve_and_trace(sender, t, b, spec) for sender in senders]
+    for sender, got in zip(senders, cached):
+        oracle._skeleton.cache_clear()
+        fresh = evolve_and_trace(sender, t, b, spec)
         assert got.shape == fresh.shape == sender.shape
         assert np.max(np.abs(got - fresh)) < 1e-15
 
