@@ -26,10 +26,15 @@ case. The pairs left out cannot hold a first maximum. Within a pair, the
 closed form of c1_max (mqtransfer.states.c1_rays) runs only at the cells
 whose own bound, from the 2x2 principal minors c1_max |x_ij| <= sqrt(rho_ii
 rho_jj), can still win case 2 or 3; the other cells read s1 = 0 and could
-not have won. So the scan's best cells are those of the full grid (see
-_scan). Case 4 samples the curve in closed form, b(t) from tanh(b/2)^(N-2) =
-w_small(t) with w_small the smaller eigenvalue of the transfer matrix W,
-along the t grid, and refines its best points with one bracket search in t.
+not have won. In free mode a pair runs lambda0 in two passes: every sixth
+lambda0 and the last, then per case the cells between the coarse neighbours
+of its first coarse maximum, which is exact where a case's values along
+lambda0 are quasi-concave (tested); a guard sends the rows whose coarse
+values show otherwise to their whole lambda0 row. So the scan's best cells
+are those of the full grid (see _scan). Case 4 samples the curve in closed
+form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small the smaller
+eigenvalue of the transfer matrix W, along the t grid, and refines its best
+points with one bracket search in t.
 Cases 2-4 need a real single-quantum factor, which
 mqtransfer.two_qubit.transfer_spectrum decides exactly and independently of
 b > 0; for odd N there is none, so those cases are infeasible there.
@@ -49,6 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ChainSpec, amplitude_grids, check_inverse_temperature, mode_basis
 from .errors import ConfigurationError
@@ -82,13 +88,15 @@ B_GRID = np.arange(B_WINDOW[0], B_WINDOW[1] + 1e-9, B_STEP)
 B_GRID.setflags(write=False)
 # the slack of the grid scan's bounds on c1_max and c2_max (see _scan and _c1_bound),
 # c2_max <= 1/2 with it, and the pairs of largest bound that seed each case's floor;
-# a batch of the scan holds about _CHUNK_CELLS cells: the temporaries of the rays of a
-# much larger batch outgrow a core's 2 MB cache, and a smaller one pays numpy's per-call
-# cost more often at a lone lambda0
+# a batch of the scan and a t-block of its lambda0 stage hold about _CHUNK_CELLS cells:
+# on a process's first scan, a CLI call's only one, 8192 ran the N = 6 and N = 42 free
+# scans faster than 2048, 4096 or 16384; the coarse lambda0 pass takes every
+# _COARSE_STEP-th lambda0 and the last (see _scan)
 _SLACK = 1e-3
 _C2_BOUND = 0.5 + _SLACK
 _SEED_PAIRS = 8
-_CHUNK_CELLS = 4096
+_CHUNK_CELLS = 8192
+_COARSE_STEP = 6
 
 
 @dataclass(frozen=True)
@@ -236,6 +244,25 @@ def _c1_cell_bound(base: tuple, x1: np.ndarray) -> np.ndarray:
     return np.sqrt(c1_sq) + _SLACK
 
 
+def _lambda0_windows(profile: np.ndarray, coarse: np.ndarray, width: int) -> tuple:
+    """The fine lambda0 window of each row of profile (rows, len(coarse)), a case's values at
+    the lambda0 indices coarse of a pair, which hold 0 and the grid's last index.
+
+    Returns the start of the window, width contiguous cells that hold every cell strictly
+    between the coarse neighbours of the first coarse maximum J (clipped to the grid), and the
+    mask of the rows the guard sends to the whole grid instead, with start 0: those whose
+    maximum is 0 or attained at two coarse cells, or that are not quasi-concave, that is not
+    non-decreasing up to J and non-increasing after it.
+    """
+    profile = np.ascontiguousarray(profile.T)  # reductions along axis 0 are faster
+    top, peak = profile.max(axis=0), np.argmax(profile, axis=0)
+    step = profile[1:] - profile[:-1]
+    quasi = np.where(np.arange(len(coarse) - 1)[:, None] < peak, step >= 0.0, step <= 0.0)
+    whole = (top <= 0.0) | ((profile == top).sum(axis=0) > 1) | ~quasi.all(axis=0)
+    start = np.minimum(np.where(peak > 0, coarse[peak - 1] + 1, 0), coarse[-1] + 1 - width)
+    return np.where(whole, 0, start), whole
+
+
 def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float, float, float]]:
     """Best cell (value, t, b, lambda0) of cases 1..3 on the coarse grid.
 
@@ -258,26 +285,61 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     roundoff, and it makes every bound strictly greater than its objective wherever the bound is
     positive (the objective is 0 elsewhere).
 
-    Seed and stream. The objectives at the _SEED_PAIRS pairs of largest bound of each case give
-    each case a floor, a value the grid attains. The pairs whose bound exceeds the floor in some
-    case then run in (b, t) order, _CHUNK_CELLS cells at a time, through the lambda0-dependent
-    part of the kernel: the zero-order temperature step, the positivity rays (base_cells) and
-    the semi-axes (states.semi_axes). A chunk first drops the pairs whose bound does not exceed the running best
-    in any case, and forms c1_max (c1_rays) only at its ok cells where V or V s2 exceeds the
-    floor and the running best of case 2 or 3; its other cells keep c1_max = 0.
+    Seed and stream. The lambda0 stage (solve_zero_order) is solved once per t, in t-blocks
+    of about _CHUNK_CELLS cells. The objectives over the whole lambda0 rows of the _SEED_PAIRS
+    pairs of largest bound of each case give each case a floor, a value the grid attains. The
+    pairs whose bound exceeds the floor in some case then run in (b, t) order, about
+    _CHUNK_CELLS coarse cells at a time, through the lambda0-dependent part of the kernel: the
+    zero-order temperature step, the positivity rays (base_cells) and the semi-axes
+    (states.semi_axes). With top the floor and running best of each case, a chunk drops the
+    pairs whose bound does not exceed top in any case, and a case runs at a pair only where
+    its bound exceeds top.
+
+    Two passes along lambda0. Where the coarse cells below are the whole lambda0 grid (lambda0
+    = 1), a chunk forms c1_max (c1_rays) at the ok cells where V or V s2 exceeds top in case 2
+    or 3, and the first maximum of its objectives is final. In free mode a chunk runs two
+    passes:
+    - Coarse: each pair at the lambda0 indices 0, m, 2m, ... and the last (m = _COARSE_STEP).
+      Each case that runs needs its exact first coarse maximum J, which a 0 read at a cell
+      whose c1_max is not formed could hide. So c1_max is formed first at the ok cells of
+      largest V and of largest V s2, which give cases 2 and 3 each a value e that the pair
+      attains, and then at the other ok cells whose V exceeds e in case 2 or V s2 in case 3.
+      A cell left out has a value below e or 0, so it neither is nor ties J.
+    - Fine: each (pair, case) that runs reads the cells strictly between J's coarse
+      neighbours, at most 2m - 1, in a window of 2m - 1 contiguous cells clipped to the grid
+      (_lambda0_windows), and forms c1_max at the ok cells whose V or V s2 exceeds top in its
+      case (2 or 3); the other cells keep c1_max = 0.
+    Why this is exact. Suppose a case's values f along a pair's lambda0 grid are quasi-concave:
+    f(j) >= min(f(i), f(k)) for i < j < k. Let F be the first maximum and c < J < c' the coarse
+    neighbours (the grid's ends where J has none). F <= c gives f(c) >= min(f(F), f(J)) = f(J),
+    a coarse maximum before J; F >= c' gives f(c') >= f(J), a second coarse maximum. So c < F <
+    c', the same argument keeps the window's cells outside (c, c') below f(F), and the window's
+    first maximum is F. The premise is sampled, not proved: tier-1 tests check it at every (t,
+    b) pair of the default grids at N = 4-12 and 42-44. Guard: a (pair, case) whose coarse
+    values (as formed, 0 at the cells left out) are not quasi-concave, whose coarse maximum is 0
+    or whose maximum is attained at two coarse cells runs its whole lambda0 row instead, as one
+    pass would. A violation that the coarse values do not show, such as a peak between two
+    coarse cells, passes the guard.
 
     Exactness. A pair left out has, in every case, a bound at most the floor, which the grid's
     maximum is not below, or at most the running best, which only a strictly greater value
     replaces. Its value is below its bound or zero, so it holds no first maximum but a zero one,
-    which the first cell holds. The same holds for a cell whose c1_max is not formed: in cases
-    2 and 3 its value is below V or V s2, which is at most the floor or the running best, and
-    the 0 it reads instead is no greater, so it neither holds nor hides a first maximum. Where
-    c1_max is formed it is c1_rays' value at that cell, as over the full grid. The pairs that
-    run keep their order, so argmax breaks ties as it would over the full grid.
+    which the first cell holds. The same holds for a case left out at a pair, and for a cell
+    whose c1_max is not formed: in cases 2 and 3 its value is below V or V s2, which is at most
+    top, and the 0 it reads instead is no greater, so it neither holds nor hides a first
+    maximum. Where c1_max is formed it is c1_rays' value at that cell, as over the full grid.
+    The pairs that run keep their order, so argmax breaks ties as it would over the full grid.
     """
     ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
+    nl = len(l0s)
+    coarse = np.append(np.arange(0, nl - 1, _COARSE_STEP), nl - 1)
+    width = min(2 * _COARSE_STEP - 1, nl)
     times = time_stage(spec, ts)
-    unit, regular = solve_zero_order(tuple(x[:, None] for x in times.spectrum), l0s)
+    block = max(1, _CHUNK_CELLS // nl)  # the lambda0 stage is elementwise: solved in t-blocks
+    blocks = [solve_zero_order(tuple(x[lo:lo + block, None] for x in times.spectrum), l0s)
+              for lo in range(0, len(ts), block)]
+    zero = tuple(np.concatenate(x) for x in zip(*((*unit, regular) for unit, regular in blocks)))
+    del blocks
     # the temperature step of each b column, stacked over (b, t)
     columns = [region_points(times, float(b)) for b in B_GRID]
     x1 = np.stack([p.x1 for p in columns])
@@ -288,39 +350,100 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     bounds = np.array(_case_table(_c1_bound(x1) * lam1_pos,
                                   np.broadcast_to(_C2_BOUND * lam2_pos, lam1_pos.shape))[:3])
 
-    def objectives(jb, it, top) -> list:
-        """The objectives of cases 1..3 over (pairs, lambda0) at the (b, t) index pairs jb, it,
-        with c1_max formed only at the ok cells whose bound exceeds top in case 2 or 3."""
+    def base_at(jb, it, cells) -> tuple:
+        """base_cells over (pairs, cells) at the (b, t) index pairs jb, it, from cells, the
+        lambda0 stage at each pair's cells, with the pairs' factors and x1 and the bounds V
+        of s1 and V s2 of s1 s2 at each cell."""
         factors, x1_at = (lam1_pos[jb, it, None], lam2_pos[it, None]), x1[jb, it]
-        base, ok, c2_max = base_cells((n[jb], k[jb]), (tuple(x[it] for x in unit), regular[it]))
-        s1_bound = _c1_cell_bound(base, x1_at[:, None, :]) * factors[0]
-        run = ok & ((s1_bound > top[1]) | (s1_bound * c2_max * factors[1] > top[2]))
+        base, ok, c2_max = base_cells((n[jb], k[jb]), (cells[:-1], cells[-1]))
+        v1 = _c1_cell_bound(base, x1_at[:, None, :]) * factors[0]
+        return factors, x1_at, (base, ok, c2_max), (v1, v1 * c2_max * factors[1])
+
+    def above(at, top) -> np.ndarray:
+        """The ok cells of base_at whose V exceeds top[..., 0] or whose V s2 exceeds
+        top[..., 1]."""
+        ok, (v1, v12) = at[2][1], at[3]
+        return ok & ((v1 > top[..., 0, None]) | (v12 > top[..., 1, None]))
+
+    def form(at, run, c1_max=None) -> np.ndarray:
+        """c1_max at the cells of base_at: c1_rays at the cells run, elsewhere what c1_max
+        holds, 0 if it is None."""
+        base, x1_at = at[2][0], at[1]
+        c1_max = np.zeros(run.shape) if c1_max is None else c1_max
         row, il = np.nonzero(run)
-        c1_max = np.zeros(ok.shape)
         if row.size:
             c1_max[row, il] = c1_rays(tuple(x[row, il] for x in base), x1_at[row])
-        return _objectives(factors, (base, ok, c1_max, c2_max))[:3]
+        return c1_max
+
+    def objectives(at, c1_max) -> np.ndarray:
+        """The objectives (3, pairs, cells) of cases 1..3 at the cells of base_at."""
+        factors, _, (base, ok, c2_max), _ = at
+        return np.array(_objectives(factors, (base, ok, c1_max, c2_max))[:3])
+
+    def coarse_values(at, need) -> np.ndarray:
+        """objectives at the coarse cells of base_at, exact where they can be a first maximum
+        of a case that need (3, pairs) runs: c1_max is formed at the ok cells of largest V and
+        V s2, which give e, and then at the ok cells whose V or V s2 exceeds e."""
+        factors, _, (_, ok, c2_max), v = at
+        pairs = np.arange(len(ok))
+        lead = [np.argmax(np.where(ok, x, 0.0), axis=1) for x in v]
+        first = np.zeros(ok.shape, dtype=bool)
+        for runs, x, il in zip(need[1:], v, lead):
+            use = runs & ok[pairs, il] & (x[pairs, il] > 0.0)
+            first[pairs[use], il[use]] = True
+        c1_max = form(at, first)
+        s1 = c1_max * factors[0]
+        e = [np.maximum(x[pairs, lead[0]], x[pairs, lead[1]])
+             for x in (s1, s1 * c2_max * factors[1])]
+        rest = above(at, np.where(need[1:], e, np.inf).T) & ~first
+        return objectives(at, form(at, rest, c1_max))
 
     seed = np.zeros(bounds[0].size, dtype=bool)
     seed[np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]] = True
-    floor = np.array([v.max() for v in objectives(*np.divmod(np.flatnonzero(seed), len(ts)),
-                                                   np.zeros(3))])
+    jb, it = np.divmod(np.flatnonzero(seed), len(ts))
+    at = base_at(jb, it, tuple(x[it] for x in zero))
+    floor = objectives(at, form(at, above(at, np.zeros(2)))).max(axis=(1, 2))
     jb, it = np.nonzero((bounds > floor[:, None, None]).any(axis=0))
     best = dict.fromkeys((1, 2, 3), (0.0, float(ts[0]), float(B_GRID[0]), float(l0s[0])))
-    size = max(1, _CHUNK_CELLS // len(l0s))
+    zero_coarse = zero
+    if len(coarse) < nl:  # the fine pass reads windows of width cells, and the guard whole rows
+        zero_coarse = tuple(x[:, coarse] for x in zero)
+        views = (tuple(sliding_window_view(x, width, axis=1) for x in zero),
+                 tuple(x[:, None] for x in zero))
+    size = max(1, _CHUNK_CELLS // len(coarse))
     for lo in range(0, len(jb), size):
         j, i = jb[lo:lo + size], it[lo:lo + size]
         top = np.maximum(floor, [best[case][0] for case in (1, 2, 3)])
-        keep = (bounds[:, j, i] > top[:, None]).any(axis=0)
+        need = bounds[:, j, i] > top[:, None]
+        keep = need.any(axis=0)
         if not keep.any():
             continue
-        j, i = j[keep], i[keep]
-        for case, value in zip((1, 2, 3), objectives(j, i, top)):
-            cell = int(np.argmax(value))
-            if value.flat[cell] > best[case][0]:
-                pair, il = divmod(cell, len(l0s))
-                best[case] = (float(value.flat[cell]), float(ts[i[pair]]), float(B_GRID[j[pair]]),
-                              float(l0s[il]))
+        j, i, need = j[keep], i[keep], need[:, keep]
+        at = base_at(j, i, tuple(x[i] for x in zero_coarse))
+        if len(coarse) == nl:
+            values = objectives(at, form(at, above(at, top[1:]))).reshape(3, -1)
+            cell = np.argmax(values, axis=1)
+            value, (pair, index) = values[(0, 1, 2), cell], np.divmod(cell, nl)
+        else:
+            # each case's best value and lambda0 index per pair, -1 where the case does not run
+            values, indices = np.full(need.shape, -1.0), np.zeros(need.shape, dtype=int)
+            case, pair = np.nonzero(need)
+            start, whole = _lambda0_windows(coarse_values(at, need)[case, pair], coarse, width)
+            for view, rows in zip(views, (~whole, whole)):
+                if not rows.any():
+                    continue
+                c, p, s = case[rows], pair[rows], start[rows]
+                at = base_at(j[p], i[p], tuple(x[i[p], s] for x in view))
+                tops = np.where(c[:, None] == (1, 2), top[1:], np.inf)  # a row's own case only
+                row = np.arange(len(p))
+                fine = objectives(at, form(at, above(at, tops)))[c, row]
+                il = np.argmax(fine, axis=1)
+                values[c, p], indices[c, p] = fine[row, il], s + il
+            pair = np.argmax(values, axis=1)
+            value, index = values[(0, 1, 2), pair], indices[(0, 1, 2), pair]
+        for case, v, p, il in zip((1, 2, 3), value, pair, index):
+            if v > best[case][0]:
+                best[case] = (float(v), float(ts[i[p]]), float(B_GRID[j[p]]), float(l0s[il]))
     return best
 
 

@@ -24,7 +24,7 @@ from mqtransfer import (
     uniform_curve,
 )
 from mqtransfer.chain import amplitude_grids
-from mqtransfer.optimize import (B_GRID, _curve, _lambda0_grid, _scan, _t_grid,
+from mqtransfer.optimize import (B_GRID, _curve, _lambda0_grid, _lambda0_windows, _scan, _t_grid,
                                  objective_landscape, summary_table)
 from mqtransfer.search import bracket_max, bracket_root
 from mqtransfer.solvers import solve_zero_order, zero_order_at, zero_order_system
@@ -319,6 +319,31 @@ def test_case4_local_certificate(request, fixture, n):
 
 @pytest.mark.parametrize("fixture, n", [("table_n6_free", 6), ("table_n6_one", 6),
                                         ("table_n42_free", 42), ("table_n42_one", 42)])
+def test_table_rows_are_local_maxima(request, fixture, n):
+    # the location of every feasible case 1-3 row: no step of 1e-3 or 1e-2 either way along
+    # t, b and, in free mode, lambda0, inside the search box, raises the objective by more
+    # than 1e-9 relative (the closest neighbour was lower by 7.4e-9, N = 6 free, case 3)
+    spec = ChainSpec(n)
+    t_lo, t_hi = first_window(spec)
+    box = {0: (t_lo, t_hi), 1: optimize_module.B_WINDOW, 2: optimize_module.LAMBDA0_WINDOW}
+    steps = 0
+    for case in (1, 2, 3):
+        res = request.getfixturevalue(fixture)[case]
+        if not res.feasible:
+            continue
+        point = (res.t_opt, res.b_opt, res.lambda0_opt)
+        for axis in (0, 1, 2) if res.lambda0_mode == "free" else (0, 1):
+            for step in (1e-3, -1e-3, 1e-2, -1e-2):
+                trial = list(point)
+                trial[axis] += step
+                if box[axis][0] <= trial[axis] <= box[axis][1]:
+                    assert _case_objective(spec, *trial, case) <= res.objective * (1.0 + 1e-9)
+                    steps += 1
+    assert steps > 0
+
+
+@pytest.mark.parametrize("fixture, n", [("table_n6_free", 6), ("table_n6_one", 6),
+                                        ("table_n42_free", 42), ("table_n42_one", 42)])
 def test_table_rows_match_the_50_digit_reference(request, fixture, n):
     # the value of every table row at its point: each nonzero S1 and S2 against the moments
     # system in mpmath at 50 digits, at the reported (t, b, lambda0); the worst of the 24 is
@@ -484,40 +509,158 @@ def test_scan_keeps_each_case_best_cell(n, t_window, mode):
             assert best[case] == (0.0, ts[0], 0.0, l0s[0])
 
 
+def _quasi_concave(grid) -> np.ndarray:
+    """The mask of the rows of grid (..., nl) that are quasi-concave along the last axis:
+    f(j) >= min(max f(< j), max f(> j)) at every j."""
+    left = np.maximum.accumulate(grid, axis=-1)
+    right = np.maximum.accumulate(grid[..., ::-1], axis=-1)[..., ::-1]
+    return np.all(grid[..., 1:-1] >= np.minimum(left[..., :-2], right[..., 2:]), axis=-1)
+
+
+def test_quasi_concave_flags_a_second_peak():
+    rows = np.array([[0, 1, 3, 3, 2, 0], [0, 0, 0, 0, 0, 0], [4, 3, 2, 1, 0, 0],
+                     [1, 3, 1, 2, 0, 0], [2, 0, 0, 0, 0, 2]], dtype=float)
+    assert _quasi_concave(rows).tolist() == [True, True, True, False, False]
+
+
+@pytest.mark.parametrize("n", [*range(4, 13), 42, 43, 44])
+def test_each_case_is_quasi_concave_along_lambda0(n):
+    # the premise of the scan's coarse and fine lambda0 passes: on the default first
+    # window and lambda0 grid, each case's values along lambda0 are quasi-concave at
+    # every (t, b) pair, so each pair's first maximum lies between the coarse neighbours
+    # of its first coarse maximum
+    ts, l0s, grids = _scan_grid(ChainSpec(n), OptProblem(case=3))
+    assert len(l0s) == 76
+    for grid in grids.values():
+        assert _quasi_concave(grid).all()
+
+
+def test_lambda0_windows_hold_the_cells_between_the_coarse_neighbours():
+    # the window rule on synthetic coarse profiles over the free grid's 76 cells: J at
+    # index 0, at the appended last index, before it, next to a plateau below the maximum,
+    # and the rows the guard sends to the whole row: a zero maximum, a maximum at two
+    # coarse cells (a plateau at the top) and a second peak
+    step, nl = optimize_module._COARSE_STEP, 76
+    coarse = np.r_[np.arange(0, nl - 1, step), nl - 1]
+    width = 2 * step - 1
+    assert coarse.tolist() == [*range(0, 73, 6), 75] and width == 11
+    peak = np.concatenate([np.arange(8.0), np.arange(6.0, 0.0, -1.0)])  # J at coarse 7
+    rows = {
+        "J at 0": (np.arange(14.0, 0.0, -1.0), 0),
+        "J at the last": (np.arange(14.0), nl - width),
+        "J before the last": (np.r_[np.arange(13.0), 0.0], nl - width),
+        "J after a plateau": (np.r_[1.0, 2.0, 2.0, 3.0, np.zeros(10)], coarse[2] + 1),
+        "J before a plateau": (np.r_[3.0, 4.0, 2.0, 2.0, np.zeros(10)], coarse[0] + 1),
+        "J inside": (peak, coarse[6] + 1),
+    }
+    whole = {
+        "zero": np.zeros(14),
+        "plateau at the top": np.r_[1.0, 3.0, 3.0, np.zeros(11)],
+        "second peak": np.r_[1.0, 3.0, 2.0, 2.5, np.zeros(10)],
+        "second peak after a zero": np.r_[3.0, 0.0, 1.0, np.zeros(11)],
+    }
+    profile = np.array([row for row, _ in rows.values()] + list(whole.values()))
+    start, guard = _lambda0_windows(profile, coarse, width)
+    assert start.tolist() == [s for _, s in rows.values()] + [0] * len(whole)
+    assert guard.tolist() == [False] * len(rows) + [True] * len(whole)
+    for (row, _), s in zip(rows.values(), start):
+        j = int(np.argmax(row))
+        lo = coarse[j - 1] + 1 if j > 0 else 0
+        hi = coarse[j + 1] if j + 1 < len(coarse) else nl
+        assert 0 <= s <= lo and hi <= s + width <= nl
+
+
+def test_scan_guard_sends_a_coarse_second_peak_to_the_whole_row(monkeypatch):
+    # a lambda0 stage made singular at lambda0 indices 36..44 (1.22..1.38) splits each
+    # feasible lambda0 interval at N = 6 in two, with a dip at the coarse cells 36 and 42,
+    # so the values along lambda0 are not quasi-concave. The guard sends those rows to the
+    # whole lambda0 row, and the scan keeps the full grid's first maximum; without the
+    # guard the fine window around the first coarse maximum misses case 3's
+    spec, problem = ChainSpec(6), OptProblem(case=3)
+    l0s = _lambda0_grid("free")
+    singular = l0s[36:45]
+
+    def split(spectrum, lambda0s):
+        unit, regular = solve_zero_order(spectrum, lambda0s)
+        return unit, regular & ~np.isin(lambda0s, singular)
+
+    for module in (optimize_module, states_module):
+        monkeypatch.setattr(module, "solve_zero_order", split)
+    ts, _, grids = _scan_grid(spec, problem)
+    assert not all(_quasi_concave(grid).all() for grid in grids.values())
+    first = {}
+    for case, grid in grids.items():
+        by_b = grid.transpose(1, 0, 2)
+        ib, it, il = np.unravel_index(np.argmax(by_b), by_b.shape)
+        first[case] = (grid[it, ib, il], ts[it], B_GRID[ib], l0s[il])
+    assert _scan(spec, problem) == first
+
+    def unguarded(profile, coarse, width):
+        peak = np.argmax(profile, axis=1)
+        start = np.minimum(np.where(peak > 0, coarse[peak - 1] + 1, 0), coarse[-1] + 1 - width)
+        return start, np.zeros(len(profile), dtype=bool)
+
+    monkeypatch.setattr(optimize_module, "_lambda0_windows", unguarded)
+    missed = _scan(spec, problem)
+    assert missed[3] != first[3] and missed[3][0] < first[3][0]
+
+
+def _scan_cells(spec, problem):
+    """The cells of the scan's full (t, b, lambda0) grid."""
+    ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
+    return len(ts) * len(B_GRID) * len(l0s)
+
+
 def test_scan_prunes_most_rows(monkeypatch):
-    # the pruning at work: at N = 42 free, fewer than half of the grid's (t, b)
-    # rows reach the zero-order temperature step of the scan
-    spec = ChainSpec(42)
-    rows = []
+    # the pruning at work: at N = 42 free, fewer than 15 % of the grid's 1,738,728 cells
+    # reach the zero-order temperature step of the scan (7.9 % when this test was restated
+    # over the grid's cells)
+    spec, problem = ChainSpec(42), OptProblem(case=3)
+    cells = []
 
     def counted(unit, n, k):
-        rows.append(len(unit[0]))
+        cells.append(unit[0].size)
         return zero_order_at(unit, n, k)
 
     monkeypatch.setattr(states_module, "zero_order_at", counted)
-    _scan(spec, OptProblem(case=3))
-    assert 0 < sum(rows) < 0.5 * len(_t_grid(spec, None)) * len(B_GRID)
+    _scan(spec, problem)
+    assert 0 < sum(cells) < 0.15 * _scan_cells(spec, problem)
 
 
-def test_scan_forms_c1_max_on_few_cells(monkeypatch):
-    # the per-cell bounds at work: at N = 42 free the closed form of c1_max runs on
-    # fewer than 15 % of the cells of a regular, positive base state that the scan
-    # forms (8.8 % when this test was written)
-    positive, formed = [], []
+def _counted_scan(monkeypatch, spec, problem) -> tuple[int, int]:
+    """The cells that pass through base_cells and through c1_rays in one _scan."""
+    counts = {"base_cells": 0, "c1_rays": 0}
 
     def counted_cells(weights, zero):
         cells = base_cells(weights, zero)
-        positive.append(int(cells[1].sum()))
+        counts["base_cells"] += cells[1].size
         return cells
 
     def counted_rays(base, x1):
-        formed.append(base[0].size)
+        counts["c1_rays"] += base[0].size
         return c1_rays(base, x1)
 
     monkeypatch.setattr(optimize_module, "base_cells", counted_cells)
     monkeypatch.setattr(optimize_module, "c1_rays", counted_rays)
-    _scan(ChainSpec(42), OptProblem(case=3))
-    assert 0 < sum(formed) < 0.15 * sum(positive)
+    _scan(spec, problem)
+    return counts["base_cells"], counts["c1_rays"]
+
+
+def test_scan_forms_c1_max_on_few_cells(monkeypatch):
+    # the per-cell bounds at work: at N = 42 free the closed form of c1_max runs on fewer
+    # than 2 % of the grid's 1,738,728 cells (24,430, 1.41 %, when this test was restated
+    # over the grid's cells)
+    spec, problem = ChainSpec(42), OptProblem(case=3)
+    _, rays = _counted_scan(monkeypatch, spec, problem)
+    assert 0 < rays < 0.02 * _scan_cells(spec, problem)
+
+
+def test_scan_forms_fewer_than_half_the_cells_of_one_pass(monkeypatch):
+    # the coarse and fine lambda0 passes at work: at N = 42 free base_cells forms fewer
+    # than half of the 374,604 cells that one pass over every lambda0 of the running (t, b)
+    # pairs formed (137,665 when this test was written)
+    cells, _ = _counted_scan(monkeypatch, ChainSpec(42), OptProblem(case=3))
+    assert 0 < cells < 374_604 / 2
 
 
 def test_scan_forms_the_semi_axes_once_per_batch(monkeypatch):
