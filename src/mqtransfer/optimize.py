@@ -3,17 +3,18 @@
 Four cases are covered: only the double-quantum weight free (case 1), only
 the single-quantum one (case 2), both free (case 3), and both free under the
 uniform-scaling constraint lambda1 = lambda2 (case 4), which confines (b, t)
-to a curve. Cases 1-3 search a coarse vectorized grid scan that keeps each
-case's best cell, followed by coordinatewise bracket searches
-(mqtransfer.search) that refine the cases' cells together: one search per
-axis over one bracket per case, each step one batched region evaluation over
-(cases, K) points. A bracket stops at REFINE_TOL on its own, so each case
-ends where it would if refined alone, and optimize of one case is a batch of
-one (see _refine). The landscape has kinks at positivity and
-eigenvalue-realness boundaries, so no derivatives are used. The scan builds
-one t-stage and one lambda0 stage of the region kernel (mqtransfer.states)
-and the temperature step of every b column, and runs the rest of the kernel,
-the zero-order temperature step and the rays, only at the (t, b) pairs that
+to a curve. Cases 1-3 start from a coarse vectorized grid scan that
+keeps each case's best cell, and case 4 from its best cell on the curve
+(see below); coordinatewise bracket searches (mqtransfer.search) then
+refine the four cells together: one search per axis over one bracket per
+case, each step one batched region evaluation over (cases, K) points. A
+bracket stops at its own tolerance, so each case ends where it would if
+refined alone, and optimize of one case is a batch of one (see _refine).
+The landscape has kinks at positivity and eigenvalue-realness
+boundaries, so no derivatives are used. The scan builds one t-stage and
+one lambda0 stage of the region kernel (mqtransfer.states) and the
+temperature step of every b column, and runs the rest of the kernel, the
+zero-order temperature step and the rays, only at the (t, b) pairs that
 can still win. On a positive base state c2_max <= 1/2 and c1_max <= 1 / (2
 max(|x12| + |x34|, |x13| + |x24|)) <= 1/sqrt(2) for the pair's unit x1, so
 C2 lambda2+, C1 lambda1+ and their product bound the three objectives at
@@ -31,10 +32,11 @@ lambda0 and the last, then per case the cells between the coarse neighbours
 of its first coarse maximum, which is exact where a case's values along
 lambda0 are quasi-concave (tested); a guard sends the rows whose coarse
 values show otherwise to their whole lambda0 row. So the scan's best cells
-are those of the full grid (see _scan). Case 4 samples the curve in closed
+are those of the full grid (see _scan). Case 4 reads the curve in closed
 form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small the smaller
-eigenvalue of the transfer matrix W, along the t grid, and refines its best
-points with one bracket search in t.
+eigenvalue of the transfer matrix W (_curve_b); its start is the first
+maximum over the t grid's times on the curve and the lambda0 grid
+(_curve_start), and the refinement keeps it on the curve.
 Cases 2-4 need a real single-quantum factor, which
 mqtransfer.two_qubit.transfer_spectrum decides exactly and independently of
 b > 0; for odd N there is none, so those cases are infeasible there.
@@ -316,10 +318,11 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     c', the same argument keeps the window's cells outside (c, c') below f(F), and the window's
     first maximum is F. The premise is sampled, not proved: tier-1 tests check it at every (t,
     b) pair of the default grids at N = 4-12 and 42-44. Guard: a (pair, case) whose coarse
-    values (as formed, 0 at the cells left out) are not quasi-concave, whose coarse maximum is 0
-    or whose maximum is attained at two coarse cells runs its whole lambda0 row instead, as one
-    pass would. A violation that the coarse values do not show, such as a peak between two
-    coarse cells, passes the guard.
+    values (as formed, 0 at the cells left out, whose values lie below the pair's e) are not
+    quasi-concave, whose coarse maximum is 0 or whose maximum is attained at two coarse cells
+    runs its whole lambda0 row instead, as one pass would. A violation that the coarse values
+    do not show passes the guard: a peak between two coarse cells, or a lower second peak
+    whose coarse cells lie below e.
 
     Exactness. A pair left out has, in every case, a bound at most the floor, which the grid's
     maximum is not below, or at most the running best, which only a strictly greater value
@@ -454,7 +457,7 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
 def _refine(spec: ChainSpec, problem: OptProblem,
             starts: dict[int, tuple]) -> dict[int, tuple[float, float, float]]:
     """Coordinatewise bracket searches around the grid winners starts, case -> (t, b, lambda0),
-    of cases 1..3, all refined together under the problem's zero-order mode and t window
+    of any of cases 1..4, all refined together under the problem's zero-order mode and t window
     (its case is not read).
 
     A round runs one bracket_max per axis, t, then b, then lambda0 if free, with one bracket
@@ -462,8 +465,12 @@ def _refine(spec: ChainSpec, problem: OptProblem,
     So each search step is one region kernel call over (cases, K) points: the t search builds
     a t-stage over them at each case's b and lambda0, the b search one t-stage at the cases'
     times and one lambda0 stage, whose steps are temperature steps only, and the lambda0
-    search one temperature step. A row's objective is its case's entry of _objectives.
-    bracket_max stops each bracket at REFINE_TOL on its own and the kernel's rows do not mix,
+    search one temperature step. A row's objective is its case's entry of _objectives. Case 4
+    stays on the curve: its t search reads b = b(t) (_curve_b) and -inf off the curve or
+    outside B_WINDOW, its b is reset to b(t) after the t search, and its b bracket is [b, b].
+    |db/dt| reaches 4 near the table's case-4 optima, so its t bracket stops at REFINE_TOL / 4,
+    for b(t) to be resolved to REFINE_TOL as well.
+    bracket_max stops each bracket at its own tolerance and the kernel's rows do not mix,
     so each case ends where it would if refined alone. At most three rounds run; a round in
     which no case moves ends the refinement: it is a fixed point of every case, since a round
     depends only on (t, b, lambda0), and so a case that stops moving before the others stays
@@ -472,9 +479,10 @@ def _refine(spec: ChainSpec, problem: OptProblem,
     the objective but move b by up to 1.2e-3 and t by up to 2e-4).
     """
     cases = list(starts)
+    curve = np.array(cases) == 4
     t, b, l0 = (np.array(x, dtype=float) for x in zip(*starts.values()))
     ts = _t_grid(spec, problem.t_window)
-    axes = {"t": (T_STEP, ts[0], ts[-1]), "b": (B_STEP, *B_WINDOW),
+    axes = {"t": (T_STEP, ts[0], ts[-1]), "b": (np.where(curve, 0.0, B_STEP), *B_WINDOW),
             "l0": (LAMBDA0_STEP, *LAMBDA0_WINDOW)}
 
     def objective(points, zero) -> np.ndarray:
@@ -483,18 +491,25 @@ def _refine(spec: ChainSpec, problem: OptProblem,
 
     def at_times(x) -> np.ndarray:
         times = time_stage(spec, x)
-        return objective(region_points(times, b[:, None]),
-                         solve_zero_order(times.spectrum, l0[:, None]))
+        at_b, on = b[:, None], True
+        if curve.any():
+            at_b, on = np.repeat(at_b, x.shape[1], axis=1), np.ones(x.shape, dtype=bool)
+            at_b[curve], on[curve] = _curve_b(spec.n_sites, x[curve])
+        values = objective(region_points(times, at_b), solve_zero_order(times.spectrum, l0[:, None]))
+        return np.where(on, values, -np.inf)
 
-    def polish(x: np.ndarray, axis: str, f) -> np.ndarray:
+    def polish(x: np.ndarray, axis: str, f, tol=REFINE_TOL) -> np.ndarray:
         step, lo, hi = axes[axis]
-        return bracket_max(f, np.maximum(lo, x - step), np.minimum(hi, x + step), REFINE_TOL)[0]
+        return bracket_max(f, np.maximum(lo, x - step), np.minimum(hi, x + step), tol)[0]
 
     for _ in range(3):
         before = np.array([t, b, l0])
-        t = polish(t, "t", at_times)
-        # times of shape (cases, 1): the amplitudes' product then rounds as at a lone time
+        t = polish(t, "t", at_times, np.where(curve, REFINE_TOL / 4, REFINE_TOL))
+        # times of shape (cases, 1): the amplitudes' product then rounds as at a lone time,
+        # in the t-stage and in b(t) alike, however many cases run
         times = time_stage(spec, t[:, None])
+        if curve.any():
+            b[curve] = _curve_b(spec.n_sites, t[curve, None])[0][:, 0]
         zero = solve_zero_order(times.spectrum, l0[:, None])
         b = polish(b, "b", lambda x: objective(region_points(times, x), zero))
         if problem.lambda0_mode == "free":
@@ -527,10 +542,13 @@ def _infeasible_result(problem: OptProblem) -> OptResult:
 
 
 def _scan_and_refine(spec: ChainSpec, problems: dict[int, OptProblem]) -> dict[int, OptResult]:
-    """Cases 1..3 of problems, which share a zero-order mode and a t window: one grid scan, then
-    one refinement of the feasible cases' best cells together."""
+    """The cases of problems, which share a zero-order mode and a t window: the grid scan of
+    cases 1..3 and the curve start of case 4, each run only if asked for, then one refinement
+    of the feasible cases' best cells together."""
     shared = next(iter(problems.values()))
-    best = _scan(spec, shared)
+    best = _scan(spec, shared) if problems.keys() - {4} else {}
+    if 4 in problems:
+        best[4] = _curve_start(spec, shared)
     starts = {case: best[case][1:] for case in problems if best[case][0] > 0.0}
     ends = _refine(spec, shared, starts) if starts else {}
     return {case: _finalize(spec, problem, *ends[case]) if case in ends
@@ -538,14 +556,12 @@ def _scan_and_refine(spec: ChainSpec, problems: dict[int, OptProblem]) -> dict[i
 
 
 def optimize(problem: OptProblem, spec: ChainSpec) -> OptResult:
-    """Maximize the case objective over (t, b, lambda0).
+    """Maximize the case objective over (t, b, lambda0): a batch of one of summary_table's run.
 
-    Cases 1..3 scan the full grid and refine its best cell; case 4 samples the
-    uniform-scaling curve b(t) and refines its best points along it.
+    Cases 1..3 scan the full grid and refine its best cell; case 4 takes its best cell on the
+    uniform-scaling curve b(t) and refines it along the curve (see _refine).
     An all-zero feasible set yields a result with feasible=False.
     """
-    if problem.case == 4:
-        return _optimize_case4(problem, spec)
     return _scan_and_refine(spec, {problem.case: problem})[problem.case]
 
 
@@ -600,58 +616,31 @@ def uniform_curve(spec: ChainSpec, bs=B_GRID) -> list[CurvePoint]:
             for r, t, value in zip(rows[keep], t_root[keep], lam[keep])]
 
 
-def _case4_best(spec: ChainSpec, ts: np.ndarray, bs: np.ndarray,
-                problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Largest s1 * s2 over lambda0 at each (t, b) pair, and the lambda0 giving it;
-    the t-stage and the temperature step run once, each lambda0 search step
-    only the lambda0 stage and region_cells."""
+def _curve_b(n: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """b(t) on the uniform-scaling curve tanh(b/2)^(N-2) = v(t) (see _curve) over times t, and
+    the mask of times on it: lambda1 real, 0 <= v < 1, lambda2 above CURVE_MIN_LAMBDA and b(t)
+    within B_WINDOW. b is 0 where v is outside [0, 1)."""
+    v, real, lam = _curve(n, t)
+    on = real & (v >= 0.0) & (v < 1.0) & (lam > CURVE_MIN_LAMBDA)
+    b = 2.0 * np.arctanh(np.where(on, v, 0.0) ** (1.0 / (n - 2)))
+    return b, on & (b >= B_WINDOW[0]) & (b <= B_WINDOW[1])
+
+
+def _curve_start(spec: ChainSpec, problem: OptProblem) -> tuple[float, float, float, float]:
+    """Best cell (value, t, b, lambda0) of case 4: the first maximum, in (t, lambda0) order, of
+    s1 s2 over the t grid's times on the curve (_curve_b), at b = b(t), and the lambda0 grid.
+    B_STEP does not apply. A value of zero means no cell is feasible."""
+    ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
+    b, on = _curve_b(spec.n_sites, ts)
+    if not on.any():
+        return 0.0, float(ts[0]), float(B_WINDOW[0]), float(l0s[0])
+    ts, b = ts[on, None], b[on, None]
     times = time_stage(spec, ts)
-    points = region_points(times, bs)
-    factors = positive_factors(points)
-
-    def product(l0s) -> np.ndarray:
-        """s1 s2 at lambda0s (pairs, K) or (1, K): cells (K, pairs) take the points as they are."""
-        zero = solve_zero_order(times.spectrum, l0s.T)
-        return _objectives(factors, region_cells(points, zero))[3].T
-
-    grid = _lambda0_grid(problem.lambda0_mode)
-    if problem.lambda0_mode == "fixed_one":
-        return product(grid[None])[:, 0], np.ones(len(ts))
-    lo, hi = LAMBDA0_WINDOW
-    k = np.argmax(product(grid[None]), axis=1)
-    l0, obj = bracket_max(product, np.maximum(lo, grid[k] - LAMBDA0_STEP),
-                          np.minimum(hi, grid[k] + LAMBDA0_STEP), REFINE_TOL)
-    return obj, l0
-
-
-def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
-    """Sample the curve b(t) along the t grid, then refine its three best points
-    in one bracket search over t; B_STEP does not apply."""
-    n = spec.n_sites
-    ts = _t_grid(spec, problem.t_window)
-
-    def along_curve(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """b(t), the objective (-inf off the curve) and lambda0 at times t."""
-        v, real, lam = _curve(n, t)
-        on = real & (v >= 0.0) & (v < 1.0) & (lam > CURVE_MIN_LAMBDA)
-        b = 2.0 * np.arctanh(np.where(on, v, 0.0) ** (1.0 / (n - 2)))
-        on &= (b >= B_WINDOW[0]) & (b <= B_WINDOW[1])
-        obj, l0 = np.full(t.shape, -np.inf), np.ones(t.shape)
-        obj[on], l0[on] = _case4_best(spec, t[on], b[on], problem)
-        return b, obj, l0
-
-    obj = along_curve(ts)[1]
-    top = np.argsort(-obj, kind="stable")[:3]
-    top = top[obj[top] > 0.0]
-    if not top.size:
-        return _infeasible_result(problem)
-    # |db/dt| reaches 4 near the table optima, so t is searched to REFINE_TOL / 4
-    # for b(t) to be resolved to REFINE_TOL as well
-    t, _ = bracket_max(lambda x: along_curve(x)[1], np.maximum(ts[0], ts[top] - T_STEP),
-                       np.minimum(ts[-1], ts[top] + T_STEP), REFINE_TOL / 4)
-    b, obj, l0 = along_curve(t)
-    k = int(np.argmax(obj))
-    return _finalize(spec, problem, float(t[k]), float(b[k]), float(l0[k]))
+    points = region_points(times, b)
+    values = _objectives(positive_factors(points),
+                         region_cells(points, solve_zero_order(times.spectrum, l0s)))[3]
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[i, j]), float(ts[i, 0]), float(b[i, 0]), float(l0s[j])
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +648,10 @@ def _optimize_case4(problem: OptProblem, spec: ChainSpec) -> OptResult:
 
 
 def summary_table(spec: ChainSpec, lambda0_mode: str = "free") -> dict[int, OptResult]:
-    """Optimize all four cases, sharing one grid scan and one refinement across cases 1..3."""
-    problems = {case: OptProblem(case=case, lambda0_mode=lambda0_mode) for case in (1, 2, 3, 4)}
-    results = _scan_and_refine(spec, {case: problems[case] for case in (1, 2, 3)})
-    results[4] = _optimize_case4(problems[4], spec)
-    return results
+    """Optimize all four cases: one grid scan of cases 1..3, case 4's curve start and one
+    refinement of all four together."""
+    return _scan_and_refine(spec, {case: OptProblem(case=case, lambda0_mode=lambda0_mode)
+                                   for case in (1, 2, 3, 4)})
 
 
 def objective_landscape(spec: ChainSpec, problem: OptProblem,

@@ -25,22 +25,23 @@ def _grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, K)
 
 
-def _brackets(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    return lo.ravel().copy(), hi.ravel().copy()
+def _brackets(*arrays) -> tuple[np.ndarray, ...]:
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in arrays))
+    return tuple(x.ravel().copy() for x in arrays)
 
 
-def bracket_max(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def bracket_max(f, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
     """Best point of f in each bracket [lo, hi] and its value.
 
     Shrinks each bracket to the two cells around its best grid point; the
     ends of the first brackets are candidates too. A bracket stops once it
-    is narrower than tol: its point and value are kept from that step while
-    the other rows go on, so each row's result is that of its bracket
-    searched alone (f still sees every row). For a unimodal f the maximum
-    lies within tol of the returned point.
+    is narrower than tol, a scalar or one tolerance per bracket (tol
+    broadcasts against lo and hi): its point and value are kept from that
+    step while the other rows go on, so each row's result is that of its
+    bracket searched alone with its own tolerance (f still sees every row).
+    For a unimodal f the maximum lies within tol of the returned point.
     """
-    lo, hi = _brackets(lo, hi)
+    lo, hi, tol = _brackets(lo, hi, tol)
     best, top = np.empty(lo.size), np.empty(lo.size)
     live = np.arange(lo.size)
     for _ in range(_MAX_STEPS):
@@ -52,7 +53,7 @@ def bracket_max(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
         best[live], top[live] = x[rows, j], values[rows, j]
         lo[live] = x[rows, np.maximum(j - 1, 0)]
         hi[live] = x[rows, np.minimum(j + 1, K - 1)]
-        live = live[hi[live] - lo[live] > tol]
+        live = live[hi[live] - lo[live] > tol[live]]
         if not live.size:
             break
     return best, top

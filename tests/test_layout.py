@@ -81,6 +81,20 @@ def test_traced_names_resolve():
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
 
 
+def test_optimize_runs_bracket_searches_only_in_refine():
+    # one refinement for all four cases: case 4 has no search stack of its own, so no
+    # function of optimize but _refine calls bracket_max
+    path = PACKAGE / "optimize.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "bracket_max":
+            owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.add("/".join(owner) or "<module>")
+    assert found == {"_refine"}, found
+
+
 def _lapack_solves(path: Path) -> list[str]:
     """Calls of numpy.linalg.eig or numpy.linalg.solve, and imports of them."""
     found = []

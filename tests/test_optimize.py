@@ -273,14 +273,24 @@ def test_batched_eigen_selection_matches_scalar():
                 assert np.max(np.abs(vec[i] - sol[3])) < 1e-9
 
 
-def test_low_temperature_saturation(table_n6_free):
-    # cases 1 and 2 saturate in b: the cap at b = 10 costs less than 1e-4
+def test_low_temperature_saturation(table_n6_free, table_n42_free):
+    # cases 1 and 2 saturate in b: the cap at b = 10 costs less than 1e-4. The rows at
+    # b = 10, the top of B_WINDOW (N = 6 free cases 1 and 2, N = 42 free case 1), are the
+    # zero-temperature values to about 4-5 digits: at the row's (t, lambda0), b = 1e3
+    # raises the objective by less than 1e-4 relative (measured 2.29e-5, 4.52e-5 and
+    # 3.88e-5, the same at b = 40, 1e3 and 1e6)
     spec = ChainSpec(6)
     for case in (1, 2):
         res = table_n6_free[case]
         at_cap = _case_objective(spec, res.t_opt, 10.0, res.lambda0_opt, case)
         beyond = _case_objective(spec, res.t_opt, 12.0, res.lambda0_opt, case)
         assert abs(beyond - at_cap) < 1e-4
+    rows = [(n, res) for n, table in ((6, table_n6_free), (42, table_n42_free))
+            for res in table.values() if res.b_opt == optimize_module.B_WINDOW[1]]
+    assert [(n, res.case) for n, res in rows] == [(6, 1), (6, 2), (42, 1)]
+    for n, res in rows:
+        cold = _case_objective(ChainSpec(n), res.t_opt, 1e3, res.lambda0_opt, res.case)
+        assert res.objective <= cold < res.objective * (1.0 + 1e-4)
 
 
 def test_result_local_certificate(table_n6_free):
@@ -741,20 +751,59 @@ def test_refinement_finds_the_same_optimum_on_a_quarter_step_grid(monkeypatch):
             assert b.objective == pytest.approx(a.objective, rel=1e-7)
 
 
+def _result_bytes(result) -> dict:
+    """The fields of an OptResult, floats and arrays as their bytes, so NaN equals NaN."""
+    return {key: value if value is None or isinstance(value, str) else np.asarray(value).tobytes()
+            for key, value in vars(result).items()}
+
+
 @pytest.mark.parametrize("mode", ["free", "fixed_one"])
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 10, 42, 43, 44])
 def test_joint_refinement_equals_one_case_calls(n, mode):
-    # the kernel's rows do not mix and each bracket stops at REFINE_TOL on its own,
-    # so refining cases 1..3 together ends each case bitwise where a batch of one
-    # ends it. Every case starts from its scan cell, the infeasible ones (cases 2
-    # and 3 of odd N, whose rows are all zero) too
+    # the kernel's rows do not mix and each bracket stops at its own tolerance (case 4's
+    # t bracket at REFINE_TOL / 4), so refining cases 1..4 together ends each case bitwise
+    # where a batch of one ends it. Cases 1..3 start from their scan cells and case 4 from
+    # its curve start, the infeasible ones (whose rows are all zero or off the curve) too
     spec = ChainSpec(n)
     problem = OptProblem(case=3, lambda0_mode=mode)
     starts = {case: cell[1:] for case, cell in _scan(spec, problem).items()}
+    starts[4] = optimize_module._curve_start(spec, problem)[1:]
     joint = optimize_module._refine(spec, problem, starts)
-    assert list(joint) == [1, 2, 3]
+    assert list(joint) == [1, 2, 3, 4]
     for case, start in starts.items():
         assert joint[case] == optimize_module._refine(spec, problem, {case: start})[case]
+    # so optimize of case 4 alone is summary_table's row, bitwise
+    assert (_result_bytes(optimize(OptProblem(4, mode), spec))
+            == _result_bytes(summary_table(spec, mode)[4]))
+
+
+@pytest.mark.parametrize("mode", ["free", "fixed_one"])
+def test_curve_start_is_the_first_maximum_of_the_curve_grid(mode):
+    # case 4's start: the first maximum, in (t, lambda0) order, of s1 s2 over the t grid's
+    # times on the curve, at b = b(t), and the lambda0 grid. The grid is formed again through
+    # the case mask (case_metrics) with lambda0 on the leading axis, and checked point by
+    # point against region_metrics at seeded cells and at the returned cell
+    spec = ChainSpec(6)
+    value, t, b, l0 = optimize_module._curve_start(spec, OptProblem(4, mode))
+    ts, l0s = _t_grid(spec, None), _lambda0_grid(mode)
+    bs, on = optimize_module._curve_b(6, ts)
+    assert 0 < on.sum() < len(ts)
+    ts, bs = ts[on], bs[on]
+    points = region_points(time_stage(spec, ts), bs)
+    cells = region_cells(points, solve_zero_order(time_stage(spec, ts).spectrum, l0s[:, None]))
+    _, s1, s2 = case_metrics(points, cells, 4)
+    grid = (s1 * s2).T  # (t, lambda0)
+    i, j = np.unravel_index(np.argmax(grid), grid.shape)
+    assert (t, b, l0) == (ts[i], bs[i], l0s[j])
+    assert value == pytest.approx(grid[i, j], rel=1e-12)
+    report = region_metrics(spec, t, b, l0, 4)
+    assert report.feasible and report.lambda1 == pytest.approx(report.lambda2, rel=1e-9)
+    assert value == pytest.approx(report.s12, rel=1e-12)
+    rng = np.random.default_rng(4)
+    for i, j in zip(rng.integers(len(ts), size=24), rng.integers(len(l0s), size=24)):
+        ref = region_metrics(spec, float(ts[i]), float(bs[i]), float(l0s[j]), 4).s12
+        assert grid[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        assert grid[i, j] <= value
 
 
 def test_scan_holds_no_grid():

@@ -56,22 +56,29 @@ def test_bracket_root_reports_lost_brackets():
 
 
 def test_many_brackets_equal_one_bracket_calls():
-    # rows never mix, and each bracket stops once it is narrower than tol, so a
-    # batch gives the single results exactly. The last bracket holds a maximum at
-    # its end, where it shrinks to one cell per step and stops before the others
+    # rows never mix, and each bracket stops once it is narrower than its own tol, so
+    # a batch gives the single results exactly, with one tolerance for all or one per
+    # bracket. The last bracket holds a maximum at its end, where it shrinks to one
+    # cell per step and stops before the others
     def f(x):
         return np.sin(3.0 * x) + 0.1 * x
 
     lows = np.array([0.0, 0.7, 1.9, 2.6, 4.1, 0.3])
     highs = np.append(lows[:-1] + 0.8, 0.5)
+    tols = np.array([1e-10, 2.5e-5, 1e-4, 1e-10, 1e-3, 2.5e-5])
     x, value = bracket_max(f, lows, highs, 1e-10)
+    xs, values = bracket_max(f, lows, highs, tols)
     lo, hi, found = bracket_root(f, lows, highs, 1e-12)
     assert x[-1] == 0.5
     for i, (a, b) in enumerate(zip(lows, highs)):
         x1, value1 = bracket_max(f, a, b, 1e-10)
         assert (x[i], value[i]) == (x1[0], value1[0])
+        x1, value1 = bracket_max(f, a, b, float(tols[i]))
+        assert (xs[i], values[i]) == (x1[0], value1[0])
         lo1, hi1, found1 = bracket_root(f, a, b, 1e-12)
         assert (lo[i], hi[i], found[i]) == (lo1[0], hi1[0], found1[0])
+    # the coarser tolerances stop the two interior maxima they apply to earlier
+    assert xs[2] != x[2] and xs[4] != x[4]
     # against a dense scan of each bracket
     for i, (a, b) in enumerate(zip(lows, highs)):
         grid = np.linspace(a, b, 200001)
