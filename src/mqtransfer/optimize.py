@@ -24,19 +24,21 @@ reads every case's objective or bound off s1 and s2, _case_table); the exact
 objectives at the few pairs of largest bound give each case a floor, and a
 pair runs only if its bound exceeds the floor and the running best of some
 case. The pairs left out cannot hold a first maximum. Within a pair, the
-closed form of c1_max (mqtransfer.states.c1_rays) runs only at the cells
-whose own bound, from the 2x2 principal minors c1_max |x_ij| <= sqrt(rho_ii
-rho_jj), can still win case 2 or 3; the other cells read s1 = 0 and could
-not have won. In free mode a pair runs lambda0 in two passes: every sixth
-lambda0 and the last, then per case the cells between the coarse neighbours
-of its first coarse maximum, which is exact where a case's values along
-lambda0 are quasi-concave (tested); a guard sends the rows whose coarse
-values show otherwise to their whole lambda0 row. So the scan's best cells
-are those of the full grid (see _scan). Case 4 reads the curve in closed
-form, b(t) from tanh(b/2)^(N-2) = w_small(t) with w_small the smaller
-eigenvalue of the transfer matrix W (_curve_b); its start is the first
-maximum over the t grid's times on the curve and the lambda0 grid
-(_curve_start), and the refinement keeps it on the curve.
+closed form of c1_max (mqtransfer.states.c1_rays) runs, except in the
+coarse pass below, only at the cells whose own bound, from the 2x2
+principal minors c1_max |x_ij| <= sqrt(rho_ii rho_jj), can still win case 2
+or 3; the other cells read s1 = 0 and could not have won. In free mode a
+pair runs lambda0 in two passes: every sixth lambda0 and the last, with
+c1_max formed wherever a running case can be positive, so these coarse
+values are exact; then per case the cells between the coarse neighbours of
+its first coarse maximum, which is exact where a case's values along lambda0
+are quasi-concave (tested); a guard sends the rows whose coarse values show
+otherwise to their whole lambda0 row. So the scan's best cells are those of
+the full grid (see _scan). Case 4 reads the curve in closed form, b(t) from
+tanh(b/2)^(N-2) = w_small(t) with w_small the smaller eigenvalue of the
+transfer matrix W (_curve_b); its start is the first maximum over the t
+grid's times on the curve and the lambda0 grid (_curve_start), and the
+refinement keeps it on the curve.
 Cases 2-4 need a real single-quantum factor, which
 mqtransfer.two_qubit.transfer_spectrum decides exactly and independently of
 b > 0; for odd N there is none, so those cases are infeasible there.
@@ -301,12 +303,11 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     = 1), a chunk forms c1_max (c1_rays) at the ok cells where V or V s2 exceeds top in case 2
     or 3, and the first maximum of its objectives is final. In free mode a chunk runs two
     passes:
-    - Coarse: each pair at the lambda0 indices 0, m, 2m, ... and the last (m = _COARSE_STEP).
-      Each case that runs needs its exact first coarse maximum J, which a 0 read at a cell
-      whose c1_max is not formed could hide. So c1_max is formed first at the ok cells of
-      largest V and of largest V s2, which give cases 2 and 3 each a value e that the pair
-      attains, and then at the other ok cells whose V exceeds e in case 2 or V s2 in case 3.
-      A cell left out has a value below e or 0, so it neither is nor ties J.
+    - Coarse: each pair at the lambda0 indices 0, m, 2m, ... and the last (m = _COARSE_STEP),
+      with c1_max formed at every ok cell where V > 0 in case 2 or V s2 > 0 in case 3, if that
+      case runs at the pair. At its other cells the case's value is 0 (lambda1+ = 0, or s2 =
+      0 in case 3), so each running case's coarse values are exact, and so is its first
+      coarse maximum J.
     - Fine: each (pair, case) that runs reads the cells strictly between J's coarse
       neighbours, at most 2m - 1, in a window of 2m - 1 contiguous cells clipped to the grid
       (_lambda0_windows), and forms c1_max at the ok cells whose V or V s2 exceeds top in its
@@ -318,20 +319,19 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
     c', the same argument keeps the window's cells outside (c, c') below f(F), and the window's
     first maximum is F. The premise is sampled, not proved: tier-1 tests check it at every (t,
     b) pair of the default grids at N = 4-12 and 42-44. Guard: a (pair, case) whose coarse
-    values (as formed, 0 at the cells left out, whose values lie below the pair's e) are not
-    quasi-concave, whose coarse maximum is 0 or whose maximum is attained at two coarse cells
-    runs its whole lambda0 row instead, as one pass would. A violation that the coarse values
-    do not show passes the guard: a peak between two coarse cells, or a lower second peak
-    whose coarse cells lie below e.
+    values are not quasi-concave, whose coarse maximum is 0 or whose maximum is attained at two
+    coarse cells runs its whole lambda0 row instead, as one pass would. A violation that the
+    coarse cells do not sample passes the guard: a peak that lies wholly between two of them.
 
     Exactness. A pair left out has, in every case, a bound at most the floor, which the grid's
     maximum is not below, or at most the running best, which only a strictly greater value
     replaces. Its value is below its bound or zero, so it holds no first maximum but a zero one,
     which the first cell holds. The same holds for a case left out at a pair, and for a cell
-    whose c1_max is not formed: in cases 2 and 3 its value is below V or V s2, which is at most
-    top, and the 0 it reads instead is no greater, so it neither holds nor hides a first
-    maximum. Where c1_max is formed it is c1_rays' value at that cell, as over the full grid.
-    The pairs that run keep their order, so argmax breaks ties as it would over the full grid.
+    whose c1_max is not formed outside the coarse pass: in cases 2 and 3 its value is below V
+    or V s2, which is at most top, and the 0 it reads instead is no greater, so it neither
+    holds nor hides a first maximum. Where c1_max is formed it is c1_rays' value at that
+    cell, as over the full grid. The pairs that run keep their order, so argmax breaks ties
+    as it would over the full grid.
     """
     ts, l0s = _t_grid(spec, problem.t_window), _lambda0_grid(problem.lambda0_mode)
     nl = len(l0s)
@@ -368,11 +368,10 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
         ok, (v1, v12) = at[2][1], at[3]
         return ok & ((v1 > top[..., 0, None]) | (v12 > top[..., 1, None]))
 
-    def form(at, run, c1_max=None) -> np.ndarray:
-        """c1_max at the cells of base_at: c1_rays at the cells run, elsewhere what c1_max
-        holds, 0 if it is None."""
+    def form(at, run) -> np.ndarray:
+        """c1_max at the cells of base_at: c1_rays at the cells run, 0 elsewhere."""
         base, x1_at = at[2][0], at[1]
-        c1_max = np.zeros(run.shape) if c1_max is None else c1_max
+        c1_max = np.zeros(run.shape)
         row, il = np.nonzero(run)
         if row.size:
             c1_max[row, il] = c1_rays(tuple(x[row, il] for x in base), x1_at[row])
@@ -382,24 +381,6 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
         """The objectives (3, pairs, cells) of cases 1..3 at the cells of base_at."""
         factors, _, (base, ok, c2_max), _ = at
         return np.array(_objectives(factors, (base, ok, c1_max, c2_max))[:3])
-
-    def coarse_values(at, need) -> np.ndarray:
-        """objectives at the coarse cells of base_at, exact where they can be a first maximum
-        of a case that need (3, pairs) runs: c1_max is formed at the ok cells of largest V and
-        V s2, which give e, and then at the ok cells whose V or V s2 exceeds e."""
-        factors, _, (_, ok, c2_max), v = at
-        pairs = np.arange(len(ok))
-        lead = [np.argmax(np.where(ok, x, 0.0), axis=1) for x in v]
-        first = np.zeros(ok.shape, dtype=bool)
-        for runs, x, il in zip(need[1:], v, lead):
-            use = runs & ok[pairs, il] & (x[pairs, il] > 0.0)
-            first[pairs[use], il[use]] = True
-        c1_max = form(at, first)
-        s1 = c1_max * factors[0]
-        e = [np.maximum(x[pairs, lead[0]], x[pairs, lead[1]])
-             for x in (s1, s1 * c2_max * factors[1])]
-        rest = above(at, np.where(need[1:], e, np.inf).T) & ~first
-        return objectives(at, form(at, rest, c1_max))
 
     seed = np.zeros(bounds[0].size, dtype=bool)
     seed[np.argpartition(bounds.reshape(3, -1), -_SEED_PAIRS, axis=1)[:, -_SEED_PAIRS:]] = True
@@ -431,7 +412,10 @@ def _scan(spec: ChainSpec, problem: OptProblem) -> dict[int, tuple[float, float,
             # each case's best value and lambda0 index per pair, -1 where the case does not run
             values, indices = np.full(need.shape, -1.0), np.zeros(need.shape, dtype=int)
             case, pair = np.nonzero(need)
-            start, whole = _lambda0_windows(coarse_values(at, need)[case, pair], coarse, width)
+            # c1_max at every ok cell where case 2 or 3 runs and can be positive (V or V s2 > 0)
+            tops = np.where(need[1:], 0.0, np.inf).T
+            profile = objectives(at, form(at, above(at, tops)))[case, pair]
+            start, whole = _lambda0_windows(profile, coarse, width)
             for view, rows in zip(views, (~whole, whole)):
                 if not rows.any():
                     continue

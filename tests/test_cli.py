@@ -285,6 +285,19 @@ def test_table1_odd_chain_has_no_case2(capsys, n):
     assert all(np.isnan(float(x)) for x in case2[3:])
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 43])
+def test_table1_odd_chain_has_no_case1(capsys, n):
+    # for these odd N, lambda2 = det W is negative on the whole first-window t grid
+    # (largest Re det W -1.9e-2 at N = 5, -4.7e-19 at N = 43, found by sampling), so
+    # case 1 is infeasible too
+    code, out = _run(capsys, ["table1", "--n", str(n), "--precision", "full"])
+    assert code == 0
+    case1 = _csv_rows(out)[1]
+    assert case1[0] == "case1"
+    assert float(case1[2]) == 0.0
+    assert all(np.isnan(float(x)) for x in case1[3:])
+
+
 def test_solve_on_the_zero_order_spectrum_is_one_line(capsys):
     # lambda0 on a real eigenvalue of the dense T0 is a singular cell of the kernel
     from mqtransfer.solvers import zero_order_system
